@@ -27,7 +27,7 @@ from .formula import (
     lf_subst,
     lf_sum,
 )
-from .respoly import ONE, ZERO, Poly, fresh_var, poly_leq, pvar, weight_var
+from .respoly import ONE, ZERO, Poly, fresh_var, poly_leq, pvar, specialize, weight_var
 
 Sequent = tuple[LF, ...]
 Path = tuple[int, ...]
@@ -368,9 +368,7 @@ class PreWeight:
 
 
 def _ones(poly: Poly, vars: frozenset[str]) -> Poly:
-    for v in vars:
-        poly = poly.subst(v, ONE)
-    return poly
+    return specialize(poly, dict.fromkeys(vars, 1))
 
 
 def preweight(p: Proof) -> PreWeight:
@@ -390,9 +388,10 @@ def preweight(p: Proof) -> PreWeight:
             lpw, rpw = pws
             poly = _ones(lpw.poly, lpw.sets[li]) + _ones(rpw.poly, rpw.sets[ri])
             sets = [None] * len(p.concl)
+            lay = layout(p)
             for which, pw in enumerate(pws):
                 for i, s in enumerate(pw.sets):
-                    tgt = layout(p)[which][i]
+                    tgt = lay[which][i]
                     if tgt is not None:
                         sets[tgt] = s
             return PreWeight(poly, tuple(sets))
@@ -409,9 +408,10 @@ def preweight(p: Proof) -> PreWeight:
         case "tensor":
             lpw, rpw = pws
             sets = [frozenset() for _ in p.concl]
+            lay = layout(p)
             for which, pw in enumerate(pws):
                 for i, s in enumerate(pw.sets):
-                    tgt = layout(p)[which][i]
+                    tgt = lay[which][i]
                     sets[tgt] = sets[tgt] | s
             return PreWeight(lpw.poly + rpw.poly, tuple(sets))
         case "bang":
@@ -434,11 +434,7 @@ def preweight(p: Proof) -> PreWeight:
 def weight(p: Proof) -> Poly:
     """The pre-weight polynomial with every conclusion-set variable zeroed."""
     pw = preweight(p)
-    poly = pw.poly
-    for s in pw.sets:
-        for v in s:
-            poly = poly.subst(v, ZERO)
-    return poly
+    return specialize(pw.poly, {v: 0 for s in pw.sets for v in s})
 
 
 # -- smart constructors ----------------------------------------------------------------

@@ -6,13 +6,20 @@ sum of monomials with positive integer coefficients.  The canonical form
 used throughout is a mapping from monomials to coefficients, which makes
 equality structural and the order ``p ⊑ q`` ("q - p is again a resource
 polynomial") a plain coefficient comparison.
+
+Every operation that builds a polynomial (``add``, ``mul``, ``compose``,
+``bounded_sum``, ``specialize``) accumulates its coefficients in one
+dictionary and canonicalises (checks and sorts) the result once, at the
+end, so apart from that one sort its cost is linear in the number of
+monomial products it forms.  There is no module-level cache: each result
+is computed from its arguments alone.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial
 from typing import Callable, Iterable, Mapping
 
 VarId = str
@@ -171,53 +178,47 @@ def _iterated_diffs(values: list[int]) -> list[int]:
     return out
 
 
-_bin_product_cache: dict[tuple[int, int], tuple[int, ...]] = {}
+def _bin_product_1var(a: int, b: int) -> tuple[tuple[int, int], ...]:
+    """Pairs (k, c_k) with choose(x,a)*choose(x,b) = sum c_k * choose(x,k), c_k > 0.
+
+    Closed form: for j = 0..min(a, b), c_{a+b-j} = (a+b-j)! / (j! (a-j)! (b-j)!),
+    the number of pairs of an a-subset and a b-subset, overlapping in j
+    elements, that together cover a given set of a+b-j elements.
+    """
+    out = []
+    for j in range(min(a, b) + 1):
+        k = a + b - j
+        out.append((k, factorial(k) // (factorial(j) * factorial(a - j) * factorial(b - j))))
+    return tuple(out)
 
 
-def _bin_product_1var(a: int, b: int) -> tuple[int, ...]:
-    """Coefficients c_k with choose(x,a)*choose(x,b) = sum c_k * choose(x,k)."""
-    key = (min(a, b), max(a, b))
-    if key not in _bin_product_cache:
-        deg = a + b
-        values = [comb(n, a) * comb(n, b) for n in range(deg + 1)]
-        coeffs = _iterated_diffs(values)
-        assert all(c >= 0 for c in coeffs)
-        _bin_product_cache[key] = tuple(coeffs)
-    return _bin_product_cache[key]
-
-
-def _mono_mul(m1: Mono, m2: Mono) -> Poly:
+def _add_product(table: dict[Mono, int], m1: Mono, m2: Mono, coeff: int) -> None:
+    """Add ``coeff * m1 * m2``, rewritten in the binomial basis, into ``table``."""
+    d2 = dict(m2.factors)
     fixed: dict[VarId, int] = {}
-    expansions: list[tuple[VarId, tuple[int, ...]]] = []
-    d1, d2 = dict(m1.factors), dict(m2.factors)
-    for v in sorted(set(d1) | set(d2)):
-        if v in d1 and v in d2:
-            expansions.append((v, _bin_product_1var(d1[v], d2[v])))
+    expansions: list[tuple[VarId, tuple[tuple[int, int], ...]]] = []
+    for v, n in m1.factors:
+        if v in d2:
+            expansions.append((v, _bin_product_1var(n, d2.pop(v))))
         else:
-            fixed[v] = d1.get(v, d2.get(v, 0))
-    table: dict[Mono, int] = {}
-    for picks in itertools.product(*(range(len(cs)) for _, cs in expansions)):
-        coeff = 1
+            fixed[v] = n
+    fixed.update(d2)
+    for picks in itertools.product(*(cs for _, cs in expansions)):
+        c = coeff
         factors = dict(fixed)
-        for (v, cs), k in zip(expansions, picks):
-            coeff *= cs[k]
-            if coeff == 0:
-                break
-            if k:
-                factors[v] = k
-        if coeff:
-            m = _mono(factors)
-            table[m] = table.get(m, 0) + coeff
-    return _poly(table)
+        for (v, _), (k, ck) in zip(expansions, picks):
+            c *= ck
+            factors[v] = k
+        m = _mono(factors)
+        table[m] = table.get(m, 0) + c
 
 
 def mul(p: Poly, q: Poly) -> Poly:
-    out = ZERO
+    table: dict[Mono, int] = {}
     for m1, c1 in p.terms:
         for m2, c2 in q.terms:
-            piece = _mono_mul(m1, m2)
-            out = add(out, _poly({m: c1 * c2 * c for m, c in piece.terms}))
-    return out
+            _add_product(table, m1, m2, c1 * c2)
+    return _poly(table)
 
 
 def eval_poly(p: Poly, env: Mapping[VarId, int]) -> int:
@@ -273,36 +274,62 @@ def fd_oracle(
     return _poly(out)
 
 
-_bin_of_poly_cache: dict[tuple[Poly, int], Poly] = {}
-
-
 def bin_of_poly(q: Poly, n: int) -> Poly:
     """choose(q, n) as a resource polynomial in q's variables."""
     if n == 0:
         return ONE
     if not q.free_vars():
         return const(comb(q.constant_part(), n))
-    key = (q, n)
-    if key not in _bin_of_poly_cache:
-        bounds = {v: q.degree(v) * n for v in q.free_vars()}
-        result = fd_oracle(
-            lambda env: comb(eval_poly(q, env), n), q.free_vars(), bounds
-        )
-        _bin_of_poly_cache[key] = result
-    return _bin_of_poly_cache[key]
+    bounds = {v: q.degree(v) * n for v in q.free_vars()}
+    return fd_oracle(lambda env: comb(eval_poly(q, env), n), q.free_vars(), bounds)
+
+
+def specialize(p: Poly, env: Mapping[VarId, int]) -> Poly:
+    """Substitute the constant ``env[v]`` for every variable ``v`` of ``env``.
+
+    One pass over the terms: each factor ``choose(v, n)`` with ``v`` in
+    ``env`` becomes the integer ``comb(env[v], n)``, and a monomial whose
+    product is 0 is dropped.
+    """
+    if any(c < 0 for c in env.values()):
+        raise NotResourcePolynomial(f"negative constant in {dict(env)!r}")
+    table: dict[Mono, int] = {}
+    for m, c in p.terms:
+        rest = []
+        for v, n in m.factors:
+            if v in env:
+                c *= comb(env[v], n)
+            else:
+                rest.append((v, n))
+        if c:
+            if len(rest) < len(m.factors):
+                m = Mono(tuple(rest))
+            table[m] = table.get(m, 0) + c
+    return _poly(table)
+
+
+def _substitute(p: Poly, var: VarId, q: Poly, shift: int) -> Poly:
+    """Replace each ``choose(var, n)`` of ``p`` by ``choose(q, n + shift)``."""
+    powers: dict[int, Poly] = {}
+    table: dict[Mono, int] = {}
+    for m, c in p.terms:
+        deg = m.degree(var) + shift
+        if deg == 0:
+            table[m] = table.get(m, 0) + c
+            continue
+        if deg not in powers:
+            powers[deg] = bin_of_poly(q, deg)
+        rest = Mono(tuple((v, n) for v, n in m.factors if v != var))
+        for m2, c2 in powers[deg].terms:
+            _add_product(table, rest, m2, c * c2)
+    return _poly(table)
 
 
 def compose(p: Poly, var: VarId, q: Poly) -> Poly:
     """Substitute ``q`` for ``var`` in ``p``, renormalising."""
-    out = ZERO
-    for m, c in p.terms:
-        deg = m.degree(var)
-        rest = Poly(((_mono({v: n for v, n in m.factors if v != var}), 1),))
-        if deg == 0:
-            out = add(out, _poly({m: c}))
-        else:
-            out = add(out, c * mul(rest, bin_of_poly(q, deg)))
-    return out
+    if not q.free_vars():
+        return specialize(p, {var: q.constant_part()})
+    return _substitute(p, var, q, 0)
 
 
 def bounded_sum(z: VarId, bound: Poly, body: Poly) -> Poly:
@@ -313,12 +340,7 @@ def bounded_sum(z: VarId, bound: Poly, body: Poly) -> Poly:
     """
     if z in bound.free_vars():
         raise ValueError(f"sum variable {z!r} occurs in its own bound")
-    out = ZERO
-    for m, c in body.terms:
-        deg = m.degree(z)
-        rest = Poly(((_mono({v: n for v, n in m.factors if v != z}), 1),))
-        out = add(out, c * mul(rest, bin_of_poly(bound, deg + 1)))
-    return out
+    return _substitute(body, z, bound, 1)
 
 
 def sub_checked(q: Poly, p: Poly) -> Poly | None:

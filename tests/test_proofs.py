@@ -148,6 +148,12 @@ def test_weight_of_unit_cut_is_one_and_drops():
     assert weight(reduct) == ZERO
 
 
+@pytest.mark.parametrize("n", [32, 64])
+def test_weight_of_large_church_application(n):
+    pf = map_derivation(add_to_mult(C.church_applied_derivation(n)))
+    assert zero_eval(weight(pf)) == 8 * n + 3
+
+
 def test_preweight_sets_are_disjoint():
     pw = preweight(mapped("kappa-callcc"))
     seen = set()

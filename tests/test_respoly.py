@@ -8,6 +8,7 @@ from bllp.respoly import (
     ONE,
     ZERO,
     NotResourcePolynomial,
+    _bin_product_1var,
     add,
     bin_of_poly,
     binom,
@@ -20,6 +21,7 @@ from bllp.respoly import (
     poly_leq,
     poly_lt,
     pvar,
+    specialize,
     sub_checked,
 )
 
@@ -162,6 +164,31 @@ def test_compose_eval_commutes():
         assert eval_poly(result, env) == eval_poly(p, {X: eval_poly(q, env)})
 
 
+# -- specialize ---------------------------------------------------------------
+
+def test_specialize_rejects_negative_constant():
+    with pytest.raises(NotResourcePolynomial):
+        specialize(pvar(X), {X: -1})
+
+
+@settings(max_examples=60)
+@given(polys(), st.dictionaries(varnames, st.integers(0, 4)),
+       st.sampled_from([None, 0, 1]))
+def test_specialize_is_iterated_compose(p, env, fill):
+    if fill is not None:
+        env = dict.fromkeys(env, fill)
+    got = specialize(p, env)
+    iterated = p
+    for v, c in env.items():
+        iterated = compose(iterated, v, const(c))
+    assert got == iterated
+    rest = sorted(p.free_vars() - set(env))
+    assert got == fd_oracle(lambda e: eval_poly(p, {**e, **env}), rest,
+                            {v: p.degree(v) for v in rest})
+    for point in envs_for(p, 0, 5):
+        assert eval_poly(got, {v: point[v] for v in rest}) == eval_poly(p, {**point, **env})
+
+
 # -- fd oracle ----------------------------------------------------------------
 
 def test_fd_oracle_constant():
@@ -177,6 +204,18 @@ def test_fd_oracle_mixed_product():
 def test_fd_oracle_rejects_non_resource():
     with pytest.raises(NotResourcePolynomial):
         fd_oracle(lambda e: max(0, 3 - e[X]), [X], {X: 3})
+
+
+def test_bin_product_closed_form_matches_oracle():
+    for a in range(7):
+        for b in range(7):
+            expected = fd_oracle(
+                lambda e: math.comb(e[X], a) * math.comb(e[X], b), [X], {X: a + b}
+            )
+            got = ZERO
+            for k, c in _bin_product_1var(a, b):
+                got = add(got, c * binom(X, k))
+            assert got == expected, (a, b)
 
 
 def test_bin_of_poly_vandermonde():
@@ -253,7 +292,6 @@ def test_bounded_sum_property(body):
 def test_compose_monotone(p, dp, q, dq):
     r = add(p, dp)
     s = add(q, dq)
-    assert poly_leq(compose(q, Y, p), compose(s, Y, r)) or True  # guard below
     lhs = compose(q, Y, p)
     rhs = compose(s, Y, r)
     assert poly_leq(lhs, rhs)
