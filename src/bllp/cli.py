@@ -65,33 +65,33 @@ def cmd_weight(args) -> int:
     return EXIT_OK
 
 
+def _note_exhausted(steps: int, fuel: int, next_step) -> None:
+    """Say on stderr when a step iterator stopped on fuel, not on a normal form."""
+    if steps == fuel and next_step() is not None:
+        print(f"fuel exhausted after {steps} steps", file=sys.stderr)
+
+
 def cmd_reduce(args) -> int:
     t = _term_arg(args)
-    if args.trace:
-        steps = lammu.trace(t, args.strategy, args.fuel)
-        for k, (kind, pos, term) in enumerate(steps, 1):
+    n = 0
+    for n, (kind, pos, t) in enumerate(lammu.trace(t, args.strategy, args.fuel), 1):
+        if args.trace:
             where = "/".join(pos) or "root"
-            print(f"{k:4d} {kind:5s} at {where}: {print_term(term)}")
-        term, n = (steps[-1][2], len(steps)) if steps else (t, 0)
-    else:
-        term, n, exhausted = lammu.reduce(t, args.strategy, args.fuel)
-        if exhausted:
-            print(f"fuel exhausted after {n} steps", file=sys.stderr)
-    print(f"{print_term(term)}")
+            print(f"{n:4d} {kind:5s} at {where}: {print_term(t)}")
+    _note_exhausted(n, args.fuel, lambda: lammu.step(t, args.strategy))
+    print(f"{print_term(t)}")
     print(f"steps: {n}")
     return EXIT_OK
 
 
 def cmd_machine_run(args) -> int:
-    t = _term_arg(args)
-    cfg = machine.load(t)
-    if args.trace:
-        for k, (rule, c) in enumerate(machine.machine_trace(cfg, args.fuel), 1):
-            print(f"{k:4d} {rule:8s} {print_term(c.closure.term)} | stack {len(c.stack)}")
-    final, n, exhausted = machine.run(cfg, args.fuel)
-    if exhausted:
-        print(f"fuel exhausted after {n} steps", file=sys.stderr)
-    print(print_term(machine.readback(final)))
+    cfg = machine.load(_term_arg(args))
+    n = 0
+    for n, (rule, cfg) in enumerate(machine.machine_trace(cfg, args.fuel), 1):
+        if args.trace:
+            print(f"{n:4d} {rule:8s} {print_term(cfg.closure.term)} | stack {len(cfg.stack)}")
+    _note_exhausted(n, args.fuel, lambda: machine.step(cfg))
+    print(print_term(machine.readback(cfg)))
     print(f"transitions: {n}")
     return EXIT_OK
 
@@ -112,14 +112,11 @@ def cmd_cut_eliminate(args) -> int:
         with open(args.file) as fh:
             pf = proof_from_obj(json.load(fh))
     steps = 0
-    while steps < args.fuel:
-        hit = P.step_special(pf)
-        if hit is None:
-            break
+    for steps, hit in enumerate(P.special_steps(pf, args.fuel), 1):
         pf = hit.result
-        steps += 1
         if args.trace:
             print(f"{steps:4d} {hit.kind:14s} at {hit.path} weight={print_poly(P.weight(pf))}")
+    _note_exhausted(steps, args.fuel, lambda: P.step_special(pf))
     print(f"steps: {steps}")
     if args.out:
         with open(args.out, "w") as fh:
@@ -128,14 +125,12 @@ def cmd_cut_eliminate(args) -> int:
 
 
 def cmd_verify_polystep(args) -> int:
-    names = [args.entry] if args.entry else [
-        e.name for e in corpus.entries() if e.derivation is not None
-    ]
     worst = EXIT_OK
-    for name in sorted(names):
-        entry = corpus.by_name(name)
+    chosen = [corpus.by_name(args.entry)] if args.entry else corpus.entries()
+    for entry in sorted(chosen, key=lambda e: e.name):
         if entry.derivation is None:
             continue
+        name = entry.name
         rep = T.check_additive(entry.derivation)
         if not rep.ok:
             print(f"{name}: derivation FAILS\n{rep}")

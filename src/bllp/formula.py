@@ -238,10 +238,6 @@ def lf_positive(a: LF) -> bool:
     return is_positive(a.formula)
 
 
-def lf_free_rvars(a: LF) -> set[VarId]:
-    return (free_rvars(a.formula) - {a.binder}) | a.label.free_vars()
-
-
 def lf_subst(a: LF, var: VarId, q: Poly) -> LF:
     """Resource-variable substitution under the label binder."""
     if var == a.binder or var == VACUOUS:

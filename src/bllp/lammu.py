@@ -3,13 +3,15 @@
 The calculus has two disjoint variable families: λ-variables bound by
 ``\\x.`` and μ-variables bound by ``mu a.``; ``[a] t`` names a term.
 μ-abstraction is unrestricted (bodies need not be named terms).  The three
-step functions are deterministic: a root redex fires first, then descent
-follows the congruences of the chosen strategy.
+strategies are deterministic: a root redex fires first, then descent
+follows the congruences of the chosen strategy.  :func:`trace` is the one
+step iterator; :func:`step` and :func:`reduce` are built on it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 _gen = itertools.count(1)
@@ -267,60 +269,51 @@ def _step(t: Term, strategy: str) -> tuple[Term, str, Position] | None:
     return None
 
 
-def step_weak(t: Term) -> Term | None:
-    """One weak step, or ``None`` when ``t`` is weakly stuck.
-
-    A β or μ redex at the root fires first.  Otherwise the step descends only
-    into the function side of an application and into the body of a named
-    term ``[a] u``, never under a λ- or μ-binder.  θ (``mu a.[a]u → u``) fires
-    only once the named body ``u`` is itself weakly stuck.  So
-    ``mu a.[a]((\\k.y) v)`` is stuck: its redex lies inside the μ-scope.
-    """
-    hit = _step(t, "weak")
-    return hit[0] if hit else None
-
-
-def step_head(t: Term) -> Term | None:
-    hit = _step(t, "head")
-    return hit[0] if hit else None
-
-
-def step_machine(t: Term) -> Term | None:
-    hit = _step(t, "machine")
-    return hit[0] if hit else None
-
-
-def head_redex_position(t: Term) -> tuple[Position, str] | None:
-    hit = _step(t, "head")
-    if hit is None:
-        return None
-    return hit[2], hit[1]
-
-
 STRATEGIES = ("weak", "head", "machine")
 
 
-def reduce(t: Term, strategy: str, fuel: int = 10_000):
-    """Iterate the chosen step function; returns (term, steps, exhausted)."""
+def step(t: Term, strategy: str) -> tuple[Term, str, Position] | None:
+    """One step of ``strategy`` as (reduct, kind, position), or ``None``.
+
+    ``None`` means ``t`` is stuck: a normal form of the strategy.  Weak
+    reduction fires a β or μ redex at the root first; otherwise it descends
+    only into the function side of an application and into the body of a
+    named term ``[a] u``, never under a λ- or μ-binder.  θ (``mu a.[a]u →
+    u``) fires only once the named body ``u`` is itself weakly stuck.  So
+    ``mu a.[a]((\\k.y) v)`` is weakly stuck: its redex lies inside the
+    μ-scope.  Head reduction also enters the λ- and μ-binders around the
+    head, machine reduction the μ-binders (see :func:`_step`).
+    """
+    for kind, pos, reduct in trace(t, strategy, 1):
+        return reduct, kind, pos
+    return None
+
+
+def trace(t: Term, strategy: str, fuel: int = 10_000) -> Iterator[tuple[str, Position, Term]]:
+    """Lazily yield (kind, position, reduct) per step, at most ``fuel`` steps.
+
+    An unknown strategy raises ``ValueError`` here, before the first step.
+    """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
+
+    def steps(t: Term):
+        for _ in range(fuel):
+            hit = _step(t, strategy)
+            if hit is None:
+                return
+            t, kind, pos = hit
+            yield kind, pos, t
+
+    return steps(t)
+
+
+def reduce(t: Term, strategy: str, fuel: int = 10_000):
+    """Drain :func:`trace`; returns (term, steps, exhausted).
+
+    ``exhausted`` holds when the fuel ran out and ``t`` can still step.
+    """
     steps = 0
-    while steps < fuel:
-        hit = _step(t, strategy)
-        if hit is None:
-            return t, steps, False
-        t = hit[0]
-        steps += 1
-    return t, steps, _step(t, strategy) is not None
-
-
-def trace(t: Term, strategy: str, fuel: int = 10_000):
-    """Like :func:`reduce` but yields (kind, position, term) per step."""
-    steps = []
-    while len(steps) < fuel:
-        hit = _step(t, strategy)
-        if hit is None:
-            break
-        t, kind, pos = hit
-        steps.append((kind, pos, t))
-    return steps
+    for steps, (_, _, t) in enumerate(trace(t, strategy, fuel), 1):
+        pass
+    return t, steps, steps == fuel and _step(t, strategy) is not None

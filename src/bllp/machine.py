@@ -9,6 +9,7 @@ a term, used to compare runs against the machine reduction strategy.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import lammu as L
@@ -82,26 +83,22 @@ def step(c: Config) -> tuple[Config, str] | None:
     raise TypeError(t)
 
 
-def run(c: Config, fuel: int = 100_000) -> tuple[Config, int, bool]:
-    steps = 0
-    while steps < fuel:
+def machine_trace(c: Config, fuel: int = 100_000) -> Iterator[tuple[str, Config]]:
+    """Lazily yield (rule, configuration) per transition, at most ``fuel``."""
+    for _ in range(fuel):
         hit = step(c)
         if hit is None:
-            return c, steps, False
-        c = hit[0]
-        steps += 1
-    return c, steps, step(c) is not None
-
-
-def machine_trace(c: Config, fuel: int = 100_000) -> list[tuple[str, Config]]:
-    out = []
-    while len(out) < fuel:
-        hit = step(c)
-        if hit is None:
-            break
+            return
         c, rule = hit
-        out.append((rule, c))
-    return out
+        yield rule, c
+
+
+def run(c: Config, fuel: int = 100_000) -> tuple[Config, int, bool]:
+    """Drain :func:`machine_trace`; returns (config, transitions, exhausted)."""
+    steps = 0
+    for steps, (_, c) in enumerate(machine_trace(c, fuel), 1):
+        pass
+    return c, steps, steps == fuel and step(c) is not None
 
 
 def readback(c: Config) -> Term:

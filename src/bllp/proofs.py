@@ -11,6 +11,7 @@ those variables and bounds the number of special cut-elimination steps.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 from . import formula as F
@@ -28,6 +29,7 @@ from .formula import (
     lf_sum,
 )
 from .respoly import ONE, ZERO, Poly, fresh_var, poly_leq, pvar, specialize, weight_var
+from .typecheck import Report
 
 Sequent = tuple[LF, ...]
 Path = tuple[int, ...]
@@ -54,18 +56,6 @@ class Proof:
         for i in path:
             node = node.premises[i]
         return node
-
-
-@dataclass
-class Report:
-    errors: list[tuple[str, str]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    def __str__(self) -> str:
-        return "ok" if self.ok else "\n".join(f"{p}: {m}" for p, m in self.errors)
 
 
 def positives(seq: Sequent) -> list[int]:
@@ -297,24 +287,8 @@ def _box_sum(principal: LF, entry: LF, witness=None) -> LF:
     return lf_bounded_sum(var, principal.label, entry, witness)
 
 
-def _walk(p: Proof, path: str, out: list[tuple[str, str]]) -> None:
-    for msg in _node_errors(p):
-        out.append((path, msg))
-    for i, q in enumerate(p.premises):
-        _walk(q, f"{path}.{i}", out)
-
-
 def check_proof(p: Proof) -> Report:
-    out: list[tuple[str, str]] = []
-    _walk(p, "root", out)
-    return Report(out)
-
-
-def must_check(p: Proof) -> Proof:
-    rep = check_proof(p)
-    if not rep.ok:
-        raise ProofError(str(rep))
-    return p
+    return Report.walk(p, _node_errors)
 
 
 # -- erasure and similarity ----------------------------------------------------------
@@ -836,17 +810,6 @@ def classify_occurrence(p: Proof, path: Path, idx: int) -> str:
     return "passive"
 
 
-def _replace_at(p: Proof, path: Path, node: Proof) -> Proof:
-    if not path:
-        return node
-    i = path[0]
-    prems = tuple(
-        _replace_at(q, path[1:], node) if k == i else q
-        for k, q in enumerate(p.premises)
-    )
-    return replace(p, premises=prems)
-
-
 Trans = dict[int, int] | None  # conclusion-position translation (None: identity)
 
 
@@ -921,15 +884,6 @@ def _refit(parent: Proof, which: int, new_child: Proof, t: Trans) -> tuple[Proof
             k2 = _apply_trans(t, k) if w == which else k
             tr[o] = layout(node)[w][k2]
     return node, tr
-
-
-def _inv_perm(t: Trans, n: int) -> list[int]:
-    if t is None:
-        return list(range(n))
-    out = [0] * n
-    for old, new in t.items():
-        out[new] = old
-    return out
 
 
 def _splice(p: Proof, path: Path, node: Proof, t: Trans) -> tuple[Proof, Trans]:
@@ -1340,13 +1294,19 @@ def step_special(p: Proof) -> SpecialStep | None:
     return None
 
 
-def normalize(p: Proof, fuel: int = 10_000) -> tuple[Proof, int, bool]:
-    """Iterate special steps; returns (proof, steps, exhausted)."""
-    steps = 0
-    while steps < fuel:
+def special_steps(p: Proof, fuel: int = 10_000) -> Iterator[SpecialStep]:
+    """Lazily yield one :class:`SpecialStep` per special cut, at most ``fuel``."""
+    for _ in range(fuel):
         hit = step_special(p)
         if hit is None:
-            return p, steps, False
+            return
         p = hit.result
-        steps += 1
-    return p, steps, step_special(p) is not None
+        yield hit
+
+
+def normalize(p: Proof, fuel: int = 10_000) -> tuple[Proof, int, bool]:
+    """Drain :func:`special_steps`; returns (proof, steps, exhausted)."""
+    steps = 0
+    for steps, hit in enumerate(special_steps(p, fuel), 1):
+        p = hit.result
+    return p, steps, steps == fuel and step_special(p) is not None

@@ -91,7 +91,25 @@ class Derivation:
 
 @dataclass
 class Report:
+    """The errors of a checked tree, as (path, message) in pre-order.
+
+    Paths read ``root.i.j``: premise ``j`` of premise ``i`` of the root.
+    Derivations and sequent proofs share this report and its walk.
+    """
+
     errors: list[tuple[str, str]]
+
+    @classmethod
+    def walk(cls, root, node_errors) -> "Report":
+        """Check every node of a tree with ``.premises`` by ``node_errors``."""
+        errors: list[tuple[str, str]] = []
+        stack = [(root, "root")]
+        while stack:
+            node, path = stack.pop()
+            errors.extend((path, msg) for msg in node_errors(node))
+            kids = [(q, f"{path}.{i}") for i, q in enumerate(node.premises)]
+            stack.extend(reversed(kids))
+        return cls(errors)
 
     @property
     def ok(self) -> bool:
@@ -121,12 +139,6 @@ def ctx_remove(ctx: Ctx, *names: str) -> Ctx:
     return tuple((n, a) for n, a in ctx if n not in names)
 
 
-def ctx_set(ctx: Ctx, name: str, a: LF) -> Ctx:
-    if ctx_get(ctx, name) is None:
-        return ctx + ((name, a),)
-    return tuple((n, a if n == name else b) for n, b in ctx)
-
-
 def ctx_eq(c1: Ctx, c2: Ctx) -> bool:
     if ctx_dom(c1) != ctx_dom(c2):
         return False
@@ -137,18 +149,9 @@ def ctx_map(ctx: Ctx, fn) -> Ctx:
     return tuple((n, fn(a)) for n, a in ctx)
 
 
-def _align(a: LF, b: LF) -> tuple[F.Formula, F.Formula]:
-    """Formulas of two labelled values with label binders unified."""
-    return F._match_binders(a.binder, a.formula, b.binder, b.formula)
-
-
 def _sum_ctx_entry(bound: Poly, entry: LF, witness=None) -> LF:
     """``Σ_{b<bound} entry`` for a fresh summation variable."""
     return lf_bounded_sum(fresh_var("b"), bound, entry, witness)
-
-
-def uplus(a: LF, b: LF) -> LF:
-    return lf_sum(a, b)
 
 
 def fits_uplus(target: LF, parts: list[LF]) -> bool:
@@ -449,30 +452,12 @@ def _check_mult_merge(concl: Ctx, gamma: Ctx, theta: Ctx, h: Poly, wit, tag) -> 
     return errs
 
 
-def _walk(d: Derivation, system: str, path: str, out: list[tuple[str, str]]) -> None:
-    for msg in _validate(d, system):
-        out.append((path, msg))
-    for i, p in enumerate(d.premises):
-        _walk(p, system, f"{path}.{i}", out)
-
-
 def check_additive(d: Derivation) -> Report:
-    out: list[tuple[str, str]] = []
-    _walk(d, "additive", "root", out)
-    return Report(out)
+    return Report.walk(d, lambda node: _validate(node, "additive"))
 
 
 def check_mult(d: Derivation) -> Report:
-    out: list[tuple[str, str]] = []
-    _walk(d, "multiplicative", "root", out)
-    return Report(out)
-
-
-def must_check(d: Derivation, system: str) -> Derivation:
-    rep = check_mult(d) if system == "multiplicative" else check_additive(d)
-    if not rep.ok:
-        raise DerivationError(str(rep))
-    return d
+    return Report.walk(d, lambda node: _validate(node, "multiplicative"))
 
 
 # -- derivation transformations ---------------------------------------------------
@@ -1169,10 +1154,10 @@ def subject_reduce(d: Derivation, position: tuple[str, ...] | None = None) -> De
     a non-redex position is an error.
     """
     if position is None:
-        hit = L.head_redex_position(d.concl.subject)
+        hit = L.step(d.concl.subject, "head")
         if hit is None:
             raise DerivationError("subject is head-normal")
-        position = hit[0]
+        position = hit[2]
     if position == ():
         root = L.root_step(d.concl.subject)
         if d.rule in ("w_lam", "w_mu", "c_lam", "c_mu"):

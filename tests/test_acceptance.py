@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a verdict line.
 
 Criterion 2's weak count is 1: after the root β the only redex left sits under
-the μ-binder, which weak reduction never enters (see ``lammu.step_weak``).
+the μ-binder, which weak reduction never enters (see ``lammu.step``).
 """
 
 import random
@@ -139,7 +139,7 @@ def test_criterion_2_callcc_behavior():
     )
     weak_nf, weak_steps, _ = L.reduce(term, "weak", 50)
     weak_trace = [(kind, pos) for kind, pos, _ in L.trace(term, "weak", 50)]
-    stalled = L.step_weak(weak_nf) is None and L.alpha_eq(weak_nf, stalled_at)
+    stalled = L.step(weak_nf, "weak") is None and L.alpha_eq(weak_nf, stalled_at)
     declared_steps = C.by_name("kappa-callcc").expected["weak"][1]
     weak_ok = (
         stalled
@@ -204,7 +204,7 @@ def test_criterion_5_subject_reduction():
     for e in DERIVED:
         d = add_to_mult(e.derivation)
         weights = [P.weight(P.map_derivation(d))]
-        while L.head_redex_position(d.concl.subject) is not None:
+        while L.step(d.concl.subject, "head") is not None:
             d = subject_reduce(d)
             if not check_mult(d).ok:
                 ok = False

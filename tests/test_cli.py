@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bllp import cli
+from bllp import cli, machine
 from bllp import corpus as C
 from bllp.syntax import derivation_to_obj
 
@@ -78,3 +78,47 @@ def test_poly_commands(capsys):
     assert capsys.readouterr().out.strip() == "bin(y,2)"
     assert run("poly-leq", "x + 1", "x") == 1
     assert run("poly-leq", "x", "x + 1") == 0
+
+
+EXHAUSTED = "fuel exhausted after 1 steps"
+
+
+@pytest.mark.parametrize("trace", [(), ("--trace",)])
+def test_reduce_reports_fuel_exhaustion(capsys, trace):
+    assert run("reduce", "--entry", "kappa-callcc", "--fuel", "1", *trace) == 0
+    out, err = capsys.readouterr()
+    assert err.strip() == EXHAUSTED
+    assert "steps: 1" in out
+    assert ("   1 beta  at root: " in out) == bool(trace)
+
+
+def test_reduce_at_normal_form_is_silent(capsys):
+    assert run("reduce", "--entry", "kappa-callcc", "--fuel", "3", "--trace") == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "steps: 3" in out
+
+
+@pytest.mark.parametrize("fuel", ["1", "3"])
+def test_machine_run_trace_runs_the_machine_once(capsys, monkeypatch, fuel):
+    calls = []
+    step = machine.step
+
+    def counted(cfg):
+        calls.append(cfg)
+        return step(cfg)
+
+    monkeypatch.setattr(machine, "step", counted)
+    assert run("machine-run", "--entry", "identity-app", "--trace", "--fuel", fuel) == 0
+    out, err = capsys.readouterr()
+    n = int(fuel)
+    assert f"transitions: {n}" in out
+    assert len([line for line in out.splitlines() if line.startswith("   ")]) == n
+    assert err.strip() == (EXHAUSTED if n == 1 else "")
+    assert len(calls) == n + 1  # n transitions, then one look for another
+
+
+def test_cut_eliminate_reports_fuel_exhaustion(capsys):
+    assert run("cut-eliminate", "--entry", "church-2-app", "--fuel", "1", "--trace") == 0
+    out, err = capsys.readouterr()
+    assert err.strip() == EXHAUSTED
+    assert "steps: 1" in out and out.count("weight=") == 1

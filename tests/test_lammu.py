@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bllp import lammu as L
@@ -14,9 +15,6 @@ from bllp.lammu import (
     mu_subst,
     reduce,
     root_step,
-    step_head,
-    step_machine,
-    step_weak,
     subst,
 )
 from bllp.syntax import parse_term
@@ -98,39 +96,39 @@ def test_subst_preserves_alpha_classes(t, u):
 
 
 def test_root_beta():
-    out = step_head(T(r"(\x. t) u"))
+    out = L.step(T(r"(\x. t) u"), "head")[0]
     assert out == Var("t")
 
 
 def test_step_weak_examples():
-    assert step_weak(T(r"(\x. x) y")) == Var("y")
-    assert step_weak(T(r"mu a. [a] (\x. x) y")) is None
-    assert step_weak(T(r"\x. x")) is None
+    assert L.step(T(r"(\x. x) y"), "weak")[0] == Var("y")
+    assert L.step(T(r"mu a. [a] (\x. x) y"), "weak") is None
+    assert L.step(T(r"\x. x"), "weak") is None
 
 
 def test_step_head_normal_forms():
-    assert step_head(T(r"\x. x")) is None
-    assert step_head(T(r"[a] \x. (\y. y) z")) is None  # λ inside a naming blocks
+    assert L.step(T(r"\x. x"), "head") is None
+    assert L.step(T(r"[a] \x. (\y. y) z"), "head") is None  # λ inside a naming blocks
 
 
 def test_step_machine_examples():
-    assert step_machine(T(r"mu a. [a] (\x. x) y")) == T(r"mu a. [a] y")
-    assert step_machine(T(r"\x. (\y. y) z")) is None
-    assert step_machine(T(r"mu a. [a] t")) == Var("t")
-    assert step_head(T(r"mu a. [a] (\x. x) y")) == T(r"mu a. [a] y")
+    assert L.step(T(r"mu a. [a] (\x. x) y"), "machine")[0] == T(r"mu a. [a] y")
+    assert L.step(T(r"\x. (\y. y) z"), "machine") is None
+    assert L.step(T(r"mu a. [a] t"), "machine")[0] == Var("t")
+    assert L.step(T(r"mu a. [a] (\x. x) y"), "head")[0] == T(r"mu a. [a] y")
 
 
 def test_theta_side_condition():
     blocked = Mu("a", Named("a", Named("a", Var("x"))))
     assert L.theta_step(blocked) is None
-    assert step_head(blocked) is None
+    assert L.step(blocked, "head") is None
     ok = Mu("a", Named("a", Var("x")))
     assert L.theta_step(ok) == Var("x")
-    assert step_head(ok) == Var("x")
+    assert L.step(ok, "head")[0] == Var("x")
 
 
 def test_mu_redex():
-    out = step_head(T(r"(mu a. [a] x) u"))
+    out = L.step(T(r"(mu a. [a] x) u"), "head")[0]
     assert alpha_eq(out, T(r"mu a. [a] x u"))
 
 
@@ -144,7 +142,7 @@ def test_kappa_weak_stalls():
     assert not exhausted
     assert isinstance(t, Mu) and isinstance(t.body, Named)
     assert steps == 1
-    assert step_weak(t) is None
+    assert L.step(t, "weak") is None
 
 
 def test_kappa_machine_reaches_head_normal_form():
@@ -173,20 +171,20 @@ def test_reduce_normal_form_zero_steps():
 @settings(max_examples=120)
 @given(terms())
 def test_weak_subset_of_head(t):
-    w = step_weak(t)
+    w = L.step(t, "weak")
     if w is not None:
-        h = step_head(t)
-        assert h is not None and alpha_eq(h, w)
+        h = L.step(t, "head")
+        assert h is not None and alpha_eq(h[0], w[0])
 
 
 @settings(max_examples=120)
 @given(terms())
 def test_steps_deterministic_and_theta_guarded(t):
-    for stepper in (step_weak, step_head, step_machine):
-        a, b = stepper(t), stepper(t)
+    for strategy in L.STRATEGIES:
+        a, b = L.step(t, strategy), L.step(t, strategy)
         assert (a is None) == (b is None)
         if a is not None:
-            assert alpha_eq(a, b)
+            assert alpha_eq(a[0], b[0])
     out = L.theta_step(t)
     if out is not None:
         assert t.mvar not in free_mvars(out)
@@ -195,8 +193,9 @@ def test_steps_deterministic_and_theta_guarded(t):
 @settings(max_examples=80)
 @given(terms())
 def test_free_vars_shrink_under_steps(t):
-    out = step_head(t)
-    if out is not None:
+    hit = L.step(t, "head")
+    if hit is not None:
+        out = hit[0]
         assert free_vars(out) <= free_vars(t)
         assert free_mvars(out) <= free_mvars(t)
 
@@ -207,3 +206,28 @@ def test_mu_subst_preserves_alpha_classes(t, u):
     t2 = L.rename_mvar(L.rename_mvar(t, "a", "a_tmp"), "a_tmp", "a")
     assert alpha_eq(t, t2)
     assert alpha_eq(mu_subst(t, "a", u), mu_subst(t2, "a", u))
+
+
+def test_unknown_strategy_raises_everywhere():
+    t = T(r"(\x. x) y")
+    with pytest.raises(ValueError, match="bogus"):
+        L.trace(t, "bogus")
+    with pytest.raises(ValueError, match="bogus"):
+        L.step(t, "bogus")
+    with pytest.raises(ValueError, match="bogus"):
+        reduce(t, "bogus")
+
+
+@settings(max_examples=120)
+@given(terms(), st.sampled_from(L.STRATEGIES), st.integers(0, 6))
+def test_reduce_drains_trace_and_trace_iterates_step(t, strategy, fuel):
+    steps = list(L.trace(t, strategy, fuel))
+    nf, n, exhausted = reduce(t, strategy, fuel)
+    assert n == len(steps) <= fuel
+    assert alpha_eq(nf, steps[-1][2] if steps else t)
+    assert exhausted == (n == fuel and L.step(nf, strategy) is not None)
+    prev = t
+    for kind, pos, reduct in steps:
+        out, kind2, pos2 = L.step(prev, strategy)
+        assert (kind2, pos2) == (kind, pos) and alpha_eq(out, reduct)
+        prev = reduct

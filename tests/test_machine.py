@@ -137,3 +137,13 @@ def _size(t):
             return 1 + _size(b)
         case App(f, a):
             return 1 + _size(f) + _size(a)
+
+
+@pytest.mark.parametrize("fuel", [0, 1, 3, 100_000])
+def test_run_drains_machine_trace(fuel):
+    for e in C.entries():
+        transitions = list(machine_trace(load(e.term), fuel))
+        final, n, exhausted = run(load(e.term), fuel)
+        assert n == len(transitions) <= fuel
+        assert final == (transitions[-1][1] if transitions else load(e.term))
+        assert exhausted == (n == fuel and step(final) is not None)

@@ -495,3 +495,20 @@ def test_normalize_reports_exhaustion_distinctly():
     assert exhausted and steps == 0
     nf, steps, exhausted = normalize(cut, fuel=5)
     assert not exhausted and steps == 1
+
+
+@pytest.mark.parametrize("fuel", [0, 1, 3, 10_000])
+def test_normalize_drains_special_steps(fuel):
+    for e in C.entries():
+        if e.derivation is None:
+            continue
+        pf = mapped(e.name)
+        hits = list(P.special_steps(pf, fuel))
+        nf, n, exhausted = normalize(pf, fuel)
+        assert n == len(hits) <= fuel
+        assert nf == (hits[-1].result if hits else pf)
+        assert exhausted == (n == fuel and step_special(nf) is not None)
+        prev = pf
+        for hit in hits:
+            assert hit.result == step_special(prev).result
+            prev = hit.result

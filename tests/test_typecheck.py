@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
 from bllp import corpus as C
 from bllp import formula as F
 from bllp import lammu as L
+from bllp import typecheck as T
 from bllp.formula import LF, lf
 from bllp.respoly import const, poly_leq, pvar
 from bllp.syntax import parse_lf, parse_poly
@@ -24,7 +27,7 @@ P = parse_poly
 def chain(entry):
     d = add_to_mult(entry.derivation)
     out = [d]
-    while L.head_redex_position(out[-1].concl.subject) is not None:
+    while L.step(out[-1].concl.subject, "head") is not None:
         out.append(subject_reduce(out[-1]))
     return out
 
@@ -151,10 +154,10 @@ def test_subject_reduction_chain(name):
     for k, d in enumerate(ds):
         assert check_mult(d).ok, f"step {k} fails"
         assert L.alpha_eq(d.concl.subject, term)
-        nxt = L.step_head(term)
+        nxt = L.step(term, "head")
         if k + 1 < len(ds):
-            term = nxt
-    assert L.step_head(ds[-1].concl.subject) is None
+            term = nxt[0]
+    assert L.step(ds[-1].concl.subject, "head") is None
 
 
 def test_subject_reduction_preserves_judgment():
@@ -289,3 +292,35 @@ def test_symbolic_parameters_through_the_whole_pipeline():
     assert len(weights) > 1
     assert all(poly_leq(b, a) and a != b for a, b in zip(weights, weights[1:]))
     assert {"r"} <= weights[0].free_vars()
+
+
+def _replace_node(tree, path, **changes):
+    if not path:
+        return replace(tree, **changes)
+    prems = list(tree.premises)
+    prems[path[0]] = _replace_node(prems[path[0]], path[1:], **changes)
+    return replace(tree, premises=tuple(prems))
+
+
+def test_derivations_and_proofs_share_one_checker_and_its_paths():
+    from bllp import proofs
+
+    assert proofs.Report is T.Report
+    d = C.by_name("kappa").derivation
+    d = _replace_node(d, (0, 0), rule="bogus")
+    d = _replace_node(d, (0, 0, 0, 1), rule="var")
+    assert str(check_additive(d)) == (
+        "root.0.0: rule 'bogus' not part of the additive system\n"
+        "root.0.0.0.1: var expects 0 premises, found 1"
+    )
+    pf = proofs.map_derivation(add_to_mult(C.by_name("identity-app").derivation))
+    flipped = pf.at((0, 0)).concl[::-1]
+    pf = _replace_node(pf, (0, 0), concl=flipped)
+    pf = _replace_node(pf, (1, 0), rule="bogus")
+    assert str(proofs.check_proof(pf)) == (
+        "root.0: par left component mismatch\n"
+        "root.0: par right component mismatch\n"
+        "root.0.0: dereliction conclusion exceeds the one-use bound\n"
+        "root.0.0: conclusion position 1 does not match the premise\n"
+        "root.1.0: unknown rule 'bogus'"
+    )
