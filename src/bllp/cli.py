@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 check failure, 2 bound violation, 3 parse error.
+Exit codes: 0 success, 1 check failure, 2 bound violation, 3 unreadable
+input (a parse error, a missing ``--file`` or an unknown ``--entry``).
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ EXIT_PARSE = 3
 
 def _load_derivation(args) -> tuple:
     if args.entry:
-        entry = corpus.by_name(args.entry)
-        if entry.derivation is None:
-            print(f"corpus entry {args.entry} has no derivation", file=sys.stderr)
+        if args.entry.derivation is None:
+            print(f"corpus entry {args.entry.name} has no derivation", file=sys.stderr)
             raise SystemExit(EXIT_CHECK)
-        return entry.derivation, "additive"
+        return args.entry.derivation, "additive"
     with open(args.file) as fh:
         return derivation_from_obj(json.load(fh))
 
@@ -47,7 +47,7 @@ def _to_mult(d, system):
 
 def _term_arg(args) -> lammu.Term:
     if args.entry:
-        return corpus.by_name(args.entry).term
+        return args.entry.term
     return parse_term(args.term)
 
 
@@ -126,7 +126,7 @@ def cmd_cut_eliminate(args) -> int:
 
 def cmd_verify_polystep(args) -> int:
     worst = EXIT_OK
-    chosen = [corpus.by_name(args.entry)] if args.entry else corpus.entries()
+    chosen = [args.entry] if args.entry else corpus.entries()
     for entry in sorted(chosen, key=lambda e: e.name):
         if entry.derivation is None:
             continue
@@ -226,6 +226,13 @@ def main(argv=None) -> int:
     s.set_defaults(fn=cmd_poly_leq)
 
     args = ap.parse_args(argv)
+    name = getattr(args, "entry", None)
+    if name is not None:
+        try:
+            args.entry = corpus.by_name(name)
+        except KeyError:
+            print(f"unknown corpus entry {name!r}", file=sys.stderr)
+            return EXIT_PARSE
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -6,6 +6,11 @@ The calculus has two disjoint variable families: λ-variables bound by
 strategies are deterministic: a root redex fires first, then descent
 follows the congruences of the chosen strategy.  :func:`trace` is the one
 step iterator; :func:`step` and :func:`reduce` are built on it.
+
+Terms are immutable and each node caches its free λ- and μ-variables
+(``fv``, ``fmv``).  Substitution, μ-substitution, renaming and a step
+rebuild only the nodes above a change: every unchanged subterm of the
+input is shared by the result, not copied.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 _gen = itertools.count(1)
 
@@ -26,6 +32,18 @@ class Term:
         from .syntax import print_term
 
         return print_term(self)
+
+    @cached_property
+    def fv(self) -> frozenset[str]:
+        """Free λ-variables, computed once per node."""
+        _cache_free(self, "fv")
+        return self.__dict__["fv"]
+
+    @cached_property
+    def fmv(self) -> frozenset[str]:
+        """Free μ-variables, computed once per node."""
+        _cache_free(self, "fmv")
+        return self.__dict__["fmv"]
 
 
 @dataclass(frozen=True)
@@ -64,49 +82,79 @@ def app_spine(fn: Term, *args: Term) -> Term:
     return out
 
 
-def free_vars(t: Term) -> set[str]:
-    match t:
-        case Var(x):
-            return {x}
-        case Lam(x, b):
-            return free_vars(b) - {x}
-        case Mu(_, b) | Named(_, b):
-            return free_vars(b)
-        case App(f, a):
-            return free_vars(f) | free_vars(a)
-    raise TypeError(t)
+_EMPTY: frozenset[str] = frozenset()
 
 
-def free_mvars(t: Term) -> set[str]:
-    match t:
-        case Var(_):
-            return set()
-        case Lam(_, b):
-            return free_mvars(b)
-        case Mu(a, b):
-            return free_mvars(b) - {a}
-        case Named(a, b):
-            return free_mvars(b) | {a}
-        case App(f, a):
-            return free_mvars(f) | free_mvars(a)
-    raise TypeError(t)
+def _union(p: frozenset[str], q: frozenset[str]) -> frozenset[str]:
+    return p if q <= p else q if p <= q else p | q
+
+
+def _cache_free(t: Term, key: str) -> None:
+    """Store ``key`` (``fv`` or ``fmv``) on ``t`` and on every subterm lacking it.
+
+    Post-order with an explicit stack, so deep terms add no recursion; a
+    subterm that already holds its set is not entered again.  The two sets
+    are cached apart, so a walk that asks only for one never builds the
+    other.
+    """
+    lam = key == "fv"
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        d = node.__dict__
+        if key in d:
+            stack.pop()
+            continue
+        if isinstance(node, App):
+            kids = (node.fn, node.arg)
+        else:
+            kids = () if isinstance(node, Var) else (node.body,)
+        todo = [k for k in kids if key not in k.__dict__]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        match node:
+            case App(f, a):
+                d[key] = _union(f.__dict__[key], a.__dict__[key])
+            case Var(x):
+                d[key] = frozenset((x,)) if lam else _EMPTY
+            case Lam(x, b) if lam:
+                d[key] = b.fv - {x} if x in b.fv else b.fv
+            case Mu(a, b) if not lam:
+                d[key] = b.fmv - {a} if a in b.fmv else b.fmv
+            case Named(a, b) if not lam:
+                d[key] = b.fmv if a in b.fmv else b.fmv | {a}
+            case _:
+                d[key] = node.body.__dict__[key]
+
+
+def free_vars(t: Term) -> frozenset[str]:
+    return t.fv
+
+
+def free_mvars(t: Term) -> frozenset[str]:
+    return t.fmv
 
 
 def subst(t: Term, x: str, u: Term) -> Term:
-    """Capture-avoiding substitution of ``u`` for the λ-variable ``x``."""
+    """Capture-avoiding substitution of ``u`` for the λ-variable ``x``.
+
+    A subterm in which ``x`` is not free is returned itself, shared.
+    """
+    if x not in t.fv:
+        return t
     match t:
-        case Var(y):
-            return u if y == x else t
+        case Var(_):
+            return u
         case Lam(y, b):
-            if y == x:
-                return t
-            if y in free_vars(u):
+            if y in u.fv:
                 y2 = fresh_tvar(y)
                 b = subst(b, y, Var(y2))
                 y = y2
             return Lam(y, subst(b, x, u))
         case Mu(a, b):
-            if a in free_mvars(u):
+            if a in u.fmv:
                 a2 = fresh_tvar(a)
                 b = rename_mvar(b, a, a2)
                 a = a2
@@ -119,15 +167,16 @@ def subst(t: Term, x: str, u: Term) -> Term:
 
 
 def rename_mvar(t: Term, a: str, b: str) -> Term:
-    """Rename the free μ-variable ``a`` to ``b`` (β must not capture)."""
+    """Rename the free μ-variable ``a`` to ``b`` (β must not capture).
+
+    A subterm in which ``a`` is not free is returned itself, shared.
+    """
+    if a not in t.fmv:
+        return t
     match t:
-        case Var(_):
-            return t
         case Lam(x, body):
             return Lam(x, rename_mvar(body, a, b))
         case Mu(c, body):
-            if c == a:
-                return t
             if c == b:
                 c2 = fresh_tvar(c)
                 body = rename_mvar(body, c, c2)
@@ -145,20 +194,19 @@ def mu_subst(t: Term, alpha: str, u: Term) -> Term:
 
     The rewriting is bottom-up, so nested occurrences inside ``v`` are
     processed first.  Occurrences of ``alpha`` inside ``u`` are untouched.
+    A subterm in which ``alpha`` is not free is returned itself, shared.
     """
+    if alpha not in t.fmv:
+        return t
     match t:
-        case Var(_):
-            return t
         case Lam(x, b):
-            if x in free_vars(u):
+            if x in u.fv:
                 x2 = fresh_tvar(x)
                 b = subst(b, x, Var(x2))
                 x = x2
             return Lam(x, mu_subst(b, alpha, u))
         case Mu(a, b):
-            if a == alpha:
-                return t
-            if a in free_mvars(u):
+            if a in u.fmv:
                 a2 = fresh_tvar(a)
                 b = rename_mvar(b, a, a2)
                 a = a2
@@ -215,7 +263,7 @@ def root_step(t: Term) -> tuple[Term, str] | None:
         case App(Lam(x, b), u):
             return subst(b, x, u), "beta"
         case App(Mu(a, b), u):
-            if a in free_mvars(u):
+            if a in u.fmv:
                 a2 = fresh_tvar(a)
                 b = rename_mvar(b, a, a2)
                 a = a2
@@ -226,47 +274,87 @@ def root_step(t: Term) -> tuple[Term, str] | None:
 def theta_step(t: Term) -> Term | None:
     """μα.[α]u → u, fireable only when α is not free in u."""
     match t:
-        case Mu(a, Named(b, body)) if a == b and a not in free_mvars(body):
+        case Mu(a, Named(b, body)) if a == b and a not in body.fmv:
             return body
     return None
 
 
+# The strategy below an application or a naming.
+_INNER = {"weak": "weak", "head": "weak", "machine": "machine"}
+
+
+def _descend(t: Term, strategy: str) -> tuple[list[Term], str]:
+    """The descent path of ``strategy`` from ``t``, and the strategy at its end.
+
+    The path ends at the first root β/μ redex or where the strategy may not
+    descend further; it ends at an application only at a redex.
+    """
+    # Type tests, not ``match``: this loop runs once per node on the path.
+    path = [t]
+    while True:
+        cls = type(t)
+        if cls is App and type(t.fn) not in (Lam, Mu):
+            t, strategy = t.fn, _INNER[strategy]
+        elif cls is Named:
+            t, strategy = t.body, _INNER[strategy]
+        elif cls is Lam and strategy == "head" or cls is Mu and strategy != "weak":
+            t = t.body
+        else:
+            return path, strategy
+        path.append(t)
+
+
+def _weakly_steps(t: Term) -> bool:
+    """Whether weak reduction can step ``t``.
+
+    A θ-redex where weak descent stops fires only if its own named body is
+    weakly stuck, so the answer flips once per such redex passed.
+    """
+    steps = True
+    while True:
+        path, _ = _descend(t, "weak")
+        if isinstance(path[-1], App):
+            return steps
+        if theta_step(path[-1]) is None:
+            return not steps
+        t, steps = path[-1].body.body, not steps
+
+
+_POSITION = {App: "appL", Named: "named", Lam: "lam", Mu: "mu"}
+
+
 def _step(t: Term, strategy: str) -> tuple[Term, str, Position] | None:
-    """Deterministic step: root β/μ first, then leftmost descent, then θ."""
-    hit = root_step(t)
-    if hit is not None:
-        reduct, kind = hit
-        return reduct, kind, ()
-    inner = "weak" if strategy == "head" else strategy
-    match t:
-        case App(f, a):
-            sub = _step(f, inner)
-            if sub is not None:
-                f2, kind, pos = sub
-                return App(f2, a), kind, ("appL",) + pos
-        case Named(a, b):
-            sub = _step(b, inner)
-            if sub is not None:
-                b2, kind, pos = sub
-                return Named(a, b2), kind, ("named",) + pos
-        case Lam(x, b) if strategy == "head":
-            sub = _step(b, strategy)
-            if sub is not None:
-                b2, kind, pos = sub
-                return Lam(x, b2), kind, ("lam",) + pos
-        case Mu(a, b) if strategy in ("head", "machine"):
-            sub = _step(b, strategy)
-            if sub is not None:
-                b2, kind, pos = sub
-                return Mu(a, b2), kind, ("mu",) + pos
-    out = theta_step(t)
-    if out is not None:
-        # Weak reduction never looks inside the μ-scope, so it may simplify
-        # the named body away only once that body is itself weakly stuck.
-        if strategy == "weak" and _step(t.body.body, "weak") is not None:
+    """Deterministic step: root β/μ first, then leftmost descent, then θ.
+
+    One loop finds the descent path (:func:`_descend`).  θ is tried where
+    descent stopped and then at each ancestor, innermost first; the path
+    above the redex is rebuilt once.
+    """
+    path, last = _descend(t, strategy)
+    i = len(path) - 1
+    hit = root_step(path[i])
+    if hit is None:
+        for i in range(len(path) - 1, -1, -1):
+            out = theta_step(path[i])
+            # Weak reduction never looks inside the μ-scope, so it may simplify
+            # the named body away only once that body is itself weakly stuck
+            # (as it is at every node above where descent stopped).
+            if out is None or last == "weak" and _weakly_steps(out):
+                continue
+            hit = out, "theta"
+            break
+        else:
             return None
-        return out, "theta", ()
-    return None
+    reduct, kind = hit
+    for node in reversed(path[:i]):
+        cls = type(node)
+        if cls is App:
+            reduct = App(reduct, node.arg)
+        elif cls is Lam:
+            reduct = Lam(node.var, reduct)
+        else:
+            reduct = cls(node.mvar, reduct)
+    return reduct, kind, tuple(_POSITION[type(node)] for node in path[:i])
 
 
 STRATEGIES = ("weak", "head", "machine")

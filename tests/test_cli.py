@@ -36,6 +36,15 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    ["check", "weight", "reduce", "machine-run", "to-proof", "cut-eliminate", "verify-polystep"],
+)
+def test_unknown_entry_is_one_line_and_exit_3(capsys, command):
+    assert run(command, "--entry", "nope") == 3
+    assert capsys.readouterr() == ("", "unknown corpus entry 'nope'\n")
+
+
 def test_reduce_counts(capsys):
     assert run("reduce", "--entry", "kappa-callcc") == 0
     out = capsys.readouterr().out

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lammu_oracle as O
 from bllp import lammu as L
+from bllp import machine as M
 from bllp.lammu import (
     App,
     Lam,
@@ -17,7 +19,7 @@ from bllp.lammu import (
     root_step,
     subst,
 )
-from bllp.syntax import parse_term
+from bllp.syntax import parse_term, print_term
 
 T = parse_term
 
@@ -231,3 +233,131 @@ def test_reduce_drains_trace_and_trace_iterates_step(t, strategy, fuel):
         out, kind2, pos2 = L.step(prev, strategy)
         assert (kind2, pos2) == (kind, pos) and alpha_eq(out, reduct)
         prev = reduct
+
+
+# -- agreement with the recursive reference (tests/lammu_oracle.py) -------------
+
+
+def _agree(got, want) -> None:
+    """Same (kind, position) and an α-equal reduct, or both stuck."""
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got[1:] == want[1:] and alpha_eq(got[0], want[0])
+
+
+@settings(max_examples=300)
+@given(
+    terms(),
+    terms(depth=2),
+    st.sampled_from(("x", "y", "z")),
+    st.sampled_from(("a", "b")),
+    st.sampled_from(("a", "b", "c")),
+)
+def test_cached_free_variables_and_sharing_substitutions_match_the_oracle(t, u, x, a, b):
+    assert free_vars(t) == O.free_vars(t) and free_mvars(t) == O.free_mvars(t)
+    out = subst(t, x, u)
+    assert alpha_eq(out, O.subst(t, x, u))
+    assert (out is t) == (x not in O.free_vars(t))
+    for got, want in (
+        (mu_subst(t, a, u), O.mu_subst(t, a, u)),
+        (L.rename_mvar(t, a, b), O.rename_mvar(t, a, b)),
+    ):
+        assert alpha_eq(got, want)
+    for got in (out, mu_subst(t, a, u)):
+        assert free_vars(got) == O.free_vars(got) and free_mvars(got) == O.free_mvars(got)
+    for strategy in L.STRATEGIES:
+        _agree(L.step(t, strategy), O.step(t, strategy))
+
+
+@pytest.mark.parametrize("inner", [r"(\x. x) y", r"\x. (\y. y) z", "[c] y", "x"])
+@pytest.mark.parametrize("depth", range(5))
+def test_nested_theta_candidates_match_the_oracle(inner, depth):
+    """Weak θ fires only on a weakly stuck body; candidates nest ``depth`` deep."""
+    t = T(inner)
+    for i in range(depth):
+        t = Mu(f"a{i}", Named(f"a{i}", t))
+    for strategy in L.STRATEGIES:
+        _agree(L.step(t, strategy), O.step(t, strategy))
+        _agree(L.step(App(t, Var("w")), strategy), O.step(App(t, Var("w")), strategy))
+
+
+# -- depth 10^4: built directly, since parse_term and == still recurse -----------
+
+DEEP = 10_000
+
+
+def _shape(t: L.Term) -> list:
+    """Pre-order tokens of ``t``, a bound name replaced by its binder's index."""
+    out: list = []
+    stack = [(t, {}, {})]
+    while stack:
+        node, lam, mu = stack.pop()
+        match node:
+            case Var(x):
+                out.append(("v", lam.get(x, x)))
+            case Lam(x, body):
+                stack.append((body, {**lam, x: len(out)}, mu))
+                out.append(("l",))
+            case Mu(a, body):
+                stack.append((body, lam, {**mu, a: len(out)}))
+                out.append(("m",))
+            case Named(a, body):
+                out.append(("n", mu.get(a, a)))
+                stack.append((body, lam, mu))
+            case App(f, arg):
+                out.append(("a",))
+                stack += [(arg, lam, mu), (f, lam, mu)]
+    return out
+
+
+def test_free_variables_of_deep_chains():
+    t = Var("z")
+    for i in range(DEEP):
+        t = Lam(f"x{i}", App(t, Var(f"x{i}" if i % 2 else "y")))
+    assert free_vars(t) == {"z", "y"}
+    assert free_mvars(t) == set()
+    m = Var("z")
+    for i in range(DEEP):
+        m = Mu(f"a{i}", Named(f"a{i}" if i % 2 else "b", m))
+    assert free_mvars(m) == {"b"}
+    assert free_vars(m) == {"z"}
+
+
+@pytest.mark.parametrize("strategy", L.STRATEGIES)
+def test_step_at_the_foot_of_a_deep_left_spine(strategy):
+    args = [Var(f"t{i}") for i in range(1, DEEP + 1)]
+    reduct, kind, pos = L.step(app_spine(Mu("a", Named("a", Var("x"))), *args), strategy)
+    assert kind == "mu" and pos == ("appL",) * (DEEP - 1)
+    want = app_spine(Mu("a", Named("a", App(Var("x"), args[0]))), *args[1:])
+    assert _shape(reduct) == _shape(want)
+
+
+# -- the benchmark's largest reduce sizes: exact counts, no timing ---------------
+
+
+def _church(n: int) -> str:
+    return "(\\s. \\z. " + "s (" * n + "z" + ")" * n + ")"
+
+
+@pytest.mark.parametrize("strategy", L.STRATEGIES)
+def test_largest_aleph_spine_and_church_exponential(strategy):
+    k = 400
+    names = " ".join(f"t{i}" for i in range(1, k + 1))
+    nf, steps, exhausted = reduce(T(rf"(\f. mu a. f (\x. [a] x)) w {names}"), strategy)
+    assert (steps, exhausted) == (k + 1, False)
+    spine = app_spine(Var("x"), *(Var(f"t{i}") for i in range(1, k + 1)))
+    assert alpha_eq(nf, Mu("a", App(Var("w"), Lam("x", Named("a", spine)))))
+    assert print_term(nf) == rf"mu a. w (\x. [a] x {names})"
+    exp = T(f"{_church(9)} {_church(2)} (\\y. y) z0")
+    assert reduce(exp, strategy) == (Var("z0"), 3 * 2**9, False)
+
+
+def test_machine_on_the_largest_aleph_spine_and_church_exponential():
+    k = 400
+    aleph = T(r"(\f. mu a. f (\x. [a] x)) w " + " ".join(f"t{i}" for i in range(1, k + 1)))
+    cfg, transitions, exhausted = M.run(M.load(aleph), 100_000)
+    assert (transitions, exhausted) == (k + 5, False)
+    assert alpha_eq(M.readback(cfg), reduce(aleph, "head")[0])
+    exp = T(f"{_church(9)} {_church(2)} (\\y. y) z0")
+    cfg, transitions, exhausted = M.run(M.load(exp), 100_000)
+    assert (transitions, exhausted, M.readback(cfg)) == (12 * 2**9 - 4, False, Var("z0"))
