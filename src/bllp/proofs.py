@@ -4,9 +4,13 @@ A sequent is a tuple of labelled formulas with at most one positive member.
 Proof nodes store their conclusion and rule-specific data (indices into
 premise conclusions, polynomial witnesses); checking is local and literal.
 
-The pre-weight of a proof is a resource polynomial together with one set of
-reserved variables per conclusion formula; the weight substitutes zero for
-those variables and bounds the number of special cut-elimination steps.
+The weight of a proof bounds the number of special cut-elimination steps.
+It is the symbolic pre-weight with its variables substituted: each axiom,
+unary rule and box door holds one variable, which becomes 1 when its
+formula occurrence is eventually cut and 0 when the occurrence reaches the
+root. That value (its fate) is known top-down, and substituting a constant
+commutes with + and ×, so `weight` uses the fate from the start, in one
+walk from the root that keeps no variables.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .formula import (
     lf_subst,
     lf_sum,
 )
-from .respoly import ONE, ZERO, Poly, fresh_var, poly_leq, pvar, specialize, weight_var
+from .respoly import ONE, ZERO, Poly, fresh_var, linear_sum, poly_leq, pvar
 from .typecheck import Report
 
 Sequent = tuple[LF, ...]
@@ -332,83 +336,44 @@ def proof_sim(p: Proof, q: Proof) -> bool:
     return erase(p) == erase(q)
 
 
-# -- pre-weights ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PreWeight:
-    poly: Poly
-    sets: tuple[frozenset[str], ...]
-
-
-def _ones(poly: Poly, vars: frozenset[str]) -> Poly:
-    return specialize(poly, dict.fromkeys(vars, 1))
-
-
-def preweight(p: Proof) -> PreWeight:
-    pws = [preweight(q) for q in p.premises]
-    d = p.data
-    match p.rule:
-        case "ax":
-            y = weight_var()
-            pos = positives(p.concl)[0]
-            sets = [frozenset(), frozenset()]
-            sets[1 - pos] = frozenset({y})
-            return PreWeight(pvar(y), tuple(sets))
-        case "one":
-            return PreWeight(ZERO, (frozenset(),))
-        case "cut":
-            li, ri = d["left_idx"], d["right_idx"]
-            lpw, rpw = pws
-            poly = _ones(lpw.poly, lpw.sets[li]) + _ones(rpw.poly, rpw.sets[ri])
-            sets = [None] * len(p.concl)
-            lay = layout(p)
-            for which, pw in enumerate(pws):
-                for i, s in enumerate(pw.sets):
-                    tgt = lay[which][i]
-                    if tgt is not None:
-                        sets[tgt] = s
-            return PreWeight(poly, tuple(sets))
-        case "par" | "qc" | "qd" | "bot" | "qw":
-            (pw,) = pws
-            y = weight_var()
-            lay = layout(p)[0]
-            out = created(p)[0]
-            sets = [frozenset() for _ in p.concl]
-            for i, s in enumerate(pw.sets):
-                sets[lay[i]] = sets[lay[i]] | s
-            sets[out] = sets[out] | {y}
-            return PreWeight(pw.poly + pvar(y), tuple(sets))
-        case "tensor":
-            lpw, rpw = pws
-            sets = [frozenset() for _ in p.concl]
-            lay = layout(p)
-            for which, pw in enumerate(pws):
-                for i, s in enumerate(pw.sets):
-                    tgt = lay[which][i]
-                    sets[tgt] = sets[tgt] | s
-            return PreWeight(lpw.poly + rpw.poly, tuple(sets))
-        case "bang":
-            (pw,) = pws
-            i = d["idx"]
-            q = p.concl[i].label
-            poly = q * pw.poly
-            sets = []
-            for k in range(len(p.concl)):
-                if k == i:
-                    sets.append(pw.sets[k])
-                else:
-                    y = weight_var()
-                    poly = poly + pvar(y)
-                    sets.append(pw.sets[k] | {y})
-            return PreWeight(poly, tuple(sets))
-    raise ProofError(f"unknown rule {p.rule!r}")
+# -- weights -------------------------------------------------------------------------
 
 
 def weight(p: Proof) -> Poly:
-    """The pre-weight polynomial with every conclusion-set variable zeroed."""
-    pw = preweight(p)
-    return specialize(pw.poly, {v: 0 for s in pw.sets for v in s})
+    """Σ over the weight variables of their fate × the labels of the boxes above.
+
+    The pre-weight of Girard, Scedrov and Scott gives a variable to each
+    axiom (on its negative side), each unary rule (on the formula it
+    creates) and each door of a box context, and multiplies the pre-weight
+    of a box premise by the box's label. A cut sets the variables of its
+    two cut formulas to 1; the weight sets the ones left at the root to 0.
+    So each variable's value is its fate: 1 if its formula occurrence is
+    eventually cut, 0 if it reaches the root. Substitution commutes with +
+    and ×, so using the fate from the start is exact. The walk starts at
+    the root with fate 0 on every position; a cut gives its two cut
+    positions fate 1, every other premise position inherits its fate
+    through `layout`, and a box multiplies its premise's multiplier by its
+    label. It is linear in the size of the proof and keeps no names.
+    """
+    counts: dict[Poly, int] = {}
+    stack = [(p, (0,) * len(p.concl), ONE)]
+    while stack:
+        node, fates, mult = stack.pop()
+        n, inner = 0, mult
+        match node.rule:
+            case "ax":
+                n = fates[1 - positives(node.concl)[0]]
+            case "bang":
+                i = node.data["idx"]
+                n = sum(fates) - fates[i]
+                inner = mult * node.concl[i].label
+            case "par" | "qc" | "qd" | "bot" | "qw":
+                n = fates[created(node)[0]]
+        if n:
+            counts[mult] = counts.get(mult, 0) + n
+        for q, lay in zip(node.premises, layout(node)):
+            stack.append((q, tuple(1 if t is None else fates[t] for t in lay), inner))
+    return linear_sum(counts)
 
 
 # -- smart constructors ----------------------------------------------------------------
@@ -1253,13 +1218,17 @@ KINDS = {
 }
 
 
-def _cut_paths(p: Proof, path: Path = (), inside_box: bool = False) -> list[Path]:
-    out = []
-    if p.rule == "cut" and not inside_box:
-        out.append(path)
-    for i, q in enumerate(p.premises):
-        out.extend(_cut_paths(q, path + (i,), inside_box or p.rule == "bang"))
-    return out
+def _cut_paths(p: Proof) -> Iterator[Path]:
+    """Lazily yield the paths of the cuts outside every box, in pre-order."""
+    stack: list[tuple[Proof, Path]] = [(p, ())]
+    while stack:
+        node, path = stack.pop()
+        if node.rule == "bang":
+            continue
+        if node.rule == "cut":
+            yield path
+        for i in reversed(range(len(node.premises))):
+            stack.append((node.premises[i], path + (i,)))
 
 
 def _eligible(p: Proof, path: Path) -> bool:

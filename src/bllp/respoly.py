@@ -7,12 +7,12 @@ used throughout is a mapping from monomials to coefficients, which makes
 equality structural and the order ``p ⊑ q`` ("q - p is again a resource
 polynomial") a plain coefficient comparison.
 
-Every operation that builds a polynomial (``add``, ``mul``, ``compose``,
-``bounded_sum``, ``specialize``) accumulates its coefficients in one
-dictionary and canonicalises (checks and sorts) the result once, at the
-end, so apart from that one sort its cost is linear in the number of
-monomial products it forms.  There is no module-level cache: each result
-is computed from its arguments alone.
+Every operation that builds a polynomial (``add``, ``linear_sum``,
+``mul``, ``compose``, ``bounded_sum``, ``specialize``) accumulates its
+coefficients in one dictionary and canonicalises (checks and sorts) the
+result once, at the end, so apart from that one sort its cost is linear
+in the number of monomial products it forms.  There is no module-level
+cache: each result is computed from its arguments alone.
 """
 
 from __future__ import annotations
@@ -24,22 +24,16 @@ from typing import Callable, Iterable, Mapping
 
 VarId = str
 
-# Reserved first characters; the surface parser never produces these, so
+# Reserved first character; the surface parser never produces it, so
 # generated names cannot collide with user variables.
 _FRESH_MARK = "#"
-_WEIGHT_MARK = "@"
 
 _counter = itertools.count(1)
 
 
 def fresh_var(base: str = "x") -> VarId:
     """Return a variable name guaranteed not to clash with parsed input."""
-    return f"{_FRESH_MARK}{base.lstrip(_FRESH_MARK + _WEIGHT_MARK)}{next(_counter)}"
-
-
-def weight_var() -> VarId:
-    """Fresh variable from the reserved namespace used by proof weights."""
-    return f"{_WEIGHT_MARK}w{next(_counter)}"
+    return f"{_FRESH_MARK}{base.lstrip(_FRESH_MARK)}{next(_counter)}"
 
 
 class NotResourcePolynomial(Exception):
@@ -165,6 +159,15 @@ def add(p: Poly, q: Poly) -> Poly:
     table: dict[Mono, int] = dict(p.terms)
     for m, c in q.terms:
         table[m] = table.get(m, 0) + c
+    return _poly(table)
+
+
+def linear_sum(counts: Mapping[Poly, int]) -> Poly:
+    """The sum of ``n * p`` over the pairs ``(p, n)`` of ``counts``."""
+    table: dict[Mono, int] = {}
+    for p, n in counts.items():
+        for m, c in p.terms:
+            table[m] = table.get(m, 0) + n * c
     return _poly(table)
 
 

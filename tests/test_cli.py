@@ -131,3 +131,43 @@ def test_cut_eliminate_reports_fuel_exhaustion(capsys):
     out, err = capsys.readouterr()
     assert err.strip() == EXHAUSTED
     assert "steps: 1" in out and out.count("weight=") == 1
+
+
+VERIFY_POLYSTEP = """\
+aleph: ok  head steps 0 <= weight 5 (5)
+aleph-applied: ok  head steps 2 <= weight 16 (16)
+aleph-invoke-0: ok  head steps 1 <= weight 14 (14)
+church-0: ok  head steps 0 <= weight 0 (0)
+church-1: ok  head steps 0 <= weight 2 (2)
+church-1-app: ok  head steps 2 <= weight 11 (11)
+church-2: ok  head steps 0 <= weight 4 (4)
+church-2-app: ok  head steps 2 <= weight 19 (19)
+church-3: ok  head steps 0 <= weight 6 (6)
+identity-app: ok  head steps 1 <= weight 4 (4)
+kappa: ok  head steps 0 <= weight 6 (6)
+kappa-callcc: ok  head steps 3 <= weight 22 (22)
+"""
+
+CUT_ELIMINATE_CHURCH_2_APP = """\
+   1 axiom          at (1, 1) weight=18
+   2 multiplicative at () weight=17
+   3 multiplicative at (0,) weight=16
+   4 contraction    at (0, 0) weight=15
+   5 axiom          at (0, 0, 0, 0, 1, 1) weight=14
+   6 digging        at (0, 0, 0, 1, 0) weight=12
+   7 digging        at (0, 0, 1, 0) weight=11
+   8 dereliction    at (0, 0) weight=10
+   9 axiom          at (0, 1) weight=9
+  10 axiom          at (0, 0) weight=7
+steps: 10
+"""
+
+
+def test_verify_polystep_output_is_pinned(capsys):
+    assert run("verify-polystep") == 0
+    assert capsys.readouterr().out == VERIFY_POLYSTEP
+
+
+def test_cut_eliminate_trace_output_is_pinned(capsys):
+    assert run("cut-eliminate", "--trace", "--entry", "church-2-app") == 0
+    assert capsys.readouterr().out == CUT_ELIMINATE_CHURCH_2_APP

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import proofs_oracle as O
 from bllp import corpus as C
 from bllp import formula as F
+from bllp import lammu as L
 from bllp import proofs as P
 from bllp.formula import LF, lf, lf_alpha_eq, lf_leq, lf_neg
 from bllp.proofs import (
@@ -25,14 +28,13 @@ from bllp.proofs import (
     mk_qw,
     mk_tensor,
     normalize,
-    preweight,
     proof_sim,
     step_special,
     weight,
 )
-from bllp.respoly import ONE, ZERO, const, eval_poly, poly_leq, pvar
+from bllp.respoly import ONE, ZERO, const, eval_poly, fresh_var, poly_leq, pvar
 from bllp.syntax import parse_lf, parse_poly
-from bllp.typecheck import add_to_mult
+from bllp.typecheck import add_to_mult, subject_reduce
 
 PL = parse_poly
 
@@ -148,18 +150,126 @@ def test_weight_of_unit_cut_is_one_and_drops():
     assert weight(reduct) == ZERO
 
 
-@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("n", [32, 64, 128])
 def test_weight_of_large_church_application(n):
     pf = map_derivation(add_to_mult(C.church_applied_derivation(n)))
-    assert zero_eval(weight(pf)) == 8 * n + 3
+    assert weight(pf) == const(8 * n + 3)
 
 
 def test_preweight_sets_are_disjoint():
-    pw = preweight(mapped("kappa-callcc"))
+    pw = O.preweight(mapped("kappa-callcc"))
     seen = set()
     for s in pw.sets:
         assert not (s & seen)
         seen |= s
+
+
+DERIVED = [e.name for e in C.entries() if e.derivation]
+
+
+@pytest.mark.parametrize("name", DERIVED)
+def test_weight_and_cut_order_match_the_oracle_along_special_steps(name):
+    pf = mapped(name)
+    assert weight(pf) == O.weight(pf)
+    assert list(P._cut_paths(pf)) == O.cut_paths(pf)
+    for hit in P.special_steps(pf):
+        for q in (hit.exposed, hit.result):
+            assert weight(q) == O.weight(q)
+            assert list(P._cut_paths(q)) == O.cut_paths(q)
+
+
+@pytest.mark.parametrize("name", DERIVED)
+def test_weight_matches_the_oracle_along_subject_reduction(name):
+    d = add_to_mult(C.by_name(name).derivation)
+    pf = map_derivation(d)
+    assert weight(pf) == O.weight(pf)
+    while L.step(d.concl.subject, "head") is not None:
+        d = subject_reduce(d)
+        pf = map_derivation(d)
+        assert weight(pf) == O.weight(pf)
+
+
+@settings(max_examples=16, deadline=None)
+@given(st.integers(min_value=0, max_value=16))
+def test_weight_of_small_church_applications_matches_the_oracle(n):
+    pf = map_derivation(add_to_mult(C.church_applied_derivation(n)))
+    assert weight(pf) == O.weight(pf)
+
+
+@pytest.mark.parametrize("n", [32, 48, 64])
+def test_weight_of_large_church_applications_matches_the_oracle(n):
+    pf = map_derivation(add_to_mult(C.church_applied_derivation(n)))
+    assert weight(pf) == O.weight(pf)
+
+
+def _derelicted_axiom() -> Proof:
+    """``<?X>[1], <~X>[1]``: an axiom whose positive side is derelicted."""
+    why = lf(F.WhyNot(F.VACUOUS, ONE, F.Atom("X")), F.VACUOUS, ONE)
+    return P.mk_qd(AX1, 0, F.Atom("X"), F.VACUOUS, ONE, F.VACUOUS, why)
+
+
+def _box(prem: Proof, label) -> Proof:
+    body = prem.concl[1]
+    out = lf(F.Bang(body.binder, body.label, body.formula), F.VACUOUS, label)
+    return P.mk_bang(prem, 1, out, {})
+
+
+def test_weight_multiplies_through_nested_symbolic_boxes():
+    q, r = pvar("q"), pvar("r")
+    inner = _box(_derelicted_axiom(), q)
+    door = lf_neg(inner.concl[1])
+    cut = mk_cut(mk_qw(_derelicted_axiom(), 2, door), inner, 2, 1)
+    outer = _box(cut, r)
+    assert check_proof(outer).ok
+    # the weakened door is cut inside the outer box (r), and so is the
+    # inner box's axiom (r * q)
+    assert weight(outer) == r + r * q == O.weight(outer)
+
+
+def _deep_chain(rounds: int) -> Proof:
+    """Weakenings and bottoms over an axiom, each contracted into the last.
+
+    ``2 + 4 * rounds`` nodes deep, with a conclusion of four formulas
+    ``<X>, <~X>, <~W>[rounds + 1], <bot>[rounds + 1]`` at every depth.
+    """
+    w, bot = lf(F.NegAtom("W"), F.VACUOUS, 1), lf(F.BOTTOM, F.VACUOUS, 1)
+    pf = mk_bot(mk_qw(AX1, 2, w), 3, bot)
+
+    def contract(pf: Proof, k: int) -> Proof:
+        have = pf.concl[k]
+        return P.mk_qc(pf, k, 4, lf(have.formula, F.VACUOUS, have.label + 1))
+
+    for _ in range(rounds):
+        pf = contract(mk_bot(contract(mk_qw(pf, 4, w), 2), 4, bot), 3)
+    return pf
+
+
+def _cut_bottom(pf: Proof) -> Proof:
+    return mk_cut(pf, mk_one(lf(F.ONE_F, F.VACUOUS, pf.concl[3].label)), 3, 0)
+
+
+def test_weight_of_a_small_chain_matches_the_oracle():
+    pf = _deep_chain(3)
+    assert check_proof(pf).ok and check_proof(_cut_bottom(pf)).ok
+    assert weight(pf) == O.weight(pf) == ZERO
+    # every bottom and every contraction of bottoms is cut: 4 + 3
+    assert weight(_cut_bottom(pf)) == O.weight(_cut_bottom(pf)) == const(7)
+
+
+def test_deep_chain_is_weighed_and_scanned_without_recursion_error():
+    rounds = 2500  # 10 002 nodes deep
+    pf = _deep_chain(rounds)
+    assert weight(pf) == ZERO
+    assert step_special(pf) is None
+    assert weight(_cut_bottom(pf)) == const(2 * rounds + 1)
+
+
+def test_weight_leaves_the_global_name_supply_alone():
+    pf = mapped("church-2-app")
+    before = fresh_var("n")
+    weight(pf)
+    after = fresh_var("n")
+    assert int(after[2:]) == int(before[2:]) + 1
 
 
 # -- malleability -------------------------------------------------------------------
