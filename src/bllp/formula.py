@@ -5,6 +5,11 @@ negative ones from negated atoms, par, bottom and the bounded whynot.
 A labelled formula ``<A>[x<p]`` binds the resource variable ``x`` in ``A``
 and carries the budget polynomial ``p``.  The binder name ``_`` stands for
 a variable with no occurrences.
+
+The comparisons ``alpha_eq``, ``lf_alpha_eq``, ``formula_leq`` and
+``lf_leq`` return at once when their operands are equal (``==``, which also
+covers one object passed twice): α-equality contains equality and ⊑ is
+reflexive.  Only unequal operands get canonical copies or matched binders.
 """
 
 from __future__ import annotations
@@ -168,24 +173,28 @@ def alpha_canon(f: Formula) -> Formula:
 
 
 def alpha_eq(a: Formula, b: Formula) -> bool:
-    return alpha_canon(a) == alpha_canon(b)
+    return a == b or alpha_canon(a) == alpha_canon(b)
 
 
 def formula_leq(a: Formula, b: Formula) -> bool:
     """Subtyping ``a ⊑ b``: same skeleton, polynomials compared in place."""
+    return a == b or _formula_leq(a, b)
+
+
+def _formula_leq(a: Formula, b: Formula) -> bool:
     match a, b:
         case (Atom(n1), Atom(n2)) | (NegAtom(n1), NegAtom(n2)):
             return n1 == n2
         case (One(), One()) | (Bottom(), Bottom()):
             return True
         case (Tensor(l1, r1), Tensor(l2, r2)) | (Par(l1, r1), Par(l2, r2)):
-            return formula_leq(l1, l2) and formula_leq(r1, r2)
+            return _formula_leq(l1, l2) and _formula_leq(r1, r2)
         case (Bang(x1, p1, n1), Bang(x2, p2, n2)):
             n1, n2 = _match_binders(x1, n1, x2, n2)
-            return poly_leq(p2, p1) and formula_leq(n1, n2)
+            return poly_leq(p2, p1) and _formula_leq(n1, n2)
         case (WhyNot(x1, p1, n1), WhyNot(x2, p2, n2)):
             n1, n2 = _match_binders(x1, n1, x2, n2)
-            return poly_leq(p1, p2) and formula_leq(n1, n2)
+            return poly_leq(p1, p2) and _formula_leq(n1, n2)
     return False
 
 
@@ -251,6 +260,8 @@ def lf_subst(a: LF, var: VarId, q: Poly) -> LF:
 
 
 def lf_alpha_eq(a: LF, b: LF) -> bool:
+    if a == b:
+        return True
     if a.label != b.label:
         return False
     fa, fb = _match_binders(a.binder, a.formula, b.binder, b.formula)
@@ -261,6 +272,8 @@ def lf_leq(a: LF, b: LF) -> bool:
     """Subtyping on labelled formulas: contravariant labels on negatives."""
     if lf_positive(a) != lf_positive(b):
         raise ShapeMismatch("polarity mismatch in labelled comparison")
+    if a == b:
+        return True
     fa, fb = _match_binders(a.binder, a.formula, b.binder, b.formula)
     if not formula_leq(fa, fb):
         return False

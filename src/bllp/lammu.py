@@ -249,7 +249,8 @@ def nameless(t: Term):
 
 
 def alpha_eq(t: Term, u: Term) -> bool:
-    return nameless(t) == nameless(u)
+    # Identity only: ``Term.__eq__`` is a recursive dataclass compare.
+    return t is u or nameless(t) == nameless(u)
 
 
 # -- reduction -----------------------------------------------------------------

@@ -13,6 +13,13 @@ coefficients in one dictionary and canonicalises (checks and sorts) the
 result once, at the end, so apart from that one sort its cost is linear
 in the number of monomial products it forms.  There is no module-level
 cache: each result is computed from its arguments alone.
+
+The order ``poly_leq`` builds nothing: equal operands return at once, and
+otherwise one merge walk over the two sorted term tuples looks up each
+coefficient of p in q.  ``sub_checked`` is the difference itself, for
+callers that need it.  ``bin_of_poly`` answers ``choose(q, 1)`` and
+``choose(x, n)`` for a bare variable directly, so renaming a variable with
+``compose(p, x, pvar(y))`` never reaches the finite-difference oracle.
 """
 
 from __future__ import annotations
@@ -141,7 +148,7 @@ ONE = Poly(((MONO_ONE, 1),))
 def const(n: int) -> Poly:
     if n < 0:
         raise NotResourcePolynomial(f"negative constant {n}")
-    return _poly({MONO_ONE: n})
+    return Poly(((MONO_ONE, n),)) if n else ZERO
 
 
 def binom(var: VarId, n: int) -> Poly:
@@ -281,6 +288,12 @@ def bin_of_poly(q: Poly, n: int) -> Poly:
     """choose(q, n) as a resource polynomial in q's variables."""
     if n == 0:
         return ONE
+    if n == 1:
+        return q
+    if len(q.terms) == 1:
+        (m, c), = q.terms
+        if c == 1 and len(m.factors) == 1 and m.factors[0][1] == 1:
+            return binom(m.factors[0][0], n)
     if not q.free_vars():
         return const(comb(q.constant_part(), n))
     bounds = {v: q.degree(v) * n for v in q.free_vars()}
@@ -357,8 +370,24 @@ def sub_checked(q: Poly, p: Poly) -> Poly | None:
 
 
 def poly_leq(p: Poly, q: Poly) -> bool:
-    """The order ``p ⊑ q``: every basis coefficient of p is covered by q."""
-    return sub_checked(q, p) is not None
+    """The order ``p ⊑ q``: every basis coefficient of p is covered by q.
+
+    Both term tuples are sorted by monomial, so one merge walk finds each
+    monomial of p in q or shows that it is missing.
+    """
+    if p == q:
+        return True
+    qt = q.terms
+    n = len(qt)
+    j = 0
+    for m, c in p.terms:
+        f = m.factors
+        while j < n and qt[j][0].factors < f:
+            j += 1
+        if j == n or qt[j][0].factors != f or qt[j][1] < c:
+            return False
+        j += 1
+    return True
 
 
 def poly_lt(p: Poly, q: Poly) -> bool:

@@ -597,13 +597,23 @@ def proof_from_obj(obj: dict):
     if obj.get("version") != FORMAT_VERSION:
         raise ParseError(0, f"unsupported proof format version {obj.get('version')!r}")
 
+    # Each distinct formula text is parsed once per call, so equal sequent
+    # entries come back as one object.
+    lfs: dict[str, F.LF] = {}
+
+    def lf_of(s: str) -> F.LF:
+        a = lfs.get(s)
+        if a is None:
+            a = lfs[s] = parse_lf(s)
+        return a
+
     def data_from(d: dict) -> dict:
         out = {}
         for k, v in d.items():
             if k in ("left_idx", "right_idx", "left", "right", "idx"):
                 out[k] = int(v)
             elif k == "witness":
-                out[k] = parse_lf(v)
+                out[k] = lf_of(v)
             elif k == "P":
                 out[k] = parse_formula(v)
             elif k in ("x", "y"):
@@ -617,7 +627,7 @@ def proof_from_obj(obj: dict):
     def node(x) -> Proof:
         return Proof(
             x["rule"],
-            tuple(parse_lf(s) for s in x["sequent"]),
+            tuple(lf_of(s) for s in x["sequent"]),
             tuple(node(q) for q in x.get("premises", [])),
             data_from(x.get("data", {})),
         )

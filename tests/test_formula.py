@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import formula_oracle as O
 from bllp import formula as F
 from bllp import respoly as R
 from bllp.formula import (
@@ -20,13 +21,16 @@ from bllp.formula import (
     subst_poly,
     verify_bounded_sum,
 )
-from bllp.syntax import parse_formula, parse_lf, parse_poly
+from bllp.syntax import parse_formula, parse_lf, parse_poly, print_formula
 
 P = parse_poly
 
 
+BOUNDS = ("1", "x", "x + 2", "bin(x,2)")
+
+
 @st.composite
-def formulas(draw, depth=3):
+def formulas(draw, depth=3, bounds=BOUNDS):
     if depth == 0 or draw(st.booleans()):
         return draw(
             st.sampled_from(
@@ -34,13 +38,13 @@ def formulas(draw, depth=3):
             )
         )
     kind = draw(st.sampled_from(["tensor", "par", "bang", "whynot"]))
-    a = draw(formulas(depth=depth - 1))
-    bound = draw(st.sampled_from([P("1"), P("x"), P("x + 2"), P("bin(x,2)")]))
+    a = draw(formulas(depth=depth - 1, bounds=bounds))
+    bound = P(draw(st.sampled_from(bounds)))
     match kind:
         case "tensor":
-            return F.Tensor(a, draw(formulas(depth=depth - 1)))
+            return F.Tensor(a, draw(formulas(depth=depth - 1, bounds=bounds)))
         case "par":
-            return F.Par(a, draw(formulas(depth=depth - 1)))
+            return F.Par(a, draw(formulas(depth=depth - 1, bounds=bounds)))
         case "bang":
             return F.Bang("y", bound, a if F.is_negative(a) else negate(a))
         case "whynot":
@@ -226,3 +230,92 @@ def test_substitution_monotone():
     assert formula_leq(b, a)
     shift = P("y + 3")
     assert formula_leq(subst_poly(b, "x", shift), subst_poly(a, "x", shift))
+
+
+# -- equal-operand exits against the long way ----------------------------------
+
+# Bounds that also mention the binder ``y`` of an enclosing modality, so
+# renaming binders changes the formula.
+BINDER_BOUNDS = BOUNDS + ("y", "y + x", "bin(y,2) + 1")
+
+
+def rename_binders(f):
+    """A copy of ``f`` with every non-vacuous binder renamed to a new name."""
+    match f:
+        case F.Tensor(l, r) | F.Par(l, r):
+            return type(f)(rename_binders(l), rename_binders(r))
+        case F.Bang(x, p, n) | F.WhyNot(x, p, n):
+            if x != F.VACUOUS:
+                x2 = R.fresh_var(x)
+                n = subst_poly(n, x, R.pvar(x2))
+                x = x2
+            return type(f)(x, p, rename_binders(n))
+    return f
+
+
+@st.composite
+def formula_pairs(draw):
+    """Pairs that are identical, equal copies, renamed, shifted or unrelated."""
+    a = draw(formulas(bounds=BINDER_BOUNDS))
+    kind = draw(st.sampled_from(["same", "copy", "renamed", "shifted", "unrelated"]))
+    match kind:
+        case "same":
+            b = a
+        case "copy":
+            b = parse_formula(print_formula(a))
+            assert b == a
+        case "renamed":
+            b = rename_binders(a)
+        case "shifted":
+            b = subst_poly(a, "x", P(draw(st.sampled_from(["x + 1", "2*x", "0"]))))
+        case "unrelated":
+            b = draw(formulas(bounds=BINDER_BOUNDS))
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@st.composite
+def lf_pairs(draw):
+    a, b = draw(formula_pairs())
+    labels = st.sampled_from(["0", "1", "q", "q + 1", "2*q"])
+    la = lf(a, draw(st.sampled_from(["x", F.VACUOUS])), P(draw(labels)))
+    if draw(st.booleans()):
+        return la, lf(b, la.binder, la.label)
+    return la, lf(b, draw(st.sampled_from(["x", "z", F.VACUOUS])), P(draw(labels)))
+
+
+def outcome(fn, a, b):
+    try:
+        return fn(a, b)
+    except ShapeMismatch:
+        return ShapeMismatch
+
+
+@settings(max_examples=200, deadline=None)
+@given(formula_pairs())
+def test_formula_comparisons_agree_with_the_long_way(pair):
+    a, b = pair
+    assert alpha_eq(a, b) == (F.alpha_canon(a) == F.alpha_canon(b))
+    assert formula_leq(a, b) == O.formula_leq(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lf_pairs())
+def test_lf_comparisons_agree_with_the_long_way(pair):
+    a, b = pair
+    assert lf_alpha_eq(a, b) == O.lf_alpha_eq(a, b)
+    assert outcome(lf_leq, a, b) == outcome(O.lf_leq, a, b)
+
+
+def test_renamed_and_copied_formulas_compare_equal():
+    f = parse_formula("!{y<x} (~V par ?{z<y + 1} W)")
+    for g in (f, parse_formula(print_formula(f)), rename_binders(f)):
+        assert alpha_eq(f, g) and formula_leq(f, g) and formula_leq(g, f)
+    assert rename_binders(f) != f
+
+
+def test_lf_leq_polarity_mismatch_raises_on_any_operands():
+    a = parse_lf("<V>[1]")
+    with pytest.raises(ShapeMismatch):
+        lf_leq(a, lf_neg(a))
+    with pytest.raises(ShapeMismatch):
+        lf_leq(lf_neg(a), a)

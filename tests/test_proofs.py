@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from bllp import corpus as C
 from bllp import formula as F
 from bllp import lammu as L
 from bllp import proofs as P
+from bllp import respoly as R
 from bllp.formula import LF, lf, lf_alpha_eq, lf_leq, lf_neg
 from bllp.proofs import (
     Proof,
@@ -622,3 +624,47 @@ def test_normalize_drains_special_steps(fuel):
         for hit in hits:
             assert hit.result == step_special(prev).result
             prev = hit.result
+
+
+# -- cost guard ----------------------------------------------------------------------
+
+
+def test_check_proof_decides_equal_operands_without_rebuilding(monkeypatch):
+    """Checking the church-12 proof and each proof along its special steps
+    builds no canonical formula copy and no polynomial inside ``poly_leq``."""
+    pf = map_derivation(add_to_mult(C.church_applied_derivation(12)))
+    proofs = [pf] + [q for hit in P.special_steps(pf) for q in (hit.exposed, hit.result)]
+    calls = {"alpha_canon": 0, "poly_leq": 0, "_poly in poly_leq": 0}
+    inside = [0]
+
+    real_canon = F.alpha_canon
+
+    def canon(f):
+        calls["alpha_canon"] += 1
+        return real_canon(f)
+
+    def leq(p, q):
+        calls["poly_leq"] += 1
+        inside[0] += 1
+        try:
+            return poly_leq(p, q)
+        finally:
+            inside[0] -= 1
+
+    real_poly = R._poly
+
+    def poly(table):
+        calls["_poly in poly_leq"] += inside[0] > 0
+        return real_poly(table)
+
+    monkeypatch.setattr(F, "alpha_canon", canon)
+    monkeypatch.setattr(R, "_poly", poly)
+    # Every module that imported ``poly_leq`` by name calls the wrapper.
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("bllp") and getattr(mod, "poly_leq", None) is poly_leq:
+            monkeypatch.setattr(mod, "poly_leq", leq)
+
+    for q in proofs:
+        assert check_proof(q).ok
+    assert len(proofs) > 1 and calls["poly_leq"] > 0
+    assert calls["alpha_canon"] == 0 and calls["_poly in poly_leq"] == 0, calls

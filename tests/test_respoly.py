@@ -225,6 +225,43 @@ def test_bin_of_poly_vandermonde():
         assert eval_poly(p, env) == math.comb(eval_poly(q, env), 2)
 
 
+def fd_bin(q, n):
+    """choose(q, n) the long way: finite differences of its values."""
+    vs = q.free_vars()
+    return fd_oracle(lambda e: math.comb(eval_poly(q, e), n), vs,
+                     {v: q.degree(v) * n for v in vs})
+
+
+@settings(max_examples=60)
+@given(polys(), varnames, st.integers(0, 5))
+def test_bin_of_poly_shortcuts_match_the_oracle(q, v, n):
+    assert bin_of_poly(q, 1) == q == fd_bin(q, 1)
+    assert bin_of_poly(pvar(v), n) == binom(v, n) == fd_bin(pvar(v), n)
+
+
+@settings(max_examples=60)
+@given(polys(), varnames, varnames)
+def test_renaming_matches_the_oracle(p, x, y):
+    got = compose(p, x, pvar(y))
+    rest = (p.free_vars() - {x}) | {y}
+    assert got == fd_oracle(lambda e: eval_poly(p, {**e, x: e[y]}), rest,
+                            {v: p.degree(v) + p.degree(x) for v in rest})
+
+
+def test_renaming_never_runs_the_oracle(monkeypatch):
+    from bllp import respoly
+
+    calls = []
+    real = respoly.fd_oracle
+    monkeypatch.setattr(respoly, "fd_oracle", lambda *a: calls.append(a) or real(*a))
+    p = add(mul(pvar(X), pvar(X)), mul(const(3), pvar(X)))
+    assert compose(p, X, pvar(Y)) == add(mul(pvar(Y), pvar(Y)), mul(const(3), pvar(Y)))
+    assert bounded_sum(Z, pvar(Y), p) == mul(p, pvar(Y))
+    assert calls == []
+    bin_of_poly(add(pvar(X), pvar(Y)), 2)
+    assert len(calls) == 1
+
+
 # -- order --------------------------------------------------------------------
 
 def test_leq_reflexive():
@@ -295,6 +332,31 @@ def test_compose_monotone(p, dp, q, dq):
     lhs = compose(q, Y, p)
     rhs = compose(s, Y, r)
     assert poly_leq(lhs, rhs)
+
+
+@st.composite
+def poly_pairs(draw):
+    """Pairs with ``p == q`` (as one object or a copy), ``q = p + r`` or unrelated."""
+    p = draw(polys())
+    kind = draw(st.sampled_from(["same", "copy", "above", "below", "unrelated"]))
+    match kind:
+        case "same":
+            return p, p
+        case "copy":
+            return p, add(p, ZERO)
+        case "above":
+            return p, add(p, draw(polys()))
+        case "below":
+            return add(p, draw(polys())), p
+        case "unrelated":
+            return p, draw(polys())
+
+
+@settings(max_examples=200)
+@given(poly_pairs())
+def test_leq_agrees_with_the_checked_difference(pair):
+    p, q = pair
+    assert poly_leq(p, q) == (sub_checked(q, p) is not None)
 
 
 @settings(max_examples=60)

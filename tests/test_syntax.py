@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from bllp import corpus as C
 from bllp import formula as F
 from bllp import lammu as L
-from bllp.proofs import check_proof, map_derivation, weight
+from bllp.proofs import check_proof, map_derivation, special_steps, weight
 from bllp.respoly import add, binom, const, mul, pvar
 from bllp.syntax import (
     ParseError,
@@ -163,6 +163,30 @@ def test_proof_files_roundtrip():
     p2 = proof_from_obj(json.loads(blob))
     assert check_proof(p2).ok
     assert weight(p2) == weight(pf)
+
+
+@pytest.mark.parametrize("name", [e.name for e in C.entries() if e.derivation])
+def test_proof_round_trip_along_special_steps(name):
+    pf = map_derivation(add_to_mult(C.by_name(name).derivation))
+    proofs = [pf] + [q for hit in special_steps(pf) for q in (hit.exposed, hit.result)]
+    for q in proofs:
+        q2 = proof_from_obj(json.loads(json.dumps(proof_to_obj(q))))
+        assert q2 == q
+        seen = {}
+        stack = [q2]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.premises)
+            for a in node.concl:
+                assert seen.setdefault(print_lf(a), a) is a
+
+
+def test_proof_format_and_version_enforced():
+    obj = proof_to_obj(map_derivation(add_to_mult(C.by_name("kappa").derivation)))
+    with pytest.raises(ParseError):
+        proof_from_obj({**obj, "format": "bllp-derivation"})
+    with pytest.raises(ParseError):
+        proof_from_obj({**obj, "version": 99})
 
 
 def test_format_version_enforced():
