@@ -23,6 +23,7 @@ from .formula import (
     LF,
     ShapeMismatch,
     VACUOUS,
+    arrow_parts,
     lf,
     lf_alpha_eq,
     lf_bounded_sum,
@@ -31,9 +32,10 @@ from .formula import (
     lf_positive,
     lf_subst,
     lf_sum,
+    negate,
 )
-from .respoly import ONE, ZERO, Poly, fresh_var, linear_sum, poly_leq, pvar
-from .typecheck import Report
+from .respoly import ONE, ZERO, Poly, bounded_sum, fresh_var, linear_sum, poly_leq, pvar
+from .typecheck import Report, _side, _weakened, _with_binder, ctx_get, stack_safe
 
 Sequent = tuple[LF, ...]
 Path = tuple[int, ...]
@@ -298,6 +300,7 @@ def check_proof(p: Proof) -> Report:
 # -- erasure and similarity ----------------------------------------------------------
 
 
+@stack_safe
 def _skel_formula(f: F.Formula):
     match f:
         case F.Atom(n):
@@ -309,27 +312,30 @@ def _skel_formula(f: F.Formula):
         case F.Bottom():
             return ("bot",)
         case F.Tensor(l, r):
-            return ("*", _skel_formula(l), _skel_formula(r))
+            return ("*", (yield (l,)), (yield (r,)))
         case F.Par(l, r):
-            return ("par", _skel_formula(l), _skel_formula(r))
+            return ("par", (yield (l,)), (yield (r,)))
         case F.Bang(_, _, n):
-            return ("!", _skel_formula(n))
+            return ("!", (yield (n,)))
         case F.WhyNot(_, _, n):
-            return ("?", _skel_formula(n))
+            return ("?", (yield (n,)))
     raise TypeError(f)
 
 
-def erase(p: Proof):
-    """The underlying polynomial-free skeleton."""
-    idxs = tuple(
-        sorted((k, v) for k, v in p.data.items() if isinstance(v, int))
-    )
-    return (
-        p.rule,
-        idxs,
-        tuple(_skel_formula(a.formula) for a in p.concl),
-        tuple(erase(q) for q in p.premises),
-    )
+def erase(p: Proof) -> tuple:
+    """The underlying polynomial-free skeleton, flat in pre-order.
+
+    One entry per node: its rule, integer data, formula shapes and number
+    of premises.  Being flat, two skeletons compare without recursion.
+    """
+    out, stack = [], [p]
+    while stack:
+        node = stack.pop()
+        idxs = tuple(sorted((k, v) for k, v in node.data.items() if isinstance(v, int)))
+        concl = tuple(_skel_formula(a.formula) for a in node.concl)
+        out.append((node.rule, idxs, concl, len(node.premises)))
+        stack.extend(reversed(node.premises))
+    return tuple(out)
 
 
 def proof_sim(p: Proof, q: Proof) -> bool:
@@ -467,10 +473,8 @@ def _through(node: Proof, which: int, pos: dict) -> dict:
     return {key: lay[i] for key, i in pos.items() if lay[i] is not None}
 
 
+@stack_safe
 def _map_deriv(d) -> tuple[Proof, dict]:
-    from . import typecheck as T
-    from .formula import arrow_parts, negate
-
     j = d.concl
     match d.rule:
         case "var_m":
@@ -485,7 +489,7 @@ def _map_deriv(d) -> tuple[Proof, dict]:
             out = mk_qd(ax, 0, pb, z, r, y, entry)
             return out, {("lam", x): 0, ("type",): 1}
         case "abs":
-            prem, pos = _map_deriv(d.premise())
+            prem, pos = yield (d.premise(),)
             x = j.subject.var
             i, t = pos[("lam", x)], pos[("type",)]
             node = mk_par(prem, i, t, j.type)
@@ -494,8 +498,8 @@ def _map_deriv(d) -> tuple[Proof, dict]:
             return node, newpos
         case "app_m":
             fn, arg = d.premises
-            rt, post = _map_deriv(fn)
-            ru, posu = _map_deriv(arg)
+            rt, post = yield (fn,)
+            ru, posu = yield (arg,)
             n_f, xh, ph, m_f = arrow_parts(fn.concl.type.formula)
             y, q = fn.concl.type.binder, fn.concl.type.label
             h = d.ann.get("h", q)
@@ -511,7 +515,7 @@ def _map_deriv(d) -> tuple[Proof, dict]:
                     ctx[posu[key]] = a
             box_out = lf(F.Bang(xh, ph, n_f), y, h)
             box = mk_bang(ru, posu[("type",)], box_out, ctx)
-            m_lf = lf(T._with_binder(m_f, y, j.type.binder), j.type.binder, k)
+            m_lf = lf(_with_binder(m_f, y, j.type.binder), j.type.binder, k)
             ax = mk_ax((m_lf, lf_neg(m_lf)), m_lf)
             tens = mk_tensor(
                 box,
@@ -528,7 +532,7 @@ def _map_deriv(d) -> tuple[Proof, dict]:
                 newpos[k2] = v
             return cut, newpos
         case "mu_name_m":
-            prem, pos = _map_deriv(d.premise())
+            prem, pos = yield (d.premise(),)
             a = j.subject.mvar
             node = mk_bot(prem, len(prem.concl), j.type)
             newpos = _through(node, 0, pos)
@@ -536,7 +540,7 @@ def _map_deriv(d) -> tuple[Proof, dict]:
             newpos[("type",)] = len(node.concl) - 1
             return node, newpos
         case "mu_abs":
-            prem, pos = _map_deriv(d.premise())
+            prem, pos = yield (d.premise(),)
             b = j.subject.mvar
             botf = d.premise().concl.type
             unit = mk_one(lf(F.ONE_F, botf.binder, botf.label))
@@ -545,21 +549,19 @@ def _map_deriv(d) -> tuple[Proof, dict]:
             newpos[("type",)] = newpos.pop(("mu", b))
             return node, newpos
         case "w_lam" | "w_mu":
-            prem, pos = _map_deriv(d.premise())
-            side = "lam" if d.rule == "w_lam" else "mu"
-            prev = d.premise().concl
-            (ev,) = {v for v, _ in getattr(j, side)} - {v for v, _ in getattr(prev, side)}
-            entry = T.ctx_get(getattr(j, side), ev)
+            prem, pos = yield (d.premise(),)
+            side, ev = _side(d.rule), _weakened(d)
+            entry = ctx_get(getattr(j, side), ev)
             node = mk_qw(prem, len(prem.concl), entry)
             newpos = _through(node, 0, pos)
             newpos[(side, ev)] = len(node.concl) - 1
             return node, newpos
         case "c_lam" | "c_mu":
-            prem, pos = _map_deriv(d.premise())
-            side = "lam" if d.rule == "c_lam" else "mu"
+            prem, pos = yield (d.premise(),)
+            side = _side(d.rule)
             x1, x2, z = d.ann["left"], d.ann["right"], d.ann["into"]
             i, jj = pos[(side, x1)], pos[(side, x2)]
-            entry = T.ctx_get(getattr(j, side), z)
+            entry = ctx_get(getattr(j, side), z)
             node = mk_qc(prem, i, jj, entry)
             drop = {k for k in ((side, x1), (side, x2))}
             newpos = _through(node, 0, {k: v for k, v in pos.items() if k not in drop})
@@ -585,6 +587,7 @@ def _set_concl(p: Proof, idx: int, value: LF) -> Proof:
     return replace(p, concl=tuple(seq))
 
 
+@stack_safe
 def m_subtype(p: Proof, idx: int, target: LF) -> Proof:
     """Replace a conclusion formula by a ⊑-smaller one, structure intact."""
     cur = p.concl[idx]
@@ -600,7 +603,7 @@ def m_subtype(p: Proof, idx: int, target: LF) -> Proof:
             w for w, lay in enumerate(layout(p)) if idx in lay
         )
         src = _inv(p, which, idx)
-        prem = m_subtype(p.premises[which], src, target)
+        prem = yield (p.premises[which], src, target)
         prems = tuple(prem if w == which else q for w, q in enumerate(p.premises))
         return replace(p, premises=prems, concl=_set_concl(p, idx, target).concl)
     match p.rule:
@@ -617,27 +620,29 @@ def m_subtype(p: Proof, idx: int, target: LF) -> Proof:
             nb = lf(F.subst_poly(fo.right, target.binder, pvar(b.binder))
                     if target.binder != VACUOUS and b.binder != VACUOUS and target.binder != b.binder
                     else fo.right, b.binder, b.label)
-            prem = m_subtype(m_subtype(prem, i, na), j, nb)
+            prem = yield (prem, i, na)
+            prem = yield (prem, j, nb)
             return mk_par(prem, i, j, target)
         case "tensor":
             li, ri = p.data["left_idx"], p.data["right_idx"]
             fo = target.formula
             lp, rp = p.premises
             a, b = lp.concl[li], rp.concl[ri]
-            lp = m_subtype(lp, li, lf(fo.left, a.binder, a.label))
-            rp = m_subtype(rp, ri, lf(fo.right, b.binder, b.label))
+            lp = yield (lp, li, lf(fo.left, a.binder, a.label))
+            rp = yield (rp, ri, lf(fo.right, b.binder, b.label))
             return mk_tensor(lp, rp, li, ri, target)
         case "bang":
             i = p.data["idx"]
             fo = target.formula
             prem = p.premise(0)
             body = prem.concl[i]
-            prem = m_subtype(prem, i, lf(fo.body, body.binder, fo.bound))
+            prem = yield (prem, i, lf(fo.body, body.binder, fo.bound))
             ctx = {k: a for k, a in enumerate(p.concl) if k != i}
             return mk_bang(prem, i, target, ctx, p.data.get("sum_witness"))
     raise ProofError(f"cannot subtype a {p.rule} conclusion")
 
 
+@stack_safe
 def m_subst(p: Proof, var: str, value: Poly) -> Proof:
     """Substitute a resource variable for a polynomial throughout a proof."""
     if var == VACUOUS:
@@ -649,15 +654,10 @@ def m_subst(p: Proof, var: str, value: Poly) -> Proof:
         data["P"] = F.subst_poly(data["P"], var, value)
     if p.rule == "ax":
         data["witness"] = lf_subst(data["witness"], var, value)
-    return Proof(p.rule, concl, tuple(m_subst(q, var, value) for q in p.premises), data)
-
-
-def is_tensor_tree(p: Proof) -> bool:
-    if p.rule in ("ax", "one", "bang"):
-        return True
-    if p.rule == "tensor":
-        return all(is_tensor_tree(q) for q in p.premises)
-    return False
+    premises = []
+    for q in p.premises:
+        premises.append((yield (q, var, value)))
+    return Proof(p.rule, concl, tuple(premises), data)
 
 
 def _shift_lf(a: LF, new_binder: str, amount: Poly) -> LF:
@@ -670,7 +670,7 @@ def _shift_lf(a: LF, new_binder: str, amount: Poly) -> LF:
 
 def m_split(p: Proof, r: Poly, s: Poly) -> tuple[Proof, Proof]:
     """Split a tensor tree's positive budget into ``r`` and ``s``."""
-    if not is_tensor_tree(p):
+    if _tensor_purge_path(p) is not None:
         raise ProofError("only tensor trees can be split")
     pos = positives(p.concl)[0]
     target = p.concl[pos]
@@ -683,6 +683,7 @@ def _relabel(a: LF, label: Poly) -> LF:
     return LF(a.formula, a.binder, label)
 
 
+@stack_safe
 def _split(p: Proof, pos: int, r: Poly, s: Poly) -> tuple[Proof, Proof]:
     y = fresh_var("y")
     match p.rule:
@@ -703,8 +704,8 @@ def _split(p: Proof, pos: int, r: Poly, s: Poly) -> tuple[Proof, Proof]:
             )
         case "tensor":
             li, ri = p.data["left_idx"], p.data["right_idx"]
-            l_r, l_s = _split(p.premise(0), li, r, s)
-            r_r, r_s = _split(p.premise(1), ri, r, s)
+            l_r, l_s = yield (p.premise(0), li, r, s)
+            r_r, r_s = yield (p.premise(1), ri, r, s)
             out = p.concl[pos]
             rho = mk_tensor(l_r, r_r, li, ri, _relabel(out, r))
             sig_out = _relabel(_shift_lf(_relabel(out, r), y, r), s)
@@ -727,17 +728,16 @@ def _split(p: Proof, pos: int, r: Poly, s: Poly) -> tuple[Proof, Proof]:
 
 def m_parsplit(p: Proof, r: Poly, s: Poly) -> Proof:
     """Parametric splitting: a copy at label ``s`` whose context sums cover."""
-    if not is_tensor_tree(p):
+    if _tensor_purge_path(p) is not None:
         raise ProofError("only tensor trees can be split")
     pos = positives(p.concl)[0]
-    from .respoly import bounded_sum
-
     need = bounded_sum(fresh_var("b"), r, s)
     if not poly_leq(need, p.concl[pos].label):
         raise ProofError("parametric split exceeds the available label")
     return _parsplit(p, pos, s)
 
 
+@stack_safe
 def _parsplit(p: Proof, pos: int, s: Poly) -> Proof:
     match p.rule:
         case "ax":
@@ -748,8 +748,8 @@ def _parsplit(p: Proof, pos: int, s: Poly) -> Proof:
             return mk_one(_relabel(p.concl[0], s))
         case "tensor":
             li, ri = p.data["left_idx"], p.data["right_idx"]
-            lp = _parsplit(p.premise(0), li, s)
-            rp = _parsplit(p.premise(1), ri, s)
+            lp = yield (p.premise(0), li, s)
+            rp = yield (p.premise(1), ri, s)
             return mk_tensor(lp, rp, li, ri, _relabel(p.concl[pos], s))
         case "bang":
             i = p.data["idx"]
@@ -851,25 +851,22 @@ def _refit(parent: Proof, which: int, new_child: Proof, t: Trans) -> tuple[Proof
     return node, tr
 
 
-def _splice(p: Proof, path: Path, node: Proof, t: Trans) -> tuple[Proof, Trans]:
+def _splice(p: Proof, path: Path, node: Proof, t: Trans) -> Proof:
     """Replace the subproof at ``path`` and refit every ancestor."""
-    if not path:
-        return node, t
-    parent = p.at(path[:-1])
-    which = path[-1]
-    new_parent, t2 = _refit(parent, which, node, t)
-    return _splice(p, path[:-1], new_parent, t2)
+    for k in reversed(range(len(path))):
+        node, t = _refit(p.at(path[:k]), path[k], node, t)
+    return node
 
 
 def _source_key(node: Proof, pos: int, stop: dict[int, int]):
     """Trace a conclusion position up to a reused subproof or a created slot."""
-    if id(node) in stop:
-        return ("leaf", stop[id(node)], pos)
-    org = _origin(node, pos)
-    if org is None:
-        return ("created", node.rule, created(node).index(pos))
-    w, k = org
-    return _source_key(node.premises[w], k, stop)
+    while id(node) not in stop:
+        org = _origin(node, pos)
+        if org is None:
+            return ("created", node.rule, created(node).index(pos))
+        w, pos = org
+        node = node.premises[w]
+    return ("leaf", stop[id(node)], pos)
 
 
 def _derive_trans(old: Proof, new: Proof, leaves: list[Proof]) -> Trans:
@@ -978,13 +975,17 @@ def _introduces(node: Proof, idx: int) -> bool:
     return idx in created(node) or node.rule in ("ax", "bang")
 
 
+@stack_safe
 def _tensor_purge_path(p: Proof) -> Path | None:
-    """Path (through tensor premises) to a rule blocking tensor-tree shape."""
+    """Path (through tensor premises) to a rule blocking tensor-tree shape.
+
+    ``None`` when ``p`` is a tensor tree (tensors over ax, one and bang).
+    """
     if p.rule in ("ax", "one", "bang"):
         return None
     if p.rule == "tensor":
         for w, q in enumerate(p.premises):
-            sub = _tensor_purge_path(q)
+            sub = yield (q,)
             if sub is not None:
                 return (w,) + sub
         return None
@@ -1003,12 +1004,12 @@ def _expose(p: Proof, path: Path) -> tuple[Proof, Path]:
         left, right = node.premises
         if not _introduces(left, li):
             sub, tr, rel = _hoist(node, 0)
-            p, _ = _splice(p, path, sub, tr)
+            p = _splice(p, path, sub, tr)
             path = path + rel
             continue
         if not _introduces(right, ri):
             sub, tr, rel = _hoist(node, 1)
-            p, _ = _splice(p, path, sub, tr)
+            p = _splice(p, path, sub, tr)
             path = path + rel
             continue
         if left.rule in ("qc", "bang") and right.rule != "ax":
@@ -1019,7 +1020,7 @@ def _expose(p: Proof, path: Path) -> tuple[Proof, Path]:
                 tpath = path + (1,) + sub[:-1]
                 tnode = p.at(tpath)
                 hoisted, tr, _ = _hoist(tnode, sub[-1])
-                p, _ = _splice(p, tpath, hoisted, tr)
+                p = _splice(p, tpath, hoisted, tr)
                 continue
         return p, path
 
@@ -1169,11 +1170,6 @@ def _fire_digging(node: Proof) -> tuple[Proof, Trans]:
 
 def fire_logical(p: Proof, path: Path) -> Proof:
     """Fire an exposed logical cut in place."""
-    out, _ = _fire(p, path)
-    return out
-
-
-def _fire(p: Proof, path: Path) -> tuple[Proof, Trans]:
     node = p.at(path)
     assert node.rule == "cut"
     left, right = node.premises
@@ -1258,7 +1254,7 @@ def step_special(p: Proof) -> SpecialStep | None:
             kind = KINDS[left.rule]
         if left.rule in RESTRICTED and right.rule != "ax" and not _eligible(exposed, epath):
             continue
-        result, _ = _fire(exposed, epath)
+        result = fire_logical(exposed, epath)
         return SpecialStep(result, exposed, epath, kind)
     return None
 

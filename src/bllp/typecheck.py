@@ -18,6 +18,7 @@ step of its subject.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 from . import formula as F
@@ -119,6 +120,36 @@ class Report:
         if self.ok:
             return "ok"
         return "\n".join(f"{path}: {msg}" for path, msg in self.errors)
+
+
+def stack_safe(step):
+    """Run the generator function ``step`` as a recursive function.
+
+    Inside ``step`` a recursive call is written ``(yield args)``: it runs
+    ``step(*args)`` to its ``return`` and evaluates to the returned value.
+    The pending calls live on a list, not on the interpreter's stack, so the
+    depth of the recursion is bounded by memory, not by the recursion
+    limit.  The calls run in the order they are yielded, as in the plain
+    recursion.
+    """
+
+    @functools.wraps(step)
+    def run(*args, **kwargs):
+        stack = [step(*args, **kwargs)]
+        value = None
+        while True:
+            try:
+                args = stack[-1].send(value)
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                value = done.value
+            else:
+                stack.append(step(*args))
+                value = None
+
+    return run
 
 
 # -- context helpers -----------------------------------------------------------
@@ -462,8 +493,27 @@ def check_mult(d: Derivation) -> Report:
 
 # -- derivation transformations ---------------------------------------------------
 #
-# Everything below rebuilds derivation trees node by node; validity of the
-# results is re-checked by the callers (and the test suite) via check_mult.
+# The rewriters below rebuild derivation trees.  A rewriter that recurses over
+# ``.premises`` runs on ``stack_safe`` and writes each recursive call as
+# ``(yield args)``; one that follows a single path is a loop.  So the depth of
+# a derivation costs heap, not interpreter frames, and the calls run in the
+# order written, which fixes the order the global name supplies are drawn in.
+# Validity of the results is re-checked by the callers (and the test suite)
+# via check_mult.
+
+STRUCTURAL = ("w_lam", "w_mu", "c_lam", "c_mu")
+
+
+def _side(rule: str) -> str:
+    """The context (``lam`` or ``mu``) a structural rule acts on."""
+    return "lam" if rule.endswith("lam") else "mu"
+
+
+def _weakened(d: Derivation) -> str:
+    """The hypothesis a ``w_lam``/``w_mu`` node adds to its premise."""
+    side = _side(d.rule)
+    (var,) = ctx_dom(getattr(d.concl, side)) - ctx_dom(getattr(d.premise().concl, side))
+    return var
 
 
 def _with_binder(f: F.Formula, b_old: str, b_new: str) -> F.Formula:
@@ -475,6 +525,7 @@ def _with_binder(f: F.Formula, b_old: str, b_new: str) -> F.Formula:
     return F.subst_poly(f, b_old, pvar(b_new))
 
 
+@stack_safe
 def subst_derivation(d: Derivation, var: str, value: Poly) -> Derivation:
     """Substitute a resource variable throughout a derivation."""
     if var == VACUOUS:
@@ -489,44 +540,39 @@ def subst_derivation(d: Derivation, var: str, value: Poly) -> Derivation:
     ann = dict(d.ann)
     if "h" in ann:
         ann["h"] = ann["h"].subst(var, value)
-    return Derivation(
-        d.rule, concl, tuple(subst_derivation(p, var, value) for p in d.premises), ann
-    )
+    premises = []
+    for p in d.premises:
+        premises.append((yield (p, var, value)))
+    return Derivation(d.rule, concl, tuple(premises), ann)
 
 
-def rename_free_lamvar(d: Derivation, old: str, new: str) -> Derivation:
-    """Rename a free λ-variable in subject and contexts of a derivation."""
-    j = d.concl
-    lam = tuple((new if n == old else n, a) for n, a in j.lam)
-    concl = Judgment(lam, L.subst(j.subject, old, Var(new)), j.type, j.mu)
-    ann = dict(d.ann)
-    for key in ("left", "right", "into"):
-        if ann.get(key) == old:
-            ann[key] = new
-    if d.rule == "abs" and d.concl.subject.var == old:
-        # bound here: nothing to rename above
+@stack_safe
+def rename_free(d: Derivation, side: str, old: str, new: str) -> Derivation:
+    """Rename a free λ-variable (``side`` "lam") or μ-variable ("mu") in
+    subjects and contexts of a derivation."""
+    if old == new:
         return d
-    return Derivation(
-        d.rule, concl, tuple(rename_free_lamvar(p, old, new) for p in d.premises), ann
-    )
-
-
-def rename_free_muvar(d: Derivation, old: str, new: str) -> Derivation:
     j = d.concl
-    mu = tuple((new if n == old else n, a) for n, a in j.mu)
-    concl = Judgment(j.lam, L.rename_mvar(j.subject, old, new), j.type, mu)
-    ann = dict(d.ann)
-    for key in ("left", "right", "into"):
-        if ann.get(key) == old:
-            ann[key] = new
-    if d.rule == "mu_abs" and d.concl.subject.mvar == old:
-        return d
-    if d.rule == "mu_name_m" and d.concl.subject.mvar == old:
-        # the naming introduced it fresh; premise does not mention it
-        prem = d.premises
+    ctx = tuple((new if n == old else n, a) for n, a in getattr(j, side))
+    if side == "lam":
+        concl = Judgment(ctx, L.subst(j.subject, old, Var(new)), j.type, j.mu)
     else:
-        prem = tuple(rename_free_muvar(p, old, new) for p in d.premises)
-    return Derivation(d.rule, concl, prem, ann)
+        concl = Judgment(j.lam, L.rename_mvar(j.subject, old, new), j.type, ctx)
+    ann = dict(d.ann)
+    for key in ("left", "right", "into"):
+        if ann.get(key) == old:
+            ann[key] = new
+    if side == "lam" and d.rule == "abs" and j.subject.var == old:
+        return d  # bound here: nothing to rename above
+    if side == "mu" and d.rule == "mu_abs" and j.subject.mvar == old:
+        return d
+    if side == "mu" and d.rule == "mu_name_m" and j.subject.mvar == old:
+        # the naming introduced it fresh; premise does not mention it
+        return Derivation(d.rule, concl, d.premises, ann)
+    premises = []
+    for p in d.premises:
+        premises.append((yield (p, side, old, new)))
+    return Derivation(d.rule, concl, tuple(premises), ann)
 
 
 def weaken(d: Derivation, side: str, var: str, entry: LF) -> Derivation:
@@ -578,6 +624,7 @@ def present(d: Derivation, concl: Judgment) -> Derivation:
     return replace(d, concl=concl)
 
 
+@stack_safe
 def lower_type(d: Derivation, target: LF) -> Derivation:
     """Rebuild a multiplicative derivation with a ⊑-smaller subject type."""
     if lf_alpha_eq(d.concl.type, target):
@@ -601,7 +648,7 @@ def lower_type(d: Derivation, target: LF) -> Derivation:
             prem = ctx_lower(p0, "lam", x, lf(f_entry, entry.binder, entry.label))
             ty0 = prem.concl.type
             m_new = _with_binder(m_f, target.binder, ty0.binder)
-            prem = lower_type(prem, lf(m_new, ty0.binder, ty0.label))
+            prem = yield (prem, lf(m_new, ty0.binder, ty0.label))
             return Derivation("abs", replace(j, type=target), (prem,), dict(d.ann))
         case "app_m" | "app":
             fn = d.premise(0)
@@ -620,7 +667,7 @@ def lower_type(d: Derivation, target: LF) -> Derivation:
                     fnlf.binder,
                     fnlf.label,
                 )
-            fn2 = lower_type(fn, new_arrow)
+            fn2 = yield (fn, new_arrow)
             return Derivation(
                 d.rule, replace(j, type=target), (fn2, d.premise(1)), dict(d.ann)
             )
@@ -629,33 +676,26 @@ def lower_type(d: Derivation, target: LF) -> Derivation:
             prem = ctx_lower(d.premise(), "mu", b, target)
             return Derivation("mu_abs", replace(j, type=target), (prem,), dict(d.ann))
         case "w_lam" | "w_mu" | "c_lam" | "c_mu":
-            prem = lower_type(d.premise(), target)
+            prem = yield (d.premise(), target)
             return Derivation(d.rule, replace(j, type=target), (prem,), dict(d.ann))
     raise DerivationError(f"cannot lower the type of a {d.rule} node")
 
 
+@stack_safe
 def drop_mu_entry(d: Derivation, var: str) -> Derivation:
     """Remove an unused μ-hypothesis (never named in the subject)."""
     j = d.concl
     if j.mu_get(var) is None:
         return d
-    if d.rule == "w_mu":
-        prev = d.premise()
-        extra = ctx_dom(j.mu) - ctx_dom(prev.concl.mu)
-        if extra == {var}:
-            return prev
-        prem = drop_mu_entry(prev, var)
-        return Derivation("w_mu", replace(j, mu=ctx_remove(j.mu, var)), (prem,), dict(d.ann))
+    if d.rule == "w_mu" and _weakened(d) == var:
+        return d.premise()
     if d.rule == "c_mu" and d.ann["into"] == var:
-        prem = drop_mu_entry(drop_mu_entry(d.premise(), d.ann["left"]), d.ann["right"])
-        return prem
-    new_prems = []
+        prem = yield (d.premise(), d.ann["left"])
+        return (yield (prem, d.ann["right"]))
+    premises = []
     for p in d.premises:
-        if p.concl.mu_get(var) is not None:
-            new_prems.append(drop_mu_entry(p, var))
-        else:
-            new_prems.append(p)
-    return Derivation(d.rule, replace(j, mu=ctx_remove(j.mu, var)), tuple(new_prems), dict(d.ann))
+        premises.append((yield (p, var)))
+    return Derivation(d.rule, replace(j, mu=ctx_remove(j.mu, var)), tuple(premises), dict(d.ann))
 
 
 # -- elaboration into the multiplicative system -------------------------------------
@@ -671,7 +711,7 @@ def _merge_side(d: Derivation, side: str, target: Ctx, left: Ctx, summed: dict) 
             d = contract(d, side, v, ghost, v, want)
         elif have_left or have_right:
             if have_right:
-                d = _rename_entry(d, side, summed[v], v)
+                d = rename_free(d, side, summed[v], v)
             cur = ctx_get(getattr(d.concl, side), v)
             if not lf_alpha_eq(cur, want):
                 d = ctx_lower(d, side, v, want)
@@ -680,14 +720,7 @@ def _merge_side(d: Derivation, side: str, target: Ctx, left: Ctx, summed: dict) 
     return d
 
 
-def _rename_entry(d: Derivation, side: str, old: str, new: str) -> Derivation:
-    if old == new:
-        return d
-    if side == "lam":
-        return rename_free_lamvar(d, old, new)
-    return rename_free_muvar(d, old, new)
-
-
+@stack_safe
 def add_to_mult(d: Derivation) -> Derivation:
     """Elaborate an additive derivation into the multiplicative system."""
     j = d.concl
@@ -705,14 +738,11 @@ def add_to_mult(d: Derivation) -> Derivation:
             for v, a in j.mu:
                 out = weaken(out, "mu", v, a)
             return present(out, j)
-        case "abs":
-            prem = add_to_mult(d.premise())
-            return Derivation("abs", j, (prem,), dict(d.ann))
-        case "mu_abs":
-            prem = add_to_mult(d.premise())
-            return Derivation("mu_abs", j, (prem,), dict(d.ann))
+        case "abs" | "mu_abs":
+            prem = yield (d.premise(),)
+            return Derivation(d.rule, j, (prem,), dict(d.ann))
         case "mu_name":
-            prem = add_to_mult(d.premise())
+            prem = yield (d.premise(),)
             a = j.subject.mvar
             gamma = L.fresh_tvar(a)
             named = Derivation(
@@ -728,18 +758,18 @@ def add_to_mult(d: Derivation) -> Derivation:
             out = contract(named, "mu", gamma, a, a, j.mu_get(a))
             return present(out, j)
         case "app":
-            fn = add_to_mult(d.premise(0))
-            arg = add_to_mult(d.premise(1))
+            fn = yield (d.premise(0),)
+            arg = yield (d.premise(1),)
             h = d.ann.get("h", fn.concl.type.label)
             shared_l = ctx_dom(fn.concl.lam) & ctx_dom(arg.concl.lam)
             shared_m = ctx_dom(fn.concl.mu) & ctx_dom(arg.concl.mu)
             ren_l, ren_m = {}, {}
             for v in shared_l:
                 ren_l[v] = L.fresh_tvar(v)
-                arg = rename_free_lamvar(arg, v, ren_l[v])
+                arg = rename_free(arg, "lam", v, ren_l[v])
             for v in shared_m:
                 ren_m[v] = L.fresh_tvar(v)
-                arg = rename_free_muvar(arg, v, ren_m[v])
+                arg = rename_free(arg, "mu", v, ren_m[v])
             wit_l = d.ann.get("sum_witness_lam", {})
             wit_m = d.ann.get("sum_witness_mu", {})
 
@@ -790,9 +820,9 @@ def _instantiate(sub: _Sub) -> tuple[Derivation, dict, dict]:
     ren_l = {v: L.fresh_tvar(v) for v, _ in inst.concl.lam}
     ren_m = {v: L.fresh_tvar(v) for v, _ in inst.concl.mu}
     for old, new in ren_l.items():
-        inst = rename_free_lamvar(inst, old, new)
+        inst = rename_free(inst, "lam", old, new)
     for old, new in ren_m.items():
-        inst = rename_free_muvar(inst, old, new)
+        inst = rename_free(inst, "mu", old, new)
     return inst, ren_l, ren_m
 
 
@@ -803,6 +833,7 @@ def _merge_groups(a: dict, b: dict) -> dict:
     return out
 
 
+@stack_safe
 def _subst_walk(d: Derivation, subs: dict[str, _Sub]) -> tuple[Derivation, dict, dict]:
     """Replace every use of the tracked variable copies by the argument.
 
@@ -825,38 +856,27 @@ def _subst_walk(d: Derivation, subs: dict[str, _Sub]) -> tuple[Derivation, dict,
         inst = lower_type(inst, j.type)
         return inst, {o: [n] for o, n in ren_l.items()}, {o: [n] for o, n in ren_m.items()}
 
-    if rule in ("w_lam", "w_mu"):
-        prev = d.premise()
-        side = "lam" if rule == "w_lam" else "mu"
-        extra = ctx_dom(getattr(j, side)) - ctx_dom(getattr(prev.concl, side))
-        (ev,) = extra
-        if ev in live:
-            # the copy is unused: no argument inserted
-            return _subst_walk(prev, subs)
-        prem, gl, gm = _subst_walk(prev, subs)
-        out = weaken(prem, side, ev, ctx_get(getattr(j, side), ev))
-        return out, gl, gm
+    if rule in ("w_lam", "w_mu") and _weakened(d) in live:
+        # the copy is unused: no argument inserted
+        return (yield (d.premise(), subs))
 
-    if rule in ("c_lam", "c_mu"):
-        side = "lam" if rule == "c_lam" else "mu"
+    if rule in ("c_lam", "c_mu") and d.ann["into"] in live:
         x1, x2, z = d.ann["left"], d.ann["right"], d.ann["into"]
-        if z in live:
-            sub = live[z]
-            prev = d.premise()
-            p1 = ctx_get(getattr(prev.concl, side), x1).label
-            subs2 = {v: s for v, s in subs.items() if v != z}
-            subs2[x1] = _Sub(sub.rho, sub.binder, sub.shift, sub.kind, sub.root)
-            subs2[x2] = _Sub(sub.rho, sub.binder, sub.shift + p1, sub.kind, sub.root)
-            return _subst_walk(prev, subs2)
-        prem, gl, gm = _subst_walk(d.premise(), subs)
-        target = ctx_get(getattr(j, side), z)
-        out = contract(prem, side, x1, x2, z, target)
-        return out, gl, gm
+        sub = live[z]
+        p1 = ctx_get(getattr(d.premise().concl, _side(rule)), x1).label
+        subs2 = {v: s for v, s in subs.items() if v != z}
+        subs2[x1] = _Sub(sub.rho, sub.binder, sub.shift, sub.kind, sub.root)
+        subs2[x2] = _Sub(sub.rho, sub.binder, sub.shift + p1, sub.kind, sub.root)
+        return (yield (d.premise(), subs2))
+
+    if rule in STRUCTURAL:
+        prem, gl, gm = yield (d.premise(), subs)
+        return _replay_structurals(prem, [d]), gl, gm
 
     if rule == "mu_name_m" and j.subject.mvar in live:
         gamma = j.subject.mvar
         sub = live[gamma]
-        prem, gl, gm = _subst_walk(d.premise(), subs)
+        prem, gl, gm = yield (d.premise(), subs)
         entry = j.mu_get(gamma)
         n_f, xh, ph, m_f = arrow_parts(entry.formula)
         inst, ren_l, ren_m = _instantiate(sub)
@@ -889,7 +909,7 @@ def _subst_walk(d: Derivation, subs: dict[str, _Sub]) -> tuple[Derivation, dict,
         gl = _merge_groups(gl, {o: [n] for o, n in ren_l.items()})
         gm = _merge_groups(gm, {o: [n] for o, n in ren_m.items()})
         gamma2 = L.fresh_tvar(gamma)
-        out = rename_free_muvar(out, gamma, gamma2)
+        out = rename_free(out, "mu", gamma, gamma2)
         gm = _merge_groups(gm, {("copy", sub.root): [gamma2]})
         return out, gl, gm
 
@@ -898,7 +918,7 @@ def _subst_walk(d: Derivation, subs: dict[str, _Sub]) -> tuple[Derivation, dict,
     gl: dict = {}
     gm: dict = {}
     for p in d.premises:
-        p2, gl2, gm2 = _subst_walk(p, subs)
+        p2, gl2, gm2 = yield (p, subs)
         new_prems.append(p2)
         gl = _merge_groups(gl, gl2)
         gm = _merge_groups(gm, gm2)
@@ -961,7 +981,7 @@ def _subst_walk(d: Derivation, subs: dict[str, _Sub]) -> tuple[Derivation, dict,
     raise DerivationError(f"substitution hit an unexpected {rule} node")
 
 
-def _close_groups(d: Derivation, groups: dict, side: str, source: Ctx) -> Derivation:
+def _close_groups(d: Derivation, groups: dict, side: str) -> Derivation:
     """Contract fresh argument copies together and restore original names."""
     for orig, copies in groups.items():
         if not copies:
@@ -974,7 +994,7 @@ def _close_groups(d: Derivation, groups: dict, side: str, source: Ctx) -> Deriva
             ghost = L.fresh_tvar(orig)
             d = contract(d, side, cur, nxt, ghost, merged)
             cur = ghost
-        d = _rename_entry(d, side, cur, orig)
+        d = rename_free(d, side, cur, orig)
     return d
 
 
@@ -985,9 +1005,8 @@ def lam_subst_derivation(pi: Derivation, x: str, rho: Derivation) -> Derivation:
         raise DerivationError(f"{x} is not bound in the premise")
     sub = _Sub(rho, entry.binder, ZERO, "lam", x)
     out, gl, gm = _subst_walk(pi, {x: sub})
-    out = _close_groups(out, gl, "lam", rho.concl.lam)
-    out = _close_groups(out, gm, "mu", rho.concl.mu)
-    return out
+    out = _close_groups(out, gl, "lam")
+    return _close_groups(out, gm, "mu")
 
 
 def mu_subst_derivation(pi: Derivation, alpha: str, rho: Derivation) -> Derivation:
@@ -1000,22 +1019,13 @@ def mu_subst_derivation(pi: Derivation, alpha: str, rho: Derivation) -> Derivati
     sub = _Sub(rho, entry.binder, ZERO, "mu", alpha)
     out, gl, gm = _subst_walk(pi, {alpha: sub})
     copies = gm.pop(("copy", alpha), [])
-    out = _close_groups(out, gl, "lam", rho.concl.lam)
-    out = _close_groups(out, gm, "mu", rho.concl.mu)
+    out = _close_groups(out, gl, "lam")
+    out = _close_groups(out, gm, "mu")
     if not copies:
-        out = weaken(out, "mu", alpha, target)
-    else:
-        cur = copies[0]
-        for nxt in copies[1:]:
-            e1 = out.concl.mu_get(cur)
-            e2 = out.concl.mu_get(nxt)
-            ghost = L.fresh_tvar(alpha)
-            out = contract(out, "mu", cur, nxt, ghost, lf_sum(e1, e2))
-            cur = ghost
-        cur_entry = out.concl.mu_get(cur)
-        out = rename_free_muvar(out, cur, alpha)
-        if not lf_alpha_eq(cur_entry, target):
-            out = ctx_lower(out, "mu", alpha, target)
+        return weaken(out, "mu", alpha, target)
+    out = _close_groups(out, {alpha: copies}, "mu")
+    if not lf_alpha_eq(out.concl.mu_get(alpha), target):
+        out = ctx_lower(out, "mu", alpha, target)
     return out
 
 
@@ -1040,15 +1050,11 @@ def _adjust_to(d: Derivation, target: Judgment) -> Derivation:
 def _replay_structurals(out: Derivation, wrappers: list[Derivation]) -> Derivation:
     """Re-apply peeled weakenings and contractions below ``out``."""
     for node in reversed(wrappers):
+        side = _side(node.rule)
         if node.rule in ("w_lam", "w_mu"):
-            side = "lam" if node.rule == "w_lam" else "mu"
-            extra = ctx_dom(getattr(node.concl, side)) - ctx_dom(
-                getattr(node.premise().concl, side)
-            )
-            (ev,) = extra
+            ev = _weakened(node)
             out = weaken(out, side, ev, ctx_get(getattr(node.concl, side), ev))
         else:
-            side = "lam" if node.rule == "c_lam" else "mu"
             z = node.ann["into"]
             out = contract(
                 out, side, node.ann["left"], node.ann["right"], z,
@@ -1062,7 +1068,7 @@ def _bare_redex_app(d: Derivation) -> tuple[Derivation, list[Derivation]]:
     assert d.rule == "app_m"
     fn, arg = d.premises
     wrappers = []
-    while fn.rule in ("w_lam", "w_mu", "c_lam", "c_mu"):
+    while fn.rule in STRUCTURAL:
         wrappers.append(fn)
         fn = fn.premise()
     if not wrappers:
@@ -1125,13 +1131,9 @@ def _fire_theta(d: Derivation) -> Derivation:
             aliases |= {cur.ann["left"], cur.ann["right"]}
             cur = cur.premise()
         elif cur.rule == "w_mu":
-            extra = ctx_dom(cur.concl.mu) - ctx_dom(cur.premise().concl.mu)
-            (ev,) = extra
-            if ev in aliases:
-                cur = cur.premise()
-            else:
+            if _weakened(cur) not in aliases:
                 replay.append(cur)
-                cur = cur.premise()
+            cur = cur.premise()
         elif cur.rule in ("c_lam", "w_lam", "c_mu"):
             replay.append(cur)
             cur = cur.premise()
@@ -1147,6 +1149,17 @@ def _fire_theta(d: Derivation) -> Derivation:
     return _adjust_to(out, replace(d.concl, subject=out.concl.subject))
 
 
+# Congruences of subject reduction: position step -> (rule, subject field of
+# the premise it descends into, always premise 0).
+_CONGRUENCES = {
+    "appL": ("app_m", "fn"),
+    "lam": ("abs", "body"),
+    "mu": ("mu_abs", "body"),
+    "named": ("mu_name_m", "body"),
+}
+
+
+@stack_safe
 def subject_reduce(d: Derivation, position: tuple[str, ...] | None = None) -> Derivation:
     """Rebuild a multiplicative derivation along one head step of its subject.
 
@@ -1158,10 +1171,12 @@ def subject_reduce(d: Derivation, position: tuple[str, ...] | None = None) -> De
         if hit is None:
             raise DerivationError("subject is head-normal")
         position = hit[2]
+    # At the root position every node, structural ones too, runs root_step
+    # first: it may draw fresh names, and later names depend on that order.
+    root = L.root_step(d.concl.subject) if position == () else None
+    if d.rule in STRUCTURAL:
+        return _replay_structurals((yield (d.premise(), position)), [d])
     if position == ():
-        root = L.root_step(d.concl.subject)
-        if d.rule in ("w_lam", "w_mu", "c_lam", "c_mu"):
-            return _through_structural(d, position)
         if root is not None and root[1] in ("beta", "mu"):
             bare, wrappers = _bare_redex_app(d)
             out = _fire_beta(bare) if root[1] == "beta" else _fire_mu(bare)
@@ -1169,40 +1184,11 @@ def subject_reduce(d: Derivation, position: tuple[str, ...] | None = None) -> De
         if L.theta_step(d.concl.subject) is not None:
             return _fire_theta(d)
         raise DerivationError("no redex at the requested position")
-    if d.rule in ("w_lam", "w_mu", "c_lam", "c_mu"):
-        return _through_structural(d, position)
     step, rest = position[0], position[1:]
-    if step == "appL" and d.rule == "app_m":
-        fn = subject_reduce(d.premise(0), rest)
-        concl = replace(d.concl, subject=App(fn.concl.subject, d.concl.subject.arg))
-        return Derivation("app_m", concl, (fn, d.premise(1)), dict(d.ann))
-    if step == "lam" and d.rule == "abs":
-        prem = subject_reduce(d.premise(), rest)
-        concl = replace(d.concl, subject=Lam(d.concl.subject.var, prem.concl.subject))
-        return Derivation("abs", concl, (prem,), dict(d.ann))
-    if step == "mu" and d.rule == "mu_abs":
-        prem = subject_reduce(d.premise(), rest)
-        concl = replace(d.concl, subject=Mu(d.concl.subject.mvar, prem.concl.subject))
-        return Derivation("mu_abs", concl, (prem,), dict(d.ann))
-    if step == "named" and d.rule == "mu_name_m":
-        prem = subject_reduce(d.premise(), rest)
-        concl = replace(
-            d.concl, subject=Named(d.concl.subject.mvar, prem.concl.subject)
-        )
-        return Derivation("mu_name_m", concl, (prem,), dict(d.ann))
-    raise DerivationError(f"derivation rule {d.rule} does not match step {step!r}")
-
-
-def _through_structural(d: Derivation, position) -> Derivation:
-    prem = subject_reduce(d.premise(), position)
-    j = d.concl
-    if d.rule in ("w_lam", "w_mu"):
-        side = "lam" if d.rule == "w_lam" else "mu"
-        extra = ctx_dom(getattr(j, side)) - ctx_dom(getattr(d.premise().concl, side))
-        (ev,) = extra
-        return weaken(prem, side, ev, ctx_get(getattr(j, side), ev))
-    side = "lam" if d.rule == "c_lam" else "mu"
-    z = d.ann["into"]
-    return contract(
-        prem, side, d.ann["left"], d.ann["right"], z, ctx_get(getattr(j, side), z)
-    )
+    rule, part = _CONGRUENCES.get(step, (None, None))
+    if d.rule != rule:
+        raise DerivationError(f"derivation rule {d.rule} does not match step {step!r}")
+    prem = yield (d.premise(), rest)
+    subject = replace(d.concl.subject, **{part: prem.concl.subject})
+    concl = replace(d.concl, subject=subject)
+    return Derivation(d.rule, concl, (prem,) + d.premises[1:], dict(d.ann))

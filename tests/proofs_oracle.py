@@ -9,15 +9,59 @@ slow, and deep proofs exhaust the recursion limit.  ``bllp.proofs.weight``
 fixes each variable's value (its fate) top-down in one walk; the tests check
 that both give the same polynomial.  ``cut_paths`` is the recursive
 pre-order listing of the cuts outside every box.
+
+The rest are the plain recursive rewriters that ``bllp.proofs`` runs on
+``stack_safe`` or as loops: each recurses through its own name, ``erase``
+nests one tuple per node, and ``_splice`` also returns the translation of
+the root's conclusion, which no caller reads.  The tests check that both
+give the same proofs from the same state of the global name supplies.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from bllp.proofs import Path, Proof, ProofError, created, layout, positives
-from bllp.respoly import ZERO, Poly, pvar, specialize
+from bllp import formula as F
+from bllp import typecheck as T
+from bllp.formula import (
+    LF,
+    VACUOUS,
+    arrow_parts,
+    lf,
+    lf_alpha_eq,
+    lf_leq,
+    lf_neg,
+    lf_subst,
+    negate,
+)
+from bllp.proofs import (
+    Path,
+    Proof,
+    ProofError,
+    Trans,
+    _inv,
+    _origin,
+    _refit,
+    _relabel,
+    _set_concl,
+    _shift_lf,
+    _through,
+    created,
+    layout,
+    mk_ax,
+    mk_bang,
+    mk_bot,
+    mk_cut,
+    mk_one,
+    mk_par,
+    mk_qc,
+    mk_qd,
+    mk_qw,
+    mk_tensor,
+    positives,
+)
+from bllp.respoly import ZERO, Poly, fresh_var, pvar, specialize
 
 # The oracle's own name supply; the library's fresh names are untouched.
 _names = itertools.count(1)
@@ -110,3 +154,307 @@ def cut_paths(p: Proof, path: Path = (), inside_box: bool = False) -> list[Path]
     for i, q in enumerate(p.premises):
         out.extend(cut_paths(q, path + (i,), inside_box or p.rule == "bang"))
     return out
+
+
+def _skel_formula(f: F.Formula):
+    match f:
+        case F.Atom(n):
+            return ("+", n)
+        case F.NegAtom(n):
+            return ("-", n)
+        case F.One():
+            return ("1",)
+        case F.Bottom():
+            return ("bot",)
+        case F.Tensor(l, r):
+            return ("*", _skel_formula(l), _skel_formula(r))
+        case F.Par(l, r):
+            return ("par", _skel_formula(l), _skel_formula(r))
+        case F.Bang(_, _, n):
+            return ("!", _skel_formula(n))
+        case F.WhyNot(_, _, n):
+            return ("?", _skel_formula(n))
+    raise TypeError(f)
+
+
+def erase(p: Proof):
+    """The underlying polynomial-free skeleton."""
+    idxs = tuple(
+        sorted((k, v) for k, v in p.data.items() if isinstance(v, int))
+    )
+    return (
+        p.rule,
+        idxs,
+        tuple(_skel_formula(a.formula) for a in p.concl),
+        tuple(erase(q) for q in p.premises),
+    )
+
+
+def _map_deriv(d) -> tuple[Proof, dict]:
+    j = d.concl
+    match d.rule:
+        case "var_m":
+            x, entry = j.lam[0]
+            w = entry.formula
+            z, r, pb = w.var, w.bound, w.body  # entry = <? {z<r} pb>[y<p]
+            y = entry.binder
+            r0 = r.subst(y, ZERO) if y != VACUOUS else r
+            pos_inst = lf(F.subst_poly(pb, y, ZERO), z, r0)
+            wit = lf(negate(F.subst_poly(pb, y, ZERO)), z, r0)
+            ax = mk_ax((pos_inst, j.type), wit)
+            out = mk_qd(ax, 0, pb, z, r, y, entry)
+            return out, {("lam", x): 0, ("type",): 1}
+        case "abs":
+            prem, pos = _map_deriv(d.premise())
+            x = j.subject.var
+            i, t = pos[("lam", x)], pos[("type",)]
+            node = mk_par(prem, i, t, j.type)
+            newpos = _through(node, 0, {k: v for k, v in pos.items() if k != ("lam", x)})
+            newpos[("type",)] = layout(node)[0][i]
+            return node, newpos
+        case "app_m":
+            fn, arg = d.premises
+            rt, post = _map_deriv(fn)
+            ru, posu = _map_deriv(arg)
+            n_f, xh, ph, m_f = arrow_parts(fn.concl.type.formula)
+            y, q = fn.concl.type.binder, fn.concl.type.label
+            h = d.ann.get("h", q)
+            k = j.type.label
+            ctx: dict[int, LF] = {}
+            for v, a in j.lam:
+                key = ("lam", v)
+                if key in posu:
+                    ctx[posu[key]] = a
+            for v, a in j.mu:
+                key = ("mu", v)
+                if key in posu:
+                    ctx[posu[key]] = a
+            box_out = lf(F.Bang(xh, ph, n_f), y, h)
+            box = mk_bang(ru, posu[("type",)], box_out, ctx)
+            m_lf = lf(T._with_binder(m_f, y, j.type.binder), j.type.binder, k)
+            ax = mk_ax((m_lf, lf_neg(m_lf)), m_lf)
+            tens = mk_tensor(
+                box,
+                ax,
+                posu[("type",)],
+                1,
+                lf(F.Tensor(box_out.formula, negate(m_f)), y, q),
+            )
+            cut = mk_cut(rt, tens, post[("type",)], len(tens.concl) - 1)
+            newpos = _through(cut, 0, {k2: v for k2, v in post.items() if k2 != ("type",)})
+            tens_pos = _through(tens, 0, {k2: v for k2, v in posu.items() if k2 != ("type",)})
+            tens_pos[("type",)] = len(tens.concl) - 2  # the Ax result formula
+            for k2, v in _through(cut, 1, tens_pos).items():
+                newpos[k2] = v
+            return cut, newpos
+        case "mu_name_m":
+            prem, pos = _map_deriv(d.premise())
+            a = j.subject.mvar
+            node = mk_bot(prem, len(prem.concl), j.type)
+            newpos = _through(node, 0, pos)
+            newpos[("mu", a)] = newpos.pop(("type",))
+            newpos[("type",)] = len(node.concl) - 1
+            return node, newpos
+        case "mu_abs":
+            prem, pos = _map_deriv(d.premise())
+            b = j.subject.mvar
+            botf = d.premise().concl.type
+            unit = mk_one(lf(F.ONE_F, botf.binder, botf.label))
+            node = mk_cut(prem, unit, pos[("type",)], 0)
+            newpos = _through(node, 0, {k: v for k, v in pos.items() if k != ("type",)})
+            newpos[("type",)] = newpos.pop(("mu", b))
+            return node, newpos
+        case "w_lam" | "w_mu":
+            prem, pos = _map_deriv(d.premise())
+            side = "lam" if d.rule == "w_lam" else "mu"
+            prev = d.premise().concl
+            (ev,) = {v for v, _ in getattr(j, side)} - {v for v, _ in getattr(prev, side)}
+            entry = T.ctx_get(getattr(j, side), ev)
+            node = mk_qw(prem, len(prem.concl), entry)
+            newpos = _through(node, 0, pos)
+            newpos[(side, ev)] = len(node.concl) - 1
+            return node, newpos
+        case "c_lam" | "c_mu":
+            prem, pos = _map_deriv(d.premise())
+            side = "lam" if d.rule == "c_lam" else "mu"
+            x1, x2, z = d.ann["left"], d.ann["right"], d.ann["into"]
+            i, jj = pos[(side, x1)], pos[(side, x2)]
+            entry = T.ctx_get(getattr(j, side), z)
+            node = mk_qc(prem, i, jj, entry)
+            drop = {k for k in ((side, x1), (side, x2))}
+            newpos = _through(node, 0, {k: v for k, v in pos.items() if k not in drop})
+            newpos[(side, z)] = layout(node)[0][i]
+            return node, newpos
+    raise ProofError(f"cannot map rule {d.rule!r}")
+
+
+def m_subtype(p: Proof, idx: int, target: LF) -> Proof:
+    """Replace a conclusion formula by a ⊑-smaller one, structure intact."""
+    cur = p.concl[idx]
+    if lf_alpha_eq(cur, target):
+        return p
+    if not lf_leq(target, cur):
+        raise ProofError(f"{target} is not below {cur}")
+    if p.rule == "bang" and idx != p.data["idx"]:
+        # auxiliary doors only need target ⊑ concl ⊑ replicated premise
+        return _set_concl(p, idx, target)
+    if idx not in created(p):
+        which = next(
+            w for w, lay in enumerate(layout(p)) if idx in lay
+        )
+        src = _inv(p, which, idx)
+        prem = m_subtype(p.premises[which], src, target)
+        prems = tuple(prem if w == which else q for w, q in enumerate(p.premises))
+        return replace(p, premises=prems, concl=_set_concl(p, idx, target).concl)
+    match p.rule:
+        case "ax" | "one" | "bot" | "qw" | "qc" | "qd":
+            return _set_concl(p, idx, target)
+        case "par":
+            i, j = p.data["left"], p.data["right"]
+            fo = target.formula
+            prem = p.premise(0)
+            a, b = prem.concl[i], prem.concl[j]
+            na = lf(F.subst_poly(fo.left, target.binder, pvar(a.binder))
+                    if target.binder != VACUOUS and a.binder != VACUOUS and target.binder != a.binder
+                    else fo.left, a.binder, a.label)
+            nb = lf(F.subst_poly(fo.right, target.binder, pvar(b.binder))
+                    if target.binder != VACUOUS and b.binder != VACUOUS and target.binder != b.binder
+                    else fo.right, b.binder, b.label)
+            prem = m_subtype(m_subtype(prem, i, na), j, nb)
+            return mk_par(prem, i, j, target)
+        case "tensor":
+            li, ri = p.data["left_idx"], p.data["right_idx"]
+            fo = target.formula
+            lp, rp = p.premises
+            a, b = lp.concl[li], rp.concl[ri]
+            lp = m_subtype(lp, li, lf(fo.left, a.binder, a.label))
+            rp = m_subtype(rp, ri, lf(fo.right, b.binder, b.label))
+            return mk_tensor(lp, rp, li, ri, target)
+        case "bang":
+            i = p.data["idx"]
+            fo = target.formula
+            prem = p.premise(0)
+            body = prem.concl[i]
+            prem = m_subtype(prem, i, lf(fo.body, body.binder, fo.bound))
+            ctx = {k: a for k, a in enumerate(p.concl) if k != i}
+            return mk_bang(prem, i, target, ctx, p.data.get("sum_witness"))
+    raise ProofError(f"cannot subtype a {p.rule} conclusion")
+
+
+def m_subst(p: Proof, var: str, value: Poly) -> Proof:
+    """Substitute a resource variable for a polynomial throughout a proof."""
+    if var == VACUOUS:
+        return p
+    concl = tuple(lf_subst(a, var, value) for a in p.concl)
+    data = dict(p.data)
+    if p.rule == "qd":
+        data["p"] = data["p"].subst(var, value)
+        data["P"] = F.subst_poly(data["P"], var, value)
+    if p.rule == "ax":
+        data["witness"] = lf_subst(data["witness"], var, value)
+    return Proof(p.rule, concl, tuple(m_subst(q, var, value) for q in p.premises), data)
+
+
+def is_tensor_tree(p: Proof) -> bool:
+    if p.rule in ("ax", "one", "bang"):
+        return True
+    if p.rule == "tensor":
+        return all(is_tensor_tree(q) for q in p.premises)
+    return False
+
+
+def _split(p: Proof, pos: int, r: Poly, s: Poly) -> tuple[Proof, Proof]:
+    y = fresh_var("y")
+    match p.rule:
+        case "ax":
+            w = p.data["witness"]
+            rho = mk_ax(
+                tuple(_relabel(a, r) for a in p.concl), _relabel(w, r)
+            )
+            sigma_concl = tuple(
+                _relabel(_shift_lf(_relabel(a, r), y, r), s) for a in p.concl
+            )
+            sigma = mk_ax(sigma_concl, _relabel(_shift_lf(_relabel(w, r), y, r), s))
+            return rho, sigma
+        case "one":
+            return (
+                mk_one(_relabel(p.concl[0], r)),
+                mk_one(_relabel(_shift_lf(_relabel(p.concl[0], r), y, r), s)),
+            )
+        case "tensor":
+            li, ri = p.data["left_idx"], p.data["right_idx"]
+            l_r, l_s = _split(p.premise(0), li, r, s)
+            r_r, r_s = _split(p.premise(1), ri, r, s)
+            out = p.concl[pos]
+            rho = mk_tensor(l_r, r_r, li, ri, _relabel(out, r))
+            sig_out = _relabel(_shift_lf(_relabel(out, r), y, r), s)
+            sigma = mk_tensor(l_s, r_s, li, ri, sig_out)
+            return rho, sigma
+        case "bang":
+            i = p.data["idx"]
+            out = p.concl[i]
+            prem = p.premise(0)
+            rho = mk_bang(prem, i, _relabel(out, r), {}, p.data.get("sum_witness"))
+            if out.binder != VACUOUS:
+                prem_s = m_subst(prem, out.binder, pvar(y) + r)
+            else:
+                prem_s = prem
+            sig_out = _relabel(_shift_lf(_relabel(out, r), y, r), s)
+            sigma = mk_bang(prem_s, i, sig_out, {}, p.data.get("sum_witness"))
+            return rho, sigma
+    raise ProofError(f"{p.rule} cannot appear in a tensor tree")
+
+
+def _parsplit(p: Proof, pos: int, s: Poly) -> Proof:
+    match p.rule:
+        case "ax":
+            return mk_ax(
+                tuple(_relabel(a, s) for a in p.concl), _relabel(p.data["witness"], s)
+            )
+        case "one":
+            return mk_one(_relabel(p.concl[0], s))
+        case "tensor":
+            li, ri = p.data["left_idx"], p.data["right_idx"]
+            lp = _parsplit(p.premise(0), li, s)
+            rp = _parsplit(p.premise(1), ri, s)
+            return mk_tensor(lp, rp, li, ri, _relabel(p.concl[pos], s))
+        case "bang":
+            i = p.data["idx"]
+            return mk_bang(
+                p.premise(0), i, _relabel(p.concl[i], s), {}, p.data.get("sum_witness")
+            )
+    raise ProofError(f"{p.rule} cannot appear in a tensor tree")
+
+
+def _splice(p: Proof, path: Path, node: Proof, t: Trans) -> tuple[Proof, Trans]:
+    """Replace the subproof at ``path`` and refit every ancestor."""
+    if not path:
+        return node, t
+    parent = p.at(path[:-1])
+    which = path[-1]
+    new_parent, t2 = _refit(parent, which, node, t)
+    return _splice(p, path[:-1], new_parent, t2)
+
+
+def _source_key(node: Proof, pos: int, stop: dict[int, int]):
+    """Trace a conclusion position up to a reused subproof or a created slot."""
+    if id(node) in stop:
+        return ("leaf", stop[id(node)], pos)
+    org = _origin(node, pos)
+    if org is None:
+        return ("created", node.rule, created(node).index(pos))
+    w, k = org
+    return _source_key(node.premises[w], k, stop)
+
+
+def _tensor_purge_path(p: Proof) -> Path | None:
+    """Path (through tensor premises) to a rule blocking tensor-tree shape."""
+    if p.rule in ("ax", "one", "bang"):
+        return None
+    if p.rule == "tensor":
+        for w, q in enumerate(p.premises):
+            sub = _tensor_purge_path(q)
+            if sub is not None:
+                return (w,) + sub
+        return None
+    return ()

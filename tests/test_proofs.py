@@ -264,6 +264,13 @@ def test_deep_chain_is_weighed_and_scanned_without_recursion_error():
     assert weight(pf) == ZERO
     assert step_special(pf) is None
     assert weight(_cut_bottom(pf)) == const(2 * rounds + 1)
+    assert len(erase(pf)) == 3 + 4 * rounds  # one entry per node
+    assert proof_sim(m_subst(pf, "r", ONE), pf)
+    # the negative atom at position 1 passes through every rule up to the axiom
+    out = m_subtype(pf, 1, lf(X, F.VACUOUS, 2))
+    axiom = out.at((0,) * (2 + 4 * rounds))
+    assert axiom.rule == "ax" and lf_alpha_eq(axiom.concl[1], out.concl[1])
+    assert proof_sim(out, pf) and check_proof(out).ok
 
 
 def test_weight_leaves_the_global_name_supply_alone():

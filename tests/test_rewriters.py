@@ -1,0 +1,161 @@
+"""The stack-safe rewriters give exactly what the plain recursive ones gave.
+
+``typecheck_oracle`` and ``proofs_oracle`` keep the former definitions.
+Library code calls its rewriters through module globals, so patching the
+oracle functions in gives the former pipeline.  Both runs start from the
+same state of the global name supplies and are compared through their JSON
+forms, which carry the ``ann``/``data`` that ``==`` ignores.
+"""
+
+import itertools
+
+import pytest
+
+import proofs_oracle as PO
+import typecheck_oracle as TO
+from bllp import corpus as C
+from bllp import formula as F
+from bllp import lammu as L
+from bllp import proofs as P
+from bllp import respoly as R
+from bllp import typecheck as T
+from bllp.formula import lf
+from bllp.respoly import const, pvar
+from bllp.syntax import derivation_to_obj, proof_to_obj
+
+# (module, attribute, the former definition)
+FORMER = [
+    (T, "subst_derivation", TO.subst_derivation),
+    (T, "rename_free", TO._rename_entry),
+    (T, "lower_type", TO.lower_type),
+    (T, "drop_mu_entry", TO.drop_mu_entry),
+    (T, "add_to_mult", TO.add_to_mult),
+    (T, "_subst_walk", TO._subst_walk),
+    (T, "subject_reduce", TO.subject_reduce),
+    (T, "lam_subst_derivation", TO.lam_subst_derivation),
+    (T, "mu_subst_derivation", TO.mu_subst_derivation),
+    (T, "_replay_structurals", TO._replay_structurals),
+    (T, "_fire_theta", TO._fire_theta),
+    (P, "_map_deriv", PO._map_deriv),
+    (P, "m_subtype", PO.m_subtype),
+    (P, "m_subst", PO.m_subst),
+    (P, "_split", PO._split),
+    (P, "_parsplit", PO._parsplit),
+    (P, "_tensor_purge_path", PO._tensor_purge_path),
+    (P, "_splice", lambda *args: PO._splice(*args)[0]),
+    (P, "_source_key", PO._source_key),
+]
+
+
+def _mu_redexes() -> dict:
+    """``(mu a. [a] f) (mu b. [b] g)`` and ``(mu a. [a] mu c. [a] f) (mu b. [b] g)``.
+
+    Both sides of each application draw fresh names in ``add_to_mult``, and
+    the subject reductions feed the argument to one, two and no namings.
+    """
+    fx = F.arrow(C.X, F.VACUOUS, const(1), C.X)
+
+    def at(ty, label):
+        return lf(ty, F.VACUOUS, label)
+
+    def named(x, a, ty):
+        ctx = [(x, C.modal(ty, 1, 1))]
+        d = C.node("var", C.jm(ctx, L.Var(x), at(ty, 1), [(a, at(ty, 0))]))
+        bot = at(F.BOTTOM, 0)
+        d = C.node("mu_name", C.jm(ctx, L.Named(a, d.concl.subject), bot, [(a, at(ty, 1))]), d)
+        return C.node("mu_abs", C.jm(ctx, L.Mu(a, d.concl.subject), at(ty, 1)), d)
+
+    ctx = [("f", C.modal(fx, 1, 1))]
+    d = C.node("var", C.jm(ctx, L.Var("f"), at(fx, 1), [("a", at(fx, 0)), ("c", at(fx, 0))]))
+    mu = [("a", at(fx, 1)), ("c", at(fx, 0))]
+    d = C.node("mu_name", C.jm(ctx, L.Named("a", d.concl.subject), at(F.BOTTOM, 0), mu), d)
+    d = C.node("mu_abs", C.jm(ctx, L.Mu("c", d.concl.subject), at(fx, 0), mu[:1]), d)
+    d = C.node("mu_name", C.jm(ctx, L.Named("a", d.concl.subject), at(F.BOTTOM, 0), mu[:1]), d)
+    twice = C.node("mu_abs", C.jm(ctx, L.Mu("a", d.concl.subject), at(fx, 1)), d)
+    arg = named("g", "b", C.X)
+    ctx = [("f", C.modal(fx, 1, 1)), ("g", C.modal(C.X, 1, 1))]
+    out = {}
+    for name, fn in (("mu-once", named("f", "a", fx)), ("mu-twice", twice)):
+        subject = L.App(fn.concl.subject, arg.concl.subject)
+        out[name] = C.node("app", C.jm(ctx, subject, at(C.X, 1)), fn, arg, h=const(1))
+    return out
+
+
+DERIVATIONS = {e.name: e.derivation for e in C.entries() if e.derivation}
+DERIVATIONS.update(_mu_redexes())
+DERIVATIONS.update({f"church-applied-{n}": C.church_applied_derivation(n) for n in range(1, 13)})
+DERIVATIONS["kappa-generic"] = C.kappa_derivation(
+    pvar("r"), pvar("s"), R.add(pvar("r"), R.mul(pvar("s"), pvar("r"))) + const(1)
+)
+
+
+def _pipeline(d) -> list:
+    """JSON forms of every rewrite of ``d``: the elaboration, each subject
+    reduct and its renamings and substitutions, its proof, and each
+    special step of that proof."""
+    chain = [T.add_to_mult(d)]
+    while L.step(chain[-1].concl.subject, "head") is not None:
+        chain.append(T.subject_reduce(chain[-1]))
+    out = []
+    for m in chain:
+        rewrites = [m, T.subst_derivation(m, "r", const(2))]
+        for side in ("lam", "mu"):
+            for v, _ in getattr(m.concl, side):
+                rewrites.append(T.rename_free(m, side, v, L.fresh_tvar(v)))
+        out += [derivation_to_obj(r, "multiplicative") for r in rewrites]
+        pf = P.map_derivation(m)
+        out += [proof_to_obj(pf), proof_to_obj(P.m_subst(pf, "r", const(2)))]
+        for hit in P.special_steps(pf):
+            out += [proof_to_obj(hit.exposed), proof_to_obj(hit.result), hit.path, hit.kind]
+    return out
+
+
+def _flat(nested) -> tuple:
+    """The former nested ``erase`` in the flat pre-order form of ``P.erase``."""
+    out, stack = [], [nested]
+    while stack:
+        rule, idxs, concl, premises = stack.pop()
+        out.append((rule, idxs, concl, len(premises)))
+        stack.extend(reversed(premises))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", sorted(DERIVATIONS))
+def test_pipeline_output_equals_the_recursive_definitions(name, monkeypatch):
+    start = next(L._gen), next(R._counter)
+
+    def run() -> list:
+        L._gen, R._counter = itertools.count(start[0]), itertools.count(start[1])
+        return _pipeline(DERIVATIONS[name])
+
+    new = run()
+    with monkeypatch.context() as patch:
+        for module, attr, fn in FORMER:
+            patch.setattr(module, attr, fn)
+        old = run()
+    assert new == old
+
+
+@pytest.mark.parametrize("name", ["aleph-applied", "kappa-callcc", "church-applied-3"])
+def test_erase_and_tensor_trees_agree_with_the_recursive_definitions(name):
+    pf = P.map_derivation(T.add_to_mult(DERIVATIONS[name]))
+    stack = [pf]
+    while stack:
+        q = stack.pop()
+        stack.extend(q.premises)
+        assert P.erase(q) == _flat(PO.erase(q))
+        assert P._tensor_purge_path(q) == PO._tensor_purge_path(q)
+        assert (P._tensor_purge_path(q) is None) == PO.is_tensor_tree(q)
+
+
+@pytest.mark.parametrize("name", ["mu-once", "mu-twice"])
+def test_the_mu_redexes_check_along_their_reductions(name):
+    d = DERIVATIONS[name]
+    assert T.check_additive(d).ok
+    m = T.add_to_mult(d)
+    steps = 0
+    while L.step(m.concl.subject, "head") is not None:
+        m = T.subject_reduce(m)
+        assert T.check_mult(m).ok
+        steps += 1
+    assert steps == 2

@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import pytest
@@ -7,6 +8,7 @@ from bllp import formula as F
 from bllp import lammu as L
 from bllp import typecheck as T
 from bllp.formula import LF, lf
+from bllp.proofs import check_proof, map_derivation, weight
 from bllp.respoly import const, poly_leq, pvar
 from bllp.syntax import parse_lf, parse_poly
 from bllp.typecheck import (
@@ -324,3 +326,47 @@ def test_derivations_and_proofs_share_one_checker_and_its_paths():
         "root.0.0: conclusion position 1 does not match the premise\n"
         "root.1.0: unknown rule 'bogus'"
     )
+
+
+# -- stack safety ---------------------------------------------------------------------
+
+
+def _deep_chain(rounds: int) -> Derivation:
+    """A ``var_m`` under ``rounds`` pairs of ``w_lam`` and ``c_lam``.
+
+    Each pair weakens in a zero-labelled copy of ``x`` and contracts it back
+    into ``x``, so the derivation is ``2 * rounds + 1`` rules deep while the
+    context stays ``x`` and the subject stays the variable ``x``.
+    """
+    entry = C.modal(C.X, 1, pvar("r") + const(1))
+    d = Derivation("var_m", C.jm([("x", entry)], L.Var("x"), lf(C.X, F.VACUOUS, 1)))
+    shifted = F.lf_shift(entry, "g")
+    ghost = LF(shifted.formula, shifted.binder, const(0))
+    for k in range(rounds):
+        d = T.contract(T.weaken(d, "lam", f"g{k}", ghost), "lam", f"g{k}", "x", "x", entry)
+    return d
+
+
+def test_deep_multiplicative_chain_is_rewritten_without_recursion_error():
+    d = _deep_chain(5000)  # 10 001 rules deep
+    assert check_mult(d).ok
+    renamed = T.rename_free(d, "lam", "x", "y")
+    assert check_mult(renamed).ok and renamed.concl.subject == L.Var("y")
+    assert [v for v, _ in renamed.concl.lam] == ["y"]
+    substituted = subst_derivation(d, "r", const(2))
+    assert check_mult(substituted).ok and substituted.concl.lam[0][1].label == const(3)
+    lowered = lower_type(d, lf(C.X, F.VACUOUS, 2))
+    assert check_mult(lowered).ok and lowered.concl.type.label == const(2)
+    pf = map_derivation(d)
+    assert check_proof(pf).ok and len(pf.concl) == 2
+
+
+def test_church_256_runs_through_the_pipeline_at_the_default_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000
+    d = C.church_applied_derivation(256)
+    assert check_additive(d).ok
+    m = add_to_mult(d)
+    assert check_mult(m).ok
+    pf = map_derivation(m)
+    assert check_proof(pf).ok
+    assert weight(pf) == const(2051)
