@@ -65,20 +65,24 @@ def cmd_weight(args) -> int:
     return EXIT_OK
 
 
-def _note_exhausted(steps: int, fuel: int, next_step) -> None:
+def _note_exhausted(steps: int, exhausted: bool) -> None:
     """Say on stderr when a step iterator stopped on fuel, not on a normal form."""
-    if steps == fuel and next_step() is not None:
+    if exhausted:
         print(f"fuel exhausted after {steps} steps", file=sys.stderr)
 
 
 def cmd_reduce(args) -> int:
     t = _term_arg(args)
-    n = 0
-    for n, (kind, pos, t) in enumerate(lammu.trace(t, args.strategy, args.fuel), 1):
-        if args.trace:
+    if args.trace:
+        n = 0
+        for n, (kind, pos, t) in enumerate(lammu.trace(t, args.strategy, args.fuel), 1):
             where = "/".join(pos) or "root"
             print(f"{n:4d} {kind:5s} at {where}: {print_term(t)}")
-    _note_exhausted(n, args.fuel, lambda: lammu.step(t, args.strategy))
+        exhausted = n == args.fuel and lammu.step(t, args.strategy) is not None
+    else:
+        # ``reduce`` rebuilds the term once, where ``trace`` does at every step.
+        t, n, exhausted = lammu.reduce(t, args.strategy, args.fuel)
+    _note_exhausted(n, exhausted)
     print(f"{print_term(t)}")
     print(f"steps: {n}")
     return EXIT_OK
@@ -90,7 +94,7 @@ def cmd_machine_run(args) -> int:
     for n, (rule, cfg) in enumerate(machine.machine_trace(cfg, args.fuel), 1):
         if args.trace:
             print(f"{n:4d} {rule:8s} {print_term(cfg.closure.term)} | stack {len(cfg.stack)}")
-    _note_exhausted(n, args.fuel, lambda: machine.step(cfg))
+    _note_exhausted(n, n == args.fuel and machine.step(cfg) is not None)
     print(print_term(machine.readback(cfg)))
     print(f"transitions: {n}")
     return EXIT_OK
@@ -116,7 +120,7 @@ def cmd_cut_eliminate(args) -> int:
         pf = hit.result
         if args.trace:
             print(f"{steps:4d} {hit.kind:14s} at {hit.path} weight={print_poly(P.weight(pf))}")
-    _note_exhausted(steps, args.fuel, lambda: P.step_special(pf))
+    _note_exhausted(steps, steps == args.fuel and P.step_special(pf) is not None)
     print(f"steps: {steps}")
     if args.out:
         with open(args.out, "w") as fh:

@@ -4,13 +4,21 @@ The calculus has two disjoint variable families: λ-variables bound by
 ``\\x.`` and μ-variables bound by ``mu a.``; ``[a] t`` names a term.
 μ-abstraction is unrestricted (bodies need not be named terms).  The three
 strategies are deterministic: a root redex fires first, then descent
-follows the congruences of the chosen strategy.  :func:`trace` is the one
-step iterator; :func:`step` and :func:`reduce` are built on it.
+follows the congruences of the chosen strategy.
+
+One step engine runs every strategy on a zipper (Huet, "The Zipper", JFP
+1997): a focus and the stack of its ancestors as frames.  After a step,
+descent resumes at the redex's parent instead of at the root, so a step
+costs the size of its reduct and not the depth of its redex, and a
+reduction stays linear in its steps.  :func:`reduce` drains the engine and
+rebuilds the term once at the end; :func:`trace`, the one public step
+iterator, also rebuilds the whole reduct and its position at every step;
+:func:`step` is the first element of :func:`trace`.
 
 Terms are immutable and each node caches its free λ- and μ-variables
-(``fv``, ``fmv``).  Substitution, μ-substitution, renaming and a step
-rebuild only the nodes above a change: every unchanged subterm of the
-input is shared by the result, not copied.
+(``fv``, ``fmv``).  Substitution, μ-substitution and renaming rebuild only
+the nodes above a change: every unchanged subterm of the input is shared
+by the result, not copied.
 """
 
 from __future__ import annotations
@@ -283,26 +291,51 @@ def theta_step(t: Term) -> Term | None:
 # The strategy below an application or a naming.
 _INNER = {"weak": "weak", "head": "weak", "machine": "machine"}
 
+# A zipper frame is (node class, sibling or binder, strategy at that node):
+# the argument of an ``App`` entered on its function side, or the bound name
+# of a ``Lam``, ``Mu`` or ``Named``.  It holds no old node, so a stack of
+# frames pins no stale subtree.
+_Frame = tuple[type, "Term | str", str]
 
-def _descend(t: Term, strategy: str) -> tuple[list[Term], str]:
-    """The descent path of ``strategy`` from ``t``, and the strategy at its end.
 
-    The path ends at the first root β/μ redex or where the strategy may not
-    descend further; it ends at an application only at a redex.
+def _descend(t: Term, strategy: str, frames: list[_Frame]) -> tuple[Term, str]:
+    """Descend from ``t`` as ``strategy`` does, pushing a frame per node passed.
+
+    Returns the node where descent stops and the strategy there: the first
+    root β/μ redex, or where the strategy may not descend further.  It stops
+    at an application only at a redex.
     """
     # Type tests, not ``match``: this loop runs once per node on the path.
-    path = [t]
     while True:
         cls = type(t)
         if cls is App and type(t.fn) not in (Lam, Mu):
+            frames.append((App, t.arg, strategy))
             t, strategy = t.fn, _INNER[strategy]
         elif cls is Named:
+            frames.append((Named, t.mvar, strategy))
             t, strategy = t.body, _INNER[strategy]
-        elif cls is Lam and strategy == "head" or cls is Mu and strategy != "weak":
+        elif cls is Lam and strategy == "head":
+            frames.append((Lam, t.var, strategy))
+            t = t.body
+        elif cls is Mu and strategy != "weak":
+            frames.append((Mu, t.mvar, strategy))
             t = t.body
         else:
-            return path, strategy
-        path.append(t)
+            return t, strategy
+
+
+def _up(t: Term, frames: list[_Frame]) -> tuple[Term, str]:
+    """Pop the innermost frame and plug ``t`` into it: (the node, its strategy)."""
+    cls, x, strategy = frames.pop()
+    return (App(t, x) if cls is App else cls(x, t)), strategy
+
+
+def _whole(t: Term, frames: list[_Frame]) -> Term:
+    """``t`` plugged into every frame up to the root; ``frames`` is kept."""
+    rest = frames[:]
+    while rest:
+        t, _ = _up(t, rest)
+    return t
 
 
 def _weakly_steps(t: Term) -> bool:
@@ -313,52 +346,57 @@ def _weakly_steps(t: Term) -> bool:
     """
     steps = True
     while True:
-        path, _ = _descend(t, "weak")
-        if isinstance(path[-1], App):
+        t, _ = _descend(t, "weak", [])
+        if type(t) is App:
             return steps
-        if theta_step(path[-1]) is None:
+        if theta_step(t) is None:
             return not steps
-        t, steps = path[-1].body.body, not steps
+        t, steps = t.body.body, not steps
+
+
+def _fires(t: Term, strategy: str, frames: list[_Frame]) -> Iterator[tuple[str | None, Term]]:
+    """Fire the redexes of ``strategy`` in order on a zipper over ``t``.
+
+    The zipper is a focus and ``frames``, the ancestors above it.  Yields
+    (kind, reduct) after each step, with the reduct at the focus and the
+    redex's ancestors in ``frames``; once the term is stuck, yields (None,
+    the whole term) with ``frames`` empty, and stops.  A step is a root β/μ
+    redex where descent stops, or else θ at the innermost node of the path
+    where it fires.  After a step only the redex's parent can decide
+    otherwise (an ``App`` whose function became a λ or μ is now a redex),
+    so descent resumes there: one step costs the reduct, not the depth.
+    """
+    while True:
+        t, strategy = _descend(t, strategy, frames)
+        hit = root_step(t)
+        while hit is None:
+            out = theta_step(t)
+            # Weak reduction never looks inside the μ-scope, so it may simplify
+            # the named body away only once that body is itself weakly stuck.
+            if out is not None and not (strategy == "weak" and _weakly_steps(out)):
+                hit = out, "theta"
+            elif frames:
+                t, strategy = _up(t, frames)
+            else:
+                yield None, t
+                return
+        t, kind = hit
+        yield kind, t
+        if frames:
+            t, strategy = _up(t, frames)
 
 
 _POSITION = {App: "appL", Named: "named", Lam: "lam", Mu: "mu"}
 
-
-def _step(t: Term, strategy: str) -> tuple[Term, str, Position] | None:
-    """Deterministic step: root β/μ first, then leftmost descent, then θ.
-
-    One loop finds the descent path (:func:`_descend`).  θ is tried where
-    descent stopped and then at each ancestor, innermost first; the path
-    above the redex is rebuilt once.
-    """
-    path, last = _descend(t, strategy)
-    i = len(path) - 1
-    hit = root_step(path[i])
-    if hit is None:
-        for i in range(len(path) - 1, -1, -1):
-            out = theta_step(path[i])
-            # Weak reduction never looks inside the μ-scope, so it may simplify
-            # the named body away only once that body is itself weakly stuck
-            # (as it is at every node above where descent stopped).
-            if out is None or last == "weak" and _weakly_steps(out):
-                continue
-            hit = out, "theta"
-            break
-        else:
-            return None
-    reduct, kind = hit
-    for node in reversed(path[:i]):
-        cls = type(node)
-        if cls is App:
-            reduct = App(reduct, node.arg)
-        elif cls is Lam:
-            reduct = Lam(node.var, reduct)
-        else:
-            reduct = cls(node.mvar, reduct)
-    return reduct, kind, tuple(_POSITION[type(node)] for node in path[:i])
-
-
 STRATEGIES = ("weak", "head", "machine")
+
+
+def _zipper(t: Term, strategy: str) -> tuple[list[_Frame], Iterator[tuple[str | None, Term]]]:
+    """The frames and the step engine (:func:`_fires`) of ``strategy`` on ``t``."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    frames: list[_Frame] = []
+    return frames, _fires(t, strategy, frames)
 
 
 def step(t: Term, strategy: str) -> tuple[Term, str, Position] | None:
@@ -371,7 +409,8 @@ def step(t: Term, strategy: str) -> tuple[Term, str, Position] | None:
     u``) fires only once the named body ``u`` is itself weakly stuck.  So
     ``mu a.[a]((\\k.y) v)`` is weakly stuck: its redex lies inside the
     μ-scope.  Head reduction also enters the λ- and μ-binders around the
-    head, machine reduction the μ-binders (see :func:`_step`).
+    head, machine reduction the μ-binders.  This is the first element of
+    :func:`trace`.
     """
     for kind, pos, reduct in trace(t, strategy, 1):
         return reduct, kind, pos
@@ -381,28 +420,34 @@ def step(t: Term, strategy: str) -> tuple[Term, str, Position] | None:
 def trace(t: Term, strategy: str, fuel: int = 10_000) -> Iterator[tuple[str, Position, Term]]:
     """Lazily yield (kind, position, reduct) per step, at most ``fuel`` steps.
 
-    An unknown strategy raises ``ValueError`` here, before the first step.
+    A view of the step engine that :func:`reduce` drains: each element
+    rebuilds the whole reduct and the position from the zipper, so it costs
+    the depth of the redex.  An unknown strategy raises ``ValueError`` here,
+    before the first step.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    frames, fires = _zipper(t, strategy)
 
-    def steps(t: Term):
-        for _ in range(fuel):
-            hit = _step(t, strategy)
-            if hit is None:
+    def steps():
+        for _, (kind, focus) in zip(range(fuel), fires):
+            if kind is None:
                 return
-            t, kind, pos = hit
-            yield kind, pos, t
+            yield kind, tuple(_POSITION[cls] for cls, _, _ in frames), _whole(focus, frames)
 
-    return steps(t)
+    return steps()
 
 
 def reduce(t: Term, strategy: str, fuel: int = 10_000):
-    """Drain :func:`trace`; returns (term, steps, exhausted).
+    """At most ``fuel`` steps of ``strategy``; returns (term, steps, exhausted).
 
-    ``exhausted`` holds when the fuel ran out and ``t`` can still step.
+    The steps of :func:`trace`, with the term rebuilt once at the end
+    instead of at every step.  ``exhausted`` holds when the fuel ran out
+    and ``t`` can still step.
     """
+    frames, fires = _zipper(t, strategy)
     steps = 0
-    for steps, (_, _, t) in enumerate(trace(t, strategy, fuel), 1):
-        pass
-    return t, steps, steps == fuel and _step(t, strategy) is not None
+    while steps < fuel:
+        kind, t = next(fires)
+        if kind is None:
+            return t, steps, False
+        steps += 1
+    return _whole(t, frames), steps, steps == fuel and next(fires)[0] is not None

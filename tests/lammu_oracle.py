@@ -3,9 +3,10 @@
 These recompute free variables at every node, rebuild every subterm they
 pass and recurse along the descent path of a step, so they are simple and
 slow, and deep terms exhaust the recursion limit.  ``bllp.lammu`` caches
-free variables per node, shares unchanged subterms and walks the descent
-path with a loop; the tests check that both give the same results up to
-α-equivalence (both draw fresh names from ``lammu.fresh_tvar``).
+free variables per node, shares unchanged subterms and steps on a zipper
+that keeps the descent path between steps; the tests check that both give
+the same results up to α-equivalence (both draw fresh names from
+``lammu.fresh_tvar``).
 """
 
 from __future__ import annotations

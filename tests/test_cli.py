@@ -171,3 +171,85 @@ def test_verify_polystep_output_is_pinned(capsys):
 def test_cut_eliminate_trace_output_is_pinned(capsys):
     assert run("cut-eliminate", "--trace", "--entry", "church-2-app") == 0
     assert capsys.readouterr().out == CUT_ELIMINATE_CHURCH_2_APP
+
+
+ALEPH_5 = r"(\f. mu a. f (\x. [a] x)) w t1 t2 t3 t4 t5"
+
+ALEPH_5_TRACE = """\
+   1 beta  at appL/appL/appL/appL/appL: (mu a. w (\\x. [a] x)) t1 t2 t3 t4 t5
+   2 mu    at appL/appL/appL/appL: (mu a. w (\\x. [a] x t1)) t2 t3 t4 t5
+   3 mu    at appL/appL/appL: (mu a. w (\\x. [a] x t1 t2)) t3 t4 t5
+   4 mu    at appL/appL: (mu a. w (\\x. [a] x t1 t2 t3)) t4 t5
+   5 mu    at appL: (mu a. w (\\x. [a] x t1 t2 t3 t4)) t5
+   6 mu    at root: mu a. w (\\x. [a] x t1 t2 t3 t4 t5)
+"""
+
+ALEPH_5_NF = """\
+mu a. w (\\x. [a] x t1 t2 t3 t4 t5)
+steps: 6
+"""
+
+ALEPH_5_FUEL_1 = """\
+(mu a. w (\\x. [a] x)) t1 t2 t3 t4 t5
+steps: 1
+"""
+
+
+@pytest.mark.parametrize("strategy", ["weak", "head", "machine"])
+@pytest.mark.parametrize("trace", [False, True])
+def test_reduce_output_is_pinned(capsys, strategy, trace):
+    flags = ("--trace",) if trace else ()
+    assert run("reduce", ALEPH_5, "--strategy", strategy, *flags) == 0
+    assert capsys.readouterr() == ((ALEPH_5_TRACE if trace else "") + ALEPH_5_NF, "")
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_reduce_on_fuel_1_output_is_pinned(capsys, trace):
+    flags = ("--trace",) if trace else ()
+    assert run("reduce", ALEPH_5, "--fuel", "1", *flags) == 0
+    first = ALEPH_5_TRACE.splitlines(keepends=True)[0] if trace else ""
+    assert capsys.readouterr() == (first + ALEPH_5_FUEL_1, EXHAUSTED + "\n")
+
+
+KAPPA_CALLCC_HEAD = """\
+   1 beta  at root: mu a. [a] (\\k. y0) (\\y. mu b. [a] y)
+   2 beta  at mu/named: mu a. [a] y0
+   3 theta at root: y0
+y0
+steps: 3
+"""
+
+NESTED_THETA = r"mu b. [b] (\x. mu a. [a] (\y. y) x) z"
+
+THETA_TRACES = {
+    ("kappa-callcc", "weak"): """\
+   1 beta  at root: mu a. [a] (\\k. y0) (\\y. mu b. [a] y)
+mu a. [a] (\\k. y0) (\\y. mu b. [a] y)
+steps: 1
+""",
+    ("kappa-callcc", "head"): KAPPA_CALLCC_HEAD,
+    ("kappa-callcc", "machine"): KAPPA_CALLCC_HEAD,
+    (NESTED_THETA, "head"): """\
+   1 beta  at mu/named: mu b. [b] mu a. [a] (\\y. y) z
+   2 theta at root: mu a. [a] (\\y. y) z
+   3 beta  at mu/named: mu a. [a] z
+   4 theta at root: z
+z
+steps: 4
+""",
+    (NESTED_THETA, "machine"): """\
+   1 beta  at mu/named: mu b. [b] mu a. [a] (\\y. y) z
+   2 beta  at mu/named/mu/named: mu b. [b] mu a. [a] z
+   3 theta at mu/named: mu b. [b] z
+   4 theta at root: z
+z
+steps: 4
+""",
+}
+
+
+@pytest.mark.parametrize("term, strategy", THETA_TRACES)
+def test_reduce_trace_through_theta_is_pinned(capsys, term, strategy):
+    source = ("--entry", term) if term == "kappa-callcc" else (term,)
+    assert run("reduce", *source, "--strategy", strategy, "--trace") == 0
+    assert capsys.readouterr() == (THETA_TRACES[term, strategy], "")

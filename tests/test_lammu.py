@@ -269,16 +269,68 @@ def test_cached_free_variables_and_sharing_substitutions_match_the_oracle(t, u, 
         _agree(L.step(t, strategy), O.step(t, strategy))
 
 
+def _nested_theta(t: L.Term, depth: int) -> L.Term:
+    """``t`` under ``depth`` nested θ-candidates ``mu a<i>. [a<i>] …``."""
+    for i in range(depth):
+        t = Mu(f"a{i}", Named(f"a{i}", t))
+    return t
+
+
+# Steps of the oracle followed before a reduction counts as long.
+ORACLE_STEPS = 16
+
+
+def _agree_along_the_reduction(t: L.Term) -> None:
+    """``trace`` and ``reduce`` against the oracle's steps iterated from the root.
+
+    Under each strategy and at fuel 0, 1 and the step count n and n - 1 (or
+    ORACLE_STEPS and one less when the reduction is longer): the same
+    (kind, position) per step, α-equal reducts, and ``reduce``'s term and
+    ``exhausted`` flag.
+    """
+    for strategy in L.STRATEGIES:
+        want = []
+        cur = t
+        while len(want) <= ORACLE_STEPS and (hit := O.step(cur, strategy)) is not None:
+            want.append(hit)
+            cur = hit[0]
+        n = len(want)
+        last = min(n, ORACLE_STEPS)
+        for fuel in sorted({0, 1, max(last - 1, 0), last}):
+            got = list(L.trace(t, strategy, fuel))
+            assert [(kind, pos) for kind, pos, _ in got] == [w[1:] for w in want[:fuel]]
+            for (_, _, reduct), (w, _, _) in zip(got, want):
+                assert alpha_eq(reduct, w)
+            nf, steps, exhausted = reduce(t, strategy, fuel)
+            assert steps == min(fuel, n)
+            assert alpha_eq(nf, want[steps - 1][0] if steps else t)
+            assert exhausted == (fuel < n)
+
+
 @pytest.mark.parametrize("inner", [r"(\x. x) y", r"\x. (\y. y) z", "[c] y", "x"])
 @pytest.mark.parametrize("depth", range(5))
 def test_nested_theta_candidates_match_the_oracle(inner, depth):
-    """Weak θ fires only on a weakly stuck body; candidates nest ``depth`` deep."""
-    t = T(inner)
-    for i in range(depth):
-        t = Mu(f"a{i}", Named(f"a{i}", t))
+    """Weak θ fires only on a weakly stuck body; candidates nest ``depth`` deep.
+
+    One step, then whole reductions, also of a redex whose reduct is
+    the nest under a further θ-candidate.
+    """
+    t = _nested_theta(T(inner), depth)
     for strategy in L.STRATEGIES:
         _agree(L.step(t, strategy), O.step(t, strategy))
         _agree(L.step(App(t, Var("w")), strategy), O.step(App(t, Var("w")), strategy))
+    for subject in (t, App(t, Var("w")), Mu("b", Named("b", App(Lam("x", t), Var("z"))))):
+        _agree_along_the_reduction(subject)
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms(), terms(depth=2), st.integers(0, 3))
+def test_whole_reductions_of_random_terms_match_the_oracle(t, u, depth):
+    """Random terms, and random redexes under nested θ-candidates, so that
+    most reductions take several steps at several depths."""
+    _agree_along_the_reduction(t)
+    _agree_along_the_reduction(_nested_theta(App(Lam("x", t), u), depth))
+    _agree_along_the_reduction(App(Mu("a", _nested_theta(App(t, u), depth)), Var("w")))
 
 
 # -- depth 10^4: built directly, since parse_term and == still recurse -----------
@@ -361,3 +413,44 @@ def test_machine_on_the_largest_aleph_spine_and_church_exponential():
     exp = T(f"{_church(9)} {_church(2)} (\\y. y) z0")
     cfg, transitions, exhausted = M.run(M.load(exp), 100_000)
     assert (transitions, exhausted, M.readback(cfg)) == (12 * 2**9 - 4, False, Var("z0"))
+
+
+# -- a step costs its reduct, not the depth of its redex: counts, no timing -----
+
+
+def _count_builds(monkeypatch) -> list[int]:
+    """Count every term node built from here on, in ``built[0]``."""
+    built = [0]
+    for cls in (Var, Lam, Mu, Named, App):
+
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built[0] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("strategy", L.STRATEGIES)
+def test_reducing_the_aleph_spine_builds_linearly_many_nodes(monkeypatch, strategy):
+    """About 6 nodes per step: the μ-reduct and the one application above it.
+
+    Rebuilding the path from the root at every step builds k²/2 (82 202 at
+    k = 400)."""
+    k = 400
+    t = app_spine(ALEPH, Var("w"), *(Var(f"t{i}") for i in range(1, k + 1)))
+    built = _count_builds(monkeypatch)
+    _, steps, exhausted = reduce(t, strategy)
+    assert (steps, exhausted) == (k + 1, False)
+    assert built[0] <= 6 * k + 8
+
+
+@pytest.mark.parametrize("strategy", L.STRATEGIES)
+def test_a_spine_of_deep_arguments_reduces_in_linear_steps(strategy):
+    """``mu a. w (\\x. [a] x t1 … tk)`` at k = 10^4, compared by shape since
+    ``print_term`` still recurses."""
+    args = [Var(f"t{i}") for i in range(1, DEEP + 1)]
+    nf, steps, exhausted = reduce(app_spine(ALEPH, Var("w"), *args), strategy, DEEP + 1)
+    assert (steps, exhausted) == (DEEP + 1, False)
+    want = Mu("a", App(Var("w"), Lam("x", Named("a", app_spine(Var("x"), *args)))))
+    assert _shape(nf) == _shape(want)
