@@ -379,16 +379,34 @@ def arrow_parts(f: Formula) -> tuple[Formula, VarId, Poly, Formula] | None:
 
 
 def classify(f: Formula) -> str:
-    """One of ``typing``, ``modal`` or ``neither``."""
-    match f:
-        case Bottom() | NegAtom():
-            return "typing"
-        case Par(WhyNot(_, _, body), m):
-            if classify(negate(body)) == "typing" and classify(m) == "typing":
-                return "typing"
-            return "neither"
-        case WhyNot(_, _, body):
-            if classify(negate(body)) == "typing":
-                return "modal"
-            return "neither"
+    """One of ``typing``, ``modal`` or ``neither``.
+
+    Typing formulas are ⊥, negated atoms and arrows ``?{x<p}~N par M``
+    with ``N`` and ``M`` typing; modal ones are ``?{x<p}~N`` with ``N``
+    typing.  The walk reads ``~N`` off ``N`` by a polarity flag instead of
+    building the negation.
+    """
+    if _typing(f, False):
+        return "typing"
+    if type(f) is WhyNot and _typing(f.body, True):
+        return "modal"
     return "neither"
+
+
+def _typing(f: Formula, negated: bool) -> bool:
+    """Whether ``f``, or ``negate(f)`` if ``negated``, is a typing formula."""
+    todo = [(f, negated)]
+    while todo:
+        f, negated = todo.pop()
+        # Under negation ⊥ is read off 1, ¬X off X, ⅋ off ⊗ and ? off !.
+        bottom, neg_atom, par, why_not = (
+            (One, Atom, Tensor, Bang) if negated else (Bottom, NegAtom, Par, WhyNot)
+        )
+        cls = type(f)
+        if cls is bottom or cls is neg_atom:
+            continue
+        if cls is not par or type(f.left) is not why_not:
+            return False
+        todo.append((f.left.body, not negated))
+        todo.append((f.right, negated))
+    return True

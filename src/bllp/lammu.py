@@ -232,33 +232,76 @@ def mu_subst(t: Term, alpha: str, u: Term) -> Term:
 # -- alpha equivalence ---------------------------------------------------------
 
 
-def _nameless(t: Term, lenv: dict[str, int], menv: dict[str, int], depth: int):
-    match t:
-        case Var(x):
-            return ("v", lenv.get(x, x))
-        case Lam(x, b):
-            return ("l", _nameless(b, {**lenv, x: depth}, menv, depth + 1))
-        case Mu(a, b):
-            return ("m", _nameless(b, lenv, {**menv, a: depth}, depth + 1))
-        case Named(a, b):
-            return ("n", menv.get(a, a), _nameless(b, lenv, menv, depth))
-        case App(f, a):
-            return (
-                "a",
-                _nameless(f, lenv, menv, depth),
-                _nameless(a, lenv, menv, depth),
-            )
-    raise TypeError(t)
-
-
-def nameless(t: Term):
-    """Canonical de Bruijn-style key; used for α-equality."""
-    return _nameless(t, {}, {}, 0)
+def _rebind(scope: tuple[dict, dict, set], x: str, y: str, at_x, at_y) -> None:
+    """Bind ``x`` on the left and ``y`` on the right of ``scope`` to the
+    binder numbers ``at_x`` and ``at_y`` (``None`` unbinds), and keep its
+    set of the names the two sides bind differently up to date."""
+    left, right, differ = scope
+    for side, name, at in ((left, x, at_x), (right, y, at_y)):
+        if at is None:
+            side.pop(name, None)
+        else:
+            side[name] = at
+    for name in (x, y):
+        if left.get(name) == right.get(name):
+            differ.discard(name)
+        else:
+            differ.add(name)
 
 
 def alpha_eq(t: Term, u: Term) -> bool:
-    # Identity only: ``Term.__eq__`` is a recursive dataclass compare.
-    return t is u or nameless(t) == nameless(u)
+    """α-equivalence, decided by one pairwise walk that builds no term.
+
+    Both terms are walked in step, and the k-th binder entered on one side
+    pairs with the k-th on the other.  Each side maps a bound name to the
+    number of its binder (λ- and μ-names in separate maps), so two
+    occurrences match when both point at paired binders, or both are free
+    with the same name.  The walk also keeps the names the two sides bind
+    differently, so a subterm shared by both sides (``a is b``) is decided
+    without entering it: equal exactly when none of its free names is in
+    that set.  Binders are undone on an explicit stack, so a term of any
+    depth is walked without recursion.
+    """
+    if t is u:
+        return True
+    lam: tuple[dict, dict, set] = ({}, {}, set())
+    mu: tuple[dict, dict, set] = ({}, {}, set())
+    binders = 0
+    # Entries are a pair of subterms, or (None, binder to undo).
+    stack: list = [(t, u)]
+    while stack:
+        a, b = stack.pop()
+        if a is None:
+            _rebind(*b)
+            continue
+        if a is b:
+            if (lam[2] and not lam[2].isdisjoint(a.fv)) or (mu[2] and not mu[2].isdisjoint(a.fmv)):
+                return False
+            continue
+        cls = type(a)
+        if cls is not type(b):
+            return False
+        if cls is App:
+            stack.append((a.arg, b.arg))
+            stack.append((a.fn, b.fn))
+        elif cls is Var:
+            x, y = a.name, b.name
+            if lam[0].get(x, x) != lam[1].get(y, y):
+                return False
+        elif cls is Named:
+            x, y = a.mvar, b.mvar
+            if mu[0].get(x, x) != mu[1].get(y, y):
+                return False
+            stack.append((a.body, b.body))
+        elif cls is Lam or cls is Mu:
+            scope, x, y = (lam, a.var, b.var) if cls is Lam else (mu, a.mvar, b.mvar)
+            stack.append((None, (scope, x, y, scope[0].get(x), scope[1].get(y))))
+            _rebind(scope, x, y, binders, binders)
+            binders += 1
+            stack.append((a.body, b.body))
+        else:
+            raise TypeError(a)
+    return True
 
 
 # -- reduction -----------------------------------------------------------------

@@ -350,28 +350,6 @@ def _pretty_name(base: str, avoid: set[str]) -> str:
     return f"{root}{k}"
 
 
-def _display_term(t: L.Term, avoid: set[str]) -> L.Term:
-    match t:
-        case L.Var(_):
-            return t
-        case L.Lam(x, b):
-            if "%" in x:
-                x2 = _pretty_name(x, avoid | L.free_vars(b))
-                b = L.subst(b, x, L.Var(x2))
-                x = x2
-            return L.Lam(x, _display_term(b, avoid | {x}))
-        case L.Mu(a, b) | L.Named(a, b):
-            cls = type(t)
-            if isinstance(t, L.Mu) and "%" in a:
-                a2 = _pretty_name(a, avoid | L.free_mvars(b))
-                b = L.rename_mvar(b, a, a2)
-                a = a2
-            return cls(a, _display_term(b, avoid | {a}))
-        case L.App(f, a):
-            return L.App(_display_term(f, avoid), _display_term(a, avoid))
-    raise TypeError(t)
-
-
 def _display_formula(f: F.Formula, avoid: set[str]) -> F.Formula:
     match f:
         case F.Atom(_) | F.NegAtom(_) | F.One() | F.Bottom():
@@ -443,29 +421,59 @@ def parse_term(src: str) -> L.Term:
     return out
 
 
+_PREFIX = {L.Lam: "\\{}. ", L.Mu: "mu {}. ", L.Named: "[{}] "}
+
+
 def print_term(t: L.Term) -> str:
-    t = _display_term(t, L.free_vars(t) | L.free_mvars(t))
-    return _print_term(t)
+    """The text of ``t``, with every generated binder name (one with '%')
+    made plain.
 
-
-def _print_term(t: L.Term) -> str:
-    match t:
-        case L.Var(x):
-            return x
-        case L.Lam(x, b):
-            return f"\\{x}. {_print_term(b)}"
-        case L.Mu(a, b):
-            return f"mu {a}. {_print_term(b)}"
-        case L.Named(a, b):
-            return f"[{a}] {_print_term(b)}"
-        case L.App(f, a):
-            fs = _print_term(f)
-            if isinstance(f, (L.Lam, L.Mu, L.Named)):
-                fs = f"({fs})"
-            if isinstance(a, L.Var):
-                return f"{fs} {a.name}"
-            return f"{fs} ({_print_term(a)})"
-    raise TypeError(t)
+    A binder's new name avoids the free names of ``t`` (computed only once
+    a binder needs a new name), the names of the binders and namings
+    around it and the free names of its body.  One pre-order walk on an
+    explicit stack, function side first, renames each binder before its
+    body and emits the pieces in reading order, joined once at the end; so
+    the renamings, and the fresh names ``L.subst`` may draw, come in the
+    order of a left-to-right recursion, at any depth.
+    """
+    outer: set[str] | None = None
+    scope: set[str] = set()
+    out: list[str] = []
+    # Entries are a term, a piece of text, or (name,) to leave its scope.
+    stack: list = [t]
+    while stack:
+        item = stack.pop()
+        cls = type(item)
+        if cls is str:
+            out.append(item)
+        elif cls is tuple:
+            scope.discard(item[0])
+        elif cls is L.Var:
+            out.append(item.name)
+        elif cls is L.App:
+            f, a = item.fn, item.arg
+            stack += [" " + a.name] if type(a) is L.Var else [")", a, " ("]
+            stack += [")", f, "("] if type(f) in _PREFIX else [f]
+        elif cls in _PREFIX:
+            name, body = (item.var if cls is L.Lam else item.mvar), item.body
+            if "%" in name and cls is not L.Named:
+                if outer is None:
+                    outer = L.free_vars(t) | L.free_mvars(t)
+                if cls is L.Lam:
+                    fresh = _pretty_name(name, outer | scope | L.free_vars(body))
+                    body = L.subst(body, name, L.Var(fresh))
+                else:
+                    fresh = _pretty_name(name, outer | scope | L.free_mvars(body))
+                    body = L.rename_mvar(body, name, fresh)
+                name = fresh
+            out.append(_PREFIX[cls].format(name))
+            if name not in scope:
+                scope.add(name)
+                stack.append((name,))
+            stack.append(body)
+        else:
+            raise TypeError(item)
+    return "".join(out)
 
 
 # -- derivation and proof files --------------------------------------------------------

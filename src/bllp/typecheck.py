@@ -549,10 +549,20 @@ def subst_derivation(d: Derivation, var: str, value: Poly) -> Derivation:
 @stack_safe
 def rename_free(d: Derivation, side: str, old: str, new: str) -> Derivation:
     """Rename a free λ-variable (``side`` "lam") or μ-variable ("mu") in
-    subjects and contexts of a derivation."""
-    if old == new:
-        return d
+    subjects and contexts of a derivation.
+
+    A node whose context does not hold ``old`` is returned itself: its
+    subject does not mention ``old`` free, and a premise that does (the
+    endpoint of a contraction, the hypothesis of a binder) is bound below
+    this node, not free in the derivation.
+    """
     j = d.concl
+    if old == new or ctx_get(getattr(j, side), old) is None:
+        return d
+    if side == "lam" and d.rule == "abs" and j.subject.var == old:
+        return d  # bound here: nothing to rename above
+    if side == "mu" and d.rule == "mu_abs" and j.subject.mvar == old:
+        return d
     ctx = tuple((new if n == old else n, a) for n, a in getattr(j, side))
     if side == "lam":
         concl = Judgment(ctx, L.subst(j.subject, old, Var(new)), j.type, j.mu)
@@ -562,10 +572,6 @@ def rename_free(d: Derivation, side: str, old: str, new: str) -> Derivation:
     for key in ("left", "right", "into"):
         if ann.get(key) == old:
             ann[key] = new
-    if side == "lam" and d.rule == "abs" and j.subject.var == old:
-        return d  # bound here: nothing to rename above
-    if side == "mu" and d.rule == "mu_abs" and j.subject.mvar == old:
-        return d
     if side == "mu" and d.rule == "mu_name_m" and j.subject.mvar == old:
         # the naming introduced it fresh; premise does not mention it
         return Derivation(d.rule, concl, d.premises, ann)
@@ -761,8 +767,10 @@ def add_to_mult(d: Derivation) -> Derivation:
             fn = yield (d.premise(0),)
             arg = yield (d.premise(1),)
             h = d.ann.get("h", fn.concl.type.label)
-            shared_l = ctx_dom(fn.concl.lam) & ctx_dom(arg.concl.lam)
-            shared_m = ctx_dom(fn.concl.mu) & ctx_dom(arg.concl.mu)
+            # In the function premise's context order: the fresh names are
+            # drawn in this order, so it must not follow string hashing.
+            shared_l = [v for v, _ in fn.concl.lam if arg.concl.lam_get(v) is not None]
+            shared_m = [v for v, _ in fn.concl.mu if arg.concl.mu_get(v) is not None]
             ren_l, ren_m = {}, {}
             for v in shared_l:
                 ren_l[v] = L.fresh_tvar(v)

@@ -1,12 +1,14 @@
 """Reference formula comparisons for the tests: the definitions before the
-equal-operand exits.
+equal-operand exits, and ``classify`` before its polarity walk.
 
 Every comparison here goes the long way: ``alpha_eq`` compares canonical
 copies, ``formula_leq`` matches binders and compares polynomials at every
 level, and the polynomial order is read off the checked difference
 ``sub_checked``.  ``bllp.formula`` returns at once on equal operands and
 ``bllp.respoly.poly_leq`` walks the two term tuples without building
-anything; the tests check that both give these answers.
+anything; ``bllp.formula.classify`` reads a negation off its operand by
+a polarity flag instead of building it.  The tests check that both give
+these answers.
 """
 
 from __future__ import annotations
@@ -57,3 +59,19 @@ def lf_leq(a: LF, b: LF) -> bool:
     if lf_positive(a):
         return poly_leq(a.label, b.label)
     return poly_leq(b.label, a.label)
+
+
+def classify(f: F.Formula) -> str:
+    """The former definition: negates the body at every arrow and ``?``."""
+    match f:
+        case F.Bottom() | F.NegAtom():
+            return "typing"
+        case F.Par(F.WhyNot(_, _, body), m):
+            if classify(F.negate(body)) == "typing" and classify(m) == "typing":
+                return "typing"
+            return "neither"
+        case F.WhyNot(_, _, body):
+            if classify(F.negate(body)) == "typing":
+                return "modal"
+            return "neither"
+    return "neither"

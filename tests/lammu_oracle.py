@@ -6,7 +6,8 @@ slow, and deep terms exhaust the recursion limit.  ``bllp.lammu`` caches
 free variables per node, shares unchanged subterms and steps on a zipper
 that keeps the descent path between steps; the tests check that both give
 the same results up to α-equivalence (both draw fresh names from
-``lammu.fresh_tvar``).
+``lammu.fresh_tvar``).  ``alpha_eq`` here compares recursive nameless keys;
+``bllp.lammu.alpha_eq`` walks both terms in one pairwise pass instead.
 """
 
 from __future__ import annotations
@@ -181,3 +182,32 @@ def step(t: Term, strategy: str) -> tuple[Term, str, tuple[str, ...]] | None:
             return None
         return out, "theta", ()
     return None
+
+
+def _nameless(t: Term, lenv: dict[str, int], menv: dict[str, int], depth: int):
+    match t:
+        case Var(x):
+            return ("v", lenv.get(x, x))
+        case Lam(x, b):
+            return ("l", _nameless(b, {**lenv, x: depth}, menv, depth + 1))
+        case Mu(a, b):
+            return ("m", _nameless(b, lenv, {**menv, a: depth}, depth + 1))
+        case Named(a, b):
+            return ("n", menv.get(a, a), _nameless(b, lenv, menv, depth))
+        case App(f, a):
+            return (
+                "a",
+                _nameless(f, lenv, menv, depth),
+                _nameless(a, lenv, menv, depth),
+            )
+    raise TypeError(t)
+
+
+def nameless(t: Term):
+    """Canonical de Bruijn-style key: a bound name becomes its binder's depth."""
+    return _nameless(t, {}, {}, 0)
+
+
+def alpha_eq(t: Term, u: Term) -> bool:
+    """The former α-equality: compare the nameless keys of both terms."""
+    return t is u or nameless(t) == nameless(u)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -253,3 +254,14 @@ def test_reduce_trace_through_theta_is_pinned(capsys, term, strategy):
     source = ("--entry", term) if term == "kappa-callcc" else (term,)
     assert run("reduce", *source, "--strategy", strategy, "--trace") == 0
     assert capsys.readouterr() == (THETA_TRACES[term, strategy], "")
+
+
+def test_reduce_prints_the_normal_form_of_a_spine_of_10_4_arguments(capsys):
+    """Printing walks the term on a stack: the 10^4-argument aleph spine
+    reduces and prints at the default recursion limit."""
+    assert sys.getrecursionlimit() <= 1000
+    k = 10_000
+    args = " ".join(f"t{i}" for i in range(1, k + 1))
+    aleph = rf"(\f. mu a. f (\x. [a] x)) w {args}"
+    assert run("reduce", aleph, "--fuel", str(k + 1)) == 0
+    assert capsys.readouterr() == (rf"mu a. w (\x. [a] x {args})" + f"\nsteps: {k + 1}\n", "")

@@ -319,3 +319,30 @@ def test_lf_leq_polarity_mismatch_raises_on_any_operands():
         lf_leq(a, lf_neg(a))
     with pytest.raises(ShapeMismatch):
         lf_leq(lf_neg(a), a)
+
+
+@st.composite
+def typing_shapes(draw, depth=3):
+    """Formulas built mostly from arrows, so every outcome of ``classify`` occurs."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return draw(formulas(depth=1))
+    n = draw(typing_shapes(depth=depth - 1))
+    m = draw(typing_shapes(depth=depth - 1))
+    return F.arrow(n, "y", P(draw(st.sampled_from(BOUNDS))), m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(formulas(), typing_shapes()))
+def test_classify_agrees_with_the_former_definition(f):
+    for g in (f, negate(f), F.WhyNot("y", P("x"), negate(f)), F.WhyNot("y", P("x"), f)):
+        assert classify(g) == O.classify(g)
+
+
+def test_classify_reads_the_negation_off_its_operand():
+    typing = parse_formula("~X -[x<p]-> bot")
+    assert classify(typing) == "typing"
+    assert classify(negate(typing)) == "neither"
+    assert classify(F.WhyNot("y", P("1"), negate(typing))) == "modal"
+    assert classify(F.WhyNot("y", P("1"), typing)) == "neither"
+    assert classify(F.arrow(typing, "y", 1, typing)) == "typing"
+    assert classify(F.arrow(F.Atom("X"), "y", 1, typing)) == "neither"

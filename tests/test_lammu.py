@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -447,10 +450,124 @@ def test_reducing_the_aleph_spine_builds_linearly_many_nodes(monkeypatch, strate
 
 @pytest.mark.parametrize("strategy", L.STRATEGIES)
 def test_a_spine_of_deep_arguments_reduces_in_linear_steps(strategy):
-    """``mu a. w (\\x. [a] x t1 … tk)`` at k = 10^4, compared by shape since
-    ``print_term`` still recurses."""
+    """``mu a. w (\\x. [a] x t1 … tk)`` at k = 10^4, compared by shape and
+    printed, at the default recursion limit."""
     args = [Var(f"t{i}") for i in range(1, DEEP + 1)]
     nf, steps, exhausted = reduce(app_spine(ALEPH, Var("w"), *args), strategy, DEEP + 1)
     assert (steps, exhausted) == (DEEP + 1, False)
     want = Mu("a", App(Var("w"), Lam("x", Named("a", app_spine(Var("x"), *args)))))
     assert _shape(nf) == _shape(want)
+    names = " ".join(a.name for a in args)
+    assert print_term(nf) == rf"mu a. w (\x. [a] x {names})"
+
+
+# -- α-equality: the pairwise walk against the former nameless keys ---------------
+
+
+def _renamed(t: L.Term, fresh) -> L.Term:
+    """``t`` with every binder renamed to ``fresh(old name)``: α-equal when
+    the new names are unused, possibly capturing otherwise."""
+    match t:
+        case Var(_):
+            return t
+        case Lam(x, b):
+            y = fresh(x)
+            return Lam(y, _renamed(L.subst(b, x, Var(y)) if y not in b.fv else b, fresh))
+        case Mu(a, b):
+            c = fresh(a)
+            return Mu(c, _renamed(L.rename_mvar(b, a, c) if c not in b.fmv else b, fresh))
+        case Named(a, b):
+            return Named(a, _renamed(b, fresh))
+        case App(f, a):
+            return App(_renamed(f, fresh), _renamed(a, fresh))
+    raise TypeError(t)
+
+
+@settings(max_examples=300)
+@given(terms(), terms(), st.data())
+def test_alpha_eq_agrees_with_the_nameless_keys(t, u, data):
+    pool = ("x", "y", "z", "a", "b", "c")
+    counter = iter(range(10**6))
+    unused = _renamed(t, lambda name: f"r{next(counter)}")
+    clashing = _renamed(t, lambda name: data.draw(st.sampled_from(pool)))
+    assert alpha_eq(t, unused) and O.alpha_eq(t, unused)
+    for other in (u, clashing, _renamed(u, lambda name: f"r{next(counter)}")):
+        assert alpha_eq(t, other) == O.alpha_eq(t, other)
+        assert alpha_eq(other, t) == O.alpha_eq(other, t)
+
+
+@settings(max_examples=300)
+@given(
+    terms(),
+    st.sampled_from(("x", "y", "z")),
+    st.sampled_from(("x", "y", "z")),
+    st.sampled_from(("a", "b")),
+    st.sampled_from(("a", "b")),
+)
+def test_alpha_eq_on_one_subterm_shared_under_different_binders(s, x, y, a, b):
+    """Both sides hold the same object ``s``; it is equal on both sides only
+    if none of its free names is bound differently around it."""
+    pairs = [
+        (Lam(x, s), Lam(y, s)),
+        (Mu(a, s), Mu(b, s)),
+        (App(Lam(x, s), s), App(Lam(y, s), s)),
+        (Lam(x, Lam(y, s)), Lam(y, Lam(x, s))),
+        (Lam(x, Mu(a, App(s, Lam(y, s)))), Lam(y, Mu(b, App(s, Lam(x, s))))),
+        (Mu(a, Named(a, Mu(b, s))), Mu(b, Named(b, Mu(a, s)))),
+    ]
+    for left, right in pairs:
+        assert alpha_eq(left, right) == O.alpha_eq(left, right)
+
+
+def test_alpha_eq_of_a_shared_body_under_renamed_binders():
+    body = App(Var("x"), Var("w"))
+    assert not alpha_eq(Lam("x", body), Lam("y", body))
+    assert alpha_eq(Lam("x", Var("w")), Lam("y", Var("w")))
+    assert not alpha_eq(Mu("a", Named("a", body)), Mu("b", Named("a", body)))
+    assert alpha_eq(Mu("a", Named("b", body)), Mu("c", Named("b", body)))
+    assert alpha_eq(Lam("x", Lam("x", body)), Lam("y", Lam("x", body)))
+
+
+def _with_recursion_room(fn, *args):
+    """``fn(*args)`` with a raised recursion limit, on a thread with a large stack."""
+    out = []
+    limit, size = sys.getrecursionlimit(), threading.stack_size(64 * 2**20)
+    try:
+        sys.setrecursionlimit(4 * DEEP + 1000)
+        worker = threading.Thread(target=lambda: out.append(fn(*args)))
+        worker.start()
+        worker.join()
+    finally:
+        threading.stack_size(size)
+        sys.setrecursionlimit(limit)
+    return out[0]
+
+
+def _deep_term(lnames: tuple[str, ...], mnames: tuple[str, ...], leaf: L.Term) -> L.Term:
+    """A chain of DEEP λ-, μ- and application layers around ``leaf``."""
+    t = leaf
+    for i in range(DEEP):
+        x, a = lnames[i // 3 % len(lnames)], mnames[i // 3 % len(mnames)]
+        match i % 3:
+            case 0:
+                t = Mu(a, Named(a, t))
+            case 1:
+                t = Lam(x, App(t, Var(x)))
+            case _:
+                t = App(Var("w"), Lam(x, t))
+    return t
+
+
+def test_alpha_eq_of_depth_10_4_chains_agrees_with_the_nameless_keys():
+    leaf = App(Var("x"), Named("a", Var("w")))
+    t = _deep_term(("x", "y", "z"), ("a", "b"), leaf)
+    cases = {
+        "renamed": (_deep_term(("p", "q", "r"), ("c", "d"), App(Var("p"), Named("c", Var("w")))), True),
+        "rebuilt": (_deep_term(("x", "y", "z"), ("a", "b"), App(Var("x"), Named("a", Var("w")))), True),
+        "shared leaf": (_deep_term(("p", "q", "r"), ("c", "d"), leaf), False),
+        "permuted": (_deep_term(("y", "x", "z"), ("a", "b"), leaf), False),
+        "other μ": (_deep_term(("x", "y", "z"), ("b", "a"), leaf), False),
+    }
+    for name, (u, want) in cases.items():
+        assert alpha_eq(t, u) == alpha_eq(u, t) == want, name
+        assert _with_recursion_room(O.alpha_eq, t, u) == want, name

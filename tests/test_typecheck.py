@@ -1,16 +1,23 @@
+import itertools
+import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import typecheck_oracle as TO
 from bllp import corpus as C
 from bllp import formula as F
 from bllp import lammu as L
+from bllp import respoly as R
 from bllp import typecheck as T
 from bllp.formula import LF, lf
 from bllp.proofs import check_proof, map_derivation, weight
 from bllp.respoly import const, poly_leq, pvar
-from bllp.syntax import parse_lf, parse_poly
+from bllp.syntax import derivation_to_obj, parse_lf, parse_poly
 from bllp.typecheck import (
     Derivation,
     DerivationError,
@@ -370,3 +377,80 @@ def test_church_256_runs_through_the_pipeline_at_the_default_recursion_limit():
     pf = map_derivation(m)
     assert check_proof(pf).ok
     assert weight(pf) == const(2051)
+
+
+# -- elaboration: renaming stops where the name is not free -------------------------
+
+
+def _nodes(d: Derivation) -> list[Derivation]:
+    out, stack = [], [d]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(node.premises)
+    return out
+
+
+@pytest.mark.parametrize("name", [e.name for e in C.entries() if e.derivation])
+def test_rename_free_of_a_name_outside_the_context_returns_the_node_itself(name):
+    for d in chain(C.by_name(name)):
+        for node in _nodes(d):
+            for side in ("lam", "mu"):
+                assert T.rename_free(node, side, "absent", "other") is node
+                bound_below = {v for p in node.premises for v, _ in getattr(p.concl, side)}
+                for v in bound_below - T.ctx_dom(getattr(node.concl, side)):
+                    assert T.rename_free(node, side, v, "other") is node
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_add_to_mult_of_church_n_equals_the_output_of_the_former_renaming(n, monkeypatch):
+    """The former renamers walk every node of the argument; the output,
+    names and annotations included, is the same."""
+    d = C.church_applied_derivation(n)
+    start = next(L._gen), next(R._counter)
+
+    def run() -> str:
+        monkeypatch.setattr(L, "_gen", itertools.count(start[0]))
+        monkeypatch.setattr(R, "_counter", itertools.count(start[1]))
+        return json.dumps(derivation_to_obj(add_to_mult(d), "multiplicative"))
+
+    new = run()
+    monkeypatch.setattr(T, "rename_free", TO._rename_entry)
+    assert run() == new
+
+
+# ``s z`` with both premises holding s and z: two shared λ-names at one app.
+TWO_SHARED = """\
+import json
+from bllp import corpus as C, typecheck as T
+from bllp.formula import VACUOUS, arrow, lf
+from bllp.lammu import App, Var
+from bllp.respoly import const
+from bllp.syntax import derivation_to_obj
+
+a = arrow(C.X, VACUOUS, const(1), C.X)
+ctx = lambda s, z: [("s", C.modal(a, 1, s)), ("z", C.modal(C.X, 1, z))]
+fn = C.node("var", C.jm(ctx(1, 0), Var("s"), lf(a, VACUOUS, 1)))
+arg = C.node("var", C.jm(ctx(0, 1), Var("z"), lf(C.X, VACUOUS, 1)))
+d = C.node("app", C.jm(ctx(1, 1), App(Var("s"), Var("z")), lf(C.X, VACUOUS, 1)), fn, arg,
+           h=const(1))
+assert T.check_additive(d).ok
+m = T.add_to_mult(d)
+assert T.check_mult(m).ok
+print(json.dumps(derivation_to_obj(m, "multiplicative")))
+"""
+
+
+def test_add_to_mult_names_do_not_depend_on_string_hashing():
+    """The shared names are renamed, and their fresh names drawn, in the
+    function premise's context order under every ``PYTHONHASHSEED``."""
+    src = str(Path(T.__file__).resolve().parents[1])
+    outs = set()
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", TWO_SHARED], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1
