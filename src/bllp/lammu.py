@@ -1,6 +1,6 @@
 """λμ-terms and the weak, head and machine notions of reduction.
 
-The calculus has two disjoint variable families: λ-variables bound by
+The calculus has two separate variable families: λ-variables bound by
 ``\\x.`` and μ-variables bound by ``mu a.``; ``[a] t`` names a term.
 μ-abstraction is unrestricted (bodies need not be named terms).  The three
 strategies are deterministic: a root redex fires first, then descent
@@ -16,9 +16,10 @@ iterator, also rebuilds the whole reduct and its position at every step;
 :func:`step` is the first element of :func:`trace`.
 
 Terms are immutable and each node caches its free λ- and μ-variables
-(``fv``, ``fmv``).  Substitution, μ-substitution and renaming rebuild only
-the nodes above a change: every unchanged subterm of the input is shared
-by the result, not copied.
+(``fv``, ``fmv``).  Substitution, μ-renaming and Parigot's structural
+μ-substitution (LPAR 1992) are one walk, :func:`_rewrite`, that rebuilds
+only the nodes above a change and shares every other subterm.  Every walk
+here runs on an explicit stack, so a term of any depth is an ordinary input.
 """
 
 from __future__ import annotations
@@ -146,87 +147,84 @@ def free_mvars(t: Term) -> frozenset[str]:
 
 
 def subst(t: Term, x: str, u: Term) -> Term:
-    """Capture-avoiding substitution of ``u`` for the λ-variable ``x``.
-
-    A subterm in which ``x`` is not free is returned itself, shared.
-    """
-    if x not in t.fv:
-        return t
-    match t:
-        case Var(_):
-            return u
-        case Lam(y, b):
-            if y in u.fv:
-                y2 = fresh_tvar(y)
-                b = subst(b, y, Var(y2))
-                y = y2
-            return Lam(y, subst(b, x, u))
-        case Mu(a, b):
-            if a in u.fmv:
-                a2 = fresh_tvar(a)
-                b = rename_mvar(b, a, a2)
-                a = a2
-            return Mu(a, subst(b, x, u))
-        case Named(a, b):
-            return Named(a, subst(b, x, u))
-        case App(f, a):
-            return App(subst(f, x, u), subst(a, x, u))
-    raise TypeError(t)
+    """Capture-avoiding substitution of ``u`` for the λ-variable ``x``."""
+    return _rewrite(t, "subst", x, u)
 
 
 def rename_mvar(t: Term, a: str, b: str) -> Term:
-    """Rename the free μ-variable ``a`` to ``b`` (β must not capture).
-
-    A subterm in which ``a`` is not free is returned itself, shared.
-    """
-    if a not in t.fmv:
-        return t
-    match t:
-        case Lam(x, body):
-            return Lam(x, rename_mvar(body, a, b))
-        case Mu(c, body):
-            if c == b:
-                c2 = fresh_tvar(c)
-                body = rename_mvar(body, c, c2)
-                c = c2
-            return Mu(c, rename_mvar(body, a, b))
-        case Named(c, body):
-            return Named(b if c == a else c, rename_mvar(body, a, b))
-        case App(f, arg):
-            return App(rename_mvar(f, a, b), rename_mvar(arg, a, b))
-    raise TypeError(t)
+    """Rename the free μ-variable ``a`` to ``b``."""
+    return _rewrite(t, "rename", a, b)
 
 
 def mu_subst(t: Term, alpha: str, u: Term) -> Term:
-    """Structural substitution: every ``[alpha]v`` becomes ``[alpha](v')u``.
+    """Structural substitution: every ``[alpha]v`` becomes ``[alpha](v')u``,
+    occurrences inside ``v`` first; ``alpha`` inside ``u`` is untouched."""
+    return _rewrite(t, "mu", alpha, u)
 
-    The rewriting is bottom-up, so nested occurrences inside ``v`` are
-    processed first.  Occurrences of ``alpha`` inside ``u`` are untouched.
-    A subterm in which ``alpha`` is not free is returned itself, shared.
+
+def _rewrite(t: Term, kind: str, name: str, u) -> Term:
+    """The walk of :func:`subst` (``kind`` "subst"), :func:`rename_mvar`
+    ("rename", ``u`` a name) and :func:`mu_subst` ("mu"): pre-order, function
+    side first, on an explicit stack.  A binder that would capture a free
+    name of ``u`` (for "rename", a μ-binder named ``u``) gets a fresh name,
+    carried into its body; a subterm with neither ``name`` nor a carried
+    name free is shared, and so is ``t`` when ``u`` is ``name`` itself.
     """
-    if alpha not in t.fmv:
+    lam = kind == "subst"
+    if name not in (t.fv if lam else t.fmv) or (u.name if lam and type(u) is Var else u) == name:
         return t
-    match t:
-        case Lam(x, b):
-            if x in u.fv:
-                x2 = fresh_tvar(x)
-                b = subst(b, x, Var(x2))
-                x = x2
-            return Lam(x, mu_subst(b, alpha, u))
-        case Mu(a, b):
-            if a in u.fmv:
-                a2 = fresh_tvar(a)
-                b = rename_mvar(b, a, a2)
-                a = a2
-            return Mu(a, mu_subst(b, alpha, u))
-        case Named(a, b):
-            b2 = mu_subst(b, alpha, u)
-            if a == alpha:
-                return Named(a, App(b2, u))
-            return Named(a, b2)
-        case App(f, a):
-            return App(mu_subst(f, alpha, u), mu_subst(a, alpha, u))
-    raise TypeError(t)
+    # Whether ``name`` is free in the parent, and the carried renamings.
+    on, lren, mren = True, {}, {}
+    out: list[Term] = []
+    # Entries: a node, ``App`` (build an application from ``out``), (class,
+    # binder, whether to apply ``u``), or (None, on, lren, mren) to restore.
+    todo: list = [t]
+    while todo:
+        s = todo.pop()
+        if s is App:
+            arg = out.pop()
+            out[-1] = App(out[-1], arg)
+            continue
+        cls = type(s)
+        if cls is tuple:
+            if s[0] is None:
+                _, on, lren, mren = s
+            else:
+                out[-1] = s[0](s[1], App(out[-1], u) if s[2] else out[-1])
+            continue
+        main = on and name in (s.fv if lam else s.fmv)
+        if not main:
+            if not (lren and not s.fv.isdisjoint(lren) or mren and not s.fmv.isdisjoint(mren)):
+                out.append(s)
+                continue
+            if on:  # ``name`` is bound here: the subtree only renames
+                todo.append((None, on, lren, mren))
+                on = False
+        if cls is App:
+            todo += (App, s.arg, s.fn)
+        elif cls is Var:
+            out.append(u if main else Var(lren[s.name]))
+        elif cls is Named:
+            a = s.mvar
+            if main and a == name and not lam:
+                todo += ((Named, a, True) if kind == "mu" else (Named, u, False), s.body)
+            else:
+                todo += ((Named, mren.get(a, a), False), s.body)
+        else:
+            mu = cls is Mu
+            x, scope = (s.mvar, mren) if mu else (s.var, lren)
+            if kind == "rename":
+                captures = main and mu and x == u
+            else:
+                captures = main and x in (u.fmv if mu else u.fv)
+            if captures or x in scope:
+                todo.append((None, on, lren, mren))
+                scope = {k: v for k, v in scope.items() if k != x}
+                if captures:
+                    scope[x] = x = fresh_tvar(x)
+                lren, mren = (lren, scope) if mu else (scope, mren)
+            todo += ((cls, x, False), s.body)
+    return out[0]
 
 
 # -- alpha equivalence ---------------------------------------------------------

@@ -107,76 +107,78 @@ def readback(c: Config) -> Term:
     λ-variables resolve through their environments; a naming whose variable
     is machine-bound re-applies the captured stack under one fresh
     top-level name, and the whole term is re-abstracted over that name.
-    The surrounding stack becomes iterated application.
+    The surrounding stack becomes iterated application.  Pre-order on an
+    explicit stack, so fresh names come in the order of a recursion.
     """
     top = _fresh_top(c)
-    used = [False]
-    t = _read_closure(c.closure, top, used, 0)
-    for cl in c.stack:
-        t = App(t, _read_closure(cl, top, used, 0))
-    if used[0]:
-        t = Mu(top, t)
-    return t
+    used = False
+    out: list[Term] = []
+    # Entries: a term to read, ``App`` (build an application from ``out``),
+    # (class, name), or (None, env, depth) to switch to an environment reached
+    # through ``depth`` closures: a closure's before its term, or back after.
+    todo: list = []
+    for cl in reversed(c.stack):
+        todo += (App, cl.term, (None, cl.env, 0))
+    todo += (c.closure.term, (None, c.closure.env, 0))
+    while todo:
+        t = todo.pop()
+        if t is App:
+            arg = out.pop()
+            out[-1] = App(out[-1], arg)
+        elif type(t) is tuple:
+            if t[0] is not None:
+                out[-1] = t[0](t[1], out[-1])
+            elif t[2] > 5_000:
+                raise AssertionError("cyclic environment")
+            else:
+                _, env, depth = t
+        elif type(t) is Var:
+            cl = env.lam.get(t.name)
+            if cl is None:
+                out.append(t)
+            else:
+                todo += ((None, env, depth), cl.term, (None, cl.env, depth + 1))
+        elif type(t) is Lam:
+            x2 = L.fresh_tvar(t.var)
+            inner = Env({k: v for k, v in env.lam.items() if k != t.var}, env.mu)
+            body = L.subst(t.body, t.var, Var(x2))
+            todo += ((Lam, x2), (None, env, depth), body, (None, inner, depth))
+        elif type(t) is Mu:
+            inner = Env(env.lam, {k: v for k, v in env.mu.items() if k != t.mvar})
+            a2 = L.fresh_tvar(t.mvar)
+            body = L.rename_mvar(t.body, t.mvar, a2)
+            todo += ((Mu, a2), (None, env, depth), body, (None, inner, depth))
+        elif type(t) is Named:
+            if t.mvar in env.mu:
+                used = True
+                todo += ((Named, top), (None, env, depth))
+                for cl in reversed(env.mu[t.mvar]):
+                    todo += (App, cl.term, (None, cl.env, depth + 1))
+            else:
+                todo.append((Named, t.mvar))
+            todo.append(t.body)
+        elif type(t) is App:
+            todo += (App, t.arg, t.fn)
+        else:
+            raise TypeError(t)
+    return Mu(top, out[0]) if used else out[0]
 
 
 def _fresh_top(c: Config) -> str:
     avoid = set()
-
-    def scan(cl: Closure, depth: int) -> None:
+    # Level by level: the closures reached through ``depth`` environments.
+    level, depth = [c.closure, *c.stack], 0
+    while level:
         if depth > 5_000:
             raise AssertionError("cyclic environment")
-        avoid.update(L.free_mvars(cl.term))
-        for sub in cl.env.lam.values():
-            scan(sub, depth + 1)
-        for stack in cl.env.mu.values():
-            for sub in stack:
-                scan(sub, depth + 1)
-
-    scan(c.closure, 0)
-    for cl in c.stack:
-        scan(cl, 0)
+        below: list[Closure] = []
+        for cl in level:
+            avoid.update(L.free_mvars(cl.term))
+            below += cl.env.lam.values()
+            for stack in cl.env.mu.values():
+                below += stack
+        level, depth = below, depth + 1
     k = 0
     while f"k{k}" in avoid:
         k += 1
     return f"k{k}"
-
-
-def _read_closure(cl: Closure, top: str, used: list[bool], depth: int) -> Term:
-    if depth > 5_000:
-        raise AssertionError("cyclic environment")
-    return _read(cl.term, cl.env, top, used, depth)
-
-
-def _read(t: Term, env: Env, top: str, used: list[bool], depth: int) -> Term:
-    match t:
-        case Var(x):
-            if x in env.lam:
-                return _read_closure(env.lam[x], top, used, depth + 1)
-            return t
-        case Lam(x, body):
-            x2 = L.fresh_tvar(x)
-            inner = Env({k: v for k, v in env.lam.items() if k != x}, env.mu)
-            return Lam(
-                x2, _read(L.subst(body, x, Var(x2)), inner, top, used, depth)
-            )
-        case Mu(a, body):
-            inner = Env(env.lam, {k: v for k, v in env.mu.items() if k != a})
-            a2 = L.fresh_tvar(a)
-            return Mu(
-                a2, _read(L.rename_mvar(body, a, a2), inner, top, used, depth)
-            )
-        case Named(a, body):
-            inner = _read(body, env, top, used, depth)
-            if a in env.mu:
-                used[0] = True
-                out = inner
-                for cl in env.mu[a]:
-                    out = App(out, _read_closure(cl, top, used, depth + 1))
-                return Named(top, out)
-            return Named(a, inner)
-        case App(fn, arg):
-            return App(
-                _read(fn, env, top, used, depth),
-                _read(arg, env, top, used, depth),
-            )
-    raise TypeError(t)

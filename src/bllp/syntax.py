@@ -371,47 +371,46 @@ def _display_formula(f: F.Formula, avoid: set[str]) -> F.Formula:
 # -- terms ---------------------------------------------------------------------
 
 
+_TERM_BINDERS = {"\\": (L.Lam, "λ-variable", "."), "mu": (L.Mu, "μ-variable", "."),
+                 "[": (L.Named, "μ-variable", "]")}
+
+
 def _parse_term(p: _Parser) -> L.Term:
-    t = p.peek()
-    if t.text == "\\":
-        p.next()
-        x = p.ident("λ-variable")
-        p.expect(".")
-        return L.Lam(x, _parse_term(p))
-    if t.text == "mu":
-        p.next()
-        a = p.ident("μ-variable")
-        p.expect(".")
-        return L.Mu(a, _parse_term(p))
-    if t.text == "[":
-        p.next()
-        a = p.ident("μ-variable")
-        p.expect("]")
-        return L.Named(a, _parse_term(p))
-    out = _parse_term_atom(p)
+    """Binders and namings, then an application of atoms that may end in one
+    more binder or naming.  Each construct waiting for its last term is a
+    frame: (binder class, name), (L.App, function) before a binder or naming
+    as last argument, or (None, the application before a "(", or None)."""
+    frames: list = []
+    head = None  # the application parsed so far; None at the start of a term
     while True:
-        nxt = p.peek()
-        if nxt.text == "(" or (nxt.kind == "ident" and nxt.text not in KEYWORDS):
-            out = L.App(out, _parse_term_atom(p))
-        elif nxt.text in ("\\", "mu", "["):
-            out = L.App(out, _parse_term(p))
-            break
+        t = p.peek()
+        if t.text in _TERM_BINDERS:
+            if head is not None:
+                frames.append((L.App, head))
+                head = None
+            cls, what, close = _TERM_BINDERS[p.next().text]
+            frames.append((cls, p.ident(what)))
+            p.expect(close)
+        elif t.text == "(":
+            p.next()
+            frames.append((None, head))
+            head = None
+        elif t.kind == "ident" and t.text not in KEYWORDS:
+            p.next()
+            head = L.Var(t.text) if head is None else L.App(head, L.Var(t.text))
+        elif head is None:
+            raise ParseError(t.offset, f"expected a term, found {t.text or 'end of input'!r}")
         else:
-            break
-    return out
-
-
-def _parse_term_atom(p: _Parser) -> L.Term:
-    t = p.peek()
-    if t.text == "(":
-        p.next()
-        out = _parse_term(p)
-        p.expect(")")
-        return out
-    if t.kind == "ident" and t.text not in KEYWORDS:
-        p.next()
-        return L.Var(t.text)
-    raise ParseError(t.offset, f"expected a term, found {t.text or 'end of input'!r}")
+            out = head
+            while frames:
+                cls, x = frames.pop()
+                if cls is None:
+                    p.expect(")")
+                    head = out if x is None else L.App(x, out)
+                    break
+                out = L.App(x, out) if cls is L.App else cls(x, out)
+            else:
+                return out
 
 
 def parse_term(src: str) -> L.Term:
@@ -506,17 +505,21 @@ def judgment_from_obj(obj: dict):
     )
 
 
-def _ann_to_obj(ann: dict) -> dict:
+def _print_fields(fields: dict) -> dict:
+    """A derivation node's ``ann`` or a proof node's ``data``, printed; keys
+    of neither are dropped."""
     out = {}
-    for k, v in ann.items():
-        if k in ("h",):
-            out[k] = print_poly(v)
-        elif k in ("left", "right", "into"):
+    for k, v in fields.items():
+        if k in ("left", "right", "into", "left_idx", "right_idx", "idx", "x", "y"):
             out[k] = v
-        elif k in ("sum_witness_lam", "sum_witness_mu"):
-            out[k] = {
-                name: [print_formula(base), binder] for name, (base, binder) in v.items()
-            }
+        elif k in ("h", "p"):
+            out[k] = print_poly(v)
+        elif k == "witness":
+            out[k] = print_lf(v)
+        elif k == "P":
+            out[k] = print_formula(v)
+        elif k in ("sum_witness", "sum_witness_lam", "sum_witness_mu"):
+            out[k] = {str(i): [print_formula(b), binder] for i, (b, binder) in v.items()}
     return out
 
 
@@ -532,21 +535,35 @@ def _ann_from_obj(obj: dict) -> dict:
     return out
 
 
-def derivation_to_obj(d, system: str) -> dict:
-    def node(x) -> dict:
-        return {
-            "rule": x.rule,
-            "judgment": judgment_to_obj(x.concl),
-            "ann": _ann_to_obj(x.ann),
-            "premises": [node(q) for q in x.premises],
-        }
+def _map_tree(root, kids, pre, post):
+    """The image of a tree's root, a node ``x``'s being ``post(pre(x), [images
+    of its children])``, on an explicit stack.  ``pre`` meets the nodes in
+    pre-order, so what printing a node draws comes in the order of a recursion.
+    """
+    out: list = []
+    # Entries: (node, None) to visit, or (pre value, number of children).
+    todo: list = [(root, None)]
+    while todo:
+        x, n = todo.pop()
+        if n is None:
+            children = kids(x)
+            todo.append((pre(x), len(children)))
+            todo += [(q, None) for q in reversed(children)]
+        else:
+            out[len(out) - n:] = [post(x, out[len(out) - n:])]
+    return out[0]
 
-    return {
-        "format": DERIVATION_FORMAT,
-        "version": FORMAT_VERSION,
-        "system": system,
-        "tree": node(d),
-    }
+
+def derivation_to_obj(d, system: str) -> dict:
+    tree = _map_tree(
+        d,
+        lambda x: x.premises,
+        lambda x: {
+            "rule": x.rule, "judgment": judgment_to_obj(x.concl), "ann": _print_fields(x.ann)
+        },
+        lambda obj, premises: obj | {"premises": premises},
+    )
+    return {"format": DERIVATION_FORMAT, "version": FORMAT_VERSION, "system": system, "tree": tree}
 
 
 def derivation_from_obj(obj: dict):
@@ -556,45 +573,25 @@ def derivation_from_obj(obj: dict):
         raise ParseError(0, "not a derivation file")
     if obj.get("version") != FORMAT_VERSION:
         raise ParseError(0, f"unsupported derivation format version {obj.get('version')!r}")
-
-    def node(x) -> Derivation:
-        return Derivation(
-            x["rule"],
-            judgment_from_obj(x["judgment"]),
-            tuple(node(q) for q in x.get("premises", [])),
-            _ann_from_obj(x.get("ann", {})),
-        )
-
-    return node(obj["tree"]), obj.get("system", "additive")
+    tree = _map_tree(
+        obj["tree"],
+        lambda x: x.get("premises", []),
+        lambda x: (x["rule"], judgment_from_obj(x["judgment"]), _ann_from_obj(x.get("ann", {}))),
+        lambda head, premises: Derivation(head[0], head[1], tuple(premises), head[2]),
+    )
+    return tree, obj.get("system", "additive")
 
 
 def proof_to_obj(p) -> dict:
-    def data_obj(data: dict) -> dict:
-        out = {}
-        for k, v in data.items():
-            if k in ("left_idx", "right_idx", "left", "right", "idx"):
-                out[k] = v
-            elif k == "witness":
-                out[k] = print_lf(v)
-            elif k == "P":
-                out[k] = print_formula(v)
-            elif k in ("x", "y"):
-                out[k] = v
-            elif k == "p":
-                out[k] = print_poly(v)
-            elif k == "sum_witness":
-                out[k] = {str(i): [print_formula(b), binder] for i, (b, binder) in v.items()}
-        return out
-
-    def node(x) -> dict:
-        return {
-            "rule": x.rule,
-            "sequent": [print_lf(a) for a in x.concl],
-            "data": data_obj(x.data),
-            "premises": [node(q) for q in x.premises],
-        }
-
-    return {"format": PROOF_FORMAT, "version": FORMAT_VERSION, "tree": node(p)}
+    tree = _map_tree(
+        p,
+        lambda x: x.premises,
+        lambda x: {
+            "rule": x.rule, "sequent": [print_lf(a) for a in x.concl], "data": _print_fields(x.data)
+        },
+        lambda obj, premises: obj | {"premises": premises},
+    )
+    return {"format": PROOF_FORMAT, "version": FORMAT_VERSION, "tree": tree}
 
 
 def proof_from_obj(obj: dict):
@@ -610,10 +607,9 @@ def proof_from_obj(obj: dict):
     lfs: dict[str, F.LF] = {}
 
     def lf_of(s: str) -> F.LF:
-        a = lfs.get(s)
-        if a is None:
-            a = lfs[s] = parse_lf(s)
-        return a
+        if s not in lfs:
+            lfs[s] = parse_lf(s)
+        return lfs[s]
 
     def data_from(d: dict) -> dict:
         out = {}
@@ -632,12 +628,9 @@ def proof_from_obj(obj: dict):
                 out[k] = {int(i): (parse_formula(b), binder) for i, (b, binder) in v.items()}
         return out
 
-    def node(x) -> Proof:
-        return Proof(
-            x["rule"],
-            tuple(lf_of(s) for s in x["sequent"]),
-            tuple(node(q) for q in x.get("premises", [])),
-            data_from(x.get("data", {})),
-        )
-
-    return node(obj["tree"])
+    return _map_tree(
+        obj["tree"],
+        lambda x: x.get("premises", []),
+        lambda x: (x["rule"], tuple(lf_of(s) for s in x["sequent"]), data_from(x.get("data", {}))),
+        lambda head, premises: Proof(head[0], head[1], tuple(premises), head[2]),
+    )

@@ -1,13 +1,15 @@
-"""No function of the tree-rewriting modules reaches itself.
+"""No function of the tree- and term-walking modules reaches itself.
 
 ``typecheck`` and ``proofs`` recurse over derivations, proofs and formulas
 only through ``typecheck.stack_safe`` (a recursive call is ``(yield args)``)
-or in loops, so a tree of any depth stays within the recursion limit.  The
-call graph is read from the ``ast``: an edge f -> g when the body of the
-module-level function f names g, as a plain name or as an attribute.  The
-graph must have no cycle.  In ``lammu`` and ``machine`` the step engines are
-loops too, and the recursive functions left are pinned: the list may only
-shrink.
+or in loops; ``lammu`` and ``machine`` walk terms and environments on
+explicit stacks; so a tree or term of any depth stays within the recursion
+limit.  The call graph is read from the ``ast``: an edge f -> g when the
+body of the function f (module-level or nested in one) names g, as a plain
+name or as an attribute.  The graph must have no cycle.  ``syntax`` parses
+and prints terms and files on explicit stacks too; its formula and
+polynomial parsers and printers still recurse, as deep as a type, not a
+term, and they are pinned: the list may only shrink.
 """
 
 import ast
@@ -17,13 +19,19 @@ LIBRARY = Path(__file__).resolve().parents[1] / "src" / "bllp"
 
 
 def _recursive(sources: list[str]) -> list[str]:
-    """The module-level functions of ``sources`` that reach themselves."""
+    """The functions of ``sources``, nested ones included, that reach themselves.
+
+    A function's body includes the bodies of the functions nested in it.
+    """
     bodies: dict[str, ast.FunctionDef] = {}
     for source in sources:
-        for node in ast.parse(source).body:
-            if isinstance(node, ast.FunctionDef):
-                assert node.name not in bodies, f"{node.name} is defined twice"
-                bodies[node.name] = node
+        for top in ast.parse(source).body:
+            if not isinstance(top, ast.FunctionDef):
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.FunctionDef):
+                    assert node.name not in bodies, f"{node.name} is defined twice"
+                    bodies[node.name] = node
     graph = {}
     for name, node in bodies.items():
         named = set()
@@ -52,8 +60,9 @@ def test_the_guard_sees_direct_and_mutual_recursion():
         "def g(x):\n    return M.h(x)\n"
         "def h(x):\n    return [g(y) for y in x]\n"
         "def k(x):\n    return f(x)\n"
+        "def outer(x):\n    def node(y):\n        return [node(z) for z in y]\n    return node(x)\n"
     )
-    assert _recursive([source]) == ["f", "g", "h"]
+    assert _recursive([source]) == ["f", "g", "h", "node"]
 
 
 def test_typecheck_and_proofs_have_no_recursive_function():
@@ -65,7 +74,19 @@ def test_lammu_and_machine_recurse_only_in_their_pinned_functions():
     recursive = {
         mod: _recursive([(LIBRARY / f"{mod}.py").read_text()]) for mod in ("lammu", "machine")
     }
-    assert recursive == {
-        "lammu": ["mu_subst", "rename_mvar", "subst"],
-        "machine": ["_read", "_read_closure"],
-    }
+    assert recursive == {"lammu": [], "machine": []}
+
+
+def test_syntax_recurses_only_in_its_formula_and_polynomial_parsers_and_printers():
+    assert _recursive([(LIBRARY / "syntax.py").read_text()]) == [
+        "_display_formula",
+        "_paren_mult",
+        "_parse_atom_formula",
+        "_parse_formula",
+        "_parse_par",
+        "_parse_poly",
+        "_parse_poly_factor",
+        "_parse_poly_term",
+        "_parse_tensor",
+        "_print_formula",
+    ]

@@ -39,13 +39,13 @@ def terms(draw, depth=4, lvars=("x", "y", "z"), mvars=("a", "b")):
         case "var":
             return Var(draw(st.sampled_from(lvars)))
         case "lam":
-            return Lam(draw(st.sampled_from(lvars)), draw(terms(depth=depth - 1)))
+            return Lam(draw(st.sampled_from(lvars)), draw(terms(depth - 1, lvars, mvars)))
         case "mu":
-            return Mu(draw(st.sampled_from(mvars)), draw(terms(depth=depth - 1)))
+            return Mu(draw(st.sampled_from(mvars)), draw(terms(depth - 1, lvars, mvars)))
         case "named":
-            return Named(draw(st.sampled_from(mvars)), draw(terms(depth=depth - 1)))
+            return Named(draw(st.sampled_from(mvars)), draw(terms(depth - 1, lvars, mvars)))
         case "app":
-            return App(draw(terms(depth=depth - 1)), draw(terms(depth=depth - 1)))
+            return App(draw(terms(depth - 1, lvars, mvars)), draw(terms(depth - 1, lvars, mvars)))
 
 
 # -- substitution ---------------------------------------------------------------
@@ -260,7 +260,7 @@ def test_cached_free_variables_and_sharing_substitutions_match_the_oracle(t, u, 
     assert free_vars(t) == O.free_vars(t) and free_mvars(t) == O.free_mvars(t)
     out = subst(t, x, u)
     assert alpha_eq(out, O.subst(t, x, u))
-    assert (out is t) == (x not in O.free_vars(t))
+    assert (out is t) == (x not in O.free_vars(t) or u == Var(x))
     for got, want in (
         (mu_subst(t, a, u), O.mu_subst(t, a, u)),
         (L.rename_mvar(t, a, b), O.rename_mvar(t, a, b)),
@@ -571,3 +571,121 @@ def test_alpha_eq_of_depth_10_4_chains_agrees_with_the_nameless_keys():
     for name, (u, want) in cases.items():
         assert alpha_eq(t, u) == alpha_eq(u, t) == want, name
         assert _with_recursion_room(O.alpha_eq, t, u) == want, name
+
+
+# -- the one rewriting walk: shared λ/μ alphabets, identity exits, depth 10^4 ----
+
+SHARED = ("x", "y", "a")
+
+
+@settings(max_examples=300)
+@given(
+    terms(5, SHARED, SHARED),
+    terms(2, SHARED, SHARED),
+    st.sampled_from(SHARED),
+    st.sampled_from(SHARED),
+)
+def test_rewrites_match_the_oracle_when_lambda_and_mu_names_overlap(t, u, x, b):
+    """One alphabet for both families, so a λ-name may equal a μ-name."""
+    for got, want in (
+        (subst(t, x, u), O.subst(t, x, u)),
+        (mu_subst(t, x, u), O.mu_subst(t, x, u)),
+        (L.rename_mvar(t, x, b), O.rename_mvar(t, x, b)),
+    ):
+        assert alpha_eq(got, want)
+        assert free_vars(got) == O.free_vars(want) and free_mvars(got) == O.free_mvars(want)
+
+
+def test_a_naming_by_the_substituted_lambda_name_is_untouched():
+    u = T("u v")
+    assert subst(Named("x", Var("x")), "x", u) == Named("x", u)
+    assert subst(Mu("x", Named("x", Var("x"))), "x", u) == Mu("x", Named("x", u))
+    kept = Named("x", Var("y"))
+    assert subst(kept, "x", u) is kept
+    assert L.rename_mvar(Lam("a", Var("a")), "a", "b") == Lam("a", Var("a"))
+    out = mu_subst(Lam("a", Named("a", Var("a"))), "a", Var("a"))
+    assert _shape(out) == _shape(Lam("c", Named("a", App(Var("c"), Var("a")))))
+
+
+def test_a_binder_in_a_renamed_body_shadows_the_renaming():
+    """Two binders capture ``u`` and are renamed; below them, where ``x`` is
+    no longer free, a binder of the first name shadows its renaming while
+    the second renaming still applies.  Last, a binder of ``x`` itself
+    below a renamed binder: its body is only renamed."""
+    cases = [
+        (T(r"\y. \z. x (\y. y z)"), T("y z")),
+        (T(r"mu a. mu c. x (mu a. [a] [c] w)"), T("[a] [c] v")),
+        (T(r"\y. x (\x. x y)"), T("y")),
+    ]
+    for t, u in cases:
+        assert alpha_eq(subst(t, "x", u), O.subst(t, "x", u))
+    t = T(r"\y. \z. [b] (\y. y z)")
+    assert alpha_eq(mu_subst(t, "b", T("y z")), O.mu_subst(t, "b", T("y z")))
+
+
+@settings(max_examples=200)
+@given(terms(5, SHARED, SHARED), st.sampled_from(SHARED))
+def test_substituting_a_name_by_itself_returns_the_term(t, x):
+    before = repr(L._gen)
+    assert subst(t, x, Var(x)) is t
+    assert L.rename_mvar(t, x, x) is t
+    assert repr(L._gen) == before
+
+
+def _church_applied(d: int) -> str:
+    return f"{_church(d)} (\\y. y) z0"
+
+
+def test_a_depth_10_4_church_numeral_reduces_and_runs_on_the_machine():
+    t = T(_church_applied(DEEP))
+    for strategy in L.STRATEGIES:
+        assert reduce(t, strategy, 2 * DEEP) == (Var("z0"), DEEP + 2, False)
+    cfg, transitions, exhausted = M.run(M.load(t), 5 * DEEP)
+    assert (transitions, exhausted) == (4 * DEEP + 5, False)
+    assert M.readback(cfg) == Var("z0")
+
+
+def test_depth_10_4_binder_and_naming_nesting_round_trips_through_the_printer():
+    t = Var("z")
+    for i in range(DEEP):
+        x, a = f"x{i % 7}", f"a{i % 5}"
+        match i % 4:
+            case 0:
+                t = Lam(x, App(Var(x), t))
+            case 1:
+                t = Mu(a, Named(f"a{(i + 2) % 5}", t))
+            case 2:
+                t = App(Var("w"), Lam(L.fresh_tvar(x), t))
+            case _:
+                t = Named(a, App(t, Var(f"x{(i + 3) % 7}")))
+    text = print_term(t)
+    back = T(text)
+    assert _shape(back) == _shape(t)
+    assert print_term(back) == text
+
+
+def test_the_rewrites_of_depth_10_4_chains_have_the_expected_shape():
+    u = App(Var("y5"), Var("k"))
+    lam, want = Var("x"), u
+    for i in range(DEEP):
+        lam = Lam(f"y{i % 9}", App(lam, Var("v")))
+        # Every binder y5 captures ``u`` and gets a fresh name.
+        want = Lam(f"y{i % 9}" if i % 9 != 5 else "r", App(want, Var("v")))
+    out = subst(lam, "x", u)
+    assert _shape(out) == _shape(want)
+    assert free_vars(out) == {"y5", "k", "v"}
+
+    named, want = Var("z"), Var("z")
+    for i in range(DEEP):
+        named = Mu(f"b{i % 9}", Named("a", named))
+        want = Mu(f"b{i % 9}" if i % 9 != 3 else "r", Named("a", App(want, Named("b3", Var("k")))))
+    out = mu_subst(named, "a", Named("b3", Var("k")))
+    assert _shape(out) == _shape(want)
+    assert free_mvars(out) == {"a", "b3"}
+
+    out = L.rename_mvar(named, "a", "b4")
+    want = Var("z")
+    for i in range(DEEP):
+        want = Mu(f"b{i % 9}" if i % 9 != 4 else "r", Named("b4", want))
+    assert _shape(out) == _shape(want)
+    assert free_mvars(out) == {"b4"}

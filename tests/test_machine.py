@@ -104,6 +104,14 @@ def test_readback_of_loaded_term_is_identity():
         assert L.alpha_eq(readback(load(e.term)), e.term)
 
 
+def test_readback_top_name_avoids_names_free_in_captured_stacks():
+    """``k0`` is free only in a closure of a captured stack, so the naming
+    re-applying that stack is read back under ``k1``."""
+    captured = (Closure(Named("k0", Var("z")), EMPTY),)
+    cfg = Config(Closure(Named("a", Var("t")), EMPTY.bind_mu("a", captured)), ())
+    assert readback(cfg) == Mu("k1", Named("k1", App(Var("t"), Named("k0", Var("z")))))
+
+
 @pytest.mark.parametrize("name", [e.name for e in C.entries()])
 def test_machine_agrees_with_machine_strategy(name):
     entry = C.by_name(name)

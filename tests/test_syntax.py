@@ -157,6 +157,49 @@ def test_derivation_files_roundtrip(name):
     assert F.lf_alpha_eq(d2.concl.type, d.concl.type)
 
 
+def _node_texts(obj: dict) -> list[str]:
+    """A file's header, then each node of its tree in pre-order as JSON, with
+    the number of its premises in place of them.
+
+    The ``json`` encoder and decoder recurse, so a deep tree is serialized a
+    node at a time (and the ``Term`` equality of the dataclasses recurses
+    too, so the trees are compared by their files).
+    """
+    out = [json.dumps({k: v for k, v in obj.items() if k != "tree"})]
+    stack = [obj["tree"]]
+    while stack:
+        node = stack.pop()
+        out.append(json.dumps({**node, "premises": len(node["premises"])}))
+        stack.extend(reversed(node["premises"]))
+    return out
+
+
+def _rules(tree) -> list[str]:
+    """The rules of a derivation or proof in pre-order, premises left to right."""
+    out, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        out.append(node.rule)
+        stack.extend(reversed(node.premises))
+    return out
+
+
+def test_church_500_files_round_trip_at_the_default_recursion_limit():
+    d = C.church_applied_derivation(500)
+    obj = derivation_to_obj(d, "additive")
+    assert [json.loads(s)["rule"] for s in _node_texts(obj)[1:]] == _rules(d)
+    d2, system = derivation_from_obj(obj)
+    assert system == "additive"
+    assert _node_texts(derivation_to_obj(d2, "additive")) == _node_texts(obj)
+    assert check_additive(d2).ok
+    pf = map_derivation(add_to_mult(d))
+    obj = proof_to_obj(pf)
+    assert [json.loads(s)["rule"] for s in _node_texts(obj)[1:]] == _rules(pf)
+    p2 = proof_from_obj(obj)
+    assert _node_texts(proof_to_obj(p2)) == _node_texts(obj)
+    assert check_proof(p2).ok
+
+
 def test_proof_files_roundtrip():
     pf = map_derivation(add_to_mult(C.by_name("kappa-callcc").derivation))
     blob = json.dumps(proof_to_obj(pf))
