@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 check failure, 2 bound violation, 3 unreadable
-input (a parse error, a missing ``--file`` or an unknown ``--entry``).
+input (a parse error, a ``--file`` that cannot be opened or is not JSON, or
+an unknown ``--entry``) or an ``--out`` that cannot be written.
 """
 
 from __future__ import annotations
@@ -31,14 +32,22 @@ EXIT_BOUND = 2
 EXIT_PARSE = 3
 
 
+def _read_file(path: str):
+    """The JSON value in a ``--file``; text that is not JSON is a parse error."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(exc.pos, exc.msg) from None
+
+
 def _load_derivation(args) -> tuple:
     if args.entry:
         if args.entry.derivation is None:
             print(f"corpus entry {args.entry.name} has no derivation", file=sys.stderr)
             raise SystemExit(EXIT_CHECK)
         return args.entry.derivation, "additive"
-    with open(args.file) as fh:
-        return derivation_from_obj(json.load(fh))
+    return derivation_from_obj(_read_file(args.file))
 
 
 def _to_mult(d, system):
@@ -113,8 +122,7 @@ def cmd_cut_eliminate(args) -> int:
         d, system = _load_derivation(args)
         pf = P.map_derivation(_to_mult(d, system))
     else:
-        with open(args.file) as fh:
-            pf = proof_from_obj(json.load(fh))
+        pf = proof_from_obj(_read_file(args.file))
     steps = 0
     for steps, hit in enumerate(P.special_steps(pf, args.fuel), 1):
         pf = hit.result
@@ -242,7 +250,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(exc, file=sys.stderr)
         return EXIT_PARSE
     except (T.DerivationError, P.ProofError) as exc:

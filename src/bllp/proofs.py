@@ -11,6 +11,12 @@ formula occurrence is eventually cut and 0 when the occurrence reaches the
 root. That value (its fate) is known top-down, and substituting a constant
 commutes with + and ×, so `weight` uses the fate from the start, in one
 walk from the root that keeps no variables.
+
+A special cut is exposed by commuting the rules above it, then fired.
+Commuting a rule only moves it: the cut moves onto the premise that holds
+its formula, and the rule is rebuilt below it. Both, and every ancestor of
+a rewritten subproof, are rebuilt by `_rebuild`, which reads from one table
+which data fields of a rule hold positions in a premise.
 """
 
 from __future__ import annotations
@@ -573,14 +579,6 @@ def _map_deriv(d) -> tuple[Proof, dict]:
 # -- malleability -----------------------------------------------------------------------
 
 
-def _inv(node: Proof, which: int, concl_pos: int) -> int:
-    lay = layout(node)[which]
-    hits = [i for i, tgt in enumerate(lay) if tgt == concl_pos]
-    if len(hits) != 1:
-        raise ProofError(f"position {concl_pos} has no unique premise origin")
-    return hits[0]
-
-
 def _set_concl(p: Proof, idx: int, value: LF) -> Proof:
     seq = list(p.concl)
     seq[idx] = value
@@ -599,10 +597,7 @@ def m_subtype(p: Proof, idx: int, target: LF) -> Proof:
         # auxiliary doors only need target ⊑ concl ⊑ replicated premise
         return _set_concl(p, idx, target)
     if idx not in created(p):
-        which = next(
-            w for w, lay in enumerate(layout(p)) if idx in lay
-        )
-        src = _inv(p, which, idx)
+        which, src = _origin(p, idx)
         prem = yield (p.premises[which], src, target)
         prems = tuple(prem if w == which else q for w, q in enumerate(p.premises))
         return replace(p, premises=prems, concl=_set_concl(p, idx, target).concl)
@@ -775,7 +770,7 @@ def classify_occurrence(p: Proof, path: Path, idx: int) -> str:
     return "passive"
 
 
-Trans = dict[int, int] | None  # conclusion-position translation (None: identity)
+Trans = dict[int, int] | list | None  # position translation (None: identity)
 
 
 def _apply_trans(t: Trans, k: int) -> int:
@@ -793,49 +788,59 @@ def _origin(node: Proof, pos: int) -> tuple[int, int] | None:
     raise ProofError(f"position {pos} has no origin")
 
 
-def _refit(parent: Proof, which: int, new_child: Proof, t: Trans) -> tuple[Proof, Trans]:
-    """Rebuild a parent around a reordered premise; returns the translation."""
+# The data fields of each rule that hold positions in each premise.
+_PREMISE_FIELDS = {
+    "cut": (("left_idx",), ("right_idx",)),
+    "tensor": (("left_idx",), ("right_idx",)),
+    "par": (("left", "right"),),
+    "qc": (("left", "right"),),
+    "qd": (("idx",),),
+    "bang": (("idx",),),
+    "qw": ((),),
+    "bot": ((),),
+}
+
+
+def _rebuild(
+    parent: Proof, which: int, new_child: Proof, t: Trans, last: int | None = None
+) -> Proof:
+    """Rebuild ``parent`` over premise ``which`` replaced by ``new_child``.
+
+    ``t`` moves the premise's positions to the new one's. A ``qw`` or
+    ``bot`` puts its formula at ``last`` if given, else where it was; a
+    ``bang`` keeps its doors, permuted by ``t``.
+    """
     d = dict(parent.data)
+    for key in _PREMISE_FIELDS[parent.rule][which]:
+        d[key] = _apply_trans(t, d[key])
     prems = list(parent.premises)
     prems[which] = new_child
-    if parent.rule == "cut":
-        key = "left_idx" if which == 0 else "right_idx"
-        d[key] = _apply_trans(t, d[key])
-        node = mk_cut(prems[0], prems[1], d["left_idx"], d["right_idx"])
-    elif parent.rule == "tensor":
-        key = "left_idx" if which == 0 else "right_idx"
-        d[key] = _apply_trans(t, d[key])
-        node = mk_tensor(
-            prems[0], prems[1], d["left_idx"], d["right_idx"],
-            parent.concl[created(parent)[0]],
-        )
-    elif parent.rule in ("par", "qc"):
-        i2, j2 = _apply_trans(t, d["left"]), _apply_trans(t, d["right"])
-        out = parent.concl[created(parent)[0]]
-        mk = mk_par if parent.rule == "par" else mk_qc
-        node = mk(prems[0], i2, j2, out)
-    elif parent.rule in ("qw", "bot"):
-        out = parent.concl[created(parent)[0]]
-        mk = mk_qw if parent.rule == "qw" else mk_bot
-        node = mk(prems[0], d["idx"], out)
-    elif parent.rule == "qd":
-        i2 = _apply_trans(t, d["idx"])
-        seq = [None] * len(parent.concl)
-        for k in range(len(parent.concl)):
-            seq[_apply_trans(t, k)] = parent.concl[k]
-        node = Proof("qd", tuple(seq), (prems[0],), {**d, "idx": i2})
-    elif parent.rule == "bang":
-        i2 = _apply_trans(t, d["idx"])
-        wit = d.get("sum_witness")
-        if wit:
-            wit = {_apply_trans(t, k): v for k, v in wit.items()}
-            d["sum_witness"] = wit
-        seq = [None] * len(parent.concl)
-        for k in range(len(parent.concl)):
-            seq[_apply_trans(t, k)] = parent.concl[k]
-        node = Proof("bang", tuple(seq), (prems[0],), {**d, "idx": i2})
-    else:
-        raise ProofError(f"cannot refit a {parent.rule} node")
+    out = [parent.concl[k] for k in created(parent)]  # the formula the rule makes
+    match parent.rule:
+        case "cut":
+            return mk_cut(*prems, d["left_idx"], d["right_idx"])
+        case "tensor":
+            return mk_tensor(*prems, d["left_idx"], d["right_idx"], out[0])
+        case "par" | "qc":
+            mk = mk_par if parent.rule == "par" else mk_qc
+            return mk(new_child, d["left"], d["right"], out[0])
+        case "qw" | "bot":
+            mk = mk_qw if parent.rule == "qw" else mk_bot
+            return mk(new_child, d["idx"] if last is None else last, out[0])
+        case "qd":
+            return mk_qd(new_child, d["idx"], d["P"], d["x"], d["p"], d["y"], out[0])
+        case "bang":
+            if d.get("sum_witness"):
+                d["sum_witness"] = {_apply_trans(t, k): v for k, v in d["sum_witness"].items()}
+            seq = [None] * len(parent.concl)
+            for k, a in enumerate(parent.concl):
+                seq[_apply_trans(t, k)] = a
+            return Proof("bang", tuple(seq), (new_child,), d)
+
+
+def _refit(parent: Proof, which: int, new_child: Proof, t: Trans) -> tuple[Proof, Trans]:
+    """Rebuild a parent around a reordered premise; returns the translation."""
+    node = _rebuild(parent, which, new_child, t)
     # translation: old conclusion position -> new conclusion position
     tr: dict[int, int] = {}
     old_created = created(parent)
@@ -879,96 +884,23 @@ def _derive_trans(old: Proof, new: Proof, leaves: list[Proof]) -> Trans:
     }
 
 
-def _rebuild_parent(parent: Proof, which: int, new_child: Proof, new_pos: int) -> Proof:
-    li, ri = parent.data["left_idx"], parent.data["right_idx"]
-    if parent.rule == "cut":
-        if which == 0:
-            return mk_cut(new_child, parent.premise(1), new_pos, ri)
-        return mk_cut(parent.premise(0), new_child, li, new_pos)
-    out = parent.concl[-1]
-    if which == 0:
-        return mk_tensor(new_child, parent.premise(1), new_pos, ri, out)
-    return mk_tensor(parent.premise(0), new_child, li, new_pos, out)
-
-
 def _hoist(parent: Proof, which: int) -> tuple[Proof, Trans, Path]:
     """Commute the last rule of one premise below a cut or tensor node.
 
-    Returns the rewritten subtree, the conclusion translation, and the new
-    relative path of the (relocated) parent node.
+    The parent moves onto the child's premise ``w`` that holds its active
+    formula, and the child is rebuilt over it; a ``qw`` or ``bot`` puts its
+    formula last. Returns the rewritten subtree, the conclusion
+    translation, and the new relative path ``(w,)`` of the parent.
     """
     child = parent.premises[which]
-    other = parent.premises[1 - which]
-    pa = parent.data["left_idx"] if which == 0 else parent.data["right_idx"]
-    match child.rule:
-        case "par" | "qc":
-            i, j = child.data["left"], child.data["right"]
-            src = _inv(child, 0, pa)
-            inner = _rebuild_parent(parent, which, child.premise(0), src)
-            i2 = layout(inner)[which][i]
-            j2 = layout(inner)[which][j]
-            out = child.concl[created(child)[0]]
-            mk = mk_par if child.rule == "par" else mk_qc
-            node = mk(inner, i2, j2, out)
-            leaves = [child.premise(0), other]
-            rel: Path = (0,)
-        case "qw" | "bot":
-            src = _inv(child, 0, pa)
-            inner = _rebuild_parent(parent, which, child.premise(0), src)
-            mk = mk_qw if child.rule == "qw" else mk_bot
-            node = mk(inner, len(inner.concl), child.concl[created(child)[0]])
-            leaves = [child.premise(0), other]
-            rel = (0,)
-        case "qd":
-            src = _inv(child, 0, pa)
-            d = child.data
-            inner = _rebuild_parent(parent, which, child.premise(0), src)
-            i2 = layout(inner)[which][d["idx"]]
-            node = mk_qd(
-                inner, i2, d["P"], d["x"], d["p"], d["y"], child.concl[d["idx"]]
-            )
-            leaves = [child.premise(0), other]
-            rel = (0,)
-        case "cut":
-            al, ar = child.data["left_idx"], child.data["right_idx"]
-            lay = layout(child)
-            if pa in lay[0]:
-                src = _inv(child, 0, pa)
-                inner = _rebuild_parent(parent, which, child.premise(0), src)
-                node = mk_cut(
-                    inner, child.premise(1), layout(inner)[which][al], ar
-                )
-                rel = (0,)
-            else:
-                src = _inv(child, 1, pa)
-                inner = _rebuild_parent(parent, which, child.premise(1), src)
-                node = mk_cut(
-                    child.premise(0), inner, al, layout(inner)[which][ar]
-                )
-                rel = (1,)
-            leaves = [child.premise(0), child.premise(1), other]
-        case "tensor":
-            ti, tj = child.data["left_idx"], child.data["right_idx"]
-            out = child.concl[-1]
-            lay = layout(child)
-            if pa in lay[0]:
-                src = _inv(child, 0, pa)
-                inner = _rebuild_parent(parent, which, child.premise(0), src)
-                node = mk_tensor(
-                    inner, child.premise(1), layout(inner)[which][ti], tj, out
-                )
-                rel = (0,)
-            else:
-                src = _inv(child, 1, pa)
-                inner = _rebuild_parent(parent, which, child.premise(1), src)
-                node = mk_tensor(
-                    child.premise(0), inner, ti, layout(inner)[which][tj], out
-                )
-                rel = (1,)
-            leaves = [child.premise(0), child.premise(1), other]
-        case _:
-            raise ProofError(f"cannot commute a {child.rule} node")
-    return node, _derive_trans(parent, node, leaves), rel
+    if child.rule in ("ax", "one", "bang"):
+        raise ProofError(f"cannot commute a {child.rule} node")
+    pa = parent.data["left_idx" if which == 0 else "right_idx"]
+    w, src = _origin(child, pa)
+    inner = _rebuild(parent, which, child.premises[w], {pa: src})
+    node = _rebuild(child, w, inner, layout(inner)[which], len(inner.concl))
+    leaves = [*child.premises, parent.premises[1 - which]]
+    return node, _derive_trans(parent, node, leaves), (w,)
 
 
 def _introduces(node: Proof, idx: int) -> bool:
@@ -1097,10 +1029,9 @@ def _fire_dereliction(node: Proof) -> tuple[Proof, Trans]:
         if k != bi:
             sigma = m_subtype(sigma, k, right.concl[k])
     inner = sigma.concl[bi]
-    pd = left.premise(0)
-    src = _inv(left, 0, li)
-    lam2 = m_subtype(pd, src, lf_neg(inner))
-    reduct = mk_cut(sigma, lam2, bi, src)
+    pd = left.premise(0)  # a dereliction keeps its positions
+    lam2 = m_subtype(pd, li, lf_neg(inner))
+    reduct = mk_cut(sigma, lam2, bi, li)
     n_o = len(pd.concl) - 1
     n_m = len(right.concl) - 1
     tr = {k: n_m + k for k in range(n_o)}

@@ -172,41 +172,27 @@ def print_poly(q: R.Poly) -> str:
 # -- formulas ------------------------------------------------------------------
 
 
-def _parse_bound(p: _Parser) -> tuple[str, R.Poly]:
-    """The ``{x<p}`` or ``{p}`` piece of a modality."""
-    p.expect("{")
+def _parse_bound(p: _Parser, close: str) -> tuple[str, R.Poly]:
+    """``x<p``, ``_<p`` or ``p``, then ``close``: the bound of a modality
+    ``{x<p}``, of an arrow ``-[x<p]->`` or of a labelled formula ``[x<p]``."""
     save = p.i
+    binder = F.VACUOUS
     if p.peek().kind == "ident" and p.peek().text not in KEYWORDS:
-        v = p.next().text
-        if p.eat("<"):
-            bound = _parse_poly(p)
-            p.expect("}")
-            return v, bound
-        p.i = save
-    if p.eat("_"):
+        binder = p.next().text
+        if not p.eat("<"):
+            p.i = save
+            binder = F.VACUOUS
+    elif p.eat("_"):
         p.expect("<")
-        bound = _parse_poly(p)
-        p.expect("}")
-        return F.VACUOUS, bound
     bound = _parse_poly(p)
-    p.expect("}")
-    return F.VACUOUS, bound
+    p.expect(close)
+    return binder, bound
 
 
 def _parse_formula(p: _Parser) -> F.Formula:
     left = _parse_par(p)
     if p.eat("-["):
-        save = p.i
-        binder = F.VACUOUS
-        if p.peek().kind == "ident" and p.peek().text not in KEYWORDS:
-            binder = p.next().text
-            if not p.eat("<"):
-                p.i = save
-                binder = F.VACUOUS
-        elif p.eat("_"):
-            p.expect("<")
-        bound = _parse_poly(p)
-        p.expect("]->")
+        binder, bound = _parse_bound(p, "]->")
         right = _parse_formula(p)
         return F.arrow(left, binder, bound, right)
     return left
@@ -245,11 +231,13 @@ def _parse_atom_formula(p: _Parser) -> F.Formula:
         return F.negate(_parse_atom_formula(p))
     if t.text == "!":
         p.next()
-        v, bound = _parse_bound(p)
+        p.expect("{")
+        v, bound = _parse_bound(p, "}")
         return F.Bang(v, bound, _parse_atom_formula(p))
     if t.text == "?":
         p.next()
-        v, bound = _parse_bound(p)
+        p.expect("{")
+        v, bound = _parse_bound(p, "}")
         return F.WhyNot(v, bound, _parse_atom_formula(p))
     if t.kind == "ident" and t.text not in KEYWORDS:
         p.next()
@@ -314,17 +302,7 @@ def _parse_lf(p: _Parser) -> F.LF:
     f = _parse_formula(p)
     p.expect(">")
     p.expect("[")
-    save = p.i
-    binder = F.VACUOUS
-    if p.peek().kind == "ident" and p.peek().text not in KEYWORDS:
-        binder = p.next().text
-        if not p.eat("<"):
-            p.i = save
-            binder = F.VACUOUS
-    elif p.eat("_"):
-        p.expect("<")
-    label = _parse_poly(p)
-    p.expect("]")
+    binder, label = _parse_bound(p, "]")
     return F.lf(f, binder, label)
 
 

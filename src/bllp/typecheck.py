@@ -236,10 +236,6 @@ def _check_var_conditions(entry: LF, ty: LF) -> list[str]:
     return errs
 
 
-def _decompose_arrow_lf(a: LF) -> tuple[F.Formula, str, Poly, F.Formula] | None:
-    return arrow_parts(a.formula)
-
-
 def _validate(d: Derivation, system: str) -> list[str]:
     errs = _judgment_errors(d.concl)
     j = d.concl
@@ -274,7 +270,7 @@ def _validate(d: Derivation, system: str) -> list[str]:
             if not isinstance(j.subject, Lam):
                 return errs + ["abs subject must be a λ-abstraction"]
             x = j.subject.var
-            parts = _decompose_arrow_lf(j.type)
+            parts = arrow_parts(j.type.formula)
             if parts is None:
                 return errs + ["abs type must be an arrow"]
             n_f, z, s, m_f = parts
@@ -307,7 +303,7 @@ def _validate(d: Derivation, system: str) -> list[str]:
                 return errs + ["app subject must be an application"]
             if not (L.alpha_eq(jt.subject, j.subject.fn) and L.alpha_eq(ju.subject, j.subject.arg)):
                 errs.append("premise subjects do not match the application")
-            parts = _decompose_arrow_lf(jt.type)
+            parts = arrow_parts(jt.type.formula)
             if parts is None:
                 return errs + ["function premise must have an arrow type"]
             n_f, xhat, phat, m_f = parts

@@ -13,8 +13,12 @@ pre-order listing of the cuts outside every box.
 The rest are the plain recursive rewriters that ``bllp.proofs`` runs on
 ``stack_safe`` or as loops: each recurses through its own name, ``erase``
 nests one tuple per node, and ``_splice`` also returns the translation of
-the root's conclusion, which no caller reads.  The tests check that both
-give the same proofs from the same state of the global name supplies.
+the root's conclusion, which no caller reads.  ``_refit`` and ``_hoist``
+are the former per-rule commutations: ``_refit`` has one branch per rule,
+and ``_hoist`` one case per commuted rule over ``_rebuild_parent`` and
+``_inv``, where ``bllp.proofs`` rebuilds every rule through one table.  The
+tests check that both give the same proofs from the same state of the
+global name supplies.
 """
 
 from __future__ import annotations
@@ -40,9 +44,9 @@ from bllp.proofs import (
     Proof,
     ProofError,
     Trans,
-    _inv,
+    _apply_trans,
+    _derive_trans,
     _origin,
-    _refit,
     _relabel,
     _set_concl,
     _shift_lf,
@@ -288,6 +292,14 @@ def _map_deriv(d) -> tuple[Proof, dict]:
     raise ProofError(f"cannot map rule {d.rule!r}")
 
 
+def _inv(node: Proof, which: int, concl_pos: int) -> int:
+    lay = layout(node)[which]
+    hits = [i for i, tgt in enumerate(lay) if tgt == concl_pos]
+    if len(hits) != 1:
+        raise ProofError(f"position {concl_pos} has no unique premise origin")
+    return hits[0]
+
+
 def m_subtype(p: Proof, idx: int, target: LF) -> Proof:
     """Replace a conclusion formula by a ⊑-smaller one, structure intact."""
     cur = p.concl[idx]
@@ -426,6 +438,64 @@ def _parsplit(p: Proof, pos: int, s: Poly) -> Proof:
     raise ProofError(f"{p.rule} cannot appear in a tensor tree")
 
 
+def _refit(parent: Proof, which: int, new_child: Proof, t: Trans) -> tuple[Proof, Trans]:
+    """Rebuild a parent around a reordered premise; returns the translation."""
+    d = dict(parent.data)
+    prems = list(parent.premises)
+    prems[which] = new_child
+    if parent.rule == "cut":
+        key = "left_idx" if which == 0 else "right_idx"
+        d[key] = _apply_trans(t, d[key])
+        node = mk_cut(prems[0], prems[1], d["left_idx"], d["right_idx"])
+    elif parent.rule == "tensor":
+        key = "left_idx" if which == 0 else "right_idx"
+        d[key] = _apply_trans(t, d[key])
+        node = mk_tensor(
+            prems[0], prems[1], d["left_idx"], d["right_idx"],
+            parent.concl[created(parent)[0]],
+        )
+    elif parent.rule in ("par", "qc"):
+        i2, j2 = _apply_trans(t, d["left"]), _apply_trans(t, d["right"])
+        out = parent.concl[created(parent)[0]]
+        mk = mk_par if parent.rule == "par" else mk_qc
+        node = mk(prems[0], i2, j2, out)
+    elif parent.rule in ("qw", "bot"):
+        out = parent.concl[created(parent)[0]]
+        mk = mk_qw if parent.rule == "qw" else mk_bot
+        node = mk(prems[0], d["idx"], out)
+    elif parent.rule == "qd":
+        i2 = _apply_trans(t, d["idx"])
+        seq = [None] * len(parent.concl)
+        for k in range(len(parent.concl)):
+            seq[_apply_trans(t, k)] = parent.concl[k]
+        node = Proof("qd", tuple(seq), (prems[0],), {**d, "idx": i2})
+    elif parent.rule == "bang":
+        i2 = _apply_trans(t, d["idx"])
+        wit = d.get("sum_witness")
+        if wit:
+            wit = {_apply_trans(t, k): v for k, v in wit.items()}
+            d["sum_witness"] = wit
+        seq = [None] * len(parent.concl)
+        for k in range(len(parent.concl)):
+            seq[_apply_trans(t, k)] = parent.concl[k]
+        node = Proof("bang", tuple(seq), (prems[0],), {**d, "idx": i2})
+    else:
+        raise ProofError(f"cannot refit a {parent.rule} node")
+    # translation: old conclusion position -> new conclusion position
+    tr: dict[int, int] = {}
+    old_created = created(parent)
+    new_created = created(node)
+    for o in range(len(parent.concl)):
+        org = _origin(parent, o)
+        if org is None:
+            tr[o] = new_created[old_created.index(o)]
+        else:
+            w, k = org
+            k2 = _apply_trans(t, k) if w == which else k
+            tr[o] = layout(node)[w][k2]
+    return node, tr
+
+
 def _splice(p: Proof, path: Path, node: Proof, t: Trans) -> tuple[Proof, Trans]:
     """Replace the subproof at ``path`` and refit every ancestor."""
     if not path:
@@ -458,3 +528,95 @@ def _tensor_purge_path(p: Proof) -> Path | None:
                 return (w,) + sub
         return None
     return ()
+
+
+def _rebuild_parent(parent: Proof, which: int, new_child: Proof, new_pos: int) -> Proof:
+    li, ri = parent.data["left_idx"], parent.data["right_idx"]
+    if parent.rule == "cut":
+        if which == 0:
+            return mk_cut(new_child, parent.premise(1), new_pos, ri)
+        return mk_cut(parent.premise(0), new_child, li, new_pos)
+    out = parent.concl[-1]
+    if which == 0:
+        return mk_tensor(new_child, parent.premise(1), new_pos, ri, out)
+    return mk_tensor(parent.premise(0), new_child, li, new_pos, out)
+
+
+def _hoist(parent: Proof, which: int) -> tuple[Proof, Trans, Path]:
+    """Commute the last rule of one premise below a cut or tensor node.
+
+    Returns the rewritten subtree, the conclusion translation, and the new
+    relative path of the (relocated) parent node.
+    """
+    child = parent.premises[which]
+    other = parent.premises[1 - which]
+    pa = parent.data["left_idx"] if which == 0 else parent.data["right_idx"]
+    match child.rule:
+        case "par" | "qc":
+            i, j = child.data["left"], child.data["right"]
+            src = _inv(child, 0, pa)
+            inner = _rebuild_parent(parent, which, child.premise(0), src)
+            i2 = layout(inner)[which][i]
+            j2 = layout(inner)[which][j]
+            out = child.concl[created(child)[0]]
+            mk = mk_par if child.rule == "par" else mk_qc
+            node = mk(inner, i2, j2, out)
+            leaves = [child.premise(0), other]
+            rel: Path = (0,)
+        case "qw" | "bot":
+            src = _inv(child, 0, pa)
+            inner = _rebuild_parent(parent, which, child.premise(0), src)
+            mk = mk_qw if child.rule == "qw" else mk_bot
+            node = mk(inner, len(inner.concl), child.concl[created(child)[0]])
+            leaves = [child.premise(0), other]
+            rel = (0,)
+        case "qd":
+            src = _inv(child, 0, pa)
+            d = child.data
+            inner = _rebuild_parent(parent, which, child.premise(0), src)
+            i2 = layout(inner)[which][d["idx"]]
+            node = mk_qd(
+                inner, i2, d["P"], d["x"], d["p"], d["y"], child.concl[d["idx"]]
+            )
+            leaves = [child.premise(0), other]
+            rel = (0,)
+        case "cut":
+            al, ar = child.data["left_idx"], child.data["right_idx"]
+            lay = layout(child)
+            if pa in lay[0]:
+                src = _inv(child, 0, pa)
+                inner = _rebuild_parent(parent, which, child.premise(0), src)
+                node = mk_cut(
+                    inner, child.premise(1), layout(inner)[which][al], ar
+                )
+                rel = (0,)
+            else:
+                src = _inv(child, 1, pa)
+                inner = _rebuild_parent(parent, which, child.premise(1), src)
+                node = mk_cut(
+                    child.premise(0), inner, al, layout(inner)[which][ar]
+                )
+                rel = (1,)
+            leaves = [child.premise(0), child.premise(1), other]
+        case "tensor":
+            ti, tj = child.data["left_idx"], child.data["right_idx"]
+            out = child.concl[-1]
+            lay = layout(child)
+            if pa in lay[0]:
+                src = _inv(child, 0, pa)
+                inner = _rebuild_parent(parent, which, child.premise(0), src)
+                node = mk_tensor(
+                    inner, child.premise(1), layout(inner)[which][ti], tj, out
+                )
+                rel = (0,)
+            else:
+                src = _inv(child, 1, pa)
+                inner = _rebuild_parent(parent, which, child.premise(1), src)
+                node = mk_tensor(
+                    child.premise(0), inner, ti, layout(inner)[which][tj], out
+                )
+                rel = (1,)
+            leaves = [child.premise(0), child.premise(1), other]
+        case _:
+            raise ProofError(f"cannot commute a {child.rule} node")
+    return node, _derive_trans(parent, node, leaves), rel

@@ -46,6 +46,29 @@ def test_unknown_entry_is_one_line_and_exit_3(capsys, command):
     assert capsys.readouterr() == ("", "unknown corpus entry 'nope'\n")
 
 
+@pytest.mark.parametrize("command", ["check", "cut-eliminate"])
+@pytest.mark.parametrize("what", ["truncated", "directory", "missing"])
+def test_unreadable_file_is_one_line_and_exit_3(tmp_path, capsys, command, what):
+    path = tmp_path / "input.json"
+    if what == "truncated":
+        path.write_text('{"format": "bllp-')
+    elif what == "directory":
+        path.mkdir()
+    assert run(command, "--file", str(path)) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    if what == "truncated":
+        assert err == "parse error: at offset 11: Unterminated string starting at\n"
+    else:
+        assert str(path) in err
+
+
+def test_unwritable_out_is_one_line_and_exit_3(tmp_path, capsys):
+    assert run("cut-eliminate", "--entry", "church-1-app", "--out", str(tmp_path)) == 3
+    out, err = capsys.readouterr()
+    assert out == "steps: 8\n" and len(err.splitlines()) == 1 and str(tmp_path) in err
+
+
 def test_reduce_counts(capsys):
     assert run("reduce", "--entry", "kappa-callcc") == 0
     out = capsys.readouterr().out

@@ -1,4 +1,5 @@
-"""The stack-safe rewriters give exactly what the plain recursive ones gave.
+"""The stack-safe rewriters give exactly what the plain recursive ones gave,
+and the one-table commutation what the former per-rule one gave.
 
 ``typecheck_oracle`` and ``proofs_oracle`` keep the former definitions.
 Library code calls its rewriters through module globals, so patching the
@@ -21,7 +22,7 @@ from bllp import respoly as R
 from bllp import typecheck as T
 from bllp.formula import lf
 from bllp.respoly import const, pvar
-from bllp.syntax import derivation_to_obj, proof_to_obj
+from bllp.syntax import derivation_to_obj, parse_formula, proof_to_obj
 
 # (module, attribute, the former definition)
 FORMER = [
@@ -44,6 +45,8 @@ FORMER = [
     (P, "_tensor_purge_path", PO._tensor_purge_path),
     (P, "_splice", lambda *args: PO._splice(*args)[0]),
     (P, "_source_key", PO._source_key),
+    (P, "_hoist", PO._hoist),
+    (P, "_refit", PO._refit),
 ]
 
 
@@ -129,6 +132,135 @@ def test_pipeline_output_equals_the_recursive_definitions(name, monkeypatch):
         return _pipeline(DERIVATIONS[name])
 
     new = run()
+    with monkeypatch.context() as patch:
+        for module, attr, fn in FORMER:
+            patch.setattr(module, attr, fn)
+        old = run()
+    assert new == old
+
+
+def _at(f: F.Formula, label=1) -> F.LF:
+    return lf(f, F.VACUOUS, label)
+
+
+def _ax(name: str, label=1) -> P.Proof:
+    neg = _at(F.NegAtom(name), label)
+    return P.mk_ax((_at(F.Atom(name), label), neg), neg)
+
+
+def _cut_right(right: P.Proof) -> P.Proof:
+    """``right`` cut on its positive formula against an axiom."""
+    return P.mk_cut(_ax("X"), right, 1, P.positives(right.concl)[0])
+
+
+def _tensor_cut(left: P.Proof, right: P.Proof) -> P.Proof:
+    """A contraction of ``~V par ~W`` cut against ``left * right``: exposing it
+    purges the rule that keeps ``left * right`` from being a tensor tree."""
+    pf = P.mk_one(_at(F.ONE_F))
+    par = F.Par(F.NegAtom("V"), F.NegAtom("W"))
+    pf = P.mk_qc(P.mk_qw(P.mk_qw(pf, 1, _at(par)), 2, _at(par)), 1, 2, _at(par, 2))
+    li, ri = P.positives(left.concl)[0], P.positives(right.concl)[0]
+    tens = P.mk_tensor(left, right, li, ri, _at(F.Tensor(F.Atom("V"), F.Atom("W")), 2))
+    return P.mk_cut(pf, tens, 1, len(tens.concl) - 1)
+
+
+def _derelicted() -> P.Proof:
+    why = _at(F.WhyNot(F.VACUOUS, const(1), F.Atom("X")))
+    return P.mk_qd(_ax("X"), 0, F.Atom("X"), F.VACUOUS, const(1), F.VACUOUS, why)
+
+
+def _boxed_cut() -> P.Proof:
+    """A box over a cut whose left weakening commutes below it."""
+    bang = F.Bang(F.VACUOUS, const(1), F.NegAtom("X"))
+    inner = P.mk_bang(_derelicted(), 1, _at(bang, pvar("q")), {})
+    left = P.mk_qw(P.mk_qw(_derelicted(), 2, F.lf_neg(inner.concl[1])), 3, _at(F.NegAtom("W")))
+    return P.mk_bang(P.mk_cut(left, inner, 2, 1), 1, _at(bang, pvar("r")), {})
+
+
+def _witnessed_box() -> P.Proof:
+    """A box with a witnessed door that the commutation below moves."""
+    fam = lf(parse_formula("?{w<u + y} V"), "u", const(1))
+    dual = lf(parse_formula("!{w<u + y} ~V"), "u", const(1))
+    why = lf(F.WhyNot("u", const(1), dual.formula), F.VACUOUS, const(1))
+    qd = P.mk_qd(P.mk_ax((fam, dual), fam), 1, dual.formula, "u", const(1), F.VACUOUS, why)
+    left = P.mk_qw(P.mk_qw(qd, 2, _at(F.NegAtom("X"))), 0, _at(F.NegAtom("W")))
+    cut = P.mk_cut(left, _ax("X"), 3, 0)
+    body = cut.concl[2]
+    out = lf(F.Bang(body.binder, body.label, body.formula), "y", pvar("q"))
+    return P.mk_bang(cut, 2, out, {}, witnesses={1: (parse_formula("?{w<x} V"), "x")})
+
+
+_W, _BOT = _at(F.NegAtom("W")), _at(F.BOTTOM)
+_BOTS = P.mk_bot(P.mk_bot(_ax("X"), 2, _BOT), 3, _BOT)
+_BOX = _boxed_cut()
+# name: (proof, path of the cut to expose, hoists (parent rule, premise, child
+# rule) and refitted rules the exposure must reach)
+COMMUTED = {
+    "right-qw": (_cut_right(P.mk_qw(_ax("X"), 2, _W)), (), {("cut", 1, "qw")}),
+    "right-bot": (_cut_right(P.mk_bot(_ax("X"), 0, _BOT)), (), {("cut", 1, "bot")}),
+    "right-par": (
+        _cut_right(P.mk_par(_BOTS, 2, 3, _at(F.Par(F.BOTTOM, F.BOTTOM)))),
+        (),
+        {("cut", 1, "par"), "par"},
+    ),
+    "right-qc": (
+        _cut_right(P.mk_qc(P.mk_qw(P.mk_qw(_ax("X"), 2, _W), 3, _W), 2, 3, _at(F.NegAtom("W"), 2))),
+        (),
+        {("cut", 1, "qc")},
+    ),
+    "right-cut": (_cut_right(P.mk_cut(_ax("X"), _ax("X"), 1, 0)), (), {("cut", 1, "cut")}),
+    "tensor-left": (
+        _tensor_cut(P.mk_qw(_ax("V", 2), 2, _W), _ax("W", 2)),
+        (),
+        {("tensor", 0, "qw"), ("cut", 1, "qw")},
+    ),
+    "tensor-right": (
+        _tensor_cut(_ax("V", 2), P.mk_bot(_ax("W", 2), 2, _BOT)),
+        (),
+        {("tensor", 1, "bot"), ("cut", 1, "bot")},
+    ),
+    "box": (_BOX, (0,), {("cut", 0, "qw"), "bang"}),
+    "box-empty-witness": (
+        P.Proof("bang", _BOX.concl, _BOX.premises, {"idx": 1, "sum_witness": {}}),
+        (0,),
+        {"bang"},
+    ),
+    "box-witnessed": (_witnessed_box(), (0,), {"bang"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMUTED))
+def test_commutations_no_derivation_reaches_equal_the_former_definitions(name, monkeypatch):
+    """Hoists from the right premise of a cut, below a tensor and inside a
+    box, which no mapped derivation makes, against the former ``_hoist`` and
+    ``_refit``: the exposed proof and the normal form, exactly."""
+    pf, path, reach = COMMUTED[name]
+    assert P.check_proof(pf).ok
+    start = next(L._gen), next(R._counter)
+
+    def run() -> list:
+        L._gen, R._counter = itertools.count(start[0]), itertools.count(start[1])
+        exposed = P.expose_logical(pf, path)
+        assert P.check_proof(exposed).ok
+        nf, steps, _ = P.normalize(pf)
+        return [proof_to_obj(exposed), proof_to_obj(nf), steps]
+
+    seen = set()
+    hoist, refit = P._hoist, P._refit
+
+    def spy_hoist(parent, which):
+        seen.add((parent.rule, which, parent.premises[which].rule))
+        return hoist(parent, which)
+
+    def spy_refit(parent, which, child, t):
+        seen.add(parent.rule)
+        return refit(parent, which, child, t)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(P, "_hoist", spy_hoist)
+        patch.setattr(P, "_refit", spy_refit)
+        new = run()
+    assert reach <= seen
     with monkeypatch.context() as patch:
         for module, attr, fn in FORMER:
             patch.setattr(module, attr, fn)

@@ -131,6 +131,16 @@ def test_parse_error_offsets():
         parse_poly("bin(x, y)")
     with pytest.raises(ParseError):
         parse_formula("V **")
+    # a malformed binder before a bound: in a modality, an arrow and a label
+    for parse, src, offset, message in [
+        (parse_formula, "?{_ p} V", 4, "expected '<', found 'p'"),
+        (parse_formula, "~X -[v<]-> ~Y", 7, "expected a polynomial, found ']->'"),
+        (parse_lf, "<bot>[q<1", 9, "expected ']', found 'end of input'"),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert exc.value.offset == offset
+        assert str(exc.value) == f"at offset {offset}: {message}"
 
 
 def test_arrow_sugar():
