@@ -232,8 +232,9 @@ def _rewrite(t: Term, kind: str, name: str, u) -> Term:
 
 def _rebind(scope: tuple[dict, dict, set], x: str, y: str, at_x, at_y) -> None:
     """Bind ``x`` on the left and ``y`` on the right of ``scope`` to the
-    binder numbers ``at_x`` and ``at_y`` (``None`` unbinds), and keep its
-    set of the names the two sides bind differently up to date."""
+    binder numbers ``at_x`` and ``at_y`` (``None`` unbinds, and on the right
+    a name restores a renaming), and keep its set of the names the two
+    sides read differently up to date."""
     left, right, differ = scope
     for side, name, at in ((left, x, at_x), (right, y, at_y)):
         if at is None:
@@ -247,23 +248,45 @@ def _rebind(scope: tuple[dict, dict, set], x: str, y: str, at_x, at_y) -> None:
             differ.add(name)
 
 
-def alpha_eq(t: Term, u: Term) -> bool:
+def alpha_eq(
+    t: Term,
+    u: Term,
+    lam_renaming: dict[str, str] | None = None,
+    mu_renaming: dict[str, str] | None = None,
+) -> bool:
     """α-equivalence, decided by one pairwise walk that builds no term.
 
     Both terms are walked in step, and the k-th binder entered on one side
     pairs with the k-th on the other.  Each side maps a bound name to the
     number of its binder (λ- and μ-names in separate maps), so two
     occurrences match when both point at paired binders, or both are free
-    with the same name.  The walk also keeps the names the two sides bind
+    with the same name.  The walk also keeps the names the two sides read
     differently, so a subterm shared by both sides (``a is b``) is decided
     without entering it: equal exactly when none of its free names is in
     that set.  Binders are undone on an explicit stack, so a term of any
     depth is walked without recursion.
+
+    ``lam_renaming`` and ``mu_renaming`` rename free λ- and μ-names of
+    ``u``: the answer is that of ``alpha_eq(t, u')`` where ``u'`` is ``u``
+    with each free ``x`` replaced by ``renaming[x]`` by :func:`subst` or
+    :func:`rename_mvar`, but ``u'`` is never built.  A renamed name starts
+    out in ``u``'s map with its new name as value, so a binder of ``u``
+    shadows it and a free occurrence reads the new name.  A binder of ``t``
+    maps to a number, never to a name, so an occurrence of the new name
+    that ``t`` binds does not match, just as :func:`subst` would have
+    renamed that binder away.
     """
-    if t is u:
+    renames = lam_renaming or mu_renaming
+    if t is u and not renames:
         return True
     lam: tuple[dict, dict, set] = ({}, {}, set())
     mu: tuple[dict, dict, set] = ({}, {}, set())
+    if renames:
+        for scope, renaming in ((lam, lam_renaming), (mu, mu_renaming)):
+            for x, y in (renaming or {}).items():
+                if x != y:
+                    scope[1][x] = y
+                    scope[2].add(x)
     binders = 0
     # Entries are a pair of subterms, or (None, binder to undo).
     stack: list = [(t, u)]

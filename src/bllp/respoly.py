@@ -14,6 +14,12 @@ result once, at the end, so apart from that one sort its cost is linear
 in the number of monomial products it forms.  There is no module-level
 cache: each result is computed from its arguments alone.
 
+``bounded_sum`` has a closed form for a body free of the summation
+variable: ``Σ_{z<h} A = h · A``, and when ``h`` or ``A`` is a constant
+that product is the other polynomial with scaled coefficients, so it forms
+no monomial product and sorts nothing.  Only a body that mentions ``z``
+goes through the binomial-basis substitution.
+
 The order ``poly_leq`` builds nothing: equal operands return at once, and
 otherwise one merge walk over the two sorted term tuples looks up each
 coefficient of p in q.  ``sub_checked`` is the difference itself, for
@@ -348,15 +354,50 @@ def compose(p: Poly, var: VarId, q: Poly) -> Poly:
     return _substitute(p, var, q, 0)
 
 
+def mentions(p: Poly, var: VarId) -> bool:
+    """Whether some monomial of ``p`` has a factor in ``var``."""
+    for m, _ in p.terms:
+        for v, _ in m.factors:
+            if v == var:
+                return True
+    return False
+
+
+def _constant(p: Poly) -> int | None:
+    """The value of ``p`` if it is a constant, else None."""
+    if not p.terms:
+        return 0
+    (m, c), *rest = p.terms
+    return None if rest or m.factors else c
+
+
+def _scale(p: Poly, k: int) -> Poly:
+    """``k · p`` for an integer ``k >= 0``: the monomials and their order stay."""
+    if k == 1:
+        return p
+    return Poly(tuple((m, c * k) for m, c in p.terms)) if k else ZERO
+
+
 def bounded_sum(z: VarId, bound: Poly, body: Poly) -> Poly:
     """Canonical form of ``sum over z < bound of body``.
 
-    Rewrites ``body`` in the binomial basis of ``z`` and maps
-    ``choose(z, n)`` to ``choose(bound, n+1)``.
+    A body that does not mention ``z`` is the same in every summand, so the
+    sum is ``bound · body``; when either factor is a constant the product
+    only scales the other's coefficients.  Otherwise ``body`` is rewritten
+    in the binomial basis of ``z`` and ``choose(z, n)`` maps to
+    ``choose(bound, n+1)``.
     """
-    if z in bound.free_vars():
+    if mentions(bound, z):
         raise ValueError(f"sum variable {z!r} occurs in its own bound")
-    return _substitute(body, z, bound, 1)
+    if mentions(body, z):
+        return _substitute(body, z, bound, 1)
+    k = _constant(bound)
+    if k is not None:
+        return _scale(body, k)
+    k = _constant(body)
+    if k is not None:
+        return _scale(bound, k)
+    return mul(body, bound)
 
 
 def sub_checked(q: Poly, p: Poly) -> Poly | None:

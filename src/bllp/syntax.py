@@ -8,6 +8,7 @@ identity up to α-renaming and polynomial canonicalisation.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import formula as F
@@ -544,19 +545,34 @@ def derivation_to_obj(d, system: str) -> dict:
     return {"format": DERIVATION_FORMAT, "version": FORMAT_VERSION, "system": system, "tree": tree}
 
 
+def _check_header(obj, fmt: str, what: str) -> None:
+    if not isinstance(obj, dict) or obj.get("format") != fmt:
+        raise ParseError(0, f"not a {what} file")
+    if obj.get("version") != FORMAT_VERSION:
+        raise ParseError(0, f"unsupported {what} format version {obj.get('version')!r}")
+
+
+@contextmanager
+def _shape_errors(what: str):
+    """Turn the errors of reading a JSON value of the wrong shape (a missing
+    field, a list where an object belongs) into a :class:`ParseError`."""
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(0, f"malformed {what} file: {type(exc).__name__}: {exc}") from None
+
+
 def derivation_from_obj(obj: dict):
     from .typecheck import Derivation
 
-    if obj.get("format") != DERIVATION_FORMAT:
-        raise ParseError(0, "not a derivation file")
-    if obj.get("version") != FORMAT_VERSION:
-        raise ParseError(0, f"unsupported derivation format version {obj.get('version')!r}")
-    tree = _map_tree(
-        obj["tree"],
-        lambda x: x.get("premises", []),
-        lambda x: (x["rule"], judgment_from_obj(x["judgment"]), _ann_from_obj(x.get("ann", {}))),
-        lambda head, premises: Derivation(head[0], head[1], tuple(premises), head[2]),
-    )
+    _check_header(obj, DERIVATION_FORMAT, "derivation")
+    with _shape_errors("derivation"):
+        tree = _map_tree(
+            obj["tree"],
+            lambda x: x.get("premises", []),
+            lambda x: (x["rule"], judgment_from_obj(x["judgment"]), _ann_from_obj(x.get("ann", {}))),
+            lambda head, premises: Derivation(head[0], head[1], tuple(premises), head[2]),
+        )
     return tree, obj.get("system", "additive")
 
 
@@ -575,11 +591,7 @@ def proof_to_obj(p) -> dict:
 def proof_from_obj(obj: dict):
     from .proofs import Proof
 
-    if obj.get("format") != PROOF_FORMAT:
-        raise ParseError(0, "not a proof file")
-    if obj.get("version") != FORMAT_VERSION:
-        raise ParseError(0, f"unsupported proof format version {obj.get('version')!r}")
-
+    _check_header(obj, PROOF_FORMAT, "proof")
     # Each distinct formula text is parsed once per call, so equal sequent
     # entries come back as one object.
     lfs: dict[str, F.LF] = {}
@@ -606,9 +618,10 @@ def proof_from_obj(obj: dict):
                 out[k] = {int(i): (parse_formula(b), binder) for i, (b, binder) in v.items()}
         return out
 
-    return _map_tree(
-        obj["tree"],
-        lambda x: x.get("premises", []),
-        lambda x: (x["rule"], tuple(lf_of(s) for s in x["sequent"]), data_from(x.get("data", {}))),
-        lambda head, premises: Proof(head[0], head[1], tuple(premises), head[2]),
-    )
+    with _shape_errors("proof"):
+        return _map_tree(
+            obj["tree"],
+            lambda x: x.get("premises", []),
+            lambda x: (x["rule"], tuple(lf_of(s) for s in x["sequent"]), data_from(x.get("data", {}))),
+            lambda head, premises: Proof(head[0], head[1], tuple(premises), head[2]),
+        )

@@ -102,14 +102,28 @@ class Report:
 
     @classmethod
     def walk(cls, root, node_errors) -> "Report":
-        """Check every node of a tree with ``.premises`` by ``node_errors``."""
+        """Check every node of a tree with ``.premises`` by ``node_errors``.
+
+        The walk keeps the premise indices from the root to the current
+        node in one list, so a node's path is spelled out only when it has
+        errors.
+        """
         errors: list[tuple[str, str]] = []
-        stack = [(root, "root")]
+        trail: list[int] = []
+        # Entries: (node, its depth, its index among its siblings).
+        stack = [(root, 0, 0)]
         while stack:
-            node, path = stack.pop()
-            errors.extend((path, msg) for msg in node_errors(node))
-            kids = [(q, f"{path}.{i}") for i, q in enumerate(node.premises)]
-            stack.extend(reversed(kids))
+            node, depth, i = stack.pop()
+            if depth:
+                del trail[depth - 1 :]
+                trail.append(i)
+            msgs = node_errors(node)
+            if msgs:
+                path = "root" + "".join(f".{k}" for k in trail)
+                errors.extend((path, msg) for msg in msgs)
+            kids = node.premises
+            for k in range(len(kids) - 1, -1, -1):
+                stack.append((kids[k], depth + 1, k))
         return cls(errors)
 
     @property
@@ -424,11 +438,11 @@ def _validate(d: Derivation, system: str) -> list[str]:
             other = "mu" if side == "lam" else "lam"
             if not ctx_eq(getattr(j, other), getattr(p0, other)):
                 errs.append("contraction must preserve the other context")
-            if rule == "c_lam":
-                renamed = L.subst(L.subst(p0.subject, x1, Var(z)), x2, Var(z))
-            else:
-                renamed = L.rename_mvar(L.rename_mvar(p0.subject, x1, z), x2, z)
-            if not L.alpha_eq(j.subject, renamed):
+            # The subject is the premise's with x1 and x2 renamed to z,
+            # decided without building that renamed term.
+            renaming = {x1: z, x2: z}
+            lam_ren, mu_ren = (renaming, None) if rule == "c_lam" else (None, renaming)
+            if not L.alpha_eq(j.subject, p0.subject, lam_ren, mu_ren):
                 errs.append("contraction must rename the subject accordingly")
             if not lf_alpha_eq(j.type, p0.type):
                 errs.append("contraction must preserve the type")

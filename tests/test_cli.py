@@ -63,6 +63,39 @@ def test_unreadable_file_is_one_line_and_exit_3(tmp_path, capsys, command, what)
         assert str(path) in err
 
 
+@pytest.mark.parametrize(
+    "command, kind", [("check", "derivation"), ("cut-eliminate", "proof")]
+)
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ([], "not a {kind} file"),
+        ("text", "not a {kind} file"),
+        ({"format": "bllp-{kind}", "version": 1}, "malformed {kind} file: KeyError: 'tree'"),
+        (
+            {"format": "bllp-{kind}", "version": 1, "tree": []},
+            "malformed {kind} file: AttributeError: 'list' object has no attribute 'get'",
+        ),
+        (
+            {"format": "bllp-{kind}", "version": 1, "tree": {"rule": "ax"}},
+            "malformed {kind} file: KeyError: '{field}'",
+        ),
+    ],
+)
+def test_json_of_the_wrong_shape_is_one_parse_error_and_exit_3(
+    tmp_path, capsys, command, kind, value, message
+):
+    field = "judgment" if kind == "derivation" else "sequent"
+    if isinstance(value, dict):
+        value = {k: v.format(kind=kind) if k == "format" else v for k, v in value.items()}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(value))
+    assert run(command, "--file", str(path)) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"parse error: at offset 0: {message.format(kind=kind, field=field)}\n"
+
+
 def test_unwritable_out_is_one_line_and_exit_3(tmp_path, capsys):
     assert run("cut-eliminate", "--entry", "church-1-app", "--out", str(tmp_path)) == 3
     out, err = capsys.readouterr()

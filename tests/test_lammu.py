@@ -528,6 +528,88 @@ def test_alpha_eq_of_a_shared_body_under_renamed_binders():
     assert alpha_eq(Lam("x", Lam("x", body)), Lam("y", Lam("x", body)))
 
 
+# -- α-equality up to a renaming of free names -----------------------------------
+
+LNAMES = ("x", "y", "z", "w")
+MNAMES = ("a", "b", "c")
+
+
+def _renaming_cases(u, rename, data, names):
+    """Terms to compare with ``u`` under the renaming ``{x1: z, x2: z}``: the
+    renamed term itself (it shares every subterm the renaming leaves alone),
+    a near miss renamed to another name, an α-variant and unrelated terms."""
+    x1, x2, z, other = (data.draw(st.sampled_from(names)) for _ in range(4))
+    renamed = rename(rename(u, x1, z), x2, z)
+    counter = iter(range(10**6))
+    cases = [
+        renamed,
+        u,
+        rename(rename(u, x1, other), x2, z),
+        _renamed(renamed, lambda name: f"r{next(counter)}"),
+        _renamed(renamed, lambda name: data.draw(st.sampled_from(names))),
+        data.draw(terms(3, LNAMES, MNAMES)),
+    ]
+    return {x1: z, x2: z}, renamed, cases
+
+
+@settings(max_examples=300)
+@given(terms(4, LNAMES, MNAMES), st.data())
+def test_alpha_eq_up_to_a_lambda_renaming_agrees_with_substituting(u, data):
+    renaming, renamed, cases = _renaming_cases(
+        u, lambda t, x, z: subst(t, x, Var(z)), data, LNAMES
+    )
+    for t in cases:
+        want = alpha_eq(t, renamed)
+        assert want == O.alpha_eq(t, renamed)
+        assert alpha_eq(t, u, lam_renaming=renaming) == want
+        assert alpha_eq(t, u, mu_renaming=renaming) == alpha_eq(t, u)
+    assert alpha_eq(renamed, u, lam_renaming=renaming)
+
+
+@settings(max_examples=300)
+@given(terms(4, LNAMES, MNAMES), st.data())
+def test_alpha_eq_up_to_a_mu_renaming_agrees_with_renaming(u, data):
+    renaming, renamed, cases = _renaming_cases(u, L.rename_mvar, data, MNAMES)
+    for t in cases:
+        want = alpha_eq(t, renamed)
+        assert want == O.alpha_eq(t, renamed)
+        assert alpha_eq(t, u, mu_renaming=renaming) == want
+    assert alpha_eq(renamed, u, mu_renaming=renaming)
+
+
+def test_alpha_eq_up_to_a_renaming_hand_cases():
+    ren = {"x1": "z", "x2": "z"}
+    # A binder z of the left side above a renamed occurrence: substituting
+    # would rename the right side's binder away, so z is bound on one side only.
+    assert not alpha_eq(T(r"\z. z"), T(r"\y. x1"), ren)
+    assert not alpha_eq(T(r"\z. z"), T(r"\z. x1"), ren)
+    assert alpha_eq(T(r"\w. z"), T(r"\z. x1"), ren)
+    assert alpha_eq(T(r"\w. w z"), T(r"\z. z x2"), ren)
+    # A subterm shared by both sides holding x1: renamed on the right only,
+    # unless a binder of x1 on both sides binds it.
+    s = App(Var("x1"), Var("w"))
+    assert not alpha_eq(Lam("y", s), Lam("y", s), ren)
+    assert not alpha_eq(s, s, ren)
+    assert alpha_eq(s, s, {"x1": "x1"})
+    assert alpha_eq(Lam("x1", s), Lam("x1", s), ren)
+    assert not alpha_eq(Lam("q", s), Lam("x1", s), ren)
+    assert alpha_eq(App(Var("z"), Var("w")), s, ren)
+    # x1 is the target name itself.
+    assert alpha_eq(T("z z"), T("z x2"), {"z": "z", "x2": "z"})
+    assert not alpha_eq(T("z x2"), T("z x2"), {"z": "z", "x2": "z"})
+    # x1 bound inside the right side: only its free occurrences are renamed.
+    assert alpha_eq(T(r"\q. q"), T(r"\x1. x1"), ren)
+    assert not alpha_eq(T(r"\q. z"), T(r"\x1. x1"), ren)
+    assert alpha_eq(T(r"z (\q. q)"), T(r"x1 (\x1. x1)"), ren)
+    # μ-names: the same cases through the μ-maps; λ-names are untouched.
+    mren = {"a1": "c", "a2": "c"}
+    assert alpha_eq(T("[c] [c] y"), T("[a1] [a2] y"), mu_renaming=mren)
+    assert not alpha_eq(T("mu c. [c] y"), T("mu b. [a1] y"), mu_renaming=mren)
+    assert alpha_eq(T("mu d. [c] y"), T("mu c. [a1] y"), mu_renaming=mren)
+    assert alpha_eq(T("mu d. [d] y"), T("mu a1. [a1] y"), mu_renaming=mren)
+    assert not alpha_eq(T("[c] y"), T("[a1] y"), lam_renaming=mren)
+
+
 def _with_recursion_room(fn, *args):
     """``fn(*args)`` with a raised recursion limit, on a thread with a large stack."""
     out = []

@@ -608,6 +608,40 @@ def test_checker_rejects_malformed_nodes():
     assert check_proof(P.mk_qc(wk, 1, 2, lf(X, VACUOUS, 2))).ok
 
 
+def test_duality_checks_fall_back_to_alpha_equality_and_subtyping():
+    """The cut and axiom checks first compare with the built-free dual walk;
+    an α-variant of the dual, or a positive side strictly below it, is
+    still accepted through the comparison with the negation."""
+    ax = mk_ax((lf(F.Atom("X"), F.VACUOUS, 1), lf(X, F.VACUOUS, 2)), lf(X, F.VACUOUS, 2))
+    assert not F.lf_dual(ax.data["witness"], ax.concl[0]) and check_proof(ax).ok
+    pf = mapped("kappa")
+    cuts, stack = [], [pf]
+    while stack:
+        q = stack.pop()
+        stack.extend(q.premises)
+        if q.rule == "cut":
+            f = q.premise(1).concl[q.data["right_idx"]].formula
+            if isinstance(f, F.Tensor) and isinstance(f.left, F.Bang):
+                cuts.append(q)
+    cut = cuts[0]
+    left = cut.premise(0).concl[cut.data["left_idx"]]
+    ri = cut.data["right_idx"]
+    right = cut.premise(1)
+    dual = right.concl[ri]
+    bang = dual.formula.left
+    assert bang.var == F.VACUOUS
+
+    def with_right(bound, var):
+        new = F.Tensor(F.Bang(var, bound, bang.body), dual.formula.right)
+        concl = right.concl[:ri] + (LF(new, dual.binder, dual.label),) + right.concl[ri + 1 :]
+        return Proof("cut", cut.concl, (cut.premise(0), Proof(right.rule, concl, right.premises, right.data)), cut.data)
+
+    variant = with_right(bang.bound, "q")  # a binder with no occurrence: α-equal
+    assert not F.lf_dual(left, variant.premise(1).concl[ri])
+    assert P._node_errors(cut) == P._node_errors(variant) == []
+    assert P._node_errors(with_right(R.const(2), "q")) == ["cut formulas are not dual at the same label"]
+
+
 def test_normalize_reports_exhaustion_distinctly():
     cut = mk_cut(one_bot_proof(), mk_one(lf(F.ONE_F, F.VACUOUS, 1)), 1, 0)
     nf, steps, exhausted = normalize(cut, fuel=0)

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bllp import respoly
 from bllp.respoly import (
     ONE,
     ZERO,
@@ -143,6 +144,51 @@ def test_bounded_sum_matches_brute_force():
     total = bounded_sum(Z, bound, body)
     for env in envs_for(add(pvar(X), pvar(Y)), 0, 6):
         assert eval_poly(total, env) == brute_eval_sum(Z, bound, body, env)
+
+
+bounds = st.one_of(
+    polys(vars=(X, Y), max_terms=2, max_degree=2),
+    st.integers(0, 4).map(const),
+)
+
+
+@settings(max_examples=120)
+@given(polys(vars=(X, Y), max_terms=2, max_degree=2), bounds)
+def test_bounded_sum_of_a_body_free_of_the_sum_variable_is_the_closed_form(body, bound):
+    """Σ_{z<h} A = h · A; the binomial-basis substitution is the reference."""
+    total = bounded_sum(Z, bound, body)
+    assert total.terms == respoly._substitute(body, Z, bound, 1).terms
+    for env in envs_for(add(pvar(X), pvar(Y)), 0, 3):
+        assert eval_poly(total, env) == brute_eval_sum(Z, bound, body, env)
+    assert bounded_sum(Z, ZERO, body) == ZERO == bounded_sum(Z, bound, ZERO)
+
+
+def test_bounded_sum_with_a_constant_factor_forms_no_product(monkeypatch):
+    body = add(mul(binom(X, 2), pvar(Y)), const(3))
+    expected = {
+        "constant bound": (const(4), body, mul(const(4), body)),
+        "constant body": (add(pvar(X), const(2)), const(5), add(mul(const(5), pvar(X)), const(10))),
+        "symbolic": (pvar(X), body, mul(body, pvar(X))),
+        "z in the body": (pvar(Y), binom(Z, 1), binom(Y, 2)),
+    }
+    calls = {"_substitute": 0, "_add_product": 0}
+    for name in calls:
+        real = getattr(respoly, name)
+
+        def counted(*a, name=name, real=real):
+            calls[name] += 1
+            return real(*a)
+
+        monkeypatch.setattr(respoly, name, counted)
+    seen = {}
+    for case, (bound, summand, want) in expected.items():
+        assert bounded_sum(Z, bound, summand) == want, case
+        seen[case] = dict(calls)
+        calls.update(dict.fromkeys(calls, 0))
+    assert bounded_sum(Z, const(1), body) is body
+    assert seen["constant bound"] == seen["constant body"] == {"_substitute": 0, "_add_product": 0}
+    assert seen["symbolic"]["_substitute"] == 0 < seen["symbolic"]["_add_product"]
+    assert seen["z in the body"]["_substitute"] == 1
 
 
 # -- compose ------------------------------------------------------------------

@@ -335,6 +335,72 @@ def test_derivations_and_proofs_share_one_checker_and_its_paths():
     )
 
 
+def _former_walk(root, node_errors) -> list[tuple[str, str]]:
+    """The report walk that spelled out every node's path: the reference."""
+    errors = []
+    stack = [(root, "root")]
+    while stack:
+        node, path = stack.pop()
+        errors.extend((path, msg) for msg in node_errors(node))
+        kids = [(q, f"{path}.{i}") for i, q in enumerate(node.premises)]
+        stack.extend(reversed(kids))
+    return errors
+
+
+def test_report_paths_of_a_deep_failing_tree_equal_the_former_walk():
+    from bllp import proofs
+
+    d = C.church_applied_derivation(40)
+    m = add_to_mult(d)
+
+    def validate(system):
+        return lambda node: T._validate(node, system)
+
+    # Checked in the other system, almost every node of either tree fails.
+    for tree, report, system in ((d, check_mult, "multiplicative"), (m, check_additive, "additive")):
+        got = report(tree)
+        assert got.errors == _former_walk(tree, validate(system))
+        assert len(got.errors) > 40
+    deep = _deep_chain(150)  # 301 rules deep, failing only at its leaf
+    deep = _replace_node(deep, (0,) * 300, rule="bogus")
+    got = check_mult(deep)
+    assert got.errors == _former_walk(deep, validate("multiplicative"))
+    assert str(got) == "root" + ".0" * 300 + ": rule 'bogus' not part of the multiplicative system"
+    pf = proofs.map_derivation(m)
+    pf = _replace_node(pf, (1, 0), rule="bogus")
+    assert proofs.check_proof(pf).errors == _former_walk(pf, proofs._node_errors)
+    assert proofs.check_proof(pf).errors[0][0] == "root.1.0"
+
+
+def test_the_checkers_neither_substitute_nor_rebuild_subjects(monkeypatch):
+    """On church-16 the pipeline's bounded sums all have a closed form, and
+    the contraction check decides the renamed subject without building it."""
+    from bllp import proofs
+
+    calls: dict[str, int] = {}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(R, "_substitute")
+    d = C.church_applied_derivation(16)
+    assert check_additive(d).ok
+    m = add_to_mult(d)
+    pf = proofs.map_derivation(m)
+    assert proofs.check_proof(pf).ok
+    spy(L, "subst")
+    spy(L, "rename_mvar")
+    assert check_mult(m).ok
+    assert calls == {}
+    assert any(node.rule in ("c_lam", "c_mu") for node in _nodes(m))
+
+
 # -- stack safety ---------------------------------------------------------------------
 
 
