@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import respoly
-from .respoly import Poly, VarId, bounded_sum, compose, fresh_var, mentions, poly_leq, pvar
+from .respoly import Poly, VarId, bounded_sum, compose, fresh_var, poly_leq, pvar
 
 VACUOUS = "_"
 
@@ -121,33 +121,6 @@ def free_rvars(f: Formula) -> set[VarId]:
         case Bang(x, p, n) | WhyNot(x, p, n):
             return p.free_vars() | (free_rvars(n) - {x})
     raise TypeError(f)
-
-
-def _free_among(f: Formula, names: tuple[VarId, ...]) -> set[VarId]:
-    """The members of ``names`` that occur free in ``f``.
-
-    One walk on an explicit stack, carrying the names still looked for
-    below each node: a binder drops its own name.  Unlike
-    :func:`free_rvars` it builds no set per node.
-    """
-    found: set[VarId] = set()
-    todo = [(f, names)]
-    while todo:
-        f, look = todo.pop()
-        cls = type(f)
-        if cls is Tensor or cls is Par:
-            todo.append((f.right, look))
-            todo.append((f.left, look))
-        elif cls is Bang or cls is WhyNot:
-            for m, _ in f.bound.terms:
-                for v, _ in m.factors:
-                    if v in look:
-                        found.add(v)
-            if f.var in look:
-                look = tuple(v for v in look if v != f.var)
-            if look:
-                todo.append((f.body, look))
-    return found
 
 
 def subst_poly(f: Formula, var: VarId, q: Poly) -> Formula:
@@ -270,45 +243,6 @@ def lf_neg(a: LF) -> LF:
     return LF(negate(a.formula), a.binder, a.label)
 
 
-_DUAL = {
-    Atom: NegAtom,
-    NegAtom: Atom,
-    One: Bottom,
-    Bottom: One,
-    Tensor: Par,
-    Par: Tensor,
-    Bang: WhyNot,
-    WhyNot: Bang,
-}
-
-
-def lf_dual(a: LF, b: LF) -> bool:
-    """Whether ``b == lf_neg(a)``, by one walk that builds nothing.
-
-    The walk flips the polarity of ``a`` as it goes and compares binders
-    and bounds by name, so ``False`` may still be α-equal to the dual.
-    """
-    if a.binder != b.binder or a.label != b.label:
-        return False
-    todo = [(a.formula, b.formula)]
-    while todo:
-        f, g = todo.pop()
-        cls = type(f)
-        if type(g) is not _DUAL[cls]:
-            return False
-        if cls is Atom or cls is NegAtom:
-            if f.name != g.name:
-                return False
-        elif cls is Tensor or cls is Par:
-            todo.append((f.right, g.right))
-            todo.append((f.left, g.left))
-        elif cls is Bang or cls is WhyNot:
-            if f.var != g.var or f.bound != g.bound:
-                return False
-            todo.append((f.body, g.body))
-    return True
-
-
 def lf_positive(a: LF) -> bool:
     return is_positive(a.formula)
 
@@ -392,10 +326,10 @@ def lf_bounded_sum(
     own binder; otherwise the witness supplies the base formula and its
     binder, and the defining shift equation is verified.
     """
-    if mentions(bound, z):
+    if z in bound.free_vars():
         raise ShapeMismatch(f"sum variable {z!r} occurs in the bound")
     if witness is None:
-        fv = _free_among(fam.formula, (z, fam.binder))
+        fv = free_rvars(fam.formula)
         if z in fv:
             raise ShapeMismatch(
                 f"family formula mentions sum variable {z!r}: witness needed"
@@ -404,8 +338,8 @@ def lf_bounded_sum(
             raise ShapeMismatch("family formula mentions its binder: witness needed")
         return LF(fam.formula, VACUOUS, bounded_sum(z, bound, fam.label))
     base, base_binder = witness
-    binder = () if fam.binder in (VACUOUS, base_binder) else (fam.binder,)
-    if _free_among(base, (z, *binder)):
+    fvn = free_rvars(base)
+    if z in fvn or (fam.binder != VACUOUS and fam.binder in fvn - {base_binder}):
         raise ShapeMismatch("witness violates the freeness side conditions")
     u = fresh_var("u")
     prefix = bounded_sum(u, pvar(z), compose(fam.label, z, pvar(u)))

@@ -33,7 +33,6 @@ from .formula import (
     lf,
     lf_alpha_eq,
     lf_bounded_sum,
-    lf_dual,
     lf_leq,
     lf_neg,
     lf_positive,
@@ -175,7 +174,7 @@ def _node_errors(p: Proof) -> list[str]:
                     errs.append("axiom witness must be negative")
                 if not lf_leq(neg, w):
                     errs.append("negative conclusion is not below the witness")
-                if not (lf_dual(w, seq[pos[0]]) or lf_leq(seq[pos[0]], lf_neg(w))):
+                if not lf_leq(seq[pos[0]], lf_neg(w)):
                     errs.append("positive conclusion is not below the dual witness")
             case "one":
                 if len(seq) != 1 or not isinstance(seq[0].formula, F.One):
@@ -186,7 +185,7 @@ def _node_errors(p: Proof) -> list[str]:
                 cutf = lseq[li]
                 if lf_positive(cutf):
                     errs.append("left cut formula must be negative")
-                if not (lf_dual(cutf, rseq[ri]) or lf_alpha_eq(lf_neg(cutf), rseq[ri])):
+                if not lf_alpha_eq(lf_neg(cutf), rseq[ri]):
                     errs.append("cut formulas are not dual at the same label")
                 if positives(tuple(a for k, a in enumerate(rseq) if k != ri)):
                     errs.append("right cut context must be all negative")

@@ -14,11 +14,12 @@ result once, at the end, so apart from that one sort its cost is linear
 in the number of monomial products it forms.  There is no module-level
 cache: each result is computed from its arguments alone.
 
-``bounded_sum`` has a closed form for a body free of the summation
-variable: ``Σ_{z<h} A = h · A``, and when ``h`` or ``A`` is a constant
-that product is the other polynomial with scaled coefficients, so it forms
-no monomial product and sorts nothing.  Only a body that mentions ``z``
-goes through the binomial-basis substitution.
+``mul`` with a constant factor scales the other factor's coefficients, so
+it forms no monomial product and sorts nothing.  ``bounded_sum`` has a
+closed form for a body free of the summation variable:
+``Σ_{z<h} A = h · A``, a product whose one factor is a constant in every
+sum the checkers form.  Only a body that mentions ``z`` goes through the
+binomial-basis substitution.
 
 The order ``poly_leq`` builds nothing: equal operands return at once, and
 otherwise one merge walk over the two sorted term tuples looks up each
@@ -229,7 +230,31 @@ def _add_product(table: dict[Mono, int], m1: Mono, m2: Mono, coeff: int) -> None
         table[m] = table.get(m, 0) + c
 
 
+def _constant(p: Poly) -> int | None:
+    """The value of ``p`` if it is a constant, else None."""
+    if not p.terms:
+        return 0
+    if len(p.terms) > 1:
+        return None
+    m, c = p.terms[0]
+    return None if m.factors else c
+
+
+def _scale(p: Poly, k: int) -> Poly:
+    """``k · p`` for an integer ``k >= 0``: the monomials and their order stay."""
+    if k == 1:
+        return p
+    return Poly(tuple((m, c * k) for m, c in p.terms)) if k else ZERO
+
+
 def mul(p: Poly, q: Poly) -> Poly:
+    """``p · q``; a constant factor only scales the other's coefficients."""
+    k = _constant(q)
+    if k is not None:
+        return _scale(p, k)
+    k = _constant(p)
+    if k is not None:
+        return _scale(q, k)
     table: dict[Mono, int] = {}
     for m1, c1 in p.terms:
         for m2, c2 in q.terms:
@@ -363,41 +388,16 @@ def mentions(p: Poly, var: VarId) -> bool:
     return False
 
 
-def _constant(p: Poly) -> int | None:
-    """The value of ``p`` if it is a constant, else None."""
-    if not p.terms:
-        return 0
-    (m, c), *rest = p.terms
-    return None if rest or m.factors else c
-
-
-def _scale(p: Poly, k: int) -> Poly:
-    """``k · p`` for an integer ``k >= 0``: the monomials and their order stay."""
-    if k == 1:
-        return p
-    return Poly(tuple((m, c * k) for m, c in p.terms)) if k else ZERO
-
-
 def bounded_sum(z: VarId, bound: Poly, body: Poly) -> Poly:
     """Canonical form of ``sum over z < bound of body``.
 
     A body that does not mention ``z`` is the same in every summand, so the
-    sum is ``bound · body``; when either factor is a constant the product
-    only scales the other's coefficients.  Otherwise ``body`` is rewritten
-    in the binomial basis of ``z`` and ``choose(z, n)`` maps to
-    ``choose(bound, n+1)``.
+    sum is ``bound · body``.  Otherwise ``body`` is rewritten in the
+    binomial basis of ``z`` and ``choose(z, n)`` maps to ``choose(bound, n+1)``.
     """
     if mentions(bound, z):
         raise ValueError(f"sum variable {z!r} occurs in its own bound")
-    if mentions(body, z):
-        return _substitute(body, z, bound, 1)
-    k = _constant(bound)
-    if k is not None:
-        return _scale(body, k)
-    k = _constant(body)
-    if k is not None:
-        return _scale(bound, k)
-    return mul(body, bound)
+    return _substitute(body, z, bound, 1) if mentions(body, z) else mul(body, bound)
 
 
 def sub_checked(q: Poly, p: Poly) -> Poly | None:

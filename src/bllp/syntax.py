@@ -8,7 +8,6 @@ identity up to α-renaming and polynomial canonicalisation.
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import formula as F
@@ -39,6 +38,8 @@ class Token:
 
 
 def tokenize(src: str) -> list[Token]:
+    if not isinstance(src, str):
+        raise ParseError(0, f"expected text, found {_json_name(src)}")
     out = []
     pos = 0
     while pos < len(src):
@@ -477,10 +478,10 @@ def judgment_from_obj(obj: dict):
     from .typecheck import Judgment
 
     return Judgment(
-        tuple((x, parse_lf(s)) for x, s in obj["lam"]),
-        parse_term(obj["subject"]),
-        parse_lf(obj["type"]),
-        tuple((x, parse_lf(s)) for x, s in obj["mu"]),
+        tuple((x, parse_lf(s)) for x, s in _context(obj, "lam")),
+        parse_term(_field(obj, "subject", str, "derivation")),
+        parse_lf(_field(obj, "type", str, "derivation")),
+        tuple((x, parse_lf(s)) for x, s in _context(obj, "mu")),
     )
 
 
@@ -552,27 +553,76 @@ def _check_header(obj, fmt: str, what: str) -> None:
         raise ParseError(0, f"unsupported {what} format version {obj.get('version')!r}")
 
 
-@contextmanager
-def _shape_errors(what: str):
-    """Turn the errors of reading a JSON value of the wrong shape (a missing
-    field, a list where an object belongs) into a :class:`ParseError`."""
-    try:
-        yield
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(0, f"malformed {what} file: {type(exc).__name__}: {exc}") from None
+_JSON_NAMES = {
+    dict: "an object",
+    list: "an array",
+    str: "a string",
+    int: "a number",
+    float: "a number",
+    bool: "a boolean",
+    type(None): "null",
+}
+
+
+def _json_name(value) -> str:
+    return _JSON_NAMES.get(type(value), type(value).__name__)
+
+
+def _field(node, key: str, kind: type, what: str, default=None):
+    """``node[key]`` in a ``what`` file, checked to be a JSON value of type
+    ``kind``; ``default``, when given, stands for an absent key.  The
+    readers take a node apart only through this, so a file of the wrong
+    shape is a :class:`ParseError` before any of it is parsed or built."""
+    if not isinstance(node, dict):
+        raise ParseError(0, f"malformed {what} file: {_json_name(node)} where an object belongs")
+    if key not in node:
+        if default is None:
+            raise ParseError(0, f"malformed {what} file: no {key!r}")
+        return default
+    value = node[key]
+    if not isinstance(value, kind):
+        raise ParseError(
+            0, f"malformed {what} file: {key!r} is {_json_name(value)}, not {_JSON_NAMES[kind]}"
+        )
+    return value
+
+
+def _array(node, key: str, what: str, item_ok, item: str) -> list:
+    """The array ``node[key]`` of a ``what`` file, each of whose entries
+    must satisfy ``item_ok``; ``item`` names such an entry in the error."""
+    entries = _field(node, key, list, what)
+    for x in entries:
+        if not item_ok(x):
+            raise ParseError(0, f"malformed {what} file: {key!r} holds {_json_name(x)}, not {item}")
+    return entries
+
+
+def _context(judgment: dict, key: str) -> list:
+    """A judgment's ``lam`` or ``mu`` context, an array of [name, type] pairs."""
+    return _array(
+        judgment,
+        key,
+        "derivation",
+        lambda x: isinstance(x, list) and len(x) == 2 and isinstance(x[0], str),
+        "a [name, type] pair",
+    )
 
 
 def derivation_from_obj(obj: dict):
     from .typecheck import Derivation
 
-    _check_header(obj, DERIVATION_FORMAT, "derivation")
-    with _shape_errors("derivation"):
-        tree = _map_tree(
-            obj["tree"],
-            lambda x: x.get("premises", []),
-            lambda x: (x["rule"], judgment_from_obj(x["judgment"]), _ann_from_obj(x.get("ann", {}))),
-            lambda head, premises: Derivation(head[0], head[1], tuple(premises), head[2]),
-        )
+    what = "derivation"
+    _check_header(obj, DERIVATION_FORMAT, what)
+    tree = _map_tree(
+        _field(obj, "tree", dict, what),
+        lambda x: _field(x, "premises", list, what, []),
+        lambda x: (
+            _field(x, "rule", str, what),
+            judgment_from_obj(_field(x, "judgment", dict, what)),
+            _ann_from_obj(_field(x, "ann", dict, what, {})),
+        ),
+        lambda head, premises: Derivation(head[0], head[1], tuple(premises), head[2]),
+    )
     return tree, obj.get("system", "additive")
 
 
@@ -591,7 +641,8 @@ def proof_to_obj(p) -> dict:
 def proof_from_obj(obj: dict):
     from .proofs import Proof
 
-    _check_header(obj, PROOF_FORMAT, "proof")
+    what = "proof"
+    _check_header(obj, PROOF_FORMAT, what)
     # Each distinct formula text is parsed once per call, so equal sequent
     # entries come back as one object.
     lfs: dict[str, F.LF] = {}
@@ -618,10 +669,13 @@ def proof_from_obj(obj: dict):
                 out[k] = {int(i): (parse_formula(b), binder) for i, (b, binder) in v.items()}
         return out
 
-    with _shape_errors("proof"):
-        return _map_tree(
-            obj["tree"],
-            lambda x: x.get("premises", []),
-            lambda x: (x["rule"], tuple(lf_of(s) for s in x["sequent"]), data_from(x.get("data", {}))),
-            lambda head, premises: Proof(head[0], head[1], tuple(premises), head[2]),
-        )
+    return _map_tree(
+        _field(obj, "tree", dict, what),
+        lambda x: _field(x, "premises", list, what, []),
+        lambda x: (
+            _field(x, "rule", str, what),
+            tuple(lf_of(s) for s in _array(x, "sequent", what, lambda s: isinstance(s, str), "a string")),
+            data_from(_field(x, "data", dict, what, {})),
+        ),
+        lambda head, premises: Proof(head[0], head[1], tuple(premises), head[2]),
+    )

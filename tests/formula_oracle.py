@@ -8,24 +8,13 @@ level, and the polynomial order is read off the checked difference
 ``bllp.respoly.poly_leq`` walks the two term tuples without building
 anything; ``bllp.formula.classify`` reads a negation off its operand by
 a polarity flag instead of building it.  The tests check that both give
-these answers.  ``bounded_sum_freeness`` is the freeness check of
-``lf_bounded_sum`` read off ``free_rvars``, and ``lf_dual`` compares with
-the built negation.
+these answers.
 """
 
 from __future__ import annotations
 
 from bllp import formula as F
-from bllp.formula import (
-    LF,
-    VACUOUS,
-    ShapeMismatch,
-    _match_binders,
-    alpha_canon,
-    free_rvars,
-    lf_neg,
-    lf_positive,
-)
+from bllp.formula import LF, ShapeMismatch, _match_binders, alpha_canon, lf_positive
 from bllp.respoly import Poly, sub_checked
 
 
@@ -86,24 +75,3 @@ def classify(f: F.Formula) -> str:
                 return "modal"
             return "neither"
     return "neither"
-
-
-def bounded_sum_freeness(z: str, fam: LF, witness: tuple[F.Formula, str] | None) -> str | None:
-    """The message ``lf_bounded_sum`` raises for a family or witness that
-    mentions a name it must not, or None: the former definition."""
-    if witness is None:
-        fv = free_rvars(fam.formula)
-        if z in fv:
-            return f"family formula mentions sum variable {z!r}: witness needed"
-        if fam.binder != VACUOUS and fam.binder in fv:
-            return "family formula mentions its binder: witness needed"
-        return None
-    base, base_binder = witness
-    fvn = free_rvars(base)
-    if z in fvn or (fam.binder != VACUOUS and fam.binder in fvn - {base_binder}):
-        return "witness violates the freeness side conditions"
-    return None
-
-
-def lf_dual(a: LF, b: LF) -> bool:
-    return lf_neg(a) == b

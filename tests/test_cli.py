@@ -5,7 +5,9 @@ import pytest
 
 from bllp import cli, machine
 from bllp import corpus as C
-from bllp.syntax import derivation_to_obj
+from bllp.proofs import map_derivation
+from bllp.syntax import derivation_to_obj, proof_to_obj
+from bllp.typecheck import add_to_mult
 
 
 def run(*argv):
@@ -71,14 +73,22 @@ def test_unreadable_file_is_one_line_and_exit_3(tmp_path, capsys, command, what)
     [
         ([], "not a {kind} file"),
         ("text", "not a {kind} file"),
-        ({"format": "bllp-{kind}", "version": 1}, "malformed {kind} file: KeyError: 'tree'"),
+        ({"format": "bllp-{kind}", "version": 1}, "malformed {kind} file: no 'tree'"),
         (
             {"format": "bllp-{kind}", "version": 1, "tree": []},
-            "malformed {kind} file: AttributeError: 'list' object has no attribute 'get'",
+            "malformed {kind} file: 'tree' is an array, not an object",
         ),
         (
             {"format": "bllp-{kind}", "version": 1, "tree": {"rule": "ax"}},
-            "malformed {kind} file: KeyError: '{field}'",
+            "malformed {kind} file: no '{field}'",
+        ),
+        (
+            {"format": "bllp-{kind}", "version": 1, "tree": {"rule": 3, "premises": {}}},
+            "malformed {kind} file: 'premises' is an object, not an array",
+        ),
+        (
+            {"format": "bllp-{kind}", "version": 1, "tree": {"rule": 3}},
+            "malformed {kind} file: 'rule' is a number, not a string",
         ),
     ],
 )
@@ -94,6 +104,56 @@ def test_json_of_the_wrong_shape_is_one_parse_error_and_exit_3(
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"parse error: at offset 0: {message.format(kind=kind, field=field)}\n"
+
+
+@pytest.mark.parametrize(
+    "command, node, message",
+    [
+        ("check", {"judgment": []}, "'judgment' is an array, not an object"),
+        (
+            "check",
+            {"judgment": {"lam": [["x"]], "subject": "x", "type": "1", "mu": []}},
+            "'lam' holds an array, not a [name, type] pair",
+        ),
+        ("check", {"judgment": {"lam": [], "subject": 7}}, "'subject' is a number, not a string"),
+        (
+            "check",
+            {"judgment": {"lam": [], "subject": "x", "type": "<1>[1]", "mu": [["a", None]]}},
+            "expected text, found null",
+        ),
+        ("cut-eliminate", {"sequent": ["<1>[1]", ["1"]]}, "'sequent' holds an array, not a string"),
+        ("cut-eliminate", {"sequent": ["<1>[1]"], "data": []}, "'data' is an array, not an object"),
+    ],
+)
+def test_a_node_field_of_the_wrong_shape_is_one_parse_error_and_exit_3(
+    tmp_path, capsys, command, node, message
+):
+    kind = "derivation" if command == "check" else "proof"
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"format": f"bllp-{kind}", "version": 1, "tree": {"rule": "ax", **node}}))
+    assert run(command, "--file", str(path)) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    if message.startswith("expected"):
+        assert err == f"parse error: at offset 0: {message}\n"
+    else:
+        assert err == f"parse error: at offset 0: malformed {kind} file: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["check", "cut-eliminate"])
+def test_a_premise_that_is_not_an_object_is_one_parse_error_and_exit_3(tmp_path, capsys, command):
+    d = C.by_name("kappa").derivation
+    if command == "check":
+        kind, obj = "derivation", derivation_to_obj(d, "additive")
+    else:
+        kind, obj = "proof", proof_to_obj(map_derivation(add_to_mult(d)))
+    obj["tree"]["premises"][-1] = "ax"
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    assert run(command, "--file", str(path)) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"parse error: at offset 0: malformed {kind} file: a string where an object belongs\n"
 
 
 def test_unwritable_out_is_one_line_and_exit_3(tmp_path, capsys):

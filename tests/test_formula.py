@@ -321,46 +321,6 @@ def test_lf_leq_polarity_mismatch_raises_on_any_operands():
         lf_leq(lf_neg(a), a)
 
 
-NAMES = ("x", "y", "z", F.VACUOUS)
-
-
-@settings(max_examples=300, deadline=None)
-@given(formulas(bounds=BINDER_BOUNDS), st.lists(st.sampled_from(NAMES), max_size=3))
-def test_free_among_is_the_free_variables_intersected(f, names):
-    assert F._free_among(f, tuple(names)) == set(names) & F.free_rvars(f)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    formulas(bounds=BINDER_BOUNDS),
-    st.sampled_from(NAMES),
-    st.sampled_from(("x", "y", "z")),
-    st.one_of(st.none(), st.tuples(formulas(bounds=BINDER_BOUNDS), st.sampled_from(NAMES))),
-)
-def test_bounded_sum_freeness_messages_equal_the_former_definition(f, binder, z, witness):
-    fam = LF(f, binder, P("1"))
-    want = O.bounded_sum_freeness(z, fam, witness)
-    try:
-        lf_bounded_sum(z, P("q"), fam, witness)
-    except ShapeMismatch as exc:
-        got = str(exc)
-    else:
-        got = None
-    if want is not None or witness is None:
-        assert got == want
-    else:  # the witnessed shift equation comes after the freeness checks
-        assert got in (None, "witness does not reproduce the family formula")
-
-
-@settings(max_examples=300, deadline=None)
-@given(lf_pairs())
-def test_lf_dual_is_equality_with_the_built_negation(pair):
-    a, b = pair
-    for x, y in ((a, b), (a, lf_neg(a)), (lf_neg(b), b), (a, lf_neg(b))):
-        assert F.lf_dual(x, y) == O.lf_dual(x, y)
-    assert F.lf_dual(a, lf_neg(a)) and F.lf_dual(lf_neg(a), a)
-
-
 @st.composite
 def typing_shapes(draw, depth=3):
     """Formulas built mostly from arrows, so every outcome of ``classify`` occurs."""

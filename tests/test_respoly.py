@@ -106,6 +106,21 @@ def test_mul_eval_homomorphic():
         assert eval_poly(mul(p, q), env) == eval_poly(p, env) * eval_poly(q, env)
 
 
+@settings(max_examples=120)
+@given(polys(), st.integers(0, 4))
+def test_mul_by_a_constant_is_repeated_addition_and_forms_no_product(p, k):
+    total = ZERO
+    for _ in range(k):
+        total = add(total, p)
+    real, calls = respoly._add_product, []
+    respoly._add_product = lambda *a: calls.append(a) or real(*a)
+    try:
+        assert mul(p, const(k)).terms == mul(const(k), p).terms == total.terms
+    finally:
+        respoly._add_product = real
+    assert calls == []
+
+
 # -- eval ---------------------------------------------------------------------
 
 def test_eval_examples():

@@ -242,6 +242,24 @@ def test_proof_format_and_version_enforced():
         proof_from_obj({**obj, "version": 99})
 
 
+def test_an_internal_error_while_reading_a_file_is_not_a_parse_error(monkeypatch):
+    """Only the shape of the JSON value is checked as input; an exception
+    raised by the parsers or constructors themselves propagates as it is."""
+    import bllp.syntax as S
+
+    d_obj = derivation_to_obj(C.by_name("kappa").derivation, "additive")
+    p_obj = proof_to_obj(map_derivation(add_to_mult(C.by_name("kappa").derivation)))
+
+    def broken(src):
+        raise TypeError("internal")
+
+    monkeypatch.setattr(S, "parse_lf", broken)
+    with pytest.raises(TypeError, match="internal"):
+        derivation_from_obj(d_obj)
+    with pytest.raises(TypeError, match="internal"):
+        proof_from_obj(p_obj)
+
+
 def test_format_version_enforced():
     obj = derivation_to_obj(C.by_name("kappa").derivation, "additive")
     obj["version"] = 99
