@@ -9,7 +9,11 @@ a variable with no occurrences.
 The comparisons ``alpha_eq``, ``lf_alpha_eq``, ``formula_leq`` and
 ``lf_leq`` return at once when their operands are equal (``==``, which also
 covers one object passed twice): α-equality contains equality and ⊑ is
-reflexive.  Only unequal operands get canonical copies or matched binders.
+reflexive.  Unequal operands are decided by one pairwise walk that reads
+each bound variable as the number of its binder pair (after de Bruijn) and
+builds a polynomial only to rename a bound that mentions one.  Only this
+module matches binders: a caller that compares two bodies under their own
+binders passes the pair of names.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import respoly
-from .respoly import Poly, VarId, bounded_sum, compose, fresh_var, poly_leq, pvar
+from .respoly import ZERO, Poly, VarId, bounded_sum, compose, fresh_var, poly_leq, pvar
 
 VACUOUS = "_"
 
@@ -147,66 +151,68 @@ def subst_poly(f: Formula, var: VarId, q: Poly) -> Formula:
     raise TypeError(f)
 
 
-def _canon(f: Formula, counter: list[int]) -> Formula:
-    """Rename binders positionally; vacuous binders become ``_``."""
-    match f:
-        case Atom() | NegAtom() | One() | Bottom():
-            return f
-        case Tensor(l, r):
-            return Tensor(_canon(l, counter), _canon(r, counter))
-        case Par(l, r):
-            return Par(_canon(l, counter), _canon(r, counter))
-        case Bang(x, p, n) | WhyNot(x, p, n):
-            cls = type(f)
-            if x != VACUOUS and x in free_rvars(n):
-                counter[0] += 1
-                x2 = f"#c{counter[0]}"
-                n = subst_poly(n, x, pvar(x2))
-            else:
-                x2 = VACUOUS
-            return cls(x2, p, _canon(n, counter))
-    raise TypeError(f)
+def alpha_eq(a: Formula, b: Formula, binders: tuple[VarId, VarId] | None = None) -> bool:
+    """α-equality; ``binders`` pairs a binder ``x`` around ``a`` with ``y``
+    around ``b`` (say, their label binders), read as one bound variable."""
+    return (binders is None or binders[0] == binders[1]) and a == b or _walk(a, b, binders, False)
 
 
-def alpha_canon(f: Formula) -> Formula:
-    return _canon(f, [0])
+def formula_leq(a: Formula, b: Formula, binders: tuple[VarId, VarId] | None = None) -> bool:
+    """Subtyping ``a ⊑ b``: same skeleton, ``!`` bounds contravariant and
+    ``?`` bounds covariant; ``binders`` as in :func:`alpha_eq`."""
+    return (binders is None or binders[0] == binders[1]) and a == b or _walk(a, b, binders, True)
 
 
-def alpha_eq(a: Formula, b: Formula) -> bool:
-    return a == b or alpha_canon(a) == alpha_canon(b)
+def _walk(a: Formula, b: Formula, binders: tuple[VarId, VarId] | None, leq: bool) -> bool:
+    """Decide :func:`alpha_eq`, or :func:`formula_leq` if ``leq``, in one pairwise walk.
+
+    The k-th binder entered on one side pairs with the k-th on the other
+    (``binders`` is pair 0), and each side reads a bound variable as the
+    name ``^k`` of its pair, which neither the parser nor ``fresh_var``
+    produces.  A bound that mentions a bound variable is renamed so by
+    ``respoly.rename``, the walk's one builder; a subformula shared by both
+    sides is skipped while the two sides read every name alike.
+    """
+    # Each side's map from a bound name to the name of its binder pair; a
+    # binder pair replaces both maps, and its undo entry restores them.
+    left, right = ({binders[0]: "^0"}, {binders[1]: "^0"}) if binders else ({}, {})
+    pairs = 1
+    # Entries are a pair of subformulas, or (None, the maps to restore).
+    stack: list = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is None:
+            left, right = b
+            continue
+        if a is b and left == right:
+            continue
+        cls = type(a)
+        if cls is not type(b):
+            return False
+        if cls is Tensor or cls is Par:
+            stack += ((a.right, b.right), (a.left, b.left))
+        elif cls is Bang or cls is WhyNot:
+            p, q = _read(a.bound, left), _read(b.bound, right)
+            ok = (poly_leq(q, p) if cls is Bang else poly_leq(p, q)) if leq else p == q
+            if not ok:
+                return False
+            stack.append((None, (left, right)))
+            left, right = {**left, a.var: f"^{pairs}"}, {**right, b.var: f"^{pairs}"}
+            pairs += 1
+            stack.append((a.body, b.body))
+        elif cls is Atom or cls is NegAtom:
+            if a.name != b.name:
+                return False
+        elif cls is not One and cls is not Bottom:
+            raise TypeError(a)
+    return True
 
 
-def formula_leq(a: Formula, b: Formula) -> bool:
-    """Subtyping ``a ⊑ b``: same skeleton, polynomials compared in place."""
-    return a == b or _formula_leq(a, b)
-
-
-def _formula_leq(a: Formula, b: Formula) -> bool:
-    match a, b:
-        case (Atom(n1), Atom(n2)) | (NegAtom(n1), NegAtom(n2)):
-            return n1 == n2
-        case (One(), One()) | (Bottom(), Bottom()):
-            return True
-        case (Tensor(l1, r1), Tensor(l2, r2)) | (Par(l1, r1), Par(l2, r2)):
-            return _formula_leq(l1, l2) and _formula_leq(r1, r2)
-        case (Bang(x1, p1, n1), Bang(x2, p2, n2)):
-            n1, n2 = _match_binders(x1, n1, x2, n2)
-            return poly_leq(p2, p1) and _formula_leq(n1, n2)
-        case (WhyNot(x1, p1, n1), WhyNot(x2, p2, n2)):
-            n1, n2 = _match_binders(x1, n1, x2, n2)
-            return poly_leq(p1, p2) and _formula_leq(n1, n2)
-    return False
-
-
-def _match_binders(x1: VarId, n1: Formula, x2: VarId, n2: Formula):
-    if x1 == x2:
-        return n1, n2
-    c = fresh_var("m")
-    if x1 != VACUOUS:
-        n1 = subst_poly(n1, x1, pvar(c))
-    if x2 != VACUOUS:
-        n2 = subst_poly(n2, x2, pvar(c))
-    return n1, n2
+def _read(p: Poly, side: dict[VarId, str]) -> Poly:
+    """``p`` with each bound variable read as the name of its binder pair."""
+    if side and not side.keys().isdisjoint(p.free_vars()):
+        return respoly.rename(p, side)
+    return p
 
 
 # -- labelled formulas --------------------------------------------------------
@@ -260,12 +266,7 @@ def lf_subst(a: LF, var: VarId, q: Poly) -> LF:
 
 
 def lf_alpha_eq(a: LF, b: LF) -> bool:
-    if a == b:
-        return True
-    if a.label != b.label:
-        return False
-    fa, fb = _match_binders(a.binder, a.formula, b.binder, b.formula)
-    return alpha_eq(fa, fb)
+    return a == b or a.label == b.label and alpha_eq(a.formula, b.formula, (a.binder, b.binder))
 
 
 def lf_leq(a: LF, b: LF) -> bool:
@@ -274,12 +275,17 @@ def lf_leq(a: LF, b: LF) -> bool:
         raise ShapeMismatch("polarity mismatch in labelled comparison")
     if a == b:
         return True
-    fa, fb = _match_binders(a.binder, a.formula, b.binder, b.formula)
-    if not formula_leq(fa, fb):
+    if not formula_leq(a.formula, b.formula, (a.binder, b.binder)):
         return False
     if lf_positive(a):
         return poly_leq(a.label, b.label)
     return poly_leq(b.label, a.label)
+
+
+def lf_instance(w: WhyNot, binder: VarId) -> LF:
+    """The instance at 0 of ``<?{x<p} P>[binder<…]``: ``<P{binder:=0}>[x<p{binder:=0}]``."""
+    bound = compose(w.bound, binder, ZERO) if binder != VACUOUS else w.bound
+    return lf(subst_poly(w.body, binder, ZERO), w.var, bound)
 
 
 def lf_shift(a: LF, new_binder: VarId) -> LF:
@@ -303,13 +309,7 @@ def lf_sum(a: LF, b: LF) -> LF:
             raise ShapeMismatch("summands differ beyond the label shift")
     else:
         expect = subst_poly(a.formula, a.binder, pvar(b.binder) + a.label)
-        got = b.formula
-        if b.binder == VACUOUS and b.binder not in free_rvars(expect):
-            ok = alpha_eq(expect, got)
-        else:
-            e, g = _match_binders(b.binder, expect, b.binder, got)
-            ok = alpha_eq(e, g)
-        if not ok:
+        if not alpha_eq(expect, b.formula):
             raise ShapeMismatch("second summand is not the shifted first")
     return LF(a.formula, a.binder, a.label + b.label)
 

@@ -16,10 +16,11 @@ iterator, also rebuilds the whole reduct and its position at every step;
 :func:`step` is the first element of :func:`trace`.
 
 Terms are immutable and each node caches its free λ- and μ-variables
-(``fv``, ``fmv``).  Substitution, μ-renaming and Parigot's structural
-μ-substitution (LPAR 1992) are one walk, :func:`_rewrite`, that rebuilds
-only the nodes above a change and shares every other subterm.  Every walk
-here runs on an explicit stack, so a term of any depth is an ordinary input.
+(``fv``, ``fmv``); ``==`` and ``hash`` read the whole structure, names
+included.  Substitution, μ-renaming and Parigot's structural μ-substitution
+(LPAR 1992) are one walk, :func:`_rewrite`, that rebuilds only the nodes
+above a change and shares every other subterm.  Every walk here runs on an
+explicit stack, so a term of any depth is an ordinary input.
 """
 
 from __future__ import annotations
@@ -42,6 +43,16 @@ class Term:
 
         return print_term(self)
 
+    def __eq__(self, other: object) -> bool:
+        """Structural equality, names included."""
+        if not isinstance(other, Term):
+            return NotImplemented
+        # No term's pre-order is a proper prefix of another's, so zip suffices.
+        return self is other or all(x == y for x, y in zip(_preorder(self), _preorder(other)))
+
+    def __hash__(self) -> int:
+        return hash(tuple(_preorder(self)))
+
     @cached_property
     def fv(self) -> frozenset[str]:
         """Free λ-variables, computed once per node."""
@@ -55,33 +66,50 @@ class Term:
         return self.__dict__["fmv"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lam(Term):
     var: str
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mu(Term):
     mvar: str
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Named(Term):
     mvar: str
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class App(Term):
     fn: Term
     arg: Term
+
+
+def _preorder(t: Term) -> Iterator[tuple[type, str | None]]:
+    """Each node's class and name (None for ``App``) in pre-order; as the
+    classes fix the arities, equal sequences are equal terms."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        cls = type(t)
+        if cls is App:
+            yield cls, None
+            stack += (t.arg, t.fn)
+        elif cls is Var:
+            yield cls, t.name
+        else:
+            yield cls, t.var if cls is Lam else t.mvar
+            stack.append(t.body)
 
 
 def app_spine(fn: Term, *args: Term) -> Term:

@@ -36,6 +36,7 @@ from .formula import (
     lf_leq,
     lf_neg,
     lf_positive,
+    lf_shift,
     lf_subst,
     lf_sum,
     negate,
@@ -197,11 +198,9 @@ def _node_errors(p: Proof) -> list[str]:
                 fo = out.formula
                 if not isinstance(fo, F.Par):
                     return errs + ["par must introduce a par formula"]
-                la, ra = F._match_binders(out.binder, fo.left, a.binder, a.formula)
-                if not F.alpha_eq(la, ra):
+                if not F.alpha_eq(fo.left, a.formula, (out.binder, a.binder)):
                     errs.append("par left component mismatch")
-                lb, rb = F._match_binders(out.binder, fo.right, b.binder, b.formula)
-                if not F.alpha_eq(lb, rb):
+                if not F.alpha_eq(fo.right, b.formula, (out.binder, b.binder)):
                     errs.append("par right component mismatch")
                 if not (poly_leq(a.label, out.label) and poly_leq(b.label, out.label)):
                     errs.append("par label must dominate both premise labels")
@@ -215,9 +214,10 @@ def _node_errors(p: Proof) -> list[str]:
                     errs.append("tensor premises must distinguish positive formulas")
                 if not isinstance(fo, F.Tensor):
                     return errs + ["tensor must introduce a tensor formula"]
-                la, ra = F._match_binders(out.binder, fo.left, a.binder, a.formula)
-                lb, rb = F._match_binders(out.binder, fo.right, b.binder, b.formula)
-                if not (F.alpha_eq(la, ra) and F.alpha_eq(lb, rb)):
+                if not (
+                    F.alpha_eq(fo.left, a.formula, (out.binder, a.binder))
+                    and F.alpha_eq(fo.right, b.formula, (out.binder, b.binder))
+                ):
                     errs.append("tensor component mismatch")
                 if not (poly_leq(out.label, a.label) and poly_leq(out.label, b.label)):
                     errs.append("tensor label must be below both premise labels")
@@ -231,9 +231,7 @@ def _node_errors(p: Proof) -> list[str]:
                 fo = out.formula
                 if not isinstance(fo, F.Bang):
                     return errs + ["bang must introduce a bang formula"]
-                want = F.Bang(body.binder, body.label, body.formula)
-                got, exp = F._match_binders(out.binder, fo, out.binder, want)
-                if not F.alpha_eq(got, exp):
+                if not F.alpha_eq(fo, F.Bang(body.binder, body.label, body.formula)):
                     errs.append("bang body mismatch")
                 wit = d.get("sum_witness", {})
                 for k, ctx in enumerate(pseq):
@@ -244,16 +242,10 @@ def _node_errors(p: Proof) -> list[str]:
                         errs.append(f"box context {k} exceeds its replicated budget")
             case "qd":
                 i = d["idx"]
-                pf, x, y, bound = d["P"], d["x"], d["y"], d["p"]
-                pseq = p.premise(0).concl
-                inner = lf(
-                    F.subst_poly(pf, y, ZERO),
-                    x,
-                    bound.subst(y, ZERO) if y != VACUOUS else bound,
-                )
-                if not lf_alpha_eq(pseq[i], inner):
+                why, y = F.WhyNot(d["x"], d["p"], d["P"]), d["y"]
+                if not lf_alpha_eq(p.premise(0).concl[i], F.lf_instance(why, y)):
                     errs.append("dereliction premise has the wrong instance shape")
-                if not lf_leq(seq[i], lf(F.WhyNot(x, bound, pf), y, ONE)):
+                if not lf_leq(seq[i], lf(why, y, ONE)):
                     errs.append("dereliction conclusion exceeds the one-use bound")
             case "qw":
                 if lf_positive(seq[d["idx"]]):
@@ -485,14 +477,10 @@ def _map_deriv(d) -> tuple[Proof, dict]:
     match d.rule:
         case "var_m":
             x, entry = j.lam[0]
-            w = entry.formula
-            z, r, pb = w.var, w.bound, w.body  # entry = <? {z<r} pb>[y<p]
-            y = entry.binder
-            r0 = r.subst(y, ZERO) if y != VACUOUS else r
-            pos_inst = lf(F.subst_poly(pb, y, ZERO), z, r0)
-            wit = lf(negate(F.subst_poly(pb, y, ZERO)), z, r0)
-            ax = mk_ax((pos_inst, j.type), wit)
-            out = mk_qd(ax, 0, pb, z, r, y, entry)
+            w = entry.formula  # entry = <?{z<r} P>[y<p]; the axiom is on its instance at 0
+            pos_inst = F.lf_instance(w, entry.binder)
+            ax = mk_ax((pos_inst, j.type), lf_neg(pos_inst))
+            out = mk_qd(ax, 0, w.body, w.var, w.bound, entry.binder, entry)
             return out, {("lam", x): 0, ("type",): 1}
         case "abs":
             prem, pos = yield (d.premise(),)
@@ -655,14 +643,6 @@ def m_subst(p: Proof, var: str, value: Poly) -> Proof:
     return Proof(p.rule, concl, tuple(premises), data)
 
 
-def _shift_lf(a: LF, new_binder: str, amount: Poly) -> LF:
-    """``<A{x/y+amount}>[y<label]`` - the formula shifted, label kept."""
-    if a.binder == VACUOUS:
-        return a
-    shifted = F.subst_poly(a.formula, a.binder, pvar(new_binder) + amount)
-    return LF(shifted, new_binder if new_binder in F.free_rvars(shifted) else VACUOUS, a.label)
-
-
 def m_split(p: Proof, r: Poly, s: Poly) -> tuple[Proof, Proof]:
     """Split a tensor tree's positive budget into ``r`` and ``s``."""
     if _tensor_purge_path(p) is not None:
@@ -688,14 +668,14 @@ def _split(p: Proof, pos: int, r: Poly, s: Poly) -> tuple[Proof, Proof]:
                 tuple(_relabel(a, r) for a in p.concl), _relabel(w, r)
             )
             sigma_concl = tuple(
-                _relabel(_shift_lf(_relabel(a, r), y, r), s) for a in p.concl
+                _relabel(lf_shift(_relabel(a, r), y), s) for a in p.concl
             )
-            sigma = mk_ax(sigma_concl, _relabel(_shift_lf(_relabel(w, r), y, r), s))
+            sigma = mk_ax(sigma_concl, _relabel(lf_shift(_relabel(w, r), y), s))
             return rho, sigma
         case "one":
             return (
                 mk_one(_relabel(p.concl[0], r)),
-                mk_one(_relabel(_shift_lf(_relabel(p.concl[0], r), y, r), s)),
+                mk_one(_relabel(lf_shift(_relabel(p.concl[0], r), y), s)),
             )
         case "tensor":
             li, ri = p.data["left_idx"], p.data["right_idx"]
@@ -703,7 +683,7 @@ def _split(p: Proof, pos: int, r: Poly, s: Poly) -> tuple[Proof, Proof]:
             r_r, r_s = yield (p.premise(1), ri, r, s)
             out = p.concl[pos]
             rho = mk_tensor(l_r, r_r, li, ri, _relabel(out, r))
-            sig_out = _relabel(_shift_lf(_relabel(out, r), y, r), s)
+            sig_out = _relabel(lf_shift(_relabel(out, r), y), s)
             sigma = mk_tensor(l_s, r_s, li, ri, sig_out)
             return rho, sigma
         case "bang":
@@ -715,7 +695,7 @@ def _split(p: Proof, pos: int, r: Poly, s: Poly) -> tuple[Proof, Proof]:
                 prem_s = m_subst(prem, out.binder, pvar(y) + r)
             else:
                 prem_s = prem
-            sig_out = _relabel(_shift_lf(_relabel(out, r), y, r), s)
+            sig_out = _relabel(lf_shift(_relabel(out, r), y), s)
             sigma = mk_bang(prem_s, i, sig_out, {}, p.data.get("sum_witness"))
             return rho, sigma
     raise ProofError(f"{p.rule} cannot appear in a tensor tree")

@@ -379,6 +379,12 @@ def compose(p: Poly, var: VarId, q: Poly) -> Poly:
     return _substitute(p, var, q, 0)
 
 
+def rename(p: Poly, names: Mapping[VarId, VarId]) -> Poly:
+    """``p`` with each variable ``v`` read as ``names.get(v, v)``; the
+    renaming must be injective on the variables of ``p``."""
+    return _poly({_mono({names.get(v, v): n for v, n in m.factors}): c for m, c in p.terms})
+
+
 def mentions(p: Poly, var: VarId) -> bool:
     """Whether some monomial of ``p`` has a factor in ``var``."""
     for m, _ in p.terms:

@@ -509,9 +509,24 @@ def _ann_from_obj(obj: dict) -> dict:
         if k == "h":
             out[k] = parse_poly(v)
         elif k in ("left", "right", "into"):
-            out[k] = v
+            out[k] = _field(obj, k, str, "derivation")
         elif k in ("sum_witness_lam", "sum_witness_mu"):
-            out[k] = {name: (parse_formula(b), binder) for name, (b, binder) in v.items()}
+            out[k] = _sum_witnesses(obj, k, "derivation", positions=False)
+    return out
+
+
+def _sum_witnesses(fields: dict, key: str, what: str, positions: bool) -> dict:
+    """The ``sum_witness*`` object ``fields[key]``: [formula, binder] pairs of
+    strings, under context names, or under premise positions (decimal
+    digits, read as integers) if ``positions``."""
+    out = {}
+    for name, pair in _field(fields, key, dict, what).items():
+        if positions and not name.isdecimal():
+            raise ParseError(0, f"malformed {what} file: {key!r} has the key {name!r}, not a position")
+        if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)):
+            shape = _json_name(pair)
+            raise ParseError(0, f"malformed {what} file: {key!r} holds {shape}, not a [formula, binder] pair")
+        out[int(name) if positions else name] = (parse_formula(pair[0]), pair[1])
     return out
 
 
@@ -580,10 +595,10 @@ def _field(node, key: str, kind: type, what: str, default=None):
             raise ParseError(0, f"malformed {what} file: no {key!r}")
         return default
     value = node[key]
-    if not isinstance(value, kind):
-        raise ParseError(
-            0, f"malformed {what} file: {key!r} is {_json_name(value)}, not {_JSON_NAMES[kind]}"
-        )
+    # JSON true and false load as Python ints, and are not integers here.
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        want = "an integer" if kind is int else _JSON_NAMES[kind]
+        raise ParseError(0, f"malformed {what} file: {key!r} is {_json_name(value)}, not {want}")
     return value
 
 
@@ -656,17 +671,17 @@ def proof_from_obj(obj: dict):
         out = {}
         for k, v in d.items():
             if k in ("left_idx", "right_idx", "left", "right", "idx"):
-                out[k] = int(v)
+                out[k] = _field(d, k, int, what)
             elif k == "witness":
                 out[k] = lf_of(v)
             elif k == "P":
                 out[k] = parse_formula(v)
             elif k in ("x", "y"):
-                out[k] = v
+                out[k] = _field(d, k, str, what)
             elif k == "p":
                 out[k] = parse_poly(v)
             elif k == "sum_witness":
-                out[k] = {int(i): (parse_formula(b), binder) for i, (b, binder) in v.items()}
+                out[k] = _sum_witnesses(d, k, what, positions=True)
         return out
 
     return _map_tree(

@@ -228,24 +228,17 @@ def _judgment_errors(j: Judgment) -> list[str]:
 # -- rule validation --------------------------------------------------------------
 
 
-def _modal_parts(entry: LF) -> tuple[str, Poly, F.Formula]:
-    """Decompose ``<?_{z<r} ~N>[y<p]`` into (z, r, N)."""
-    w = entry.formula
-    assert isinstance(w, F.WhyNot)
-    return w.var, w.bound, F.negate(w.body)
-
-
 def _check_var_conditions(entry: LF, ty: LF) -> list[str]:
+    """A variable's type ``ty`` against its entry ``<?{z<r} ~N>[y<p]``: the
+    entry covers one use, and ``ty`` fits ``<N{y:=0}>[z<r{y:=0}]``."""
     errs = []
-    z, r, n = _modal_parts(entry)
+    assert isinstance(entry.formula, F.WhyNot)
+    inst = F.lf_instance(entry.formula, entry.binder)
     if not poly_leq(ONE, entry.label):
         errs.append(f"variable budget must cover one use: 1 ⋢ {entry.label}")
-    r0 = r.subst(entry.binder, ZERO) if entry.binder != VACUOUS else r
-    n0 = F.subst_poly(n, entry.binder, ZERO)
-    if not poly_leq(r0, ty.label):
-        errs.append(f"inner bound exceeds the type label: {r0} ⋢ {ty.label}")
-    mc, nc = F._match_binders(ty.binder, ty.formula, z, n0)
-    if not F.formula_leq(mc, nc):
+    if not poly_leq(inst.label, ty.label):
+        errs.append(f"inner bound exceeds the type label: {inst.label} ⋢ {ty.label}")
+    if not F.formula_leq(ty.formula, F.negate(inst.formula), (ty.binder, inst.binder)):
         errs.append("type is not a subtype of the hypothesis instance")
     return errs
 
@@ -294,11 +287,9 @@ def _validate(d: Derivation, system: str) -> list[str]:
             if not L.alpha_eq(p0.subject, j.subject.body):
                 errs.append("premise subject is not the abstraction body")
             want_entry = F.WhyNot(z, s, F.negate(n_f))
-            ec, wc = F._match_binders(entry.binder, entry.formula, j.type.binder, want_entry)
-            if not F.alpha_eq(ec, wc):
+            if not F.alpha_eq(entry.formula, want_entry, (entry.binder, j.type.binder)):
                 errs.append("hypothesis formula does not match the arrow source")
-            mc1, mc2 = F._match_binders(p0.type.binder, p0.type.formula, j.type.binder, m_f)
-            if not F.alpha_eq(mc1, mc2):
+            if not F.alpha_eq(p0.type.formula, m_f, (p0.type.binder, j.type.binder)):
                 errs.append("premise type does not match the arrow target")
             if not poly_leq(p0.type.label, j.type.label):
                 errs.append(f"arrow label too small: {p0.type.label} ⋢ {j.type.label}")
@@ -323,8 +314,7 @@ def _validate(d: Derivation, system: str) -> list[str]:
             n_f, xhat, phat, m_f = parts
             if not lf_alpha_eq(ju.type, lf(n_f, xhat, phat)):
                 errs.append("argument type does not match the arrow source")
-            mc1, mc2 = F._match_binders(j.type.binder, j.type.formula, jt.type.binder, m_f)
-            if not F.alpha_eq(mc1, mc2):
+            if not F.alpha_eq(j.type.formula, m_f, (j.type.binder, jt.type.binder)):
                 errs.append("result type does not match the arrow target")
             q = jt.type.label
             h = d.ann.get("h", q)

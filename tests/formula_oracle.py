@@ -1,32 +1,77 @@
-"""Reference formula comparisons for the tests: the definitions before the
-equal-operand exits, and ``classify`` before its polarity walk.
+"""Reference formula comparisons for the tests: the definitions that
+``bllp.formula`` replaced, and ``classify`` before its polarity walk.
 
-Every comparison here goes the long way: ``alpha_eq`` compares canonical
-copies, ``formula_leq`` matches binders and compares polynomials at every
-level, and the polynomial order is read off the checked difference
-``sub_checked``.  ``bllp.formula`` returns at once on equal operands and
-``bllp.respoly.poly_leq`` walks the two term tuples without building
-anything; ``bllp.formula.classify`` reads a negation off its operand by
-a polarity flag instead of building it.  The tests check that both give
-these answers.
+Every comparison here goes the long way and has no equal-operand exit.
+``alpha_eq`` compares canonical copies, in which every used binder is
+renamed by its position and every unused one becomes ``_``.
+``formula_leq``, ``lf_alpha_eq`` and ``lf_leq`` match two binders by
+substituting one fresh variable for both in the bodies, then compare; the
+polynomial order is read off the checked difference ``sub_checked``.
+``bllp.formula`` decides all four by one pairwise walk that reads bound
+variables as binder numbers, and ``bllp.respoly.poly_leq`` walks the two
+term tuples without building anything; ``bllp.formula.classify`` reads a
+negation off its operand by a polarity flag instead of building it.  The
+tests check that both give these answers.
 """
 
 from __future__ import annotations
 
 from bllp import formula as F
-from bllp.formula import LF, ShapeMismatch, _match_binders, alpha_canon, lf_positive
-from bllp.respoly import Poly, sub_checked
+from bllp.formula import LF, VACUOUS, ShapeMismatch, free_rvars, lf_positive, subst_poly
+from bllp.respoly import Poly, VarId, fresh_var, pvar, sub_checked
+
+
+def _canon(f: F.Formula, counter: list[int]) -> F.Formula:
+    """Rename binders positionally; vacuous binders become ``_``."""
+    match f:
+        case F.Atom() | F.NegAtom() | F.One() | F.Bottom():
+            return f
+        case F.Tensor(l, r):
+            return F.Tensor(_canon(l, counter), _canon(r, counter))
+        case F.Par(l, r):
+            return F.Par(_canon(l, counter), _canon(r, counter))
+        case F.Bang(x, p, n) | F.WhyNot(x, p, n):
+            cls = type(f)
+            if x != VACUOUS and x in free_rvars(n):
+                counter[0] += 1
+                x2 = f"#c{counter[0]}"
+                n = subst_poly(n, x, pvar(x2))
+            else:
+                x2 = VACUOUS
+            return cls(x2, p, _canon(n, counter))
+    raise TypeError(f)
+
+
+def alpha_canon(f: F.Formula) -> F.Formula:
+    return _canon(f, [0])
+
+
+def match_binders(x1: VarId, n1: F.Formula, x2: VarId, n2: F.Formula):
+    """``n1`` and ``n2`` with their binders ``x1`` and ``x2`` renamed to one
+    fresh variable (a vacuous binder is left alone)."""
+    if x1 == x2:
+        return n1, n2
+    c = fresh_var("m")
+    if x1 != VACUOUS:
+        n1 = subst_poly(n1, x1, pvar(c))
+    if x2 != VACUOUS:
+        n2 = subst_poly(n2, x2, pvar(c))
+    return n1, n2
 
 
 def poly_leq(p: Poly, q: Poly) -> bool:
     return sub_checked(q, p) is not None
 
 
-def alpha_eq(a: F.Formula, b: F.Formula) -> bool:
+def alpha_eq(a: F.Formula, b: F.Formula, binders: tuple[VarId, VarId] | None = None) -> bool:
+    if binders is not None:
+        a, b = match_binders(binders[0], a, binders[1], b)
     return alpha_canon(a) == alpha_canon(b)
 
 
-def formula_leq(a: F.Formula, b: F.Formula) -> bool:
+def formula_leq(a: F.Formula, b: F.Formula, binders: tuple[VarId, VarId] | None = None) -> bool:
+    if binders is not None:
+        a, b = match_binders(binders[0], a, binders[1], b)
     match a, b:
         case (F.Atom(n1), F.Atom(n2)) | (F.NegAtom(n1), F.NegAtom(n2)):
             return n1 == n2
@@ -35,26 +80,22 @@ def formula_leq(a: F.Formula, b: F.Formula) -> bool:
         case (F.Tensor(l1, r1), F.Tensor(l2, r2)) | (F.Par(l1, r1), F.Par(l2, r2)):
             return formula_leq(l1, l2) and formula_leq(r1, r2)
         case (F.Bang(x1, p1, n1), F.Bang(x2, p2, n2)):
-            n1, n2 = _match_binders(x1, n1, x2, n2)
+            n1, n2 = match_binders(x1, n1, x2, n2)
             return poly_leq(p2, p1) and formula_leq(n1, n2)
         case (F.WhyNot(x1, p1, n1), F.WhyNot(x2, p2, n2)):
-            n1, n2 = _match_binders(x1, n1, x2, n2)
+            n1, n2 = match_binders(x1, n1, x2, n2)
             return poly_leq(p1, p2) and formula_leq(n1, n2)
     return False
 
 
 def lf_alpha_eq(a: LF, b: LF) -> bool:
-    if a.label != b.label:
-        return False
-    fa, fb = _match_binders(a.binder, a.formula, b.binder, b.formula)
-    return alpha_eq(fa, fb)
+    return a.label == b.label and alpha_eq(a.formula, b.formula, (a.binder, b.binder))
 
 
 def lf_leq(a: LF, b: LF) -> bool:
     if lf_positive(a) != lf_positive(b):
         raise ShapeMismatch("polarity mismatch in labelled comparison")
-    fa, fb = _match_binders(a.binder, a.formula, b.binder, b.formula)
-    if not formula_leq(fa, fb):
+    if not formula_leq(a.formula, b.formula, (a.binder, b.binder)):
         return False
     if lf_positive(a):
         return poly_leq(a.label, b.label)

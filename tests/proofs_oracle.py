@@ -18,7 +18,8 @@ are the former per-rule commutations: ``_refit`` has one branch per rule,
 and ``_hoist`` one case per commuted rule over ``_rebuild_parent`` and
 ``_inv``, where ``bllp.proofs`` rebuilds every rule through one table.  The
 tests check that both give the same proofs from the same state of the
-global name supplies.
+global name supplies.  ``_split`` shifts a copy by the former helper
+``_shift_lf(a, y, r)``, where ``bllp.proofs`` calls ``formula.lf_shift``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from bllp.proofs import (
     _origin,
     _relabel,
     _set_concl,
-    _shift_lf,
     _through,
     created,
     layout,
@@ -373,6 +373,14 @@ def is_tensor_tree(p: Proof) -> bool:
     if p.rule == "tensor":
         return all(is_tensor_tree(q) for q in p.premises)
     return False
+
+
+def _shift_lf(a: LF, new_binder: str, amount: Poly) -> LF:
+    """``<A{x/y+amount}>[y<label]`` - the formula shifted, label kept."""
+    if a.binder == VACUOUS:
+        return a
+    shifted = F.subst_poly(a.formula, a.binder, pvar(new_binder) + amount)
+    return LF(shifted, new_binder if new_binder in F.free_rvars(shifted) else VACUOUS, a.label)
 
 
 def _split(p: Proof, pos: int, r: Poly, s: Poly) -> tuple[Proof, Proof]:

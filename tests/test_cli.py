@@ -140,6 +140,59 @@ def test_a_node_field_of_the_wrong_shape_is_one_parse_error_and_exit_3(
         assert err == f"parse error: at offset 0: malformed {kind} file: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "command, fields, message",
+    [
+        ("cut-eliminate", {"idx": "x"}, "'idx' is a string, not an integer"),
+        ("cut-eliminate", {"left_idx": True}, "'left_idx' is a boolean, not an integer"),
+        ("cut-eliminate", {"right_idx": 1.5}, "'right_idx' is a number, not an integer"),
+        ("cut-eliminate", {"left": "0"}, "'left' is a string, not an integer"),
+        ("cut-eliminate", {"right": None}, "'right' is null, not an integer"),
+        ("cut-eliminate", {"x": 3}, "'x' is a number, not a string"),
+        ("cut-eliminate", {"y": []}, "'y' is an array, not a string"),
+        ("cut-eliminate", {"sum_witness": []}, "'sum_witness' is an array, not an object"),
+        (
+            "cut-eliminate",
+            {"sum_witness": {"a": ["V", "x"]}},
+            "'sum_witness' has the key 'a', not a position",
+        ),
+        (
+            "cut-eliminate",
+            {"sum_witness": {"0": ["V", 5]}},
+            "'sum_witness' holds an array, not a [formula, binder] pair",
+        ),
+        ("check", {"left": 1}, "'left' is a number, not a string"),
+        ("check", {"right": True}, "'right' is a boolean, not a string"),
+        ("check", {"into": None}, "'into' is null, not a string"),
+        (
+            "check",
+            {"sum_witness_lam": {"x": "V"}},
+            "'sum_witness_lam' holds a string, not a [formula, binder] pair",
+        ),
+        (
+            "check",
+            {"sum_witness_mu": {"a": ["V"]}},
+            "'sum_witness_mu' holds an array, not a [formula, binder] pair",
+        ),
+    ],
+)
+def test_a_value_of_the_wrong_shape_in_ann_or_data_is_one_parse_error_and_exit_3(
+    tmp_path, capsys, command, fields, message
+):
+    if command == "check":
+        kind = "derivation"
+        judgment = {"lam": [], "subject": "x", "type": "<bot>[1]", "mu": []}
+        node = {"rule": "var", "judgment": judgment, "ann": fields}
+    else:
+        kind, node = "proof", {"rule": "ax", "sequent": ["<1>[1]"], "data": fields}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"format": f"bllp-{kind}", "version": 1, "tree": node}))
+    assert run(command, "--file", str(path)) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"parse error: at offset 0: malformed {kind} file: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["check", "cut-eliminate"])
 def test_a_premise_that_is_not_an_object_is_one_parse_error_and_exit_3(tmp_path, capsys, command):
     d = C.by_name("kappa").derivation

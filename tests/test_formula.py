@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import formula_oracle as O
 from bllp import formula as F
@@ -196,6 +196,14 @@ def test_lemma_singleton_sum_collapses():
     assert lf_leq(total, inst)
 
 
+def test_lf_instance_is_the_body_and_bound_at_zero():
+    w = parse_formula("?{z<y + 1} (!{v<y + z} ~V)")
+    assert F.lf_instance(w, "y") == parse_lf("<!{v<z} ~V>[z<1]")
+    assert F.lf_instance(w, F.VACUOUS) == LF(w.body, "z", P("y + 1"))
+    # A binder left unused at zero becomes vacuous.
+    assert F.lf_instance(parse_formula("?{z<y} (!{v<1} ~V)"), "y") == parse_lf("<!{v<1} ~V>[0]")
+
+
 def test_classify():
     assert classify(parse_formula("bot")) == "typing"
     assert classify(parse_formula("~X")) == "typing"
@@ -294,7 +302,7 @@ def outcome(fn, a, b):
 @given(formula_pairs())
 def test_formula_comparisons_agree_with_the_long_way(pair):
     a, b = pair
-    assert alpha_eq(a, b) == (F.alpha_canon(a) == F.alpha_canon(b))
+    assert alpha_eq(a, b) == O.alpha_eq(a, b)
     assert formula_leq(a, b) == O.formula_leq(a, b)
 
 
@@ -304,6 +312,116 @@ def test_lf_comparisons_agree_with_the_long_way(pair):
     a, b = pair
     assert lf_alpha_eq(a, b) == O.lf_alpha_eq(a, b)
     assert outcome(lf_leq, a, b) == outcome(O.lf_leq, a, b)
+
+
+# Binder names that recur and a vacuous one; ``p`` is never bound.
+NAMES = ("x", "y", "z", F.VACUOUS)
+NAME_BOUNDS = ("1", "p", "x", "y + 1", "x + z", "bin(y,2) + p")
+
+
+@st.composite
+def named_formulas(draw, depth=3):
+    """Formulas whose binders reuse the names of :data:`NAMES`."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from([F.Atom("V"), F.NegAtom("V"), F.ONE_F, F.BOTTOM]))
+    kind = draw(st.sampled_from(["tensor", "par", "bang", "whynot"]))
+    a = draw(named_formulas(depth=depth - 1))
+    if kind in ("tensor", "par"):
+        return (F.Tensor if kind == "tensor" else F.Par)(a, draw(named_formulas(depth=depth - 1)))
+    x, bound = draw(st.sampled_from(NAMES)), P(draw(st.sampled_from(NAME_BOUNDS)))
+    if kind == "bang":
+        return F.Bang(x, bound, a if F.is_negative(a) else negate(a))
+    return F.WhyNot(x, bound, a if F.is_positive(a) else negate(a))
+
+
+def rename_to(f, draw):
+    """``f`` with each used binder renamed to ``x``, ``y``, ``z`` or ``u``,
+    which may capture a free variable of the same name."""
+    match f:
+        case F.Tensor(l, r) | F.Par(l, r):
+            return type(f)(rename_to(l, draw), rename_to(r, draw))
+        case F.Bang(x, p, n) | F.WhyNot(x, p, n):
+            x2 = draw(st.sampled_from(("x", "y", "z", "u")))
+            if x != F.VACUOUS:
+                n, x = subst_poly(n, x, R.pvar(x2)), x2
+            return type(f)(x, p, rename_to(n, draw))
+    return f
+
+
+def bump(f):
+    """``f`` with one added to the bound of its first modality in pre-order."""
+    match f:
+        case F.Tensor(l, r) | F.Par(l, r):
+            l2 = bump(l)
+            return type(f)(l2, bump(r) if l2 == l else r)
+        case F.Bang(x, p, n) | F.WhyNot(x, p, n):
+            return type(f)(x, p + 1, n)
+    return f
+
+
+@st.composite
+def binder_pairs(draw):
+    """``(a, b, (x, y))``: ``a`` under a binder ``x`` and ``b`` under ``y``;
+    ``b`` may be ``a`` itself, under another binder."""
+    a, x, y = draw(named_formulas()), draw(st.sampled_from(NAMES)), draw(st.sampled_from(NAMES))
+    kind = draw(st.sampled_from(["same", "renamed", "bumped", "unrelated"]))
+    if kind == "unrelated":
+        return a, draw(named_formulas()), (x, y)
+    b = a
+    if kind != "same":
+        if x != F.VACUOUS and y != F.VACUOUS:
+            b = subst_poly(b, x, R.pvar(y))
+        b = rename_to(b, draw)
+    if kind == "bumped":
+        b = bump(b)
+    return (a, b, (x, y)) if draw(st.booleans()) else (b, a, (y, x))
+
+
+def pf(text):
+    return parse_formula(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(binder_pairs(), st.sampled_from(["1", "q", "q + 1"]), st.sampled_from(["1", "q + 1"]))
+# An inner binder that shadows a paired one, on one side and on both.
+@example((pf("!{x<1} ?{w<x} V"), pf("!{z<1} ?{w<y} V"), ("x", "y")), "1", "1")
+@example((pf("!{x<1} ?{w<x} V"), pf("!{z<1} ?{w<z} V"), ("x", "y")), "1", "1")
+@example((pf("!{x<x} ?{w<x} V"), pf("!{y<y} ?{w<y} V"), ("x", "y")), "1", "1")
+# A free variable named like the other side's binder.
+@example((pf("?{w<y} V"), pf("?{w<y} V"), ("x", "y")), "q", "q")
+@example((pf("!{y<1} ?{w<x} V"), pf("!{x<1} ?{w<x} V"), (F.VACUOUS, F.VACUOUS)), "1", "1")
+# A vacuous binder against an unused and against a used one.
+@example((pf("?{w<1} V"), pf("?{w<1} V"), (F.VACUOUS, "y")), "1", "1")
+@example((pf("?{w<y} V"), pf("?{w<y} V"), (F.VACUOUS, "y")), "1", "1")
+@example((pf("!{_<1} ?{w<p} V"), pf("!{x<1} ?{w<x + p} V"), ("z", "z")), "1", "1")
+# Three nested binders that reuse names, α-equal and not.
+@example((pf("!{x<1} ?{x<x} !{x<x + 1} ~V"), pf("!{y<1} ?{z<y} !{y<z + 1} ~V"), ("x", "y")), "q", "q")
+@example((pf("!{x<1} ?{x<x} !{x<x + 1} ~V"), pf("!{y<1} ?{z<y} !{y<y + 1} ~V"), ("x", "y")), "q", "q")
+def test_comparisons_under_binder_pairs_agree_with_the_oracle(case, la, lb):
+    a, b, binders = case
+    assert alpha_eq(a, b, binders) == O.alpha_eq(a, b, binders)
+    assert formula_leq(a, b, binders) == O.formula_leq(a, b, binders)
+    x, y = binders
+    fa, fb = LF(a, x, P(la)), LF(b, y, P(lb))
+    assert lf_alpha_eq(fa, fb) == O.lf_alpha_eq(fa, fb)
+    assert outcome(lf_leq, fa, fb) == outcome(O.lf_leq, fa, fb)
+
+
+def test_binder_pair_cases_have_the_expected_answers():
+    shadowed = pf("!{x<1} ?{w<x} V")
+    assert alpha_eq(shadowed, pf("!{z<1} ?{w<z} V"), ("x", "y"))
+    assert not alpha_eq(shadowed, pf("!{z<1} ?{w<y} V"), ("x", "y"))
+    assert not alpha_eq(pf("?{w<y} V"), pf("?{w<y} V"), ("x", "y"))
+    shared = pf("?{w<y} V")  # one object on both sides, read under x and y
+    assert not alpha_eq(F.Par(shared, shared), F.Par(shared, shared), ("x", "y"))
+    assert alpha_eq(F.Par(shared, shared), F.Par(shared, shared), ("y", "y"))
+    assert alpha_eq(pf("?{w<1} V"), pf("?{w<1} V"), (F.VACUOUS, "y"))
+    assert not alpha_eq(pf("?{w<y} V"), pf("?{w<y} V"), (F.VACUOUS, "y"))
+    nested = pf("!{x<1} ?{x<x} !{x<x + 1} ~V")
+    assert alpha_eq(nested, pf("!{y<1} ?{z<y} !{y<z + 1} ~V"))
+    assert not alpha_eq(nested, pf("!{y<1} ?{z<y} !{y<y + 1} ~V"))
+    assert formula_leq(pf("?{w<x} V"), pf("?{w<y + 1} V"), ("x", "y"))
+    assert not formula_leq(pf("?{w<y + 1} V"), pf("?{w<x} V"), ("y", "x"))
 
 
 def test_renamed_and_copied_formulas_compare_equal():

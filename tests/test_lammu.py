@@ -771,3 +771,39 @@ def test_the_rewrites_of_depth_10_4_chains_have_the_expected_shape():
         want = Mu(f"b{i % 9}" if i % 9 != 4 else "r", Named("b4", want))
     assert _shape(out) == _shape(want)
     assert free_mvars(out) == {"b4"}
+
+
+def _nested(depth: int, leaf: str) -> L.Term:
+    """A depth-``depth`` chain through every node class, ending in ``leaf``."""
+    t = Var(leaf)
+    for i in range(depth):
+        match i % 4:
+            case 0:
+                t = Lam(f"x{i % 7}", t)
+            case 1:
+                t = Mu(f"a{i % 5}", t)
+            case 2:
+                t = Named(f"a{i % 3}", t)
+            case _:
+                t = App(t, Var("w")) if i % 8 == 3 else App(Var("w"), t)
+    return t
+
+
+def test_equality_and_hashing_of_depth_10_4_terms_need_no_recursion():
+    from bllp.corpus import church_term
+
+    a, b = church_term(DEEP), church_term(DEEP)
+    assert a == b and hash(a) == hash(b) and not a != b
+    assert church_term(DEEP) != church_term(DEEP - 1)
+    deep, twin, other = _nested(DEEP, "z"), _nested(DEEP, "z"), _nested(DEEP, "y")
+    assert deep is not twin and deep == twin and hash(deep) == hash(twin)
+    assert deep != other and len({deep, twin, other}) == 2
+    # Same names in another class, and a name changed at one node, differ.
+    assert Lam("a", Var("z")) != Mu("a", Var("z")) and Mu("a", Var("z")) != Named("a", Var("z"))
+    assert App(Var("f"), Var("x")) != App(Var("x"), Var("f"))
+    assert Lam("x0", deep) != Lam("x1", deep)
+
+
+def test_term_equality_with_a_non_term_is_not_implemented():
+    assert Var("x").__eq__("x") is NotImplemented
+    assert Var("x") != "x" and App(Var("f"), Var("x")) != ("f", "x")

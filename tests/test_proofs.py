@@ -608,6 +608,35 @@ def test_checker_rejects_malformed_nodes():
     assert check_proof(P.mk_qc(wk, 1, 2, lf(X, VACUOUS, 2))).ok
 
 
+def test_par_and_tensor_pair_the_binders_of_their_components():
+    """A component under the conclusion's binder ``v`` matches a premise
+    formula under ``u`` when it reads ``v`` where the premise reads ``u``."""
+    under_u = lf(F.WhyNot("w", pvar("u"), F.Atom("V")), "u", 1)
+    assert under_u.binder == "u"
+    prem = mk_qw(mk_qw(mk_one(lf(F.ONE_F, F.VACUOUS, 1)), 1, under_u), 2, lf(X, F.VACUOUS, 1))
+
+    def par(bound, binder):
+        out = LF(F.Par(F.WhyNot("w", bound, F.Atom("V")), X), binder, const(1))
+        return P.mk_par(prem, 1, 2, out)
+
+    assert check_proof(par(pvar("v"), "v")).ok  # an α-variant
+    assert check_proof(par(pvar("u"), "u")).ok
+    bad = check_proof(par(pvar("u"), "v")).errors  # u is free under v
+    assert bad == [("root", "par left component mismatch")]
+
+    def ax(binder):
+        pos = lf(F.Bang("w", pvar(binder), X), binder, 1)
+        return mk_ax((pos, lf_neg(pos)), lf_neg(pos))
+
+    def tensor(binder, left, right):
+        bangs = (F.Bang("w", pvar(left), X), F.Bang("w", pvar(right), X))
+        return mk_tensor(ax("u"), ax("t"), 0, 0, LF(F.Tensor(*bangs), binder, const(1)))
+
+    assert check_proof(tensor("v", "v", "v")).ok  # u and t both read as v
+    assert ("root", "tensor component mismatch") in check_proof(tensor("v", "u", "v")).errors
+    assert ("root", "tensor component mismatch") in check_proof(tensor("v", "v", "t")).errors
+
+
 def test_duality_checks_accept_alpha_variants_and_subtyping():
     """The cut check accepts an α-variant of the dual, and the axiom check
     a positive side strictly below the dual witness."""
@@ -671,17 +700,18 @@ def test_normalize_drains_special_steps(fuel):
 
 def test_check_proof_decides_equal_operands_without_rebuilding(monkeypatch):
     """Checking the church-12 proof and each proof along its special steps
-    builds no canonical formula copy and no polynomial inside ``poly_leq``."""
+    renames no polynomial in the formula walk (its only builder) and builds
+    no polynomial inside ``poly_leq``."""
     pf = map_derivation(add_to_mult(C.church_applied_derivation(12)))
     proofs = [pf] + [q for hit in P.special_steps(pf) for q in (hit.exposed, hit.result)]
-    calls = {"alpha_canon": 0, "poly_leq": 0, "_poly in poly_leq": 0}
+    calls = {"rename": 0, "poly_leq": 0, "_poly in poly_leq": 0}
     inside = [0]
 
-    real_canon = F.alpha_canon
+    real_rename = R.rename
 
-    def canon(f):
-        calls["alpha_canon"] += 1
-        return real_canon(f)
+    def rename(p, names):
+        calls["rename"] += 1
+        return real_rename(p, names)
 
     def leq(p, q):
         calls["poly_leq"] += 1
@@ -697,7 +727,7 @@ def test_check_proof_decides_equal_operands_without_rebuilding(monkeypatch):
         calls["_poly in poly_leq"] += inside[0] > 0
         return real_poly(table)
 
-    monkeypatch.setattr(F, "alpha_canon", canon)
+    monkeypatch.setattr(R, "rename", rename)
     monkeypatch.setattr(R, "_poly", poly)
     # Every module that imported ``poly_leq`` by name calls the wrapper.
     for name, mod in list(sys.modules.items()):
@@ -707,4 +737,4 @@ def test_check_proof_decides_equal_operands_without_rebuilding(monkeypatch):
     for q in proofs:
         assert check_proof(q).ok
     assert len(proofs) > 1 and calls["poly_leq"] > 0
-    assert calls["alpha_canon"] == 0 and calls["_poly in poly_leq"] == 0, calls
+    assert calls["rename"] == 0 and calls["_poly in poly_leq"] == 0, calls

@@ -335,6 +335,87 @@ def test_derivations_and_proofs_share_one_checker_and_its_paths():
     )
 
 
+def _path(text: str) -> tuple[int, ...]:
+    return tuple(int(k) for k in text.split(".")[1:])
+
+
+def _node(tree, path):
+    for k in path:
+        tree = tree.premises[k]
+    return tree
+
+
+# Church-2: (checker, path, the entry at that node, its corruption, message).
+# The two par messages are pinned by the shared-checker test above.
+CHURCH_2_CORRUPTIONS = [
+    ("proof", "root.0.0.0.0.0.1", "<!{1} ~X * X>[1]", "<!{2} ~X * X>[1]", "tensor component mismatch"),
+    ("proof", "root.0.0.0.0.0.1.0", "<!{1} ~X>[1]", "<!{1} ~Y>[1]", "bang body mismatch"),
+    (
+        "mult", "root.0.0.0", "<?{1} X par ~X>[1]", "<?{2} X par ~X>[1]",
+        "hypothesis formula does not match the arrow source",
+    ),
+    (
+        "mult", "root.0.0.0", "<?{1} X par ~X>[1]", "<?{1} X par ~Y>[1]",
+        "premise type does not match the arrow target",
+    ),
+    ("mult", "root.0.0.0.0.0.1", "<~X>[1]", "<~Y>[1]", "result type does not match the arrow target"),
+    ("mult", "root.0.0.0.0.0.1.1", "<~X>[1]", "<~Y>[1]", "type is not a subtype of the hypothesis instance"),
+]
+
+
+@pytest.mark.parametrize("checker, path, entry, corrupted, message", CHURCH_2_CORRUPTIONS)
+def test_a_corrupted_formula_is_reported_at_its_node(checker, path, entry, corrupted, message):
+    """One conclusion entry (proofs) or type (derivations) of the checked
+    church-2 tree is changed; the node reports exactly that comparison."""
+    from bllp import proofs
+
+    tree = add_to_mult(C.church_applied_derivation(2))
+    if checker == "proof":
+        tree, check = proofs.map_derivation(tree), proofs.check_proof
+    else:
+        check = check_mult
+    assert check(tree).ok
+    node = _node(tree, _path(path))
+    if checker == "proof":
+        k = [str(a) for a in node.concl].index(entry)
+        change = {"concl": node.concl[:k] + (parse_lf(corrupted),) + node.concl[k + 1 :]}
+    else:
+        assert str(node.concl.type) == entry
+        change = {"concl": replace(node.concl, type=parse_lf(corrupted))}
+    errors = check(_replace_node(tree, _path(path), **change)).errors
+    assert [msg for p, msg in errors if p == path] == [message]
+
+
+def test_a_variable_type_is_compared_under_its_own_binder_and_the_entry_binder():
+    """The hypothesis instance ``N`` is under the entry's ``?`` binder ``z``,
+    the type under its label binder: a type under ``v`` that reads ``v``
+    where ``N`` reads ``z`` fits, one that reads a free ``v`` does not."""
+    n = F.arrow(F.NegAtom("X"), "w", pvar("z"), F.BOTTOM)  # ?{w<z} X par bot
+    entry = lf(F.WhyNot("z", const(1), F.negate(n)), F.VACUOUS, 1)
+
+    def var(ty):
+        return Derivation("var_m", T.Judgment((("x", entry),), L.Var("x"), ty, ()), ())
+
+    assert check_mult(var(LF(F.arrow(F.NegAtom("X"), "w", pvar("v"), F.BOTTOM), "v", const(1)))).ok
+    bad = LF(F.arrow(F.NegAtom("X"), "w", pvar("v"), F.BOTTOM), "q", const(1))
+    assert check_mult(var(bad)).errors == [("root", "type is not a subtype of the hypothesis instance")]
+
+
+def test_a_contraction_of_summands_that_are_no_shift_is_reported_at_its_node():
+    """The contracted entries of church-2's ``c_lam`` are summed by ``⊎``;
+    giving the first a used binder makes the second no shift of it."""
+    tree = add_to_mult(C.church_applied_derivation(2))
+    node = _node(tree, _path("root.0.0.0.0"))
+    assert node.rule == "c_lam"
+    prem = node.premise().concl
+    x1 = node.ann["left"]
+    used = parse_lf("<?{y} (!{1} ~X * X)>[y<1]")
+    lam = tuple((x, used if x == x1 else a) for x, a in prem.lam)
+    bad = _replace_node(tree, _path("root.0.0.0.0.0"), concl=replace(prem, lam=lam))
+    errors = check_mult(bad).errors
+    assert ("root.0.0.0.0", "malformed node: second summand is not the shifted first") in errors
+
+
 def _former_walk(root, node_errors) -> list[tuple[str, str]]:
     """The report walk that spelled out every node's path: the reference."""
     errors = []
