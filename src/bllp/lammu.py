@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 _gen = itertools.count(1)
@@ -53,6 +53,25 @@ class Term:
     def __hash__(self) -> int:
         return hash(tuple(_preorder(self)))
 
+    def __repr__(self) -> str:
+        """The dataclass form, ``App(fn=Var(name='f'), arg=Var(name='x'))``,
+        written from an explicit stack of pending terms and text."""
+        out: list[str] = []
+        stack: list[Term | str] = [self]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, str):
+                out.append(t)
+                continue
+            items = []
+            for f in fields(t):
+                value = getattr(t, f.name)
+                items += (f"{f.name}=", value if isinstance(value, Term) else repr(value), ", ")
+            items[-1] = ")"
+            out.append(f"{type(t).__qualname__}(")
+            stack += reversed(items)
+        return "".join(out)
+
     @cached_property
     def fv(self) -> frozenset[str]:
         """Free λ-variables, computed once per node."""
@@ -66,30 +85,30 @@ class Term:
         return self.__dict__["fmv"]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Lam(Term):
     var: str
     body: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Mu(Term):
     mvar: str
     body: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Named(Term):
     mvar: str
     body: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class App(Term):
     fn: Term
     arg: Term

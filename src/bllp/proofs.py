@@ -3,6 +3,10 @@
 A sequent is a tuple of labelled formulas with at most one positive member.
 Proof nodes store their conclusion and rule-specific data (indices into
 premise conclusions, polynomial witnesses); checking is local and literal.
+A node's errors read only the node and its premises' conclusions, all
+immutable (``data`` is a read-only copy), so `check_proof` stores them on
+the node as its verdict: a rewrite rebuilds only the path to its change,
+and checking its result checks only the nodes it built.
 
 The weight of a proof bounds the number of special cut-elimination steps.
 It is the symbolic pre-weight with its variables substituted: each axiom,
@@ -21,8 +25,9 @@ which data fields of a rule hold positions in a premise.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 from . import formula as F
 from .formula import (
@@ -42,7 +47,7 @@ from .formula import (
     negate,
 )
 from .respoly import ONE, ZERO, Poly, bounded_sum, fresh_var, linear_sum, poly_leq, pvar
-from .typecheck import Report, _side, _weakened, _with_binder, ctx_get, stack_safe
+from .typecheck import Report, Tree, _side, _weakened, _with_binder, ctx_get, stack_safe
 
 Sequent = tuple[LF, ...]
 Path = tuple[int, ...]
@@ -54,12 +59,24 @@ class ProofError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Proof:
+@dataclass(frozen=True, eq=False)
+class Proof(Tree):
     rule: str
     concl: Sequent
     premises: tuple["Proof", ...] = ()
-    data: dict = field(default_factory=dict, compare=False)
+    data: Mapping = field(default_factory=dict)
+    # The node's own errors, stored by `check_proof`; None until then.
+    verdict: tuple[str, ...] | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # A read-only copy of `data` (and of its `sum_witness`), so that the
+        # stored verdict cannot go stale.  A proxy is another node's copy.
+        if type(self.data) is not MappingProxyType:
+            d = dict(self.data)
+            wit = d.get("sum_witness")
+            if wit is not None and type(wit) is not MappingProxyType:
+                d["sum_witness"] = MappingProxyType(dict(wit))
+            object.__setattr__(self, "data", MappingProxyType(d))
 
     def premise(self, i: int = 0) -> "Proof":
         return self.premises[i]
@@ -291,8 +308,15 @@ def _box_sum(principal: LF, entry: LF, witness=None) -> LF:
     return lf_bounded_sum(var, principal.label, entry, witness)
 
 
+def _verdict(p: Proof) -> tuple[str, ...]:
+    """``_node_errors(p)``, computed on the first check of ``p`` and stored on it."""
+    if p.verdict is None:
+        object.__setattr__(p, "verdict", tuple(_node_errors(p)))
+    return p.verdict
+
+
 def check_proof(p: Proof) -> Report:
-    return Report.walk(p, _node_errors)
+    return Report.walk(p, _verdict)
 
 
 # -- erasure and similarity ----------------------------------------------------------

@@ -642,11 +642,20 @@ def derivation_from_obj(obj: dict):
 
 
 def proof_to_obj(p) -> dict:
+    # Each sequent entry object is printed once per call: nodes share them.
+    texts: dict[int, str] = {}
+
+    def text_of(a: F.LF) -> str:
+        s = texts.get(id(a))
+        if s is None:
+            s = texts[id(a)] = print_lf(a)
+        return s
+
     tree = _map_tree(
         p,
         lambda x: x.premises,
         lambda x: {
-            "rule": x.rule, "sequent": [print_lf(a) for a in x.concl], "data": _print_fields(x.data)
+            "rule": x.rule, "sequent": [text_of(a) for a in x.concl], "data": _print_fields(x.data)
         },
         lambda obj, premises: obj | {"premises": premises},
     )

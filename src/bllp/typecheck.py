@@ -79,12 +79,43 @@ class Judgment:
         return f"{lam} |- {self.subject} : {self.type} | {mu}"
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Tree:
+    """``==`` and ``hash`` of the trees of derivations and of proofs.
+
+    Two trees are equal when their nodes agree, pair by pair in pre-order,
+    on rule, conclusion and number of premises; ``ann`` and ``data`` are
+    left out.  A pair of identical subtrees is skipped, and the pairs left
+    to compare wait on a list, so a tree of any depth compares.
+    """
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.rule != b.rule or len(a.premises) != len(b.premises) or a.concl != b.concl:
+                return False
+            stack += zip(a.premises, b.premises)
+        return True
+
+    def __hash__(self) -> int:
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            out.append((node.rule, node.concl, len(node.premises)))
+            stack += node.premises
+        return hash(tuple(out))
+
+
+@dataclass(frozen=True, eq=False)
+class Derivation(Tree):
     rule: str
     concl: Judgment
     premises: tuple["Derivation", ...] = ()
-    ann: dict = field(default_factory=dict, compare=False)
+    ann: dict = field(default_factory=dict)
 
     def premise(self, i: int = 0) -> "Derivation":
         return self.premises[i]

@@ -640,6 +640,29 @@ def _deep_term(lnames: tuple[str, ...], mnames: tuple[str, ...], leaf: L.Term) -
     return t
 
 
+def _dataclass_repr(t: L.Term) -> str:
+    """The ``repr`` a plain dataclass gives, by recursion."""
+    match t:
+        case Var(x):
+            return f"Var(name={x!r})"
+        case Lam(x, b):
+            return f"Lam(var={x!r}, body={_dataclass_repr(b)})"
+        case Mu(a, b):
+            return f"Mu(mvar={a!r}, body={_dataclass_repr(b)})"
+        case Named(a, b):
+            return f"Named(mvar={a!r}, body={_dataclass_repr(b)})"
+        case App(f, u):
+            return f"App(fn={_dataclass_repr(f)}, arg={_dataclass_repr(u)})"
+
+
+def test_repr_of_a_depth_10_4_chain_is_the_dataclass_form():
+    assert repr(App(Lam("x", Var("x")), Named("a", Var("y'")))) == (
+        "App(fn=Lam(var='x', body=Var(name='x')), arg=Named(mvar='a', body=Var(name=\"y'\")))"
+    )
+    t = _deep_term(("x", "y", "z"), ("a", "b"), App(Var("x"), Named("a", Var("w"))))
+    assert repr(t) == _with_recursion_room(_dataclass_repr, t)
+
+
 def test_alpha_eq_of_depth_10_4_chains_agrees_with_the_nameless_keys():
     leaf = App(Var("x"), Named("a", Var("w")))
     t = _deep_term(("x", "y", "z"), ("a", "b"), leaf)

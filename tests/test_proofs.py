@@ -1,5 +1,6 @@
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,8 +36,8 @@ from bllp.proofs import (
     weight,
 )
 from bllp.respoly import ONE, ZERO, const, eval_poly, fresh_var, poly_leq, pvar
-from bllp.syntax import parse_lf, parse_poly
-from bllp.typecheck import add_to_mult, subject_reduce
+from bllp.syntax import parse_lf, parse_poly, proof_from_obj, proof_to_obj
+from bllp.typecheck import Report, add_to_mult, subject_reduce, subst_derivation
 
 PL = parse_poly
 
@@ -738,3 +739,140 @@ def test_check_proof_decides_equal_operands_without_rebuilding(monkeypatch):
         assert check_proof(q).ok
     assert len(proofs) > 1 and calls["poly_leq"] > 0
     assert calls["rename"] == 0 and calls["_poly in poly_leq"] == 0, calls
+
+
+# -- stored verdicts -------------------------------------------------------------------
+
+
+def _reference(p: Proof):
+    """The report of a walk that checks every node afresh."""
+    return Report.walk(p, P._node_errors)
+
+
+def _node_ids(p: Proof) -> set[int]:
+    out, stack = set(), [p]
+    while stack:
+        node = stack.pop()
+        out.add(id(node))
+        stack.extend(node.premises)
+    return out
+
+
+VERDICT_PROOFS = [(name, lambda name=name: mapped(name)) for name in DERIVED] + [
+    (f"church-{n}", lambda n=n: map_derivation(add_to_mult(C.church_applied_derivation(n))))
+    for n in range(1, 13)
+]
+
+
+@pytest.mark.parametrize("name,build", VERDICT_PROOFS, ids=[n for n, _ in VERDICT_PROOFS])
+def test_stored_verdicts_give_the_report_of_a_fresh_walk_at_every_special_step(name, build):
+    pf = build()
+    proofs = [pf] + [q for hit in P.special_steps(pf) for q in (hit.exposed, hit.result)]
+    for q in proofs:
+        assert check_proof(q) == _reference(q) == check_proof(q)
+
+
+@pytest.mark.parametrize("name", ["church-12", "kappa-callcc"])
+def test_check_proof_checks_only_the_nodes_a_special_step_built(name, monkeypatch):
+    pf = dict(VERDICT_PROOFS)[name]()
+    calls = [0]
+    real = P._node_errors
+
+    def counted(p):
+        calls[0] += 1
+        return real(p)
+
+    monkeypatch.setattr(P, "_node_errors", counted)
+    assert check_proof(pf).ok and calls[0] == len(_node_ids(pf))
+    calls[0] = 0
+    assert check_proof(pf).ok and calls[0] == 0
+    prev = pf
+    for steps, hit in enumerate(P.special_steps(pf), 1):
+        calls[0] = 0
+        assert check_proof(hit.result).ok
+        assert calls[0] == len(_node_ids(hit.result) - _node_ids(prev)) > 0
+        prev = hit.result
+    assert steps > 1
+
+
+def _rebuilt(p: Proof, path: tuple[int, ...], node: Proof) -> Proof:
+    """``p`` with the subproof at ``path`` replaced, its ancestors rebuilt by ``replace``."""
+    ancestors = [p]
+    for i in path[:-1]:
+        ancestors.append(ancestors[-1].premises[i])
+    for parent, i in zip(reversed(ancestors), reversed(path)):
+        prems = list(parent.premises)
+        prems[i] = node
+        node = replace(parent, premises=tuple(prems))
+    return node
+
+
+def _paths(p: Proof) -> list[tuple[int, ...]]:
+    """The path of every node of ``p``."""
+    out, stack = [], [((), p)]
+    while stack:
+        path, node = stack.pop()
+        out.append(path)
+        stack.extend((path + (i,), q) for i, q in enumerate(node.premises))
+    return out
+
+
+def test_a_node_replaced_from_a_checked_one_is_checked_again():
+    pf = mapped("kappa-callcc")
+    assert check_proof(pf).ok
+    paths = _paths(pf)
+    assert len(paths) > 10
+    for path in paths:
+        node = pf.at(path)
+        assert node.verdict == ()
+        shorter = replace(node, concl=node.concl[1:])
+        undone = replace(node, data={})
+        for bad in (shorter, undone) if node.data else (shorter,):
+            assert bad.verdict is None
+            q = _rebuilt(pf, path, bad)
+            report = check_proof(q)
+            assert report == _reference(q)
+            where = "root" + "".join(f".{k}" for k in path)
+            assert where in [at for at, _ in report.errors], (where, str(report))
+
+
+def test_proof_data_is_read_only():
+    box_prem = mk_qw(AX1, 2, lf(X, F.VACUOUS, 1))
+    witnesses = {1: (F.Atom("X"), "y")}
+    data = {"idx": 0, "sum_witness": witnesses}
+    box = Proof("bang", box_prem.concl, (box_prem,), data)
+    with pytest.raises(TypeError):
+        box.data["idx"] = 1
+    with pytest.raises(TypeError):
+        box.data["sum_witness"][1] = (F.Atom("Y"), "y")
+    # The node holds copies: the caller's dicts no longer reach it.
+    data["idx"] = 1
+    witnesses[1] = (F.Atom("Y"), "y")
+    assert box.data["idx"] == 0 and box.data["sum_witness"][1] == (F.Atom("X"), "y")
+    with pytest.raises(TypeError):
+        AX1.data["witness"] = None
+    assert replace(box, concl=box.concl).data is box.data
+
+
+def test_equality_and_hash_of_church_400_trees_at_the_default_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000
+    m = add_to_mult(C.church_applied_derivation(400))
+    pf = map_derivation(m)
+    again = proof_from_obj(proof_to_obj(pf))
+    assert again == pf and hash(again) == hash(pf)
+    same = subst_derivation(m, "zz", ZERO)
+    assert same == m and hash(same) == hash(m)
+    # A difference at the deepest leaf is found.
+    path = max(_paths(pf), key=len)
+    assert len(path) > 1000
+    leaf = pf.at(path)
+    other = _rebuilt(pf, path, replace(leaf, concl=leaf.concl[::-1]))
+    assert other != pf and pf != other
+
+
+def test_equality_leaves_out_data_and_verdicts():
+    checked = mk_qw(AX1, 2, lf(X, F.VACUOUS, 1))
+    assert check_proof(checked).ok
+    fresh = Proof(checked.rule, checked.concl, checked.premises, {"idx": 2, "note": 1})
+    assert fresh == checked and hash(fresh) == hash(checked) and fresh.verdict is None
+    assert mk_qw(AX1, 0, lf(X, F.VACUOUS, 1)) != checked

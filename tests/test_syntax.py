@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from bllp import corpus as C
 from bllp import formula as F
 from bllp import lammu as L
+from bllp import syntax as S
 from bllp.proofs import check_proof, map_derivation, special_steps, weight
 from bllp.respoly import add, binom, const, mul, pvar
 from bllp.syntax import (
@@ -172,8 +173,7 @@ def _node_texts(obj: dict) -> list[str]:
     the number of its premises in place of them.
 
     The ``json`` encoder and decoder recurse, so a deep tree is serialized a
-    node at a time (and the ``Term`` equality of the dataclasses recurses
-    too, so the trees are compared by their files).
+    node at a time.
     """
     out = [json.dumps({k: v for k, v in obj.items() if k != "tree"})]
     stack = [obj["tree"]]
@@ -201,13 +201,44 @@ def test_church_500_files_round_trip_at_the_default_recursion_limit():
     d2, system = derivation_from_obj(obj)
     assert system == "additive"
     assert _node_texts(derivation_to_obj(d2, "additive")) == _node_texts(obj)
+    assert d2 == d and hash(d2) == hash(d)
     assert check_additive(d2).ok
     pf = map_derivation(add_to_mult(d))
     obj = proof_to_obj(pf)
     assert [json.loads(s)["rule"] for s in _node_texts(obj)[1:]] == _rules(pf)
     p2 = proof_from_obj(obj)
     assert _node_texts(proof_to_obj(p2)) == _node_texts(obj)
+    assert p2 == pf and hash(p2) == hash(pf)
     assert check_proof(p2).ok
+
+
+def test_proof_files_print_each_sequent_entry_object_once(monkeypatch):
+    """The file of a proof along its special steps equals the one printed
+    node by node, and ``print_lf`` runs once per distinct entry object (and
+    once per axiom witness)."""
+    pf = map_derivation(add_to_mult(C.church_applied_derivation(6)))
+    proofs = [pf] + [hit.result for hit in special_steps(pf)]
+    calls = [0]
+
+    def counted(a):
+        calls[0] += 1
+        return print_lf(a)
+
+    monkeypatch.setattr(S, "print_lf", counted)
+    for q in proofs:
+        calls[0] = 0
+        obj = proof_to_obj(q)
+        nodes, entries = [], {}
+        stack = [q]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            entries.update((id(a), a) for a in node.concl)
+            stack.extend(reversed(node.premises))
+        witnesses = sum("witness" in node.data for node in nodes)
+        assert calls[0] - witnesses == len(entries) < sum(len(node.concl) for node in nodes)
+        sequents = [[print_lf(a) for a in node.concl] for node in nodes]
+        assert [json.loads(t)["sequent"] for t in _node_texts(obj)[1:]] == sequents
 
 
 def test_proof_files_roundtrip():
