@@ -47,7 +47,7 @@ from .formula import (
     negate,
 )
 from .respoly import ONE, ZERO, Poly, bounded_sum, fresh_var, linear_sum, poly_leq, pvar
-from .typecheck import Report, Tree, _side, _weakened, _with_binder, ctx_get, stack_safe
+from .typecheck import Report, Tree, _side, _with_binder, ctx_get, introduced, stack_safe
 
 Sequent = tuple[LF, ...]
 Path = tuple[int, ...]
@@ -508,7 +508,7 @@ def _map_deriv(d) -> tuple[Proof, dict]:
             return out, {("lam", x): 0, ("type",): 1}
         case "abs":
             prem, pos = yield (d.premise(),)
-            x = j.subject.var
+            x = introduced(d)
             i, t = pos[("lam", x)], pos[("type",)]
             node = mk_par(prem, i, t, j.type)
             newpos = _through(node, 0, {k: v for k, v in pos.items() if k != ("lam", x)})
@@ -551,7 +551,7 @@ def _map_deriv(d) -> tuple[Proof, dict]:
             return cut, newpos
         case "mu_name_m":
             prem, pos = yield (d.premise(),)
-            a = j.subject.mvar
+            a = introduced(d)
             node = mk_bot(prem, len(prem.concl), j.type)
             newpos = _through(node, 0, pos)
             newpos[("mu", a)] = newpos.pop(("type",))
@@ -559,7 +559,7 @@ def _map_deriv(d) -> tuple[Proof, dict]:
             return node, newpos
         case "mu_abs":
             prem, pos = yield (d.premise(),)
-            b = j.subject.mvar
+            b = introduced(d)
             botf = d.premise().concl.type
             unit = mk_one(lf(F.ONE_F, botf.binder, botf.label))
             node = mk_cut(prem, unit, pos[("type",)], 0)
@@ -568,7 +568,7 @@ def _map_deriv(d) -> tuple[Proof, dict]:
             return node, newpos
         case "w_lam" | "w_mu":
             prem, pos = yield (d.premise(),)
-            side, ev = _side(d.rule), _weakened(d)
+            side, ev = _side(d.rule), introduced(d)
             entry = ctx_get(getattr(j, side), ev)
             node = mk_qw(prem, len(prem.concl), entry)
             newpos = _through(node, 0, pos)

@@ -465,10 +465,10 @@ PROOF_FORMAT = "bllp-proof"
 FORMAT_VERSION = 1
 
 
-def judgment_to_obj(j) -> dict:
+def judgment_to_obj(j, subject) -> dict:
     return {
         "lam": [[x, print_lf(a)] for x, a in j.lam],
-        "subject": print_term(j.subject),
+        "subject": print_term(subject),
         "type": print_lf(j.type),
         "mu": [[x, print_lf(a)] for x, a in j.mu],
     }
@@ -550,11 +550,22 @@ def _map_tree(root, kids, pre, post):
 
 
 def derivation_to_obj(d, system: str) -> dict:
+    """The version-1 file of ``d``, which holds every node's whole subject.
+
+    A node the library built stores none, so ``typecheck.subject_of``
+    rebuilds each by a walk of the node's subtree down to the stored
+    subjects.  Writing such a tree takes nodes × depth, the order of the
+    file's own size.
+    """
+    from .typecheck import subject_of
+
     tree = _map_tree(
         d,
         lambda x: x.premises,
         lambda x: {
-            "rule": x.rule, "judgment": judgment_to_obj(x.concl), "ann": _print_fields(x.ann)
+            "rule": x.rule,
+            "judgment": judgment_to_obj(x.concl, subject_of(x)),
+            "ann": _print_fields(x.ann),
         },
         lambda obj, premises: obj | {"premises": premises},
     )

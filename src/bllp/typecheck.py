@@ -14,6 +14,11 @@ Derivations carry every polynomial the side conditions mention; checking
 is literal.  ``add_to_mult`` elaborates the first system into the second,
 and ``subject_reduce`` rebuilds a multiplicative derivation along one head
 step of its subject.
+
+A node's subject follows from its rule, its premises' subjects and the name
+the rule introduces, so the nodes the rewriters build store none: a subject
+is stored where it was written (corpus, tests, files) and at the root a
+public rewriter returns, and :func:`subject_of` rebuilds any other.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ class DerivationError(Exception):
 @dataclass(frozen=True)
 class Judgment:
     lam: Ctx
-    subject: Term
+    subject: Term | None  # None on a node the library built below a root
     type: LF
     mu: Ctx
 
@@ -256,6 +261,158 @@ def _judgment_errors(j: Judgment) -> list[str]:
     return errs
 
 
+# -- subjects ---------------------------------------------------------------------
+
+STRUCTURAL = ("w_lam", "w_mu", "c_lam", "c_mu")
+
+# rule -> (the class of the subject it builds, what a written subject of
+# another class is reported as, and what one its premises' subjects do not
+# build is).  A rule builds a term of its class around the name it introduces
+# and its premises' subjects; a structural rule's subject is its premise's,
+# renamed by a contraction.
+_SUBJECTS = {
+    "var": (Var, "var subject must be a variable", None),
+    "var_m": (Var, "var subject must be a variable", None),
+    "abs": (Lam, "abs subject must be a λ-abstraction", "premise subject is not the abstraction body"),
+    "app": (App, "app subject must be an application", "premise subjects do not match the application"),
+    "app_m": (App, "app subject must be an application", "premise subjects do not match the application"),
+    "mu_name": (Named, "mu_name subject must be a named term", "premise subject is not the named body"),
+    "mu_name_m": (Named, "mu_name subject must be a named term", "premise subject is not the named body"),
+    "mu_abs": (Mu, "mu_abs subject must be a μ-abstraction", "premise subject is not the abstraction body"),
+    "w_lam": (None, None, "weakening must preserve subject and type"),
+    "w_mu": (None, None, "weakening must preserve subject and type"),
+    "c_lam": (None, None, "contraction must rename the subject accordingly"),
+    "c_mu": (None, None, "contraction must rename the subject accordingly"),
+}
+
+
+def introduced(d: Derivation) -> str:
+    """The name the rule of ``d`` introduces: the variable of ``var`` and
+    ``var_m``, the binder of ``abs`` and ``mu_abs``, the μ-variable of
+    ``mu_name`` and ``mu_name_m``, or the hypothesis a weakening adds.
+
+    A written subject holds it; otherwise the contexts do: it is the one
+    hypothesis of ``var_m``, the one the premise has and the conclusion lacks
+    (``abs``, ``mu_abs``), or the other way round (``mu_name_m``, weakenings).
+    """
+    s = d.concl.subject
+    if s is not None and d.rule not in STRUCTURAL:
+        return s.name if type(s) is Var else s.var if type(s) is Lam else s.mvar
+    side = "mu" if d.rule in ("mu_abs", "mu_name_m", "w_mu") else "lam"
+    here = getattr(d.concl, side)
+    if not d.premises:
+        return here[0][0]
+    there = getattr(d.premise().concl, side)
+    more, fewer = (there, here) if d.rule in ("abs", "mu_abs") else (here, there)
+    (name,) = ctx_dom(more) - ctx_dom(fewer)
+    return name
+
+
+def _pending(c: Derivation, renaming: dict, ctx: Ctx) -> dict:
+    """The renaming pending at the premise of the contraction ``c``: its two
+    names become ``into``, then ``renaming`` applies.  Only the names of the
+    premise's context ``ctx`` are kept, so the map stays as small as it."""
+    left, right, into = c.ann["left"], c.ann["right"], c.ann["into"]
+    into = renaming.get(into, into)
+    out = {}
+    for v, _ in ctx:
+        w = into if v == left or v == right else renaming.get(v, v)
+        if w != v:
+            out[v] = w
+    return out
+
+
+def subject_of(d: Derivation) -> Term:
+    """The subject of ``d``: the one it stores, or the one its rules build.
+
+    A contraction is a pending renaming of its premise's subject, as in
+    Abadi, Cardelli, Curien and Lévy, "Explicit Substitutions" (JFP 1991).
+    So one walk down the tree builds the subject: it carries the pending λ-
+    and μ-renamings, and applies them at the variables and namings it meets.
+    A node that stores a subject while no renaming is pending gives it
+    whole.  A binder shadows the name it binds; one that a renamed name of
+    its premise's context would be captured by gets a fresh name, carried
+    into its body, as ``lammu.subst`` does.  It renames no term.
+    """
+    out: list[Term] = []
+    # Entries: (node, λ-renaming, μ-renaming) to visit, or (class, name) to
+    # build a term from the last one or two of ``out``.
+    todo: list = [(d, {}, {})]
+    while todo:
+        item = todo.pop()
+        if len(item) == 2:
+            cls, name = item
+            if cls is App:
+                arg = out.pop()
+                out[-1] = App(out[-1], arg)
+            else:
+                out[-1] = cls(name, out[-1])
+            continue
+        node, lren, mren = item
+        cls = _SUBJECTS[node.rule][0]
+        if node.concl.subject is not None and not (lren or mren):
+            out.append(node.concl.subject)
+        elif cls is Var:
+            x = introduced(node)
+            out.append(Var(lren.get(x, x)))
+        elif cls is App:
+            fn, arg = node.premises
+            todo += ((App, None), (arg, lren, mren), (fn, lren, mren))
+        elif cls is None:
+            prem = node.premise()
+            if node.rule == "c_lam":
+                lren = _pending(node, lren, prem.concl.lam)
+            elif node.rule == "c_mu":
+                mren = _pending(node, mren, prem.concl.mu)
+            todo.append((prem, lren, mren))
+        else:
+            x = introduced(node)
+            if cls is Named:
+                x = mren.get(x, x)
+            elif cls is Lam and lren:
+                lren, x = _bind(lren, x, node.premise().concl.lam)
+            elif cls is Mu and mren:
+                mren, x = _bind(mren, x, node.premise().concl.mu)
+            todo += ((cls, x), (node.premise(), lren, mren))
+    return out[0]
+
+
+def _bind(renaming: dict, x: str, ctx: Ctx) -> tuple[dict, str]:
+    """The renaming pending in the body of a binder of ``x`` whose premise
+    has the context ``ctx``, and the binder's name.  ``x`` shadows a pending
+    renaming of ``x``; if a name of ``ctx`` (so possibly free in the body)
+    would be renamed to ``x``, the binder gets a fresh name instead."""
+    renaming = {k: v for k, v in renaming.items() if k != x}
+    if any(renaming.get(k) == x for k, _ in ctx):
+        renaming[x] = x = L.fresh_tvar(x)
+    return renaming, x
+
+
+def _rooted(d: Derivation) -> Derivation:
+    """``d`` storing its subject, as the root a public rewriter returns."""
+    return replace(d, concl=replace(d.concl, subject=subject_of(d)))
+
+
+def _subject_errors(d: Derivation) -> list[str]:
+    """A written subject against the one the rule builds from the premises'
+    subjects, decided by α-equality (up to the renaming of a contraction).
+
+    Only a node whose premises store subjects too is compared: below a root
+    that a rewriter returns, the library built the nodes and stored none.
+    """
+    s = d.concl.subject
+    below = [p.concl.subject for p in d.premises]
+    if s is None or not below or any(t is None for t in below):
+        return []
+    cls, _, message = _SUBJECTS[d.rule]
+    want = below[0] if cls is None else App(*below) if cls is App else cls(introduced(d), below[0])
+    renaming = {}
+    if d.rule in ("c_lam", "c_mu"):
+        renaming = {d.ann["left"]: d.ann["into"], d.ann["right"]: d.ann["into"]}
+    renamings = (renaming, None) if d.rule == "c_lam" else (None, renaming)
+    return [] if L.alpha_eq(s, want, *renamings) else [message]
+
+
 # -- rule validation --------------------------------------------------------------
 
 
@@ -281,33 +438,28 @@ def _validate(d: Derivation, system: str) -> list[str]:
     allowed = ADDITIVE_RULES if system == "additive" else MULT_RULES
     if rule not in allowed:
         return errs + [f"rule {rule!r} not part of the {system} system"]
-
-    def premise_count(n: int) -> bool:
-        if len(d.premises) != n:
-            errs.append(f"{rule} expects {n} premises, found {len(d.premises)}")
-            return False
-        return True
+    cls, wrong_class, _ = _SUBJECTS[rule]
+    arity = {Var: 0, App: 2}.get(cls, 1)
+    if len(d.premises) != arity:
+        return errs + [f"{rule} expects {arity} premises, found {len(d.premises)}"]
+    if j.subject is not None and cls is not None and not isinstance(j.subject, cls):
+        return errs + [wrong_class]
 
     try:
+        wrong_subject = _subject_errors(d)
+        errs += wrong_subject
         if rule in ("var", "var_m"):
-            if not premise_count(0):
-                return errs
-            if not isinstance(j.subject, Var):
-                return errs + ["var subject must be a variable"]
-            entry = j.lam_get(j.subject.name)
+            x = introduced(d)
+            entry = j.lam_get(x)
             if entry is None:
-                return errs + [f"variable {j.subject.name} missing from the context"]
+                return errs + [f"variable {x} missing from the context"]
             if rule == "var_m" and (len(j.lam) != 1 or j.mu):
                 errs.append("multiplicative var carries exactly its own hypothesis")
             errs += _check_var_conditions(entry, j.type)
 
         elif rule == "abs":
-            if not premise_count(1):
-                return errs
             p0 = d.premise().concl
-            if not isinstance(j.subject, Lam):
-                return errs + ["abs subject must be a λ-abstraction"]
-            x = j.subject.var
+            x = introduced(d)
             parts = arrow_parts(j.type.formula)
             if parts is None:
                 return errs + ["abs type must be an arrow"]
@@ -315,8 +467,6 @@ def _validate(d: Derivation, system: str) -> list[str]:
             entry = p0.lam_get(x)
             if entry is None:
                 return errs + [f"premise does not bind {x}"]
-            if not L.alpha_eq(p0.subject, j.subject.body):
-                errs.append("premise subject is not the abstraction body")
             want_entry = F.WhyNot(z, s, F.negate(n_f))
             if not F.alpha_eq(entry.formula, want_entry, (entry.binder, j.type.binder)):
                 errs.append("hypothesis formula does not match the arrow source")
@@ -332,13 +482,7 @@ def _validate(d: Derivation, system: str) -> list[str]:
                 errs.append("abs must preserve the μ-context")
 
         elif rule in ("app", "app_m"):
-            if not premise_count(2):
-                return errs
             jt, ju = d.premise(0).concl, d.premise(1).concl
-            if not isinstance(j.subject, App):
-                return errs + ["app subject must be an application"]
-            if not (L.alpha_eq(jt.subject, j.subject.fn) and L.alpha_eq(ju.subject, j.subject.arg)):
-                errs.append("premise subjects do not match the application")
             parts = arrow_parts(jt.type.formula)
             if parts is None:
                 return errs + ["function premise must have an arrow type"]
@@ -364,14 +508,8 @@ def _validate(d: Derivation, system: str) -> list[str]:
                 errs += _check_mult_merge(j.mu, jt.mu, ju.mu, h, mu_w, "μ")
 
         elif rule == "mu_name":
-            if not premise_count(1):
-                return errs
             p0 = d.premise().concl
-            if not isinstance(j.subject, Named):
-                return errs + ["mu_name subject must be a named term"]
-            a = j.subject.mvar
-            if not L.alpha_eq(p0.subject, j.subject.body):
-                errs.append("premise subject is not the named body")
+            a = introduced(d)
             if not isinstance(j.type.formula, F.Bottom):
                 errs.append("naming must conclude at type bot")
             merged = j.mu_get(a)
@@ -386,16 +524,10 @@ def _validate(d: Derivation, system: str) -> list[str]:
                 errs.append("mu_name must preserve the remaining μ-context")
 
         elif rule == "mu_name_m":
-            if not premise_count(1):
-                return errs
             p0 = d.premise().concl
-            if not isinstance(j.subject, Named):
-                return errs + ["mu_name subject must be a named term"]
-            a = j.subject.mvar
+            a = introduced(d)
             if p0.mu_get(a) is not None:
                 errs.append(f"μ-variable {a} must be fresh for the premise")
-            if not L.alpha_eq(p0.subject, j.subject.body):
-                errs.append("premise subject is not the named body")
             if not isinstance(j.type.formula, F.Bottom):
                 errs.append("naming must conclude at type bot")
             entry = j.mu_get(a)
@@ -407,14 +539,8 @@ def _validate(d: Derivation, system: str) -> list[str]:
                 errs.append("mu_name must preserve the remaining μ-context")
 
         elif rule == "mu_abs":
-            if not premise_count(1):
-                return errs
             p0 = d.premise().concl
-            if not isinstance(j.subject, Mu):
-                return errs + ["mu_abs subject must be a μ-abstraction"]
-            b = j.subject.mvar
-            if not L.alpha_eq(p0.subject, j.subject.body):
-                errs.append("premise subject is not the abstraction body")
+            b = introduced(d)
             if not isinstance(p0.type.formula, F.Bottom):
                 errs.append("premise type must be bot")
             entry = p0.mu_get(b)
@@ -428,8 +554,6 @@ def _validate(d: Derivation, system: str) -> list[str]:
                 errs.append("mu_abs must preserve the remaining μ-context")
 
         elif rule in ("w_lam", "w_mu"):
-            if not premise_count(1):
-                return errs
             p0 = d.premise().concl
             side, other = ("lam", "mu") if rule == "w_lam" else ("mu", "lam")
             cur, prev = getattr(j, side), getattr(p0, side)
@@ -438,12 +562,10 @@ def _validate(d: Derivation, system: str) -> list[str]:
                 errs.append("weakening must add exactly one hypothesis")
             if not ctx_eq(getattr(j, other), getattr(p0, other)):
                 errs.append("weakening must preserve the other context")
-            if not (L.alpha_eq(j.subject, p0.subject) and lf_alpha_eq(j.type, p0.type)):
+            if not (wrong_subject or lf_alpha_eq(j.type, p0.type)):
                 errs.append("weakening must preserve subject and type")
 
         elif rule in ("c_lam", "c_mu"):
-            if not premise_count(1):
-                return errs
             p0 = d.premise().concl
             x1, x2, z = d.ann["left"], d.ann["right"], d.ann["into"]
             side = "lam" if rule == "c_lam" else "mu"
@@ -459,16 +581,10 @@ def _validate(d: Derivation, system: str) -> list[str]:
             other = "mu" if side == "lam" else "lam"
             if not ctx_eq(getattr(j, other), getattr(p0, other)):
                 errs.append("contraction must preserve the other context")
-            # The subject is the premise's with x1 and x2 renamed to z,
-            # decided without building that renamed term.
-            renaming = {x1: z, x2: z}
-            lam_ren, mu_ren = (renaming, None) if rule == "c_lam" else (None, renaming)
-            if not L.alpha_eq(j.subject, p0.subject, lam_ren, mu_ren):
-                errs.append("contraction must rename the subject accordingly")
             if not lf_alpha_eq(j.type, p0.type):
                 errs.append("contraction must preserve the type")
 
-    except (ShapeMismatch, AssertionError, KeyError) as exc:
+    except (ShapeMismatch, AssertionError, LookupError, ValueError) as exc:
         errs.append(f"malformed node: {exc}")
     return errs
 
@@ -529,22 +645,14 @@ def check_mult(d: Derivation) -> Report:
 # ``(yield args)``; one that follows a single path is a loop.  So the depth of
 # a derivation costs heap, not interpreter frames, and the calls run in the
 # order written, which fixes the order the global name supplies are drawn in.
-# Validity of the results is re-checked by the callers (and the test suite)
-# via check_mult.
-
-STRUCTURAL = ("w_lam", "w_mu", "c_lam", "c_mu")
+# The nodes they build store no subject; a public rewriter stores one at the
+# root it returns.  Validity of the results is re-checked by the callers (and
+# the test suite) via check_mult.
 
 
 def _side(rule: str) -> str:
     """The context (``lam`` or ``mu``) a structural rule acts on."""
     return "lam" if rule.endswith("lam") else "mu"
-
-
-def _weakened(d: Derivation) -> str:
-    """The hypothesis a ``w_lam``/``w_mu`` node adds to its premise."""
-    side = _side(d.rule)
-    (var,) = ctx_dom(getattr(d.concl, side)) - ctx_dom(getattr(d.premise().concl, side))
-    return var
 
 
 def _with_binder(f: F.Formula, b_old: str, b_new: str) -> F.Formula:
@@ -577,61 +685,58 @@ def subst_derivation(d: Derivation, var: str, value: Poly) -> Derivation:
     return Derivation(d.rule, concl, tuple(premises), ann)
 
 
-@stack_safe
 def rename_free(d: Derivation, side: str, old: str, new: str) -> Derivation:
-    """Rename a free λ-variable (``side`` "lam") or μ-variable ("mu") in
-    subjects and contexts of a derivation.
+    """Rename a free λ-variable (``side`` "lam") or μ-variable ("mu") of a
+    multiplicative derivation.  The root returned stores its subject: the
+    root's own, renamed, as no other node's changes."""
+    out = _rename_free(d, side, old, new)
+    if out is d:
+        return d
+    s = subject_of(d)
+    s = L.subst(s, old, Var(new)) if side == "lam" else L.rename_mvar(s, old, new)
+    return replace(out, concl=replace(out.concl, subject=s))
+
+
+def _restated(j: Judgment, side: str, ctx: Ctx) -> Judgment:
+    """``j`` with ``ctx`` as its ``side`` context, and without a subject."""
+    return Judgment(ctx, None, j.type, j.mu) if side == "lam" else Judgment(j.lam, None, j.type, ctx)
+
+
+@stack_safe
+def _rename_free(d: Derivation, side: str, old: str, new: str) -> Derivation:
+    """:func:`rename_free` in the contexts and contraction names.
 
     A node whose context does not hold ``old`` is returned itself: its
     subject does not mention ``old`` free, and a premise that does (the
-    endpoint of a contraction, the hypothesis of a binder) is bound below
-    this node, not free in the derivation.
+    endpoint of a contraction, the hypothesis of a binder, a fresh naming)
+    is bound below this node, not free in the derivation.
     """
     j = d.concl
-    if old == new or ctx_get(getattr(j, side), old) is None:
+    ctx = getattr(j, side)
+    if old == new or ctx_get(ctx, old) is None:
         return d
-    if side == "lam" and d.rule == "abs" and j.subject.var == old:
-        return d  # bound here: nothing to rename above
-    if side == "mu" and d.rule == "mu_abs" and j.subject.mvar == old:
-        return d
-    ctx = tuple((new if n == old else n, a) for n, a in getattr(j, side))
-    if side == "lam":
-        concl = Judgment(ctx, L.subst(j.subject, old, Var(new)), j.type, j.mu)
-    else:
-        concl = Judgment(j.lam, L.rename_mvar(j.subject, old, new), j.type, ctx)
+    ctx = tuple((new if n == old else n, a) for n, a in ctx)
     ann = dict(d.ann)
     for key in ("left", "right", "into"):
         if ann.get(key) == old:
             ann[key] = new
-    if side == "mu" and d.rule == "mu_name_m" and j.subject.mvar == old:
-        # the naming introduced it fresh; premise does not mention it
-        return Derivation(d.rule, concl, d.premises, ann)
     premises = []
     for p in d.premises:
         premises.append((yield (p, side, old, new)))
-    return Derivation(d.rule, concl, tuple(premises), ann)
+    return Derivation(d.rule, _restated(j, side, ctx), tuple(premises), ann)
 
 
 def weaken(d: Derivation, side: str, var: str, entry: LF) -> Derivation:
-    j = d.concl
-    if side == "lam":
-        concl = Judgment(j.lam + ((var, entry),), j.subject, j.type, j.mu)
-        return Derivation("w_lam", concl, (d,))
-    concl = Judgment(j.lam, j.subject, j.type, j.mu + ((var, entry),))
-    return Derivation("w_mu", concl, (d,))
+    ctx = getattr(d.concl, side) + ((var, entry),)
+    return Derivation(f"w_{side}", _restated(d.concl, side, ctx), (d,))
 
 
 def contract(d: Derivation, side: str, v1: str, v2: str, into: str, target: LF) -> Derivation:
-    j = d.concl
-    if side == "lam":
-        lam = ctx_remove(j.lam, v1, v2) + ((into, target),)
-        subject = L.subst(L.subst(j.subject, v1, Var(into)), v2, Var(into))
-        concl = Judgment(lam, subject, j.type, j.mu)
-        return Derivation("c_lam", concl, (d,), {"left": v1, "right": v2, "into": into})
-    mu = ctx_remove(j.mu, v1, v2) + ((into, target),)
-    subject = L.rename_mvar(L.rename_mvar(j.subject, v1, into), v2, into)
-    concl = Judgment(j.lam, subject, j.type, mu)
-    return Derivation("c_mu", concl, (d,), {"left": v1, "right": v2, "into": into})
+    """Contract the hypotheses ``v1`` and ``v2`` into ``into``: a pending
+    renaming of the subject, which :func:`subject_of` carries out."""
+    ctx = ctx_remove(getattr(d.concl, side), v1, v2) + ((into, target),)
+    ann = {"left": v1, "right": v2, "into": into}
+    return Derivation(f"c_{side}", _restated(d.concl, side, ctx), (d,), ann)
 
 
 def ctx_lower(d: Derivation, side: str, var: str, target: LF) -> Derivation:
@@ -653,14 +758,6 @@ def ctx_lower(d: Derivation, side: str, var: str, target: LF) -> Derivation:
     return contract(weaken(d, side, ghost, zero), side, var, ghost, var, target)
 
 
-def present(d: Derivation, concl: Judgment) -> Derivation:
-    """Re-state the conclusion (contexts reordered, subjects α-renamed)."""
-    j = d.concl
-    assert ctx_eq(j.lam, concl.lam) and ctx_eq(j.mu, concl.mu)
-    assert L.alpha_eq(j.subject, concl.subject) and lf_alpha_eq(j.type, concl.type)
-    return replace(d, concl=concl)
-
-
 @stack_safe
 def lower_type(d: Derivation, target: LF) -> Derivation:
     """Rebuild a multiplicative derivation with a ⊑-smaller subject type."""
@@ -676,7 +773,7 @@ def lower_type(d: Derivation, target: LF) -> Derivation:
             return Derivation(d.rule, replace(j, type=target), d.premises, dict(d.ann))
         case "abs":
             n_f, z, s, m_f = arrow_parts(target.formula)
-            x = j.subject.var
+            x = introduced(d)
             p0 = d.premise()
             entry = p0.concl.lam_get(x)
             f_entry = _with_binder(
@@ -709,7 +806,7 @@ def lower_type(d: Derivation, target: LF) -> Derivation:
                 d.rule, replace(j, type=target), (fn2, d.premise(1)), dict(d.ann)
             )
         case "mu_abs":
-            b = j.subject.mvar
+            b = introduced(d)
             prem = ctx_lower(d.premise(), "mu", b, target)
             return Derivation("mu_abs", replace(j, type=target), (prem,), dict(d.ann))
         case "w_lam" | "w_mu" | "c_lam" | "c_mu":
@@ -724,7 +821,7 @@ def drop_mu_entry(d: Derivation, var: str) -> Derivation:
     j = d.concl
     if j.mu_get(var) is None:
         return d
-    if d.rule == "w_mu" and _weakened(d) == var:
+    if d.rule == "w_mu" and introduced(d) == var:
         return d.premise()
     if d.rule == "c_mu" and d.ann["into"] == var:
         prem = yield (d.premise(), d.ann["left"])
@@ -748,7 +845,7 @@ def _merge_side(d: Derivation, side: str, target: Ctx, left: Ctx, summed: dict) 
             d = contract(d, side, v, ghost, v, want)
         elif have_left or have_right:
             if have_right:
-                d = rename_free(d, side, summed[v], v)
+                d = _rename_free(d, side, summed[v], v)
             cur = ctx_get(getattr(d.concl, side), v)
             if not lf_alpha_eq(cur, want):
                 d = ctx_lower(d, side, v, want)
@@ -757,43 +854,54 @@ def _merge_side(d: Derivation, side: str, target: Ctx, left: Ctx, summed: dict) 
     return d
 
 
-@stack_safe
 def add_to_mult(d: Derivation) -> Derivation:
-    """Elaborate an additive derivation into the multiplicative system."""
+    """Elaborate an additive derivation into the multiplicative system.
+
+    The root keeps ``d``'s subject, which elaboration does not change.
+    """
+    out = _elaborate(d)
+    return replace(out, concl=replace(out.concl, subject=d.concl.subject))
+
+
+@stack_safe
+def _elaborate(d: Derivation) -> Derivation:
+    """:func:`add_to_mult`, below its root."""
     j = d.concl
+    concl = replace(j, subject=None)
     match d.rule:
         case "var":
-            entry = j.lam_get(j.subject.name)
+            x = introduced(d)
+            entry = j.lam_get(x)
             core = Derivation(
                 "var_m",
-                Judgment(((j.subject.name, entry),), j.subject, j.type, ()),
+                Judgment(((x, entry),), None, j.type, ()),
             )
             out = core
             for v, a in j.lam:
-                if v != j.subject.name:
+                if v != x:
                     out = weaken(out, "lam", v, a)
             for v, a in j.mu:
                 out = weaken(out, "mu", v, a)
-            return present(out, j)
+            return replace(out, concl=concl)
         case "abs" | "mu_abs":
             prem = yield (d.premise(),)
-            return Derivation(d.rule, j, (prem,), dict(d.ann))
+            return Derivation(d.rule, concl, (prem,), dict(d.ann))
         case "mu_name":
             prem = yield (d.premise(),)
-            a = j.subject.mvar
+            a = introduced(d)
             gamma = L.fresh_tvar(a)
             named = Derivation(
                 "mu_name_m",
                 Judgment(
                     prem.concl.lam,
-                    Named(gamma, prem.concl.subject),
+                    None,
                     j.type,
                     ((gamma, prem.concl.type),) + prem.concl.mu,
                 ),
                 (prem,),
             )
             out = contract(named, "mu", gamma, a, a, j.mu_get(a))
-            return present(out, j)
+            return replace(out, concl=concl)
         case "app":
             fn = yield (d.premise(0),)
             arg = yield (d.premise(1),)
@@ -805,10 +913,10 @@ def add_to_mult(d: Derivation) -> Derivation:
             ren_l, ren_m = {}, {}
             for v in shared_l:
                 ren_l[v] = L.fresh_tvar(v)
-                arg = rename_free(arg, "lam", v, ren_l[v])
+                arg = _rename_free(arg, "lam", v, ren_l[v])
             for v in shared_m:
                 ren_m[v] = L.fresh_tvar(v)
-                arg = rename_free(arg, "mu", v, ren_m[v])
+                arg = _rename_free(arg, "mu", v, ren_m[v])
             wit_l = d.ann.get("sum_witness_lam", {})
             wit_m = d.ann.get("sum_witness_mu", {})
 
@@ -822,7 +930,7 @@ def add_to_mult(d: Derivation) -> Derivation:
                 "app_m",
                 Judgment(
                     fn.concl.lam + summed(arg.concl.lam, wit_l, ren_l),
-                    App(fn.concl.subject, arg.concl.subject),
+                    None,
                     j.type,
                     fn.concl.mu + summed(arg.concl.mu, wit_m, ren_m),
                 ),
@@ -833,7 +941,7 @@ def add_to_mult(d: Derivation) -> Derivation:
             summed_m = {v: ren_m.get(v, v) for v, _ in d.premise(1).concl.mu}
             out = _merge_side(node, "lam", j.lam, fn.concl.lam, summed_l)
             out = _merge_side(out, "mu", j.mu, fn.concl.mu, summed_m)
-            return present(out, j)
+            return replace(out, concl=concl)
     raise DerivationError(f"not an additive rule: {d.rule}")
 
 
@@ -859,9 +967,9 @@ def _instantiate(sub: _Sub) -> tuple[Derivation, dict, dict]:
     ren_l = {v: L.fresh_tvar(v) for v, _ in inst.concl.lam}
     ren_m = {v: L.fresh_tvar(v) for v, _ in inst.concl.mu}
     for old, new in ren_l.items():
-        inst = rename_free(inst, "lam", old, new)
+        inst = _rename_free(inst, "lam", old, new)
     for old, new in ren_m.items():
-        inst = rename_free(inst, "mu", old, new)
+        inst = _rename_free(inst, "mu", old, new)
     return inst, ren_l, ren_m
 
 
@@ -895,7 +1003,7 @@ def _subst_walk(d: Derivation, subs: dict[str, _Sub]) -> tuple[Derivation, dict,
         inst = lower_type(inst, j.type)
         return inst, {o: [n] for o, n in ren_l.items()}, {o: [n] for o, n in ren_m.items()}
 
-    if rule in ("w_lam", "w_mu") and _weakened(d) in live:
+    if rule in ("w_lam", "w_mu") and introduced(d) in live:
         # the copy is unused: no argument inserted
         return (yield (d.premise(), subs))
 
@@ -912,8 +1020,8 @@ def _subst_walk(d: Derivation, subs: dict[str, _Sub]) -> tuple[Derivation, dict,
         prem, gl, gm = yield (d.premise(), subs)
         return _replay_structurals(prem, [d]), gl, gm
 
-    if rule == "mu_name_m" and j.subject.mvar in live:
-        gamma = j.subject.mvar
+    if rule == "mu_name_m" and introduced(d) in live:
+        gamma = introduced(d)
         sub = live[gamma]
         prem, gl, gm = yield (d.premise(), subs)
         entry = j.mu_get(gamma)
@@ -926,7 +1034,7 @@ def _subst_walk(d: Derivation, subs: dict[str, _Sub]) -> tuple[Derivation, dict,
                 prem.concl.lam + tuple(
                     (v, _sum_ctx_entry(entry.label, a)) for v, a in inst.concl.lam
                 ),
-                App(prem.concl.subject, inst.concl.subject),
+                None,
                 lf(m_f, entry.binder, entry.label),
                 prem.concl.mu + tuple(
                     (v, _sum_ctx_entry(entry.label, a)) for v, a in inst.concl.mu
@@ -939,7 +1047,7 @@ def _subst_walk(d: Derivation, subs: dict[str, _Sub]) -> tuple[Derivation, dict,
             "mu_name_m",
             Judgment(
                 app_node.concl.lam,
-                Named(gamma, app_node.concl.subject),
+                None,
                 j.type,
                 ((gamma, lf(m_f, entry.binder, entry.label)),) + app_node.concl.mu,
             ),
@@ -948,7 +1056,7 @@ def _subst_walk(d: Derivation, subs: dict[str, _Sub]) -> tuple[Derivation, dict,
         gl = _merge_groups(gl, {o: [n] for o, n in ren_l.items()})
         gm = _merge_groups(gm, {o: [n] for o, n in ren_m.items()})
         gamma2 = L.fresh_tvar(gamma)
-        out = rename_free(out, "mu", gamma, gamma2)
+        out = _rename_free(out, "mu", gamma, gamma2)
         gm = _merge_groups(gm, {("copy", sub.root): [gamma2]})
         return out, gl, gm
 
@@ -964,30 +1072,30 @@ def _subst_walk(d: Derivation, subs: dict[str, _Sub]) -> tuple[Derivation, dict,
 
     if rule == "abs":
         (prem,) = new_prems
-        x = j.subject.var
+        x = introduced(d)
         concl = Judgment(
             ctx_remove(prem.concl.lam, x),
-            Lam(x, prem.concl.subject),
+            None,
             j.type,
             prem.concl.mu,
         )
         return Derivation("abs", concl, (prem,), dict(d.ann)), gl, gm
     if rule == "mu_abs":
         (prem,) = new_prems
-        b = j.subject.mvar
+        b = introduced(d)
         concl = Judgment(
             prem.concl.lam,
-            Mu(b, prem.concl.subject),
+            None,
             j.type,
             ctx_remove(prem.concl.mu, b),
         )
         return Derivation("mu_abs", concl, (prem,), dict(d.ann)), gl, gm
     if rule == "mu_name_m":
         (prem,) = new_prems
-        a = j.subject.mvar
+        a = introduced(d)
         concl = Judgment(
             prem.concl.lam,
-            Named(a, prem.concl.subject),
+            None,
             j.type,
             ((a, prem.concl.type),) + prem.concl.mu,
         )
@@ -1012,7 +1120,7 @@ def _subst_walk(d: Derivation, subs: dict[str, _Sub]) -> tuple[Derivation, dict,
                 mu.append((v, _sum_ctx_entry(h, a)))
         concl = Judgment(
             tuple(lam),
-            App(fn.concl.subject, arg.concl.subject),
+            None,
             j.type,
             tuple(mu),
         )
@@ -1033,12 +1141,17 @@ def _close_groups(d: Derivation, groups: dict, side: str) -> Derivation:
             ghost = L.fresh_tvar(orig)
             d = contract(d, side, cur, nxt, ghost, merged)
             cur = ghost
-        d = rename_free(d, side, cur, orig)
+        d = _rename_free(d, side, cur, orig)
     return d
 
 
 def lam_subst_derivation(pi: Derivation, x: str, rho: Derivation) -> Derivation:
-    """Replace the hypothesis ``x`` by the argument derivation ``rho``."""
+    """Replace the hypothesis ``x`` by the argument derivation ``rho``; the
+    root returned stores its subject."""
+    return _rooted(_lam_subst(pi, x, rho))
+
+
+def _lam_subst(pi: Derivation, x: str, rho: Derivation) -> Derivation:
     entry = pi.concl.lam_get(x)
     if entry is None:
         raise DerivationError(f"{x} is not bound in the premise")
@@ -1049,7 +1162,12 @@ def lam_subst_derivation(pi: Derivation, x: str, rho: Derivation) -> Derivation:
 
 
 def mu_subst_derivation(pi: Derivation, alpha: str, rho: Derivation) -> Derivation:
-    """Feed the argument to every naming of ``alpha`` (the μ-redex lemma)."""
+    """Feed the argument to every naming of ``alpha`` (the μ-redex lemma);
+    the root returned stores its subject."""
+    return _rooted(_mu_subst(pi, alpha, rho))
+
+
+def _mu_subst(pi: Derivation, alpha: str, rho: Derivation) -> Derivation:
     entry = pi.concl.mu_get(alpha)
     if entry is None:
         raise DerivationError(f"{alpha} is not bound in the premise")
@@ -1069,7 +1187,8 @@ def mu_subst_derivation(pi: Derivation, alpha: str, rho: Derivation) -> Derivati
 
 
 def _adjust_to(d: Derivation, target: Judgment) -> Derivation:
-    """Weaken and lower contexts until the conclusion matches ``target``."""
+    """Weaken and lower contexts until the conclusion is ``target``'s, but
+    for the subject."""
     d = lower_type(d, target.type)
     for side in ("lam", "mu"):
         have = getattr(d.concl, side)
@@ -1083,7 +1202,7 @@ def _adjust_to(d: Derivation, target: Judgment) -> Derivation:
                 d = weaken(d, side, v, a)
             elif not lf_alpha_eq(cur, a):
                 d = ctx_lower(d, side, v, a)
-    return present(d, target)
+    return replace(d, concl=replace(target, subject=None))
 
 
 def _replay_structurals(out: Derivation, wrappers: list[Derivation]) -> Derivation:
@@ -1091,7 +1210,7 @@ def _replay_structurals(out: Derivation, wrappers: list[Derivation]) -> Derivati
     for node in reversed(wrappers):
         side = _side(node.rule)
         if node.rule in ("w_lam", "w_mu"):
-            ev = _weakened(node)
+            ev = introduced(node)
             out = weaken(out, side, ev, ctx_get(getattr(node.concl, side), ev))
         else:
             z = node.ann["into"]
@@ -1118,7 +1237,7 @@ def _bare_redex_app(d: Derivation) -> tuple[Derivation, list[Derivation]]:
     mu = fn.concl.mu + tuple((v, ctx_get(d.concl.mu, v)) for v, _ in arg.concl.mu)
     bare = Derivation(
         "app_m",
-        Judgment(lam, App(fn.concl.subject, arg.concl.subject), d.concl.type, mu),
+        Judgment(lam, None, d.concl.type, mu),
         (fn, arg),
         dict(d.ann),
     )
@@ -1129,39 +1248,22 @@ def _fire_beta(d: Derivation) -> Derivation:
     fn, rho = d.premises
     if fn.rule != "abs":
         raise DerivationError("β-redex derivation must end in an abstraction")
-    pi = fn.premise()
-    x = fn.concl.subject.var
-    out = lam_subst_derivation(pi, x, rho)
-    reduct = L.subst(pi.concl.subject, x, rho.concl.subject)
-    out = _adjust_to(out, replace(d.concl, subject=out.concl.subject))
-    if not L.alpha_eq(out.concl.subject, reduct):
-        raise DerivationError("substitution produced the wrong subject")
-    return replace(out, concl=replace(out.concl, subject=reduct))
+    return _adjust_to(_lam_subst(fn.premise(), introduced(fn), rho), d.concl)
 
 
 def _fire_mu(d: Derivation) -> Derivation:
     fn, rho = d.premises
     if fn.rule != "mu_abs":
         raise DerivationError("μ-redex derivation must end in a μ-abstraction")
-    pi = fn.premise()
-    beta = fn.concl.subject.mvar
-    out = mu_subst_derivation(pi, beta, rho)
-    node = Derivation(
-        "mu_abs",
-        Judgment(
-            out.concl.lam,
-            Mu(beta, out.concl.subject),
-            out.concl.mu_get(beta),
-            ctx_remove(out.concl.mu, beta),
-        ),
-        (out,),
-    )
-    return _adjust_to(node, replace(d.concl, subject=node.concl.subject))
+    beta = introduced(fn)
+    out = _mu_subst(fn.premise(), beta, rho)
+    concl = Judgment(out.concl.lam, None, out.concl.mu_get(beta), ctx_remove(out.concl.mu, beta))
+    return _adjust_to(Derivation("mu_abs", concl, (out,)), d.concl)
 
 
 def _fire_theta(d: Derivation) -> Derivation:
     # subject is mu a. [a] t with a not free in t
-    alpha = d.concl.subject.mvar
+    alpha = introduced(d)
     aliases = {alpha}
     replay: list[Derivation] = []
     cur = d.premise()
@@ -1170,13 +1272,13 @@ def _fire_theta(d: Derivation) -> Derivation:
             aliases |= {cur.ann["left"], cur.ann["right"]}
             cur = cur.premise()
         elif cur.rule == "w_mu":
-            if _weakened(cur) not in aliases:
+            if introduced(cur) not in aliases:
                 replay.append(cur)
             cur = cur.premise()
         elif cur.rule in ("c_lam", "w_lam", "c_mu"):
             replay.append(cur)
             cur = cur.premise()
-        elif cur.rule == "mu_name_m" and cur.concl.subject.mvar in aliases:
+        elif cur.rule == "mu_name_m" and introduced(cur) in aliases:
             pi = cur.premise()
             break
         else:
@@ -1184,8 +1286,7 @@ def _fire_theta(d: Derivation) -> Derivation:
     for a in sorted(aliases):
         if pi.concl.mu_get(a) is not None:
             pi = drop_mu_entry(pi, a)
-    out = _replay_structurals(pi, replay)
-    return _adjust_to(out, replace(d.concl, subject=out.concl.subject))
+    return _adjust_to(_replay_structurals(pi, replay), d.concl)
 
 
 # Congruences of subject reduction: position step -> (rule, subject field of
@@ -1198,36 +1299,52 @@ _CONGRUENCES = {
 }
 
 
-@stack_safe
 def subject_reduce(d: Derivation, position: tuple[str, ...] | None = None) -> Derivation:
     """Rebuild a multiplicative derivation along one head step of its subject.
 
     ``position`` defaults to the head-redex position of the subject; passing
-    a non-redex position is an error.
+    a non-redex position is an error.  The walk follows ``position`` down the
+    tree and the root's subject together, so the redex is read off that
+    subject and no node's subject is rebuilt on the way.  The root returned
+    stores the subject its tree builds, the reduct.
     """
+    t = subject_of(d)
     if position is None:
-        hit = L.step(d.concl.subject, "head")
+        hit = L.step(t, "head")
         if hit is None:
             raise DerivationError("subject is head-normal")
         position = hit[2]
-    # At the root position every node, structural ones too, runs root_step
-    # first: it may draw fresh names, and later names depend on that order.
-    root = L.root_step(d.concl.subject) if position == () else None
-    if d.rule in STRUCTURAL:
-        return _replay_structurals((yield (d.premise(), position)), [d])
-    if position == ():
-        if root is not None and root[1] in ("beta", "mu"):
-            bare, wrappers = _bare_redex_app(d)
-            out = _fire_beta(bare) if root[1] == "beta" else _fire_mu(bare)
-            return _replay_structurals(out, wrappers)
-        if L.theta_step(d.concl.subject) is not None:
-            return _fire_theta(d)
+    # The nodes passed, root first: the structural ones and the congruences.
+    path = []
+    node, rest = d, position
+    while True:
+        # At the redex every node, structural ones too, runs root_step first:
+        # it may draw fresh names, and later names depend on that order.
+        root = L.root_step(t) if rest == () else None
+        if node.rule in STRUCTURAL:
+            path.append(node)
+        elif rest == ():
+            break
+        else:
+            step, rest = rest[0], rest[1:]
+            rule, part = _CONGRUENCES.get(step, (None, None))
+            if node.rule != rule:
+                raise DerivationError(f"derivation rule {node.rule} does not match step {step!r}")
+            path.append(node)
+            t = getattr(t, part)
+        node = node.premise()
+    if root is not None and root[1] in ("beta", "mu"):
+        bare, wrappers = _bare_redex_app(node)
+        out = _fire_beta(bare) if root[1] == "beta" else _fire_mu(bare)
+        out = _replay_structurals(out, wrappers)
+    elif L.theta_step(t) is not None:
+        out = _fire_theta(node)
+    else:
         raise DerivationError("no redex at the requested position")
-    step, rest = position[0], position[1:]
-    rule, part = _CONGRUENCES.get(step, (None, None))
-    if d.rule != rule:
-        raise DerivationError(f"derivation rule {d.rule} does not match step {step!r}")
-    prem = yield (d.premise(), rest)
-    subject = replace(d.concl.subject, **{part: prem.concl.subject})
-    concl = replace(d.concl, subject=subject)
-    return Derivation(d.rule, concl, (prem,) + d.premises[1:], dict(d.ann))
+    for node in reversed(path):
+        if node.rule in STRUCTURAL:
+            out = _replay_structurals(out, [node])
+        else:
+            concl = replace(node.concl, subject=None)
+            out = Derivation(node.rule, concl, (out,) + node.premises[1:], dict(node.ann))
+    return _rooted(out)

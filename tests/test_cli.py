@@ -1,13 +1,16 @@
 import json
 import sys
+from dataclasses import replace
 
 import pytest
 
 from bllp import cli, machine
 from bllp import corpus as C
+from bllp import formula as F
+from bllp import lammu as L
 from bllp.proofs import map_derivation
-from bllp.syntax import derivation_to_obj, proof_to_obj
-from bllp.typecheck import add_to_mult
+from bllp.syntax import derivation_to_obj, parse_term, proof_to_obj
+from bllp.typecheck import Derivation, add_to_mult
 
 
 def run(*argv):
@@ -207,6 +210,72 @@ def test_a_premise_that_is_not_an_object_is_one_parse_error_and_exit_3(tmp_path,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"parse error: at offset 0: malformed {kind} file: a string where an object belongs\n"
+
+
+def _contracted_chain():
+    """``μa.[a] z`` from ``x``: var_m, w_lam of ``x2``, c_lam of ``x`` and
+    ``x2`` into ``z``, mu_name_m of ``a``, mu_abs of ``a``."""
+    one, two = C.modal(C.X, 1, 1), C.modal(C.X, 1, 2)
+    ty = F.lf(C.X, F.VACUOUS, 1)
+    d = Derivation("var_m", C.jm([("x", one)], L.Var("x"), ty))
+    d = Derivation("w_lam", C.jm([("x", one), ("x2", one)], L.Var("x"), ty), (d,))
+    d = Derivation("c_lam", C.jm([("z", two)], L.Var("z"), ty), (d,), {"left": "x", "right": "x2", "into": "z"})
+    bot = F.lf(F.BOTTOM, F.VACUOUS, 0)
+    d = Derivation("mu_name_m", C.jm([("z", two)], L.Named("a", L.Var("z")), bot, [("a", ty)]), (d,))
+    return Derivation("mu_abs", C.jm([("z", two)], L.Mu("a", L.Named("a", L.Var("z"))), ty), (d,))
+
+
+def _resubject(d, path, term):
+    """``d`` with the subject at ``path`` replaced by ``term``, and each
+    ancestor's subject rebuilt around it, so only the node at ``path``
+    disagrees with its premise.  A variable subject stays: in the chain it
+    is the contraction's ``z``, into which ``x2`` is renamed as well."""
+    if not path:
+        return replace(d, concl=replace(d.concl, subject=term))
+    k = path[0]
+    prems = list(d.premises)
+    prems[k] = _resubject(prems[k], path[1:], term)
+    s = d.concl.subject
+    if not isinstance(s, L.Var):
+        part = ("fn", "arg")[k] if isinstance(s, L.App) else "body"
+        s = replace(s, **{part: prems[k].concl.subject})
+    return replace(d, concl=replace(d.concl, subject=s), premises=tuple(prems))
+
+
+# rule, the derivation and its system, the path of a node of that rule, its
+# new subject, and what ``bllp check --file`` prints.
+_KAPPA = (lambda: C.by_name("kappa").derivation, "additive")
+_CHAIN = (_contracted_chain, "multiplicative")
+WRONG_SUBJECTS = [
+    ("abs", _KAPPA, "root.0.0.0.1", "\\y. y", "root.0.0.0.1: premise subject is not the abstraction body"),
+    ("app", _KAPPA, "root.0.0.0", "x x", "root.0.0.0: premise subjects do not match the application"),
+    ("mu_name", _KAPPA, "root.0.0", "[a] x", "root.0.0: premise subject is not the named body"),
+    ("mu_abs", _KAPPA, "root.0", "mu a. [a] x", "root.0: premise subject is not the abstraction body"),
+    ("mu_name_m", _CHAIN, "root.0", "[a] y", "root.0: premise subject is not the named body"),
+    ("w_lam", _CHAIN, "root.0.0.0", "x2", "root.0.0.0: weakening must preserve subject and type"),
+    ("c_lam", _CHAIN, "root.0.0", "y", "root.0.0: contraction must rename the subject accordingly"),
+]
+
+
+@pytest.mark.parametrize(
+    "rule, source, path, subject, message", WRONG_SUBJECTS, ids=[c[0] for c in WRONG_SUBJECTS]
+)
+def test_an_interior_subject_that_disagrees_with_its_premise_is_reported_at_its_node(
+    tmp_path, capsys, rule, source, path, subject, message
+):
+    build, system = source
+    d = build()
+    where = tuple(int(k) for k in path.split(".")[1:])
+    node = d
+    for k in where:
+        node = node.premises[k]
+    assert node.rule == rule
+    file = tmp_path / "input.json"
+    file.write_text(json.dumps(derivation_to_obj(_resubject(d, where, parse_term(subject)), system)))
+    assert run("check", "--file", str(file)) == 1
+    assert capsys.readouterr() == (message + "\n", "")
+    file.write_text(json.dumps(derivation_to_obj(d, system)))
+    assert run("check", "--file", str(file)) == 0
 
 
 def test_unwritable_out_is_one_line_and_exit_3(tmp_path, capsys):

@@ -1,10 +1,15 @@
-"""No module of the library reads an underscore name of another one.
+"""No module of the library reads an underscore name of another one, and
+only ``typecheck`` reads a judgment's subject.
 
 A name that starts with ``_`` (and is not a dunder) is private to the
 module that defines it.  The guard reads the ``ast`` of every module in
 ``src/bllp``: a read is an import of such a name from another ``bllp``
 module, or an attribute ``M._name`` where ``M`` names an imported ``bllp``
 module.  The few reads left are pinned, and the list may only shrink.
+
+A node the library builds stores no subject: only ``typecheck`` knows how
+a rule builds one.  Another module asks it, by ``subject_of`` or
+``introduced``, instead of reading an attribute ``.subject``.
 """
 
 import ast
@@ -14,7 +19,6 @@ LIBRARY = Path(__file__).resolve().parents[1] / "src" / "bllp"
 
 PINNED = {
     "proofs <- typecheck._side",
-    "proofs <- typecheck._weakened",
     "proofs <- typecheck._with_binder",
 }
 
@@ -77,3 +81,33 @@ def test_no_module_reads_a_private_name_of_another_but_the_pinned_ones():
     for path in sorted(LIBRARY.glob("*.py")):
         reads |= _private_reads(path.stem, path.read_text())
     assert reads == PINNED
+
+
+def _subject_reads(mod: str, source: str) -> set[str]:
+    """Each function of ``mod`` (or ``<module>``) that reads ``x.subject``."""
+    reads = set()
+    for top in ast.parse(source).body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "subject" and isinstance(node.ctx, ast.Load):
+                reads.add(f"{mod}.{where}")
+    return reads
+
+
+def test_the_subject_guard_sees_attribute_reads_only():
+    source = (
+        "def f(d, subject):\n"
+        "    return Judgment((), subject, None, ()), d.concl.subject\n"
+        "def g(j):\n"
+        "    return replace(j, subject=None)\n"
+        "x = y.subject\n"
+    )
+    assert _subject_reads("m", source) == {"m.f", "m.<module>"}
+
+
+def test_only_typecheck_reads_a_subject():
+    reads = set()
+    for path in sorted(LIBRARY.glob("*.py")):
+        if path.stem != "typecheck":
+            reads |= _subject_reads(path.stem, path.read_text())
+    assert reads == set()

@@ -17,7 +17,7 @@ from bllp import typecheck as T
 from bllp.formula import LF, lf
 from bllp.proofs import check_proof, map_derivation, weight
 from bllp.respoly import const, poly_leq, pvar
-from bllp.syntax import derivation_to_obj, parse_lf, parse_poly
+from bllp.syntax import derivation_from_obj, derivation_to_obj, parse_lf, parse_poly
 from bllp.typecheck import (
     Derivation,
     DerivationError,
@@ -147,9 +147,16 @@ def test_identity_elaboration_shape():
     assert m.rule == "abs" and m.premise().rule == "var_m"
 
 
-def test_mult_contraction_renames_subject():
-    m = add_to_mult(C.church_derivation(2))
-    assert L.alpha_eq(m.concl.subject, C.church_term(2))
+ELABORATED = {e.name: e.derivation for e in C.entries() if e.derivation}
+ELABORATED.update({f"church-{n}": C.church_derivation(n) for n in (1, 2, 8, 48)})
+
+
+@pytest.mark.parametrize("name", sorted(ELABORATED))
+def test_mult_contraction_renames_subject(name):
+    """The elaboration's root keeps the additive subject, names included,
+    though its contractions rename the copies of shared variables below."""
+    d = ELABORATED[name]
+    assert add_to_mult(d).concl.subject == d.concl.subject
 
 
 # -- subject reduction ------------------------------------------------------------
@@ -454,8 +461,10 @@ def test_report_paths_of_a_deep_failing_tree_equal_the_former_walk():
 
 
 def test_the_checkers_neither_substitute_nor_rebuild_subjects(monkeypatch):
-    """On church-16 the pipeline's bounded sums all have a closed form, and
-    the contraction check decides the renamed subject without building it."""
+    """On church-16 the pipeline's bounded sums all have a closed form.  The
+    elaboration renames no term: a contraction is a pending renaming of its
+    premise's subject.  And ``check_mult`` compares no subject: below the
+    root, which alone stores one, the library built every node."""
     from bllp import proofs
 
     calls: dict[str, int] = {}
@@ -472,11 +481,12 @@ def test_the_checkers_neither_substitute_nor_rebuild_subjects(monkeypatch):
     spy(R, "_substitute")
     d = C.church_applied_derivation(16)
     assert check_additive(d).ok
+    spy(L, "subst")
+    spy(L, "rename_mvar")
     m = add_to_mult(d)
     pf = proofs.map_derivation(m)
     assert proofs.check_proof(pf).ok
-    spy(L, "subst")
-    spy(L, "rename_mvar")
+    spy(L, "alpha_eq")
     assert check_mult(m).ok
     assert calls == {}
     assert any(node.rule in ("c_lam", "c_mu") for node in _nodes(m))
@@ -551,19 +561,97 @@ def test_rename_free_of_a_name_outside_the_context_returns_the_node_itself(name)
 
 @pytest.mark.parametrize("n", [32, 64, 128])
 def test_add_to_mult_of_church_n_equals_the_output_of_the_former_renaming(n, monkeypatch):
-    """The former renamers walk every node of the argument; the output,
-    names and annotations included, is the same."""
+    """The former elaboration stores a subject at every node and renames it
+    with each contraction, and its renamers walk every node of the argument;
+    the output, subjects, names and annotations included, is the same."""
     d = C.church_applied_derivation(n)
     start = next(L._gen), next(R._counter)
 
     def run() -> str:
         monkeypatch.setattr(L, "_gen", itertools.count(start[0]))
         monkeypatch.setattr(R, "_counter", itertools.count(start[1]))
-        return json.dumps(derivation_to_obj(add_to_mult(d), "multiplicative"))
+        return json.dumps(derivation_to_obj(T.add_to_mult(d), "multiplicative"))
 
     new = run()
-    monkeypatch.setattr(T, "rename_free", TO._rename_entry)
+    monkeypatch.setattr(T, "add_to_mult", TO.add_to_mult)
     assert run() == new
+
+
+def _contracted(M, captures: bool) -> Derivation:
+    """An application elaborated, and its ``x1`` and ``x2`` contracted into
+    ``z`` by the module ``M``'s ``contract``.  Capturing, it is
+    ``(λz. x1) x2``: the renamed ``x1`` would be captured by the binder
+    ``z``, so the subject is ``(λz'. z) z``.  Otherwise it is ``(λz. z) x1``
+    with ``x2`` weakened in: no renamed name is free under the binder, which
+    keeps its name, ``(λz. z) z``."""
+    one, ty = C.modal(C.X, 1, 1), lf(C.X, F.VACUOUS, 1)
+    arrow = lf(F.arrow(C.X, F.VACUOUS, const(1), C.X), F.VACUOUS, 1)
+    if captures:
+        body = C.node("var", C.jm([("x1", one), ("z", one)], L.Var("x1"), ty))
+        fn_ctx, arg = [("x1", one)], C.node("var", C.jm([("x2", one)], L.Var("x2"), ty))
+    else:
+        body = C.node("var", C.jm([("z", one)], L.Var("z"), ty))
+        fn_ctx, arg = [], C.node("var", C.jm([("x1", one), ("x2", one)], L.Var("x1"), ty))
+    fn = C.node("abs", C.jm(fn_ctx, L.Lam("z", body.concl.subject), arrow), body)
+    subject = L.App(fn.concl.subject, arg.concl.subject)
+    d = C.node("app", C.jm([("x1", one), ("x2", one)], subject, ty), fn, arg, h=const(1))
+    assert check_additive(d).ok
+    m = M.add_to_mult(d)
+    merged = F.lf_sum(m.concl.lam_get("x1"), m.concl.lam_get("x2"))
+    return M.contract(m, "lam", "x1", "x2", "z", merged)
+
+
+def _stripped(d: Derivation) -> Derivation:
+    premises = tuple(_stripped(p) for p in d.premises)
+    return replace(d, concl=replace(d.concl, subject=None), premises=premises)
+
+
+@pytest.mark.parametrize("rename", [None, "z"], ids=["written", "renamed"])
+@pytest.mark.parametrize("captures", [True, False], ids=["capturing", "keeping"])
+def test_a_binder_that_a_contraction_would_capture_gets_a_fresh_name(captures, rename, monkeypatch):
+    """The subject the tree builds renames a binder only where a renamed
+    name free in its body would be captured, as ``lammu.subst`` does.
+    Written out, it equals the former pipeline's, fresh names and the name
+    counters included, and it reads back and checks."""
+    start = next(L._gen), next(R._counter)
+
+    def run(M, rename_free) -> tuple:
+        monkeypatch.setattr(L, "_gen", itertools.count(start[0]))
+        monkeypatch.setattr(R, "_counter", itertools.count(start[1]))
+        d = _contracted(M, captures)
+        if rename:
+            d = rename_free(d, "lam", rename, "w")
+        obj = derivation_to_obj(d, "multiplicative")
+        return d, json.dumps(obj), next(L._gen), next(R._counter)
+
+    new, *written = run(T, T.rename_free)
+    old, *former = run(TO, TO._rename_entry)
+    assert written == former
+    assert check_mult(new).ok and check_mult(old).ok
+    read, system = derivation_from_obj(json.loads(written[0]))
+    assert system == "multiplicative" and check_mult(read).ok
+    built = T.subject_of(_stripped(old))
+    assert L.alpha_eq(built, old.concl.subject)
+    kept = L.App(L.Lam("z", L.Var("z")), L.Var(rename and "w" or "z"))
+    assert (built != kept) if captures else (built == kept)
+    # A stored subject with no renaming pending is taken whole.
+    below = T.weaken(old, "lam", "v", C.modal(C.X, 1, 1))
+    assert T.subject_of(below) is old.concl.subject
+
+
+REDUCED = {e.name: e.derivation for e in C.entries() if e.derivation}
+REDUCED.update({f"church-applied-{n}": C.church_applied_derivation(n) for n in range(1, 13)})
+
+
+@pytest.mark.parametrize("name", sorted(REDUCED))
+def test_subject_reduce_stores_the_reduct_its_tree_builds(name):
+    """Each root ``subject_reduce`` returns stores the subject its rebuilt
+    tree implies; it is the head reduct of the previous one, names included."""
+    m = add_to_mult(REDUCED[name])
+    while (hit := L.step(m.concl.subject, "head")) is not None:
+        m = subject_reduce(m)
+        assert m.concl.subject == hit[0]
+        assert T.subject_of(replace(m, concl=replace(m.concl, subject=None))) == hit[0]
 
 
 # ``s z`` with both premises holding s and z: two shared λ-names at one app.

@@ -1,4 +1,4 @@
-"""Reference derivation rewriters for the tests: plain recursive definitions.
+"""Reference derivation rewriters for the tests: the former pipeline.
 
 Each rewriter here recurses on ``.premises`` through its own name, so a
 derivation a few hundred rules deep exhausts the recursion limit.
@@ -6,9 +6,16 @@ derivation a few hundred rules deep exhausts the recursion limit.
 is ``(yield args)``) and merges the λ- and μ-renamers into ``rename_free``.
 The substitution lemmas, ``_replay_structurals`` and ``_fire_theta`` are
 kept here as they were before that change, with the copy contraction and
-the weakened-variable lookup they repeat.  The tests check that both give
-the same derivations, names included, from the same state of the global
-name supplies.  The other helpers are the library's own.
+the weakened-variable lookup they repeat.
+
+Every node a rewriter here builds stores its whole subject, renamed by
+``lammu.subst`` and ``rename_mvar`` where a contraction or a renaming asks
+for it, as the library did before a subject was stored only at a root.  So
+``contract``, ``weaken``, ``ctx_lower``, ``present`` and the helpers of
+elaboration and subject reduction that build subjects are kept here too.
+The tests check that both give the same derivations, names included, from
+the same state of the global name supplies.  The other helpers are the
+library's own.
 """
 
 from __future__ import annotations
@@ -19,31 +26,86 @@ from bllp import formula as F
 from bllp import lammu as L
 from bllp.formula import LF, VACUOUS, arrow_parts, lf, lf_alpha_eq, lf_leq, lf_subst, lf_sum
 from bllp.lammu import App, Lam, Mu, Named, Var
-from bllp.respoly import ZERO, Poly
+from bllp.respoly import ZERO, Poly, fresh_var
 from bllp.typecheck import (
     Ctx,
     Derivation,
     DerivationError,
     Judgment,
-    _adjust_to,
-    _bare_redex_app,
-    _fire_beta,
-    _fire_mu,
-    _instantiate,
     _merge_groups,
-    _merge_side,
     _Sub,
     _sum_ctx_entry,
     _with_binder,
-    contract,
     ctx_dom,
+    ctx_eq,
     ctx_get,
-    ctx_lower,
     ctx_map,
     ctx_remove,
-    present,
-    weaken,
 )
+
+
+def weaken(d: Derivation, side: str, var: str, entry: LF) -> Derivation:
+    j = d.concl
+    if side == "lam":
+        concl = Judgment(j.lam + ((var, entry),), j.subject, j.type, j.mu)
+        return Derivation("w_lam", concl, (d,))
+    concl = Judgment(j.lam, j.subject, j.type, j.mu + ((var, entry),))
+    return Derivation("w_mu", concl, (d,))
+
+
+def contract(d: Derivation, side: str, v1: str, v2: str, into: str, target: LF) -> Derivation:
+    j = d.concl
+    if side == "lam":
+        lam = ctx_remove(j.lam, v1, v2) + ((into, target),)
+        subject = L.subst(L.subst(j.subject, v1, Var(into)), v2, Var(into))
+        concl = Judgment(lam, subject, j.type, j.mu)
+        return Derivation("c_lam", concl, (d,), {"left": v1, "right": v2, "into": into})
+    mu = ctx_remove(j.mu, v1, v2) + ((into, target),)
+    subject = L.rename_mvar(L.rename_mvar(j.subject, v1, into), v2, into)
+    concl = Judgment(j.lam, subject, j.type, mu)
+    return Derivation("c_mu", concl, (d,), {"left": v1, "right": v2, "into": into})
+
+
+def ctx_lower(d: Derivation, side: str, var: str, target: LF) -> Derivation:
+    """Lower one context entry to a ⊑-smaller labelled formula."""
+    cur = ctx_get(getattr(d.concl, side), var)
+    if cur is None:
+        raise DerivationError(f"no {side}-entry {var} to lower")
+    if lf_alpha_eq(cur, target):
+        return d
+    if not lf_leq(target, cur):
+        raise DerivationError(f"{target} is not below {cur}")
+    ghost = L.fresh_tvar(var)
+    shifted = F.lf_shift(cur, fresh_var("g"))
+    zero = LF(shifted.formula, shifted.binder, ZERO)
+    return contract(weaken(d, side, ghost, zero), side, var, ghost, var, target)
+
+
+def present(d: Derivation, concl: Judgment) -> Derivation:
+    """Re-state the conclusion (contexts reordered, subjects α-renamed)."""
+    j = d.concl
+    assert ctx_eq(j.lam, concl.lam) and ctx_eq(j.mu, concl.mu)
+    assert L.alpha_eq(j.subject, concl.subject) and lf_alpha_eq(j.type, concl.type)
+    return replace(d, concl=concl)
+
+
+def _merge_side(d: Derivation, side: str, target: Ctx, left: Ctx, summed: dict) -> Derivation:
+    """Contract/weaken/lower premise-derived entries down to ``target``."""
+    for v, want in target:
+        have_left = ctx_get(left, v) is not None
+        have_right = v in summed
+        if have_left and have_right:
+            ghost = summed[v]
+            d = contract(d, side, v, ghost, v, want)
+        elif have_left or have_right:
+            if have_right:
+                d = _rename_entry(d, side, summed[v], v)
+            cur = ctx_get(getattr(d.concl, side), v)
+            if not lf_alpha_eq(cur, want):
+                d = ctx_lower(d, side, v, want)
+        else:
+            d = weaken(d, side, v, want)
+    return d
 
 
 def subst_derivation(d: Derivation, var: str, value: Poly) -> Derivation:
@@ -266,6 +328,20 @@ def add_to_mult(d: Derivation) -> Derivation:
             out = _merge_side(out, "mu", j.mu, fn.concl.mu, summed_m)
             return present(out, j)
     raise DerivationError(f"not an additive rule: {d.rule}")
+
+
+def _instantiate(sub: _Sub) -> tuple[Derivation, dict, dict]:
+    """A fresh-named instance of the argument derivation at the copy's shift."""
+    inst = sub.rho
+    if sub.binder != VACUOUS:
+        inst = subst_derivation(inst, sub.binder, sub.shift)
+    ren_l = {v: L.fresh_tvar(v) for v, _ in inst.concl.lam}
+    ren_m = {v: L.fresh_tvar(v) for v, _ in inst.concl.mu}
+    for old, new in ren_l.items():
+        inst = _rename_entry(inst, "lam", old, new)
+    for old, new in ren_m.items():
+        inst = _rename_entry(inst, "mu", old, new)
+    return inst, ren_l, ren_m
 
 
 def _subst_walk(d: Derivation, subs: dict[str, _Sub]) -> tuple[Derivation, dict, dict]:
@@ -543,6 +619,81 @@ def mu_subst_derivation(pi: Derivation, alpha: str, rho: Derivation) -> Derivati
         if not lf_alpha_eq(cur_entry, target):
             out = ctx_lower(out, "mu", alpha, target)
     return out
+
+
+def _adjust_to(d: Derivation, target: Judgment) -> Derivation:
+    """Weaken and lower contexts until the conclusion matches ``target``."""
+    d = lower_type(d, target.type)
+    for side in ("lam", "mu"):
+        have = getattr(d.concl, side)
+        want = getattr(target, side)
+        extra = ctx_dom(have) - ctx_dom(want)
+        if extra:
+            raise DerivationError(f"cannot drop hypotheses {sorted(extra)}")
+        for v, a in want:
+            cur = ctx_get(getattr(d.concl, side), v)
+            if cur is None:
+                d = weaken(d, side, v, a)
+            elif not lf_alpha_eq(cur, a):
+                d = ctx_lower(d, side, v, a)
+    return present(d, target)
+
+
+def _bare_redex_app(d: Derivation) -> tuple[Derivation, list[Derivation]]:
+    """Peel structural rules off the function premise of an application."""
+    assert d.rule == "app_m"
+    fn, arg = d.premises
+    wrappers = []
+    while fn.rule in ("w_lam", "w_mu", "c_lam", "c_mu"):
+        wrappers.append(fn)
+        fn = fn.premise()
+    if not wrappers:
+        return d, []
+    lam = fn.concl.lam + tuple(
+        (v, ctx_get(d.concl.lam, v)) for v, _ in arg.concl.lam
+    )
+    mu = fn.concl.mu + tuple((v, ctx_get(d.concl.mu, v)) for v, _ in arg.concl.mu)
+    bare = Derivation(
+        "app_m",
+        Judgment(lam, App(fn.concl.subject, arg.concl.subject), d.concl.type, mu),
+        (fn, arg),
+        dict(d.ann),
+    )
+    return bare, wrappers
+
+
+def _fire_beta(d: Derivation) -> Derivation:
+    fn, rho = d.premises
+    if fn.rule != "abs":
+        raise DerivationError("β-redex derivation must end in an abstraction")
+    pi = fn.premise()
+    x = fn.concl.subject.var
+    out = lam_subst_derivation(pi, x, rho)
+    reduct = L.subst(pi.concl.subject, x, rho.concl.subject)
+    out = _adjust_to(out, replace(d.concl, subject=out.concl.subject))
+    if not L.alpha_eq(out.concl.subject, reduct):
+        raise DerivationError("substitution produced the wrong subject")
+    return replace(out, concl=replace(out.concl, subject=reduct))
+
+
+def _fire_mu(d: Derivation) -> Derivation:
+    fn, rho = d.premises
+    if fn.rule != "mu_abs":
+        raise DerivationError("μ-redex derivation must end in a μ-abstraction")
+    pi = fn.premise()
+    beta = fn.concl.subject.mvar
+    out = mu_subst_derivation(pi, beta, rho)
+    node = Derivation(
+        "mu_abs",
+        Judgment(
+            out.concl.lam,
+            Mu(beta, out.concl.subject),
+            out.concl.mu_get(beta),
+            ctx_remove(out.concl.mu, beta),
+        ),
+        (out,),
+    )
+    return _adjust_to(node, replace(d.concl, subject=node.concl.subject))
 
 
 def _replay_structurals(out: Derivation, wrappers: list[Derivation]) -> Derivation:
