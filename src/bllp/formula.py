@@ -14,11 +14,21 @@ each bound variable as the number of its binder pair (after de Bruijn) and
 builds a polynomial only to rename a bound that mentions one.  Only this
 module matches binders: a caller that compares two bodies under their own
 binders passes the pair of names.
+
+A formula node holds its structural facts.  Its polarity ``positive`` is a
+constant of its class.  :func:`negate`, :func:`free_rvars` and
+:func:`classify` compute their answer on a node's first query and store it
+on the node, as ``lammu.Term`` keeps ``fv``; they are not fields, so ``==``,
+``hash`` and ``repr`` ignore them.  ``negate`` stores the dual on both
+nodes, so ``negate(negate(f))`` is ``f`` itself; a unit's dual is the
+shared ``BOTTOM`` or ``ONE_F``.  ``free_rvars`` returns a shared
+``frozenset``.  No fact draws a fresh name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from . import respoly
 from .respoly import ZERO, Poly, VarId, bounded_sum, compose, fresh_var, poly_leq, pvar
@@ -31,6 +41,8 @@ class ShapeMismatch(Exception):
 
 
 class Formula:
+    positive: ClassVar[bool]
+
     def __str__(self) -> str:
         from .syntax import print_formula
 
@@ -39,38 +51,48 @@ class Formula:
 
 @dataclass(frozen=True)
 class Atom(Formula):
+    positive = True
+
     name: str
 
 
 @dataclass(frozen=True)
 class NegAtom(Formula):
+    positive = False
+
     name: str
 
 
 @dataclass(frozen=True)
 class One(Formula):
-    pass
+    positive = True
 
 
 @dataclass(frozen=True)
 class Bottom(Formula):
-    pass
+    positive = False
 
 
 @dataclass(frozen=True)
 class Tensor(Formula):
+    positive = True
+
     left: Formula
     right: Formula
 
 
 @dataclass(frozen=True)
 class Par(Formula):
+    positive = False
+
     left: Formula
     right: Formula
 
 
 @dataclass(frozen=True)
 class Bang(Formula):
+    positive = True
+
     var: VarId
     bound: Poly
     body: Formula
@@ -78,6 +100,8 @@ class Bang(Formula):
 
 @dataclass(frozen=True)
 class WhyNot(Formula):
+    positive = False
+
     var: VarId
     bound: Poly
     body: Formula
@@ -85,46 +109,62 @@ class WhyNot(Formula):
 
 ONE_F = One()
 BOTTOM = Bottom()
-
-
-def is_positive(f: Formula) -> bool:
-    return isinstance(f, (Atom, One, Tensor, Bang))
-
-
-def is_negative(f: Formula) -> bool:
-    return not is_positive(f)
+_NO_RVARS: frozenset[VarId] = frozenset()
 
 
 def negate(f: Formula) -> Formula:
+    """The De Morgan dual of ``f``, built on the first query and stored on
+    ``f``, with ``f`` stored on it; the dual of a unit is the shared one."""
+    d = f.__dict__
+    if "dual" in d:
+        return d["dual"]
     match f:
         case Atom(name):
-            return NegAtom(name)
+            g = NegAtom(name)
         case NegAtom(name):
-            return Atom(name)
+            g = Atom(name)
         case One():
             return BOTTOM
         case Bottom():
             return ONE_F
         case Tensor(l, r):
-            return Par(negate(l), negate(r))
+            g = Par(negate(l), negate(r))
         case Par(l, r):
-            return Tensor(negate(l), negate(r))
+            g = Tensor(negate(l), negate(r))
         case Bang(x, p, n):
-            return WhyNot(x, p, negate(n))
+            g = WhyNot(x, p, negate(n))
         case WhyNot(x, p, n):
-            return Bang(x, p, negate(n))
-    raise TypeError(f)
+            g = Bang(x, p, negate(n))
+        case _:
+            raise TypeError(f)
+    d["dual"] = g
+    g.__dict__["dual"] = f
+    return g
 
 
-def free_rvars(f: Formula) -> set[VarId]:
+def free_rvars(f: Formula) -> frozenset[VarId]:
+    """The free resource variables of ``f``, computed on the first query
+    and stored on ``f``; a node shares its child's set when they agree."""
+    d = f.__dict__
+    if "rvars" in d:
+        return d["rvars"]
     match f:
         case Atom() | NegAtom() | One() | Bottom():
-            return set()
+            fv = _NO_RVARS
         case Tensor(l, r) | Par(l, r):
-            return free_rvars(l) | free_rvars(r)
+            fl, fr = free_rvars(l), free_rvars(r)
+            fv = fl if fr <= fl else fr if fl <= fr else fl | fr
         case Bang(x, p, n) | WhyNot(x, p, n):
-            return p.free_vars() | (free_rvars(n) - {x})
-    raise TypeError(f)
+            fv = free_rvars(n)
+            if x in fv:
+                fv = fv - {x}
+            pv = p.free_vars()
+            if not pv <= fv:
+                fv = fv | pv
+        case _:
+            raise TypeError(f)
+    d["rvars"] = fv
+    return fv
 
 
 def subst_poly(f: Formula, var: VarId, q: Poly) -> Formula:
@@ -249,10 +289,6 @@ def lf_neg(a: LF) -> LF:
     return LF(negate(a.formula), a.binder, a.label)
 
 
-def lf_positive(a: LF) -> bool:
-    return is_positive(a.formula)
-
-
 def lf_subst(a: LF, var: VarId, q: Poly) -> LF:
     """Resource-variable substitution under the label binder."""
     if var == a.binder or var == VACUOUS:
@@ -271,13 +307,13 @@ def lf_alpha_eq(a: LF, b: LF) -> bool:
 
 def lf_leq(a: LF, b: LF) -> bool:
     """Subtyping on labelled formulas: contravariant labels on negatives."""
-    if lf_positive(a) != lf_positive(b):
+    if a.formula.positive != b.formula.positive:
         raise ShapeMismatch("polarity mismatch in labelled comparison")
     if a == b:
         return True
     if not formula_leq(a.formula, b.formula, (a.binder, b.binder)):
         return False
-    if lf_positive(a):
+    if a.formula.positive:
         return poly_leq(a.label, b.label)
     return poly_leq(b.label, a.label)
 
@@ -349,19 +385,6 @@ def lf_bounded_sum(
     return LF(base, base_binder, bounded_sum(z, bound, fam.label))
 
 
-def verify_bounded_sum(
-    candidate: LF,
-    z: VarId,
-    bound: Poly,
-    fam: LF,
-    witness: tuple[Formula, VarId] | None = None,
-) -> bool:
-    try:
-        return lf_alpha_eq(candidate, lf_bounded_sum(z, bound, fam, witness))
-    except ShapeMismatch:
-        return False
-
-
 # -- typing / modal classification --------------------------------------------
 
 
@@ -384,13 +407,19 @@ def classify(f: Formula) -> str:
     Typing formulas are ⊥, negated atoms and arrows ``?{x<p}~N par M``
     with ``N`` and ``M`` typing; modal ones are ``?{x<p}~N`` with ``N``
     typing.  The walk reads ``~N`` off ``N`` by a polarity flag instead of
-    building the negation.
+    building the negation; its answer is stored on ``f``.
     """
+    d = f.__dict__
+    if "kind" in d:
+        return d["kind"]
     if _typing(f, False):
-        return "typing"
-    if type(f) is WhyNot and _typing(f.body, True):
-        return "modal"
-    return "neither"
+        kind = "typing"
+    elif type(f) is WhyNot and _typing(f.body, True):
+        kind = "modal"
+    else:
+        kind = "neither"
+    d["kind"] = kind
+    return kind
 
 
 def _typing(f: Formula, negated: bool) -> bool:

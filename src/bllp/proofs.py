@@ -40,7 +40,6 @@ from .formula import (
     lf_bounded_sum,
     lf_leq,
     lf_neg,
-    lf_positive,
     lf_shift,
     lf_subst,
     lf_sum,
@@ -89,7 +88,7 @@ class Proof(Tree):
 
 
 def positives(seq: Sequent) -> list[int]:
-    return [i for i, a in enumerate(seq) if lf_positive(a)]
+    return [i for i, a in enumerate(seq) if a.formula.positive]
 
 
 # -- index layouts ------------------------------------------------------------------
@@ -188,7 +187,7 @@ def _node_errors(p: Proof) -> list[str]:
                 if len(pos) != 1:
                     return errs + ["axiom needs one positive and one negative side"]
                 neg = seq[1 - pos[0]]
-                if lf_positive(w):
+                if w.formula.positive:
                     errs.append("axiom witness must be negative")
                 if not lf_leq(neg, w):
                     errs.append("negative conclusion is not below the witness")
@@ -201,7 +200,7 @@ def _node_errors(p: Proof) -> list[str]:
                 li, ri = d["left_idx"], d["right_idx"]
                 lseq, rseq = p.premise(0).concl, p.premise(1).concl
                 cutf = lseq[li]
-                if lf_positive(cutf):
+                if cutf.formula.positive:
                     errs.append("left cut formula must be negative")
                 if not lf_alpha_eq(lf_neg(cutf), rseq[ri]):
                     errs.append("cut formulas are not dual at the same label")
@@ -227,7 +226,7 @@ def _node_errors(p: Proof) -> list[str]:
                 b = p.premise(1).concl[ri]
                 out = seq[-1]
                 fo = out.formula
-                if not (lf_positive(a) and lf_positive(b)):
+                if not (a.formula.positive and b.formula.positive):
                     errs.append("tensor premises must distinguish positive formulas")
                 if not isinstance(fo, F.Tensor):
                     return errs + ["tensor must introduce a tensor formula"]
@@ -265,7 +264,7 @@ def _node_errors(p: Proof) -> list[str]:
                 if not lf_leq(seq[i], lf(why, y, ONE)):
                     errs.append("dereliction conclusion exceeds the one-use bound")
             case "qw":
-                if lf_positive(seq[d["idx"]]):
+                if seq[d["idx"]].formula.positive:
                     errs.append("weakening must introduce a negative formula")
             case "qc":
                 i, j = d["left"], d["right"]

@@ -330,7 +330,7 @@ def _pretty_name(base: str, avoid: set[str]) -> str:
     return f"{root}{k}"
 
 
-def _display_formula(f: F.Formula, avoid: set[str]) -> F.Formula:
+def _display_formula(f: F.Formula, avoid: frozenset[str]) -> F.Formula:
     match f:
         case F.Atom(_) | F.NegAtom(_) | F.One() | F.Bottom():
             return f

@@ -1,4 +1,4 @@
-"""Reference formula comparisons for the tests: the definitions that
+"""Reference formula definitions for the tests: the definitions that
 ``bllp.formula`` replaced, and ``classify`` before its polarity walk.
 
 Every comparison here goes the long way and has no equal-operand exit.
@@ -12,13 +12,64 @@ variables as binder numbers, and ``bllp.respoly.poly_leq`` walks the two
 term tuples without building anything; ``bllp.formula.classify`` reads a
 negation off its operand by a polarity flag instead of building it.  The
 tests check that both give these answers.
+
+The facts that ``bllp.formula`` stores on a node are defined here as they
+were before: ``negate`` builds a fresh dual on every call, ``free_rvars``
+rebuilds its sets recursively, ``classify_walk`` (with ``_typing``) walks
+the formula on every call, and ``is_positive`` tests the class against a
+tuple.  ``is_negative`` and ``verify_bounded_sum`` moved here from
+``bllp.formula``, where only tests called them.
 """
 
 from __future__ import annotations
 
 from bllp import formula as F
-from bllp.formula import LF, VACUOUS, ShapeMismatch, free_rvars, lf_positive, subst_poly
+from bllp.formula import LF, VACUOUS, ShapeMismatch, subst_poly
 from bllp.respoly import Poly, VarId, fresh_var, pvar, sub_checked
+
+
+def is_positive(f: F.Formula) -> bool:
+    return isinstance(f, (F.Atom, F.One, F.Tensor, F.Bang))
+
+
+def is_negative(f: F.Formula) -> bool:
+    return not is_positive(f)
+
+
+def lf_positive(a: LF) -> bool:
+    return is_positive(a.formula)
+
+
+def negate(f: F.Formula) -> F.Formula:
+    match f:
+        case F.Atom(name):
+            return F.NegAtom(name)
+        case F.NegAtom(name):
+            return F.Atom(name)
+        case F.One():
+            return F.BOTTOM
+        case F.Bottom():
+            return F.ONE_F
+        case F.Tensor(l, r):
+            return F.Par(negate(l), negate(r))
+        case F.Par(l, r):
+            return F.Tensor(negate(l), negate(r))
+        case F.Bang(x, p, n):
+            return F.WhyNot(x, p, negate(n))
+        case F.WhyNot(x, p, n):
+            return F.Bang(x, p, negate(n))
+    raise TypeError(f)
+
+
+def free_rvars(f: F.Formula) -> set[VarId]:
+    match f:
+        case F.Atom() | F.NegAtom() | F.One() | F.Bottom():
+            return set()
+        case F.Tensor(l, r) | F.Par(l, r):
+            return free_rvars(l) | free_rvars(r)
+        case F.Bang(x, p, n) | F.WhyNot(x, p, n):
+            return p.free_vars() | (free_rvars(n) - {x})
+    raise TypeError(f)
 
 
 def _canon(f: F.Formula, counter: list[int]) -> F.Formula:
@@ -108,11 +159,52 @@ def classify(f: F.Formula) -> str:
         case F.Bottom() | F.NegAtom():
             return "typing"
         case F.Par(F.WhyNot(_, _, body), m):
-            if classify(F.negate(body)) == "typing" and classify(m) == "typing":
+            if classify(negate(body)) == "typing" and classify(m) == "typing":
                 return "typing"
             return "neither"
         case F.WhyNot(_, _, body):
-            if classify(F.negate(body)) == "typing":
+            if classify(negate(body)) == "typing":
                 return "modal"
             return "neither"
     return "neither"
+
+
+def classify_walk(f: F.Formula) -> str:
+    """``classify`` by one walk that reads ``~N`` off ``N`` by a polarity flag."""
+    if _typing(f, False):
+        return "typing"
+    if type(f) is F.WhyNot and _typing(f.body, True):
+        return "modal"
+    return "neither"
+
+
+def _typing(f: F.Formula, negated: bool) -> bool:
+    """Whether ``f``, or ``negate(f)`` if ``negated``, is a typing formula."""
+    todo = [(f, negated)]
+    while todo:
+        f, negated = todo.pop()
+        # Under negation ⊥ is read off 1, ¬X off X, ⅋ off ⊗ and ? off !.
+        bottom, neg_atom, par, why_not = (
+            (F.One, F.Atom, F.Tensor, F.Bang) if negated else (F.Bottom, F.NegAtom, F.Par, F.WhyNot)
+        )
+        cls = type(f)
+        if cls is bottom or cls is neg_atom:
+            continue
+        if cls is not par or type(f.left) is not why_not:
+            return False
+        todo.append((f.left.body, not negated))
+        todo.append((f.right, negated))
+    return True
+
+
+def verify_bounded_sum(
+    candidate: LF,
+    z: VarId,
+    bound: Poly,
+    fam: LF,
+    witness: tuple[F.Formula, VarId] | None = None,
+) -> bool:
+    try:
+        return F.lf_alpha_eq(candidate, F.lf_bounded_sum(z, bound, fam, witness))
+    except ShapeMismatch:
+        return False

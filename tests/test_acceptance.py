@@ -340,7 +340,7 @@ def test_criterion_9_malleability():
             pf = rng.choice(pool)
             idx = rng.randrange(len(pf.concl))
             a = pf.concl[idx]
-            if F.lf_positive(a):
+            if a.formula.positive:
                 continue
             out = P.m_subtype(
                 pf, idx, F.LF(a.formula, a.binder, a.label + R.const(rng.randint(1, 3)))

@@ -9,7 +9,9 @@ body of the function f (module-level or nested in one) names g, as a plain
 name or as an attribute.  The graph must have no cycle.  ``syntax`` parses
 and prints terms and files on explicit stacks too; its formula and
 polynomial parsers and printers still recurse, as deep as a type, not a
-term, and they are pinned: the list may only shrink.
+term, and they are pinned: the list may only shrink.  So are the
+recursive functions of ``formula``, each as deep as a type; ``respoly``,
+``corpus`` and ``cli`` have none.
 """
 
 import ast
@@ -90,3 +92,18 @@ def test_syntax_recurses_only_in_its_formula_and_polynomial_parsers_and_printers
         "_parse_tensor",
         "_print_formula",
     ]
+
+
+def test_formula_recurses_only_in_its_pinned_functions():
+    assert _recursive([(LIBRARY / "formula.py").read_text()]) == [
+        "free_rvars",
+        "negate",
+        "subst_poly",
+    ]
+
+
+def test_respoly_corpus_and_cli_have_no_recursive_function():
+    recursive = {
+        mod: _recursive([(LIBRARY / f"{mod}.py").read_text()]) for mod in ("respoly", "corpus", "cli")
+    }
+    assert recursive == {"respoly": [], "corpus": [], "cli": []}

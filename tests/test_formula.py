@@ -3,6 +3,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import formula_oracle as O
 from bllp import formula as F
+from bllp import lammu as L
 from bllp import respoly as R
 from bllp.formula import (
     LF,
@@ -10,6 +11,7 @@ from bllp.formula import (
     alpha_eq,
     classify,
     formula_leq,
+    free_rvars,
     lf,
     lf_alpha_eq,
     lf_bounded_sum,
@@ -19,7 +21,6 @@ from bllp.formula import (
     lf_sum,
     negate,
     subst_poly,
-    verify_bounded_sum,
 )
 from bllp.syntax import parse_formula, parse_lf, parse_poly, print_formula
 
@@ -46,9 +47,9 @@ def formulas(draw, depth=3, bounds=BOUNDS):
         case "par":
             return F.Par(a, draw(formulas(depth=depth - 1, bounds=bounds)))
         case "bang":
-            return F.Bang("y", bound, a if F.is_negative(a) else negate(a))
+            return F.Bang("y", bound, a if O.is_negative(a) else negate(a))
         case "whynot":
-            return F.WhyNot("y", bound, a if F.is_positive(a) else negate(a))
+            return F.WhyNot("y", bound, a if O.is_positive(a) else negate(a))
 
 
 def test_negate_units_and_atoms():
@@ -61,7 +62,27 @@ def test_negate_units_and_atoms():
 @given(formulas())
 def test_negate_involutive_and_flips_polarity(f):
     assert negate(negate(f)) == f
-    assert F.is_positive(f) != F.is_positive(negate(f))
+    assert f.positive != negate(f).positive
+
+
+@settings(max_examples=200, deadline=None)
+@given(formulas(), st.sampled_from(["x", F.VACUOUS]), st.sampled_from(["0", "q", "q + 1"]))
+def test_stored_facts_equal_their_definitions_and_are_computed_once(f, binder, label):
+    # A structural copy holds no stored fact, so the first read below computes each one.
+    f = O.negate(O.negate(f))
+    names = repr(R._counter), repr(L._gen)
+    for g in (f, negate(f)):
+        assert g.positive == O.is_positive(g)
+        assert negate(g) == O.negate(g) and negate(g) is negate(g)
+        assert negate(negate(g)) == g
+        assert negate(negate(g)) is g or type(g) in (F.One, F.Bottom)
+        assert free_rvars(g) == O.free_rvars(g) and free_rvars(g) is free_rvars(g)
+        assert classify(g) == O.classify_walk(g) == O.classify(g)
+        assert g.__dict__.keys() >= {"rvars", "kind"}
+    a = lf(f, binder, P(label))
+    assert lf_neg(a).formula is negate(a.formula) and lf_neg(lf_neg(a)) == a
+    assert lf_neg(a).formula.positive != a.formula.positive == O.lf_positive(a)
+    assert (repr(R._counter), repr(L._gen)) == names
 
 
 def test_subst_identity():
@@ -173,8 +194,8 @@ def test_bounded_sum_needs_witness():
 
 def test_verify_bounded_sum_wrong_label():
     fam = parse_lf("<~V>[r]")
-    assert verify_bounded_sum(parse_lf("<~V>[r*q]"), "z", P("q"), fam)
-    assert not verify_bounded_sum(parse_lf("<~V>[r*q + 1]"), "z", P("q"), fam)
+    assert O.verify_bounded_sum(parse_lf("<~V>[r*q]"), "z", P("q"), fam)
+    assert not O.verify_bounded_sum(parse_lf("<~V>[r*q + 1]"), "z", P("q"), fam)
 
 
 def test_bounded_sum_witnessed_shift_family():
@@ -225,7 +246,7 @@ def test_subst_commutes_with_negate(f):
 def test_lf_leq_antisymmetric(f, l):
     a = lf(f, F.VACUOUS, P(l))
     b = lf(f, F.VACUOUS, P(l) + P("1"))
-    if F.is_negative(f):
+    if O.is_negative(f):
         assert lf_leq(b, a) and not lf_leq(a, b)
     else:
         assert lf_leq(a, b) and not lf_leq(b, a)
@@ -330,8 +351,8 @@ def named_formulas(draw, depth=3):
         return (F.Tensor if kind == "tensor" else F.Par)(a, draw(named_formulas(depth=depth - 1)))
     x, bound = draw(st.sampled_from(NAMES)), P(draw(st.sampled_from(NAME_BOUNDS)))
     if kind == "bang":
-        return F.Bang(x, bound, a if F.is_negative(a) else negate(a))
-    return F.WhyNot(x, bound, a if F.is_positive(a) else negate(a))
+        return F.Bang(x, bound, a if O.is_negative(a) else negate(a))
+    return F.WhyNot(x, bound, a if O.is_positive(a) else negate(a))
 
 
 def rename_to(f, draw):

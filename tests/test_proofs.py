@@ -37,7 +37,14 @@ from bllp.proofs import (
 )
 from bllp.respoly import ONE, ZERO, const, eval_poly, fresh_var, poly_leq, pvar
 from bllp.syntax import parse_lf, parse_poly, proof_from_obj, proof_to_obj
-from bllp.typecheck import Report, add_to_mult, subject_reduce, subst_derivation
+from bllp.typecheck import (
+    Report,
+    add_to_mult,
+    check_additive,
+    check_mult,
+    subject_reduce,
+    subst_derivation,
+)
 
 PL = parse_poly
 
@@ -364,7 +371,7 @@ def test_malleability_random_suite():
         pf = rng.choice(pool)
         idx = rng.randrange(len(pf.concl))
         a = pf.concl[idx]
-        if F.lf_positive(a):
+        if a.formula.positive:
             continue
         out = m_subtype(pf, idx, _inflate(a, rng))
         assert check_proof(out).ok and proof_sim(out, pf)
@@ -739,6 +746,35 @@ def test_check_proof_decides_equal_operands_without_rebuilding(monkeypatch):
         assert check_proof(q).ok
     assert len(proofs) > 1 and calls["poly_leq"] > 0
     assert calls["rename"] == 0 and calls["_poly in poly_leq"] == 0, calls
+
+
+@pytest.mark.parametrize("name", ["church-12"] + DERIVED)
+def test_the_pipeline_builds_the_dual_of_each_formula_object_once(name, monkeypatch):
+    """One pass from ``check_additive`` to ``weight`` negates no formula object
+    twice: every call after the first reads the stored dual."""
+    d = C.church_applied_derivation(12) if name == "church-12" else C.by_name(name).derivation
+    built = []  # the negated objects themselves, so no id is reused
+    calls = [0]
+    real = F.negate
+
+    def negate(f):
+        # A unit's dual is a shared constant, never built.
+        calls[0] += 1
+        if "dual" not in f.__dict__ and type(f) not in (F.One, F.Bottom):
+            built.append(f)
+        return real(f)
+
+    # ``F.negate`` recurses through the module global, so children go through the spy too.
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("bllp") and getattr(mod, "negate", None) is real:
+            monkeypatch.setattr(mod, "negate", negate)
+    assert check_additive(d).ok
+    m = add_to_mult(d)
+    assert check_mult(m).ok
+    pf = map_derivation(m)
+    assert check_proof(pf).ok
+    weight(pf)
+    assert calls[0] > 0 and len({id(f) for f in built}) == len(built)
 
 
 # -- stored verdicts -------------------------------------------------------------------

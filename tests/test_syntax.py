@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import formula_oracle as O
 from bllp import corpus as C
 from bllp import formula as F
 from bllp import lammu as L
@@ -54,17 +55,17 @@ def formulas(draw, depth=3):
             return F.Par(draw(sub), draw(sub))
         case "bang":
             a = draw(sub)
-            return F.Bang("v", draw(polys()), a if F.is_negative(a) else F.negate(a))
+            return F.Bang("v", draw(polys()), a if O.is_negative(a) else F.negate(a))
         case "whynot":
             a = draw(sub)
-            return F.WhyNot("v", draw(polys()), a if F.is_positive(a) else F.negate(a))
+            return F.WhyNot("v", draw(polys()), a if O.is_positive(a) else F.negate(a))
         case "arrow":
             a, b = draw(sub), draw(sub)
             return F.arrow(
-                a if F.is_negative(a) else F.negate(a),
+                a if O.is_negative(a) else F.negate(a),
                 "v",
                 draw(polys()),
-                b if F.is_negative(b) else F.negate(b),
+                b if O.is_negative(b) else F.negate(b),
             )
 
 
