@@ -13,7 +13,8 @@ reflexive.  Unequal operands are decided by one pairwise walk that reads
 each bound variable as the number of its binder pair (after de Bruijn) and
 builds a polynomial only to rename a bound that mentions one.  Only this
 module matches binders: a caller that compares two bodies under their own
-binders passes the pair of names.
+binders passes the pair of names, and one that moves a body to another
+binder calls ``with_binder``.
 
 A formula node holds its structural facts.  Its polarity ``positive`` is a
 constant of its class.  :func:`negate`, :func:`free_rvars` and
@@ -332,6 +333,15 @@ def lf_shift(a: LF, new_binder: VarId) -> LF:
         else a.formula
     )
     return LF(shifted, new_binder if new_binder in free_rvars(shifted) else VACUOUS, a.label)
+
+
+def with_binder(f: Formula, b_old: VarId, b_new: VarId) -> Formula:
+    """Transport ``f`` from the label binder ``b_old`` to ``b_new``."""
+    if b_old == b_new or b_old == VACUOUS or b_old not in free_rvars(f):
+        return f
+    if b_new == VACUOUS:
+        raise ShapeMismatch("cannot erase a label binder still in use")
+    return subst_poly(f, b_old, pvar(b_new))
 
 
 def lf_sum(a: LF, b: LF) -> LF:

@@ -46,7 +46,7 @@ from .formula import (
     negate,
 )
 from .respoly import ONE, ZERO, Poly, bounded_sum, fresh_var, linear_sum, poly_leq, pvar
-from .typecheck import Report, Tree, _side, _with_binder, ctx_get, introduced, stack_safe
+from .typecheck import Report, Tree, _side, ctx_get, introduced, stack_safe
 
 Sequent = tuple[LF, ...]
 Path = tuple[int, ...]
@@ -318,51 +318,6 @@ def check_proof(p: Proof) -> Report:
     return Report.walk(p, _verdict)
 
 
-# -- erasure and similarity ----------------------------------------------------------
-
-
-@stack_safe
-def _skel_formula(f: F.Formula):
-    match f:
-        case F.Atom(n):
-            return ("+", n)
-        case F.NegAtom(n):
-            return ("-", n)
-        case F.One():
-            return ("1",)
-        case F.Bottom():
-            return ("bot",)
-        case F.Tensor(l, r):
-            return ("*", (yield (l,)), (yield (r,)))
-        case F.Par(l, r):
-            return ("par", (yield (l,)), (yield (r,)))
-        case F.Bang(_, _, n):
-            return ("!", (yield (n,)))
-        case F.WhyNot(_, _, n):
-            return ("?", (yield (n,)))
-    raise TypeError(f)
-
-
-def erase(p: Proof) -> tuple:
-    """The underlying polynomial-free skeleton, flat in pre-order.
-
-    One entry per node: its rule, integer data, formula shapes and number
-    of premises.  Being flat, two skeletons compare without recursion.
-    """
-    out, stack = [], [p]
-    while stack:
-        node = stack.pop()
-        idxs = tuple(sorted((k, v) for k, v in node.data.items() if isinstance(v, int)))
-        concl = tuple(_skel_formula(a.formula) for a in node.concl)
-        out.append((node.rule, idxs, concl, len(node.premises)))
-        stack.extend(reversed(node.premises))
-    return tuple(out)
-
-
-def proof_sim(p: Proof, q: Proof) -> bool:
-    return erase(p) == erase(q)
-
-
 # -- weights -------------------------------------------------------------------------
 
 
@@ -532,7 +487,7 @@ def _map_deriv(d) -> tuple[Proof, dict]:
                     ctx[posu[key]] = a
             box_out = lf(F.Bang(xh, ph, n_f), y, h)
             box = mk_bang(ru, posu[("type",)], box_out, ctx)
-            m_lf = lf(_with_binder(m_f, y, j.type.binder), j.type.binder, k)
+            m_lf = lf(F.with_binder(m_f, y, j.type.binder), j.type.binder, k)
             ax = mk_ax((m_lf, lf_neg(m_lf)), m_lf)
             tens = mk_tensor(
                 box,
@@ -620,12 +575,8 @@ def m_subtype(p: Proof, idx: int, target: LF) -> Proof:
             fo = target.formula
             prem = p.premise(0)
             a, b = prem.concl[i], prem.concl[j]
-            na = lf(F.subst_poly(fo.left, target.binder, pvar(a.binder))
-                    if target.binder != VACUOUS and a.binder != VACUOUS and target.binder != a.binder
-                    else fo.left, a.binder, a.label)
-            nb = lf(F.subst_poly(fo.right, target.binder, pvar(b.binder))
-                    if target.binder != VACUOUS and b.binder != VACUOUS and target.binder != b.binder
-                    else fo.right, b.binder, b.label)
+            na = lf(F.with_binder(fo.left, target.binder, a.binder), a.binder, a.label)
+            nb = lf(F.with_binder(fo.right, target.binder, b.binder), b.binder, b.label)
             prem = yield (prem, i, na)
             prem = yield (prem, j, nb)
             return mk_par(prem, i, j, target)
@@ -958,12 +909,6 @@ def _expose(p: Proof, path: Path) -> tuple[Proof, Path]:
                 p = _splice(p, tpath, hoisted, tr)
                 continue
         return p, path
-
-
-def expose_logical(p: Proof, path: Path) -> Proof:
-    """A commutation-equivalent proof in which the designated cut is logical."""
-    out, _ = _expose(p, path)
-    return out
 
 
 # -- logical cut-elimination steps ----------------------------------------------------

@@ -23,10 +23,12 @@ binomial-basis substitution.
 
 The order ``poly_leq`` builds nothing: equal operands return at once, and
 otherwise one merge walk over the two sorted term tuples looks up each
-coefficient of p in q.  ``sub_checked`` is the difference itself, for
-callers that need it.  ``bin_of_poly`` answers ``choose(q, 1)`` and
-``choose(x, n)`` for a bare variable directly, so renaming a variable with
-``compose(p, x, pvar(y))`` never reaches the finite-difference oracle.
+coefficient of p in q.  ``bin_of_poly`` forms ``choose(q, n)`` exactly,
+as a falling product divided by ``n!``, and reads ``choose(x, n)`` for a
+bare variable off directly, so renaming a variable with
+``compose(p, x, pvar(y))`` forms no product beyond one per monomial.  The
+finite-difference oracle that reconstructs a polynomial from its values
+is a reference for the tests, in ``tests/respoly_oracle.py``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Callable, Iterable, Mapping
+from typing import Mapping
 
 VarId = str
 
@@ -185,16 +187,6 @@ def linear_sum(counts: Mapping[Poly, int]) -> Poly:
     return _poly(table)
 
 
-def _iterated_diffs(values: list[int]) -> list[int]:
-    """Finite differences at 0: values[k] = f(k) -> [Δ^0 f(0), Δ^1 f(0), ...]."""
-    out = []
-    row = list(values)
-    while row:
-        out.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
-    return out
-
-
 def _bin_product_1var(a: int, b: int) -> tuple[tuple[int, int], ...]:
     """Pairs (k, c_k) with choose(x,a)*choose(x,b) = sum c_k * choose(x,k), c_k > 0.
 
@@ -269,66 +261,32 @@ def eval_poly(p: Poly, env: Mapping[VarId, int]) -> int:
     return sum(c * m.eval(env) for m, c in p.terms)
 
 
-def fd_oracle(
-    f: Callable[[Mapping[VarId, int]], int],
-    variables: Iterable[VarId],
-    degree_bounds: Mapping[VarId, int],
-) -> Poly:
-    """Reconstruct a resource polynomial from its evaluation function.
-
-    The coefficient on ``prod choose(x_i, n_i)`` is the mixed finite
-    difference of ``f`` at the all-zero point.  Raises
-    :class:`NotResourcePolynomial` if any coefficient comes out negative,
-    i.e. the function is not a resource polynomial.
-    """
-    vs = sorted(set(variables))
-    ranges = [range(degree_bounds.get(v, 0) + 1) for v in vs]
-    table: dict[tuple[int, ...], int] = {}
-    for point in itertools.product(*ranges):
-        table[point] = f(dict(zip(vs, point)))
-    # Difference along each axis in turn.
-    for axis in range(len(vs)):
-        new: dict[tuple[int, ...], int] = {}
-        for base in itertools.product(
-            *(ranges[i] if i != axis else [0] for i in range(len(vs)))
-        ):
-            slice_vals = []
-            for k in ranges[axis]:
-                pt = list(base)
-                pt[axis] = k
-                slice_vals.append(table[tuple(pt)])
-            diffs = _iterated_diffs(slice_vals)
-            for k, d in enumerate(diffs):
-                pt = list(base)
-                pt[axis] = k
-                new[tuple(pt)] = d
-        table = new
-    out: dict[Mono, int] = {}
-    for point, coeff in table.items():
-        if coeff == 0:
-            continue
-        if coeff < 0:
-            raise NotResourcePolynomial(
-                f"not a resource polynomial: coefficient {coeff} at {dict(zip(vs, point))}"
-            )
-        out[_mono(dict(zip(vs, point)))] = coeff
-    return _poly(out)
-
-
 def bin_of_poly(q: Poly, n: int) -> Poly:
-    """choose(q, n) as a resource polynomial in q's variables."""
-    if n == 0:
-        return ONE
-    if n == 1:
-        return q
+    """choose(q, n) as a resource polynomial in q's variables.
+
+    The falling product ``q·(q-1)·…·(q-n+1)`` is formed in the binomial
+    basis on a signed table and divided by ``n!``.  The division is exact:
+    ``choose(q, n)`` is integer-valued, so every coefficient of the product
+    is ``n!`` times an integer.  ``choose(x, n)`` for a bare variable is
+    read off directly.
+    """
     if len(q.terms) == 1:
         (m, c), = q.terms
         if c == 1 and len(m.factors) == 1 and m.factors[0][1] == 1:
             return binom(m.factors[0][0], n)
-    if not q.free_vars():
-        return const(comb(q.constant_part(), n))
-    bounds = {v: q.degree(v) * n for v in q.free_vars()}
-    return fd_oracle(lambda env: comb(eval_poly(q, env), n), q.free_vars(), bounds)
+    factor = dict(q.terms)
+    c0 = factor.get(MONO_ONE, 0)
+    table = {MONO_ONE: 1}
+    for k in range(n):
+        factor[MONO_ONE] = c0 - k
+        product: dict[Mono, int] = {}
+        for m1, c1 in table.items():
+            for m2, c2 in factor.items():
+                if c1 and c2:
+                    _add_product(product, m1, m2, c1 * c2)
+        table = product
+    d = factorial(n)
+    return _poly({m: c // d for m, c in table.items()})
 
 
 def specialize(p: Poly, env: Mapping[VarId, int]) -> Poly:
@@ -406,16 +364,6 @@ def bounded_sum(z: VarId, bound: Poly, body: Poly) -> Poly:
     return _substitute(body, z, bound, 1) if mentions(body, z) else mul(body, bound)
 
 
-def sub_checked(q: Poly, p: Poly) -> Poly | None:
-    """q - p when that is a resource polynomial, else None."""
-    table: dict[Mono, int] = dict(q.terms)
-    for m, c in p.terms:
-        table[m] = table.get(m, 0) - c
-    if any(c < 0 for c in table.values()):
-        return None
-    return _poly({m: c for m, c in table.items() if c})
-
-
 def poly_leq(p: Poly, q: Poly) -> bool:
     """The order ``p ⊑ q``: every basis coefficient of p is covered by q.
 
@@ -436,6 +384,3 @@ def poly_leq(p: Poly, q: Poly) -> bool:
         j += 1
     return True
 
-
-def poly_lt(p: Poly, q: Poly) -> bool:
-    return p != q and poly_leq(p, q)

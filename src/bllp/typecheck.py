@@ -43,7 +43,7 @@ from .formula import (
     lf_sum,
 )
 from .lammu import App, Lam, Mu, Named, Term, Var
-from .respoly import ONE, ZERO, Poly, fresh_var, poly_leq, pvar
+from .respoly import ONE, ZERO, Poly, fresh_var, poly_leq
 
 Ctx = tuple[tuple[str, LF], ...]
 
@@ -655,15 +655,6 @@ def _side(rule: str) -> str:
     return "lam" if rule.endswith("lam") else "mu"
 
 
-def _with_binder(f: F.Formula, b_old: str, b_new: str) -> F.Formula:
-    """Transport a formula from one label binder to another."""
-    if b_old == b_new or b_old == VACUOUS or b_old not in F.free_rvars(f):
-        return f
-    if b_new == VACUOUS:
-        raise DerivationError("cannot erase a label binder still in use")
-    return F.subst_poly(f, b_old, pvar(b_new))
-
-
 @stack_safe
 def subst_derivation(d: Derivation, var: str, value: Poly) -> Derivation:
     """Substitute a resource variable throughout a derivation."""
@@ -776,12 +767,12 @@ def lower_type(d: Derivation, target: LF) -> Derivation:
             x = introduced(d)
             p0 = d.premise()
             entry = p0.concl.lam_get(x)
-            f_entry = _with_binder(
+            f_entry = F.with_binder(
                 F.WhyNot(z, s, F.negate(n_f)), target.binder, entry.binder
             )
             prem = ctx_lower(p0, "lam", x, lf(f_entry, entry.binder, entry.label))
             ty0 = prem.concl.type
-            m_new = _with_binder(m_f, target.binder, ty0.binder)
+            m_new = F.with_binder(m_f, target.binder, ty0.binder)
             prem = yield (prem, lf(m_new, ty0.binder, ty0.label))
             return Derivation("abs", replace(j, type=target), (prem,), dict(d.ann))
         case "app_m" | "app":
@@ -795,7 +786,7 @@ def lower_type(d: Derivation, target: LF) -> Derivation:
                     fnlf.label,
                 )
             else:
-                m_new = _with_binder(target.formula, target.binder, fnlf.binder)
+                m_new = F.with_binder(target.formula, target.binder, fnlf.binder)
                 new_arrow = lf(
                     F.Par(F.WhyNot(xh, ph, F.negate(n_f)), m_new),
                     fnlf.binder,

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from bllp import formula as F
 from bllp.formula import LF, VACUOUS, ShapeMismatch, subst_poly
-from bllp.respoly import Poly, VarId, fresh_var, pvar, sub_checked
+from bllp.respoly import Poly, VarId, fresh_var, pvar
+from respoly_oracle import sub_checked
 
 
 def is_positive(f: F.Formula) -> bool:

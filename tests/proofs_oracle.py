@@ -1,4 +1,5 @@
-"""Reference sequent-proof operations for the tests: plain recursive definitions.
+"""Reference sequent-proof operations for the tests, and the plain recursive
+definitions that ``bllp.proofs`` replaced.
 
 ``preweight`` builds the symbolic pre-weight of Girard, Scedrov and Scott:
 every axiom, unary rule and box-context position gets a fresh weight
@@ -10,13 +11,19 @@ fixes each variable's value (its fate) top-down in one walk; the tests check
 that both give the same polynomial.  ``cut_paths`` is the recursive
 pre-order listing of the cuts outside every box.
 
+``erase`` is the polynomial-free skeleton of a proof, flat in pre-order,
+and ``proof_sim`` compares two skeletons: the tests check that each
+rewrite of a proof keeps its shape.  ``expose_logical`` makes a designated
+cut logical by commutations alone.  The library only exposes a cut on its
+way to firing it, so these three live with the tests.
+
 The rest are the plain recursive rewriters that ``bllp.proofs`` runs on
-``stack_safe`` or as loops: each recurses through its own name, ``erase``
-nests one tuple per node, and ``_splice`` also returns the translation of
-the root's conclusion, which no caller reads.  ``_refit`` and ``_hoist``
-are the former per-rule commutations: ``_refit`` has one branch per rule,
-and ``_hoist`` one case per commuted rule over ``_rebuild_parent`` and
-``_inv``, where ``bllp.proofs`` rebuilds every rule through one table.  The
+``stack_safe`` or as loops: each recurses through its own name, and
+``_splice`` also returns the translation of the root's conclusion, which no
+caller reads.  ``_refit`` and ``_hoist`` are the former per-rule
+commutations: ``_refit`` has one branch per rule, and ``_hoist`` one case
+per commuted rule over ``_rebuild_parent`` and ``_inv``, where
+``bllp.proofs`` rebuilds every rule through one table.  The
 tests check that both give the same proofs from the same state of the
 global name supplies.  ``_split`` shifts a copy by the former helper
 ``_shift_lf(a, y, r)``, where ``bllp.proofs`` calls ``formula.lf_shift``.
@@ -47,6 +54,7 @@ from bllp.proofs import (
     Trans,
     _apply_trans,
     _derive_trans,
+    _expose,
     _origin,
     _relabel,
     _set_concl,
@@ -160,6 +168,10 @@ def cut_paths(p: Proof, path: Path = (), inside_box: bool = False) -> list[Path]
     return out
 
 
+# -- erasure, similarity and exposure -----------------------------------------------
+
+
+@T.stack_safe
 def _skel_formula(f: F.Formula):
     match f:
         case F.Atom(n):
@@ -171,27 +183,41 @@ def _skel_formula(f: F.Formula):
         case F.Bottom():
             return ("bot",)
         case F.Tensor(l, r):
-            return ("*", _skel_formula(l), _skel_formula(r))
+            return ("*", (yield (l,)), (yield (r,)))
         case F.Par(l, r):
-            return ("par", _skel_formula(l), _skel_formula(r))
+            return ("par", (yield (l,)), (yield (r,)))
         case F.Bang(_, _, n):
-            return ("!", _skel_formula(n))
+            return ("!", (yield (n,)))
         case F.WhyNot(_, _, n):
-            return ("?", _skel_formula(n))
+            return ("?", (yield (n,)))
     raise TypeError(f)
 
 
-def erase(p: Proof):
-    """The underlying polynomial-free skeleton."""
-    idxs = tuple(
-        sorted((k, v) for k, v in p.data.items() if isinstance(v, int))
-    )
-    return (
-        p.rule,
-        idxs,
-        tuple(_skel_formula(a.formula) for a in p.concl),
-        tuple(erase(q) for q in p.premises),
-    )
+def erase(p: Proof) -> tuple:
+    """The underlying polynomial-free skeleton, flat in pre-order.
+
+    One entry per node: its rule, integer data, formula shapes and number
+    of premises.  Being flat, two skeletons compare without recursion.
+    """
+    out, stack = [], [p]
+    while stack:
+        node = stack.pop()
+        idxs = tuple(sorted((k, v) for k, v in node.data.items() if isinstance(v, int)))
+        concl = tuple(_skel_formula(a.formula) for a in node.concl)
+        out.append((node.rule, idxs, concl, len(node.premises)))
+        stack.extend(reversed(node.premises))
+    return tuple(out)
+
+
+def proof_sim(p: Proof, q: Proof) -> bool:
+    """Whether ``p`` and ``q`` differ only in their polynomials."""
+    return erase(p) == erase(q)
+
+
+def expose_logical(p: Proof, path: Path) -> Proof:
+    """A commutation-equivalent proof in which the designated cut is logical."""
+    out, _ = _expose(p, path)
+    return out
 
 
 def _map_deriv(d) -> tuple[Proof, dict]:
@@ -235,7 +261,7 @@ def _map_deriv(d) -> tuple[Proof, dict]:
                     ctx[posu[key]] = a
             box_out = lf(F.Bang(xh, ph, n_f), y, h)
             box = mk_bang(ru, posu[("type",)], box_out, ctx)
-            m_lf = lf(T._with_binder(m_f, y, j.type.binder), j.type.binder, k)
+            m_lf = lf(F.with_binder(m_f, y, j.type.binder), j.type.binder, k)
             ax = mk_ax((m_lf, lf_neg(m_lf)), m_lf)
             tens = mk_tensor(
                 box,

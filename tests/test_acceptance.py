@@ -19,6 +19,8 @@ from bllp.lammu import App, Lam, Mu, Named, Var
 from bllp.machine import EMPTY, Closure, Config
 from bllp.syntax import parse_term
 from bllp.typecheck import add_to_mult, check_additive, check_mult, subject_reduce
+from proofs_oracle import proof_sim
+from respoly_oracle import fd_oracle, sub_checked
 
 DERIVED = [e for e in C.entries() if e.derivation is not None]
 
@@ -67,7 +69,7 @@ def test_criterion_1_polynomial_oracles():
         got = R.mul(p, q)
         vs = p.free_vars() | q.free_vars()
         bounds = {v: p.degree(v) + q.degree(v) for v in vs}
-        ref = R.fd_oracle(
+        ref = fd_oracle(
             lambda e: R.eval_poly(p, e) * R.eval_poly(q, e), vs, bounds
         )
         if got != ref:
@@ -83,7 +85,7 @@ def test_criterion_1_polynomial_oracles():
         bounds = {
             v: p.degree("x") * q.degree(v) + p.degree(v) for v in vs
         }
-        ref = R.fd_oracle(
+        ref = fd_oracle(
             lambda e: R.eval_poly(p, {**e, "x": R.eval_poly(q, e)}), vs, bounds
         )
         if got != ref:
@@ -109,7 +111,7 @@ def test_criterion_1_polynomial_oracles():
             v: bound.degree(v) * (body.degree("z") + 1) + body.degree(v)
             for v in vs
         }
-        ref = R.fd_oracle(brute, vs, bounds)
+        ref = fd_oracle(brute, vs, bounds)
         if got != ref:
             failures.append(("sum", bound, body))
         env = _sample_env(rng, ["x", "y"], hi=4)
@@ -351,17 +353,17 @@ def test_criterion_9_malleability():
         else:
             box = rng.choice(boxes)
             q = box.concl[box.data["idx"]].label
-            rest = R.sub_checked(q, R.ONE)
+            rest = sub_checked(q, R.ONE)
             if rest is None:
                 continue
             if mode == "split":
                 rho, sigma = P.m_split(box, R.ONE, rest)
                 pf, out = box, rho
-                if not (P.check_proof(sigma).ok and P.proof_sim(sigma, box)):
+                if not (P.check_proof(sigma).ok and proof_sim(sigma, box)):
                     bad += 1
             else:
                 pf, out = box, P.m_parsplit(box, R.ONE, q)
-        if not (P.check_proof(out).ok and P.proof_sim(out, pf)):
+        if not (P.check_proof(out).ok and proof_sim(out, pf)):
             bad += 1
         done += 1
     assert verdict("criterion 9: malleability suite", bad == 0, f"{done} perturbations, {bad} failures")

@@ -328,6 +328,28 @@ def test_poly_commands(capsys):
     assert run("poly-leq", "x", "x + 1") == 0
 
 
+@pytest.mark.parametrize(
+    "source, canonical",
+    [
+        ("sum(z < x + y, z)", "x*y + bin(x,2) + bin(y,2)"),
+        (
+            "sum(z < bin(x,2) + y, z*w)",
+            "w*bin(x,2)*y + 3*w*bin(x,3) + 3*w*bin(x,4) + w*bin(y,2)",
+        ),
+        (
+            "sum(z < x*y + 2, bin(z,2))",
+            "x*y + 2*x*bin(y,2) + x*bin(y,3) + 2*bin(x,2)*y + 8*bin(x,2)*bin(y,2)"
+            " + 6*bin(x,2)*bin(y,3) + bin(x,3)*y + 6*bin(x,3)*bin(y,2) + 6*bin(x,3)*bin(y,3)",
+        ),
+    ],
+)
+def test_poly_canon_of_a_sum_over_a_compound_bound(capsys, source, canonical):
+    """A bound that is neither a constant nor a bare variable: ``choose(q, n)``
+    for a general polynomial ``q``."""
+    assert run("poly-canon", source) == 0
+    assert capsys.readouterr().out == canonical + "\n"
+
+
 EXHAUSTED = "fuel exhausted after 1 steps"
 
 

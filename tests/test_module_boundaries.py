@@ -19,7 +19,6 @@ LIBRARY = Path(__file__).resolve().parents[1] / "src" / "bllp"
 
 PINNED = {
     "proofs <- typecheck._side",
-    "proofs <- typecheck._with_binder",
 }
 
 

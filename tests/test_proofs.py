@@ -16,8 +16,6 @@ from bllp.proofs import (
     Proof,
     check_proof,
     classify_occurrence,
-    erase,
-    expose_logical,
     fire_logical,
     m_parsplit,
     m_split,
@@ -31,7 +29,6 @@ from bllp.proofs import (
     mk_qw,
     mk_tensor,
     normalize,
-    proof_sim,
     step_special,
     weight,
 )
@@ -45,6 +42,8 @@ from bllp.typecheck import (
     subject_reduce,
     subst_derivation,
 )
+from proofs_oracle import erase, expose_logical, proof_sim
+from respoly_oracle import sub_checked
 
 PL = parse_poly
 
@@ -395,8 +394,6 @@ def test_split_suite_on_boxes():
         if e.derivation:
             visit(mapped(e.name))
     assert boxes
-    from bllp.respoly import sub_checked
-
     for _ in range(40):
         box = rng.choice(boxes)
         idx = box.data["idx"]

@@ -17,14 +17,12 @@ from bllp.respoly import (
     compose,
     const,
     eval_poly,
-    fd_oracle,
     mul,
     poly_leq,
-    poly_lt,
     pvar,
     specialize,
-    sub_checked,
 )
+from respoly_oracle import fd_bin, fd_oracle, poly_lt, sub_checked
 
 X, Y, Z = "x", "y", "z"
 
@@ -286,18 +284,17 @@ def test_bin_of_poly_vandermonde():
         assert eval_poly(p, env) == math.comb(eval_poly(q, env), 2)
 
 
-def fd_bin(q, n):
-    """choose(q, n) the long way: finite differences of its values."""
-    vs = q.free_vars()
-    return fd_oracle(lambda e: math.comb(eval_poly(q, e), n), vs,
-                     {v: q.degree(v) * n for v in vs})
-
-
 @settings(max_examples=60)
 @given(polys(), varnames, st.integers(0, 5))
 def test_bin_of_poly_shortcuts_match_the_oracle(q, v, n):
     assert bin_of_poly(q, 1) == q == fd_bin(q, 1)
     assert bin_of_poly(pvar(v), n) == binom(v, n) == fd_bin(pvar(v), n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), st.integers(0, 5))
+def test_bin_of_poly_matches_the_oracle(q, n):
+    assert bin_of_poly(q, n) == fd_bin(q, n)
 
 
 @settings(max_examples=60)
@@ -309,18 +306,20 @@ def test_renaming_matches_the_oracle(p, x, y):
                             {v: p.degree(v) + p.degree(x) for v in rest})
 
 
-def test_renaming_never_runs_the_oracle(monkeypatch):
-    from bllp import respoly
-
-    calls = []
-    real = respoly.fd_oracle
-    monkeypatch.setattr(respoly, "fd_oracle", lambda *a: calls.append(a) or real(*a))
+def test_renaming_and_vacuous_sums_form_no_falling_product(monkeypatch):
+    """``choose(y, n)`` for a bare variable is read off, so renaming forms
+    one monomial product per term, as a vacuous sum's ``mul`` does; the
+    falling product of the general case would form more."""
     p = add(mul(pvar(X), pvar(X)), mul(const(3), pvar(X)))
-    assert compose(p, X, pvar(Y)) == add(mul(pvar(Y), pvar(Y)), mul(const(3), pvar(Y)))
-    assert bounded_sum(Z, pvar(Y), p) == mul(p, pvar(Y))
-    assert calls == []
-    bin_of_poly(add(pvar(X), pvar(Y)), 2)
-    assert len(calls) == 1
+    renamed = add(mul(pvar(Y), pvar(Y)), mul(const(3), pvar(Y)))
+    summed = mul(p, pvar(Y))
+    calls = []
+    real = respoly._add_product
+    monkeypatch.setattr(respoly, "_add_product", lambda *a: calls.append(a) or real(*a))
+    assert compose(p, X, pvar(Y)) == renamed
+    assert len(calls) == len(p.terms)
+    assert bounded_sum(Z, pvar(Y), p) == summed
+    assert len(calls) == 2 * len(p.terms)
 
 
 # -- order --------------------------------------------------------------------

@@ -113,16 +113,6 @@ def _pipeline(d) -> list:
     return out
 
 
-def _flat(nested) -> tuple:
-    """The former nested ``erase`` in the flat pre-order form of ``P.erase``."""
-    out, stack = [], [nested]
-    while stack:
-        rule, idxs, concl, premises = stack.pop()
-        out.append((rule, idxs, concl, len(premises)))
-        stack.extend(reversed(premises))
-    return tuple(out)
-
-
 @pytest.mark.parametrize("name", sorted(DERIVATIONS))
 def test_pipeline_output_equals_the_recursive_definitions(name, monkeypatch):
     start = next(L._gen), next(R._counter)
@@ -240,7 +230,7 @@ def test_commutations_no_derivation_reaches_equal_the_former_definitions(name, m
 
     def run() -> list:
         L._gen, R._counter = itertools.count(start[0]), itertools.count(start[1])
-        exposed = P.expose_logical(pf, path)
+        exposed = PO.expose_logical(pf, path)
         assert P.check_proof(exposed).ok
         nf, steps, _ = P.normalize(pf)
         return [proof_to_obj(exposed), proof_to_obj(nf), steps]
@@ -269,13 +259,12 @@ def test_commutations_no_derivation_reaches_equal_the_former_definitions(name, m
 
 
 @pytest.mark.parametrize("name", ["aleph-applied", "kappa-callcc", "church-applied-3"])
-def test_erase_and_tensor_trees_agree_with_the_recursive_definitions(name):
+def test_tensor_trees_agree_with_the_recursive_definitions(name):
     pf = P.map_derivation(T.add_to_mult(DERIVATIONS[name]))
     stack = [pf]
     while stack:
         q = stack.pop()
         stack.extend(q.premises)
-        assert P.erase(q) == _flat(PO.erase(q))
         assert P._tensor_purge_path(q) == PO._tensor_purge_path(q)
         assert (P._tensor_purge_path(q) is None) == PO.is_tensor_tree(q)
 

@@ -35,7 +35,6 @@ from bllp.typecheck import (
     _merge_groups,
     _Sub,
     _sum_ctx_entry,
-    _with_binder,
     ctx_dom,
     ctx_eq,
     ctx_get,
@@ -179,12 +178,12 @@ def lower_type(d: Derivation, target: LF) -> Derivation:
             x = j.subject.var
             p0 = d.premise()
             entry = p0.concl.lam_get(x)
-            f_entry = _with_binder(
+            f_entry = F.with_binder(
                 F.WhyNot(z, s, F.negate(n_f)), target.binder, entry.binder
             )
             prem = ctx_lower(p0, "lam", x, lf(f_entry, entry.binder, entry.label))
             ty0 = prem.concl.type
-            m_new = _with_binder(m_f, target.binder, ty0.binder)
+            m_new = F.with_binder(m_f, target.binder, ty0.binder)
             prem = lower_type(prem, lf(m_new, ty0.binder, ty0.label))
             return Derivation("abs", replace(j, type=target), (prem,), dict(d.ann))
         case "app_m" | "app":
@@ -198,7 +197,7 @@ def lower_type(d: Derivation, target: LF) -> Derivation:
                     fnlf.label,
                 )
             else:
-                m_new = _with_binder(target.formula, target.binder, fnlf.binder)
+                m_new = F.with_binder(target.formula, target.binder, fnlf.binder)
                 new_arrow = lf(
                     F.Par(F.WhyNot(xh, ph, F.negate(n_f)), m_new),
                     fnlf.binder,
