@@ -16,11 +16,17 @@ root. That value (its fate) is known top-down, and substituting a constant
 commutes with + and ×, so `weight` uses the fate from the start, in one
 walk from the root that keeps no variables.
 
+Where a rule puts each premise formula is stated once, in `_layout`: every
+builder but the box's assembles its conclusion from that table, each node
+keeps the table it was built with, and every position translation is read
+off the tables before and after a rewrite.
+
 A special cut is exposed by commuting the rules above it, then fired.
 Commuting a rule only moves it: the cut moves onto the premise that holds
 its formula, and the rule is rebuilt below it. Both, and every ancestor of
-a rewritten subproof, are rebuilt by `_rebuild`, which reads from one table
-which data fields of a rule hold positions in a premise.
+a rewritten subproof, are rebuilt by `_rebuild` through `_build`;
+`_PREMISE_FIELDS` says which data fields of a rule hold positions in a
+premise.
 """
 
 from __future__ import annotations
@@ -50,6 +56,8 @@ from .typecheck import Report, Tree, _side, ctx_get, introduced, stack_safe
 
 Sequent = tuple[LF, ...]
 Path = tuple[int, ...]
+# Per premise, each position's conclusion position; and the positions made.
+Table = tuple[tuple[tuple[int | None, ...], ...], tuple[int, ...]]
 
 RULES = ("ax", "cut", "par", "tensor", "bang", "qd", "qw", "qc", "bot", "one")
 
@@ -66,6 +74,9 @@ class Proof(Tree):
     data: Mapping = field(default_factory=dict)
     # The node's own errors, stored by `check_proof`; None until then.
     verdict: tuple[str, ...] | None = field(default=None, init=False, repr=False)
+    # The node's `_layout` table, stored by `_build` or on first use; not a
+    # field, so `replace` leaves it behind.
+    table = None
 
     def __post_init__(self) -> None:
         # A read-only copy of `data` (and of its `sum_witness`), so that the
@@ -93,79 +104,76 @@ def positives(seq: Sequent) -> list[int]:
 
 # -- index layouts ------------------------------------------------------------------
 #
-# For each rule, `layout` maps premise positions to conclusion positions
-# (None = consumed by a cut); `created` lists conclusion positions the rule
-# itself fills in.
+# One table per rule says where each premise formula goes: `_layout` maps
+# each premise position to its conclusion position (None = consumed by a
+# cut) and lists the conclusion positions the rule fills in itself.  A
+# `par` or `qc` merges its pair into the first one's position, `qd` and
+# `bang` work in place, `qw` and `bot` insert at `idx`, and `cut` and
+# `tensor` append the right premise's formulas to the left's.  `_build`
+# assembles every conclusion but a box's from it, and each node keeps the
+# table it was built with (or computes it on first use).  Tables are tuples
+# of ints, which the garbage collector stops tracking; stored lists would
+# make its full collections longer and more frequent.
 
 
-def _del_shift(idx: int, removed: int) -> int:
-    return idx - (1 if idx > removed else 0)
-
-
-def layout(p: Proof) -> list[list[int | None]]:
-    d = p.data
-    match p.rule:
-        case "ax" | "one":
-            return []
-        case "cut":
+def _layout(rule: str, d: Mapping, lens: tuple[int, ...]) -> Table:
+    match rule:
+        case "ax":
+            return (), (0, 1)
+        case "one":
+            return (), (0,)
+        case "cut" | "tensor":
             li, ri = d["left_idx"], d["right_idx"]
-            nl = len(p.premise(0).concl)
-            left = [None if i == li else _del_shift(i, li) for i in range(nl)]
-            off = nl - 1
-            right = [
-                None if i == ri else off + _del_shift(i, ri)
-                for i in range(len(p.premise(1).concl))
-            ]
-            return [left, right]
+            nl, nr = lens
+            end = None if rule == "cut" else nl + nr - 2  # the tensor formula
+            # a formula after a removed one moves down by one
+            left = tuple([end if i == li else i - (i > li) for i in range(nl)])
+            right = tuple([end if i == ri else nl - 1 + i - (i > ri) for i in range(nr)])
+            return (left, right), () if end is None else (end,)
         case "par" | "qc":
             i, j = d["left"], d["right"]
-            out = []
-            for k in range(len(p.premise(0).concl)):
-                if k == j:
-                    out.append(_del_shift(i, j))
-                elif k == i:
-                    out.append(_del_shift(i, j))
-                else:
-                    out.append(_del_shift(k, j))
-            return [out]
-        case "tensor":
-            li, ri = d["left_idx"], d["right_idx"]
-            nl = len(p.premise(0).concl)
-            nr = len(p.premise(1).concl)
-            last = nl + nr - 2
-            left = [last if i == li else _del_shift(i, li) for i in range(nl)]
-            right = [
-                last if i == ri else nl - 1 + _del_shift(i, ri) for i in range(nr)
-            ]
-            return [left, right]
+            out = i - (i > j)
+            return (tuple([out if k == j else k - (k > j) for k in range(lens[0])]),), (out,)
         case "bang" | "qd":
-            return [list(range(len(p.premise(0).concl)))]
+            return (tuple(range(lens[0])),), (d["idx"],)
         case "qw" | "bot":
             i = d["idx"]
-            return [
-                [k + (1 if k >= i else 0) for k in range(len(p.premise(0).concl))]
-            ]
-    raise ProofError(f"unknown rule {p.rule!r}")
+            return (tuple([k + (k >= i) for k in range(lens[0])]),), (i,)
+    raise ProofError(f"unknown rule {rule!r}")
 
 
-def created(p: Proof) -> list[int]:
-    d = p.data
-    match p.rule:
-        case "ax":
-            return [0, 1]
-        case "one":
-            return [0]
-        case "cut":
-            return []
-        case "par" | "qc":
-            return [_del_shift(d["left"], d["right"])]
-        case "tensor":
-            return [len(p.concl) - 1]
-        case "bang" | "qd":
-            return [d["idx"]]
-        case "qw" | "bot":
-            return [d["idx"]]
-    raise ProofError(f"unknown rule {p.rule!r}")
+def _table(p: Proof) -> Table:
+    """The table of a node not built by `_build`, computed and stored."""
+    lens = tuple(len(q.concl) for q in p.premises)
+    object.__setattr__(p, "table", _layout(p.rule, p.data, lens))
+    return p.table
+
+
+def layout(p: Proof) -> tuple[tuple[int | None, ...], ...]:
+    return (p.table or _table(p))[0]
+
+
+def created(p: Proof) -> tuple[int, ...]:
+    return (p.table or _table(p))[1]
+
+
+def _build(rule: str, premises: tuple[Proof, ...], data: Mapping, *made: LF) -> Proof:
+    """The ``rule`` node over ``premises``: the premise formulas the table
+    passes on, and ``made`` at the positions the rule fills in.  Every rule
+    keeps the order of the formulas it passes on, so they are laid out in
+    premise order."""
+    table = lays, at = _layout(rule, data, tuple(len(q.concl) for q in premises))
+    seq = [
+        a
+        for q, lay in zip(premises, lays)
+        for a, t in zip(q.concl, lay)
+        if t is not None and t not in at
+    ]
+    for k, a in zip(at, made):
+        seq.insert(k, a)
+    node = Proof(rule, tuple(seq), premises, data)
+    object.__setattr__(node, "table", table)
+    return node
 
 
 # -- checking ------------------------------------------------------------------------
@@ -209,7 +217,7 @@ def _node_errors(p: Proof) -> list[str]:
             case "par":
                 i, j = d["left"], d["right"]
                 pseq = p.premise(0).concl
-                out = seq[_del_shift(i, j)]
+                out = seq[created(p)[0]]
                 a, b = pseq[i], pseq[j]
                 fo = out.formula
                 if not isinstance(fo, F.Par):
@@ -269,7 +277,7 @@ def _node_errors(p: Proof) -> list[str]:
             case "qc":
                 i, j = d["left"], d["right"]
                 pseq = p.premise(0).concl
-                out = seq[_del_shift(i, j)]
+                out = seq[created(p)[0]]
                 if not lf_leq(out, lf_sum(pseq[i], pseq[j])):
                     errs.append("contraction target is not below the sum")
             case "bot":
@@ -370,33 +378,23 @@ def mk_one(unit: LF) -> Proof:
 
 
 def mk_bot(prem: Proof, idx: int, out: LF) -> Proof:
-    seq = prem.concl[:idx] + (out,) + prem.concl[idx:]
-    return Proof("bot", seq, (prem,), {"idx": idx})
+    return _build("bot", (prem,), {"idx": idx}, out)
 
 
 def mk_qw(prem: Proof, idx: int, out: LF) -> Proof:
-    seq = prem.concl[:idx] + (out,) + prem.concl[idx:]
-    return Proof("qw", seq, (prem,), {"idx": idx})
-
-
-def _merge_seq(prem: Sequent, i: int, j: int, out: LF) -> Sequent:
-    seq = list(prem)
-    seq[i] = out
-    del seq[j]
-    return tuple(seq)
+    return _build("qw", (prem,), {"idx": idx}, out)
 
 
 def mk_par(prem: Proof, i: int, j: int, out: LF) -> Proof:
-    return Proof("par", _merge_seq(prem.concl, i, j, out), (prem,), {"left": i, "right": j})
+    return _build("par", (prem,), {"left": i, "right": j}, out)
 
 
 def mk_qc(prem: Proof, i: int, j: int, out: LF) -> Proof:
-    return Proof("qc", _merge_seq(prem.concl, i, j, out), (prem,), {"left": i, "right": j})
+    return _build("qc", (prem,), {"left": i, "right": j}, out)
 
 
 def mk_qd(prem: Proof, idx: int, P: F.Formula, x: str, p: Poly, y: str, out: LF) -> Proof:
-    seq = prem.concl[:idx] + (out,) + prem.concl[idx + 1 :]
-    return Proof("qd", seq, (prem,), {"idx": idx, "P": P, "x": x, "p": p, "y": y})
+    return _build("qd", (prem,), {"idx": idx, "P": P, "x": x, "p": p, "y": y}, out)
 
 
 def mk_bang(prem: Proof, idx: int, out: LF, ctx: dict[int, LF], witnesses=None) -> Proof:
@@ -415,24 +413,11 @@ def mk_bang(prem: Proof, idx: int, out: LF, ctx: dict[int, LF], witnesses=None) 
 
 
 def mk_tensor(left: Proof, right: Proof, li: int, ri: int, out: LF) -> Proof:
-    seq = (
-        left.concl[:li]
-        + left.concl[li + 1 :]
-        + right.concl[:ri]
-        + right.concl[ri + 1 :]
-        + (out,)
-    )
-    return Proof("tensor", seq, (left, right), {"left_idx": li, "right_idx": ri})
+    return _build("tensor", (left, right), {"left_idx": li, "right_idx": ri}, out)
 
 
 def mk_cut(left: Proof, right: Proof, li: int, ri: int) -> Proof:
-    seq = (
-        left.concl[:li]
-        + left.concl[li + 1 :]
-        + right.concl[:ri]
-        + right.concl[ri + 1 :]
-    )
-    return Proof("cut", seq, (left, right), {"left_idx": li, "right_idx": ri})
+    return _build("cut", (left, right), {"left_idx": li, "right_idx": ri})
 
 
 # -- mapping multiplicative derivations into proofs --------------------------------------
@@ -711,20 +696,27 @@ def _parsplit(p: Proof, pos: int, s: Poly) -> Proof:
 # -- occurrence tracing and special cuts ---------------------------------------------
 
 
-def classify_occurrence(p: Proof, path: Path, idx: int) -> str:
-    """Trace a formula occurrence downward: ``active`` ends at a cut."""
-    while path:
-        parent = p.at(path[:-1])
-        which = path[-1]
-        tgt = layout(parent)[which][idx]
-        if tgt is None:
+def _ancestors(p: Proof, path: Path) -> list[Proof]:
+    """The nodes at ``path[:k]`` for ``k < len(path)``, root first."""
+    out = []
+    for i in path:
+        out.append(p)
+        p = p.premises[i]
+    return out
+
+
+def classify_occurrence(p: Proof, path: Path, *idxs: int) -> str:
+    """Trace formula occurrences downward, together in one walk: ``active``
+    when one of them ends at a cut, else ``passive``."""
+    for parent, which in zip(reversed(_ancestors(p, path)), reversed(path)):
+        lay = layout(parent)[which]
+        idxs = [lay[k] for k in idxs]
+        if None in idxs:
             return "active"
-        idx = tgt
-        path = path[:-1]
     return "passive"
 
 
-Trans = dict[int, int] | list | None  # position translation (None: identity)
+Trans = dict[int, int] | tuple | None  # position translation (None: identity)
 
 
 def _apply_trans(t: Trans, k: int) -> int:
@@ -736,9 +728,8 @@ def _origin(node: Proof, pos: int) -> tuple[int, int] | None:
     if pos in created(node):
         return None
     for w, lay in enumerate(layout(node)):
-        for k, tgt in enumerate(lay):
-            if tgt == pos:
-                return (w, k)
+        if pos in lay:
+            return (w, lay.index(pos))
     raise ProofError(f"position {pos} has no origin")
 
 
@@ -769,51 +760,35 @@ def _rebuild(
         d[key] = _apply_trans(t, d[key])
     prems = list(parent.premises)
     prems[which] = new_child
-    out = [parent.concl[k] for k in created(parent)]  # the formula the rule makes
-    match parent.rule:
-        case "cut":
-            return mk_cut(*prems, d["left_idx"], d["right_idx"])
-        case "tensor":
-            return mk_tensor(*prems, d["left_idx"], d["right_idx"], out[0])
-        case "par" | "qc":
-            mk = mk_par if parent.rule == "par" else mk_qc
-            return mk(new_child, d["left"], d["right"], out[0])
-        case "qw" | "bot":
-            mk = mk_qw if parent.rule == "qw" else mk_bot
-            return mk(new_child, d["idx"] if last is None else last, out[0])
-        case "qd":
-            return mk_qd(new_child, d["idx"], d["P"], d["x"], d["p"], d["y"], out[0])
-        case "bang":
-            if d.get("sum_witness"):
-                d["sum_witness"] = {_apply_trans(t, k): v for k, v in d["sum_witness"].items()}
-            seq = [None] * len(parent.concl)
-            for k, a in enumerate(parent.concl):
-                seq[_apply_trans(t, k)] = a
-            return Proof("bang", tuple(seq), (new_child,), d)
+    if parent.rule == "bang":
+        if d.get("sum_witness"):
+            d["sum_witness"] = {_apply_trans(t, k): v for k, v in d["sum_witness"].items()}
+        seq = [None] * len(parent.concl)
+        for k, a in enumerate(parent.concl):
+            seq[_apply_trans(t, k)] = a
+        return Proof("bang", tuple(seq), (new_child,), d)
+    if last is not None and parent.rule in ("qw", "bot"):
+        d["idx"] = last
+    return _build(parent.rule, tuple(prems), d, *(parent.concl[k] for k in created(parent)))
 
 
 def _refit(parent: Proof, which: int, new_child: Proof, t: Trans) -> tuple[Proof, Trans]:
     """Rebuild a parent around a reordered premise; returns the translation."""
     node = _rebuild(parent, which, new_child, t)
-    # translation: old conclusion position -> new conclusion position
-    tr: dict[int, int] = {}
-    old_created = created(parent)
-    new_created = created(node)
-    for o in range(len(parent.concl)):
-        org = _origin(parent, o)
-        if org is None:
-            tr[o] = new_created[old_created.index(o)]
-        else:
-            w, k = org
-            k2 = _apply_trans(t, k) if w == which else k
-            tr[o] = layout(node)[w][k2]
+    # old conclusion position -> new: what the rule made stays made, and a
+    # premise formula goes where the new layout puts its moved position
+    tr = dict(zip(created(parent), created(node)))
+    for w, (old, new) in enumerate(zip(layout(parent), layout(node))):
+        for k, o in enumerate(old):
+            if o is not None and o not in tr:
+                tr[o] = new[_apply_trans(t, k) if w == which else k]
     return node, tr
 
 
 def _splice(p: Proof, path: Path, node: Proof, t: Trans) -> Proof:
     """Replace the subproof at ``path`` and refit every ancestor."""
-    for k in reversed(range(len(path))):
-        node, t = _refit(p.at(path[:k]), path[k], node, t)
+    for parent, which in zip(reversed(_ancestors(p, path)), reversed(path)):
+        node, t = _refit(parent, which, node, t)
     return node
 
 
@@ -915,22 +890,14 @@ def _expose(p: Proof, path: Path) -> tuple[Proof, Path]:
 
 
 def _fire_ax(node: Proof) -> tuple[Proof, Trans]:
-    li, ri = node.data["left_idx"], node.data["right_idx"]
-    left, right = node.premises
-    if left.rule == "ax":
-        other = left.concl[1 - li]
-        reduct = m_subtype(right, ri, other)
-        tr = {0: ri}
-        for k in range(len(right.concl)):
-            if k != ri:
-                tr[1 + _del_shift(k, ri)] = k
-        return reduct, tr
-    other = right.concl[1 - ri]
-    reduct = m_subtype(left, li, other)
-    tr = {len(left.concl) - 1: li}
-    for k in range(len(left.concl)):
-        if k != li:
-            tr[_del_shift(k, li)] = k
+    idx = node.data["left_idx"], node.data["right_idx"]
+    a = 0 if node.premise(0).rule == "ax" else 1  # the axiom's side
+    keep = node.premise(1 - a)
+    reduct = m_subtype(keep, idx[1 - a], node.premise(a).concl[1 - idx[a]])
+    # the other premise keeps its positions; the axiom's other formula takes the cut one's
+    lay = layout(node)
+    tr = {o: k for k, o in enumerate(lay[1 - a]) if o is not None}
+    tr[lay[a][1 - idx[a]]] = idx[1 - a]
     return reduct, tr
 
 
@@ -946,7 +913,7 @@ def _fire_multiplicative(node: Proof) -> tuple[Proof, Trans]:
     r0 = m_subtype(right.premise(0), ti, _relabel(right.premise(0).concl[ti], t))
     r1 = m_subtype(right.premise(1), tj, _relabel(right.premise(1).concl[tj], t))
     cut1 = mk_cut(prem, r0, i, ti)
-    cut2 = mk_cut(cut1, r1, _del_shift(j, i), tj)
+    cut2 = mk_cut(cut1, r1, layout(cut1)[0][j], tj)
     return cut2, None
 
 
@@ -980,10 +947,10 @@ def _fire_dereliction(node: Proof) -> tuple[Proof, Trans]:
     pd = left.premise(0)  # a dereliction keeps its positions
     lam2 = m_subtype(pd, li, lf_neg(inner))
     reduct = mk_cut(sigma, lam2, bi, li)
-    n_o = len(pd.concl) - 1
-    n_m = len(right.concl) - 1
-    tr = {k: n_m + k for k in range(n_o)}
-    tr.update({n_o + k: k for k in range(n_m)})
+    # the premises swap sides, each keeping its positions and its cut one
+    old, new = layout(node), layout(reduct)
+    tr = dict(zip(old[0] + old[1], new[1] + new[0]))
+    del tr[None]
     return reduct, tr
 
 
@@ -998,26 +965,17 @@ def _fire_contraction(node: Proof) -> tuple[Proof, Trans]:
     rho = m_subtype(rho, ri, lf_neg(n1))
     sigma = m_subtype(sigma, ri, lf_neg(n2))
     cut1 = mk_cut(prem, rho, i, ri)
-    cut2 = mk_cut(cut1, sigma, _del_shift(j, i), ri)
-    tags: list = []
-    for k in range(len(prem.concl)):
-        if k not in (i, j):
-            tags.append(("P", k))
-    for k in range(len(rho.concl)):
-        if k != ri:
-            tags.append(("M1", k))
-    for k in range(len(sigma.concl)):
-        if k != ri:
-            tags.append(("M2", k))
+    lay1 = layout(cut1)
+    cut2 = mk_cut(cut1, sigma, lay1[0][j], ri)
+    # where the two copies of each context formula sit, moved on by each contraction
+    lay2 = layout(cut2)
+    copies = [[None if t is None else lay2[0][t] for t in lay1[1]], lay2[1]]
     out = cut2
-    for k in range(len(right.concl)):
-        if k == ri:
-            continue
-        a = tags.index(("M1", k))
-        b = tags.index(("M2", k))
-        out = mk_qc(out, a, b, right.concl[k])
-        tags[a] = ("RC", k)
-        del tags[b]
+    for k, a in enumerate(right.concl):
+        if k != ri:
+            out = mk_qc(out, copies[0][k], copies[1][k], a)
+            lay = layout(out)[0]
+            copies = [[None if t is None else lay[t] for t in c] for c in copies]
     return out, None
 
 
@@ -1031,20 +989,14 @@ def _fire_digging(node: Proof) -> tuple[Proof, Trans]:
     r2 = m_subtype(right, ri, lf_neg(base))
     sigma = m_parsplit(r2, box_out.label, base.label)
     newprem = mk_cut(lam, sigma, li, ri)
-    bi2 = _del_shift(bi, li)
-    ctx: dict[int, LF] = {}
-    for k in range(len(left.concl)):
-        if k in (li, bi):
-            continue
-        ctx[_del_shift(k, li)] = left.concl[k]
-    off = len(lam.concl) - 1
-    for k in range(len(sigma.concl)):
-        if k != ri:
-            ctx[off + _del_shift(k, ri)] = right.concl[k]
+    # both contexts keep their doors, where the new cut puts them
+    lay = layout(newprem)
+    ctx = {lay[0][k]: a for k, a in enumerate(left.concl) if k not in (li, bi)}
+    ctx.update((lay[1][k], a) for k, a in enumerate(right.concl) if k != ri)
     wit = left.data.get("sum_witness")
     if wit:
-        wit = {_del_shift(k, li): v for k, v in wit.items() if k != li}
-    return mk_bang(newprem, bi2, box_out, ctx, wit), None
+        wit = {lay[0][k]: v for k, v in wit.items() if k != li}
+    return mk_bang(newprem, lay[0][bi], box_out, ctx, wit), None
 
 
 def fire_logical(p: Proof, path: Path) -> Proof:
@@ -1107,15 +1059,11 @@ def _cut_paths(p: Proof) -> Iterator[Path]:
 
 
 def _eligible(p: Proof, path: Path) -> bool:
+    """Whether the right context of the cut at ``path`` is passive."""
     node = p.at(path)
     ri = node.data["right_idx"]
-    lay = layout(node)[1]
-    for k in range(len(node.premise(1).concl)):
-        if k == ri:
-            continue
-        if classify_occurrence(p, path, lay[k]) != "passive":
-            return False
-    return True
+    ctx = [t for k, t in enumerate(layout(node)[1]) if k != ri]
+    return classify_occurrence(p, path, *ctx) == "passive"
 
 
 def step_special(p: Proof) -> SpecialStep | None:

@@ -27,6 +27,13 @@ per commuted rule over ``_rebuild_parent`` and ``_inv``, where
 tests check that both give the same proofs from the same state of the
 global name supplies.  ``_split`` shifts a copy by the former helper
 ``_shift_lf(a, y, r)``, where ``bllp.proofs`` calls ``formula.lf_shift``.
+
+The oracle also keeps the former index layouts: ``layout`` and ``created``
+with one case per rule, the builders ``mk_bot``, ``mk_qw``, ``mk_par``,
+``mk_qc``, ``mk_qd``, ``mk_tensor`` and ``mk_cut``, each slicing its
+conclusion by hand, and ``_through``, ``_origin`` and ``_derive_trans`` over
+them.  Every definition here reads those, never the library's one table, so
+a change to that table cannot move the reference with it.
 """
 
 from __future__ import annotations
@@ -51,29 +58,169 @@ from bllp.proofs import (
     Path,
     Proof,
     ProofError,
+    Sequent,
     Trans,
     _apply_trans,
-    _derive_trans,
     _expose,
-    _origin,
     _relabel,
     _set_concl,
-    _through,
-    created,
-    layout,
     mk_ax,
     mk_bang,
-    mk_bot,
-    mk_cut,
     mk_one,
-    mk_par,
-    mk_qc,
-    mk_qd,
-    mk_qw,
-    mk_tensor,
     positives,
 )
 from bllp.respoly import ZERO, Poly, fresh_var, pvar, specialize
+
+# -- the former index layouts and builders --------------------------------------------
+#
+# One `match` per rule in `layout` and in `created`, and each builder slices
+# its conclusion by hand; ``bllp.proofs`` reads all of them off one table.
+
+
+def _del_shift(idx: int, removed: int) -> int:
+    return idx - (1 if idx > removed else 0)
+
+
+def layout(p: Proof) -> list[list[int | None]]:
+    d = p.data
+    match p.rule:
+        case "ax" | "one":
+            return []
+        case "cut":
+            li, ri = d["left_idx"], d["right_idx"]
+            nl = len(p.premise(0).concl)
+            left = [None if i == li else _del_shift(i, li) for i in range(nl)]
+            off = nl - 1
+            right = [
+                None if i == ri else off + _del_shift(i, ri)
+                for i in range(len(p.premise(1).concl))
+            ]
+            return [left, right]
+        case "par" | "qc":
+            i, j = d["left"], d["right"]
+            out = []
+            for k in range(len(p.premise(0).concl)):
+                if k == j:
+                    out.append(_del_shift(i, j))
+                elif k == i:
+                    out.append(_del_shift(i, j))
+                else:
+                    out.append(_del_shift(k, j))
+            return [out]
+        case "tensor":
+            li, ri = d["left_idx"], d["right_idx"]
+            nl = len(p.premise(0).concl)
+            nr = len(p.premise(1).concl)
+            last = nl + nr - 2
+            left = [last if i == li else _del_shift(i, li) for i in range(nl)]
+            right = [
+                last if i == ri else nl - 1 + _del_shift(i, ri) for i in range(nr)
+            ]
+            return [left, right]
+        case "bang" | "qd":
+            return [list(range(len(p.premise(0).concl)))]
+        case "qw" | "bot":
+            i = d["idx"]
+            return [
+                [k + (1 if k >= i else 0) for k in range(len(p.premise(0).concl))]
+            ]
+    raise ProofError(f"unknown rule {p.rule!r}")
+
+
+def created(p: Proof) -> list[int]:
+    d = p.data
+    match p.rule:
+        case "ax":
+            return [0, 1]
+        case "one":
+            return [0]
+        case "cut":
+            return []
+        case "par" | "qc":
+            return [_del_shift(d["left"], d["right"])]
+        case "tensor":
+            return [len(p.concl) - 1]
+        case "bang" | "qd":
+            return [d["idx"]]
+        case "qw" | "bot":
+            return [d["idx"]]
+    raise ProofError(f"unknown rule {p.rule!r}")
+
+
+def mk_bot(prem: Proof, idx: int, out: LF) -> Proof:
+    seq = prem.concl[:idx] + (out,) + prem.concl[idx:]
+    return Proof("bot", seq, (prem,), {"idx": idx})
+
+
+def mk_qw(prem: Proof, idx: int, out: LF) -> Proof:
+    seq = prem.concl[:idx] + (out,) + prem.concl[idx:]
+    return Proof("qw", seq, (prem,), {"idx": idx})
+
+
+def _merge_seq(prem: Sequent, i: int, j: int, out: LF) -> Sequent:
+    seq = list(prem)
+    seq[i] = out
+    del seq[j]
+    return tuple(seq)
+
+
+def mk_par(prem: Proof, i: int, j: int, out: LF) -> Proof:
+    return Proof("par", _merge_seq(prem.concl, i, j, out), (prem,), {"left": i, "right": j})
+
+
+def mk_qc(prem: Proof, i: int, j: int, out: LF) -> Proof:
+    return Proof("qc", _merge_seq(prem.concl, i, j, out), (prem,), {"left": i, "right": j})
+
+
+def mk_qd(prem: Proof, idx: int, P: F.Formula, x: str, p: Poly, y: str, out: LF) -> Proof:
+    seq = prem.concl[:idx] + (out,) + prem.concl[idx + 1 :]
+    return Proof("qd", seq, (prem,), {"idx": idx, "P": P, "x": x, "p": p, "y": y})
+
+
+def mk_tensor(left: Proof, right: Proof, li: int, ri: int, out: LF) -> Proof:
+    seq = (
+        left.concl[:li]
+        + left.concl[li + 1 :]
+        + right.concl[:ri]
+        + right.concl[ri + 1 :]
+        + (out,)
+    )
+    return Proof("tensor", seq, (left, right), {"left_idx": li, "right_idx": ri})
+
+
+def mk_cut(left: Proof, right: Proof, li: int, ri: int) -> Proof:
+    seq = (
+        left.concl[:li]
+        + left.concl[li + 1 :]
+        + right.concl[:ri]
+        + right.concl[ri + 1 :]
+    )
+    return Proof("cut", seq, (left, right), {"left_idx": li, "right_idx": ri})
+
+
+def _through(node: Proof, which: int, pos: dict) -> dict:
+    lay = layout(node)[which]
+    return {key: lay[i] for key, i in pos.items() if lay[i] is not None}
+
+
+def _origin(node: Proof, pos: int) -> tuple[int, int] | None:
+    """Premise origin of a conclusion position (None when rule-created)."""
+    if pos in created(node):
+        return None
+    for w, lay in enumerate(layout(node)):
+        for k, tgt in enumerate(lay):
+            if tgt == pos:
+                return (w, k)
+    raise ProofError(f"position {pos} has no origin")
+
+
+def _derive_trans(old: Proof, new: Proof, leaves: list[Proof]) -> Trans:
+    stop = {id(q): i for i, q in enumerate(leaves)}
+    new_keys = {_source_key(new, n, stop): n for n in range(len(new.concl))}
+    return {o: new_keys[_source_key(old, o, stop)] for o in range(len(old.concl))}
+
+
+# -- weights -------------------------------------------------------------------------
 
 # The oracle's own name supply; the library's fresh names are untouched.
 _names = itertools.count(1)

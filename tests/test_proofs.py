@@ -416,6 +416,22 @@ def test_classify_cut_formula_active():
     assert classify_occurrence(cut, (), 0) == "passive"
 
 
+def test_a_restricted_cut_whose_context_is_cut_below_it_waits():
+    """Exposing the dereliction cut hoists the cut of the box's door below
+    it, so the cut's right context is active there and the axiom cut on
+    the door fires first."""
+    why = lf(F.WhyNot(F.VACUOUS, ONE, F.Atom("X")), F.VACUOUS, 1)
+    der = P.mk_qd(AX1, 0, F.Atom("X"), F.VACUOUS, ONE, F.VACUOUS, why)
+    box = P.mk_bang(der, 1, lf(F.Bang(F.VACUOUS, ONE, X), F.VACUOUS, 1), {})
+    door = box.concl[0]
+    pf = mk_cut(der, mk_cut(box, mk_ax((lf_neg(door), door), door), 0, 0), 0, 0)
+    assert check_proof(pf).ok
+    exposed, path = P._expose(pf, ())
+    assert path == (0,) and exposed.at(path).premise(0).rule == "qd"
+    assert classify_occurrence(exposed, path, 1) == "active"
+    steps = [(hit.kind, hit.path) for hit in P.special_steps(pf)]
+    assert steps == [("axiom", (1,)), ("dereliction", ()), ("axiom", (0,))]
+
 def test_expose_identity_on_logical_cut():
     cut = mk_cut(one_bot_proof(), mk_one(lf(F.ONE_F, F.VACUOUS, 1)), 1, 0)
     assert expose_logical(cut, ()) == cut
@@ -545,6 +561,50 @@ def test_every_step_kind_fires_on_the_corpus():
     }
 
 
+def _why_x(label) -> LF:
+    return lf(F.WhyNot(F.VACUOUS, ONE, F.Atom("X")), F.VACUOUS, label)
+
+
+_DER = P.mk_qd(AX1, 0, F.Atom("X"), F.VACUOUS, ONE, F.VACUOUS, _why_x(1))  # ?X, ~X
+
+
+def _box_with_two_doors(label) -> Proof:
+    wide = mk_qw(_DER, 2, lf(F.NegAtom("W"), F.VACUOUS, 1))
+    return P.mk_bang(wide, 1, lf(F.Bang(F.VACUOUS, ONE, X), F.VACUOUS, label), {})
+
+
+def test_contraction_and_digging_carry_every_door_of_the_right_box():
+    """No corpus step fires a contraction or a digging against a box with
+    context doors.  Each step's proof JSON is pinned by a SHA-256 prefix, as
+    the former per-rule position arithmetic gave it, with its kind, path and
+    conclusion."""
+    import hashlib
+    import json
+
+    twice = P.mk_qc(mk_qw(_DER, 2, _why_x(1)), 0, 2, _why_x(2))
+    cases = {
+        "contraction": mk_cut(twice, _box_with_two_doors(2), 0, 1),
+        "digging": mk_cut(_box_with_two_doors(1), _box_with_two_doors(1), 0, 1),
+    }
+    want = {
+        "contraction": [
+            ("contraction", (), "~X 1|?{1} X 2|~W 2", "36a708c24dfbd704"),
+            ("weakening", (0, 0, 0), "~X 1|?{1} X 2|~W 2", "89c50cd81ea44cd7"),
+            ("dereliction", (0, 0, 0, 0), "?{1} X 2|~W 2|~X 1", "aa635c6a58e1ab19"),
+            ("axiom", (0, 0, 0, 0, 0, 0), "?{1} X 2|~X 1|~W 2", "b37248007a239c50"),
+        ],
+        "digging": [("digging", (), "!{1} ~X 1|~W 1|?{1} X 1|~W 1", "505093a6e3c4b4fa")],
+    }
+    for name, pf in cases.items():
+        assert check_proof(pf).ok
+        got = []
+        for hit in P.special_steps(pf):
+            assert check_proof(hit.result).ok
+            concl = "|".join(f"{a.formula} {a.label}" for a in hit.result.concl)
+            text = json.dumps(proof_to_obj(hit.result)).encode()
+            got.append((hit.kind, hit.path, concl, hashlib.sha256(text).hexdigest()[:16]))
+        assert got == want[name], name
+
 def test_m_split_with_live_binder_shifts_the_copy():
     from bllp.syntax import parse_formula
 
@@ -611,6 +671,82 @@ def test_checker_rejects_malformed_nodes():
     )
     assert not check_proof(P.mk_qc(wk, 1, 2, lf(X, VACUOUS, 1))).ok
     assert check_proof(P.mk_qc(wk, 1, 2, lf(X, VACUOUS, 2))).ok
+
+
+def _neg(name: str, label=1) -> LF:
+    return lf(F.NegAtom(name), F.VACUOUS, label)
+
+
+def _ax_of(name: str) -> Proof:
+    return mk_ax((lf(F.Atom(name), F.VACUOUS, 1), _neg(name)), _neg(name))
+
+
+_BASE = mk_qw(mk_qw(_ax_of("X"), 2, _neg("W")), 3, _neg("V"))  # X, ~X, ~W, ~V
+_WHY = lf(F.WhyNot(F.VACUOUS, ONE, F.Atom("X")), F.VACUOUS, 1)
+# One checked node per rule whose conclusion the checker compares with its
+# premises; each has two distinct formulas that the rule only passes on.
+ORDERED = {
+    "par": P.mk_par(_BASE, 1, 2, lf(F.Par(X, F.NegAtom("W")), F.VACUOUS, 1)),
+    "qc": P.mk_qc(mk_qw(_BASE, 4, _neg("W")), 2, 4, _neg("W", 2)),
+    "qw": mk_qw(_BASE, 1, _neg("U")),
+    "bot": mk_bot(_BASE, 1, lf(F.BOTTOM, F.VACUOUS, 1)),
+    "qd": P.mk_qd(_BASE, 0, F.Atom("X"), F.VACUOUS, ONE, F.VACUOUS, _WHY),
+    "cut": mk_cut(_BASE, _ax_of("W"), 2, 0),
+    "tensor": mk_tensor(_BASE, _ax_of("Y"), 0, 0, lf(F.Tensor(F.Atom("X"), F.Atom("Y")), F.VACUOUS, 1)),
+    "bang": P.mk_bang(
+        mk_qw(P.mk_qd(_ax_of("X"), 0, F.Atom("X"), F.VACUOUS, ONE, F.VACUOUS, _WHY), 2, _neg("W")),
+        1,
+        lf(F.Bang(F.VACUOUS, ONE, X), F.VACUOUS, pvar("q")),
+        {},
+    ),
+}
+_MISPLACED = "root: conclusion position {} does not match the premise"
+_LENGTH = "root: conclusion length does not fit the rule"
+# (rule, edit): the report of the root's sequent edited in its file form.
+# "permute" swaps the first and the last passed-on formula, "drop" deletes
+# the last one, "add" repeats it right after itself.  A box checks each door
+# before its length, so a dropped door is read past the end.
+ORDER_REPORTS = {
+    **{
+        (rule, "permute"): f"{_MISPLACED.format(i)}\n{_MISPLACED.format(j)}"
+        for rule, i, j in [
+            ("par", 0, 2), ("qc", 0, 3), ("qw", 0, 4), ("bot", 0, 4),
+            ("qd", 1, 3), ("cut", 0, 3), ("tensor", 0, 3),
+        ]
+    },
+    **{
+        (rule, "drop"): f"{_MISPLACED.format(last)}\n{_LENGTH}"
+        for rule, last in [
+            ("par", 2), ("qc", 3), ("qw", 4), ("bot", 4), ("qd", 3), ("cut", 3), ("tensor", 3),
+        ]
+    },
+    **{(rule, "add"): _LENGTH for rule in ("par", "qc", "qw", "bot", "qd", "cut", "tensor")},
+    ("bang", "permute"): (
+        "root: box context 0 exceeds its replicated budget\n"
+        "root: box context 2 exceeds its replicated budget"
+    ),
+    ("bang", "drop"): "root: malformed node: IndexError: tuple index out of range",
+    ("bang", "add"): "root: box conclusion length does not fit the rule",
+}
+
+
+@pytest.mark.parametrize("rule,edit", sorted(ORDER_REPORTS))
+def test_the_checker_compares_a_file_conclusion_with_its_premises(rule, edit):
+    node = ORDERED[rule]
+    assert check_proof(node).ok
+    made = {node.data["idx"]} if rule == "bang" else set(P.created(node))
+    passed = [k for k in range(len(node.concl)) if k not in made]
+    first, last = passed[0], passed[-1]
+    obj = proof_to_obj(node)
+    seq = obj["tree"]["sequent"]
+    assert seq[first] != seq[last]
+    if edit == "permute":
+        seq[first], seq[last] = seq[last], seq[first]
+    elif edit == "drop":
+        del seq[last]
+    else:
+        seq.insert(last + 1, seq[last])
+    assert str(check_proof(proof_from_obj(obj))) == ORDER_REPORTS[rule, edit]
 
 
 def test_par_and_tensor_pair_the_binders_of_their_components():

@@ -1,5 +1,6 @@
 """The stack-safe rewriters give exactly what the plain recursive ones gave,
-and the one-table commutation what the former per-rule one gave.
+the one-table commutation what the former per-rule one gave, and the
+library's layout table what the former per-rule layouts and builders gave.
 
 ``typecheck_oracle`` and ``proofs_oracle`` keep the former definitions.
 Library code calls its rewriters through module globals, so patching the
@@ -9,8 +10,10 @@ forms, which carry the ``ann``/``data`` that ``==`` ignores.
 """
 
 import itertools
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import proofs_oracle as PO
 import typecheck_oracle as TO
@@ -22,7 +25,7 @@ from bllp import respoly as R
 from bllp import typecheck as T
 from bllp.formula import lf
 from bllp.respoly import const, pvar
-from bllp.syntax import derivation_to_obj, parse_formula, proof_to_obj
+from bllp.syntax import derivation_to_obj, parse_formula, proof_from_obj, proof_to_obj
 
 # (module, attribute, the former definition)
 FORMER = [
@@ -280,3 +283,102 @@ def test_the_mu_redexes_check_along_their_reductions(name):
         assert T.check_mult(m).ok
         steps += 1
     assert steps == 2
+
+
+# -- the layout table against the former per-rule definitions ---------------------------
+
+_MADE = lf(F.Atom("M"), F.VACUOUS, const(1))
+
+
+def _stand_in(w: int, n: int) -> P.Proof:
+    """A premise ``w`` concluding ``n`` distinct formulas; only its
+    conclusion is read."""
+    return P.Proof("one", tuple(lf(F.Atom(f"P{w}x{k}"), F.VACUOUS, const(1)) for k in range(n)))
+
+
+def _former_and_new(rule: str, data) -> tuple[P.Proof, P.Proof]:
+    """One node of ``rule`` over stand-in premises of drawn lengths at drawn
+    positions, built by the former builder and by the library's."""
+    least = {"par": 2, "qc": 2, "qw": 0, "bot": 0}.get(rule, 1)
+    prem = _stand_in(0, data.draw(st.integers(least, 6), label="length"))
+    n = len(prem.concl)
+
+    def pos(k: int) -> int:
+        return data.draw(st.integers(0, k - 1), label="position")
+
+    match rule:
+        case "ax":
+            return (P.mk_ax((_MADE, F.lf_neg(_MADE)), F.lf_neg(_MADE)),) * 2
+        case "one":
+            return (P.mk_one(_MADE),) * 2
+        case "bang":
+            i = pos(n)
+            ctx = {k: a for k, a in enumerate(prem.concl) if k != i}
+            return (P.mk_bang(prem, i, _MADE, ctx),) * 2
+        case "cut" | "tensor":
+            right = _stand_in(1, data.draw(st.integers(1, 6), label="right length"))
+            args = (prem, right, pos(n), pos(len(right.concl)))
+        case "par" | "qc":
+            i = pos(n)
+            j = data.draw(st.integers(0, n - 1).filter(lambda k: k != i), label="position")
+            args = (prem, i, j)
+        case "qw" | "bot":
+            args = (prem, pos(n + 1))
+        case "qd":
+            args = (prem, pos(n), F.Atom("X"), F.VACUOUS, const(1), F.VACUOUS)
+    if rule != "cut":
+        args += (_MADE,)
+    return getattr(PO, f"mk_{rule}")(*args), getattr(P, f"mk_{rule}")(*args)
+
+
+@pytest.mark.parametrize("rule", P.RULES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_builders_and_layouts_equal_the_former_per_rule_definitions(rule, data):
+    former, new = _former_and_new(rule, data)
+    assert new.concl == former.concl and new.premises == former.premises
+    assert dict(new.data) == dict(former.data)
+    expected = _former_table(former)
+    for node in (new, former):
+        assert (P.layout(node), P.created(node)) == expected
+
+
+def _former_table(p: P.Proof) -> tuple:
+    """The former per-rule ``layout`` and ``created`` of ``p``, as tuples."""
+    return tuple(map(tuple, PO.layout(p))), tuple(PO.created(p))
+
+
+def _assert_tables_fresh(p: P.Proof, seen: set[int]) -> None:
+    """Every node's table, stored or computed on first use, equals a fresh
+    `_layout` and the former per-rule layout."""
+    stack = [p]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node.premises)
+        fresh = P._layout(node.rule, node.data, tuple(len(q.concl) for q in node.premises))
+        assert (P.layout(node), P.created(node)) == fresh == _former_table(node)
+        assert node.table == fresh
+
+
+@pytest.mark.parametrize("name", sorted(DERIVATIONS))
+def test_stored_tables_equal_a_fresh_layout_along_the_special_steps(name):
+    pf = P.map_derivation(T.add_to_mult(DERIVATIONS[name]))
+    seen: set[int] = set()
+    proofs = [pf] + [q for hit in P.special_steps(pf) for q in (hit.exposed, hit.result)]
+    for q in proofs:
+        _assert_tables_fresh(q, seen)
+        for copy in (P.m_subst(q, "zz", const(0)), proof_from_obj(proof_to_obj(q))):
+            assert copy.table is None  # rebuilt node by node, computed on first use
+            _assert_tables_fresh(copy, seen)
+
+
+def test_a_node_replaced_over_a_longer_premise_computes_its_own_table():
+    node = P.mk_qw(_ax("X"), 1, _W)
+    assert node.table is not None
+    longer = P.mk_qw(node.premise(0), 0, _W)
+    moved = replace(node, premises=(longer,))
+    assert moved.table is None
+    assert P.layout(moved) == _former_table(moved)[0] == ((0, 2, 3),) != P.layout(node)
