@@ -122,7 +122,12 @@ def cmd_cut_eliminate(args) -> int:
         d, system = _load_derivation(args)
         pf = P.map_derivation(_to_mult(d, system))
     else:
+        # The rewriter trusts its input: a file proof is checked first.
         pf = proof_from_obj(_read_file(args.file))
+        rep = P.check_proof(pf)
+        if not rep.ok:
+            print(rep)
+            return EXIT_CHECK
     steps = 0
     for steps, hit in enumerate(P.special_steps(pf, args.fuel), 1):
         pf = hit.result

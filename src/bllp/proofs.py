@@ -14,12 +14,12 @@ unary rule and box door holds one variable, which becomes 1 when its
 formula occurrence is eventually cut and 0 when the occurrence reaches the
 root. That value (its fate) is known top-down, and substituting a constant
 commutes with + and ×, so `weight` uses the fate from the start, in one
-walk from the root that keeps no variables.
+walk from the root that keeps no variables and reads each node's table once.
 
 Where a rule puts each premise formula is stated once, in `_layout`: every
 builder but the box's assembles its conclusion from that table, each node
-keeps the table it was built with, and every position translation is read
-off the tables before and after a rewrite.
+keeps the table it was built with, and every position translation, a
+commutation's too, is composed from the tables before and after a rewrite.
 
 A special cut is exposed by commuting the rules above it, then fired.
 Commuting a rule only moves it: the cut moves onto the premise that holds
@@ -248,6 +248,8 @@ def _node_errors(p: Proof) -> list[str]:
             case "bang":
                 i = d["idx"]
                 pseq = p.premise(0).concl
+                if len(seq) != len(pseq):
+                    return errs + ["box conclusion length does not fit the rule"]
                 body = pseq[i]
                 out = seq[i]
                 if positives(pseq):
@@ -289,10 +291,7 @@ def _node_errors(p: Proof) -> list[str]:
         return errs + [f"malformed node: {type(exc).__name__}: {exc}"]
 
     # conclusion must agree with the premises through the layout
-    if p.rule == "bang":
-        if len(p.concl) != len(p.premise(0).concl):
-            errs.append("box conclusion length does not fit the rule")
-    elif p.rule in ("par", "qc", "bot", "qw", "qd", "cut", "tensor"):
+    if p.rule in ("par", "qc", "bot", "qw", "qd", "cut", "tensor"):
         lay = layout(p)
         made = set(created(p))
         seen: dict[int, LF] = {}
@@ -342,13 +341,16 @@ def weight(p: Proof) -> Poly:
     and ×, so using the fate from the start is exact. The walk starts at
     the root with fate 0 on every position; a cut gives its two cut
     positions fate 1, every other premise position inherits its fate
-    through `layout`, and a box multiplies its premise's multiplier by its
-    label. It is linear in the size of the proof and keeps no names.
+    through the node's table, and a box multiplies its premise's multiplier
+    by its label. It is linear in the size of the proof and keeps no names.
+    A multiplier is one object for the whole box premise, so the walk counts
+    by object and hashes each distinct multiplier once, at the end.
     """
-    counts: dict[Poly, int] = {}
-    stack = [(p, (0,) * len(p.concl), ONE)]
+    counts: dict[int, list] = {}  # id(multiplier) -> [multiplier, count]
+    stack = [(p, [0] * len(p.concl), ONE)]
     while stack:
         node, fates, mult = stack.pop()
+        lays, made = node.table or _table(node)
         n, inner = 0, mult
         match node.rule:
             case "ax":
@@ -358,12 +360,15 @@ def weight(p: Proof) -> Poly:
                 n = sum(fates) - fates[i]
                 inner = mult * node.concl[i].label
             case "par" | "qc" | "qd" | "bot" | "qw":
-                n = fates[created(node)[0]]
+                n = fates[made[0]]
         if n:
-            counts[mult] = counts.get(mult, 0) + n
-        for q, lay in zip(node.premises, layout(node)):
-            stack.append((q, tuple(1 if t is None else fates[t] for t in lay), inner))
-    return linear_sum(counts)
+            counts.setdefault(id(mult), [mult, 0])[1] += n
+        for q, lay in zip(node.premises, lays):
+            stack.append((q, [1 if t is None else fates[t] for t in lay], inner))
+    merged: dict[Poly, int] = {}
+    for mult, n in counts.values():
+        merged[mult] = merged.get(mult, 0) + n
+    return linear_sum(merged)
 
 
 # -- smart constructors ----------------------------------------------------------------
@@ -792,27 +797,6 @@ def _splice(p: Proof, path: Path, node: Proof, t: Trans) -> Proof:
     return node
 
 
-def _source_key(node: Proof, pos: int, stop: dict[int, int]):
-    """Trace a conclusion position up to a reused subproof or a created slot."""
-    while id(node) not in stop:
-        org = _origin(node, pos)
-        if org is None:
-            return ("created", node.rule, created(node).index(pos))
-        w, pos = org
-        node = node.premises[w]
-    return ("leaf", stop[id(node)], pos)
-
-
-def _derive_trans(old: Proof, new: Proof, leaves: list[Proof]) -> Trans:
-    stop = {id(q): i for i, q in enumerate(leaves)}
-    new_keys = {
-        _source_key(new, n, stop): n for n in range(len(new.concl))
-    }
-    return {
-        o: new_keys[_source_key(old, o, stop)] for o in range(len(old.concl))
-    }
-
-
 def _hoist(parent: Proof, which: int) -> tuple[Proof, Trans, Path]:
     """Commute the last rule of one premise below a cut or tensor node.
 
@@ -828,8 +812,19 @@ def _hoist(parent: Proof, which: int) -> tuple[Proof, Trans, Path]:
     w, src = _origin(child, pa)
     inner = _rebuild(parent, which, child.premises[w], {pa: src})
     node = _rebuild(child, w, inner, layout(inner)[which], len(inner.concl))
-    leaves = [*child.premises, parent.premises[1 - which]]
-    return node, _derive_trans(parent, node, leaves), (w,)
+    # old conclusion position -> new, for each formula of the child's
+    # premises and of the other premise (through `inner` if it moved into
+    # it); what the child made stays made
+    old, into, down = layout(parent)[which], layout(inner), layout(node)
+    tr = {old[c]: n for c, n in zip(created(child), created(node))}
+    for v, lay in enumerate(layout(child)):
+        for k, c in enumerate(lay):
+            if c is not None and old[c] is not None:
+                tr[old[c]] = down[v][into[which][k]] if v == w else down[v][k]
+    for k, o in enumerate(layout(parent)[1 - which]):
+        if o is not None:
+            tr[o] = down[w][into[1 - which][k]]
+    return node, tr, (w,)
 
 
 def _introduces(node: Proof, idx: int) -> bool:

@@ -309,9 +309,14 @@ def _parse_lf(p: _Parser) -> F.LF:
 
 
 def print_lf(a: F.LF) -> str:
-    if a.binder == F.VACUOUS:
-        return f"<{print_formula(a.formula)}>[{print_poly(a.label)}]"
-    return f"<{print_formula(a.formula)}>[{a.binder}<{print_poly(a.label)}]"
+    return _lf_text(print_formula(a.formula), a.binder, print_poly(a.label))
+
+
+def _lf_text(formula: str, binder: str, label: str) -> str:
+    """The text of a labelled formula from its printed formula and label."""
+    if binder == F.VACUOUS:
+        return f"<{formula}>[{label}]"
+    return f"<{formula}>[{binder}<{label}]"
 
 
 # -- display renaming ----------------------------------------------------------
@@ -653,20 +658,28 @@ def derivation_from_obj(obj: dict):
 
 
 def proof_to_obj(p) -> dict:
-    # Each sequent entry object is printed once per call: nodes share them.
+    # Each sequent entry object is printed once per call, and so is each
+    # formula and label object: nodes share them, and entries share their
+    # parts.  The proof keeps every one alive, so no two share an id.
     texts: dict[int, str] = {}
 
-    def text_of(a: F.LF) -> str:
-        s = texts.get(id(a))
+    def print_once(x, show) -> str:
+        s = texts.get(id(x))
         if s is None:
-            s = texts[id(a)] = print_lf(a)
+            s = texts[id(x)] = show(x)
         return s
+
+    def entry(a: F.LF) -> str:
+        formula, label = print_once(a.formula, print_formula), print_once(a.label, print_poly)
+        return _lf_text(formula, a.binder, label)
 
     tree = _map_tree(
         p,
         lambda x: x.premises,
         lambda x: {
-            "rule": x.rule, "sequent": [text_of(a) for a in x.concl], "data": _print_fields(x.data)
+            "rule": x.rule,
+            "sequent": [print_once(a, entry) for a in x.concl],
+            "data": _print_fields(x.data),
         },
         lambda obj, premises: obj | {"premises": premises},
     )
@@ -678,14 +691,18 @@ def proof_from_obj(obj: dict):
 
     what = "proof"
     _check_header(obj, PROOF_FORMAT, what)
-    # Each distinct formula text is parsed once per call, so equal sequent
-    # entries come back as one object.
-    lfs: dict[str, F.LF] = {}
+    # Each distinct text is parsed once per call, by each parser that reads
+    # it, so equal sequent entries, ``P`` and ``p`` fields come back as one
+    # object.  A value that is not text goes to the parser, which reports it.
+    parsed: dict[tuple, object] = {}
 
-    def lf_of(s: str) -> F.LF:
-        if s not in lfs:
-            lfs[s] = parse_lf(s)
-        return lfs[s]
+    def parse_once(parse, s):
+        if not isinstance(s, str):
+            return parse(s)
+        key = parse, s
+        if key not in parsed:
+            parsed[key] = parse(s)
+        return parsed[key]
 
     def data_from(d: dict) -> dict:
         out = {}
@@ -693,13 +710,13 @@ def proof_from_obj(obj: dict):
             if k in ("left_idx", "right_idx", "left", "right", "idx"):
                 out[k] = _field(d, k, int, what)
             elif k == "witness":
-                out[k] = lf_of(v)
+                out[k] = parse_once(parse_lf, v)
             elif k == "P":
-                out[k] = parse_formula(v)
+                out[k] = parse_once(parse_formula, v)
             elif k in ("x", "y"):
                 out[k] = _field(d, k, str, what)
             elif k == "p":
-                out[k] = parse_poly(v)
+                out[k] = parse_once(parse_poly, v)
             elif k == "sum_witness":
                 out[k] = _sum_witnesses(d, k, what, positions=True)
         return out
@@ -709,7 +726,10 @@ def proof_from_obj(obj: dict):
         lambda x: _field(x, "premises", list, what, []),
         lambda x: (
             _field(x, "rule", str, what),
-            tuple(lf_of(s) for s in _array(x, "sequent", what, lambda s: isinstance(s, str), "a string")),
+            tuple(
+                parse_once(parse_lf, s)
+                for s in _array(x, "sequent", what, lambda s: isinstance(s, str), "a string")
+            ),
             data_from(_field(x, "data", dict, what, {})),
         ),
         lambda head, premises: Proof(head[0], head[1], tuple(premises), head[2]),

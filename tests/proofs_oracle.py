@@ -8,7 +8,9 @@ variable, a cut sets the variables of its two cut formulas to 1, and
 on the proof and copies the polynomial at every node, so it is simple and
 slow, and deep proofs exhaust the recursion limit.  ``bllp.proofs.weight``
 fixes each variable's value (its fate) top-down in one walk; the tests check
-that both give the same polynomial.  ``cut_paths`` is the recursive
+that both give the same polynomial.  ``fate_weight`` is the former
+``bllp.proofs.weight``, which counts under each multiplier by its value
+where the library counts by object.  ``cut_paths`` is the recursive
 pre-order listing of the cuts outside every box.
 
 ``erase`` is the polynomial-free skeleton of a proof, flat in pre-order,
@@ -32,8 +34,10 @@ The oracle also keeps the former index layouts: ``layout`` and ``created``
 with one case per rule, the builders ``mk_bot``, ``mk_qw``, ``mk_par``,
 ``mk_qc``, ``mk_qd``, ``mk_tensor`` and ``mk_cut``, each slicing its
 conclusion by hand, and ``_through``, ``_origin`` and ``_derive_trans`` over
-them.  Every definition here reads those, never the library's one table, so
-a change to that table cannot move the reference with it.
+them; ``_derive_trans`` is also the former translation of ``_hoist``, which
+the library composes from the layouts instead.  Every definition here reads
+those, never the library's one table, so a change to that table cannot move
+the reference with it.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ from bllp.proofs import (
     mk_one,
     positives,
 )
-from bllp.respoly import ZERO, Poly, fresh_var, pvar, specialize
+from bllp.respoly import ONE, ZERO, Poly, fresh_var, linear_sum, pvar, specialize
 
 # -- the former index layouts and builders --------------------------------------------
 #
@@ -304,6 +308,31 @@ def weight(p: Proof) -> Poly:
     """The pre-weight polynomial with every conclusion-set variable zeroed."""
     pw = preweight(p)
     return specialize(pw.poly, {v: 0 for s in pw.sets for v in s})
+
+
+def fate_weight(p: Proof) -> Poly:
+    """The former ``bllp.proofs.weight``: the same walk from the root with
+    each position's fate, counting under each multiplier by its value, so
+    that every count hashes its multiplier."""
+    counts: dict[Poly, int] = {}
+    stack = [(p, (0,) * len(p.concl), ONE)]
+    while stack:
+        node, fates, mult = stack.pop()
+        n, inner = 0, mult
+        match node.rule:
+            case "ax":
+                n = fates[1 - positives(node.concl)[0]]
+            case "bang":
+                i = node.data["idx"]
+                n = sum(fates) - fates[i]
+                inner = mult * node.concl[i].label
+            case "par" | "qc" | "qd" | "bot" | "qw":
+                n = fates[created(node)[0]]
+        if n:
+            counts[mult] = counts.get(mult, 0) + n
+        for q, lay in zip(node.premises, layout(node)):
+            stack.append((q, tuple(1 if t is None else fates[t] for t in lay), inner))
+    return linear_sum(counts)
 
 
 def cut_paths(p: Proof, path: Path = (), inside_box: bool = False) -> list[Path]:

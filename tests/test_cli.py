@@ -126,6 +126,9 @@ def test_json_of_the_wrong_shape_is_one_parse_error_and_exit_3(
         ),
         ("cut-eliminate", {"sequent": ["<1>[1]", ["1"]]}, "'sequent' holds an array, not a string"),
         ("cut-eliminate", {"sequent": ["<1>[1]"], "data": []}, "'data' is an array, not an object"),
+        ("cut-eliminate", {"sequent": ["<1>[1]"], "data": {"witness": []}}, "expected text, found an array"),
+        ("cut-eliminate", {"sequent": ["<1>[1]"], "data": {"P": 3}}, "expected text, found a number"),
+        ("cut-eliminate", {"sequent": ["<1>[1]"], "data": {"p": {}}}, "expected text, found an object"),
     ],
 )
 def test_a_node_field_of_the_wrong_shape_is_one_parse_error_and_exit_3(
@@ -319,6 +322,36 @@ def test_to_proof_then_cut_eliminate(tmp_path, capsys):
     assert run("cut-eliminate", "--file", str(path), "--trace") == 0
     out = capsys.readouterr().out
     assert "steps: 8" in out and "weight=" in out
+
+
+def test_cut_eliminate_checks_a_file_proof_before_rewriting_it(tmp_path, capsys):
+    """A dereliction cut against a box whose file sequent lost its door entry:
+    the checker's report and exit 1, not a crash inside the rewriter."""
+    from bllp import proofs as P
+    from bllp.formula import lf
+    from bllp.respoly import ONE
+
+    def at(f):
+        return lf(f, F.VACUOUS, 1)
+
+    ax = P.mk_ax((at(F.Atom("X")), at(F.NegAtom("X"))), at(F.NegAtom("X")))
+    why = at(F.WhyNot(F.VACUOUS, ONE, F.Atom("X")))
+    der = P.mk_qd(ax, 0, F.Atom("X"), F.VACUOUS, ONE, F.VACUOUS, why)  # ?X, ~X
+    box = P.mk_bang(der, 1, at(F.Bang(F.VACUOUS, ONE, F.NegAtom("X"))), {})  # ?X, !~X
+    obj = proof_to_obj(P.mk_cut(der, box, 0, 1))
+    path = tmp_path / "proof.json"
+    path.write_text(json.dumps(obj))
+    assert run("cut-eliminate", "--file", str(path)) == 0
+    assert capsys.readouterr().out == "steps: 2\n"
+    del obj["tree"]["premises"][1]["sequent"][0]  # the box's door
+    path.write_text(json.dumps(obj))
+    assert run("cut-eliminate", "--file", str(path), "--trace") == 1
+    out, err = capsys.readouterr()
+    assert out == (
+        "root: malformed node: IndexError: tuple index out of range\n"
+        "root.1: box conclusion length does not fit the rule\n"
+    )
+    assert err == ""
 
 
 def test_poly_commands(capsys):

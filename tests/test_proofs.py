@@ -704,8 +704,8 @@ _MISPLACED = "root: conclusion position {} does not match the premise"
 _LENGTH = "root: conclusion length does not fit the rule"
 # (rule, edit): the report of the root's sequent edited in its file form.
 # "permute" swaps the first and the last passed-on formula, "drop" deletes
-# the last one, "add" repeats it right after itself.  A box checks each door
-# before its length, so a dropped door is read past the end.
+# the last one, "add" repeats it right after itself.  A box compares its
+# length before it reads its doors.
 ORDER_REPORTS = {
     **{
         (rule, "permute"): f"{_MISPLACED.format(i)}\n{_MISPLACED.format(j)}"
@@ -725,7 +725,7 @@ ORDER_REPORTS = {
         "root: box context 0 exceeds its replicated budget\n"
         "root: box context 2 exceeds its replicated budget"
     ),
-    ("bang", "drop"): "root: malformed node: IndexError: tuple index out of range",
+    ("bang", "drop"): "root: box conclusion length does not fit the rule",
     ("bang", "add"): "root: box conclusion length does not fit the rule",
 }
 

@@ -1,6 +1,9 @@
 """The stack-safe rewriters give exactly what the plain recursive ones gave,
 the one-table commutation what the former per-rule one gave, and the
 library's layout table what the former per-rule layouts and builders gave.
+The translation `_hoist` composes from layouts equals the former traced
+one, the weight counted by multiplier object equals the former one counted
+by value, and the special steps give the pinned files, weights and names.
 
 ``typecheck_oracle`` and ``proofs_oracle`` keep the former definitions.
 Library code calls its rewriters through module globals, so patching the
@@ -9,7 +12,9 @@ same state of the global name supplies and are compared through their JSON
 forms, which carry the ``ann``/``data`` that ``==`` ignores.
 """
 
+import hashlib
 import itertools
+import json
 from dataclasses import replace
 
 import pytest
@@ -25,7 +30,7 @@ from bllp import respoly as R
 from bllp import typecheck as T
 from bllp.formula import lf
 from bllp.respoly import const, pvar
-from bllp.syntax import derivation_to_obj, parse_formula, proof_from_obj, proof_to_obj
+from bllp.syntax import derivation_to_obj, parse_formula, print_poly, proof_from_obj, proof_to_obj
 
 # (module, attribute, the former definition)
 FORMER = [
@@ -47,7 +52,6 @@ FORMER = [
     (P, "_parsplit", PO._parsplit),
     (P, "_tensor_purge_path", PO._tensor_purge_path),
     (P, "_splice", lambda *args: PO._splice(*args)[0]),
-    (P, "_source_key", PO._source_key),
     (P, "_hoist", PO._hoist),
     (P, "_refit", PO._refit),
 ]
@@ -382,3 +386,137 @@ def test_a_node_replaced_over_a_longer_premise_computes_its_own_table():
     moved = replace(node, premises=(longer,))
     assert moved.table is None
     assert P.layout(moved) == _former_table(moved)[0] == ((0, 2, 3),) != P.layout(node)
+
+
+# -- the gate: special steps give what the former commutation gave --------------------
+
+GATE_INPUTS = {
+    **{e.name: e.name for e in C.entries() if e.derivation},
+    **{f"church-applied-{n}": n for n in range(1, 13)},
+}
+
+
+def _special_steps_digest(which, monkeypatch) -> str:
+    """SHA-256 over the special steps of one input's mapped proof: its
+    weight, and each step's kind, path, printed weight and the files of its
+    exposed and result proofs, then where both name supplies stopped.  The
+    input is built after both supplies restart at 1, so the digest does not
+    depend on what ran before."""
+    monkeypatch.setattr(L, "_gen", itertools.count(1))
+    monkeypatch.setattr(R, "_counter", itertools.count(1))
+    d = C.by_name(which).derivation if isinstance(which, str) else C.church_applied_derivation(which)
+    pf = P.map_derivation(T.add_to_mult(d))
+    out: list = [print_poly(P.weight(pf))]
+    for hit in P.special_steps(pf):
+        out.append([hit.kind, list(hit.path), print_poly(P.weight(hit.result)),
+                    proof_to_obj(hit.exposed), proof_to_obj(hit.result)])
+    out.append([next(L._gen), next(R._counter)])
+    return hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+
+
+# Computed at the commit before the layout-composed `_hoist` translation.
+GATE_DIGESTS = {
+    "identity-app": "0e48a280a56c20ddaf197edd8777f9991e395686befdff565c94b1b7a91c737a",
+    "kappa": "99a568a23f1fb26e919c6541bc41b15891d4e5b6a9465dfc7560c8106c8ee5ec",
+    "kappa-callcc": "5af1fb6279987464cc54bf5afaca3f70945cdc36c24a7976f166d6e30db9a3a1",
+    "aleph": "f34dd5493193e952ab20a6eb7aba6babace67631bea44bb37f14f5d38ab4bf8c",
+    "aleph-invoke-0": "5f59ff0a9fd94f7dff1b53e74b78582fcda614d2858cbbc5e8dde25ac6bd4b71",
+    "aleph-applied": "6f60b08ab060091b3cd316543943695ab818b67f58351941852ba746cbd6f1b5",
+    "church-0": "76dcc6e9b88a2e2752e5871fab45ba5e4add860c7569c98466c9b3e214092155",
+    "church-1": "fec26bb6d6d77bc47b853b8168b19a15036d397ac48544c09826e37c18bdfa0d",
+    "church-2": "72b1bf7526edb98e133c6a4d436b7c6a60650f4e09fbc11c2a46b6858c0a2a7f",
+    "church-3": "d0df80e2a167e65830ff35e13ea4b219f6a39c698c1197b002f7fa343d49666a",
+    "church-1-app": "522296651b9ef86d49a5fec8f64fe3a77dac753629e856fdc79d3fbd97d14489",
+    "church-2-app": "e5699fd821deb44d471f3764e3c2566354a070026f02caeb4ca81f1ca7088832",
+    "church-applied-1": "522296651b9ef86d49a5fec8f64fe3a77dac753629e856fdc79d3fbd97d14489",
+    "church-applied-2": "e5699fd821deb44d471f3764e3c2566354a070026f02caeb4ca81f1ca7088832",
+    "church-applied-3": "cae156f7cbba80ebe90f4c2fb9552c0dd860d8540bede5e5a59b8dbf4f3cf2ae",
+    "church-applied-4": "cf443de0b12f59bab717174a69ff7828d959f1ff0db6e8c9131118565ffc33b5",
+    "church-applied-5": "0616a3a97d3dd05a6c42a23c23272fd48d3f1a7554ac8d4e730dfe0f47fcc50b",
+    "church-applied-6": "df8a7ccf4bf1532c412fd96e9f81b42b246c1190c1d335f5d92b4c618678d147",
+    "church-applied-7": "b18cbffb02e1f2cff9f92205d1671170ccf54bed3692176aed3f71e558bc9d57",
+    "church-applied-8": "0c956ae4c3da2b6ba1c4654a59cf23c8598a41ca253bc5ca662d58a51b2d83c0",
+    "church-applied-9": "69a8645347fdce49cba04af45a964959602a60736727c72abe5f1454e09ad3e3",
+    "church-applied-10": "fd5e7af4d431b6a54b38bcd79a97e7228fbfa5cb66bd6584f04945af7f82ee66",
+    "church-applied-11": "138c243ec7b3ef22c38e50c8ea359bebf74472861bbad9746f9fb7de6c6af7e9",
+    "church-applied-12": "f8fc9d7619ba40cc3042d6e3caca02cf76b8635ea075d4d9fc72d4e1ce6a7716",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATE_INPUTS))
+def test_special_steps_give_the_pinned_files_weights_and_names(name, monkeypatch):
+    assert _special_steps_digest(GATE_INPUTS[name], monkeypatch) == GATE_DIGESTS[name]
+
+
+# -- the composed hoist translation and the weight against their former definitions ----
+
+
+def _scaled_proofs() -> list[P.Proof]:
+    """The mapped proofs of every derivation above and of church n = 13-24."""
+    ds = [*DERIVATIONS.values(), *(C.church_applied_derivation(n) for n in range(13, 25))]
+    return [P.map_derivation(T.add_to_mult(d)) for d in ds]
+
+
+def test_each_hoist_translation_equals_the_traced_one(monkeypatch):
+    """The translation `_hoist` composes from the layouts of the parent, the
+    child and the two rebuilt nodes equals the former one, which traces each
+    conclusion position up to a reused subproof, on every hoist of every
+    special step above and of every commutation no derivation reaches."""
+    hoist, seen = P._hoist, []
+
+    def compared(parent, which):
+        node, tr, rel = hoist(parent, which)
+        child = parent.premises[which]
+        assert tr == PO._derive_trans(parent, node, [*child.premises, parent.premises[1 - which]])
+        seen.append((parent.rule, child.rule))
+        return node, tr, rel
+
+    monkeypatch.setattr(P, "_hoist", compared)
+    for pf in _scaled_proofs():
+        P.normalize(pf)
+    for pf, path, _ in COMMUTED.values():
+        PO.expose_logical(pf, path)
+    assert len(seen) > 619
+    assert {c for _, c in seen} == {"par", "qc", "qd", "qw", "bot", "cut", "tensor"}
+    assert {p for p, _ in seen} == {"cut", "tensor"}
+
+
+def test_weight_equals_the_former_definition_along_the_special_steps():
+    """On every mapped proof above and on each special step's exposed and
+    result proofs, the weight counted by multiplier object equals the former
+    one, counted by multiplier value."""
+    for pf in _scaled_proofs():
+        for q in [pf, *(q for hit in P.special_steps(pf) for q in (hit.exposed, hit.result))]:
+            assert P.weight(q) == PO.fate_weight(q)
+
+
+def test_weight_adds_the_counts_of_equal_multipliers_held_by_distinct_objects():
+    """Two boxes whose labels are equal polynomials but distinct objects,
+    each over a cut and a box of its own: the counts under each label, and
+    under each product of labels, are added as one."""
+    left, right = _boxed_cut(), _boxed_cut()
+    labels = [box.concl[1].label for box in (left, right)]
+    assert labels[0] == labels[1] and labels[0] is not labels[1]
+    tensor = F.Tensor(left.concl[1].formula, right.concl[1].formula)
+    pf = P.mk_tensor(left, right, 1, 1, _at(tensor, pvar("r")))
+    assert P.check_proof(pf).ok
+    r, q = pvar("r"), pvar("q")
+    assert P.weight(pf) == PO.fate_weight(pf) == PO.weight(pf) == 2 * r * q + 2 * r
+    cut = P.mk_cut(P.mk_qw(_ax("X"), 2, F.lf_neg(pf.concl[-1])), pf, 2, len(pf.concl) - 1)
+    assert P.weight(cut) == PO.fate_weight(cut) == PO.weight(cut)
+
+
+def test_an_axiom_without_one_positive_side_weighs_as_before():
+    """A file axiom with no positive side raises what the former weight
+    raised; one with two positive sides gives what it gave."""
+
+    def cut_against(*sides: str) -> P.Proof:
+        concl = tuple(_at(parse_formula(s)) for s in sides)
+        return P.mk_cut(P.mk_qw(_ax("Y"), 2, concl[0]), P.mk_ax(concl, concl[0]), 2, 0)
+
+    negative = cut_against("~X", "~X")
+    for weigh in (PO.fate_weight, P.weight):
+        with pytest.raises(IndexError):
+            weigh(negative)
+    positive = cut_against("X", "X")
+    assert P.weight(positive) == PO.fate_weight(positive) == const(1)

@@ -215,19 +215,32 @@ def test_church_500_files_round_trip_at_the_default_recursion_limit():
 
 def test_proof_files_print_each_sequent_entry_object_once(monkeypatch):
     """The file of a proof along its special steps equals the one printed
-    node by node, and ``print_lf`` runs once per distinct entry object (and
-    once per axiom witness)."""
+    node by node, and the sequent entries run ``print_formula`` once per
+    distinct formula object and ``print_poly`` once per distinct label
+    object.  The ``data`` fields are printed as they come: an axiom's
+    witness, a dereliction's ``P`` and ``p``, a box's witnessed doors."""
     pf = map_derivation(add_to_mult(C.church_applied_derivation(6)))
     proofs = [pf] + [hit.result for hit in special_steps(pf)]
-    calls = [0]
+    formulas, labels, inside = [], [], [False]
 
-    def counted(a):
-        calls[0] += 1
-        return print_lf(a)
+    def counted_formula(f):
+        formulas.append(f)
+        inside[0] = True  # the bounds in a formula are not labels
+        try:
+            return print_formula(f)
+        finally:
+            inside[0] = False
 
-    monkeypatch.setattr(S, "print_lf", counted)
+    def counted_poly(q):
+        if not inside[0]:
+            labels.append(q)
+        return print_poly(q)
+
+    monkeypatch.setattr(S, "print_formula", counted_formula)
+    monkeypatch.setattr(S, "print_poly", counted_poly)
     for q in proofs:
-        calls[0] = 0
+        formulas.clear()
+        labels.clear()
         obj = proof_to_obj(q)
         nodes, entries = [], {}
         stack = [q]
@@ -236,10 +249,40 @@ def test_proof_files_print_each_sequent_entry_object_once(monkeypatch):
             nodes.append(node)
             entries.update((id(a), a) for a in node.concl)
             stack.extend(reversed(node.premises))
-        witnesses = sum("witness" in node.data for node in nodes)
-        assert calls[0] - witnesses == len(entries) < sum(len(node.concl) for node in nodes)
+        data = [node.data for node in nodes]
+        data_formulas = sum(("witness" in d) + ("P" in d) + len(d.get("sum_witness", ())) for d in data)
+        data_labels = sum(("witness" in d) + ("p" in d) for d in data)
+        entry_formulas = {id(a.formula) for a in entries.values()}
+        entry_labels = {id(a.label) for a in entries.values()}
+        assert len(formulas) - data_formulas == len(entry_formulas) < len(entries)
+        assert len(labels) - data_labels == len(entry_labels) < len(entries)
         sequents = [[print_lf(a) for a in node.concl] for node in nodes]
         assert [json.loads(t)["sequent"] for t in _node_texts(obj)[1:]] == sequents
+
+
+def test_proof_files_parse_each_distinct_text_once(monkeypatch):
+    """Reading a proof file parses each distinct sequent entry and witness,
+    each distinct ``P`` and each distinct ``p`` text once."""
+    pf = map_derivation(add_to_mult(C.church_applied_derivation(6)))
+    obj = json.loads(json.dumps(proof_to_obj(pf)))
+    fields = {"parse_lf": "witness", "parse_formula": "P", "parse_poly": "p"}
+    texts = {name: [] for name in fields}
+    stack = [obj["tree"]]
+    while stack:
+        node = stack.pop()
+        stack.extend(node["premises"])
+        texts["parse_lf"] += node["sequent"]
+        for name, key in fields.items():
+            if key in node["data"]:
+                texts[name].append(node["data"][key])
+    calls = {name: [] for name in fields}
+    for name in fields:
+        monkeypatch.setattr(S, name, lambda s, parse=getattr(S, name), name=name: (
+            calls[name].append(s) or parse(s)
+        ))
+    assert proof_from_obj(obj) == pf
+    for name, seen in texts.items():
+        assert sorted(calls[name]) == sorted(set(seen)) and len(set(seen)) < len(seen), name
 
 
 def test_proof_files_roundtrip():
