@@ -15,12 +15,14 @@ rebuilds the term once at the end; :func:`trace`, the one public step
 iterator, also rebuilds the whole reduct and its position at every step;
 :func:`step` is the first element of :func:`trace`.
 
-Terms are immutable and each node caches its free λ- and μ-variables
-(``fv``, ``fmv``); ``==`` and ``hash`` read the whole structure, names
-included.  Substitution, μ-renaming and Parigot's structural μ-substitution
-(LPAR 1992) are one walk, :func:`_rewrite`, that rebuilds only the nodes
-above a change and shares every other subterm.  Every walk here runs on an
-explicit stack, so a term of any depth is an ordinary input.
+Terms are immutable; ``==`` and ``hash`` read the whole structure, names
+included.  A node's free λ- and μ-variables, ``fv`` and ``fmv``, are plain
+attributes: the first read of one that misses stores it on the node and
+on every subterm lacking it, in one walk.  Substitution, μ-renaming and
+Parigot's structural μ-substitution (LPAR 1992) are one walk,
+:func:`_rewrite`, that rebuilds only the nodes above a change and shares
+every other subterm.  Every walk here runs on an explicit stack, so a
+term of any depth is an ordinary input.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 _gen = itertools.count(1)
 
@@ -72,17 +73,12 @@ class Term:
             stack += reversed(items)
         return "".join(out)
 
-    @cached_property
-    def fv(self) -> frozenset[str]:
-        """Free λ-variables, computed once per node."""
-        _cache_free(self, "fv")
-        return self.__dict__["fv"]
-
-    @cached_property
-    def fmv(self) -> frozenset[str]:
-        """Free μ-variables, computed once per node."""
-        _cache_free(self, "fmv")
-        return self.__dict__["fmv"]
+    def __getattr__(self, key: str) -> frozenset[str]:
+        """``fv`` or ``fmv`` (free λ- or μ-variables), read here only while not stored."""
+        if key != "fv" and key != "fmv":
+            raise AttributeError(key)
+        _cache_free(self, key)
+        return self.__dict__[key]
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -149,40 +145,46 @@ def _cache_free(t: Term, key: str) -> None:
     """Store ``key`` (``fv`` or ``fmv``) on ``t`` and on every subterm lacking it.
 
     Post-order with an explicit stack, so deep terms add no recursion; a
-    subterm that already holds its set is not entered again.  The two sets
-    are cached apart, so a walk that asks only for one never builds the
-    other.
+    subterm that already holds its set is not entered.  The two sets are
+    stored apart, so a walk that asks only for one never builds the other.
     """
     lam = key == "fv"
     stack = [t]
+    # Type tests, not ``match``: this loop runs at most twice per node stored.
     while stack:
         node = stack[-1]
         d = node.__dict__
         if key in d:
             stack.pop()
             continue
-        if isinstance(node, App):
-            kids = (node.fn, node.arg)
+        cls = type(node)
+        if cls is App:
+            fs, as_ = node.fn.__dict__.get(key), node.arg.__dict__.get(key)
+            if fs is None or as_ is None:
+                if fs is None:
+                    stack.append(node.fn)
+                if as_ is None:
+                    stack.append(node.arg)
+                continue
+            d[key] = _union(fs, as_)
+        elif cls is Var:
+            d[key] = frozenset((node.name,)) if lam else _EMPTY
         else:
-            kids = () if isinstance(node, Var) else (node.body,)
-        todo = [k for k in kids if key not in k.__dict__]
-        if todo:
-            stack.extend(todo)
-            continue
+            b = node.body.__dict__.get(key)
+            if b is None:
+                stack.append(node.body)
+                continue
+            if cls is Lam:
+                if lam and node.var in b:
+                    b = b - {node.var}
+            elif not lam:
+                a = node.mvar
+                if cls is Mu:
+                    b = b - {a} if a in b else b
+                elif a not in b:
+                    b = b | {a}
+            d[key] = b
         stack.pop()
-        match node:
-            case App(f, a):
-                d[key] = _union(f.__dict__[key], a.__dict__[key])
-            case Var(x):
-                d[key] = frozenset((x,)) if lam else _EMPTY
-            case Lam(x, b) if lam:
-                d[key] = b.fv - {x} if x in b.fv else b.fv
-            case Mu(a, b) if not lam:
-                d[key] = b.fmv - {a} if a in b.fmv else b.fmv
-            case Named(a, b) if not lam:
-                d[key] = b.fmv if a in b.fmv else b.fmv | {a}
-            case _:
-                d[key] = node.body.__dict__[key]
 
 
 def free_vars(t: Term) -> frozenset[str]:
@@ -379,10 +381,13 @@ Position = tuple[str, ...]
 
 def root_step(t: Term) -> tuple[Term, str] | None:
     """Fire a β or μ redex at the root, if present."""
-    match t:
-        case App(Lam(x, b), u):
-            return subst(b, x, u), "beta"
-        case App(Mu(a, b), u):
+    if type(t) is App:
+        f, u = t.fn, t.arg
+        cls = type(f)
+        if cls is Lam:
+            return subst(f.body, f.var, u), "beta"
+        if cls is Mu:
+            a, b = f.mvar, f.body
             if a in u.fmv:
                 a2 = fresh_tvar(a)
                 b = rename_mvar(b, a, a2)
@@ -393,9 +398,10 @@ def root_step(t: Term) -> tuple[Term, str] | None:
 
 def theta_step(t: Term) -> Term | None:
     """μα.[α]u → u, fireable only when α is not free in u."""
-    match t:
-        case Mu(a, Named(b, body)) if a == b and a not in body.fmv:
-            return body
+    if type(t) is Mu:
+        n = t.body
+        if type(n) is Named and n.mvar == t.mvar and t.mvar not in n.body.fmv:
+            return n.body
     return None
 
 

@@ -26,10 +26,10 @@ class Env:
     mu: dict = field(default_factory=dict)
 
     def bind_lam(self, x: str, c: "Closure") -> "Env":
-        return Env({**self.lam, x: c}, dict(self.mu))
+        return Env({**self.lam, x: c}, self.mu)
 
     def bind_mu(self, a: str, s: "Stack") -> "Env":
-        return Env(dict(self.lam), {**self.mu, a: s})
+        return Env(self.lam, {**self.mu, a: s})
 
 
 @dataclass(frozen=True)
@@ -57,29 +57,23 @@ def load(t: Term) -> Config:
 def step(c: Config) -> tuple[Config, str] | None:
     """One transition with its rule name; None when the machine is final."""
     t, env = c.closure.term, c.closure.env
-    match t:
-        case Var(x):
-            if x in env.lam:
-                return Config(env.lam[x], c.stack), "lookup"
-            return None  # free variable in head position: final
-        case Lam(x, body):
-            if not c.stack:
-                return None  # abstraction awaiting an argument: final
-            top, rest = c.stack[0], c.stack[1:]
-            return Config(Closure(body, env.bind_lam(x, top)), rest), "bind"
-        case App(fn, arg):
-            return (
-                Config(Closure(fn, env), (Closure(arg, env),) + c.stack),
-                "push",
-            )
-        case Mu(a, body):
-            return Config(Closure(body, env.bind_mu(a, c.stack)), ()), "capture"
-        case Named(a, body):
-            if c.stack:
-                raise StuckState("naming reached with a non-empty stack")
-            if a in env.mu:
-                return Config(Closure(body, env), env.mu[a]), "restore"
-            return None  # free name: final
+    cls = type(t)
+    if cls is App:
+        return Config(Closure(t.fn, env), (Closure(t.arg, env),) + c.stack), "push"
+    if cls is Var:  # a free variable in head position is final
+        hit = env.lam.get(t.name)
+        return None if hit is None else (Config(hit, c.stack), "lookup")
+    if cls is Lam:
+        if not c.stack:
+            return None  # abstraction awaiting an argument: final
+        return Config(Closure(t.body, env.bind_lam(t.var, c.stack[0])), c.stack[1:]), "bind"
+    if cls is Mu:
+        return Config(Closure(t.body, env.bind_mu(t.mvar, c.stack)), ()), "capture"
+    if cls is Named:
+        if c.stack:
+            raise StuckState("naming reached with a non-empty stack")
+        hit = env.mu.get(t.mvar)
+        return None if hit is None else (Config(Closure(t.body, env), hit), "restore")
     raise TypeError(t)
 
 

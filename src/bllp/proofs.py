@@ -179,6 +179,18 @@ def _build(rule: str, premises: tuple[Proof, ...], data: Mapping, *made: LF) -> 
 # -- checking ------------------------------------------------------------------------
 
 
+def _out_of_range(p: Proof) -> str | None:
+    """The first premise position in ``p``'s data that its premise lacks,
+    named with the premise's length; read only once a check hit an
+    ``IndexError``."""
+    for which, (q, keys) in enumerate(zip(p.premises, _PREMISE_FIELDS.get(p.rule, ()))):
+        for key in keys:
+            i = p.data.get(key)
+            if isinstance(i, int) and not 0 <= i < len(q.concl):
+                return f"{key} {i} is out of range for premise {which} of length {len(q.concl)}"
+    return None
+
+
 def _node_errors(p: Proof) -> list[str]:
     errs: list[str] = []
     seq = p.concl
@@ -288,7 +300,8 @@ def _node_errors(p: Proof) -> list[str]:
             case _:
                 errs.append(f"unknown rule {p.rule!r}")
     except (KeyError, IndexError, ShapeMismatch) as exc:
-        return errs + [f"malformed node: {type(exc).__name__}: {exc}"]
+        why = isinstance(exc, IndexError) and _out_of_range(p)
+        return errs + [f"malformed node: {why or f'{type(exc).__name__}: {exc}'}"]
 
     # conclusion must agree with the premises through the layout
     if p.rule in ("par", "qc", "bot", "qw", "qd", "cut", "tensor"):

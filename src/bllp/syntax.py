@@ -336,20 +336,21 @@ def _pretty_name(base: str, avoid: set[str]) -> str:
 
 
 def _display_formula(f: F.Formula, avoid: frozenset[str]) -> F.Formula:
+    """``f`` with each generated binder made plain; a node with none below it
+    is returned itself, not rebuilt."""
     match f:
         case F.Atom(_) | F.NegAtom(_) | F.One() | F.Bottom():
             return f
-        case F.Tensor(l, r):
-            return F.Tensor(_display_formula(l, avoid), _display_formula(r, avoid))
-        case F.Par(l, r):
-            return F.Par(_display_formula(l, avoid), _display_formula(r, avoid))
+        case F.Tensor(l, r) | F.Par(l, r):
+            l2, r2 = _display_formula(l, avoid), _display_formula(r, avoid)
+            return f if l2 is l and r2 is r else type(f)(l2, r2)
         case F.Bang(x, p, n) | F.WhyNot(x, p, n):
-            cls = type(f)
             if x != F.VACUOUS and ("#" in x or "%" in x):
                 x2 = _pretty_name(x, avoid | F.free_rvars(n) | p.free_vars())
                 n = F.subst_poly(n, x, R.pvar(x2))
                 x = x2
-            return cls(x, p, _display_formula(n, avoid | {x}))
+            n2 = _display_formula(n, avoid | {x})
+            return f if x is f.var and n2 is f.body else type(f)(x, p, n2)
     raise TypeError(f)
 
 
@@ -490,21 +491,23 @@ def judgment_from_obj(obj: dict):
     )
 
 
-def _print_fields(fields: dict) -> dict:
+def _print_fields(fields: dict, once=lambda x, show: show(x)) -> dict:
     """A derivation node's ``ann`` or a proof node's ``data``, printed; keys
-    of neither are dropped."""
+    of neither are dropped.  Each formula and label object goes through
+    ``once(x, show)``, which prints it with ``show``; a witness is printed
+    as its formula and label."""
     out = {}
     for k, v in fields.items():
         if k in ("left", "right", "into", "left_idx", "right_idx", "idx", "x", "y"):
             out[k] = v
         elif k in ("h", "p"):
-            out[k] = print_poly(v)
+            out[k] = once(v, print_poly)
         elif k == "witness":
-            out[k] = print_lf(v)
+            out[k] = _lf_text(once(v.formula, print_formula), v.binder, once(v.label, print_poly))
         elif k == "P":
-            out[k] = print_formula(v)
+            out[k] = once(v, print_formula)
         elif k in ("sum_witness", "sum_witness_lam", "sum_witness_mu"):
-            out[k] = {str(i): [print_formula(b), binder] for i, (b, binder) in v.items()}
+            out[k] = {str(i): [once(b, print_formula), binder] for i, (b, binder) in v.items()}
     return out
 
 
@@ -659,8 +662,9 @@ def derivation_from_obj(obj: dict):
 
 def proof_to_obj(p) -> dict:
     # Each sequent entry object is printed once per call, and so is each
-    # formula and label object: nodes share them, and entries share their
-    # parts.  The proof keeps every one alive, so no two share an id.
+    # formula and label object: nodes share them, entries share their parts,
+    # and the ``data`` fields share both.  The proof keeps every one alive,
+    # so no two share an id.
     texts: dict[int, str] = {}
 
     def print_once(x, show) -> str:
@@ -679,7 +683,7 @@ def proof_to_obj(p) -> dict:
         lambda x: {
             "rule": x.rule,
             "sequent": [print_once(a, entry) for a in x.concl],
-            "data": _print_fields(x.data),
+            "data": _print_fields(x.data, print_once),
         },
         lambda obj, premises: obj | {"premises": premises},
     )

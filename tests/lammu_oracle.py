@@ -8,10 +8,17 @@ that keeps the descent path between steps; the tests check that both give
 the same results up to α-equivalence (both draw fresh names from
 ``lammu.fresh_tvar``).  ``alpha_eq`` here compares recursive nameless keys;
 ``bllp.lammu.alpha_eq`` walks both terms in one pairwise pass instead.
+
+The last section keeps the former ``match`` definitions of the library's
+step kernels, which now dispatch on ``type()``: ``library_root_step`` with
+the library's own rewrites, so that from one state of the fresh-name
+counter both draw the same names, and ``machine_step``.
 """
 
 from __future__ import annotations
 
+from bllp import lammu as L
+from bllp import machine as M
 from bllp.lammu import App, Lam, Mu, Named, Term, Var, fresh_tvar
 
 
@@ -211,3 +218,46 @@ def nameless(t: Term):
 def alpha_eq(t: Term, u: Term) -> bool:
     """The former α-equality: compare the nameless keys of both terms."""
     return t is u or nameless(t) == nameless(u)
+
+
+# -- the former match kernels of bllp.lammu and bllp.machine ---------------------
+
+
+def library_root_step(t: Term) -> tuple[Term, str] | None:
+    """``bllp.lammu.root_step`` as a ``match``, on the library's rewrites."""
+    match t:
+        case App(Lam(x, b), u):
+            return L.subst(b, x, u), "beta"
+        case App(Mu(a, b), u):
+            if a in L.free_mvars(u):
+                a2 = fresh_tvar(a)
+                b = L.rename_mvar(b, a, a2)
+                a = a2
+            return Mu(a, L.mu_subst(b, a, u)), "mu"
+    return None
+
+
+def machine_step(c: M.Config) -> tuple[M.Config, str] | None:
+    """``bllp.machine.step`` as a ``match``."""
+    t, env = c.closure.term, c.closure.env
+    match t:
+        case Var(x):
+            if x in env.lam:
+                return M.Config(env.lam[x], c.stack), "lookup"
+            return None  # free variable in head position: final
+        case Lam(x, body):
+            if not c.stack:
+                return None  # abstraction awaiting an argument: final
+            top, rest = c.stack[0], c.stack[1:]
+            return M.Config(M.Closure(body, env.bind_lam(x, top)), rest), "bind"
+        case App(fn, arg):
+            return M.Config(M.Closure(fn, env), (M.Closure(arg, env),) + c.stack), "push"
+        case Mu(a, body):
+            return M.Config(M.Closure(body, env.bind_mu(a, c.stack)), ()), "capture"
+        case Named(a, body):
+            if c.stack:
+                raise M.StuckState("naming reached with a non-empty stack")
+            if a in env.mu:
+                return M.Config(M.Closure(body, env), env.mu[a]), "restore"
+            return None  # free name: final
+    raise TypeError(t)

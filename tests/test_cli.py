@@ -348,7 +348,7 @@ def test_cut_eliminate_checks_a_file_proof_before_rewriting_it(tmp_path, capsys)
     assert run("cut-eliminate", "--file", str(path), "--trace") == 1
     out, err = capsys.readouterr()
     assert out == (
-        "root: malformed node: IndexError: tuple index out of range\n"
+        "root: malformed node: right_idx 1 is out of range for premise 1 of length 1\n"
         "root.1: box conclusion length does not fit the rule\n"
     )
     assert err == ""

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 
@@ -25,6 +26,11 @@ from bllp.lammu import (
 from bllp.syntax import parse_term, print_term
 
 T = parse_term
+
+
+def _church(n: int) -> str:
+    return "(\\s. \\z. " + "s (" * n + "z" + ")" * n + ")"
+
 
 KAPPA = T(r"\x. mu a. [a] (x) \y. mu b. [a] y")
 ALEPH = T(r"\f. mu a. (f) \x. [a] x")
@@ -336,6 +342,115 @@ def test_whole_reductions_of_random_terms_match_the_oracle(t, u, depth):
     _agree_along_the_reduction(App(Mu("a", _nested_theta(App(t, u), depth)), Var("w")))
 
 
+# -- stored free-name sets and the type-dispatched step kernels ----------------
+
+
+def _nodes(t: L.Term) -> list[L.Term]:
+    """Every distinct node object of ``t``."""
+    out, seen, stack = [], set(), [t]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            out.append(node)
+            cls = type(node)
+            stack += (node.fn, node.arg) if cls is App else () if cls is Var else (node.body,)
+    return out
+
+
+def _check_stored_sets(t: L.Term) -> None:
+    """Every ``fv`` and ``fmv`` stored on a node of ``t`` is the oracle's."""
+    for node in _nodes(t):
+        d = node.__dict__
+        if "fv" in d:
+            assert d["fv"] == O.free_vars(node)
+        if "fmv" in d:
+            assert d["fmv"] == O.free_mvars(node)
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms(), terms(depth=2), st.integers(0, 2))
+def test_stored_free_name_sets_match_the_oracle_along_traces_and_readbacks(t, u, depth):
+    for subject in (t, _nested_theta(App(Lam("x", t), u), depth), App(Mu("a", t), u)):
+        for strategy in L.STRATEGIES:
+            for _, _, reduct in L.trace(subject, strategy, 12):
+                _check_stored_sets(reduct)
+        _check_stored_sets(subject)
+        try:
+            for _, cfg in M.machine_trace(M.load(subject), 40):
+                _check_stored_sets(M.readback(cfg))
+        except M.StuckState:
+            pass
+
+
+@pytest.mark.parametrize("key,other", [("fmv", "fv"), ("fv", "fmv")])
+def test_free_name_sets_are_stored_only_once_asked_and_apart(key, other):
+    """A parsed term stores no set; asking for one stores it on every node
+    and the other on none."""
+    t = T(r"(\x. mu a. [b] x (\y. [a] y z)) w (mu c. [c] v)")
+    nodes = _nodes(t)
+    assert not any(node.__dict__.keys() & {"fv", "fmv"} for node in nodes)
+    assert getattr(t, key) == {"fv": {"w", "z", "v"}, "fmv": {"b"}}[key]
+    assert all(key in node.__dict__ and other not in node.__dict__ for node in nodes)
+    with pytest.raises(AttributeError):
+        t.fw
+
+
+def _same_draws(f, g, *args):
+    """``f(*args)`` and ``g(*args)`` (or the ``StuckState`` they raise), each
+    from the same state of the fresh-name counter; both must draw the same
+    number of names."""
+    start = next(L._gen)
+    outs, ends = [], []
+    for fn in (f, g):
+        L._gen = itertools.count(start)
+        try:
+            outs.append(fn(*args))
+        except M.StuckState as exc:
+            outs.append(str(exc))
+        ends.append(next(L._gen))
+    assert ends[0] == ends[1]
+    L._gen = itertools.count(ends[0] + 1)
+    return outs
+
+
+def _kernels_agree(t: L.Term) -> None:
+    got, want = _same_draws(root_step, O.library_root_step, t)
+    assert got == want
+    assert L.theta_step(t) == O.theta_step(t)
+
+
+def _machine_agrees(t: L.Term, fuel: int) -> None:
+    """``machine.step`` is the former ``match`` on every configuration of
+    ``t``'s run, and so are the λμ kernels on its closure terms."""
+    cfg = M.load(t)
+    for _ in range(fuel):
+        _kernels_agree(cfg.closure.term)
+        got, want = _same_draws(M.step, O.machine_step, cfg)
+        assert got == want
+        if not isinstance(got, tuple):
+            return
+        cfg = got[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms(), terms(depth=2), st.sampled_from(("x", "y")), st.sampled_from(("a", "b")))
+def test_step_kernels_equal_their_former_match_definitions(t, u, x, a):
+    for subject in (t, App(t, u), App(Lam(x, t), u), App(Mu(a, t), u), Mu(a, Named(a, t))):
+        _kernels_agree(subject)
+        _machine_agrees(subject, 30)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [f"{_church(k)} {_church(2)} (\\y. y) z0" for k in (2, 3)]
+    + [r"(\f. mu a. f (\x. [a] x)) w " + " ".join(f"t{i}" for i in range(1, k + 1)) for k in (1, 4)]
+    + [f"{_church(k)} (\\y. y) z0" for k in (10, 12)],
+)
+def test_step_kernels_equal_their_former_definitions_along_the_reduce_families(text):
+    _machine_agrees(T(text), 100_000)
+
+
 # -- depth 10^4: built directly, since parse_term and == still recurse -----------
 
 DEEP = 10_000
@@ -388,10 +503,6 @@ def test_step_at_the_foot_of_a_deep_left_spine(strategy):
 
 
 # -- the benchmark's largest reduce sizes: exact counts, no timing ---------------
-
-
-def _church(n: int) -> str:
-    return "(\\s. \\z. " + "s (" * n + "z" + ")" * n + ")"
 
 
 @pytest.mark.parametrize("strategy", L.STRATEGIES)

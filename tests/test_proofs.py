@@ -749,6 +749,27 @@ def test_the_checker_compares_a_file_conclusion_with_its_premises(rule, edit):
     assert str(check_proof(proof_from_obj(obj))) == ORDER_REPORTS[rule, edit]
 
 
+@pytest.mark.parametrize(
+    "rule,which,key",
+    [(rule, which, key) for rule in ("cut", "par", "tensor", "qc", "qd", "bang")
+     for which, keys in enumerate(P._PREMISE_FIELDS[rule]) for key in keys],
+)
+def test_a_premise_position_past_its_file_premise_is_named(rule, which, key):
+    """A file premise cut short before the position ``key`` reads: the
+    report names the field, its value and the premise's length.  A box
+    compares its length before it reads its door, so its conclusion is
+    cut short too."""
+    node = ORDERED[rule]
+    i = node.data[key]
+    obj = proof_to_obj(node)
+    tree = obj["tree"]
+    for short in (tree["premises"][which],) + ((tree,) if rule == "bang" else ()):
+        short["sequent"] = short["sequent"][:i]
+    assert P._node_errors(proof_from_obj(obj)) == [
+        f"malformed node: {key} {i} is out of range for premise {which} of length {i}"
+    ]
+
+
 def test_par_and_tensor_pair_the_binders_of_their_components():
     """A component under the conclusion's binder ``v`` matches a premise
     formula under ``u`` when it reads ``v`` where the premise reads ``u``."""

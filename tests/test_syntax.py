@@ -101,6 +101,21 @@ def test_formula_roundtrip(f):
 
 
 @settings(max_examples=100)
+@given(formulas())
+def test_a_formula_with_no_generated_binder_is_displayed_as_itself(f):
+    assert S._display_formula(f, F.free_rvars(f)) is f
+
+
+def test_generated_binders_print_plain():
+    """A generated binder (one with '#') gets a plain name, also when its
+    body does not read it, and avoids the free names below it."""
+    used = F.Bang("x#4", pvar("n"), F.WhyNot("y", pvar("x#4"), F.Atom("X")))
+    unused = F.Bang("x#9", const(1), F.Tensor(F.Atom("Y"), F.ONE_F))
+    assert print_formula(F.Par(used, unused)) == "!{x<n} ?{y<x} X par !{x<1} (Y * 1)"
+    assert print_formula(F.Tensor(F.Bang("x#4", pvar("x"), F.Atom("X")), F.Atom("Z"))) == "!{x1<x} X * Z"
+
+
+@settings(max_examples=100)
 @given(formulas(), polys())
 def test_labelled_roundtrip(f, p):
     a = F.lf(f, "v" if "v" in F.free_rvars(f) else F.VACUOUS, p)
@@ -215,13 +230,14 @@ def test_church_500_files_round_trip_at_the_default_recursion_limit():
 
 def test_proof_files_print_each_sequent_entry_object_once(monkeypatch):
     """The file of a proof along its special steps equals the one printed
-    node by node, and the sequent entries run ``print_formula`` once per
-    distinct formula object and ``print_poly`` once per distinct label
-    object.  The ``data`` fields are printed as they come: an axiom's
-    witness, a dereliction's ``P`` and ``p``, a box's witnessed doors."""
+    node by node, and ``print_formula`` runs once per distinct formula
+    object and ``print_poly`` once per distinct label object of the file:
+    those of the sequent entries and of the ``data`` fields (an axiom's
+    witness, a dereliction's ``P`` and ``p``, a box's witnessed doors).  A
+    witness is printed as an entry is, never by ``print_lf``."""
     pf = map_derivation(add_to_mult(C.church_applied_derivation(6)))
     proofs = [pf] + [hit.result for hit in special_steps(pf)]
-    formulas, labels, inside = [], [], [False]
+    formulas, labels, witnesses, inside = [], [], [], [False]
 
     def counted_formula(f):
         formulas.append(f)
@@ -236,8 +252,13 @@ def test_proof_files_print_each_sequent_entry_object_once(monkeypatch):
             labels.append(q)
         return print_poly(q)
 
+    def counted_lf(a):
+        witnesses.append(a)
+        return print_lf(a)
+
     monkeypatch.setattr(S, "print_formula", counted_formula)
     monkeypatch.setattr(S, "print_poly", counted_poly)
+    monkeypatch.setattr(S, "print_lf", counted_lf)
     for q in proofs:
         formulas.clear()
         labels.clear()
@@ -250,12 +271,16 @@ def test_proof_files_print_each_sequent_entry_object_once(monkeypatch):
             entries.update((id(a), a) for a in node.concl)
             stack.extend(reversed(node.premises))
         data = [node.data for node in nodes]
-        data_formulas = sum(("witness" in d) + ("P" in d) + len(d.get("sum_witness", ())) for d in data)
-        data_labels = sum(("witness" in d) + ("p" in d) for d in data)
-        entry_formulas = {id(a.formula) for a in entries.values()}
-        entry_labels = {id(a.label) for a in entries.values()}
-        assert len(formulas) - data_formulas == len(entry_formulas) < len(entries)
-        assert len(labels) - data_labels == len(entry_labels) < len(entries)
+        ax = [d["witness"] for d in data if "witness" in d]
+        assert ax and witnesses == []
+        formula_objs = {id(a.formula) for a in [*entries.values(), *ax]}
+        formula_objs |= {id(d["P"]) for d in data if "P" in d}
+        formula_objs |= {id(b) for d in data for b, _ in d.get("sum_witness", {}).values()}
+        label_objs = {id(a.label) for a in [*entries.values(), *ax]}
+        label_objs |= {id(d["p"]) for d in data if "p" in d}
+        assert sorted(map(id, formulas)) == sorted(formula_objs)
+        assert sorted(map(id, labels)) == sorted(label_objs)
+        assert len({id(a.formula) for a in entries.values()}) < len(entries)
         sequents = [[print_lf(a) for a in node.concl] for node in nodes]
         assert [json.loads(t)["sequent"] for t in _node_texts(obj)[1:]] == sequents
 
