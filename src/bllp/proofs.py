@@ -180,14 +180,21 @@ def _build(rule: str, premises: tuple[Proof, ...], data: Mapping, *made: LF) -> 
 
 
 def _out_of_range(p: Proof) -> str | None:
-    """The first premise position in ``p``'s data that its premise lacks,
-    named with the premise's length; read only once a check hit an
+    """The first position in ``p``'s data that the sequent it indexes lacks
+    (a premise's, or for ``qw`` and ``bot`` the node's own conclusion),
+    named with that sequent's length; read only once a check hit an
     ``IndexError``."""
-    for which, (q, keys) in enumerate(zip(p.premises, _PREMISE_FIELDS.get(p.rule, ()))):
+    places = [
+        (f"premise {which}", q.concl, keys)
+        for which, (q, keys) in enumerate(zip(p.premises, _PREMISE_FIELDS.get(p.rule, ())))
+    ]
+    if p.rule in ("qw", "bot"):
+        places.append(("the conclusion", p.concl, ("idx",)))
+    for where, seq, keys in places:
         for key in keys:
             i = p.data.get(key)
-            if isinstance(i, int) and not 0 <= i < len(q.concl):
-                return f"{key} {i} is out of range for premise {which} of length {len(q.concl)}"
+            if isinstance(i, int) and not 0 <= i < len(seq):
+                return f"{key} {i} is out of range for {where} of length {len(seq)}"
     return None
 
 

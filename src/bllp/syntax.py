@@ -491,10 +491,25 @@ def judgment_from_obj(obj: dict):
     )
 
 
-def _print_fields(fields: dict, once=lambda x, show: show(x)) -> dict:
+def _printer():
+    """``once(x, show)``: ``show(x)``, computed once per object ``x`` for the
+    life of this printer.  A file writer makes one per call; the tree it
+    prints keeps every object alive, so no two share an id."""
+    texts: dict[int, str] = {}
+
+    def once(x, show) -> str:
+        s = texts.get(id(x))
+        if s is None:
+            s = texts[id(x)] = show(x)
+        return s
+
+    return once
+
+
+def _print_fields(fields: dict, once) -> dict:
     """A derivation node's ``ann`` or a proof node's ``data``, printed; keys
     of neither are dropped.  Each formula and label object goes through
-    ``once(x, show)``, which prints it with ``show``; a witness is printed
+    the file writer's ``once`` (see :func:`_printer`); a witness is printed
     as its formula and label."""
     out = {}
     for k, v in fields.items():
@@ -567,13 +582,14 @@ def derivation_to_obj(d, system: str) -> dict:
     """
     from .typecheck import subject_of
 
+    once = _printer()
     tree = _map_tree(
         d,
         lambda x: x.premises,
         lambda x: {
             "rule": x.rule,
             "judgment": judgment_to_obj(x.concl, subject_of(x)),
-            "ann": _print_fields(x.ann),
+            "ann": _print_fields(x.ann, once),
         },
         lambda obj, premises: obj | {"premises": premises},
     )
@@ -663,15 +679,8 @@ def derivation_from_obj(obj: dict):
 def proof_to_obj(p) -> dict:
     # Each sequent entry object is printed once per call, and so is each
     # formula and label object: nodes share them, entries share their parts,
-    # and the ``data`` fields share both.  The proof keeps every one alive,
-    # so no two share an id.
-    texts: dict[int, str] = {}
-
-    def print_once(x, show) -> str:
-        s = texts.get(id(x))
-        if s is None:
-            s = texts[id(x)] = show(x)
-        return s
+    # and the ``data`` fields share both.
+    print_once = _printer()
 
     def entry(a: F.LF) -> str:
         formula, label = print_once(a.formula, print_formula), print_once(a.label, print_poly)

@@ -9,10 +9,10 @@ the same results up to α-equivalence (both draw fresh names from
 ``lammu.fresh_tvar``).  ``alpha_eq`` here compares recursive nameless keys;
 ``bllp.lammu.alpha_eq`` walks both terms in one pairwise pass instead.
 
-The last section keeps the former ``match`` definitions of the library's
-step kernels, which now dispatch on ``type()``: ``library_root_step`` with
-the library's own rewrites, so that from one state of the fresh-name
-counter both draw the same names, and ``machine_step``.
+The library's step kernels, which dispatch on ``type()``, are compared with
+former ``match`` definitions: ``root_step`` here, given the library's own
+rewrites so that from one state of the fresh-name counter both draw the
+same names, and ``machine_step`` in the last section.
 """
 
 from __future__ import annotations
@@ -131,8 +131,11 @@ def mu_subst(t: Term, alpha: str, u: Term) -> Term:
     raise TypeError(t)
 
 
-def root_step(t: Term) -> tuple[Term, str] | None:
-    """Fire a β or μ redex at the root, if present."""
+def root_step(
+    t: Term, subst=subst, rename_mvar=rename_mvar, mu_subst=mu_subst
+) -> tuple[Term, str] | None:
+    """Fire a β or μ redex at the root, if present, with the given rewrites
+    (this module's by default)."""
     match t:
         case App(Lam(x, b), u):
             return subst(b, x, u), "beta"
@@ -220,21 +223,7 @@ def alpha_eq(t: Term, u: Term) -> bool:
     return t is u or nameless(t) == nameless(u)
 
 
-# -- the former match kernels of bllp.lammu and bllp.machine ---------------------
-
-
-def library_root_step(t: Term) -> tuple[Term, str] | None:
-    """``bllp.lammu.root_step`` as a ``match``, on the library's rewrites."""
-    match t:
-        case App(Lam(x, b), u):
-            return L.subst(b, x, u), "beta"
-        case App(Mu(a, b), u):
-            if a in L.free_mvars(u):
-                a2 = fresh_tvar(a)
-                b = L.rename_mvar(b, a, a2)
-                a = a2
-            return Mu(a, L.mu_subst(b, a, u)), "mu"
-    return None
+# -- the former match kernel of bllp.machine --------------------------------------
 
 
 def machine_step(c: M.Config) -> tuple[M.Config, str] | None:

@@ -770,6 +770,18 @@ def test_a_premise_position_past_its_file_premise_is_named(rule, which, key):
     ]
 
 
+@pytest.mark.parametrize("rule", ["qw", "bot"])
+def test_a_conclusion_position_past_its_file_sequent_is_named(rule):
+    """A ``qw`` or ``bot`` whose ``idx`` is past its own file sequent: the
+    report names the field, its value and the conclusion's length."""
+    obj = proof_to_obj(ORDERED[rule])
+    n = len(obj["tree"]["sequent"])
+    obj["tree"]["data"]["idx"] = n
+    assert P._node_errors(proof_from_obj(obj)) == [
+        f"malformed node: idx {n} is out of range for the conclusion of length {n}"
+    ]
+
+
 def test_par_and_tensor_pair_the_binders_of_their_components():
     """A component under the conclusion's binder ``v`` matches a premise
     formula under ``u`` when it reads ``v`` where the premise reads ``u``."""

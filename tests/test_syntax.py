@@ -281,6 +281,7 @@ def test_proof_files_print_each_sequent_entry_object_once(monkeypatch):
         assert sorted(map(id, formulas)) == sorted(formula_objs)
         assert sorted(map(id, labels)) == sorted(label_objs)
         assert len({id(a.formula) for a in entries.values()}) < len(entries)
+        assert len({id(a.label) for a in entries.values()}) < len(entries)
         sequents = [[print_lf(a) for a in node.concl] for node in nodes]
         assert [json.loads(t)["sequent"] for t in _node_texts(obj)[1:]] == sequents
 
