@@ -15,21 +15,21 @@ rebuilds the term once at the end; :func:`trace`, the one public step
 iterator, also rebuilds the whole reduct and its position at every step;
 :func:`step` is the first element of :func:`trace`.
 
-Terms are immutable; ``==`` and ``hash`` read the whole structure, names
-included.  A node's free λ- and μ-variables, ``fv`` and ``fmv``, are plain
-attributes: the first read of one that misses stores it on the node and
-on every subterm lacking it, in one walk.  Substitution, μ-renaming and
-Parigot's structural μ-substitution (LPAR 1992) are one walk,
-:func:`_rewrite`, that rebuilds only the nodes above a change and shares
-every other subterm.  Every walk here runs on an explicit stack, so a
-term of any depth is an ordinary input.
+Terms are immutable records in ``__slots__`` (:class:`Frozen`), with no
+instance ``__dict__``; ``==`` and ``hash`` read the whole structure, names
+included.  A node's free λ- and μ-variables, ``fv`` and ``fmv``, are kept
+in two more slots that start as ``None``: the first read of one stores it
+on the node and on every subterm lacking it, in one walk.  Substitution,
+μ-renaming and Parigot's structural μ-substitution (LPAR 1992) are one
+walk, :func:`_rewrite`, that rebuilds only the nodes above a change and
+shares every other subterm.  Every walk here runs on an explicit stack, so
+a term of any depth is an ordinary input.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
 
 _gen = itertools.count(1)
 
@@ -38,7 +38,60 @@ def fresh_tvar(base: str = "v") -> str:
     return f"{base.split('%')[0]}%{next(_gen)}"
 
 
-class Term:
+class Frozen:
+    """An immutable record whose fields are the slots named by ``__match_args__``.
+
+    A subclass's ``__init__`` writes each slot through its slot descriptor
+    (``App.fn.__set__``), since assigning or deleting an attribute raises
+    ``AttributeError``.  ``==`` and ``hash`` read the fields, as a frozen
+    dataclass's do, and ``repr`` is the dataclass form,
+    ``App(fn=Var(name='f'), arg=Var(name='x'))``.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, key: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {key!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, key: str) -> None:
+        raise AttributeError(f"cannot delete field {key!r} of an immutable {type(self).__name__}")
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        """Written from an explicit stack of pending records and text, so a
+        term of any depth has a ``repr``."""
+        out: list[str] = []
+        stack: list[Frozen | str] = [self]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, str):
+                out.append(t)
+                continue
+            items = []
+            for f in t.__match_args__:
+                value = getattr(t, f)
+                items += (f"{f}=", value if isinstance(value, Frozen) else repr(value), ", ")
+            items[-1] = ")"
+            out.append(f"{type(t).__qualname__}(")
+            stack += reversed(items)
+        return "".join(out)
+
+
+class Term(Frozen):
+    # The stored free λ- and μ-variables: ``None`` until first read.
+    __slots__ = ("_fv", "_fmv")
+
     def __str__(self) -> str:
         from .syntax import print_term
 
@@ -54,60 +107,80 @@ class Term:
     def __hash__(self) -> int:
         return hash(tuple(_preorder(self)))
 
-    def __repr__(self) -> str:
-        """The dataclass form, ``App(fn=Var(name='f'), arg=Var(name='x'))``,
-        written from an explicit stack of pending terms and text."""
-        out: list[str] = []
-        stack: list[Term | str] = [self]
-        while stack:
-            t = stack.pop()
-            if isinstance(t, str):
-                out.append(t)
-                continue
-            items = []
-            for f in fields(t):
-                value = getattr(t, f.name)
-                items += (f"{f.name}=", value if isinstance(value, Term) else repr(value), ", ")
-            items[-1] = ")"
-            out.append(f"{type(t).__qualname__}(")
-            stack += reversed(items)
-        return "".join(out)
+    @property
+    def fv(self) -> frozenset[str]:
+        """The free λ-variables, stored on the first read."""
+        s = self._fv
+        return _cache_free(self, True) if s is None else s
 
-    def __getattr__(self, key: str) -> frozenset[str]:
-        """``fv`` or ``fmv`` (free λ- or μ-variables), read here only while not stored."""
-        if key != "fv" and key != "fmv":
-            raise AttributeError(key)
-        _cache_free(self, key)
-        return self.__dict__[key]
+    @property
+    def fmv(self) -> frozenset[str]:
+        """The free μ-variables, stored on the first read."""
+        s = self._fmv
+        return _cache_free(self, False) if s is None else s
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set_name(self, name)
+        _set_fv(self, None)
+        _set_fmv(self, None)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Lam(Term):
-    var: str
-    body: Term
+    __slots__ = ("var", "body")
+    __match_args__ = ("var", "body")
+
+    def __init__(self, var: str, body: Term) -> None:
+        _set_var(self, var)
+        _set_lam_body(self, body)
+        _set_fv(self, None)
+        _set_fmv(self, None)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Mu(Term):
-    mvar: str
-    body: Term
+    __slots__ = ("mvar", "body")
+    __match_args__ = ("mvar", "body")
+
+    def __init__(self, mvar: str, body: Term) -> None:
+        _set_mu_mvar(self, mvar)
+        _set_mu_body(self, body)
+        _set_fv(self, None)
+        _set_fmv(self, None)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Named(Term):
-    mvar: str
-    body: Term
+    __slots__ = ("mvar", "body")
+    __match_args__ = ("mvar", "body")
+
+    def __init__(self, mvar: str, body: Term) -> None:
+        _set_named_mvar(self, mvar)
+        _set_named_body(self, body)
+        _set_fv(self, None)
+        _set_fmv(self, None)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class App(Term):
-    fn: Term
-    arg: Term
+    __slots__ = ("fn", "arg")
+    __match_args__ = ("fn", "arg")
+
+    def __init__(self, fn: Term, arg: Term) -> None:
+        _set_fn(self, fn)
+        _set_arg(self, arg)
+        _set_fv(self, None)
+        _set_fmv(self, None)
+
+
+# The slot writers of the constructors, bound once.
+_set_fv, _set_fmv = Term._fv.__set__, Term._fmv.__set__
+_set_name = Var.name.__set__
+_set_var, _set_lam_body = Lam.var.__set__, Lam.body.__set__
+_set_mu_mvar, _set_mu_body = Mu.mvar.__set__, Mu.body.__set__
+_set_named_mvar, _set_named_body = Named.mvar.__set__, Named.body.__set__
+_set_fn, _set_arg = App.fn.__set__, App.arg.__set__
 
 
 def _preorder(t: Term) -> Iterator[tuple[type, str | None]]:
@@ -141,36 +214,37 @@ def _union(p: frozenset[str], q: frozenset[str]) -> frozenset[str]:
     return p if q <= p else q if p <= q else p | q
 
 
-def _cache_free(t: Term, key: str) -> None:
-    """Store ``key`` (``fv`` or ``fmv``) on ``t`` and on every subterm lacking it.
+def _cache_free(t: Term, lam: bool) -> frozenset[str]:
+    """Store ``fv`` (``lam``) or ``fmv`` on ``t`` and on every subterm lacking
+    it, and return ``t``'s.
 
     Post-order with an explicit stack, so deep terms add no recursion; a
     subterm that already holds its set is not entered.  The two sets are
     stored apart, so a walk that asks only for one never builds the other.
     """
-    lam = key == "fv"
+    slot = Term._fv if lam else Term._fmv
+    get, put = slot.__get__, slot.__set__
     stack = [t]
     # Type tests, not ``match``: this loop runs at most twice per node stored.
     while stack:
         node = stack[-1]
-        d = node.__dict__
-        if key in d:
+        if get(node) is not None:
             stack.pop()
             continue
         cls = type(node)
         if cls is App:
-            fs, as_ = node.fn.__dict__.get(key), node.arg.__dict__.get(key)
+            fs, as_ = get(node.fn), get(node.arg)
             if fs is None or as_ is None:
                 if fs is None:
                     stack.append(node.fn)
                 if as_ is None:
                     stack.append(node.arg)
                 continue
-            d[key] = _union(fs, as_)
+            put(node, _union(fs, as_))
         elif cls is Var:
-            d[key] = frozenset((node.name,)) if lam else _EMPTY
+            put(node, frozenset((node.name,)) if lam else _EMPTY)
         else:
-            b = node.body.__dict__.get(key)
+            b = get(node.body)
             if b is None:
                 stack.append(node.body)
                 continue
@@ -183,8 +257,9 @@ def _cache_free(t: Term, key: str) -> None:
                     b = b - {a} if a in b else b
                 elif a not in b:
                     b = b | {a}
-            d[key] = b
+            put(node, b)
         stack.pop()
+    return get(t)
 
 
 def free_vars(t: Term) -> frozenset[str]:
@@ -220,7 +295,10 @@ def _rewrite(t: Term, kind: str, name: str, u) -> Term:
     name free is shared, and so is ``t`` when ``u`` is ``name`` itself.
     """
     lam = kind == "subst"
-    if name not in (t.fv if lam else t.fmv) or (u.name if lam and type(u) is Var else u) == name:
+    if name not in (t.fv if lam else t.fmv):
+        return t
+    # Only a variable (for "subst") or a name (for "rename") can be ``name``.
+    if (type(u) is Var and u.name == name) if lam else (kind == "rename" and u == name):
         return t
     # Whether ``name`` is free in the parent, and the carried renamings.
     on, lren, mren = True, {}, {}

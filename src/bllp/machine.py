@@ -10,7 +10,6 @@ a term, used to compare runs against the machine reduction strategy.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
 from . import lammu as L
 from .lammu import App, Lam, Mu, Named, Term, Var
@@ -20,10 +19,13 @@ class StuckState(Exception):
     """No transition applies and the configuration is not final."""
 
 
-@dataclass(frozen=True)
-class Env:
-    lam: dict = field(default_factory=dict)
-    mu: dict = field(default_factory=dict)
+class Env(L.Frozen):
+    __slots__ = ("lam", "mu")
+    __match_args__ = ("lam", "mu")
+
+    def __init__(self, lam: dict | None = None, mu: dict | None = None) -> None:
+        _set_lam(self, {} if lam is None else lam)
+        _set_mu(self, {} if mu is None else mu)
 
     def bind_lam(self, x: str, c: "Closure") -> "Env":
         return Env({**self.lam, x: c}, self.mu)
@@ -32,20 +34,31 @@ class Env:
         return Env(self.lam, {**self.mu, a: s})
 
 
-@dataclass(frozen=True)
-class Closure:
-    term: Term
-    env: Env
+class Closure(L.Frozen):
+    __slots__ = ("term", "env")
+    __match_args__ = ("term", "env")
+
+    def __init__(self, term: Term, env: Env) -> None:
+        _set_term(self, term)
+        _set_env(self, env)
 
 
 Stack = tuple[Closure, ...]
 
 
-@dataclass(frozen=True)
-class Config:
-    closure: Closure
-    stack: Stack
+class Config(L.Frozen):
+    __slots__ = ("closure", "stack")
+    __match_args__ = ("closure", "stack")
 
+    def __init__(self, closure: Closure, stack: Stack) -> None:
+        _set_closure(self, closure)
+        _set_stack(self, stack)
+
+
+# The slot writers of the constructors, bound once.
+_set_lam, _set_mu = Env.lam.__set__, Env.mu.__set__
+_set_term, _set_env = Closure.term.__set__, Closure.env.__set__
+_set_closure, _set_stack = Config.closure.__set__, Config.stack.__set__
 
 EMPTY = Env()
 

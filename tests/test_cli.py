@@ -240,8 +240,9 @@ def _resubject(d, path, term):
     prems[k] = _resubject(prems[k], path[1:], term)
     s = d.concl.subject
     if not isinstance(s, L.Var):
-        part = ("fn", "arg")[k] if isinstance(s, L.App) else "body"
-        s = replace(s, **{part: prems[k].concl.subject})
+        fields = {f: getattr(s, f) for f in s.__match_args__}
+        fields[("fn", "arg")[k] if isinstance(s, L.App) else "body"] = prems[k].concl.subject
+        s = type(s)(**fields)
     return replace(d, concl=replace(d.concl, subject=s), premises=tuple(prems))
 
 

@@ -1,12 +1,18 @@
-"""The term layer's step kernels dispatch on ``type()``, not on ``match``.
+"""The term layer's step kernels dispatch on ``type()``, not on ``match``,
+and its nodes are records in ``__slots__``, not dataclasses.
 
 A ``match`` on class patterns runs an ``isinstance`` test and reads the
 matched attributes for every pattern it tries; the functions listed here
 run once per step, or once per node of a walk, so they test ``type(t) is
 C`` instead.  ``lammu`` has no ``functools.cached_property`` either: its
-``__get__`` takes a lock on every miss, while ``fv`` and ``fmv`` are plain
-node attributes that ``Term.__getattr__`` fills on a miss.  The guard reads
-the ``ast`` of the two modules.
+``__get__`` takes a lock on every miss, while ``fv`` and ``fmv`` are two
+slots of each node that start as ``None`` and that the ``fv``/``fmv``
+properties fill on the first read.  Every step builds term and machine
+nodes, and a frozen dataclass's ``__init__`` sets each field through
+``object.__setattr__``; so ``lammu`` and ``machine`` import no
+``dataclasses``, and each node class defines ``__slots__`` and writes them
+through the slot descriptors.  The guard reads the ``ast`` of the two
+modules.
 """
 
 import ast
@@ -17,6 +23,11 @@ LIBRARY = Path(__file__).resolve().parents[1] / "src" / "bllp"
 KERNELS = {
     "lammu": ("root_step", "theta_step", "_descend", "_fires", "_rewrite", "_cache_free"),
     "machine": ("step",),
+}
+
+NODE_CLASSES = {
+    "lammu": ("Frozen", "Term", "Var", "Lam", "Mu", "Named", "App"),
+    "machine": ("Env", "Closure", "Config"),
 }
 
 
@@ -42,6 +53,35 @@ def _reads_cached_property(source: str) -> bool:
     return False
 
 
+def _reads_dataclasses(source: str) -> bool:
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            return True
+    return False
+
+
+def _without_slots(source: str, names: tuple[str, ...]) -> list[str]:
+    """The module-level classes ``names`` of ``source`` whose body assigns no
+    ``__slots__``; a name ``source`` does not define is an error."""
+    classes = {node.name: node for node in ast.parse(source).body if isinstance(node, ast.ClassDef)}
+    missing = [name for name in names if name not in classes]
+    assert not missing, f"no such class: {missing}"
+    return [
+        name
+        for name in names
+        if not any(
+            isinstance(stmt, (ast.Assign, ast.AnnAssign))
+            and any(
+                isinstance(t, ast.Name) and t.id == "__slots__"
+                for t in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+            )
+            for stmt in classes[name].body
+        )
+    ]
+
+
 def test_the_guard_sees_a_match_and_a_cached_property():
     source = (
         "def f(t):\n    match t:\n        case _:\n            return 1\n"
@@ -63,3 +103,23 @@ def test_the_step_kernels_hold_no_match_statement():
 
 def test_lammu_has_no_cached_property():
     assert not _reads_cached_property((LIBRARY / "lammu.py").read_text())
+
+
+def test_the_guard_sees_a_dataclass_import_and_a_class_without_slots():
+    assert _reads_dataclasses("import dataclasses\n")
+    assert _reads_dataclasses("from dataclasses import dataclass\n")
+    assert not _reads_dataclasses("from functools import cache\n")
+    source = (
+        "class A:\n    __slots__ = ('x',)\n"
+        "class B(A):\n    x: int = 0\n"
+        "class C(A):\n    def f(self):\n        __slots__ = ()\n"
+    )
+    assert _without_slots(source, ("A", "B", "C")) == ["B", "C"]
+
+
+def test_term_and_machine_nodes_are_slotted_classes_not_dataclasses():
+    found = {}
+    for mod, names in NODE_CLASSES.items():
+        source = (LIBRARY / f"{mod}.py").read_text()
+        found[mod] = (_reads_dataclasses(source), _without_slots(source, names))
+    assert found == {"lammu": (False, []), "machine": (False, [])}

@@ -362,11 +362,10 @@ def _nodes(t: L.Term) -> list[L.Term]:
 def _check_stored_sets(t: L.Term) -> None:
     """Every ``fv`` and ``fmv`` stored on a node of ``t`` is the oracle's."""
     for node in _nodes(t):
-        d = node.__dict__
-        if "fv" in d:
-            assert d["fv"] == O.free_vars(node)
-        if "fmv" in d:
-            assert d["fmv"] == O.free_mvars(node)
+        if node._fv is not None:
+            assert node._fv == O.free_vars(node)
+        if node._fmv is not None:
+            assert node._fmv == O.free_mvars(node)
 
 
 @settings(max_examples=150, deadline=None)
@@ -390,9 +389,11 @@ def test_free_name_sets_are_stored_only_once_asked_and_apart(key, other):
     and the other on none."""
     t = T(r"(\x. mu a. [b] x (\y. [a] y z)) w (mu c. [c] v)")
     nodes = _nodes(t)
-    assert not any(node.__dict__.keys() & {"fv", "fmv"} for node in nodes)
+    assert all(node._fv is None and node._fmv is None for node in nodes)
     assert getattr(t, key) == {"fv": {"w", "z", "v"}, "fmv": {"b"}}[key]
-    assert all(key in node.__dict__ and other not in node.__dict__ for node in nodes)
+    slot, other_slot = f"_{key}", f"_{other}"
+    assert all(getattr(node, slot) is not None and getattr(node, other_slot) is None for node in nodes)
+    _check_stored_sets(t)
     with pytest.raises(AttributeError):
         t.fw
 

@@ -29,6 +29,63 @@ def test_load_shapes():
         assert cfg.stack == ()
 
 
+
+# -- term and machine nodes are immutable records in slots ----------------------
+
+def _config() -> Config:
+    """A configuration whose closures hold every term class, built afresh."""
+    env = EMPTY.bind_lam("v", Closure(Var("z"), EMPTY))
+    term = App(Lam("x", Var("x")), Mu("a", Named("a", Var("v"))))
+    return Config(Closure(term, env), (Closure(Var("u"), EMPTY),))
+
+
+def test_no_field_of_a_term_or_machine_node_can_be_assigned_or_deleted():
+    cfg = _config()
+    t = cfg.closure.term
+    nodes = [t, t.fn, t.fn.body, t.arg, t.arg.body, cfg.closure.env, cfg.closure, cfg]
+    assert [type(n).__name__ for n in nodes] == ["App", "Lam", "Var", "Mu", "Named", "Env", "Closure", "Config"]
+    for node in nodes:
+        assert not hasattr(node, "__dict__")
+        fields = type(node).__match_args__
+        before = [getattr(node, f) for f in fields]
+        for key in (*fields, "fv", "fmv", "_fv", "_fmv", "other"):
+            with pytest.raises(AttributeError):
+                setattr(node, key, before[0])
+            with pytest.raises(AttributeError):
+                delattr(node, key)
+        assert all(getattr(node, f) is v for f, v in zip(fields, before))
+    assert all(n._fv is None and n._fmv is None for n in nodes[:5])
+
+
+def test_repr_of_a_config_is_the_dataclass_form():
+    assert repr(_config()) == (
+        "Config(closure=Closure(term=App(fn=Lam(var='x', body=Var(name='x')), "
+        "arg=Mu(mvar='a', body=Named(mvar='a', body=Var(name='v')))), "
+        "env=Env(lam={'v': Closure(term=Var(name='z'), env=Env(lam={}, mu={}))}, mu={})), "
+        "stack=(Closure(term=Var(name='u'), env=Env(lam={}, mu={})),))"
+    )
+    assert repr(_config().closure.term) == (
+        "App(fn=Lam(var='x', body=Var(name='x')), arg=Mu(mvar='a', body=Named(mvar='a', body=Var(name='v'))))"
+    )
+
+
+def test_config_equality_reads_the_fields_and_hashing_fails_on_the_environments():
+    """As for the frozen dataclasses these were: ``==`` compares the fields
+    of two nodes of one class, and ``hash`` hashes the fields, so it fails on
+    the dictionaries every environment holds."""
+    a, b = _config(), _config()
+    assert a is not b and a == b and a.closure == b.closure and a.closure.env == b.closure.env
+    assert Env() == EMPTY and Env(lam={}) == Env({}, {})
+    assert a != Config(a.closure, ())
+    assert a != Config(Closure(Var("w"), a.closure.env), a.stack)
+    assert a != Config(Closure(a.closure.term, EMPTY), a.stack)
+    assert a.__eq__(a.closure) is NotImplemented and a.closure.__eq__(a.closure.term) is NotImplemented
+    assert a != a.closure and a != "Config"
+    for node in (a, a.closure, EMPTY):
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(node)
+
+
 # golden traces for the three headline transitions
 
 
