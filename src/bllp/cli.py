@@ -50,7 +50,17 @@ def _load_derivation(args) -> tuple:
     return derivation_from_obj(_read_file(args.file))
 
 
-def _to_mult(d, system):
+def _check(d, system) -> T.Report:
+    return T.check_mult(d) if system == "multiplicative" else T.check_additive(d)
+
+
+def _mult_derivation(args):
+    """The multiplicative derivation of ``args``; a file is checked first,
+    as elaboration and mapping trust their input."""
+    d, system = _load_derivation(args)
+    if args.file and not (rep := _check(d, system)).ok:
+        print(rep)
+        raise SystemExit(EXIT_CHECK)
     return d if system == "multiplicative" else T.add_to_mult(d)
 
 
@@ -61,15 +71,13 @@ def _term_arg(args) -> lammu.Term:
 
 
 def cmd_check(args) -> int:
-    d, system = _load_derivation(args)
-    rep = T.check_mult(d) if system == "multiplicative" else T.check_additive(d)
+    rep = _check(*_load_derivation(args))
     print(rep)
     return EXIT_OK if rep.ok else EXIT_CHECK
 
 
 def cmd_weight(args) -> int:
-    d, system = _load_derivation(args)
-    pf = P.map_derivation(_to_mult(d, system))
+    pf = P.map_derivation(_mult_derivation(args))
     print(print_poly(P.weight(pf)))
     return EXIT_OK
 
@@ -110,8 +118,7 @@ def cmd_machine_run(args) -> int:
 
 
 def cmd_to_proof(args) -> int:
-    d, system = _load_derivation(args)
-    pf = P.map_derivation(_to_mult(d, system))
+    pf = P.map_derivation(_mult_derivation(args))
     json.dump(proof_to_obj(pf), sys.stdout, indent=2)
     print()
     return EXIT_OK
@@ -119,8 +126,7 @@ def cmd_to_proof(args) -> int:
 
 def cmd_cut_eliminate(args) -> int:
     if args.entry:
-        d, system = _load_derivation(args)
-        pf = P.map_derivation(_to_mult(d, system))
+        pf = P.map_derivation(_mult_derivation(args))
     else:
         # The rewriter trusts its input: a file proof is checked first.
         pf = proof_from_obj(_read_file(args.file))

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
 from . import formula as F
+from . import typecheck as T
 from .formula import (
     LF,
     ShapeMismatch,
@@ -52,7 +53,7 @@ from .formula import (
     negate,
 )
 from .respoly import ONE, ZERO, Poly, bounded_sum, fresh_var, linear_sum, poly_leq, pvar
-from .typecheck import Report, Tree, _side, ctx_get, introduced, stack_safe
+from .typecheck import SIDES, Report, Tree, ctx_get, introduced, stack_safe
 
 Sequent = tuple[LF, ...]
 Path = tuple[int, ...]
@@ -487,14 +488,10 @@ def _map_deriv(d) -> tuple[Proof, dict]:
             h = d.ann.get("h", q)
             k = j.type.label
             ctx: dict[int, LF] = {}
-            for v, a in j.lam:
-                key = ("lam", v)
-                if key in posu:
-                    ctx[posu[key]] = a
-            for v, a in j.mu:
-                key = ("mu", v)
-                if key in posu:
-                    ctx[posu[key]] = a
+            for side in SIDES:
+                for v, a in getattr(j, side):
+                    if (side, v) in posu:
+                        ctx[posu[(side, v)]] = a
             box_out = lf(F.Bang(xh, ph, n_f), y, h)
             box = mk_bang(ru, posu[("type",)], box_out, ctx)
             m_lf = lf(F.with_binder(m_f, y, j.type.binder), j.type.binder, k)
@@ -532,7 +529,7 @@ def _map_deriv(d) -> tuple[Proof, dict]:
             return node, newpos
         case "w_lam" | "w_mu":
             prem, pos = yield (d.premise(),)
-            side, ev = _side(d.rule), introduced(d)
+            side, ev = T.RULES[d.rule].side, introduced(d)
             entry = ctx_get(getattr(j, side), ev)
             node = mk_qw(prem, len(prem.concl), entry)
             newpos = _through(node, 0, pos)
@@ -540,7 +537,7 @@ def _map_deriv(d) -> tuple[Proof, dict]:
             return node, newpos
         case "c_lam" | "c_mu":
             prem, pos = yield (d.premise(),)
-            side = _side(d.rule)
+            side = T.RULES[d.rule].side
             x1, x2, z = d.ann["left"], d.ann["right"], d.ann["into"]
             i, jj = pos[(side, x1)], pos[(side, x2)]
             entry = ctx_get(getattr(j, side), z)

@@ -659,10 +659,15 @@ def _context(judgment: dict, key: str) -> list:
 
 
 def derivation_from_obj(obj: dict):
-    from .typecheck import Derivation
+    """The derivation in a version-1 file, and its system (``additive``
+    when the file names none)."""
+    from .typecheck import RULES, Derivation
 
     what = "derivation"
     _check_header(obj, DERIVATION_FORMAT, what)
+    system = _field(obj, "system", str, what, "additive")
+    if not any(system in rule.systems for rule in RULES.values()):
+        raise ParseError(0, f"malformed {what} file: unknown system {system!r}")
     tree = _map_tree(
         _field(obj, "tree", dict, what),
         lambda x: _field(x, "premises", list, what, []),
@@ -673,7 +678,7 @@ def derivation_from_obj(obj: dict):
         ),
         lambda head, premises: Derivation(head[0], head[1], tuple(premises), head[2]),
     )
-    return tree, obj.get("system", "additive")
+    return tree, system
 
 
 def proof_to_obj(p) -> dict:

@@ -15,6 +15,13 @@ is literal.  ``add_to_mult`` elaborates the first system into the second,
 and ``subject_reduce`` rebuilds a multiplicative derivation along one head
 step of its subject.
 
+What a rule is, apart from its side conditions, is stated once, in
+:data:`RULES`: its systems, the class of the subject it builds, and the
+context and the judgments of the name it introduces.  The checker's system,
+arity, class and context-shape checks, :func:`introduced` and
+:func:`subject_of` read it, and ``_node`` builds the conclusion a rule draws
+from its premises for the rewriters.
+
 A node's subject follows from its rule, its premises' subjects and the name
 the rule introduces, so the nodes the rewriters build store none: a subject
 is stored where it was written (corpus, tests, files) and at the root a
@@ -46,19 +53,7 @@ from .lammu import App, Lam, Mu, Named, Term, Var
 from .respoly import ONE, ZERO, Poly, fresh_var, poly_leq
 
 Ctx = tuple[tuple[str, LF], ...]
-
-ADDITIVE_RULES = {"var", "abs", "app", "mu_name", "mu_abs"}
-MULT_RULES = {
-    "var_m",
-    "abs",
-    "app_m",
-    "mu_name_m",
-    "mu_abs",
-    "w_lam",
-    "c_lam",
-    "w_mu",
-    "c_mu",
-}
+SIDES = ("lam", "mu")
 
 
 class DerivationError(Exception):
@@ -221,9 +216,13 @@ def ctx_remove(ctx: Ctx, *names: str) -> Ctx:
 
 
 def ctx_eq(c1: Ctx, c2: Ctx) -> bool:
-    if ctx_dom(c1) != ctx_dom(c2):
+    """Whether two contexts give the same names α-equal entries.  A context
+    that names a hypothesis twice equals none, so the order of the two
+    arguments never matters."""
+    d1, d2 = dict(c1), dict(c2)
+    if not len(c1) == len(d1) == len(d2) == len(c2) or d1.keys() != d2.keys():
         return False
-    return all(lf_alpha_eq(a, ctx_get(c2, n)) for n, a in c1)
+    return all(lf_alpha_eq(a, d2[n]) for n, a in d1.items())
 
 
 def ctx_map(ctx: Ctx, fn) -> Ctx:
@@ -261,29 +260,54 @@ def _judgment_errors(j: Judgment) -> list[str]:
     return errs
 
 
-# -- subjects ---------------------------------------------------------------------
+# -- the rules ------------------------------------------------------------------------
 
-STRUCTURAL = ("w_lam", "w_mu", "c_lam", "c_mu")
 
-# rule -> (the class of the subject it builds, what a written subject of
-# another class is reported as, and what one its premises' subjects do not
-# build is).  A rule builds a term of its class around the name it introduces
-# and its premises' subjects; a structural rule's subject is its premise's,
-# renamed by a contraction.
-_SUBJECTS = {
-    "var": (Var, "var subject must be a variable", None),
-    "var_m": (Var, "var subject must be a variable", None),
-    "abs": (Lam, "abs subject must be a λ-abstraction", "premise subject is not the abstraction body"),
-    "app": (App, "app subject must be an application", "premise subjects do not match the application"),
-    "app_m": (App, "app subject must be an application", "premise subjects do not match the application"),
-    "mu_name": (Named, "mu_name subject must be a named term", "premise subject is not the named body"),
-    "mu_name_m": (Named, "mu_name subject must be a named term", "premise subject is not the named body"),
-    "mu_abs": (Mu, "mu_abs subject must be a μ-abstraction", "premise subject is not the abstraction body"),
-    "w_lam": (None, None, "weakening must preserve subject and type"),
-    "w_mu": (None, None, "weakening must preserve subject and type"),
-    "c_lam": (None, None, "contraction must rename the subject accordingly"),
-    "c_mu": (None, None, "contraction must rename the subject accordingly"),
+@dataclass(frozen=True)
+class Rule:
+    """What a typing rule is, but for its side conditions.
+
+    ``cls`` is the class of the subject it builds around the name it
+    introduces and its premises' subjects, or None for a structural rule,
+    whose subject is its premise's, renamed by a contraction.  A written
+    subject of another class is reported as ``wrong_class``, one its
+    premises' subjects do not build as ``wrong_subject``.  ``side`` is the
+    context (``lam``/``mu``) of the name it introduces, and ``holds`` the
+    judgments that hold the name: ``premise``, ``conclusion`` or ``both``.
+    """
+
+    systems: tuple[str, ...]
+    cls: type | None
+    wrong_class: str | None
+    wrong_subject: str | None
+    side: str | None
+    holds: str = "conclusion"
+
+
+_A, _M = ("additive",), ("multiplicative",)
+_VAR = (Var, "var subject must be a variable", None)
+_ABS = (Lam, "abs subject must be a λ-abstraction", "premise subject is not the abstraction body")
+_APP = (App, "app subject must be an application", "premise subjects do not match the application")
+_NAMED = (Named, "mu_name subject must be a named term", "premise subject is not the named body")
+_MU = (Mu, "mu_abs subject must be a μ-abstraction", "premise subject is not the abstraction body")
+_WEAKEN = (None, None, "weakening must preserve subject and type")
+_CONTRACT = (None, None, "contraction must rename the subject accordingly")
+
+RULES = {
+    "var": Rule(_A, *_VAR, "lam"),
+    "var_m": Rule(_M, *_VAR, "lam"),
+    "abs": Rule(_A + _M, *_ABS, "lam", "premise"),
+    "app": Rule(_A, *_APP, None),
+    "app_m": Rule(_M, *_APP, None),
+    "mu_name": Rule(_A, *_NAMED, "mu", "both"),
+    "mu_name_m": Rule(_M, *_NAMED, "mu"),
+    "mu_abs": Rule(_A + _M, *_MU, "mu", "premise"),
+    "w_lam": Rule(_M, *_WEAKEN, "lam"),
+    "w_mu": Rule(_M, *_WEAKEN, "mu"),
+    "c_lam": Rule(_M, *_CONTRACT, "lam"),
+    "c_mu": Rule(_M, *_CONTRACT, "mu"),
 }
+STRUCTURAL = frozenset(name for name, rule in RULES.items() if rule.cls is None)
 
 
 def introduced(d: Derivation) -> str:
@@ -292,18 +316,18 @@ def introduced(d: Derivation) -> str:
     ``mu_name`` and ``mu_name_m``, or the hypothesis a weakening adds.
 
     A written subject holds it; otherwise the contexts do: it is the one
-    hypothesis of ``var_m``, the one the premise has and the conclusion lacks
-    (``abs``, ``mu_abs``), or the other way round (``mu_name_m``, weakenings).
+    hypothesis of a leaf, the one the premise has and the conclusion lacks
+    (a binder), or the other way round.
     """
+    rule = RULES[d.rule]
     s = d.concl.subject
-    if s is not None and d.rule not in STRUCTURAL:
+    if s is not None and rule.cls is not None:
         return s.name if type(s) is Var else s.var if type(s) is Lam else s.mvar
-    side = "mu" if d.rule in ("mu_abs", "mu_name_m", "w_mu") else "lam"
-    here = getattr(d.concl, side)
+    here = getattr(d.concl, rule.side)
     if not d.premises:
         return here[0][0]
-    there = getattr(d.premise().concl, side)
-    more, fewer = (there, here) if d.rule in ("abs", "mu_abs") else (here, there)
+    there = getattr(d.premise().concl, rule.side)
+    more, fewer = (there, here) if rule.holds == "premise" else (here, there)
     (name,) = ctx_dom(more) - ctx_dom(fewer)
     return name
 
@@ -349,7 +373,7 @@ def subject_of(d: Derivation) -> Term:
                 out[-1] = cls(name, out[-1])
             continue
         node, lren, mren = item
-        cls = _SUBJECTS[node.rule][0]
+        cls = RULES[node.rule].cls
         if node.concl.subject is not None and not (lren or mren):
             out.append(node.concl.subject)
         elif cls is Var:
@@ -404,13 +428,14 @@ def _subject_errors(d: Derivation) -> list[str]:
     below = [p.concl.subject for p in d.premises]
     if s is None or not below or any(t is None for t in below):
         return []
-    cls, _, message = _SUBJECTS[d.rule]
+    rule = RULES[d.rule]
+    cls = rule.cls
     want = below[0] if cls is None else App(*below) if cls is App else cls(introduced(d), below[0])
     renaming = {}
     if d.rule in ("c_lam", "c_mu"):
         renaming = {d.ann["left"]: d.ann["into"], d.ann["right"]: d.ann["into"]}
-    renamings = (renaming, None) if d.rule == "c_lam" else (None, renaming)
-    return [] if L.alpha_eq(s, want, *renamings) else [message]
+    renamings = (renaming, None) if rule.side == "lam" else (None, renaming)
+    return [] if L.alpha_eq(s, want, *renamings) else [rule.wrong_subject]
 
 
 # -- rule validation --------------------------------------------------------------
@@ -434,32 +459,30 @@ def _check_var_conditions(entry: LF, ty: LF) -> list[str]:
 def _validate(d: Derivation, system: str) -> list[str]:
     errs = _judgment_errors(d.concl)
     j = d.concl
-    rule = d.rule
-    allowed = ADDITIVE_RULES if system == "additive" else MULT_RULES
-    if rule not in allowed:
-        return errs + [f"rule {rule!r} not part of the {system} system"]
-    cls, wrong_class, _ = _SUBJECTS[rule]
-    arity = {Var: 0, App: 2}.get(cls, 1)
+    rule = RULES.get(d.rule)
+    if rule is None or system not in rule.systems:
+        return errs + [f"rule {d.rule!r} not part of the {system} system"]
+    arity = {Var: 0, App: 2}.get(rule.cls, 1)
     if len(d.premises) != arity:
-        return errs + [f"{rule} expects {arity} premises, found {len(d.premises)}"]
-    if j.subject is not None and cls is not None and not isinstance(j.subject, cls):
-        return errs + [wrong_class]
+        return errs + [f"{d.rule} expects {arity} premises, found {len(d.premises)}"]
+    if j.subject is not None and rule.cls is not None and not isinstance(j.subject, rule.cls):
+        return errs + [rule.wrong_class]
 
     try:
         wrong_subject = _subject_errors(d)
         errs += wrong_subject
-        if rule in ("var", "var_m"):
+        if rule.cls not in (None, App):
             x = introduced(d)
+        if rule.cls is Var:
             entry = j.lam_get(x)
             if entry is None:
                 return errs + [f"variable {x} missing from the context"]
-            if rule == "var_m" and (len(j.lam) != 1 or j.mu):
+            if d.rule == "var_m" and (len(j.lam) != 1 or j.mu):
                 errs.append("multiplicative var carries exactly its own hypothesis")
             errs += _check_var_conditions(entry, j.type)
 
-        elif rule == "abs":
+        elif rule.cls is Lam:
             p0 = d.premise().concl
-            x = introduced(d)
             parts = arrow_parts(j.type.formula)
             if parts is None:
                 return errs + ["abs type must be an arrow"]
@@ -476,12 +499,8 @@ def _validate(d: Derivation, system: str) -> list[str]:
                 errs.append(f"arrow label too small: {p0.type.label} ⋢ {j.type.label}")
             if not poly_leq(entry.label, j.type.label):
                 errs.append(f"arrow label below hypothesis budget: {entry.label} ⋢ {j.type.label}")
-            if not ctx_eq(ctx_remove(p0.lam, x), j.lam):
-                errs.append("abs must preserve the remaining λ-context")
-            if not ctx_eq(p0.mu, j.mu):
-                errs.append("abs must preserve the μ-context")
 
-        elif rule in ("app", "app_m"):
+        elif rule.cls is App:
             jt, ju = d.premise(0).concl, d.premise(1).concl
             parts = arrow_parts(jt.type.formula)
             if parts is None:
@@ -498,64 +517,44 @@ def _validate(d: Derivation, system: str) -> list[str]:
                 errs.append(f"replication bound too small: {q} ⋢ {h}")
             if not poly_leq(q, k):
                 errs.append(f"result label too small: {q} ⋢ {k}")
-            lam_w = d.ann.get("sum_witness_lam", {})
-            mu_w = d.ann.get("sum_witness_mu", {})
-            if rule == "app":
-                errs += _check_additive_merge(j.lam, jt.lam, ju.lam, h, lam_w, "λ")
-                errs += _check_additive_merge(j.mu, jt.mu, ju.mu, h, mu_w, "μ")
-            else:
-                errs += _check_mult_merge(j.lam, jt.lam, ju.lam, h, lam_w, "λ")
-                errs += _check_mult_merge(j.mu, jt.mu, ju.mu, h, mu_w, "μ")
+            merge = _check_additive_merge if d.rule == "app" else _check_mult_merge
+            errs += merge(j.lam, jt.lam, ju.lam, h, d.ann.get("sum_witness_lam", {}), "λ")
+            errs += merge(j.mu, jt.mu, ju.mu, h, d.ann.get("sum_witness_mu", {}), "μ")
 
-        elif rule == "mu_name":
+        elif d.rule == "mu_name":
             p0 = d.premise().concl
-            a = introduced(d)
             if not isinstance(j.type.formula, F.Bottom):
                 errs.append("naming must conclude at type bot")
-            merged = j.mu_get(a)
-            old = p0.mu_get(a)
+            merged = j.mu_get(x)
+            old = p0.mu_get(x)
             if merged is None or old is None:
-                return errs + [f"μ-variable {a} must appear in premise and conclusion"]
+                return errs + [f"μ-variable {x} must appear in premise and conclusion"]
             if not fits_uplus(merged, [p0.type, old]):
-                errs.append(f"entry for {a} is not below the merged types")
-            if not ctx_eq(j.lam, p0.lam):
-                errs.append("mu_name must preserve the λ-context")
-            if not ctx_eq(ctx_remove(j.mu, a), ctx_remove(p0.mu, a)):
-                errs.append("mu_name must preserve the remaining μ-context")
+                errs.append(f"entry for {x} is not below the merged types")
 
-        elif rule == "mu_name_m":
+        elif d.rule == "mu_name_m":
             p0 = d.premise().concl
-            a = introduced(d)
-            if p0.mu_get(a) is not None:
-                errs.append(f"μ-variable {a} must be fresh for the premise")
+            if p0.mu_get(x) is not None:
+                errs.append(f"μ-variable {x} must be fresh for the premise")
             if not isinstance(j.type.formula, F.Bottom):
                 errs.append("naming must conclude at type bot")
-            entry = j.mu_get(a)
+            entry = j.mu_get(x)
             if entry is None or not lf_alpha_eq(entry, p0.type):
-                errs.append(f"conclusion must move the type onto {a}")
-            if not ctx_eq(j.lam, p0.lam):
-                errs.append("mu_name must preserve the λ-context")
-            if not ctx_eq(ctx_remove(j.mu, a), p0.mu):
-                errs.append("mu_name must preserve the remaining μ-context")
+                errs.append(f"conclusion must move the type onto {x}")
 
-        elif rule == "mu_abs":
+        elif rule.cls is Mu:
             p0 = d.premise().concl
-            b = introduced(d)
             if not isinstance(p0.type.formula, F.Bottom):
                 errs.append("premise type must be bot")
-            entry = p0.mu_get(b)
+            entry = p0.mu_get(x)
             if entry is None:
-                return errs + [f"premise must bind {b}"]
+                return errs + [f"premise must bind {x}"]
             if not lf_alpha_eq(entry, j.type):
                 errs.append("conclusion type must be the bound μ-entry")
-            if not ctx_eq(j.lam, p0.lam):
-                errs.append("mu_abs must preserve the λ-context")
-            if not ctx_eq(j.mu, ctx_remove(p0.mu, b)):
-                errs.append("mu_abs must preserve the remaining μ-context")
 
-        elif rule in ("w_lam", "w_mu"):
+        elif d.rule in ("w_lam", "w_mu"):
             p0 = d.premise().concl
-            side, other = ("lam", "mu") if rule == "w_lam" else ("mu", "lam")
+            side, other = rule.side, "mu" if rule.side == "lam" else "lam"
             cur, prev = getattr(j, side), getattr(p0, side)
             extra = ctx_dom(cur) - ctx_dom(prev)
             if len(extra) != 1 or not ctx_eq(ctx_remove(cur, *extra), prev):
@@ -565,10 +564,10 @@ def _validate(d: Derivation, system: str) -> list[str]:
             if not (wrong_subject or lf_alpha_eq(j.type, p0.type)):
                 errs.append("weakening must preserve subject and type")
 
-        elif rule in ("c_lam", "c_mu"):
+        else:  # a contraction
             p0 = d.premise().concl
             x1, x2, z = d.ann["left"], d.ann["right"], d.ann["into"]
-            side = "lam" if rule == "c_lam" else "mu"
+            side, other = rule.side, "mu" if rule.side == "lam" else "lam"
             cur, prev = getattr(j, side), getattr(p0, side)
             n1, n2 = ctx_get(prev, x1), ctx_get(prev, x2)
             merged = ctx_get(cur, z)
@@ -578,14 +577,35 @@ def _validate(d: Derivation, system: str) -> list[str]:
                 errs.append(f"contracted entry for {z} is not below the sum")
             if not ctx_eq(ctx_remove(cur, z), ctx_remove(prev, x1, x2)):
                 errs.append("contraction must preserve the remaining context")
-            other = "mu" if side == "lam" else "lam"
             if not ctx_eq(getattr(j, other), getattr(p0, other)):
                 errs.append("contraction must preserve the other context")
             if not lf_alpha_eq(j.type, p0.type):
                 errs.append("contraction must preserve the type")
 
+        if rule.cls in (Lam, Mu, Named):
+            errs += _binder_context_errors(d, rule, x)
+
     except (ShapeMismatch, AssertionError, LookupError, ValueError) as exc:
         errs.append(f"malformed node: {exc}")
+    return errs
+
+
+def _binder_context_errors(d: Derivation, rule: Rule, x: str) -> list[str]:
+    """The context shape of a rule with one premise that introduces ``x``:
+    its conclusion's contexts are its premise's, but for ``x`` in the
+    judgments that hold it.  A rule runs this after its side conditions."""
+    errs = []
+    p0 = d.premise().concl
+    for side, tag in zip(SIDES, "λμ"):
+        here, there, remaining = getattr(d.concl, side), getattr(p0, side), ""
+        if side == rule.side:
+            remaining = "remaining "
+            if rule.holds != "premise":
+                here = ctx_remove(here, x)
+            if rule.holds != "conclusion":
+                there = ctx_remove(there, x)
+        if not ctx_eq(here, there):
+            errs.append(f"{d.rule.removesuffix('_m')} must preserve the {remaining}{tag}-context")
     return errs
 
 
@@ -650,23 +670,17 @@ def check_mult(d: Derivation) -> Report:
 # the test suite) via check_mult.
 
 
-def _side(rule: str) -> str:
-    """The context (``lam`` or ``mu``) a structural rule acts on."""
-    return "lam" if rule.endswith("lam") else "mu"
-
-
 @stack_safe
 def subst_derivation(d: Derivation, var: str, value: Poly) -> Derivation:
     """Substitute a resource variable throughout a derivation."""
     if var == VACUOUS:
         return d
     j = d.concl
-    concl = Judgment(
-        ctx_map(j.lam, lambda a: lf_subst(a, var, value)),
-        j.subject,
-        lf_subst(j.type, var, value),
-        ctx_map(j.mu, lambda a: lf_subst(a, var, value)),
-    )
+
+    def sub(a: LF) -> LF:
+        return lf_subst(a, var, value)
+
+    concl = Judgment(ctx_map(j.lam, sub), j.subject, sub(j.type), ctx_map(j.mu, sub))
     ann = dict(d.ann)
     if "h" in ann:
         ann["h"] = ann["h"].subst(var, value)
@@ -691,6 +705,28 @@ def rename_free(d: Derivation, side: str, old: str, new: str) -> Derivation:
 def _restated(j: Judgment, side: str, ctx: Ctx) -> Judgment:
     """``j`` with ``ctx`` as its ``side`` context, and without a subject."""
     return Judgment(ctx, None, j.type, j.mu) if side == "lam" else Judgment(j.lam, None, j.type, ctx)
+
+
+def _node(rule: str, premises: tuple, type: LF, name=None, h=None, witnesses=None) -> Derivation:
+    """The ``rule`` node over ``premises`` concluding ``type``, its contexts
+    drawn from its premises': an ``abs`` or ``mu_abs`` binds ``name``, a
+    ``mu_name_m`` moves its premise's type onto it, and an ``app_m`` keeps
+    the function's contexts and sums the argument's under ``h``, with the
+    per-side ``witnesses`` by the argument's names.  It stores no subject."""
+    p = premises[0].concl
+    if rule == "app_m":
+        arg, wit = premises[1].concl, witnesses or {}
+        lam, mu = (
+            getattr(p, side) + tuple(
+                (v, _sum_ctx_entry(h, a, wit.get(side, {}).get(v))) for v, a in getattr(arg, side)
+            )
+            for side in SIDES
+        )
+        return Derivation(rule, Judgment(lam, None, type, mu), premises, {"h": h})
+    side, holds = RULES[rule].side, RULES[rule].holds
+    ctx = ctx_remove(getattr(p, side), name) if holds == "premise" else ((name, p.type),) + getattr(p, side)
+    lam, mu = (ctx if s == side else getattr(p, s) for s in SIDES)
+    return Derivation(rule, Judgment(lam, None, type, mu), premises)
 
 
 @stack_safe
@@ -756,12 +792,8 @@ def lower_type(d: Derivation, target: LF) -> Derivation:
         return d
     if not lf_leq(target, d.concl.type):
         raise DerivationError(f"type {target} is not below {d.concl.type}")
-    j = d.concl
+    premises = d.premises
     match d.rule:
-        case "var_m" | "var":
-            return Derivation(d.rule, replace(j, type=target), (), dict(d.ann))
-        case "mu_name_m" | "mu_name":
-            return Derivation(d.rule, replace(j, type=target), d.premises, dict(d.ann))
         case "abs":
             n_f, z, s, m_f = arrow_parts(target.formula)
             x = introduced(d)
@@ -773,37 +805,26 @@ def lower_type(d: Derivation, target: LF) -> Derivation:
             prem = ctx_lower(p0, "lam", x, lf(f_entry, entry.binder, entry.label))
             ty0 = prem.concl.type
             m_new = F.with_binder(m_f, target.binder, ty0.binder)
-            prem = yield (prem, lf(m_new, ty0.binder, ty0.label))
-            return Derivation("abs", replace(j, type=target), (prem,), dict(d.ann))
+            premises = ((yield (prem, lf(m_new, ty0.binder, ty0.label))),)
         case "app_m" | "app":
             fn = d.premise(0)
             fnlf = fn.concl.type
-            n_f, xh, ph, m_f = arrow_parts(fnlf.formula)
+            n_f, xh, ph, _ = arrow_parts(fnlf.formula)
             if fnlf.binder == VACUOUS and target.binder != VACUOUS:
-                new_arrow = lf(
-                    F.Par(F.WhyNot(xh, ph, F.negate(n_f)), target.formula),
-                    target.binder,
-                    fnlf.label,
-                )
+                m_new, binder = target.formula, target.binder
             else:
-                m_new = F.with_binder(target.formula, target.binder, fnlf.binder)
-                new_arrow = lf(
-                    F.Par(F.WhyNot(xh, ph, F.negate(n_f)), m_new),
-                    fnlf.binder,
-                    fnlf.label,
-                )
-            fn2 = yield (fn, new_arrow)
-            return Derivation(
-                d.rule, replace(j, type=target), (fn2, d.premise(1)), dict(d.ann)
-            )
+                m_new, binder = F.with_binder(target.formula, target.binder, fnlf.binder), fnlf.binder
+            new_arrow = lf(F.Par(F.WhyNot(xh, ph, F.negate(n_f)), m_new), binder, fnlf.label)
+            premises = ((yield (fn, new_arrow)), d.premise(1))
         case "mu_abs":
-            b = introduced(d)
-            prem = ctx_lower(d.premise(), "mu", b, target)
-            return Derivation("mu_abs", replace(j, type=target), (prem,), dict(d.ann))
+            premises = (ctx_lower(d.premise(), "mu", introduced(d), target),)
         case "w_lam" | "w_mu" | "c_lam" | "c_mu":
-            prem = yield (d.premise(), target)
-            return Derivation(d.rule, replace(j, type=target), (prem,), dict(d.ann))
-    raise DerivationError(f"cannot lower the type of a {d.rule} node")
+            premises = ((yield (d.premise(), target)),)
+        case "var_m" | "var" | "mu_name_m" | "mu_name":
+            pass
+        case _:
+            raise DerivationError(f"cannot lower the type of a {d.rule} node")
+    return Derivation(d.rule, replace(d.concl, type=target), premises, dict(d.ann))
 
 
 @stack_safe
@@ -862,17 +883,11 @@ def _elaborate(d: Derivation) -> Derivation:
     match d.rule:
         case "var":
             x = introduced(d)
-            entry = j.lam_get(x)
-            core = Derivation(
-                "var_m",
-                Judgment(((x, entry),), None, j.type, ()),
-            )
-            out = core
-            for v, a in j.lam:
-                if v != x:
-                    out = weaken(out, "lam", v, a)
-            for v, a in j.mu:
-                out = weaken(out, "mu", v, a)
+            out = Derivation("var_m", Judgment(((x, j.lam_get(x)),), None, j.type, ()))
+            for side in SIDES:
+                for v, a in getattr(j, side):
+                    if (side, v) != ("lam", x):
+                        out = weaken(out, side, v, a)
             return replace(out, concl=concl)
         case "abs" | "mu_abs":
             prem = yield (d.premise(),)
@@ -881,57 +896,29 @@ def _elaborate(d: Derivation) -> Derivation:
             prem = yield (d.premise(),)
             a = introduced(d)
             gamma = L.fresh_tvar(a)
-            named = Derivation(
-                "mu_name_m",
-                Judgment(
-                    prem.concl.lam,
-                    None,
-                    j.type,
-                    ((gamma, prem.concl.type),) + prem.concl.mu,
-                ),
-                (prem,),
-            )
-            out = contract(named, "mu", gamma, a, a, j.mu_get(a))
-            return replace(out, concl=concl)
+            named = _node("mu_name_m", (prem,), j.type, gamma)
+            return replace(contract(named, "mu", gamma, a, a, j.mu_get(a)), concl=concl)
         case "app":
             fn = yield (d.premise(0),)
             arg = yield (d.premise(1),)
             h = d.ann.get("h", fn.concl.type.label)
-            # In the function premise's context order: the fresh names are
-            # drawn in this order, so it must not follow string hashing.
-            shared_l = [v for v, _ in fn.concl.lam if arg.concl.lam_get(v) is not None]
-            shared_m = [v for v, _ in fn.concl.mu if arg.concl.mu_get(v) is not None]
-            ren_l, ren_m = {}, {}
-            for v in shared_l:
-                ren_l[v] = L.fresh_tvar(v)
-                arg = _rename_free(arg, "lam", v, ren_l[v])
-            for v in shared_m:
-                ren_m[v] = L.fresh_tvar(v)
-                arg = _rename_free(arg, "mu", v, ren_m[v])
-            wit_l = d.ann.get("sum_witness_lam", {})
-            wit_m = d.ann.get("sum_witness_mu", {})
-
-            def summed(ctx: Ctx, wit, ren) -> Ctx:
-                back = {v2: v1 for v1, v2 in ren.items()}
-                return tuple(
-                    (v, _sum_ctx_entry(h, a, wit.get(back.get(v, v)))) for v, a in ctx
-                )
-
-            node = Derivation(
-                "app_m",
-                Judgment(
-                    fn.concl.lam + summed(arg.concl.lam, wit_l, ren_l),
-                    None,
-                    j.type,
-                    fn.concl.mu + summed(arg.concl.mu, wit_m, ren_m),
-                ),
-                (fn, arg),
-                {"h": h},
-            )
-            summed_l = {v: ren_l.get(v, v) for v, _ in d.premise(1).concl.lam}
-            summed_m = {v: ren_m.get(v, v) for v, _ in d.premise(1).concl.mu}
-            out = _merge_side(node, "lam", j.lam, fn.concl.lam, summed_l)
-            out = _merge_side(out, "mu", j.mu, fn.concl.mu, summed_m)
+            ren, wit = {}, {}
+            for side in SIDES:
+                # The names the premises share, renamed apart in the argument
+                # in the function's context order: the fresh names are drawn
+                # in this order, so it must not follow string hashing.
+                ren[side] = {}
+                for v, _ in getattr(fn.concl, side):
+                    if ctx_get(getattr(arg.concl, side), v) is not None:
+                        ren[side][v] = L.fresh_tvar(v)
+                        arg = _rename_free(arg, side, v, ren[side][v])
+                if written := d.ann.get(f"sum_witness_{side}"):
+                    back = {v2: v1 for v1, v2 in ren[side].items()}
+                    wit[side] = {v: written.get(back.get(v, v)) for v, _ in getattr(arg.concl, side)}
+            out = _node("app_m", (fn, arg), j.type, h=h, witnesses=wit)
+            for side in SIDES:
+                summed = {v: ren[side].get(v, v) for v, _ in getattr(d.premise(1).concl, side)}
+                out = _merge_side(out, side, getattr(j, side), getattr(fn.concl, side), summed)
             return replace(out, concl=concl)
     raise DerivationError(f"not an additive rule: {d.rule}")
 
@@ -951,17 +938,18 @@ class _Sub:
 
 
 def _instantiate(sub: _Sub) -> tuple[Derivation, dict, dict]:
-    """A fresh-named instance of the argument derivation at the copy's shift."""
+    """A fresh-named instance of the argument derivation at the copy's
+    shift, and per side the groups of its renamed hypotheses."""
     inst = sub.rho
     if sub.binder != VACUOUS:
         inst = subst_derivation(inst, sub.binder, sub.shift)
-    ren_l = {v: L.fresh_tvar(v) for v, _ in inst.concl.lam}
-    ren_m = {v: L.fresh_tvar(v) for v, _ in inst.concl.mu}
-    for old, new in ren_l.items():
-        inst = _rename_free(inst, "lam", old, new)
-    for old, new in ren_m.items():
-        inst = _rename_free(inst, "mu", old, new)
-    return inst, ren_l, ren_m
+    groups = []
+    for side in SIDES:
+        ren = {v: L.fresh_tvar(v) for v, _ in getattr(inst.concl, side)}
+        for old, new in ren.items():
+            inst = _rename_free(inst, side, old, new)
+        groups.append({old: [new] for old, new in ren.items()})
+    return inst, *groups
 
 
 def _merge_groups(a: dict, b: dict) -> dict:
@@ -990,9 +978,8 @@ def _subst_walk(d: Derivation, subs: dict[str, _Sub]) -> tuple[Derivation, dict,
 
     if rule == "var_m":
         (v, sub), = live.items()
-        inst, ren_l, ren_m = _instantiate(sub)
-        inst = lower_type(inst, j.type)
-        return inst, {o: [n] for o, n in ren_l.items()}, {o: [n] for o, n in ren_m.items()}
+        inst, gl, gm = _instantiate(sub)
+        return lower_type(inst, j.type), gl, gm
 
     if rule in ("w_lam", "w_mu") and introduced(d) in live:
         # the copy is unused: no argument inserted
@@ -1001,7 +988,7 @@ def _subst_walk(d: Derivation, subs: dict[str, _Sub]) -> tuple[Derivation, dict,
     if rule in ("c_lam", "c_mu") and d.ann["into"] in live:
         x1, x2, z = d.ann["left"], d.ann["right"], d.ann["into"]
         sub = live[z]
-        p1 = ctx_get(getattr(d.premise().concl, _side(rule)), x1).label
+        p1 = ctx_get(getattr(d.premise().concl, RULES[rule].side), x1).label
         subs2 = {v: s for v, s in subs.items() if v != z}
         subs2[x1] = _Sub(sub.rho, sub.binder, sub.shift, sub.kind, sub.root)
         subs2[x2] = _Sub(sub.rho, sub.binder, sub.shift + p1, sub.kind, sub.root)
@@ -1017,39 +1004,12 @@ def _subst_walk(d: Derivation, subs: dict[str, _Sub]) -> tuple[Derivation, dict,
         prem, gl, gm = yield (d.premise(), subs)
         entry = j.mu_get(gamma)
         n_f, xh, ph, m_f = arrow_parts(entry.formula)
-        inst, ren_l, ren_m = _instantiate(sub)
+        inst, il, im = _instantiate(sub)
         inst = lower_type(inst, lf(n_f, xh, ph))
-        app_node = Derivation(
-            "app_m",
-            Judgment(
-                prem.concl.lam + tuple(
-                    (v, _sum_ctx_entry(entry.label, a)) for v, a in inst.concl.lam
-                ),
-                None,
-                lf(m_f, entry.binder, entry.label),
-                prem.concl.mu + tuple(
-                    (v, _sum_ctx_entry(entry.label, a)) for v, a in inst.concl.mu
-                ),
-            ),
-            (prem, inst),
-            {"h": entry.label},
-        )
-        out = Derivation(
-            "mu_name_m",
-            Judgment(
-                app_node.concl.lam,
-                None,
-                j.type,
-                ((gamma, lf(m_f, entry.binder, entry.label)),) + app_node.concl.mu,
-            ),
-            (app_node,),
-        )
-        gl = _merge_groups(gl, {o: [n] for o, n in ren_l.items()})
-        gm = _merge_groups(gm, {o: [n] for o, n in ren_m.items()})
         gamma2 = L.fresh_tvar(gamma)
-        out = _rename_free(out, "mu", gamma, gamma2)
-        gm = _merge_groups(gm, {("copy", sub.root): [gamma2]})
-        return out, gl, gm
+        app = _node("app_m", (prem, inst), lf(m_f, entry.binder, entry.label), h=entry.label)
+        gm = _merge_groups(_merge_groups(gm, im), {("copy", sub.root): [gamma2]})
+        return _node("mu_name_m", (app,), j.type, gamma2), _merge_groups(gl, il), gm
 
     # congruence cases: rebuild the node around the processed premises
     new_prems = []
@@ -1061,61 +1021,21 @@ def _subst_walk(d: Derivation, subs: dict[str, _Sub]) -> tuple[Derivation, dict,
         gl = _merge_groups(gl, gl2)
         gm = _merge_groups(gm, gm2)
 
-    if rule == "abs":
-        (prem,) = new_prems
-        x = introduced(d)
-        concl = Judgment(
-            ctx_remove(prem.concl.lam, x),
-            None,
-            j.type,
-            prem.concl.mu,
-        )
-        return Derivation("abs", concl, (prem,), dict(d.ann)), gl, gm
-    if rule == "mu_abs":
-        (prem,) = new_prems
-        b = introduced(d)
-        concl = Judgment(
-            prem.concl.lam,
-            None,
-            j.type,
-            ctx_remove(prem.concl.mu, b),
-        )
-        return Derivation("mu_abs", concl, (prem,), dict(d.ann)), gl, gm
-    if rule == "mu_name_m":
-        (prem,) = new_prems
-        a = introduced(d)
-        concl = Judgment(
-            prem.concl.lam,
-            None,
-            j.type,
-            ((a, prem.concl.type),) + prem.concl.mu,
-        )
-        return Derivation("mu_name_m", concl, (prem,), dict(d.ann)), gl, gm
+    if rule in ("abs", "mu_abs", "mu_name_m"):
+        return _node(rule, tuple(new_prems), j.type, introduced(d)), gl, gm
     if rule == "app_m":
         fn, arg = new_prems
         h = d.ann["h"]
-        old_fn, old_arg = d.premises
-        lam = list(fn.concl.lam)
-        for v, a in arg.concl.lam:
-            old = ctx_get(old_arg.concl.lam, v)
-            if old is not None and ctx_get(j.lam, v) is not None and lf_alpha_eq(a, old):
-                lam.append((v, ctx_get(j.lam, v)))
-            else:
-                lam.append((v, _sum_ctx_entry(h, a)))
-        mu = list(fn.concl.mu)
-        for v, a in arg.concl.mu:
-            old = ctx_get(old_arg.concl.mu, v)
-            if old is not None and ctx_get(j.mu, v) is not None and lf_alpha_eq(a, old):
-                mu.append((v, ctx_get(j.mu, v)))
-            else:
-                mu.append((v, _sum_ctx_entry(h, a)))
-        concl = Judgment(
-            tuple(lam),
-            None,
-            j.type,
-            tuple(mu),
-        )
-        return Derivation("app_m", concl, (fn, arg), {"h": h}), gl, gm
+        # An argument entry the walk left alone keeps its summed entry.
+        ctxs = []
+        for side in SIDES:
+            ctx = list(getattr(fn.concl, side))
+            for v, a in getattr(arg.concl, side):
+                old, kept = ctx_get(getattr(d.premise(1).concl, side), v), ctx_get(getattr(j, side), v)
+                keep = old is not None and kept is not None and lf_alpha_eq(a, old)
+                ctx.append((v, kept if keep else _sum_ctx_entry(h, a)))
+            ctxs.append(tuple(ctx))
+        return Derivation("app_m", Judgment(ctxs[0], None, j.type, ctxs[1]), (fn, arg), {"h": h}), gl, gm
     raise DerivationError(f"substitution hit an unexpected {rule} node")
 
 
@@ -1181,25 +1101,19 @@ def _adjust_to(d: Derivation, target: Judgment) -> Derivation:
     """Weaken and lower contexts until the conclusion is ``target``'s, but
     for the subject."""
     d = lower_type(d, target.type)
-    for side in ("lam", "mu"):
-        have = getattr(d.concl, side)
-        want = getattr(target, side)
+    for side in SIDES:
+        have, want = getattr(d.concl, side), getattr(target, side)
         extra = ctx_dom(have) - ctx_dom(want)
         if extra:
             raise DerivationError(f"cannot drop hypotheses {sorted(extra)}")
-        for v, a in want:
-            cur = ctx_get(getattr(d.concl, side), v)
-            if cur is None:
-                d = weaken(d, side, v, a)
-            elif not lf_alpha_eq(cur, a):
-                d = ctx_lower(d, side, v, a)
+        d = _merge_side(d, side, want, have, {})
     return replace(d, concl=replace(target, subject=None))
 
 
 def _replay_structurals(out: Derivation, wrappers: list[Derivation]) -> Derivation:
     """Re-apply peeled weakenings and contractions below ``out``."""
     for node in reversed(wrappers):
-        side = _side(node.rule)
+        side = RULES[node.rule].side
         if node.rule in ("w_lam", "w_mu"):
             ev = introduced(node)
             out = weaken(out, side, ev, ctx_get(getattr(node.concl, side), ev))
@@ -1222,17 +1136,11 @@ def _bare_redex_app(d: Derivation) -> tuple[Derivation, list[Derivation]]:
         fn = fn.premise()
     if not wrappers:
         return d, []
-    lam = fn.concl.lam + tuple(
-        (v, ctx_get(d.concl.lam, v)) for v, _ in arg.concl.lam
+    lam, mu = (
+        getattr(fn.concl, side) + tuple((v, ctx_get(getattr(d.concl, side), v)) for v, _ in getattr(arg.concl, side))
+        for side in SIDES
     )
-    mu = fn.concl.mu + tuple((v, ctx_get(d.concl.mu, v)) for v, _ in arg.concl.mu)
-    bare = Derivation(
-        "app_m",
-        Judgment(lam, None, d.concl.type, mu),
-        (fn, arg),
-        dict(d.ann),
-    )
-    return bare, wrappers
+    return Derivation("app_m", Judgment(lam, None, d.concl.type, mu), (fn, arg), dict(d.ann)), wrappers
 
 
 def _fire_beta(d: Derivation) -> Derivation:
@@ -1248,8 +1156,7 @@ def _fire_mu(d: Derivation) -> Derivation:
         raise DerivationError("μ-redex derivation must end in a μ-abstraction")
     beta = introduced(fn)
     out = _mu_subst(fn.premise(), beta, rho)
-    concl = Judgment(out.concl.lam, None, out.concl.mu_get(beta), ctx_remove(out.concl.mu, beta))
-    return _adjust_to(Derivation("mu_abs", concl, (out,)), d.concl)
+    return _adjust_to(_node("mu_abs", (out,), out.concl.mu_get(beta), beta), d.concl)
 
 
 def _fire_theta(d: Derivation) -> Derivation:

@@ -355,6 +355,66 @@ def test_cut_eliminate_checks_a_file_proof_before_rewriting_it(tmp_path, capsys)
     assert err == ""
 
 
+def _church_1_file(tmp_path, change=None):
+    obj = derivation_to_obj(C.by_name("church-1").derivation, "additive")
+    if change:
+        change(obj)
+    path = tmp_path / "church-1.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+@pytest.mark.parametrize("command", ["weight", "to-proof"])
+def test_weight_and_to_proof_check_a_file_derivation_before_elaborating_it(tmp_path, capsys, command):
+    """The inner abstraction's premise lost its λ-context: the checker's
+    report and exit 1, as ``check`` gives, not a crash inside elaboration."""
+
+    def empty(obj):
+        obj["tree"]["premises"][0]["judgment"]["lam"] = []
+
+    path = _church_1_file(tmp_path, empty)
+    report = "root: premise does not bind s\nroot.0: abs must preserve the remaining λ-context\n"
+    assert run("check", "--file", str(path)) == 1
+    assert capsys.readouterr() == (report, "")
+    with pytest.raises(SystemExit) as stop:  # as for an entry that has no derivation
+        run(command, "--file", str(path))
+    assert stop.value.code == 1
+    assert capsys.readouterr() == (report, "")
+
+
+def test_a_checked_file_gives_what_its_corpus_entry_gives(tmp_path, capsys, monkeypatch):
+    """Checking a file first changes nothing of what ``to-proof`` and
+    ``weight`` print for a valid one, fresh names included."""
+    import itertools
+
+    from bllp import respoly as R
+
+    path = tmp_path / "church-3.json"
+    path.write_text(json.dumps(derivation_to_obj(C.by_name("church-3").derivation, "additive")))
+    outs = []
+    for source in (("--entry", "church-3"), ("--file", str(path))):
+        monkeypatch.setattr(L, "_gen", itertools.count(1))
+        monkeypatch.setattr(R, "_counter", itertools.count(1))
+        assert run("to-proof", *source) == 0 and run("weight", *source) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("system", ["multiplicativ", "Additive", 1, None])
+def test_an_unknown_system_is_one_parse_error_and_exit_3(tmp_path, capsys, system):
+    path = _church_1_file(tmp_path, lambda obj: obj.update(system=system))
+    assert run("check", "--file", str(path)) == 3
+    out, err = capsys.readouterr()
+    why = f"unknown system {system!r}" if isinstance(system, str) else "'system' is"
+    assert out == "" and err.startswith("parse error: ") and why in err and len(err.splitlines()) == 1
+
+
+def test_a_file_that_names_no_system_is_additive(tmp_path, capsys):
+    path = _church_1_file(tmp_path, lambda obj: obj.pop("system"))
+    assert run("check", "--file", str(path)) == 0
+    assert capsys.readouterr() == ("ok\n", "")
+
+
 def test_poly_commands(capsys):
     assert run("poly-canon", "sum(z < y, z)") == 0
     assert capsys.readouterr().out.strip() == "bin(y,2)"

@@ -10,6 +10,11 @@ module.  The few reads left are pinned, and the list may only shrink.
 A node the library builds stores no subject: only ``typecheck`` knows how
 a rule builds one.  Another module asks it, by ``subject_of`` or
 ``introduced``, instead of reading an attribute ``.subject``.
+
+What a typing rule is (its systems, subject class, the name it introduces
+and where that name is held) is read off ``typecheck.RULES``.  The rule
+names ``typecheck`` still compares with literals are counted, and the
+count may only shrink.
 """
 
 import ast
@@ -17,9 +22,7 @@ from pathlib import Path
 
 LIBRARY = Path(__file__).resolve().parents[1] / "src" / "bllp"
 
-PINNED = {
-    "proofs <- typecheck._side",
-}
+PINNED: set[str] = set()
 
 
 def _private(name: str) -> bool:
@@ -110,3 +113,53 @@ def test_only_typecheck_reads_a_subject():
         if path.stem != "typecheck":
             reads |= _subject_reads(path.stem, path.read_text())
     assert reads == set()
+
+
+def _is_rule(e: ast.expr) -> bool:
+    return (isinstance(e, ast.Name) and e.id == "rule") or (isinstance(e, ast.Attribute) and e.attr == "rule")
+
+
+def _is_rule_names(e: ast.expr) -> bool:
+    if isinstance(e, (ast.Tuple, ast.List, ast.Set)):
+        return bool(e.elts) and all(map(_is_rule_names, e.elts))
+    return isinstance(e, ast.Constant) and isinstance(e.value, str)
+
+
+def _rule_dispatch(source: str) -> int:
+    """How often ``source`` compares a rule name with literals: a comparison
+    of ``rule`` or ``x.rule`` with a string or a tuple of strings, and each
+    non-wildcard ``case`` of a ``match`` on one."""
+    n = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            n += any(map(_is_rule, operands)) and any(map(_is_rule_names, operands))
+        elif isinstance(node, ast.Match) and _is_rule(node.subject):
+            n += sum(not (isinstance(c.pattern, ast.MatchAs) and c.pattern.pattern is None) for c in node.cases)
+    return n
+
+
+def test_the_dispatch_guard_counts_comparisons_and_cases_on_a_rule_name():
+    source = (
+        "def f(d, rule, RULES):\n"
+        "    if d.rule == 'abs' or rule in ('w_lam', 'w_mu') or 'x' != d.rule:\n"
+        "        pass\n"
+        "    if RULES[d.rule].cls is None or d.kind == 'abs' or rule == other:\n"
+        "        pass\n"
+        "    match d.rule:\n"
+        "        case 'var' | 'var_m':\n"
+        "            pass\n"
+        "        case 'abs':\n"
+        "            pass\n"
+        "        case _:\n"
+        "            pass\n"
+    )
+    assert _rule_dispatch(source) == 5
+
+
+# Rule-name comparisons left in ``typecheck.py``; the number may only shrink.
+TYPECHECK_RULE_DISPATCH = 34
+
+
+def test_typecheck_compares_rule_names_no_more_often_than_pinned():
+    assert _rule_dispatch((LIBRARY / "typecheck.py").read_text()) == TYPECHECK_RULE_DISPATCH

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import itertools
 import json
 import os
@@ -7,6 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import typecheck_oracle as TO
 from bllp import corpus as C
@@ -689,3 +692,269 @@ def test_add_to_mult_names_do_not_depend_on_string_hashing():
         assert proc.returncode == 0, proc.stderr
         outs.add(proc.stdout)
     assert len(outs) == 1
+
+
+# -- the context-shape checks, one perturbed corpus node per message ------------
+
+
+def _concl(node: Derivation, **changes) -> Derivation:
+    return replace(node, concl=replace(node.concl, **changes))
+
+
+def _with_premise(node: Derivation, **changes) -> Derivation:
+    return replace(node, premises=(_concl(node.premise(), **changes),) + node.premises[1:])
+
+
+def _relabelled(ctx, name: str, label: int):
+    return tuple((v, lf(a.formula, a.binder, label) if v == name else a) for v, a in ctx)
+
+
+_EXTRA_MU = ("c", parse_lf("<~X>[1]"))
+
+# (system, corpus entry, node path, its rule, the perturbation, the node's
+# messages).  ``{x}`` in a message is the name the unperturbed node
+# introduces.  The multiplicative trees are the entries' elaborations, which
+# store no subject below the root, so ``introduced`` reads their contexts; a
+# perturbation that leaves the contexts no single such name stores the
+# node's subject.
+CONTEXT_SHAPES = [
+    ("additive", "kappa", "root", "abs",
+     lambda n: _concl(n, lam=n.concl.lam + n.premise().concl.lam),
+     ["abs must preserve the remaining λ-context"]),
+    ("additive", "kappa", "root", "abs",
+     lambda n: _concl(n, mu=n.concl.mu + (_EXTRA_MU,)),
+     ["abs must preserve the μ-context"]),
+    ("additive", "kappa", "root.0", "mu_abs",
+     lambda n: _concl(n, lam=()),
+     ["mu_abs must preserve the λ-context"]),
+    ("additive", "kappa", "root.0", "mu_abs",
+     lambda n: _concl(n, mu=n.premise().concl.mu),
+     ["mu_abs must preserve the remaining μ-context"]),
+    ("additive", "kappa", "root.0.0", "mu_name",
+     lambda n: _concl(n, lam=()),
+     ["mu_name must preserve the λ-context"]),
+    ("additive", "kappa", "root.0.0", "mu_name",
+     lambda n: _concl(n, mu=n.concl.mu + (_EXTRA_MU,)),
+     ["mu_name must preserve the remaining μ-context"]),
+    ("multiplicative", "kappa", "root", "abs",
+     lambda n: _with_premise(n, mu=(_EXTRA_MU,)),
+     ["abs must preserve the μ-context"]),
+    ("multiplicative", "kappa", "root.0.0.0", "mu_name_m",
+     lambda n: _concl(n, lam=()),
+     ["mu_name must preserve the λ-context"]),
+    ("multiplicative", "kappa", "root.0.0.0", "mu_name_m",
+     lambda n: _concl(n, mu=_relabelled(n.concl.mu, n.premise().concl.mu[0][0], 2)),
+     ["mu_name must preserve the remaining μ-context"]),
+    ("multiplicative", "kappa", "root.0.0.0", "mu_name_m",
+     lambda n: _concl(n, mu=_relabelled(n.concl.mu, T.introduced(n), 2)),
+     ["conclusion must move the type onto {x}"]),
+    ("multiplicative", "kappa", "root.0.0.0", "mu_name_m",
+     lambda n: _with_premise(
+         _concl(n, subject=T.subject_of(n)),
+         mu=n.premise().concl.mu + ((T.introduced(n), n.premise().concl.type),),
+     ),
+     ["μ-variable {x} must be fresh for the premise", "mu_name must preserve the remaining μ-context"]),
+    ("multiplicative", "kappa", "root.0", "mu_abs",
+     lambda n: _concl(n, subject=T.subject_of(n), mu=n.premise().concl.mu),
+     ["mu_abs must preserve the remaining μ-context"]),
+    ("multiplicative", "church-0", "root.0.0", "w_lam",
+     lambda n: _concl(n, lam=n.concl.lam + (("extra", n.concl.lam[0][1]),)),
+     ["weakening must add exactly one hypothesis"]),
+    ("multiplicative", "church-2", "root.0.0", "c_lam",
+     lambda n: replace(n, ann={**n.ann, "left": "nowhere"}),
+     ["contraction endpoints missing from the contexts"]),
+]
+
+
+@pytest.mark.parametrize(
+    "system, name, path, rule, perturb, messages",
+    CONTEXT_SHAPES,
+    ids=[f"{c[0][:4]}-{c[3]}-{c[5][-1].split(' must')[0]}-{k}" for k, c in enumerate(CONTEXT_SHAPES)],
+)
+def test_a_context_of_the_wrong_shape_is_reported_at_its_node(system, name, path, rule, perturb, messages):
+    tree = C.by_name(name).derivation
+    check = check_additive
+    if system == "multiplicative":
+        tree, check = add_to_mult(tree), check_mult
+    node = _node(tree, _path(path))
+    assert node.rule == rule and check(tree).ok
+    x = T.introduced(node) if any("{x}" in m for m in messages) else None
+    bad = perturb(node)
+    errors = check(_replace_node(tree, _path(path), concl=bad.concl, premises=bad.premises, ann=bad.ann)).errors
+    assert [msg for p, msg in errors if p == path] == [m.format(x=x) for m in messages]
+
+
+def test_a_binder_whose_conclusion_keeps_its_bound_name_is_rejected():
+    """``λx.…`` with ``x`` left in the conclusion's λ-context: only the
+    premise holds the name an abstraction binds."""
+    d = C.by_name("kappa").derivation
+    kept = _concl(d, lam=d.concl.lam + d.premise().concl.lam)
+    assert str(check_additive(kept)) == "root: abs must preserve the remaining λ-context"
+
+
+# -- the layer's outputs, pinned -------------------------------------------------
+
+PINNED_INPUTS = [(e.name, e.derivation) for e in C.entries() if e.derivation]
+PINNED_INPUTS += [(f"church-applied-{n}", n) for n in range(49)]
+
+
+def _layer_digest() -> str:
+    """SHA-256 over what the typing layer gives on the corpus and on
+    church-applied n = 0-48: both checkers' reports, the elaboration's file,
+    its root subject, its mapped proof's file and weight, and, for the
+    corpus and n ≤ 12, each step of the subject reduction chain to normal
+    form, then where both name supplies stopped.  The supplies restart at
+    1 before the inputs are built."""
+    from bllp.syntax import print_poly, print_term, proof_to_obj
+
+    out: list = []
+    for name, d in PINNED_INPUTS:
+        if isinstance(d, int):
+            n, d = d, C.church_applied_derivation(d)
+        else:
+            n = 0
+        m = add_to_mult(d)
+        pf = map_derivation(m)
+        out.append([name, str(check_additive(d)), str(check_mult(m)), derivation_to_obj(m, "multiplicative"),
+                    print_term(T.subject_of(m)), proof_to_obj(pf), print_poly(weight(pf))])
+        while n <= 12 and L.step(m.concl.subject, "head") is not None:
+            m = subject_reduce(m)
+            out.append([str(check_mult(m)), derivation_to_obj(m, "multiplicative")])
+    out.append([next(L._gen), next(R._counter)])
+    return hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+
+
+# Computed at the commit before the typing rules were read off one table; the
+# name supplies stopped at 1328 and 8431.
+LAYER_DIGEST = "8c4a1521325a0622032ae24e877d8d8ab595a219a522d0b14ca3945ada8070a0"
+
+
+def test_the_layer_gives_the_pinned_reports_files_weights_reducts_and_names(monkeypatch):
+    monkeypatch.setattr(L, "_gen", itertools.count(1))
+    monkeypatch.setattr(R, "_counter", itertools.count(1))
+    assert _layer_digest() == LAYER_DIGEST
+
+
+# -- the rule table against the former per-rule code -----------------------------
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the class and text of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the two versions must fail alike
+        return type(exc).__name__, str(exc)
+
+
+@functools.cache
+def _pinned_trees() -> tuple[Derivation, ...]:
+    """The pinned inputs, their elaborations and, for the corpus and n ≤ 12,
+    the subject reduction chains of those."""
+    out = []
+    for _, d in PINNED_INPUTS:
+        small = not isinstance(d, int) or d <= 12
+        d = C.church_applied_derivation(d) if isinstance(d, int) else d
+        out += [d, add_to_mult(d)]
+        while small and L.step(out[-1].concl.subject, "head") is not None:
+            out.append(subject_reduce(out[-1]))
+    return tuple(out)
+
+
+# The rules ``introduced`` was written for.  An application introduces no
+# name, and a contraction's is its ``into``, which nothing asked ``introduced``
+# for: the former one read a ``c_mu``'s λ-context.
+_NAMING = ("var", "var_m", "abs", "mu_abs", "mu_name", "mu_name_m", "w_lam", "w_mu")
+
+
+def _assert_table_agrees(node: Derivation) -> None:
+    for system in ("additive", "multiplicative"):
+        assert T._validate(node, system) == TO.former_validate(node, system)
+    if node.rule in _NAMING:
+        x = _outcome(T.introduced, node)
+        assert x == _outcome(TO.former_introduced, node)
+        if node.rule in ("abs", "mu_abs", "mu_name_m") and isinstance(x, str):
+            built = T._node(node.rule, node.premises, node.concl.type, x)
+            former = TO.former_congruence(node, node.premise())
+            assert built == former and built.concl == former.concl
+
+
+def test_the_table_agrees_with_the_former_per_rule_code_on_every_pinned_node():
+    """Each node of every pinned tree, checked in both systems, gets the
+    former checker's messages, its rule introduces the former name, and a
+    binder's conclusion drawn from its premise is the former congruence's."""
+    seen: set[int] = set()
+    for tree in _pinned_trees():
+        for node in _nodes(tree):
+            if id(node) not in seen:
+                seen.add(id(node))
+                _assert_table_agrees(node)
+
+
+@functools.cache
+def _small_trees() -> list[list[Derivation]]:
+    """The nodes of each pinned tree of fewer than 200 rules."""
+    return [nodes for t in _pinned_trees() if len(nodes := _nodes(t)) < 200]
+
+
+def _perturbed_ctx(data, ctx, names: list[str], entries: list) -> tuple:
+    """``ctx`` with one entry dropped, one added or one renamed, drawn."""
+    ops = ["add"] + (["drop", "rename"] if ctx else [])
+    op = data.draw(st.sampled_from(ops), label="operation")
+    if op == "add":
+        entry = (data.draw(st.sampled_from(names), label="name"), data.draw(st.sampled_from(entries)))
+        k = data.draw(st.integers(0, len(ctx)), label="at")
+        return ctx[:k] + (entry,) + ctx[k:]
+    k = data.draw(st.integers(0, len(ctx) - 1), label="entry")
+    if op == "drop":
+        return ctx[:k] + ctx[k + 1 :]
+    return ctx[:k] + ((data.draw(st.sampled_from(names), label="name"), ctx[k][1]),) + ctx[k + 1 :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_table_agrees_with_the_former_per_rule_code_on_perturbed_nodes(data):
+    """A drawn node of a pinned tree (n ≤ 12), with one context entry of
+    its conclusion or of one premise's dropped, added or renamed; the names
+    and entries drawn are the node's own, the one it introduces among them,
+    and a fresh one.  Checked in both systems."""
+    nodes = data.draw(st.sampled_from(_small_trees()), label="tree")
+    node = nodes[data.draw(st.integers(0, len(nodes) - 1), label="node")]
+    judgments = [node.concl] + [p.concl for p in node.premises]
+    names = sorted({v for j in judgments for side in (j.lam, j.mu) for v, _ in side} | {"fresh"})
+    k = data.draw(st.integers(0, len(judgments) - 1), label="judgment")
+    side = data.draw(st.sampled_from(["lam", "mu"]), label="side")
+    entries = [a for j in judgments for v, a in getattr(j, side)] or [judgments[0].type]
+    j = replace(judgments[k], **{side: _perturbed_ctx(data, getattr(judgments[k], side), names, entries)})
+    if k == 0:
+        node = replace(node, concl=j)
+    else:
+        premises = list(node.premises)
+        premises[k - 1] = replace(premises[k - 1], concl=j)
+        node = replace(node, premises=tuple(premises))
+    _assert_table_agrees(node)
+
+
+_NAMES = st.sampled_from(["x", "y", "z"])
+_ENTRIES = st.sampled_from([parse_lf("<~X>[1]"), parse_lf("<~X>[2]"), parse_lf("<~Y>[1]")])
+_CONTEXTS = st.lists(st.tuples(_NAMES, _ENTRIES), max_size=4).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(c1=_CONTEXTS, c2=_CONTEXTS)
+def test_contexts_compare_alike_in_either_order(c1, c2):
+    """Without a repeated name, two contexts compare as they did; a context
+    that names a hypothesis twice equals none."""
+    assert T.ctx_eq(c1, c2) == T.ctx_eq(c2, c1)
+    if any(len(T.ctx_dom(c)) < len(c) for c in (c1, c2)):
+        assert not T.ctx_eq(c1, c2)
+    else:
+        assert T.ctx_eq(c1, c2) == TO.former_ctx_eq(c1, c2)
+
+
+def test_a_context_that_names_a_hypothesis_twice_is_compared_in_either_order():
+    """The former comparison read each name of its first argument in the
+    second, first entry first, so it could accept a pair in one order only."""
+    one, two = parse_lf("<~X>[1]"), parse_lf("<~X>[2]")
+    twice, once = (("x", one), ("x", two)), (("x", one),)
+    assert TO.former_ctx_eq(once, twice) and not TO.former_ctx_eq(twice, once)
+    assert not T.ctx_eq(once, twice) and not T.ctx_eq(twice, once)

@@ -16,6 +16,10 @@ elaboration and subject reduction that build subjects are kept here too.
 The tests check that both give the same derivations, names included, from
 the same state of the global name supplies.  The other helpers are the
 library's own.
+
+The checker's per-rule code, ``introduced`` and the congruence conclusions
+of subject reduction are kept at the end as they were before the library
+read each rule's facts off its one table, ``RULES``.
 """
 
 from __future__ import annotations
@@ -24,9 +28,10 @@ from dataclasses import replace
 
 from bllp import formula as F
 from bllp import lammu as L
+from bllp import typecheck as T
 from bllp.formula import LF, VACUOUS, arrow_parts, lf, lf_alpha_eq, lf_leq, lf_subst, lf_sum
 from bllp.lammu import App, Lam, Mu, Named, Var
-from bllp.respoly import ZERO, Poly, fresh_var
+from bllp.respoly import ZERO, Poly, fresh_var, poly_leq
 from bllp.typecheck import (
     Ctx,
     Derivation,
@@ -746,3 +751,243 @@ def _fire_theta(d: Derivation) -> Derivation:
             pi = drop_mu_entry(pi, a)
     out = _replay_structurals(pi, replay)
     return _adjust_to(out, replace(d.concl, subject=out.concl.subject))
+
+
+# -- the per-rule definitions that the rule table replaced -----------------------
+#
+# ``bllp.typecheck.RULES`` states each rule's systems, subject class and
+# messages, the context of the name it introduces and which judgments hold
+# that name.  Before it, ``former_validate`` restated them rule by rule, with
+# two hand-written context-shape checks per binder, and ``former_introduced``
+# and ``former_congruence`` read the rule name.  ``former_validate`` compares
+# contexts by the library's ``ctx_eq``, which no longer depends on the order
+# of its arguments; ``former_ctx_eq`` is the one it replaced.
+
+ADDITIVE_RULES = {"var", "abs", "app", "mu_name", "mu_abs"}
+MULT_RULES = {"var_m", "abs", "app_m", "mu_name_m", "mu_abs", "w_lam", "c_lam", "w_mu", "c_mu"}
+STRUCTURAL = ("w_lam", "w_mu", "c_lam", "c_mu")
+SUBJECTS = {
+    "var": (Var, "var subject must be a variable", None),
+    "var_m": (Var, "var subject must be a variable", None),
+    "abs": (Lam, "abs subject must be a λ-abstraction", "premise subject is not the abstraction body"),
+    "app": (App, "app subject must be an application", "premise subjects do not match the application"),
+    "app_m": (App, "app subject must be an application", "premise subjects do not match the application"),
+    "mu_name": (Named, "mu_name subject must be a named term", "premise subject is not the named body"),
+    "mu_name_m": (Named, "mu_name subject must be a named term", "premise subject is not the named body"),
+    "mu_abs": (Mu, "mu_abs subject must be a μ-abstraction", "premise subject is not the abstraction body"),
+    "w_lam": (None, None, "weakening must preserve subject and type"),
+    "w_mu": (None, None, "weakening must preserve subject and type"),
+    "c_lam": (None, None, "contraction must rename the subject accordingly"),
+    "c_mu": (None, None, "contraction must rename the subject accordingly"),
+}
+
+
+def former_ctx_eq(c1: Ctx, c2: Ctx) -> bool:
+    """Read each name of ``c1`` in ``c2``, first entry first: the answer
+    could depend on the order of the two when one names a hypothesis twice."""
+    if ctx_dom(c1) != ctx_dom(c2):
+        return False
+    return all(lf_alpha_eq(a, ctx_get(c2, n)) for n, a in c1)
+
+
+def former_introduced(d: Derivation) -> str:
+    s = d.concl.subject
+    if s is not None and d.rule not in STRUCTURAL:
+        return s.name if type(s) is Var else s.var if type(s) is Lam else s.mvar
+    side = "mu" if d.rule in ("mu_abs", "mu_name_m", "w_mu") else "lam"
+    here = getattr(d.concl, side)
+    if not d.premises:
+        return here[0][0]
+    there = getattr(d.premise().concl, side)
+    more, fewer = (there, here) if d.rule in ("abs", "mu_abs") else (here, there)
+    (name,) = ctx_dom(more) - ctx_dom(fewer)
+    return name
+
+
+def _former_subject_errors(d: Derivation) -> list[str]:
+    s = d.concl.subject
+    below = [p.concl.subject for p in d.premises]
+    if s is None or not below or any(t is None for t in below):
+        return []
+    cls, _, message = SUBJECTS[d.rule]
+    want = below[0] if cls is None else App(*below) if cls is App else cls(former_introduced(d), below[0])
+    renaming = {}
+    if d.rule in ("c_lam", "c_mu"):
+        renaming = {d.ann["left"]: d.ann["into"], d.ann["right"]: d.ann["into"]}
+    renamings = (renaming, None) if d.rule == "c_lam" else (None, renaming)
+    return [] if L.alpha_eq(s, want, *renamings) else [message]
+
+
+def former_validate(d: Derivation, system: str) -> list[str]:
+    errs = T._judgment_errors(d.concl)
+    j = d.concl
+    rule = d.rule
+    allowed = ADDITIVE_RULES if system == "additive" else MULT_RULES
+    if rule not in allowed:
+        return errs + [f"rule {rule!r} not part of the {system} system"]
+    cls, wrong_class, _ = SUBJECTS[rule]
+    arity = {Var: 0, App: 2}.get(cls, 1)
+    if len(d.premises) != arity:
+        return errs + [f"{rule} expects {arity} premises, found {len(d.premises)}"]
+    if j.subject is not None and cls is not None and not isinstance(j.subject, cls):
+        return errs + [wrong_class]
+
+    try:
+        wrong_subject = _former_subject_errors(d)
+        errs += wrong_subject
+        if rule in ("var", "var_m"):
+            x = former_introduced(d)
+            entry = j.lam_get(x)
+            if entry is None:
+                return errs + [f"variable {x} missing from the context"]
+            if rule == "var_m" and (len(j.lam) != 1 or j.mu):
+                errs.append("multiplicative var carries exactly its own hypothesis")
+            errs += T._check_var_conditions(entry, j.type)
+
+        elif rule == "abs":
+            p0 = d.premise().concl
+            x = former_introduced(d)
+            parts = arrow_parts(j.type.formula)
+            if parts is None:
+                return errs + ["abs type must be an arrow"]
+            n_f, z, s, m_f = parts
+            entry = p0.lam_get(x)
+            if entry is None:
+                return errs + [f"premise does not bind {x}"]
+            want_entry = F.WhyNot(z, s, F.negate(n_f))
+            if not F.alpha_eq(entry.formula, want_entry, (entry.binder, j.type.binder)):
+                errs.append("hypothesis formula does not match the arrow source")
+            if not F.alpha_eq(p0.type.formula, m_f, (p0.type.binder, j.type.binder)):
+                errs.append("premise type does not match the arrow target")
+            if not poly_leq(p0.type.label, j.type.label):
+                errs.append(f"arrow label too small: {p0.type.label} ⋢ {j.type.label}")
+            if not poly_leq(entry.label, j.type.label):
+                errs.append(f"arrow label below hypothesis budget: {entry.label} ⋢ {j.type.label}")
+            if not ctx_eq(ctx_remove(p0.lam, x), j.lam):
+                errs.append("abs must preserve the remaining λ-context")
+            if not ctx_eq(p0.mu, j.mu):
+                errs.append("abs must preserve the μ-context")
+
+        elif rule in ("app", "app_m"):
+            jt, ju = d.premise(0).concl, d.premise(1).concl
+            parts = arrow_parts(jt.type.formula)
+            if parts is None:
+                return errs + ["function premise must have an arrow type"]
+            n_f, xhat, phat, m_f = parts
+            if not lf_alpha_eq(ju.type, lf(n_f, xhat, phat)):
+                errs.append("argument type does not match the arrow source")
+            if not F.alpha_eq(j.type.formula, m_f, (j.type.binder, jt.type.binder)):
+                errs.append("result type does not match the arrow target")
+            q = jt.type.label
+            h = d.ann.get("h", q)
+            k = j.type.label
+            if not poly_leq(q, h):
+                errs.append(f"replication bound too small: {q} ⋢ {h}")
+            if not poly_leq(q, k):
+                errs.append(f"result label too small: {q} ⋢ {k}")
+            lam_w = d.ann.get("sum_witness_lam", {})
+            mu_w = d.ann.get("sum_witness_mu", {})
+            if rule == "app":
+                errs += T._check_additive_merge(j.lam, jt.lam, ju.lam, h, lam_w, "λ")
+                errs += T._check_additive_merge(j.mu, jt.mu, ju.mu, h, mu_w, "μ")
+            else:
+                errs += T._check_mult_merge(j.lam, jt.lam, ju.lam, h, lam_w, "λ")
+                errs += T._check_mult_merge(j.mu, jt.mu, ju.mu, h, mu_w, "μ")
+
+        elif rule == "mu_name":
+            p0 = d.premise().concl
+            a = former_introduced(d)
+            if not isinstance(j.type.formula, F.Bottom):
+                errs.append("naming must conclude at type bot")
+            merged = j.mu_get(a)
+            old = p0.mu_get(a)
+            if merged is None or old is None:
+                return errs + [f"μ-variable {a} must appear in premise and conclusion"]
+            if not T.fits_uplus(merged, [p0.type, old]):
+                errs.append(f"entry for {a} is not below the merged types")
+            if not ctx_eq(j.lam, p0.lam):
+                errs.append("mu_name must preserve the λ-context")
+            if not ctx_eq(ctx_remove(j.mu, a), ctx_remove(p0.mu, a)):
+                errs.append("mu_name must preserve the remaining μ-context")
+
+        elif rule == "mu_name_m":
+            p0 = d.premise().concl
+            a = former_introduced(d)
+            if p0.mu_get(a) is not None:
+                errs.append(f"μ-variable {a} must be fresh for the premise")
+            if not isinstance(j.type.formula, F.Bottom):
+                errs.append("naming must conclude at type bot")
+            entry = j.mu_get(a)
+            if entry is None or not lf_alpha_eq(entry, p0.type):
+                errs.append(f"conclusion must move the type onto {a}")
+            if not ctx_eq(j.lam, p0.lam):
+                errs.append("mu_name must preserve the λ-context")
+            if not ctx_eq(ctx_remove(j.mu, a), p0.mu):
+                errs.append("mu_name must preserve the remaining μ-context")
+
+        elif rule == "mu_abs":
+            p0 = d.premise().concl
+            b = former_introduced(d)
+            if not isinstance(p0.type.formula, F.Bottom):
+                errs.append("premise type must be bot")
+            entry = p0.mu_get(b)
+            if entry is None:
+                return errs + [f"premise must bind {b}"]
+            if not lf_alpha_eq(entry, j.type):
+                errs.append("conclusion type must be the bound μ-entry")
+            if not ctx_eq(j.lam, p0.lam):
+                errs.append("mu_abs must preserve the λ-context")
+            if not ctx_eq(j.mu, ctx_remove(p0.mu, b)):
+                errs.append("mu_abs must preserve the remaining μ-context")
+
+        elif rule in ("w_lam", "w_mu"):
+            p0 = d.premise().concl
+            side, other = ("lam", "mu") if rule == "w_lam" else ("mu", "lam")
+            cur, prev = getattr(j, side), getattr(p0, side)
+            extra = ctx_dom(cur) - ctx_dom(prev)
+            if len(extra) != 1 or not ctx_eq(ctx_remove(cur, *extra), prev):
+                errs.append("weakening must add exactly one hypothesis")
+            if not ctx_eq(getattr(j, other), getattr(p0, other)):
+                errs.append("weakening must preserve the other context")
+            if not (wrong_subject or lf_alpha_eq(j.type, p0.type)):
+                errs.append("weakening must preserve subject and type")
+
+        elif rule in ("c_lam", "c_mu"):
+            p0 = d.premise().concl
+            x1, x2, z = d.ann["left"], d.ann["right"], d.ann["into"]
+            side = "lam" if rule == "c_lam" else "mu"
+            cur, prev = getattr(j, side), getattr(p0, side)
+            n1, n2 = ctx_get(prev, x1), ctx_get(prev, x2)
+            merged = ctx_get(cur, z)
+            if n1 is None or n2 is None or merged is None:
+                return errs + ["contraction endpoints missing from the contexts"]
+            if not T.fits_uplus(merged, [n1, n2]):
+                errs.append(f"contracted entry for {z} is not below the sum")
+            if not ctx_eq(ctx_remove(cur, z), ctx_remove(prev, x1, x2)):
+                errs.append("contraction must preserve the remaining context")
+            other = "mu" if side == "lam" else "lam"
+            if not ctx_eq(getattr(j, other), getattr(p0, other)):
+                errs.append("contraction must preserve the other context")
+            if not lf_alpha_eq(j.type, p0.type):
+                errs.append("contraction must preserve the type")
+
+    except (F.ShapeMismatch, AssertionError, LookupError, ValueError) as exc:
+        errs.append(f"malformed node: {exc}")
+    return errs
+
+
+def former_congruence(d: Derivation, prem: Derivation) -> Derivation:
+    """The ``abs``, ``mu_abs`` or ``mu_name_m`` node ``d`` rebuilt over the
+    rewritten premise ``prem``, as subject reduction's congruences built it."""
+    j = d.concl
+    if d.rule == "abs":
+        x = former_introduced(d)
+        concl = Judgment(ctx_remove(prem.concl.lam, x), None, j.type, prem.concl.mu)
+        return Derivation("abs", concl, (prem,), dict(d.ann))
+    if d.rule == "mu_abs":
+        b = former_introduced(d)
+        concl = Judgment(prem.concl.lam, None, j.type, ctx_remove(prem.concl.mu, b))
+        return Derivation("mu_abs", concl, (prem,), dict(d.ann))
+    a = former_introduced(d)
+    concl = Judgment(prem.concl.lam, None, j.type, ((a, prem.concl.type),) + prem.concl.mu)
+    return Derivation("mu_name_m", concl, (prem,))
