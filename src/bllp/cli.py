@@ -32,6 +32,10 @@ EXIT_BOUND = 2
 EXIT_PARSE = 3
 
 
+class _CheckFailed(Exception):
+    """The input failed its check; what went wrong is printed already."""
+
+
 def _read_file(path: str):
     """The JSON value in a ``--file``; text that is not JSON is a parse error."""
     with open(path) as fh:
@@ -45,7 +49,7 @@ def _load_derivation(args) -> tuple:
     if args.entry:
         if args.entry.derivation is None:
             print(f"corpus entry {args.entry.name} has no derivation", file=sys.stderr)
-            raise SystemExit(EXIT_CHECK)
+            raise _CheckFailed
         return args.entry.derivation, "additive"
     return derivation_from_obj(_read_file(args.file))
 
@@ -60,7 +64,7 @@ def _mult_derivation(args):
     d, system = _load_derivation(args)
     if args.file and not (rep := _check(d, system)).ok:
         print(rep)
-        raise SystemExit(EXIT_CHECK)
+        raise _CheckFailed
     return d if system == "multiplicative" else T.add_to_mult(d)
 
 
@@ -266,6 +270,8 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except (T.DerivationError, P.ProofError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK
+    except _CheckFailed:
         return EXIT_CHECK
 
 

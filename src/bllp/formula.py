@@ -16,22 +16,25 @@ module matches binders: a caller that compares two bodies under their own
 binders passes the pair of names, and one that moves a body to another
 binder calls ``with_binder``.
 
-A formula node holds its structural facts.  Its polarity ``positive`` is a
+Formulas and labelled formulas are immutable records in ``__slots__``
+(``record.Frozen``), each shape with its own ``==``; a positive and a
+negative class share a shape, and ``==`` requires the exact class.  A
+formula node holds its structural facts.  Its polarity ``positive`` is a
 constant of its class.  :func:`negate`, :func:`free_rvars` and
 :func:`classify` compute their answer on a node's first query and store it
-on the node, as ``lammu.Term`` keeps ``fv``; they are not fields, so ``==``,
-``hash`` and ``repr`` ignore them.  ``negate`` stores the dual on both
-nodes, so ``negate(negate(f))`` is ``f`` itself; a unit's dual is the
-shared ``BOTTOM`` or ``ONE_F``.  ``free_rvars`` returns a shared
-``frozenset``.  No fact draws a fresh name.
+in one of three slots that start as ``None``, as ``lammu.Term`` keeps
+``fv``; they are not fields, so ``==``, ``hash`` and ``repr`` ignore them.
+``negate`` stores the dual on both nodes, so ``negate(negate(f))`` is
+``f`` itself; a unit's dual is the shared ``BOTTOM`` or ``ONE_F``.
+``free_rvars`` returns a shared ``frozenset``.  No fact draws a fresh name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import ClassVar
 
 from . import respoly
+from .record import Frozen
 from .respoly import ZERO, Poly, VarId, bounded_sum, compose, fresh_var, poly_leq, pvar
 
 VACUOUS = "_"
@@ -41,8 +44,12 @@ class ShapeMismatch(Exception):
     """Operands do not have the required shapes (skeletons or shifts)."""
 
 
-class Formula:
+class Formula(Frozen):
     positive: ClassVar[bool]
+
+    # The stored dual, free resource variables and class: ``None`` until
+    # the first query of :func:`negate`, :func:`free_rvars` or :func:`classify`.
+    __slots__ = ("_dual", "_rvars", "_kind")
 
     def __str__(self) -> str:
         from .syntax import print_formula
@@ -50,62 +57,136 @@ class Formula:
         return print_formula(self)
 
 
-@dataclass(frozen=True)
-class Atom(Formula):
+# The shapes of formula, each shared by a positive and a negative class.
+# Their ``==`` requires the exact class, as a dataclass's does.
+
+
+class _Named(Formula):
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set_name(self, name)
+        _set_dual(self, None)
+        _set_rvars(self, None)
+        _set_kind(self, None)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
+
+
+class _Unit(Formula):
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        _set_dual(self, None)
+        _set_rvars(self, None)
+        _set_kind(self, None)
+
+    def __eq__(self, other: object) -> bool:
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
+
+
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_dual(self, None)
+        _set_rvars(self, None)
+        _set_kind(self, None)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.left == other.left and self.right == other.right
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
+
+
+class _Bounded(Formula):
+    __slots__ = ("var", "bound", "body")
+    __match_args__ = ("var", "bound", "body")
+
+    def __init__(self, var: VarId, bound: Poly, body: Formula) -> None:
+        _set_var(self, var)
+        _set_bound(self, bound)
+        _set_body(self, body)
+        _set_dual(self, None)
+        _set_rvars(self, None)
+        _set_kind(self, None)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.var == other.var and self.bound == other.bound and self.body == other.body
+
+    def __hash__(self) -> int:
+        return hash((self.var, self.bound, self.body))
+
+
+# The slot writers of the constructors, bound once.
+_set_dual, _set_rvars, _set_kind = Formula._dual.__set__, Formula._rvars.__set__, Formula._kind.__set__
+_set_name = _Named.name.__set__
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
+_set_var, _set_bound, _set_body = _Bounded.var.__set__, _Bounded.bound.__set__, _Bounded.body.__set__
+
+
+class Atom(_Named):
     positive = True
+    __slots__ = ()
 
-    name: str
 
-
-@dataclass(frozen=True)
-class NegAtom(Formula):
+class NegAtom(_Named):
     positive = False
+    __slots__ = ()
 
-    name: str
 
-
-@dataclass(frozen=True)
-class One(Formula):
+class One(_Unit):
     positive = True
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Bottom(Formula):
+class Bottom(_Unit):
     positive = False
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Tensor(Formula):
+class Tensor(_Binary):
     positive = True
-
-    left: Formula
-    right: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Par(Formula):
+class Par(_Binary):
     positive = False
-
-    left: Formula
-    right: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Bang(Formula):
+class Bang(_Bounded):
     positive = True
-
-    var: VarId
-    bound: Poly
-    body: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class WhyNot(Formula):
+class WhyNot(_Bounded):
     positive = False
-
-    var: VarId
-    bound: Poly
-    body: Formula
+    __slots__ = ()
 
 
 ONE_F = One()
@@ -116,9 +197,9 @@ _NO_RVARS: frozenset[VarId] = frozenset()
 def negate(f: Formula) -> Formula:
     """The De Morgan dual of ``f``, built on the first query and stored on
     ``f``, with ``f`` stored on it; the dual of a unit is the shared one."""
-    d = f.__dict__
-    if "dual" in d:
-        return d["dual"]
+    g = f._dual
+    if g is not None:
+        return g
     match f:
         case Atom(name):
             g = NegAtom(name)
@@ -138,17 +219,17 @@ def negate(f: Formula) -> Formula:
             g = Bang(x, p, negate(n))
         case _:
             raise TypeError(f)
-    d["dual"] = g
-    g.__dict__["dual"] = f
+    _set_dual(f, g)
+    _set_dual(g, f)
     return g
 
 
 def free_rvars(f: Formula) -> frozenset[VarId]:
     """The free resource variables of ``f``, computed on the first query
     and stored on ``f``; a node shares its child's set when they agree."""
-    d = f.__dict__
-    if "rvars" in d:
-        return d["rvars"]
+    fv = f._rvars
+    if fv is not None:
+        return fv
     match f:
         case Atom() | NegAtom() | One() | Bottom():
             fv = _NO_RVARS
@@ -164,7 +245,7 @@ def free_rvars(f: Formula) -> frozenset[VarId]:
                 fv = fv | pv
         case _:
             raise TypeError(f)
-    d["rvars"] = fv
+    _set_rvars(f, fv)
     return fv
 
 
@@ -259,24 +340,36 @@ def _read(p: Poly, side: dict[VarId, str]) -> Poly:
 # -- labelled formulas --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LF:
+class LF(Frozen):
     """Labelled formula ``<formula>[binder < label]``."""
 
-    formula: Formula
-    binder: VarId
-    label: Poly
+    __slots__ = ("formula", "binder", "label")
+    __match_args__ = ("formula", "binder", "label")
 
-    def __post_init__(self) -> None:
-        if self.binder != VACUOUS and self.binder in self.label.free_vars():
-            raise ShapeMismatch(
-                f"label binder {self.binder!r} occurs in its own label"
-            )
+    def __init__(self, formula: Formula, binder: VarId, label: Poly) -> None:
+        if binder != VACUOUS and binder in label.free_vars():
+            raise ShapeMismatch(f"label binder {binder!r} occurs in its own label")
+        _set_formula(self, formula)
+        _set_binder(self, binder)
+        _set_label(self, label)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.binder == other.binder and self.label == other.label and self.formula == other.formula
+
+    def __hash__(self) -> int:
+        return hash((self.formula, self.binder, self.label))
 
     def __str__(self) -> str:
         from .syntax import print_lf
 
         return print_lf(self)
+
+
+_set_formula, _set_binder, _set_label = LF.formula.__set__, LF.binder.__set__, LF.label.__set__
 
 
 def lf(formula: Formula, binder: VarId, label: Poly | int) -> LF:
@@ -419,16 +512,16 @@ def classify(f: Formula) -> str:
     typing.  The walk reads ``~N`` off ``N`` by a polarity flag instead of
     building the negation; its answer is stored on ``f``.
     """
-    d = f.__dict__
-    if "kind" in d:
-        return d["kind"]
+    kind = f._kind
+    if kind is not None:
+        return kind
     if _typing(f, False):
         kind = "typing"
     elif type(f) is WhyNot and _typing(f.body, True):
         kind = "modal"
     else:
         kind = "neither"
-    d["kind"] = kind
+    _set_kind(f, kind)
     return kind
 
 

@@ -15,7 +15,7 @@ rebuilds the term once at the end; :func:`trace`, the one public step
 iterator, also rebuilds the whole reduct and its position at every step;
 :func:`step` is the first element of :func:`trace`.
 
-Terms are immutable records in ``__slots__`` (:class:`Frozen`), with no
+Terms are immutable records in ``__slots__`` (``record.Frozen``), with no
 instance ``__dict__``; ``==`` and ``hash`` read the whole structure, names
 included.  A node's free λ- and μ-variables, ``fv`` and ``fmv``, are kept
 in two more slots that start as ``None``: the first read of one stores it
@@ -31,61 +31,13 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 
+from .record import Frozen
+
 _gen = itertools.count(1)
 
 
 def fresh_tvar(base: str = "v") -> str:
     return f"{base.split('%')[0]}%{next(_gen)}"
-
-
-class Frozen:
-    """An immutable record whose fields are the slots named by ``__match_args__``.
-
-    A subclass's ``__init__`` writes each slot through its slot descriptor
-    (``App.fn.__set__``), since assigning or deleting an attribute raises
-    ``AttributeError``.  ``==`` and ``hash`` read the fields, as a frozen
-    dataclass's do, and ``repr`` is the dataclass form,
-    ``App(fn=Var(name='f'), arg=Var(name='x'))``.
-    """
-
-    __slots__ = ()
-    __match_args__: tuple[str, ...] = ()
-
-    def __setattr__(self, key: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {key!r} of an immutable {type(self).__name__}")
-
-    def __delattr__(self, key: str) -> None:
-        raise AttributeError(f"cannot delete field {key!r} of an immutable {type(self).__name__}")
-
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, f) for f in self.__match_args__])
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        """Written from an explicit stack of pending records and text, so a
-        term of any depth has a ``repr``."""
-        out: list[str] = []
-        stack: list[Frozen | str] = [self]
-        while stack:
-            t = stack.pop()
-            if isinstance(t, str):
-                out.append(t)
-                continue
-            items = []
-            for f in t.__match_args__:
-                value = getattr(t, f)
-                items += (f"{f}=", value if isinstance(value, Frozen) else repr(value), ", ")
-            items[-1] = ")"
-            out.append(f"{type(t).__qualname__}(")
-            stack += reversed(items)
-        return "".join(out)
 
 
 class Term(Frozen):

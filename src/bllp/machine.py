@@ -13,13 +13,14 @@ from collections.abc import Iterator
 
 from . import lammu as L
 from .lammu import App, Lam, Mu, Named, Term, Var
+from .record import Frozen
 
 
 class StuckState(Exception):
     """No transition applies and the configuration is not final."""
 
 
-class Env(L.Frozen):
+class Env(Frozen):
     __slots__ = ("lam", "mu")
     __match_args__ = ("lam", "mu")
 
@@ -34,7 +35,7 @@ class Env(L.Frozen):
         return Env(self.lam, {**self.mu, a: s})
 
 
-class Closure(L.Frozen):
+class Closure(Frozen):
     __slots__ = ("term", "env")
     __match_args__ = ("term", "env")
 
@@ -46,7 +47,7 @@ class Closure(L.Frozen):
 Stack = tuple[Closure, ...]
 
 
-class Config(L.Frozen):
+class Config(Frozen):
     __slots__ = ("closure", "stack")
     __match_args__ = ("closure", "stack")
 

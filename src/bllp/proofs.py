@@ -6,7 +6,10 @@ premise conclusions, polynomial witnesses); checking is local and literal.
 A node's errors read only the node and its premises' conclusions, all
 immutable (``data`` is a read-only copy), so `check_proof` stores them on
 the node as its verdict: a rewrite rebuilds only the path to its change,
-and checking its result checks only the nodes it built.
+and checking its result checks only the nodes it built.  A node is an
+immutable record in ``__slots__`` (``record.Frozen``); its verdict and its
+layout table are two more slots, which ``record.replace`` does not carry
+over.
 
 The weight of a proof bounds the number of special cut-elimination steps.
 It is the symbolic pre-weight with its variables substituted: each axiom,
@@ -32,7 +35,7 @@ premise.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 
 from . import formula as F
@@ -52,6 +55,7 @@ from .formula import (
     lf_sum,
     negate,
 )
+from .record import replace
 from .respoly import ONE, ZERO, Poly, bounded_sum, fresh_var, linear_sum, poly_leq, pvar
 from .typecheck import SIDES, Report, Tree, ctx_get, introduced, stack_safe
 
@@ -67,27 +71,30 @@ class ProofError(Exception):
     pass
 
 
-@dataclass(frozen=True, eq=False)
 class Proof(Tree):
-    rule: str
-    concl: Sequent
-    premises: tuple["Proof", ...] = ()
-    data: Mapping = field(default_factory=dict)
-    # The node's own errors, stored by `check_proof`; None until then.
-    verdict: tuple[str, ...] | None = field(default=None, init=False, repr=False)
-    # The node's `_layout` table, stored by `_build` or on first use; not a
-    # field, so `replace` leaves it behind.
-    table = None
+    # Besides the fields: `verdict`, the node's own errors, stored by
+    # `check_proof`, and `table`, its `_layout` table, stored by `_build` or
+    # on first use.  Both are None until then, and `replace` leaves them behind.
+    __slots__ = ("rule", "concl", "premises", "data", "verdict", "table")
+    __match_args__ = ("rule", "concl", "premises", "data")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, rule: str, concl: Sequent, premises: tuple["Proof", ...] = (), data: Mapping | None = None
+    ) -> None:
         # A read-only copy of `data` (and of its `sum_witness`), so that the
         # stored verdict cannot go stale.  A proxy is another node's copy.
-        if type(self.data) is not MappingProxyType:
-            d = dict(self.data)
+        if type(data) is not MappingProxyType:
+            d = {} if data is None else dict(data)
             wit = d.get("sum_witness")
             if wit is not None and type(wit) is not MappingProxyType:
                 d["sum_witness"] = MappingProxyType(dict(wit))
-            object.__setattr__(self, "data", MappingProxyType(d))
+            data = MappingProxyType(d)
+        _set_proof_rule(self, rule)
+        _set_proof_concl(self, concl)
+        _set_proof_premises(self, premises)
+        _set_proof_data(self, data)
+        _set_verdict(self, None)
+        _set_table(self, None)
 
     def premise(self, i: int = 0) -> "Proof":
         return self.premises[i]
@@ -97,6 +104,12 @@ class Proof(Tree):
         for i in path:
             node = node.premises[i]
         return node
+
+
+# The slot writers of the constructor, `_build` and `check_proof`, bound once.
+_set_proof_rule, _set_proof_concl = Proof.rule.__set__, Proof.concl.__set__
+_set_proof_premises, _set_proof_data = Proof.premises.__set__, Proof.data.__set__
+_set_verdict, _set_table = Proof.verdict.__set__, Proof.table.__set__
 
 
 def positives(seq: Sequent) -> list[int]:
@@ -146,8 +159,9 @@ def _layout(rule: str, d: Mapping, lens: tuple[int, ...]) -> Table:
 def _table(p: Proof) -> Table:
     """The table of a node not built by `_build`, computed and stored."""
     lens = tuple(len(q.concl) for q in p.premises)
-    object.__setattr__(p, "table", _layout(p.rule, p.data, lens))
-    return p.table
+    table = _layout(p.rule, p.data, lens)
+    _set_table(p, table)
+    return table
 
 
 def layout(p: Proof) -> tuple[tuple[int | None, ...], ...]:
@@ -173,7 +187,7 @@ def _build(rule: str, premises: tuple[Proof, ...], data: Mapping, *made: LF) -> 
     for k, a in zip(at, made):
         seq.insert(k, a)
     node = Proof(rule, tuple(seq), premises, data)
-    object.__setattr__(node, "table", table)
+    _set_table(node, table)
     return node
 
 
@@ -337,9 +351,11 @@ def _box_sum(principal: LF, entry: LF, witness=None) -> LF:
 
 def _verdict(p: Proof) -> tuple[str, ...]:
     """``_node_errors(p)``, computed on the first check of ``p`` and stored on it."""
-    if p.verdict is None:
-        object.__setattr__(p, "verdict", tuple(_node_errors(p)))
-    return p.verdict
+    verdict = p.verdict
+    if verdict is None:
+        verdict = tuple(_node_errors(p))
+        _set_verdict(p, verdict)
+    return verdict
 
 
 def check_proof(p: Proof) -> Report:

@@ -29,14 +29,21 @@ bare variable off directly, so renaming a variable with
 ``compose(p, x, pvar(y))`` forms no product beyond one per monomial.  The
 finite-difference oracle that reconstructs a polynomial from its values
 is a reference for the tests, in ``tests/respoly_oracle.py``.
+
+Monomials and polynomials are immutable records in ``__slots__``
+(``record.Frozen``) with their own ``==``, which returns at once on one
+object passed twice.  Each stores its set of variables as a ``frozenset``
+in one more slot on the first read (``Mono.vars``, ``Poly.free_vars``), so
+the binder check of every labelled formula reads a stored set.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb, factorial
 from typing import Mapping
+
+from .record import Frozen
 
 VarId = str
 
@@ -56,21 +63,39 @@ class NotResourcePolynomial(Exception):
     """A computation produced a negative binomial-basis coefficient."""
 
 
-@dataclass(frozen=True)
-class Mono:
+class Mono(Frozen):
     """Product of binomial coefficients; ``factors`` maps var -> degree >= 1."""
 
-    factors: tuple[tuple[VarId, int], ...]
+    # ``_vars``: the stored variables, ``None`` until first read.
+    __slots__ = ("factors", "_vars")
+    __match_args__ = ("factors",)
 
-    def __post_init__(self) -> None:
-        assert all(n > 0 for _, n in self.factors)
-        assert list(self.factors) == sorted(self.factors)
+    def __init__(self, factors: tuple[tuple[VarId, int], ...]) -> None:
+        assert all(n > 0 for _, n in factors)
+        assert list(factors) == sorted(factors)
+        _set_factors(self, factors)
+        _set_mono_vars(self, None)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash((self.factors,))
 
     def degree(self, var: VarId) -> int:
         return dict(self.factors).get(var, 0)
 
-    def vars(self) -> set[VarId]:
-        return {v for v, _ in self.factors}
+    def vars(self) -> frozenset[VarId]:
+        """The variables of the factors, stored on the first call."""
+        s = self._vars
+        if s is None:
+            s = frozenset([v for v, _ in self.factors])
+            _set_mono_vars(self, s)
+        return s
 
     def eval(self, env: Mapping[VarId, int]) -> int:
         out = 1
@@ -79,6 +104,7 @@ class Mono:
         return out
 
 
+_set_factors, _set_mono_vars = Mono.factors.__set__, Mono._vars.__set__
 MONO_ONE = Mono(())
 
 
@@ -86,14 +112,27 @@ def _mono(factors: Mapping[VarId, int]) -> Mono:
     return Mono(tuple(sorted((v, n) for v, n in factors.items() if n > 0)))
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Frozen):
     """Canonical resource polynomial: monomial -> positive coefficient."""
 
-    terms: tuple[tuple[Mono, int], ...]
+    # ``_vars``: the stored free variables, ``None`` until first read.
+    __slots__ = ("terms", "_vars")
+    __match_args__ = ("terms",)
 
-    def __post_init__(self) -> None:
-        assert all(c > 0 for _, c in self.terms)
+    def __init__(self, terms: tuple[tuple[Mono, int], ...]) -> None:
+        assert all(c > 0 for _, c in terms)
+        _set_terms(self, terms)
+        _set_poly_vars(self, None)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
 
     def coeff(self, m: Mono) -> int:
         for m2, c in self.terms:
@@ -101,11 +140,13 @@ class Poly:
                 return c
         return 0
 
-    def free_vars(self) -> set[VarId]:
-        out: set[VarId] = set()
-        for m, _ in self.terms:
-            out |= m.vars()
-        return out
+    def free_vars(self) -> frozenset[VarId]:
+        """The variables of the monomials, stored on the first call."""
+        s = self._vars
+        if s is None:
+            s = frozenset().union(*[m.vars() for m, _ in self.terms])
+            _set_poly_vars(self, s)
+        return s
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -135,6 +176,9 @@ class Poly:
         from .syntax import print_poly
 
         return print_poly(self)
+
+
+_set_terms, _set_poly_vars = Poly.terms.__set__, Poly._vars.__set__
 
 
 def _poly(table: Mapping[Mono, int]) -> Poly:

@@ -22,6 +22,12 @@ arity, class and context-shape checks, :func:`introduced` and
 :func:`subject_of` read it, and ``_node`` builds the conclusion a rule draws
 from its premises for the rewriters.
 
+Judgments and derivations are immutable records in ``__slots__``
+(``record.Frozen``); ``record.replace`` makes a changed copy.  Two
+derivations are equal when their trees agree on rules and conclusions
+(:class:`Tree`, which proofs share), whatever their ``ann``.  A context
+that names a hypothesis twice is reported at its node.
+
 A node's subject follows from its rule, its premises' subjects and the name
 the rule introduces, so the nodes the rewriters build store none: a subject
 is stored where it was written (corpus, tests, files) and at the root a
@@ -31,7 +37,7 @@ public rewriter returns, and :func:`subject_of` rebuilds any other.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from . import formula as F
 from . import lammu as L
@@ -50,6 +56,7 @@ from .formula import (
     lf_sum,
 )
 from .lammu import App, Lam, Mu, Named, Term, Var
+from .record import Frozen, replace
 from .respoly import ONE, ZERO, Poly, fresh_var, poly_leq
 
 Ctx = tuple[tuple[str, LF], ...]
@@ -60,12 +67,31 @@ class DerivationError(Exception):
     """A transformation could not produce a valid derivation."""
 
 
-@dataclass(frozen=True)
-class Judgment:
-    lam: Ctx
-    subject: Term | None  # None on a node the library built below a root
-    type: LF
-    mu: Ctx
+class Judgment(Frozen):
+    # ``subject`` is None on a node the library built below a root.
+    __slots__ = ("lam", "subject", "type", "mu")
+    __match_args__ = ("lam", "subject", "type", "mu")
+
+    def __init__(self, lam: Ctx, subject: Term | None, type: LF, mu: Ctx) -> None:
+        _set_lam(self, lam)
+        _set_subject(self, subject)
+        _set_type(self, type)
+        _set_mu(self, mu)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.type == other.type
+            and self.lam == other.lam
+            and self.mu == other.mu
+            and self.subject == other.subject
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.lam, self.subject, self.type, self.mu))
 
     def lam_get(self, x: str) -> LF | None:
         return ctx_get(self.lam, x)
@@ -79,7 +105,11 @@ class Judgment:
         return f"{lam} |- {self.subject} : {self.type} | {mu}"
 
 
-class Tree:
+_set_lam, _set_subject = Judgment.lam.__set__, Judgment.subject.__set__
+_set_type, _set_mu = Judgment.type.__set__, Judgment.mu.__set__
+
+
+class Tree(Frozen):
     """``==`` and ``hash`` of the trees of derivations and of proofs.
 
     Two trees are equal when their nodes agree, pair by pair in pre-order,
@@ -87,6 +117,8 @@ class Tree:
     left out.  A pair of identical subtrees is skipped, and the pairs left
     to compare wait on a list, so a tree of any depth compares.
     """
+
+    __slots__ = ()
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -110,15 +142,24 @@ class Tree:
         return hash(tuple(out))
 
 
-@dataclass(frozen=True, eq=False)
 class Derivation(Tree):
-    rule: str
-    concl: Judgment
-    premises: tuple["Derivation", ...] = ()
-    ann: dict = field(default_factory=dict)
+    __slots__ = ("rule", "concl", "premises", "ann")
+    __match_args__ = ("rule", "concl", "premises", "ann")
+
+    def __init__(
+        self, rule: str, concl: Judgment, premises: tuple["Derivation", ...] = (), ann: dict | None = None
+    ) -> None:
+        _set_rule(self, rule)
+        _set_concl(self, concl)
+        _set_premises(self, premises)
+        _set_ann(self, {} if ann is None else ann)
 
     def premise(self, i: int = 0) -> "Derivation":
         return self.premises[i]
+
+
+_set_rule, _set_concl = Derivation.rule.__set__, Derivation.concl.__set__
+_set_premises, _set_ann = Derivation.premises.__set__, Derivation.ann.__set__
 
 
 @dataclass
@@ -252,12 +293,28 @@ def _judgment_errors(j: Judgment) -> list[str]:
     for x, a in j.lam:
         if classify(a.formula) != "modal":
             errs.append(f"λ-context entry {x} is not a labelled modal formula")
+    errs += _named_twice(j.lam, "λ")
     if classify(j.type.formula) != "typing":
         errs.append("subject type is not a typing formula")
     for a, b in j.mu:
         if classify(b.formula) != "typing":
             errs.append(f"μ-context entry {a} is not a labelled typing formula")
+    errs += _named_twice(j.mu, "μ")
     return errs
+
+
+def _named_twice(ctx: Ctx, tag: str) -> list[str]:
+    """An error for each name ``ctx`` holds more than once, in the order
+    of their second entries: :func:`ctx_eq` reads such a context as equal
+    to none, so no other check of the node would name it."""
+    if len(ctx) < 2 or len(ctx_dom(ctx)) == len(ctx):
+        return []
+    seen, twice = set(), {}
+    for n, _ in ctx:
+        if n in seen:
+            twice[n] = None
+        seen.add(n)
+    return [f"{tag}-context names {n} twice" for n in twice]
 
 
 # -- the rules ------------------------------------------------------------------------

@@ -43,7 +43,7 @@ the reference with it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from bllp import formula as F
 from bllp import typecheck as T
@@ -73,6 +73,7 @@ from bllp.proofs import (
     mk_one,
     positives,
 )
+from bllp.record import replace
 from bllp.respoly import ONE, ZERO, Poly, fresh_var, linear_sum, pvar, specialize
 
 # -- the former index layouts and builders --------------------------------------------

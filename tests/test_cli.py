@@ -1,6 +1,5 @@
 import json
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -9,6 +8,7 @@ from bllp import corpus as C
 from bllp import formula as F
 from bllp import lammu as L
 from bllp.proofs import map_derivation
+from bllp.record import replace
 from bllp.syntax import derivation_to_obj, parse_term, proof_to_obj
 from bllp.typecheck import Derivation, add_to_mult
 
@@ -376,10 +376,14 @@ def test_weight_and_to_proof_check_a_file_derivation_before_elaborating_it(tmp_p
     report = "root: premise does not bind s\nroot.0: abs must preserve the remaining λ-context\n"
     assert run("check", "--file", str(path)) == 1
     assert capsys.readouterr() == (report, "")
-    with pytest.raises(SystemExit) as stop:  # as for an entry that has no derivation
-        run(command, "--file", str(path))
-    assert stop.value.code == 1
+    assert run(command, "--file", str(path)) == 1  # as for an entry that has no derivation
     assert capsys.readouterr() == (report, "")
+
+
+@pytest.mark.parametrize("command", ["check", "weight", "to-proof", "cut-eliminate"])
+def test_an_entry_without_a_derivation_returns_exit_1(capsys, command):
+    assert run(command, "--entry", "aleph-invoke-1") == 1
+    assert capsys.readouterr() == ("", "corpus entry aleph-invoke-1 has no derivation\n")
 
 
 def test_a_checked_file_gives_what_its_corpus_entry_gives(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,5 @@
 """The term layer's step kernels dispatch on ``type()``, not on ``match``,
-and its nodes are records in ``__slots__``, not dataclasses.
+and the nodes of every layer are records in ``__slots__``, not dataclasses.
 
 A ``match`` on class patterns runs an ``isinstance`` test and reads the
 matched attributes for every pattern it tries; the functions listed here
@@ -11,8 +11,14 @@ properties fill on the first read.  Every step builds term and machine
 nodes, and a frozen dataclass's ``__init__`` sets each field through
 ``object.__setattr__``; so ``lammu`` and ``machine`` import no
 ``dataclasses``, and each node class defines ``__slots__`` and writes them
-through the slot descriptors.  The guard reads the ``ast`` of the two
-modules.
+through the slot descriptors.  So does every record the checking path
+builds by the hundred per derivation: the polynomials and monomials of
+``respoly``, the formulas and labelled formulas of ``formula``, the
+judgments and derivations of ``typecheck`` and the proofs of ``proofs``.
+None of them is a ``@dataclass``, and ``respoly`` and ``formula`` import
+no ``dataclasses``; the cold classes of ``typecheck`` and ``proofs``
+(``Rule``, ``Report``, a special step) may stay dataclasses.  All share the
+base ``record.Frozen``.  The guard reads the ``ast`` of the modules.
 """
 
 import ast
@@ -26,8 +32,19 @@ KERNELS = {
 }
 
 NODE_CLASSES = {
-    "lammu": ("Frozen", "Term", "Var", "Lam", "Mu", "Named", "App"),
+    "record": ("Frozen",),
+    "lammu": ("Term", "Var", "Lam", "Mu", "Named", "App"),
     "machine": ("Env", "Closure", "Config"),
+}
+
+RECORD_CLASSES = {
+    "respoly": ("Mono", "Poly"),
+    "formula": (
+        "Formula", "_Named", "_Unit", "_Binary", "_Bounded",
+        "Atom", "NegAtom", "One", "Bottom", "Tensor", "Par", "Bang", "WhyNot", "LF",
+    ),
+    "typecheck": ("Judgment", "Tree", "Derivation"),
+    "proofs": ("Proof",),
 }
 
 
@@ -62,12 +79,19 @@ def _reads_dataclasses(source: str) -> bool:
     return False
 
 
-def _without_slots(source: str, names: tuple[str, ...]) -> list[str]:
-    """The module-level classes ``names`` of ``source`` whose body assigns no
-    ``__slots__``; a name ``source`` does not define is an error."""
+def _classes(source: str, names: tuple[str, ...]) -> dict[str, ast.ClassDef]:
+    """The module-level classes of ``source``; a name of ``names`` that
+    ``source`` does not define is an error."""
     classes = {node.name: node for node in ast.parse(source).body if isinstance(node, ast.ClassDef)}
     missing = [name for name in names if name not in classes]
     assert not missing, f"no such class: {missing}"
+    return classes
+
+
+def _without_slots(source: str, names: tuple[str, ...]) -> list[str]:
+    """The module-level classes ``names`` of ``source`` whose body assigns no
+    ``__slots__``."""
+    classes = _classes(source, names)
     return [
         name
         for name in names
@@ -80,6 +104,20 @@ def _without_slots(source: str, names: tuple[str, ...]) -> list[str]:
             for stmt in classes[name].body
         )
     ]
+
+
+def _dataclasses(source: str, names: tuple[str, ...]) -> list[str]:
+    """The module-level classes ``names`` of ``source`` decorated with
+    ``dataclass``, called or not, imported by name or read off ``dataclasses``."""
+    classes = _classes(source, names)
+
+    def is_dataclass(d: ast.expr) -> bool:
+        d = d.func if isinstance(d, ast.Call) else d
+        return (isinstance(d, ast.Name) and d.id == "dataclass") or (
+            isinstance(d, ast.Attribute) and d.attr == "dataclass"
+        )
+
+    return [name for name in names if any(map(is_dataclass, classes[name].decorator_list))]
 
 
 def test_the_guard_sees_a_match_and_a_cached_property():
@@ -122,4 +160,24 @@ def test_term_and_machine_nodes_are_slotted_classes_not_dataclasses():
     for mod, names in NODE_CLASSES.items():
         source = (LIBRARY / f"{mod}.py").read_text()
         found[mod] = (_reads_dataclasses(source), _without_slots(source, names))
-    assert found == {"lammu": (False, []), "machine": (False, [])}
+    assert found == {"record": (False, []), "lammu": (False, []), "machine": (False, [])}
+
+
+def test_the_guard_sees_a_dataclass_decorator_called_or_not():
+    source = (
+        "@dataclass\nclass A:\n    x: int\n"
+        "@dataclass(frozen=True)\nclass B:\n    x: int\n"
+        "@dataclasses.dataclass(eq=False)\nclass C:\n    x: int\n"
+        "@functools.total_ordering\nclass D:\n    __slots__ = ()\n"
+        "class E:\n    @dataclass\n    class Inner:\n        x: int\n"
+    )
+    assert _dataclasses(source, ("A", "B", "C", "D", "E")) == ["A", "B", "C"]
+
+
+def test_checking_path_records_are_slotted_classes_not_dataclasses():
+    found = {}
+    for mod, names in RECORD_CLASSES.items():
+        source = (LIBRARY / f"{mod}.py").read_text()
+        found[mod] = (_without_slots(source, names), _dataclasses(source, names))
+    assert found == {mod: ([], []) for mod in RECORD_CLASSES}
+    assert [mod for mod in ("respoly", "formula") if _reads_dataclasses((LIBRARY / f"{mod}.py").read_text())] == []

@@ -78,7 +78,7 @@ def test_stored_facts_equal_their_definitions_and_are_computed_once(f, binder, l
         assert negate(negate(g)) is g or type(g) in (F.One, F.Bottom)
         assert free_rvars(g) == O.free_rvars(g) and free_rvars(g) is free_rvars(g)
         assert classify(g) == O.classify_walk(g) == O.classify(g)
-        assert g.__dict__.keys() >= {"rvars", "kind"}
+        assert g._rvars is free_rvars(g) and g._kind is classify(g)
     a = lf(f, binder, P(label))
     assert lf_neg(a).formula is negate(a.formula) and lf_neg(lf_neg(a)) == a
     assert lf_neg(a).formula.positive != a.formula.positive == O.lf_positive(a)

@@ -1,6 +1,5 @@
 import random
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +31,7 @@ from bllp.proofs import (
     step_special,
     weight,
 )
+from bllp.record import replace
 from bllp.respoly import ONE, ZERO, const, eval_poly, fresh_var, poly_leq, pvar
 from bllp.syntax import parse_lf, parse_poly, proof_from_obj, proof_to_obj
 from bllp.typecheck import (
@@ -926,7 +926,7 @@ def test_the_pipeline_builds_the_dual_of_each_formula_object_once(name, monkeypa
     def negate(f):
         # A unit's dual is a shared constant, never built.
         calls[0] += 1
-        if "dual" not in f.__dict__ and type(f) not in (F.One, F.Bottom):
+        if f._dual is None and type(f) not in (F.One, F.Bottom):
             built.append(f)
         return real(f)
 

@@ -15,7 +15,6 @@ forms, which carry the ``ann``/``data`` that ``==`` ignores.
 import hashlib
 import itertools
 import json
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +28,7 @@ from bllp import proofs as P
 from bllp import respoly as R
 from bllp import typecheck as T
 from bllp.formula import lf
+from bllp.record import replace
 from bllp.respoly import const, pvar
 from bllp.syntax import derivation_to_obj, parse_formula, print_poly, proof_from_obj, proof_to_obj
 

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,6 +18,7 @@ from bllp import respoly as R
 from bllp import typecheck as T
 from bllp.formula import LF, lf
 from bllp.proofs import check_proof, map_derivation, weight
+from bllp.record import replace
 from bllp.respoly import const, poly_leq, pvar
 from bllp.syntax import derivation_from_obj, derivation_to_obj, parse_lf, parse_poly
 from bllp.typecheck import (
@@ -958,3 +958,21 @@ def test_a_context_that_names_a_hypothesis_twice_is_compared_in_either_order():
     twice, once = (("x", one), ("x", two)), (("x", one),)
     assert TO.former_ctx_eq(once, twice) and not TO.former_ctx_eq(twice, once)
     assert not T.ctx_eq(once, twice) and not T.ctx_eq(twice, once)
+
+
+def test_a_context_that_names_a_hypothesis_twice_is_reported_at_its_node():
+    """:func:`ctx_eq` reads such a context as equal to none, so a node whose
+    other checks only compare contexts, like a leaf, said nothing of it."""
+    c = parse_lf("<~X>[1]")
+
+    def with_mu(d: Derivation) -> Derivation:
+        concl = replace(d.concl, mu=(("c", c), ("c", c)))
+        return replace(d, concl=concl, premises=tuple(map(with_mu, d.premises)))
+
+    report = check_additive(with_mu(C.by_name("identity-app").derivation))
+    twice = [(path, msg) for path, msg in report.errors if "twice" in msg]
+    assert twice == [(path, "μ-context names c twice") for path in ("root", "root.0", "root.0.0", "root.1")]
+
+    entry = C.modal(C.X, 1, const(1))
+    leaf = Derivation("var_m", C.jm([("x", entry), ("y", entry), ("x", entry)], L.Var("x"), lf(C.X, F.VACUOUS, 1)))
+    assert ("root", "λ-context names x twice") in check_mult(leaf).errors

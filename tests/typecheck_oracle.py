@@ -24,13 +24,13 @@ read each rule's facts off its one table, ``RULES``.
 
 from __future__ import annotations
 
-from dataclasses import replace
 
 from bllp import formula as F
 from bllp import lammu as L
 from bllp import typecheck as T
 from bllp.formula import LF, VACUOUS, arrow_parts, lf, lf_alpha_eq, lf_leq, lf_subst, lf_sum
 from bllp.lammu import App, Lam, Mu, Named, Var
+from bllp.record import replace
 from bllp.respoly import ZERO, Poly, fresh_var, poly_leq
 from bllp.typecheck import (
     Ctx,
