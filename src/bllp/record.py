@@ -43,26 +43,38 @@ class Frozen:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        """Written from an explicit stack of pending records and text, so a
-        term of any depth has a ``repr``."""
+        """Written from an explicit stack of pending records, tuples and
+        text, so a term of any depth has a ``repr``, and so has a tree of
+        any depth, whose premises are a tuple."""
         out: list[str] = []
-        stack: list[Frozen | str] = [self]
+        stack: list[Frozen | tuple | str] = [self]
         while stack:
             t = stack.pop()
             if isinstance(t, str):
                 out.append(t)
                 continue
-            items = []
-            for f in t.__match_args__:
-                value = getattr(t, f)
-                items += (f"{f}=", value if isinstance(value, Frozen) else repr(value), ", ")
-            out.append(f"{type(t).__qualname__}(")
-            if items:
-                items[-1] = ")"
-                stack += reversed(items)
+            if type(t) is tuple:
+                items = ["("]
+                for value in t:
+                    items += (_pending(value), ", ")
+                close = ",)" if len(t) == 1 else ")"
             else:
-                out.append(")")
+                items = [f"{type(t).__qualname__}("]
+                for f in t.__match_args__:
+                    items += (f"{f}=", _pending(getattr(t, f)), ", ")
+                close = ")"
+            if len(items) > 1:
+                items[-1] = close
+            else:
+                items.append(close)
+            stack += reversed(items)
         return "".join(out)
+
+
+def _pending(value: object) -> Frozen | tuple | str:
+    """``value`` as an entry of the ``repr`` stack: a record or a tuple is
+    written later from the stack, anything else is its ``repr`` text now."""
+    return value if isinstance(value, Frozen) or type(value) is tuple else repr(value)
 
 
 def replace(record: Frozen, /, **changes: object) -> Frozen:

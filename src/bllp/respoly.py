@@ -11,8 +11,21 @@ Every operation that builds a polynomial (``add``, ``linear_sum``,
 ``mul``, ``compose``, ``bounded_sum``, ``specialize``) accumulates its
 coefficients in one dictionary and canonicalises (checks and sorts) the
 result once, at the end, so apart from that one sort its cost is linear
-in the number of monomial products it forms.  There is no module-level
-cache: each result is computed from its arguments alone.
+in the number of monomial products it forms.
+
+The constants 0 to ``_SHARED - 1`` (255) are built once, at import, into
+one fixed table, and each constant in that range the module returns is the
+table's object: ``const``, the canonical form every operation ends in, and
+``add``, ``mul`` and ``bounded_sum`` on constants all hand it out.  So
+equal labels are mostly one object, and ``==`` on them returns at once.
+The table is no memo: nothing is looked up by value, nothing is added to
+it after import, a constant past it is a new object each time, and each
+result is still computed from its arguments alone.  When both operands are
+constants, ``add``, ``mul``, ``bounded_sum`` and ``poly_leq`` work on the
+two integers.  That is exact: a constant ``c`` is the one coefficient
+``c`` on the empty monomial, and the empty monomial times itself is
+itself, so the sum, product and order of two constants are those of their
+coefficients, and ``Σ_{z<h} c = h · c``.
 
 ``mul`` with a constant factor scales the other factor's coefficients, so
 it forms no monomial product and sorts nothing.  ``bounded_sum`` has a
@@ -21,11 +34,12 @@ closed form for a body free of the summation variable:
 sum the checkers form.  Only a body that mentions ``z`` goes through the
 binomial-basis substitution.
 
-The order ``poly_leq`` builds nothing: equal operands return at once, and
-otherwise one merge walk over the two sorted term tuples looks up each
-coefficient of p in q.  ``bin_of_poly`` forms ``choose(q, n)`` exactly,
-as a falling product divided by ``n!``, and reads ``choose(x, n)`` for a
-bare variable off directly, so renaming a variable with
+The order ``poly_leq`` builds nothing: one object passed twice, two
+constants and equal operands return at once, and otherwise one merge walk
+over the two sorted term tuples looks up each coefficient of p in q.
+``bin_of_poly`` forms ``choose(q, n)`` exactly, as a falling product
+divided by ``n!``, and reads ``choose(x, n)`` for a bare variable off
+directly, so renaming a variable with
 ``compose(p, x, pvar(y))`` forms no product beyond one per monomial.  The
 finite-difference oracle that reconstructs a polynomial from its values
 is a reference for the tests, in ``tests/respoly_oracle.py``.
@@ -185,6 +199,10 @@ def _poly(table: Mapping[Mono, int]) -> Poly:
     items = [(m, c) for m, c in table.items() if c != 0]
     if any(c < 0 for _, c in items):
         raise NotResourcePolynomial(f"negative coefficient in {dict(table)!r}")
+    if not items:
+        return ZERO
+    if len(items) == 1 and not items[0][0].factors:
+        return const(items[0][1])
     return Poly(tuple(sorted(items, key=lambda mc: mc[0].factors)))
 
 
@@ -194,14 +212,17 @@ def _coerce(value: Poly | int) -> Poly:
     return const(value)
 
 
-ZERO = Poly(())
-ONE = Poly(((MONO_ONE, 1),))
+# The shared constants 0 .. _SHARED - 1, built once; ``const`` returns them.
+_SHARED = 256
+_CONSTS = (Poly(()),) + tuple(Poly(((MONO_ONE, n),)) for n in range(1, _SHARED))
+ZERO, ONE = _CONSTS[0], _CONSTS[1]
 
 
 def const(n: int) -> Poly:
+    """The constant ``n >= 0``: below ``_SHARED``, the table's object."""
     if n < 0:
         raise NotResourcePolynomial(f"negative constant {n}")
-    return Poly(((MONO_ONE, n),)) if n else ZERO
+    return _CONSTS[n] if n < _SHARED else Poly(((MONO_ONE, n),))
 
 
 def binom(var: VarId, n: int) -> Poly:
@@ -216,6 +237,9 @@ def pvar(var: VarId) -> Poly:
 
 
 def add(p: Poly, q: Poly) -> Poly:
+    a, b = _constant(p), _constant(q)
+    if a is not None and b is not None:
+        return const(a + b)
     table: dict[Mono, int] = dict(p.terms)
     for m, c in q.terms:
         table[m] = table.get(m, 0) + c
@@ -277,7 +301,8 @@ def _constant(p: Poly) -> int | None:
 
 
 def _scale(p: Poly, k: int) -> Poly:
-    """``k · p`` for an integer ``k >= 0``: the monomials and their order stay."""
+    """``k · p`` for a polynomial ``p`` that is not a constant and an integer
+    ``k >= 0``: the monomials and their order stay."""
     if k == 1:
         return p
     return Poly(tuple((m, c * k) for m, c in p.terms)) if k else ZERO
@@ -285,12 +310,11 @@ def _scale(p: Poly, k: int) -> Poly:
 
 def mul(p: Poly, q: Poly) -> Poly:
     """``p · q``; a constant factor only scales the other's coefficients."""
-    k = _constant(q)
-    if k is not None:
-        return _scale(p, k)
-    k = _constant(p)
-    if k is not None:
-        return _scale(q, k)
+    a, b = _constant(p), _constant(q)
+    if a is not None:
+        return _scale(q, a) if b is None else const(a * b)
+    if b is not None:
+        return _scale(p, b)
     table: dict[Mono, int] = {}
     for m1, c1 in p.terms:
         for m2, c2 in q.terms:
@@ -403,6 +427,9 @@ def bounded_sum(z: VarId, bound: Poly, body: Poly) -> Poly:
     sum is ``bound · body``.  Otherwise ``body`` is rewritten in the
     binomial basis of ``z`` and ``choose(z, n)`` maps to ``choose(bound, n+1)``.
     """
+    h, a = _constant(bound), _constant(body)
+    if h is not None and a is not None:
+        return const(h * a)
     if mentions(bound, z):
         raise ValueError(f"sum variable {z!r} occurs in its own bound")
     return _substitute(body, z, bound, 1) if mentions(body, z) else mul(body, bound)
@@ -414,6 +441,11 @@ def poly_leq(p: Poly, q: Poly) -> bool:
     Both term tuples are sorted by monomial, so one merge walk finds each
     monomial of p in q or shows that it is missing.
     """
+    if p is q:
+        return True
+    a, b = _constant(p), _constant(q)
+    if a is not None and b is not None:
+        return a <= b
     if p == q:
         return True
     qt = q.terms

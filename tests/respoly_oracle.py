@@ -11,6 +11,14 @@ that both agree.
 ``sub_checked`` is the difference ``q - p`` when it is a resource
 polynomial, and ``poly_lt`` the strict order; ``bllp.respoly.poly_leq``
 decides the order without building the difference.
+
+``former_const``, ``former_add``, ``former_mul``, ``former_poly``,
+``former_bounded_sum`` and ``former_poly_leq`` are the library's
+definitions from before it shared its small constants: each builds a new
+polynomial for every result and works on the monomial tables when both
+operands are constants too.  ``bllp.respoly`` returns one object per
+constant below ``_SHARED`` and adds, multiplies and compares two constants
+as integers; the tests require that every result has the same terms.
 """
 
 from __future__ import annotations
@@ -19,7 +27,20 @@ import itertools
 from math import comb
 from typing import Callable, Iterable, Mapping
 
-from bllp.respoly import Mono, NotResourcePolynomial, Poly, VarId, _mono, _poly, eval_poly, poly_leq
+from bllp.respoly import (
+    MONO_ONE,
+    Mono,
+    NotResourcePolynomial,
+    Poly,
+    VarId,
+    _add_product,
+    _constant,
+    _mono,
+    _substitute,
+    eval_poly,
+    mentions,
+    poly_leq,
+)
 
 
 def _iterated_diffs(values: list[int]) -> list[int]:
@@ -75,7 +96,7 @@ def fd_oracle(
                 f"not a resource polynomial: coefficient {coeff} at {dict(zip(vs, point))}"
             )
         out[_mono(dict(zip(vs, point)))] = coeff
-    return _poly(out)
+    return former_poly(out)
 
 
 def fd_bin(q: Poly, n: int) -> Poly:
@@ -91,8 +112,73 @@ def sub_checked(q: Poly, p: Poly) -> Poly | None:
         table[m] = table.get(m, 0) - c
     if any(c < 0 for c in table.values()):
         return None
-    return _poly({m: c for m, c in table.items() if c})
+    return former_poly({m: c for m, c in table.items() if c})
 
 
 def poly_lt(p: Poly, q: Poly) -> bool:
     return p != q and poly_leq(p, q)
+
+
+# -- the former constructors and operations -------------------------------------
+
+
+def former_poly(table: Mapping[Mono, int]) -> Poly:
+    items = [(m, c) for m, c in table.items() if c != 0]
+    if any(c < 0 for _, c in items):
+        raise NotResourcePolynomial(f"negative coefficient in {dict(table)!r}")
+    return Poly(tuple(sorted(items, key=lambda mc: mc[0].factors)))
+
+
+def former_const(n: int) -> Poly:
+    if n < 0:
+        raise NotResourcePolynomial(f"negative constant {n}")
+    return Poly(((MONO_ONE, n),)) if n else Poly(())
+
+
+def former_add(p: Poly, q: Poly) -> Poly:
+    table: dict[Mono, int] = dict(p.terms)
+    for m, c in q.terms:
+        table[m] = table.get(m, 0) + c
+    return former_poly(table)
+
+
+def _former_scale(p: Poly, k: int) -> Poly:
+    if k == 1:
+        return p
+    return Poly(tuple((m, c * k) for m, c in p.terms)) if k else Poly(())
+
+
+def former_mul(p: Poly, q: Poly) -> Poly:
+    k = _constant(q)
+    if k is not None:
+        return _former_scale(p, k)
+    k = _constant(p)
+    if k is not None:
+        return _former_scale(q, k)
+    table: dict[Mono, int] = {}
+    for m1, c1 in p.terms:
+        for m2, c2 in q.terms:
+            _add_product(table, m1, m2, c1 * c2)
+    return former_poly(table)
+
+
+def former_bounded_sum(z: VarId, bound: Poly, body: Poly) -> Poly:
+    if mentions(bound, z):
+        raise ValueError(f"sum variable {z!r} occurs in its own bound")
+    return _substitute(body, z, bound, 1) if mentions(body, z) else former_mul(body, bound)
+
+
+def former_poly_leq(p: Poly, q: Poly) -> bool:
+    if p == q:
+        return True
+    qt = q.terms
+    n = len(qt)
+    j = 0
+    for m, c in p.terms:
+        f = m.factors
+        while j < n and qt[j][0].factors < f:
+            j += 1
+        if j == n or qt[j][0].factors != f or qt[j][1] < c:
+            return False
+        j += 1
+    return True

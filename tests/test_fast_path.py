@@ -18,7 +18,14 @@ judgments and derivations of ``typecheck`` and the proofs of ``proofs``.
 None of them is a ``@dataclass``, and ``respoly`` and ``formula`` import
 no ``dataclasses``; the cold classes of ``typecheck`` and ``proofs``
 (``Rule``, ``Report``, a special step) may stay dataclasses.  All share the
-base ``record.Frozen``.  The guard reads the ``ast`` of the modules.
+base ``record.Frozen``.
+
+Every constant polynomial below ``respoly._SHARED`` is one shared object,
+so the checkers' ``==`` on labels mostly meets one object twice.  That
+holds only while every constant is built through ``respoly.const``: no
+module but ``respoly`` calls ``Poly(``, and in ``respoly`` only the table
+at module level and the functions of ``POLY_BUILDERS`` do.  The guard
+reads the ``ast`` of the modules.
 """
 
 import ast
@@ -46,6 +53,12 @@ RECORD_CLASSES = {
     "typecheck": ("Judgment", "Tree", "Derivation"),
     "proofs": ("Proof",),
 }
+
+# The functions of ``respoly`` that call ``Poly(``: ``const`` past the
+# table, ``_poly`` for a result that is not a constant, ``binom`` for
+# ``choose(var, n)`` with ``n >= 1`` and ``_scale`` for a multiple of a
+# polynomial that is not a constant.
+POLY_BUILDERS = ("_poly", "_scale", "binom", "const")
 
 
 def _with_match(source: str, names: tuple[str, ...]) -> list[str]:
@@ -181,3 +194,36 @@ def test_checking_path_records_are_slotted_classes_not_dataclasses():
         found[mod] = (_without_slots(source, names), _dataclasses(source, names))
     assert found == {mod: ([], []) for mod in RECORD_CLASSES}
     assert [mod for mod in ("respoly", "formula") if _reads_dataclasses((LIBRARY / f"{mod}.py").read_text())] == []
+
+
+def _poly_callers(source: str) -> list[str]:
+    """The module-level definitions of ``source`` that call ``Poly``, by
+    name or as an attribute, sorted and each once; ``<module>`` stands for
+    a statement outside any definition."""
+    found = set()
+    for stmt in ast.parse(source).body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call) and (
+                (isinstance(node.func, ast.Name) and node.func.id == "Poly")
+                or (isinstance(node.func, ast.Attribute) and node.func.attr == "Poly")
+            ):
+                found.add(getattr(stmt, "name", "<module>"))
+    return sorted(found)
+
+
+def test_the_guard_sees_each_call_of_poly_and_no_other_mention():
+    source = (
+        "from .respoly import Poly\n"
+        "TABLE = tuple(Poly(()) for _ in range(3))\n"
+        "def f(p: Poly) -> Poly:\n    return isinstance(p, Poly)\n"
+        "def g():\n    def inner():\n        return Poly(())\n"
+        "class C:\n    def m(self):\n        return R.Poly(())\n"
+        "def h():\n    return Poly\n"
+    )
+    assert _poly_callers(source) == ["<module>", "C", "g"]
+
+
+def test_only_the_builders_of_respoly_call_poly():
+    found = {path.stem: _poly_callers(path.read_text()) for path in sorted(LIBRARY.glob("*.py"))}
+    assert found.pop("respoly") == sorted(("<module>",) + POLY_BUILDERS)
+    assert found == dict.fromkeys(found, [])

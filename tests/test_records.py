@@ -215,3 +215,19 @@ def test_replace_rebuilds_through_the_constructor_and_its_checks():
     d = Derivation("var_m", _judgment(), (), {"note": 1})
     moved = replace(d, concl=replace(d.concl, subject=None))
     assert moved.ann is d.ann and moved.concl.subject is None and moved.concl.lam is d.concl.lam
+
+
+def test_repr_of_a_deep_derivation_and_of_its_proof_writes_the_premises_from_the_stack():
+    """The premises of a tree are a tuple: church-400's elaborated
+    derivation is 804 nodes deep and its proof 1605, past the recursion
+    limit, and each node is written once per position."""
+    m = add_to_mult(C.church_applied_derivation(400))
+    for tree in (m, map_derivation(m)):
+        positions, stack = 0, [tree]
+        while stack:
+            t = stack.pop()
+            positions += 1
+            stack += t.premises
+        head = f"{type(tree).__name__}(rule="
+        text = repr(tree)
+        assert text.startswith(head) and text.count(head) == positions

@@ -1,15 +1,24 @@
 import math
 import random
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bllp import corpus as C
 from bllp import respoly
+from bllp.proofs import map_derivation, special_steps, weight
+from bllp.record import Frozen
 from bllp.respoly import (
+    MONO_ONE,
     ONE,
     ZERO,
+    Mono,
     NotResourcePolynomial,
+    Poly,
     _bin_product_1var,
+    _constant,
+    _poly,
     add,
     bin_of_poly,
     binom,
@@ -22,7 +31,19 @@ from bllp.respoly import (
     pvar,
     specialize,
 )
-from respoly_oracle import fd_bin, fd_oracle, poly_lt, sub_checked
+from bllp.typecheck import add_to_mult
+from respoly_oracle import (
+    fd_bin,
+    fd_oracle,
+    former_add,
+    former_bounded_sum,
+    former_const,
+    former_mul,
+    former_poly,
+    former_poly_leq,
+    poly_lt,
+    sub_checked,
+)
 
 X, Y, Z = "x", "y", "z"
 
@@ -427,3 +448,112 @@ def test_partial_order_laws(p, d1, d2):
     assert poly_leq(p, q) and poly_leq(q, r) and poly_leq(p, r)
     if poly_leq(q, p):
         assert p == q
+
+
+# -- shared constants ---------------------------------------------------------
+
+SHARED = respoly._SHARED
+constants = st.integers(0, 2 * SHARED)
+operands = st.one_of(
+    constants.map(const),
+    constants.map(former_const),
+    polys(),
+    st.tuples(polys(), constants).map(lambda pc: add(pc[0], const(pc[1]))),
+)
+
+
+def _same(got, want):
+    """``got`` has ``want``'s terms, ``repr`` and hash, and is the table's
+    object if it is a constant the table holds."""
+    assert type(got) is Poly and got.terms == want.terms
+    assert repr(got) == repr(want) and hash(got) == hash(want)
+    k = _constant(got)
+    if k is not None and k < SHARED:
+        assert got is const(k)
+
+
+@settings(max_examples=300)
+@given(operands, operands, varnames)
+def test_the_operations_equal_their_former_definitions(p, q, z):
+    """On constants in and past the table, equal constants that are other
+    objects, symbolic and mixed operands."""
+    _same(add(p, q), former_add(p, q))
+    _same(mul(p, q), former_mul(p, q))
+    assert poly_leq(p, q) == former_poly_leq(p, q)
+    try:
+        want = former_bounded_sum(z, q, p)
+    except ValueError:
+        with pytest.raises(ValueError):
+            bounded_sum(z, q, p)
+    else:
+        _same(bounded_sum(z, q, p), want)
+
+
+@given(st.integers(-3, 2 * SHARED))
+def test_const_equals_its_former_definition_and_rejects_a_negative(n):
+    if n < 0:
+        with pytest.raises(NotResourcePolynomial):
+            former_const(n)
+        with pytest.raises(NotResourcePolynomial):
+            const(n)
+    else:
+        _same(const(n), former_const(n))
+
+
+MONOS = [MONO_ONE, Mono(()), Mono(((X, 1),)), Mono(((X, 1), (Y, 2)))]
+
+
+@given(st.dictionaries(st.sampled_from(MONOS), st.integers(-2, 2 * SHARED), max_size=3))
+def test_canonical_form_equals_its_former_definition_and_rejects_a_negative(table):
+    try:
+        want = former_poly(table)
+    except NotResourcePolynomial:
+        with pytest.raises(NotResourcePolynomial):
+            _poly(table)
+    else:
+        _same(_poly(table), want)
+
+
+def test_each_constant_of_the_table_is_one_shared_object():
+    for v in range(SHARED):
+        assert const(v) is const(v) is respoly._CONSTS[v]
+        assert const(v).terms == former_const(v).terms
+    assert const(0) is ZERO and const(1) is ONE
+    assert const(SHARED) == const(SHARED) and const(SHARED) is not const(SHARED)
+
+
+def _polys_in(roots) -> list[Poly]:
+    """Every polynomial held by the records ``roots`` or below them: in
+    fields, tuples and mappings (a derivation's ``ann``, a proof's
+    ``data``), each shared record visited once."""
+    out, seen, stack = [], set(), list(roots)
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        if isinstance(t, Poly):
+            out.append(t)
+        elif isinstance(t, Frozen):
+            stack += [getattr(t, f) for f in t.__match_args__]
+        elif isinstance(t, Mapping):
+            stack += t.values()
+        elif type(t) is tuple:
+            stack += t
+    return out
+
+
+@pytest.mark.parametrize(
+    "d",
+    [e.derivation for e in C.entries() if e.derivation]
+    + [C.church_applied_derivation(n) for n in range(1, 13)],
+)
+def test_every_constant_label_and_weight_along_the_pipeline_is_the_tables(d):
+    """Each constant label, bound and weight of the elaborated derivation,
+    of its proof and of every special step's exposed and result proofs."""
+    m = add_to_mult(d)
+    pf = map_derivation(m)
+    proofs = [pf, *(q for hit in special_steps(pf) for q in (hit.exposed, hit.result))]
+    found = _polys_in([m, *proofs]) + [weight(q) for q in proofs]
+    shared = [(p, v) for p, v in zip(found, map(_constant, found)) if v is not None and v < SHARED]
+    assert shared and all(p is const(v) for p, v in shared)
