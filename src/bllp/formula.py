@@ -17,10 +17,11 @@ binders passes the pair of names, and one that moves a body to another
 binder calls ``with_binder``.
 
 Formulas and labelled formulas are immutable records in ``__slots__``
-(``record.Frozen``), each shape with its own ``==``; a positive and a
-negative class share a shape, and ``==`` requires the exact class.  A
-formula node holds its structural facts.  Its polarity ``positive`` is a
-constant of its class.  :func:`negate`, :func:`free_rvars` and
+(``record.Frozen``, which writes their constructors, ``==`` and ``hash``).
+A positive and a negative class share a shape and its functions, and
+``==`` requires the exact class.  ``LF._check`` rejects a binder that
+occurs in its own label.  A formula node holds its structural facts.  Its
+polarity ``positive`` is a constant of its class.  :func:`negate`, :func:`free_rvars` and
 :func:`classify` compute their answer on a node's first query and store it
 in one of three slots that start as ``None``, as ``lammu.Term`` keeps
 ``fv``; they are not fields, so ``==``, ``hash`` and ``repr`` ignore them.
@@ -57,6 +58,9 @@ class Formula(Frozen):
         return print_formula(self)
 
 
+_set_dual, _set_rvars, _set_kind = Formula._dual.__set__, Formula._rvars.__set__, Formula._kind.__set__
+
+
 # The shapes of formula, each shared by a positive and a negative class.
 # Their ``==`` requires the exact class, as a dataclass's does.
 
@@ -65,88 +69,19 @@ class _Named(Formula):
     __slots__ = ("name",)
     __match_args__ = ("name",)
 
-    def __init__(self, name: str) -> None:
-        _set_name(self, name)
-        _set_dual(self, None)
-        _set_rvars(self, None)
-        _set_kind(self, None)
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash((self.name,))
-
 
 class _Unit(Formula):
     __slots__ = ()
-
-    def __init__(self) -> None:
-        _set_dual(self, None)
-        _set_rvars(self, None)
-        _set_kind(self, None)
-
-    def __eq__(self, other: object) -> bool:
-        return True if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(())
 
 
 class _Binary(Formula):
     __slots__ = ("left", "right")
     __match_args__ = ("left", "right")
 
-    def __init__(self, left: Formula, right: Formula) -> None:
-        _set_left(self, left)
-        _set_right(self, right)
-        _set_dual(self, None)
-        _set_rvars(self, None)
-        _set_kind(self, None)
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.left == other.left and self.right == other.right
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right))
-
 
 class _Bounded(Formula):
     __slots__ = ("var", "bound", "body")
     __match_args__ = ("var", "bound", "body")
-
-    def __init__(self, var: VarId, bound: Poly, body: Formula) -> None:
-        _set_var(self, var)
-        _set_bound(self, bound)
-        _set_body(self, body)
-        _set_dual(self, None)
-        _set_rvars(self, None)
-        _set_kind(self, None)
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.var == other.var and self.bound == other.bound and self.body == other.body
-
-    def __hash__(self) -> int:
-        return hash((self.var, self.bound, self.body))
-
-
-# The slot writers of the constructors, bound once.
-_set_dual, _set_rvars, _set_kind = Formula._dual.__set__, Formula._rvars.__set__, Formula._kind.__set__
-_set_name = _Named.name.__set__
-_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
-_set_var, _set_bound, _set_body = _Bounded.var.__set__, _Bounded.bound.__set__, _Bounded.body.__set__
 
 
 class Atom(_Named):
@@ -346,30 +281,14 @@ class LF(Frozen):
     __slots__ = ("formula", "binder", "label")
     __match_args__ = ("formula", "binder", "label")
 
-    def __init__(self, formula: Formula, binder: VarId, label: Poly) -> None:
-        if binder != VACUOUS and binder in label.free_vars():
-            raise ShapeMismatch(f"label binder {binder!r} occurs in its own label")
-        _set_formula(self, formula)
-        _set_binder(self, binder)
-        _set_label(self, label)
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.binder == other.binder and self.label == other.label and self.formula == other.formula
-
-    def __hash__(self) -> int:
-        return hash((self.formula, self.binder, self.label))
+    def _check(self) -> None:
+        if self.binder != VACUOUS and self.binder in self.label.free_vars():
+            raise ShapeMismatch(f"label binder {self.binder!r} occurs in its own label")
 
     def __str__(self) -> str:
         from .syntax import print_lf
 
         return print_lf(self)
-
-
-_set_formula, _set_binder, _set_label = LF.formula.__set__, LF.binder.__set__, LF.label.__set__
 
 
 def lf(formula: Formula, binder: VarId, label: Poly | int) -> LF:

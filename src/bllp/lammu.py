@@ -16,10 +16,11 @@ iterator, also rebuilds the whole reduct and its position at every step;
 :func:`step` is the first element of :func:`trace`.
 
 Terms are immutable records in ``__slots__`` (``record.Frozen``), with no
-instance ``__dict__``; ``==`` and ``hash`` read the whole structure, names
-included.  A node's free λ- and μ-variables, ``fv`` and ``fmv``, are kept
-in two more slots that start as ``None``: the first read of one stores it
-on the node and on every subterm lacking it, in one walk.  Substitution,
+instance ``__dict__``; ``==`` and ``hash``, written here and not by
+``record``, read the whole structure in pre-order, names included.  A
+node's free λ- and μ-variables, ``fv`` and ``fmv``, are kept in two more
+slots that start as ``None``: the first read of one stores it on the node
+and on every subterm lacking it, in one walk.  Substitution,
 μ-renaming and Parigot's structural μ-substitution (LPAR 1992) are one
 walk, :func:`_rewrite`, that rebuilds only the nodes above a change and
 shares every other subterm.  Every walk here runs on an explicit stack, so
@@ -49,6 +50,8 @@ class Term(Frozen):
 
         return print_term(self)
 
+    # By hand: ``==`` and ``hash`` walk a pre-order on an explicit stack, so
+    # a term of any depth compares and hashes.
     def __eq__(self, other: object) -> bool:
         """Structural equality, names included."""
         if not isinstance(other, Term):
@@ -76,63 +79,25 @@ class Var(Term):
     __slots__ = ("name",)
     __match_args__ = ("name",)
 
-    def __init__(self, name: str) -> None:
-        _set_name(self, name)
-        _set_fv(self, None)
-        _set_fmv(self, None)
-
 
 class Lam(Term):
     __slots__ = ("var", "body")
     __match_args__ = ("var", "body")
-
-    def __init__(self, var: str, body: Term) -> None:
-        _set_var(self, var)
-        _set_lam_body(self, body)
-        _set_fv(self, None)
-        _set_fmv(self, None)
 
 
 class Mu(Term):
     __slots__ = ("mvar", "body")
     __match_args__ = ("mvar", "body")
 
-    def __init__(self, mvar: str, body: Term) -> None:
-        _set_mu_mvar(self, mvar)
-        _set_mu_body(self, body)
-        _set_fv(self, None)
-        _set_fmv(self, None)
-
 
 class Named(Term):
     __slots__ = ("mvar", "body")
     __match_args__ = ("mvar", "body")
 
-    def __init__(self, mvar: str, body: Term) -> None:
-        _set_named_mvar(self, mvar)
-        _set_named_body(self, body)
-        _set_fv(self, None)
-        _set_fmv(self, None)
-
 
 class App(Term):
     __slots__ = ("fn", "arg")
     __match_args__ = ("fn", "arg")
-
-    def __init__(self, fn: Term, arg: Term) -> None:
-        _set_fn(self, fn)
-        _set_arg(self, arg)
-        _set_fv(self, None)
-        _set_fmv(self, None)
-
-
-# The slot writers of the constructors, bound once.
-_set_fv, _set_fmv = Term._fv.__set__, Term._fmv.__set__
-_set_name = Var.name.__set__
-_set_var, _set_lam_body = Lam.var.__set__, Lam.body.__set__
-_set_mu_mvar, _set_mu_body = Mu.mvar.__set__, Mu.body.__set__
-_set_named_mvar, _set_named_body = Named.mvar.__set__, Named.body.__set__
-_set_fn, _set_arg = App.fn.__set__, App.arg.__set__
 
 
 def _preorder(t: Term) -> Iterator[tuple[type, str | None]]:

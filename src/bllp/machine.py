@@ -24,6 +24,7 @@ class Env(Frozen):
     __slots__ = ("lam", "mu")
     __match_args__ = ("lam", "mu")
 
+    # By hand: a missing map defaults to a new empty dict.
     def __init__(self, lam: dict | None = None, mu: dict | None = None) -> None:
         _set_lam(self, {} if lam is None else lam)
         _set_mu(self, {} if mu is None else mu)
@@ -35,13 +36,12 @@ class Env(Frozen):
         return Env(self.lam, {**self.mu, a: s})
 
 
+_set_lam, _set_mu = Env.lam.__set__, Env.mu.__set__
+
+
 class Closure(Frozen):
     __slots__ = ("term", "env")
     __match_args__ = ("term", "env")
-
-    def __init__(self, term: Term, env: Env) -> None:
-        _set_term(self, term)
-        _set_env(self, env)
 
 
 Stack = tuple[Closure, ...]
@@ -51,15 +51,6 @@ class Config(Frozen):
     __slots__ = ("closure", "stack")
     __match_args__ = ("closure", "stack")
 
-    def __init__(self, closure: Closure, stack: Stack) -> None:
-        _set_closure(self, closure)
-        _set_stack(self, stack)
-
-
-# The slot writers of the constructors, bound once.
-_set_lam, _set_mu = Env.lam.__set__, Env.mu.__set__
-_set_term, _set_env = Closure.term.__set__, Closure.env.__set__
-_set_closure, _set_stack = Config.closure.__set__, Config.stack.__set__
 
 EMPTY = Env()
 

@@ -78,6 +78,7 @@ class Proof(Tree):
     __slots__ = ("rule", "concl", "premises", "data", "verdict", "table")
     __match_args__ = ("rule", "concl", "premises", "data")
 
+    # By hand: ``premises`` defaults to none and ``data`` becomes a read-only copy.
     def __init__(
         self, rule: str, concl: Sequent, premises: tuple["Proof", ...] = (), data: Mapping | None = None
     ) -> None:
@@ -106,7 +107,6 @@ class Proof(Tree):
         return node
 
 
-# The slot writers of the constructor, `_build` and `check_proof`, bound once.
 _set_proof_rule, _set_proof_concl = Proof.rule.__set__, Proof.concl.__set__
 _set_proof_premises, _set_proof_data = Proof.premises.__set__, Proof.data.__set__
 _set_verdict, _set_table = Proof.verdict.__set__, Proof.table.__set__

@@ -45,10 +45,11 @@ finite-difference oracle that reconstructs a polynomial from its values
 is a reference for the tests, in ``tests/respoly_oracle.py``.
 
 Monomials and polynomials are immutable records in ``__slots__``
-(``record.Frozen``) with their own ``==``, which returns at once on one
-object passed twice.  Each stores its set of variables as a ``frozenset``
-in one more slot on the first read (``Mono.vars``, ``Poly.free_vars``), so
-the binder check of every labelled formula reads a stored set.
+(``record.Frozen``), whose ``==`` returns at once on one object passed
+twice and whose ``_check`` asserts the canonical form.  Each stores its
+set of variables as a ``frozenset`` in one more slot on the first read
+(``Mono.vars``, ``Poly.free_vars``), so the binder check of every
+labelled formula reads a stored set.
 """
 
 from __future__ import annotations
@@ -84,21 +85,9 @@ class Mono(Frozen):
     __slots__ = ("factors", "_vars")
     __match_args__ = ("factors",)
 
-    def __init__(self, factors: tuple[tuple[VarId, int], ...]) -> None:
-        assert all(n > 0 for _, n in factors)
-        assert list(factors) == sorted(factors)
-        _set_factors(self, factors)
-        _set_mono_vars(self, None)
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return hash((self.factors,))
+    def _check(self) -> None:
+        assert all(n > 0 for _, n in self.factors)
+        assert list(self.factors) == sorted(self.factors)
 
     def degree(self, var: VarId) -> int:
         return dict(self.factors).get(var, 0)
@@ -118,7 +107,7 @@ class Mono(Frozen):
         return out
 
 
-_set_factors, _set_mono_vars = Mono.factors.__set__, Mono._vars.__set__
+_set_mono_vars = Mono._vars.__set__
 MONO_ONE = Mono(())
 
 
@@ -133,20 +122,8 @@ class Poly(Frozen):
     __slots__ = ("terms", "_vars")
     __match_args__ = ("terms",)
 
-    def __init__(self, terms: tuple[tuple[Mono, int], ...]) -> None:
-        assert all(c > 0 for _, c in terms)
-        _set_terms(self, terms)
-        _set_poly_vars(self, None)
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.terms,))
+    def _check(self) -> None:
+        assert all(c > 0 for _, c in self.terms)
 
     def coeff(self, m: Mono) -> int:
         for m2, c in self.terms:
@@ -192,7 +169,7 @@ class Poly(Frozen):
         return print_poly(self)
 
 
-_set_terms, _set_poly_vars = Poly.terms.__set__, Poly._vars.__set__
+_set_poly_vars = Poly._vars.__set__
 
 
 def _poly(table: Mapping[Mono, int]) -> Poly:

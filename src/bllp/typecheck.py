@@ -23,7 +23,8 @@ arity, class and context-shape checks, :func:`introduced` and
 from its premises for the rewriters.
 
 Judgments and derivations are immutable records in ``__slots__``
-(``record.Frozen``); ``record.replace`` makes a changed copy.  Two
+(``record.Frozen``); ``record.replace`` makes a changed copy.  A
+judgment's ``==`` and ``hash`` are ``record``'s, over its fields.  Two
 derivations are equal when their trees agree on rules and conclusions
 (:class:`Tree`, which proofs share), whatever their ``ann``.  A context
 that names a hypothesis twice is reported at its node.
@@ -72,27 +73,6 @@ class Judgment(Frozen):
     __slots__ = ("lam", "subject", "type", "mu")
     __match_args__ = ("lam", "subject", "type", "mu")
 
-    def __init__(self, lam: Ctx, subject: Term | None, type: LF, mu: Ctx) -> None:
-        _set_lam(self, lam)
-        _set_subject(self, subject)
-        _set_type(self, type)
-        _set_mu(self, mu)
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.type == other.type
-            and self.lam == other.lam
-            and self.mu == other.mu
-            and self.subject == other.subject
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.lam, self.subject, self.type, self.mu))
-
     def lam_get(self, x: str) -> LF | None:
         return ctx_get(self.lam, x)
 
@@ -105,12 +85,9 @@ class Judgment(Frozen):
         return f"{lam} |- {self.subject} : {self.type} | {mu}"
 
 
-_set_lam, _set_subject = Judgment.lam.__set__, Judgment.subject.__set__
-_set_type, _set_mu = Judgment.type.__set__, Judgment.mu.__set__
-
-
 class Tree(Frozen):
-    """``==`` and ``hash`` of the trees of derivations and of proofs.
+    """``==`` and ``hash`` of the trees of derivations and of proofs, by hand
+    because they leave fields out and walk a stack.
 
     Two trees are equal when their nodes agree, pair by pair in pre-order,
     on rule, conclusion and number of premises; ``ann`` and ``data`` are
@@ -146,6 +123,7 @@ class Derivation(Tree):
     __slots__ = ("rule", "concl", "premises", "ann")
     __match_args__ = ("rule", "concl", "premises", "ann")
 
+    # By hand: ``premises`` defaults to none and ``ann`` to a new empty dict.
     def __init__(
         self, rule: str, concl: Judgment, premises: tuple["Derivation", ...] = (), ann: dict | None = None
     ) -> None:

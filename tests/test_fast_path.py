@@ -10,15 +10,19 @@ slots of each node that start as ``None`` and that the ``fv``/``fmv``
 properties fill on the first read.  Every step builds term and machine
 nodes, and a frozen dataclass's ``__init__`` sets each field through
 ``object.__setattr__``; so ``lammu`` and ``machine`` import no
-``dataclasses``, and each node class defines ``__slots__`` and writes them
-through the slot descriptors.  So does every record the checking path
-builds by the hundred per derivation: the polynomials and monomials of
-``respoly``, the formulas and labelled formulas of ``formula``, the
-judgments and derivations of ``typecheck`` and the proofs of ``proofs``.
+``dataclasses``, and each node class defines ``__slots__``.  So does every
+record the checking path builds by the hundred per derivation: the
+polynomials and monomials of ``respoly``, the formulas and labelled
+formulas of ``formula``, the judgments and derivations of ``typecheck``
+and the proofs of ``proofs``.
 None of them is a ``@dataclass``, and ``respoly`` and ``formula`` import
 no ``dataclasses``; the cold classes of ``typecheck`` and ``proofs``
 (``Rule``, ``Report``, a special step) may stay dataclasses.  All share the
-base ``record.Frozen``.
+base ``record.Frozen``, which writes each class's ``__init__``, ``__eq__``
+and ``__hash__`` through the slot descriptors: no module but ``record``
+reads the ``__set__`` of a field's slot, and no node class writes one of
+the three in its body, but for the pinned exceptions of ``HAND_WRITTEN``
+and ``FIELD_WRITERS``, which may only shrink.
 
 Every constant polynomial below ``respoly._SHARED`` is one shared object,
 so the checkers' ``==`` on labels mostly meets one object twice.  That
@@ -52,6 +56,24 @@ RECORD_CLASSES = {
     ),
     "typecheck": ("Judgment", "Tree", "Derivation"),
     "proofs": ("Proof",),
+}
+
+# The methods a node class still writes by hand, each for a reason given
+# at the class: ``Term`` and ``Tree`` compare on a stack (a tree leaves out
+# ``ann`` and ``data``), and three constructors default or copy arguments.
+HAND_WRITTEN = {
+    "lammu": [("Term", "__eq__"), ("Term", "__hash__")],
+    "machine": [("Env", "__init__")],
+    "typecheck": [("Tree", "__eq__"), ("Tree", "__hash__"), ("Derivation", "__init__")],
+    "proofs": [("Proof", "__init__")],
+}
+
+# The field slots whose ``__set__`` a module reads, as (class, field): the
+# hand-written constructors of ``HAND_WRITTEN``.
+FIELD_WRITERS = {
+    "machine": [("Env", "lam"), ("Env", "mu")],
+    "typecheck": [("Derivation", "ann"), ("Derivation", "concl"), ("Derivation", "premises"), ("Derivation", "rule")],
+    "proofs": [("Proof", "concl"), ("Proof", "data"), ("Proof", "premises"), ("Proof", "rule")],
 }
 
 # The functions of ``respoly`` that call ``Poly(``: ``const`` past the
@@ -227,3 +249,84 @@ def test_only_the_builders_of_respoly_call_poly():
     found = {path.stem: _poly_callers(path.read_text()) for path in sorted(LIBRARY.glob("*.py"))}
     assert found.pop("respoly") == sorted(("<module>",) + POLY_BUILDERS)
     assert found == dict.fromkeys(found, [])
+
+
+def _hand_written(source: str, names: tuple[str, ...]) -> list[tuple[str, str]]:
+    """The ``__init__``, ``__eq__`` and ``__hash__`` that the module-level
+    classes ``names`` of ``source`` define or assign in their bodies."""
+    classes = _classes(source, names)
+    found = []
+    for name in names:
+        for stmt in classes[name].body:
+            if isinstance(stmt, ast.FunctionDef):
+                targets = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = [
+                    t.id for t in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+                    if isinstance(t, ast.Name)
+                ]
+            else:
+                continue
+            found += [(name, t) for t in targets if t in ("__init__", "__eq__", "__hash__")]
+    return found
+
+
+def _fields(source: str) -> set[str]:
+    """The names in the ``__match_args__`` of every class of ``source``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if (
+                    isinstance(stmt, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__match_args__" for t in stmt.targets)
+                    and isinstance(stmt.value, ast.Tuple)
+                ):
+                    found |= {e.value for e in stmt.value.elts if isinstance(e, ast.Constant)}
+    return found
+
+
+def _field_writers(source: str, fields: set[str]) -> list[tuple[str, str]]:
+    """Each ``C.f.__set__`` that ``source`` reads, with ``f`` in ``fields``,
+    as (``C``, ``f``), sorted and each once."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "__set__"
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr in fields
+        ):
+            owner = node.value.value
+            found.add((owner.id if isinstance(owner, ast.Name) else ast.unparse(owner), node.value.attr))
+    return sorted(found)
+
+
+def test_the_guard_sees_hand_written_methods_and_field_writers():
+    source = (
+        "class A(Frozen):\n    __slots__ = ('x', '_f')\n    __match_args__ = ('x',)\n"
+        "    def __init__(self, x):\n        pass\n"
+        "class B(A):\n    __slots__ = ()\n    __hash__ = None\n    def __eq__(self, o):\n        return 1\n"
+        "class C(A):\n    __slots__ = ()\n    def _check(self):\n        def __init__():\n            pass\n"
+        "_set_x, _set_f = A.x.__set__, A._f.__set__\n"
+        "def g(slot):\n    return slot.__set__, m.A.x.__set__, A.x.__get__\n"
+    )
+    assert _hand_written(source, ("A", "B", "C")) == [("A", "__init__"), ("B", "__hash__"), ("B", "__eq__")]
+    assert _fields(source) == {"x"}
+    assert _field_writers(source, {"x"}) == [("A", "x"), ("m.A", "x")]
+
+
+def test_only_the_pinned_node_methods_are_written_by_hand():
+    found = {}
+    for mod in sorted({*NODE_CLASSES, *RECORD_CLASSES}):
+        names = NODE_CLASSES.get(mod, ()) + RECORD_CLASSES.get(mod, ())
+        found[mod] = _hand_written((LIBRARY / f"{mod}.py").read_text(), names)
+    assert {mod: pairs for mod, pairs in found.items() if pairs} == HAND_WRITTEN
+
+
+def test_only_record_and_the_pinned_constructors_write_field_slots():
+    sources = {path.stem: path.read_text() for path in sorted(LIBRARY.glob("*.py"))}
+    fields = set().union(*map(_fields, sources.values()))
+    assert {"name", "fn", "arg", "terms", "formula", "lam", "rule", "data"} <= fields
+    found = {mod: _field_writers(source, fields) for mod, source in sources.items() if mod != "record"}
+    assert {mod: pairs for mod, pairs in found.items() if pairs} == FIELD_WRITERS

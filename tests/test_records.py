@@ -1,13 +1,21 @@
-"""The records of the checking path behave as the frozen dataclasses they were.
+"""The records of every layer behave as the frozen dataclasses they were.
 
 Polynomials and monomials, formulas and labelled formulas, judgments,
-derivations and proofs are immutable records in ``__slots__``
-(``record.Frozen``): no field can be assigned or deleted, a node has no
-``__dict__``, ``repr`` is the dataclass form, and ``==`` and ``hash`` read
-the fields and require the exact class.  Derivations and proofs compare as
-trees, leaving out ``ann`` and ``data``.  The ``repr`` strings below were
-printed by the dataclasses.
+derivations and proofs, terms and the machine's nodes are immutable records
+in ``__slots__`` (``record.Frozen``): no field can be assigned or deleted, a
+node has no ``__dict__``, ``repr`` is the dataclass form, and ``==`` and
+``hash`` read the fields and require the exact class.  Derivations and
+proofs compare as trees, leaving out ``ann`` and ``data``.  The ``repr``
+strings below were printed by the dataclasses.  The machine's nodes hold
+dictionaries, so their ``hash`` fails, as the dataclasses' did.
+
+``Frozen`` writes each class's constructor, ``==`` and ``hash`` when the
+class is created; the last tests check that generator on classes declared
+here.
 """
+
+import dataclasses
+from types import MappingProxyType
 
 import pytest
 
@@ -17,7 +25,8 @@ from bllp import lammu as L
 from bllp import respoly as R
 from bllp.formula import LF
 from bllp.proofs import Proof, check_proof, map_derivation, mk_ax
-from bllp.record import replace
+from bllp.machine import EMPTY, Closure, Config, Env
+from bllp.record import Frozen, replace
 from bllp.respoly import Mono, Poly, const, pvar
 from bllp.typecheck import Derivation, Judgment, add_to_mult
 
@@ -231,3 +240,211 @@ def test_repr_of_a_deep_derivation_and_of_its_proof_writes_the_premises_from_the
         head = f"{type(tree).__name__}(rule="
         text = repr(tree)
         assert text.startswith(head) and text.count(head) == positions
+
+
+# -- terms: as above; ``==`` and ``hash`` are ``Term``'s own pre-order walk -------------
+
+TERMS = {
+    "Var": (lambda: L.Var("x"), [L.Var("y")], ("_fv", "_fmv"), "Var(name='x')"),
+    "Lam": (
+        lambda: L.Lam("x", L.Var("x")),
+        [L.Lam("y", L.Var("x")), L.Lam("x", L.Var("y"))],
+        ("_fv", "_fmv"),
+        "Lam(var='x', body=Var(name='x'))",
+    ),
+    "Mu": (
+        lambda: L.Mu("a", L.Named("a", L.Var("x"))),
+        [L.Mu("b", L.Named("a", L.Var("x"))), L.Mu("a", L.Var("x"))],
+        ("_fv", "_fmv"),
+        "Mu(mvar='a', body=Named(mvar='a', body=Var(name='x')))",
+    ),
+    "Named": (
+        lambda: L.Named("a", L.Var("x")),
+        [L.Named("b", L.Var("x")), L.Named("a", L.Var("y")), L.Mu("a", L.Var("x"))],
+        ("_fv", "_fmv"),
+        "Named(mvar='a', body=Var(name='x'))",
+    ),
+    "App": (
+        lambda: L.App(L.Var("f"), L.Var("x")),
+        [L.App(L.Var("g"), L.Var("x")), L.App(L.Var("f"), L.Var("y")), L.App(L.Var("x"), L.Var("f"))],
+        ("_fv", "_fmv"),
+        "App(fn=Var(name='f'), arg=Var(name='x'))",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TERMS))
+def test_a_term_is_an_immutable_record_whose_stored_facts_start_empty(name):
+    make, _, stored, text = TERMS[name]
+    node = make()
+    assert type(node).__name__ == name and not hasattr(node, "__dict__")
+    assert all(getattr(node, key) is None for key in stored)
+    before = _fields(node)
+    for key in (*type(node).__match_args__, *stored, "other"):
+        with pytest.raises(AttributeError):
+            setattr(node, key, before[0])
+        with pytest.raises(AttributeError):
+            delattr(node, key)
+    assert all(a is b for a, b in zip(_fields(node), before))
+    assert repr(node) == text
+
+
+@pytest.mark.parametrize("name", sorted(TERMS))
+def test_term_equality_and_hash_read_the_whole_term(name):
+    make, variants, _, _ = TERMS[name]
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b) and not a != b
+    for other in variants:
+        assert a != other and other != a
+    assert a.__eq__(repr(a)) is NotImplemented
+    a.fv, a.fmv
+    assert a._fv is not None and b._fv is None and a == b and hash(a) == hash(b)
+
+
+# -- the machine's nodes: as above, but their dictionaries make ``hash`` fail --------
+
+MACHINE = {
+    "Env": (
+        lambda: Env({"x": Closure(L.Var("z"), EMPTY)}, {}),
+        [Env(), Env({"x": Closure(L.Var("z"), EMPTY)}, {"a": ()}), Env({"y": Closure(L.Var("z"), EMPTY)})],
+        "Env(lam={'x': Closure(term=Var(name='z'), env=Env(lam={}, mu={}))}, mu={})",
+    ),
+    "Closure": (
+        lambda: Closure(L.Var("x"), Env({"y": Closure(L.Var("z"), EMPTY)})),
+        [Closure(L.Var("w"), Env({"y": Closure(L.Var("z"), EMPTY)})), Closure(L.Var("x"), EMPTY)],
+        "Closure(term=Var(name='x'), env=Env(lam={'y': Closure(term=Var(name='z'), "
+        "env=Env(lam={}, mu={}))}, mu={}))",
+    ),
+    "Config": (
+        lambda: Config(Closure(L.Var("x"), EMPTY), (Closure(L.Var("u"), EMPTY),)),
+        [Config(Closure(L.Var("x"), EMPTY), ()), Config(Closure(L.Var("y"), EMPTY), (Closure(L.Var("u"), EMPTY),))],
+        "Config(closure=Closure(term=Var(name='x'), env=Env(lam={}, mu={})), "
+        "stack=(Closure(term=Var(name='u'), env=Env(lam={}, mu={})),))",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MACHINE))
+def test_a_machine_node_is_an_immutable_record_without_a_dict(name):
+    make, _, text = MACHINE[name]
+    node = make()
+    assert type(node).__name__ == name and not hasattr(node, "__dict__")
+    before = _fields(node)
+    for key in (*type(node).__match_args__, "other"):
+        with pytest.raises(AttributeError):
+            setattr(node, key, before[0])
+        with pytest.raises(AttributeError):
+            delattr(node, key)
+    assert all(a is b for a, b in zip(_fields(node), before))
+    assert repr(node) == text
+
+
+@pytest.mark.parametrize("name", sorted(MACHINE))
+def test_machine_node_equality_reads_the_fields_and_hash_fails_on_a_dict(name):
+    make, variants, _ = MACHINE[name]
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    for other in variants:
+        assert a != other and other != a
+    sub = type("Sub", (type(a),), {"__slots__": ()})(*_fields(a))
+    assert a != sub and sub != a
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(a)
+
+
+# -- the generator of ``record.Frozen``, on classes declared here --------------------
+
+
+class Pair(Frozen):
+    __slots__ = ("left", "right", "_seen")
+    __match_args__ = ("left", "right")
+
+
+@dataclasses.dataclass(frozen=True)
+class PairDC:
+    left: object
+    right: object
+
+
+class Checked(Frozen):
+    __slots__ = ("n",)
+    __match_args__ = ("n",)
+
+    def _check(self) -> None:
+        if self.n < 0:
+            raise ValueError("negative")
+
+
+def test_a_declared_record_gets_the_dataclass_constructor_eq_hash_and_repr():
+    a = Pair(1, right=(2, "b"))
+    assert a == Pair(left=1, right=(2, "b")) == Pair(1, (2, "b")) and a._seen is None
+    assert a != Pair(1, (2, "c")) and a != Pair(0, (2, "b")) and a != PairDC(1, (2, "b"))
+    assert a.__eq__(PairDC(1, (2, "b"))) is NotImplemented and a.__eq__(a) is True
+    assert hash(a) == hash((1, (2, "b"))) == hash(PairDC(1, (2, "b")))
+    assert repr(a) == repr(PairDC(1, (2, "b"))).replace("PairDC", "Pair") == "Pair(left=1, right=(2, 'b'))"
+    assert not hasattr(a, "__dict__") and replace(a, right=3) == Pair(1, 3)
+    for bad in ((), (1,), (1, 2, 3)):
+        with pytest.raises(TypeError):
+            Pair(*bad)
+    with pytest.raises(TypeError):
+        Pair(1, 2, colour="red")
+    for key in ("left", "_seen"):
+        with pytest.raises(AttributeError):
+            setattr(a, key, 0)
+    assert Pair.__init__.__qualname__ == "Pair.__init__" and Pair.__eq__.__module__ == __name__
+
+
+def test_a_raising_check_aborts_construction_also_through_replace_and_a_subclass():
+    assert Checked(0).n == 0
+    with pytest.raises(ValueError, match="negative"):
+        Checked(-1)
+    with pytest.raises(ValueError, match="negative"):
+        replace(Checked(2), n=-2)
+    Sub = type("Sub", (Checked,), {"__slots__": ()})
+    with pytest.raises(ValueError, match="negative"):
+        Sub(-1)
+    with pytest.raises(F.ShapeMismatch):
+        LF(X, "x", pvar("x"))
+    with pytest.raises(AssertionError):
+        Mono((("y", 1), ("x", 1)))
+
+
+def test_a_method_written_by_hand_in_the_class_or_a_record_base_wins():
+    wit = {"x": const(1)}
+    data = {"witness": ONE_LF, "sum_witness": wit}
+    SubProof = type("Sub", (Proof,), {"__slots__": ()})
+    p = SubProof("ax", (ONE_LF, F.lf_neg(ONE_LF)), (), data)
+    assert type(p.data) is MappingProxyType and type(p.data["sum_witness"]) is MappingProxyType
+    data["other"], wit["y"] = 1, const(2)
+    assert set(p.data) == {"witness", "sum_witness"} and set(p.data["sum_witness"]) == {"x"}
+    assert p.verdict is None and p.table is None and SubProof.__init__ is Proof.__init__
+    for slots in ((), ("extra",)):
+        SubVar = type("Sub", (L.Var,), {"__slots__": slots})
+        assert SubVar.__eq__ is L.Term.__eq__ and SubVar.__hash__ is L.Term.__hash__
+        v = SubVar("x")
+        assert v.name == "x" and v._fv is None and v == v and v.__eq__("x") is NotImplemented
+    assert type("Sub", (L.Var,), {"__slots__": ("extra",)})("x").extra is None
+
+    class Loose(Pair):
+        __slots__ = ()
+
+        def __eq__(self, other: object) -> bool:  # Python sets ``__hash__ = None`` beside this
+            return isinstance(other, Pair) and self.left == other.left
+
+    assert Loose(1, 2) == Pair(1, 3) and hash(Loose(1, 2)) == hash((1, 2))
+
+
+def test_a_class_that_adds_no_slot_shares_its_base_functions():
+    for base, subs in (
+        (F._Named, (F.Atom, F.NegAtom)),
+        (F.Formula, (F._Unit, F.One, F.Bottom)),
+        (F._Binary, (F.Tensor, F.Par)),
+        (F._Bounded, (F.Bang, F.WhyNot)),
+    ):
+        for cls in subs:
+            assert all(getattr(cls, m) is getattr(base, m) for m in ("__init__", "__eq__", "__hash__"))
+    Same = type("Same", (Pair,), {"__slots__": ()})
+    assert (Same.__init__, Same.__eq__, Same.__hash__) == (Pair.__init__, Pair.__eq__, Pair.__hash__)
+    More = type("More", (Pair,), {"__slots__": ("_more",)})
+    assert More.__init__ is not Pair.__init__ and More(1, 2)._more is None
+    assert Same(1, 2) != Pair(1, 2) and Same(1, 2) == Same(1, 2)
