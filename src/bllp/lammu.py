@@ -17,10 +17,10 @@ iterator, also rebuilds the whole reduct and its position at every step;
 
 Terms are immutable records in ``__slots__`` (``record.Frozen``), with no
 instance ``__dict__``; ``==`` and ``hash``, written here and not by
-``record``, read the whole structure in pre-order, names included.  A
-node's free λ- and μ-variables, ``fv`` and ``fmv``, are kept in two more
-slots that start as ``None``: the first read of one stores it on the node
-and on every subterm lacking it, in one walk.  Substitution,
+``record``, read the whole structure in pre-order, names and exact classes
+included.  A node's free λ- and μ-variables, ``fv`` and ``fmv``, are kept
+in two more slots that start as ``None``: the first read of one stores it
+on the node and on every subterm lacking it, in one walk.  Substitution,
 μ-renaming and Parigot's structural μ-substitution (LPAR 1992) are one
 walk, :func:`_rewrite`, that rebuilds only the nodes above a change and
 shares every other subterm.  Every walk here runs on an explicit stack, so
@@ -53,8 +53,8 @@ class Term(Frozen):
     # By hand: ``==`` and ``hash`` walk a pre-order on an explicit stack, so
     # a term of any depth compares and hashes.
     def __eq__(self, other: object) -> bool:
-        """Structural equality, names included."""
-        if not isinstance(other, Term):
+        """Structural equality, names and exact classes included."""
+        if other.__class__ is not self.__class__:
             return NotImplemented
         # No term's pre-order is a proper prefix of another's, so zip suffices.
         return self is other or all(x == y for x, y in zip(_preorder(self), _preorder(other)))
@@ -101,8 +101,9 @@ class App(Term):
 
 
 def _preorder(t: Term) -> Iterator[tuple[type, str | None]]:
-    """Each node's class and name (None for ``App``) in pre-order; as the
-    classes fix the arities, equal sequences are equal terms."""
+    """Each node's exact class and name (None for ``App``) in pre-order; as
+    the classes fix the arities, equal sequences are equal terms.  A node of
+    a subclass of a term class is read by its fields."""
     stack = [t]
     while stack:
         t = stack.pop()
@@ -112,9 +113,16 @@ def _preorder(t: Term) -> Iterator[tuple[type, str | None]]:
             stack += (t.arg, t.fn)
         elif cls is Var:
             yield cls, t.name
-        else:
-            yield cls, t.var if cls is Lam else t.mvar
+        elif cls is Lam:
+            yield cls, t.var
             stack.append(t.body)
+        elif cls is Mu or cls is Named:
+            yield cls, t.mvar
+            stack.append(t.body)
+        else:
+            fields = [getattr(t, f) for f in cls.__match_args__]
+            yield cls, next((x for x in fields if type(x) is str), None)
+            stack += reversed([x for x in fields if isinstance(x, Term)])
 
 
 def app_spine(fn: Term, *args: Term) -> Term:

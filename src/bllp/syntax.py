@@ -1,14 +1,25 @@
-"""Concrete syntax: tokenizer, parsers and printers.
+"""Concrete syntax: lexer, parsers and printers; the grammars and the
+token set are in FORMATS.md.
 
-Grammars are documented in FORMATS.md.  Parse errors carry the character
-offset of the offending token.  Printing composed with parsing is the
-identity up to α-renaming and polynomial canonicalisation.
+The lexer is one token pattern.  ``findall`` splits a text into token
+strings, and the text is accepted when they hold all its characters but
+whitespace; a token's kind is read off its first character.  Tokens keep
+no offsets: an error works them out again with ``finditer``, so it carries
+the character offset of the offending token or character (the text's
+length at its end).
+
+Formulas and terms are parsed, and formulas printed, on explicit stacks;
+only polynomials and the renaming of generated binders recurse.  A file
+writer prints each formula, label and sequent entry object once per file,
+and a reader parses each distinct text once per file.  Printing composed
+with parsing is the identity up to α-renaming and polynomial
+canonicalisation.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from types import MappingProxyType
 
 from . import formula as F
 from . import lammu as L
@@ -21,142 +32,118 @@ class ParseError(Exception):
         self.offset = offset
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<nat>\d+)"
-    r"|(?P<punct><=|-\[|\]->|[()<>,+*~!?\[\]{}.\\_])"
-    r"|(?P<ident>[A-Za-z][A-Za-z0-9'_]*))"
-)
+# A punctuation mark (``<=``, ``-[`` and ``]->`` have more than one character), an identifier or a natural.
+_TOKENS = re.compile(r"[()>,+*~!?\[{}.\\_]|[A-Za-z][A-Za-z0-9'_]*|<=?|\](?:->)?|-\[|\d+")
 
 KEYWORDS = {"bin", "sum", "par", "bot", "mu"}
 
 
-@dataclass
-class Token:
-    kind: str  # nat | punct | ident | eof
-    text: str
-    offset: int
-
-
-def tokenize(src: str) -> list[Token]:
-    if not isinstance(src, str):
-        raise ParseError(0, f"expected text, found {_json_name(src)}")
-    out = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None or m.end() == pos:
-            stripped = src[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(len(src) - len(stripped), f"unexpected character {stripped[0]!r}")
-        if m.lastgroup is None:
-            pos = m.end()
-            continue
-        text = m.group(m.lastgroup)
-        out.append(Token(m.lastgroup, text, m.start(m.lastgroup)))
-        pos = m.end()
-    out.append(Token("eof", "", len(src)))
-    return out
+def _is_name(tok: str) -> bool:
+    """An identifier that is no keyword (the end of input is ``""``)."""
+    return tok[:1].isalpha() and tok not in KEYWORDS
 
 
 class _Parser:
+    """The tokens of a text, read left to right, then ``""`` for its end."""
+
+    __slots__ = ("src", "toks", "i")
+
     def __init__(self, src: str):
-        self.toks = tokenize(src)
-        self.i = 0
+        if not isinstance(src, str):
+            raise ParseError(0, f"expected text, found {_json_name(src)}")
+        self.src, self.toks, self.i = src, _TOKENS.findall(src), 0
+        # ``findall`` skips what no token matches: the text is tokens between
+        # whitespace when they hold all its other characters.
+        if len("".join(self.toks)) != len("".join(src.split())):
+            inside = {i for m in _TOKENS.finditer(src) for i in range(*m.span())}
+            pos = next(i for i, c in enumerate(src) if not (i in inside or c.isspace()))
+            raise ParseError(pos, f"unexpected character {src[pos]!r}")
+        self.toks.append("")
 
-    def peek(self) -> Token:
-        return self.toks[self.i]
+    def fail(self, message: str) -> ParseError:
+        """A parse error at the current token, its offset worked out again."""
+        starts = [m.start() for m in _TOKENS.finditer(self.src)] + [len(self.src)]
+        return ParseError(starts[self.i], message)
 
-    def next(self) -> Token:
+    def wanted(self, what: str) -> ParseError:
+        """A parse error: ``what`` was expected at the current token."""
+        return self.fail(f"expected {what}, found {self.toks[self.i] or 'end of input'!r}")
+
+    def expect(self, text: str) -> None:
+        if self.toks[self.i] != text:
+            raise self.wanted(repr(text))
+        self.i += 1
+
+    def ident(self, what: str) -> str:
         t = self.toks[self.i]
+        if not _is_name(t):
+            raise self.wanted(what)
         self.i += 1
         return t
 
-    def expect(self, text: str) -> Token:
-        t = self.next()
-        if t.text != text:
-            raise ParseError(t.offset, f"expected {text!r}, found {t.text or 'end of input'!r}")
-        return t
 
-    def at(self, text: str) -> bool:
-        return self.peek().text == text
-
-    def eat(self, text: str) -> bool:
-        if self.at(text):
-            self.next()
-            return True
-        return False
-
-    def ident(self, what: str = "identifier") -> str:
-        t = self.next()
-        if t.kind != "ident" or t.text in KEYWORDS:
-            raise ParseError(t.offset, f"expected {what}, found {t.text or 'end of input'!r}")
-        return t.text
-
-    def done(self) -> None:
-        t = self.peek()
-        if t.kind != "eof":
-            raise ParseError(t.offset, f"trailing input {t.text!r}")
+def _whole(src: str, read):
+    """What ``read`` takes from the start of ``src``, which must be all of it."""
+    p = _Parser(src)
+    out = read(p)
+    if p.toks[p.i]:
+        raise p.fail(f"trailing input {p.toks[p.i]!r}")
+    return out
 
 
 # -- polynomials ---------------------------------------------------------------
 
 
 def _parse_poly(p: _Parser) -> R.Poly:
-    out = _parse_poly_term(p)
-    while p.eat("+"):
-        out = R.add(out, _parse_poly_term(p))
-    return out
-
-
-def _parse_poly_term(p: _Parser) -> R.Poly:
-    out = _parse_poly_factor(p)
-    while p.eat("*"):
-        out = R.mul(out, _parse_poly_factor(p))
-    return out
-
-
-def _parse_poly_factor(p: _Parser) -> R.Poly:
-    t = p.peek()
-    if t.kind == "nat":
-        p.next()
-        return R.const(int(t.text))
-    if t.text == "(":
-        p.next()
-        out = _parse_poly(p)
-        p.expect(")")
-        return out
-    if t.text == "bin":
-        p.next()
-        p.expect("(")
-        v = p.ident("variable")
-        p.expect(",")
-        n = p.next()
-        if n.kind != "nat":
-            raise ParseError(n.offset, "expected a degree")
-        p.expect(")")
-        return R.binom(v, int(n.text))
-    if t.text == "sum":
-        p.next()
-        p.expect("(")
-        v = p.ident("sum variable")
-        p.expect("<")
-        bound = _parse_poly(p)
-        p.expect(",")
-        body = _parse_poly(p)
-        p.expect(")")
-        return R.bounded_sum(v, bound, body)
-    if t.kind == "ident" and t.text not in KEYWORDS:
-        p.next()
-        return R.pvar(t.text)
-    raise ParseError(t.offset, f"expected a polynomial, found {t.text or 'end of input'!r}")
+    """Terms joined by ``+``, each of factors joined by ``*``; a factor in
+    parentheses or a bounded sum is read by a recursive call."""
+    toks, out, term = p.toks, None, None
+    while True:
+        t = toks[p.i]
+        p.i += 1
+        if t.isdecimal():
+            f = R.const(int(t))
+        elif t == "(":
+            f = _parse_poly(p)
+            p.expect(")")
+        elif t == "bin":
+            p.expect("(")
+            v = p.ident("variable")
+            p.expect(",")
+            n = toks[p.i]
+            if not n.isdecimal():
+                raise p.fail("expected a degree")
+            p.i += 1
+            p.expect(")")
+            f = R.binom(v, int(n))
+        elif t == "sum":
+            p.expect("(")
+            v = p.ident("sum variable")
+            p.expect("<")
+            bound = _parse_poly(p)
+            p.expect(",")
+            body = _parse_poly(p)
+            p.expect(")")
+            f = R.bounded_sum(v, bound, body)
+        elif _is_name(t):
+            f = R.pvar(t)
+        else:
+            p.i -= 1
+            raise p.wanted("a polynomial")
+        term = f if term is None else R.mul(term, f)
+        t = toks[p.i]
+        if t == "*":
+            p.i += 1
+            continue
+        out = term if out is None else R.add(out, term)
+        if t != "+":
+            return out
+        p.i += 1
+        term = None
 
 
 def parse_poly(src: str) -> R.Poly:
-    p = _Parser(src)
-    out = _parse_poly(p)
-    p.done()
-    return out
+    return _whole(src, _parse_poly)
 
 
 def print_poly(q: R.Poly) -> str:
@@ -177,126 +164,129 @@ def print_poly(q: R.Poly) -> str:
 def _parse_bound(p: _Parser, close: str) -> tuple[str, R.Poly]:
     """``x<p``, ``_<p`` or ``p``, then ``close``: the bound of a modality
     ``{x<p}``, of an arrow ``-[x<p]->`` or of a labelled formula ``[x<p]``."""
-    save = p.i
-    binder = F.VACUOUS
-    if p.peek().kind == "ident" and p.peek().text not in KEYWORDS:
-        binder = p.next().text
-        if not p.eat("<"):
-            p.i = save
-            binder = F.VACUOUS
-    elif p.eat("_"):
+    t, binder = p.toks[p.i], F.VACUOUS
+    if _is_name(t) and p.toks[p.i + 1] == "<":
+        binder = t
+        p.i += 2
+    elif t == "_":
+        p.i += 1
         p.expect("<")
     bound = _parse_poly(p)
     p.expect(close)
     return binder, bound
 
 
+_UNITS = {"1": F.ONE_F, "bot": F.BOTTOM}
+_MODALITIES = {"!": F.Bang, "?": F.WhyNot}
+
+
 def _parse_formula(p: _Parser) -> F.Formula:
-    left = _parse_par(p)
-    if p.eat("-["):
-        binder, bound = _parse_bound(p, "]->")
-        right = _parse_formula(p)
-        return F.arrow(left, binder, bound, right)
-    return left
-
-
-def _parse_par(p: _Parser) -> F.Formula:
-    out = _parse_tensor(p)
-    while p.at("par"):
-        p.next()
-        out = F.Par(out, _parse_tensor(p))
-    return out
-
-
-def _parse_tensor(p: _Parser) -> F.Formula:
-    out = _parse_atom_formula(p)
-    while p.eat("*"):
-        out = F.Tensor(out, _parse_atom_formula(p))
-    return out
-
-
-def _parse_atom_formula(p: _Parser) -> F.Formula:
-    t = p.peek()
-    if t.text == "(":
-        p.next()
-        out = _parse_formula(p)
-        p.expect(")")
-        return out
-    if t.text == "1":
-        p.next()
-        return F.ONE_F
-    if t.text == "bot":
-        p.next()
-        return F.BOTTOM
-    if t.text == "~":
-        p.next()
-        return F.negate(_parse_atom_formula(p))
-    if t.text == "!":
-        p.next()
-        p.expect("{")
-        v, bound = _parse_bound(p, "}")
-        return F.Bang(v, bound, _parse_atom_formula(p))
-    if t.text == "?":
-        p.next()
-        p.expect("{")
-        v, bound = _parse_bound(p, "}")
-        return F.WhyNot(v, bound, _parse_atom_formula(p))
-    if t.kind == "ident" and t.text not in KEYWORDS:
-        p.next()
-        return F.Atom(t.text)
-    raise ParseError(t.offset, f"expected a formula, found {t.text or 'end of input'!r}")
+    """A formula, read in one loop.  Each open parenthesis starts a level:
+    the arrows whose right side it waits for, its par-form and tensor-form
+    so far and the prefixes (``~`` as None, or a modality and its bound) of
+    the atom-form it reads; the levels around it wait on a stack."""
+    toks, levels = p.toks, []
+    arrows, par, tensor, prefixes = [], None, None, []
+    while True:
+        t = toks[p.i]
+        if t == "~":
+            p.i += 1
+            prefixes.append(None)
+            continue
+        if t in _MODALITIES:
+            p.i += 1
+            p.expect("{")
+            prefixes.append((_MODALITIES[t], *_parse_bound(p, "}")))
+            continue
+        if t == "(":
+            p.i += 1
+            levels.append((arrows, par, tensor, prefixes))
+            arrows, par, tensor, prefixes = [], None, None, []
+            continue
+        if t in _UNITS:
+            f = _UNITS[t]
+        elif _is_name(t):
+            f = F.Atom(t)
+        else:
+            raise p.wanted("a formula")
+        p.i += 1
+        # ``f`` ends an atom-form: close what it ends, up to a connective.
+        while True:
+            while prefixes:
+                pre = prefixes.pop()
+                f = F.negate(f) if pre is None else pre[0](pre[1], pre[2], f)
+            tensor = f if tensor is None else F.Tensor(tensor, f)
+            t = toks[p.i]
+            p.i += 1
+            if t == "*":
+                break
+            par = tensor if par is None else F.Par(par, tensor)
+            tensor = None
+            if t == "par":
+                break
+            if t == "-[":
+                arrows.append((par, *_parse_bound(p, "]->")))
+                par = None
+                break
+            p.i -= 1
+            f = par
+            while arrows:
+                left, binder, bound = arrows.pop()
+                f = F.arrow(left, binder, bound, f)
+            if not levels:
+                return f
+            p.expect(")")
+            arrows, par, tensor, prefixes = levels.pop()
 
 
 def parse_formula(src: str) -> F.Formula:
-    p = _Parser(src)
-    out = _parse_formula(p)
-    p.done()
-    return out
+    return _whole(src, _parse_formula)
 
 
-def _print_bound(var: str, bound: R.Poly) -> str:
-    if var == F.VACUOUS:
-        return "{" + print_poly(bound) + "}"
-    return "{" + var + "<" + print_poly(bound) + "}"
+_BINARY = {F.Tensor: " * ", F.Par: " par "}
+_MODAL_TEXT = {F.Bang: "!{", F.WhyNot: "?{"}
 
 
 def print_formula(f: F.Formula) -> str:
-    f = _display_formula(f, F.free_rvars(f))
-    return _print_formula(f)
-
-
-def _print_formula(f: F.Formula) -> str:
-    match f:
-        case F.Atom(n):
-            return n
-        case F.NegAtom(n):
-            return f"~{n}"
-        case F.One():
-            return "1"
-        case F.Bottom():
-            return "bot"
-        case F.Tensor(l, r):
-            return f"{_paren_mult(l)} * {_paren_mult(r)}"
-        case F.Par(l, r):
-            return f"{_paren_mult(l)} par {_paren_mult(r)}"
-        case F.Bang(v, p, n):
-            return f"!{_print_bound(v, p)} {_paren_mult(n)}"
-        case F.WhyNot(v, p, n):
-            return f"?{_print_bound(v, p)} {_paren_mult(n)}"
-    raise TypeError(f)
-
-
-def _paren_mult(f: F.Formula) -> str:
-    if isinstance(f, (F.Tensor, F.Par)):
-        return f"({_print_formula(f)})"
-    return _print_formula(f)
+    """The text of ``f``: one walk on an explicit stack of formulas and
+    pieces of text, bounds printed by :func:`print_poly`, a tensor or par
+    below another node parenthesised.  A formula with a generated binder
+    (one with ``#`` or ``%``) is printed as :func:`_display_formula` renames it."""
+    out: list[str] = []
+    stack: list = [f]
+    while stack:
+        x = stack.pop()
+        cls = type(x)
+        if cls is str:
+            out.append(x)
+        elif cls in _BINARY:
+            left, right = x.left, x.right
+            stack += (")", right, "(") if type(right) in _BINARY else (right,)
+            stack.append(_BINARY[cls])
+            stack += (")", left, "(") if type(left) in _BINARY else (left,)
+        elif cls is F.Atom:
+            out.append(x.name)
+        elif cls is F.NegAtom:
+            out.append("~" + x.name)
+        elif cls in _MODAL_TEXT:
+            v, body = x.var, x.body
+            if "#" in v or "%" in v:  # start again from the renamed formula
+                out, stack = [], [_display_formula(f, F.free_rvars(f))]
+                continue
+            bound = print_poly(x.bound)
+            out.append(f"{_MODAL_TEXT[cls]}{bound}}} " if v == F.VACUOUS else f"{_MODAL_TEXT[cls]}{v}<{bound}}} ")
+            stack += (")", body, "(") if type(body) in _BINARY else (body,)
+        elif cls is F.One:
+            out.append("1")
+        elif cls is F.Bottom:
+            out.append("bot")
+        else:
+            raise TypeError(x)
+    return "".join(out)
 
 
 def parse_lf(src: str) -> F.LF:
-    p = _Parser(src)
-    out = _parse_lf(p)
-    p.done()
-    return out
+    return _whole(src, _parse_lf)
 
 
 def _parse_lf(p: _Parser) -> F.LF:
@@ -366,26 +356,27 @@ def _parse_term(p: _Parser) -> L.Term:
     more binder or naming.  Each construct waiting for its last term is a
     frame: (binder class, name), (L.App, function) before a binder or naming
     as last argument, or (None, the application before a "(", or None)."""
-    frames: list = []
+    toks, frames = p.toks, []
     head = None  # the application parsed so far; None at the start of a term
     while True:
-        t = p.peek()
-        if t.text in _TERM_BINDERS:
+        t = toks[p.i]
+        if t in _TERM_BINDERS:
             if head is not None:
                 frames.append((L.App, head))
                 head = None
-            cls, what, close = _TERM_BINDERS[p.next().text]
+            p.i += 1
+            cls, what, close = _TERM_BINDERS[t]
             frames.append((cls, p.ident(what)))
             p.expect(close)
-        elif t.text == "(":
-            p.next()
+        elif t == "(":
+            p.i += 1
             frames.append((None, head))
             head = None
-        elif t.kind == "ident" and t.text not in KEYWORDS:
-            p.next()
-            head = L.Var(t.text) if head is None else L.App(head, L.Var(t.text))
+        elif _is_name(t):
+            p.i += 1
+            head = L.Var(t) if head is None else L.App(head, L.Var(t))
         elif head is None:
-            raise ParseError(t.offset, f"expected a term, found {t.text or 'end of input'!r}")
+            raise p.wanted("a term")
         else:
             out = head
             while frames:
@@ -400,10 +391,7 @@ def _parse_term(p: _Parser) -> L.Term:
 
 
 def parse_term(src: str) -> L.Term:
-    p = _Parser(src)
-    out = _parse_term(p)
-    p.done()
-    return out
+    return _whole(src, _parse_term)
 
 
 _PREFIX = {L.Lam: "\\{}. ", L.Mu: "mu {}. ", L.Named: "[{}] "}
@@ -553,23 +541,42 @@ def _sum_witnesses(fields: dict, key: str, what: str, positions: bool) -> dict:
     return out
 
 
-def _map_tree(root, kids, pre, post):
-    """The image of a tree's root, a node ``x``'s being ``post(pre(x), [images
-    of its children])``, on an explicit stack.  ``pre`` meets the nodes in
-    pre-order, so what printing a node draws comes in the order of a recursion.
-    """
-    out: list = []
-    # Entries: (node, None) to visit, or (pre value, number of children).
-    todo: list = [(root, None)]
+def _write_tree(root, node) -> dict:
+    """The file object of a tree: ``node(x)`` for each node ``x``, with its
+    premises' objects under ``"premises"``.  ``node`` meets the nodes in
+    pre-order, so what printing draws comes in the order of a recursion."""
+    top: list[dict] = []
+    todo = [(root, top)]
     while todo:
-        x, n = todo.pop()
-        if n is None:
-            children = kids(x)
-            todo.append((pre(x), len(children)))
-            todo += [(q, None) for q in reversed(children)]
-        else:
-            out[len(out) - n:] = [post(x, out[len(out) - n:])]
-    return out[0]
+        x, siblings = todo.pop()
+        obj = node(x)
+        obj["premises"] = premises = []
+        siblings.append(obj)
+        todo += [(q, premises) for q in reversed(x.premises)]
+    return top[0]
+
+
+def _read_tree(root, what: str, head, cls):
+    """The tree in a ``what`` file: ``cls(rule, conclusion, premises, fields)``
+    for each node object ``x``, ``head(x)`` giving the other three.  ``head``
+    meets the nodes in pre-order, each after its premises are checked, so a
+    file's first fault is the one a recursive reader would report."""
+    heads: list[tuple] = []
+    todo = [root]
+    while todo:
+        x = todo.pop()
+        premises = x.get("premises") if type(x) is dict else None
+        if type(premises) is not list:
+            premises = _field(x, "premises", list, what, [])
+        heads.append((*head(x), len(premises)))
+        todo += reversed(premises)
+    built: list = []
+    for rule, concl, fields, n in reversed(heads):
+        # The last n built are this node's premises, the first on top.
+        premises = tuple(built[: -n - 1 : -1]) if n else ()
+        del built[len(built) - n :]
+        built.append(cls(rule, concl, premises, fields))
+    return built[0]
 
 
 def derivation_to_obj(d, system: str) -> dict:
@@ -583,15 +590,13 @@ def derivation_to_obj(d, system: str) -> dict:
     from .typecheck import subject_of
 
     once = _printer()
-    tree = _map_tree(
+    tree = _write_tree(
         d,
-        lambda x: x.premises,
         lambda x: {
             "rule": x.rule,
             "judgment": judgment_to_obj(x.concl, subject_of(x)),
             "ann": _print_fields(x.ann, once),
         },
-        lambda obj, premises: obj | {"premises": premises},
     )
     return {"format": DERIVATION_FORMAT, "version": FORMAT_VERSION, "system": system, "tree": tree}
 
@@ -603,15 +608,8 @@ def _check_header(obj, fmt: str, what: str) -> None:
         raise ParseError(0, f"unsupported {what} format version {obj.get('version')!r}")
 
 
-_JSON_NAMES = {
-    dict: "an object",
-    list: "an array",
-    str: "a string",
-    int: "a number",
-    float: "a number",
-    bool: "a boolean",
-    type(None): "null",
-}
+_JSON_NAMES = {dict: "an object", list: "an array", str: "a string", int: "a number", float: "a number",
+               bool: "a boolean", type(None): "null"}
 
 
 def _json_name(value) -> str:
@@ -668,17 +666,13 @@ def derivation_from_obj(obj: dict):
     system = _field(obj, "system", str, what, "additive")
     if not any(system in rule.systems for rule in RULES.values()):
         raise ParseError(0, f"malformed {what} file: unknown system {system!r}")
-    tree = _map_tree(
-        _field(obj, "tree", dict, what),
-        lambda x: _field(x, "premises", list, what, []),
-        lambda x: (
-            _field(x, "rule", str, what),
-            judgment_from_obj(_field(x, "judgment", dict, what)),
-            _ann_from_obj(_field(x, "ann", dict, what, {})),
-        ),
-        lambda head, premises: Derivation(head[0], head[1], tuple(premises), head[2]),
-    )
-    return tree, system
+
+    def derivation_head(x: dict) -> tuple:
+        rule = _field(x, "rule", str, what)
+        judgment = judgment_from_obj(_field(x, "judgment", dict, what))
+        return rule, judgment, _ann_from_obj(_field(x, "ann", dict, what, {}))
+
+    return _read_tree(_field(obj, "tree", dict, what), what, derivation_head, Derivation), system
 
 
 def proof_to_obj(p) -> dict:
@@ -691,20 +685,25 @@ def proof_to_obj(p) -> dict:
         formula, label = print_once(a.formula, print_formula), print_once(a.label, print_poly)
         return _lf_text(formula, a.binder, label)
 
-    tree = _map_tree(
+    tree = _write_tree(
         p,
-        lambda x: x.premises,
         lambda x: {
             "rule": x.rule,
             "sequent": [print_once(a, entry) for a in x.concl],
             "data": _print_fields(x.data, print_once),
         },
-        lambda obj, premises: obj | {"premises": premises},
     )
     return {"format": PROOF_FORMAT, "version": FORMAT_VERSION, "tree": tree}
 
 
+# The ``data`` fields of a proof node that are read as they are.
+_PROOF_PLAIN_FIELDS = dict.fromkeys(("left_idx", "right_idx", "left", "right", "idx"), int) | {"x": str, "y": str}
+
+
 def proof_from_obj(obj: dict):
+    """The proof in a version-1 file.  A node of the right shape is read by
+    direct type checks; ``_field`` and ``_array`` are called on a field only
+    to word the error it holds."""
     from .proofs import Proof
 
     what = "proof"
@@ -712,43 +711,44 @@ def proof_from_obj(obj: dict):
     # Each distinct text is parsed once per call, by each parser that reads
     # it, so equal sequent entries, ``P`` and ``p`` fields come back as one
     # object.  A value that is not text goes to the parser, which reports it.
-    parsed: dict[tuple, object] = {}
+    parsers = {"witness": parse_lf, "P": parse_formula, "p": parse_poly}
+    parsed = {parse: {} for parse in parsers.values()}
+    lfs = parsed[parse_lf]
 
     def parse_once(parse, s):
         if not isinstance(s, str):
             return parse(s)
-        key = parse, s
-        if key not in parsed:
-            parsed[key] = parse(s)
-        return parsed[key]
+        texts = parsed[parse]
+        if s not in texts:
+            texts[s] = parse(s)
+        return texts[s]
 
-    def data_from(d: dict) -> dict:
+    def proof_head(x: dict) -> tuple:
+        rule = x.get("rule")
+        if type(rule) is not str:
+            rule = _field(x, "rule", str, what)
+        entries = x.get("sequent")
+        if type(entries) is not list:
+            entries = _field(x, "sequent", list, what)
+        try:
+            concl = tuple([lfs[s] for s in entries])
+        except (KeyError, TypeError):  # a text not parsed yet, or no text
+            if not all(type(s) is str for s in entries):
+                _array(x, "sequent", what, lambda s: isinstance(s, str), "a string")
+            concl = tuple([parse_once(parse_lf, s) for s in entries])
+        d = x.get("data", {})
+        if type(d) is not dict:
+            d = _field(x, "data", dict, what)
         out = {}
         for k, v in d.items():
-            if k in ("left_idx", "right_idx", "left", "right", "idx"):
-                out[k] = _field(d, k, int, what)
-            elif k == "witness":
-                out[k] = parse_once(parse_lf, v)
-            elif k == "P":
-                out[k] = parse_once(parse_formula, v)
-            elif k in ("x", "y"):
-                out[k] = _field(d, k, str, what)
-            elif k == "p":
-                out[k] = parse_once(parse_poly, v)
+            kind = _PROOF_PLAIN_FIELDS.get(k)
+            if kind is not None:
+                out[k] = v if type(v) is kind else _field(d, k, kind, what)
+            elif k in parsers:
+                out[k] = parse_once(parsers[k], v)
             elif k == "sum_witness":
-                out[k] = _sum_witnesses(d, k, what, positions=True)
-        return out
+                out[k] = MappingProxyType(_sum_witnesses(d, k, what, positions=True))
+        # Read-only already, as ``Proof`` would otherwise copy it.
+        return rule, concl, MappingProxyType(out)
 
-    return _map_tree(
-        _field(obj, "tree", dict, what),
-        lambda x: _field(x, "premises", list, what, []),
-        lambda x: (
-            _field(x, "rule", str, what),
-            tuple(
-                parse_once(parse_lf, s)
-                for s in _array(x, "sequent", what, lambda s: isinstance(s, str), "a string")
-            ),
-            data_from(_field(x, "data", dict, what, {})),
-        ),
-        lambda head, premises: Proof(head[0], head[1], tuple(premises), head[2]),
-    )
+    return _read_tree(_field(obj, "tree", dict, what), what, proof_head, Proof)

@@ -16,7 +16,8 @@ polynomials and monomials of ``respoly``, the formulas and labelled
 formulas of ``formula``, the judgments and derivations of ``typecheck``
 and the proofs of ``proofs``.
 None of them is a ``@dataclass``, and ``respoly`` and ``formula`` import
-no ``dataclasses``; the cold classes of ``typecheck`` and ``proofs``
+no ``dataclasses``; nor does ``syntax``, whose lexer yields token strings,
+not a record per token.  The cold classes of ``typecheck`` and ``proofs``
 (``Rule``, ``Report``, a special step) may stay dataclasses.  All share the
 base ``record.Frozen``, which writes each class's ``__init__``, ``__eq__``
 and ``__hash__`` through the slot descriptors: no module but ``record``
@@ -215,7 +216,17 @@ def test_checking_path_records_are_slotted_classes_not_dataclasses():
         source = (LIBRARY / f"{mod}.py").read_text()
         found[mod] = (_without_slots(source, names), _dataclasses(source, names))
     assert found == {mod: ([], []) for mod in RECORD_CLASSES}
-    assert [mod for mod in ("respoly", "formula") if _reads_dataclasses((LIBRARY / f"{mod}.py").read_text())] == []
+    modules = ("respoly", "formula", "syntax")
+    assert [mod for mod in modules if _reads_dataclasses((LIBRARY / f"{mod}.py").read_text())] == []
+
+
+def test_the_guard_sees_a_token_dataclass_however_it_is_imported():
+    token = "class Token:\n    kind: str\n    text: str\n    offset: int\n"
+    for header in ("from dataclasses import dataclass\n@dataclass\n",
+                   "import dataclasses as dc\n@dc.dataclass\n",
+                   "from dataclasses import dataclass as record\n@record\n"):
+        assert _reads_dataclasses(header + token), header
+    assert not _reads_dataclasses("import re\nfrom types import MappingProxyType\nTOKEN = re.compile('x')\n")
 
 
 def _poly_callers(source: str) -> list[str]:

@@ -299,6 +299,14 @@ def test_term_equality_and_hash_read_the_whole_term(name):
     assert a.__eq__(repr(a)) is NotImplemented
     a.fv, a.fmv
     assert a._fv is not None and b._fv is None and a == b and hash(a) == hash(b)
+    # A subclass's node answers by its exact class, as a root and as a subterm.
+    Sub = type("Sub", (type(a),), {"__slots__": ()})
+    sub, sub2 = Sub(*_fields(a)), Sub(*_fields(a))
+    assert a != sub and sub != a and a.__eq__(sub) is NotImplemented
+    assert sub == sub2 and hash(sub) == hash(sub2) and hash(sub) != hash(a)
+    assert L.App(L.Var("f"), sub) != L.App(L.Var("f"), a)
+    assert L.App(L.Var("f"), sub) == L.App(L.Var("f"), sub2)
+    assert hash(L.App(L.Var("f"), sub)) == hash(L.App(L.Var("f"), sub2))
 
 
 # -- the machine's nodes: as above, but their dictionaries make ``hash`` fail --------

@@ -1,15 +1,17 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import formula_oracle as O
+import syntax_oracle as SO
 from bllp import corpus as C
 from bllp import formula as F
 from bllp import lammu as L
 from bllp import syntax as S
 from bllp.proofs import check_proof, map_derivation, special_steps, weight
-from bllp.respoly import add, binom, const, mul, pvar
+from bllp.respoly import add, binom, const, fresh_var, mul, pvar
 from bllp.syntax import (
     ParseError,
     derivation_from_obj,
@@ -366,3 +368,219 @@ def test_format_version_enforced():
     obj["version"] = 99
     with pytest.raises(ParseError):
         derivation_from_obj(obj)
+
+
+# -- the lexer, parsers and formula printer against their former definitions --------
+#
+# ``syntax_oracle`` keeps the one-object-per-token lexer, the recursive
+# parsers and the two-walk formula printer.  Valid texts must parse to
+# equal values, a text with one character inserted, deleted or replaced
+# must fail with the same error at the same offset (or parse to the same
+# value), and every formula must print to the same text.
+
+NAMES = ["X", "Y", "a'b_1", "x", "y", "v"]
+
+
+@st.composite
+def poly_texts(draw, depth=2):
+    leaf = st.sampled_from(["0", "1", "12", "x", "y", "bin(x,2)", "bin(y, 1)", "007"])
+    if depth == 0:
+        return draw(leaf)
+    kind = draw(st.sampled_from(["leaf", "sum", "product", "parens", "bounded"]))
+    sub = poly_texts(depth=depth - 1)
+    if kind == "leaf":
+        return draw(leaf)
+    if kind == "sum":
+        return f"{draw(sub)} + {draw(sub)}"
+    if kind == "product":
+        return f"{draw(sub)}*{draw(sub)}"
+    if kind == "parens":
+        return f"({draw(sub)})"
+    return f"sum(z < {draw(sub)}, {draw(sub)} + z)"
+
+
+@st.composite
+def bound_texts(draw):
+    return draw(st.sampled_from(["", "v<", "_<", "x<"])) + draw(poly_texts())
+
+
+@st.composite
+def formula_texts(draw, depth=3):
+    leaf = st.sampled_from(NAMES + ["1", "bot", "~X"])
+    if depth == 0:
+        return draw(leaf)
+    kind = draw(st.sampled_from(["leaf", "neg", "bang", "whynot", "tensor", "par", "arrow", "parens"]))
+    sub = formula_texts(depth=depth - 1)
+    match kind:
+        case "leaf":
+            return draw(leaf)
+        case "neg":
+            return f"~{draw(sub)}"
+        case "bang" | "whynot":
+            return f"{'!' if kind == 'bang' else '?'}{{{draw(bound_texts())}}} {draw(sub)}"
+        case "tensor":
+            return f"{draw(sub)} * {draw(sub)}"
+        case "par":
+            return f"{draw(sub)} par {draw(sub)}"
+        case "arrow":
+            return f"{draw(sub)} -[{draw(bound_texts())}]-> {draw(sub)}"
+        case "parens":
+            return f"({draw(sub)})"
+
+
+@st.composite
+def lf_texts(draw):
+    return f"<{draw(formula_texts())}>[{draw(bound_texts())}]"
+
+
+@st.composite
+def term_texts(draw, depth=3):
+    leaf = st.sampled_from(["x", "y", "f", "t1"])
+    if depth == 0:
+        return draw(leaf)
+    kind = draw(st.sampled_from(["leaf", "lam", "mu", "named", "app", "parens"]))
+    sub = term_texts(depth=depth - 1)
+    match kind:
+        case "leaf":
+            return draw(leaf)
+        case "lam":
+            return f"\\{draw(leaf)}. {draw(sub)}"
+        case "mu":
+            return f"mu a. {draw(sub)}"
+        case "named":
+            return f"[a] {draw(sub)}"
+        case "app":
+            return f"{draw(sub)} {draw(sub)}"
+        case "parens":
+            return f"({draw(sub)})"
+
+
+PARSERS = {
+    "poly": (poly_texts(), S.parse_poly, SO.parse_poly),
+    "formula": (formula_texts(), S.parse_formula, SO.parse_formula),
+    "lf": (lf_texts(), S.parse_lf, SO.parse_lf),
+    "term": (term_texts(), S.parse_term, SO.parse_term),
+}
+
+
+def _outcome(parse, src):
+    """What ``parse(src)`` gives: ("ok", value) or the exception's class,
+    message and offset."""
+    try:
+        return "ok", parse(src)
+    except Exception as e:  # the two parsers must fail alike, whatever the failure
+        return type(e).__name__, str(e), getattr(e, "offset", None)
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_valid_texts_parse_as_the_former_parsers_parse_them(kind, data):
+    texts, parse, former = PARSERS[kind]
+    src = data.draw(texts)
+    got = _outcome(parse, src)
+    assert got == _outcome(former, src)
+    if got[0] == "ok":
+        spaced = data.draw(st.sampled_from(["  ", "\t", "\n "])).join(src.split(" "))
+        assert _outcome(parse, spaced) == got
+
+
+# Characters a token may hold, whitespace, and characters no token starts
+# with: an ASCII one, a non-ASCII letter, a superscript and an Arabic-Indic digit.
+EDITS = list("(){}[]<>,+*~!?._\\-=' 09aZ") + ["\t", " ", "é", "²", "٣"]
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_an_edited_text_fails_as_the_former_parsers_fail(kind, data):
+    texts, parse, former = PARSERS[kind]
+    src = data.draw(texts)
+    at = data.draw(st.integers(0, len(src)))
+    op = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+    c = data.draw(st.sampled_from(EDITS))
+    if op == "insert":
+        src = src[:at] + c + src[at:]
+    elif op == "delete":
+        src = src[:at] + src[at + 1 :]
+    else:
+        src = src[:at] + c + src[at + 1 :]
+    assert _outcome(parse, src) == _outcome(former, src)
+
+
+@pytest.mark.parametrize("value", [None, 7, 1.5, True, ["X"], {"X": 1}, b"X"])
+def test_a_value_that_is_not_text_fails_as_the_former_parsers_fail(value):
+    for _, parse, former in PARSERS.values():
+        got = _outcome(parse, value)
+        assert got[0] == "ParseError" and got == _outcome(former, value)
+
+
+@st.composite
+def generated_formulas(draw):
+    """A formula, maybe with binders named by ``fresh_var`` (``#``): a new
+    modality whose body reads its binder, a binder ``v`` that
+    ``subst_poly`` renames to avoid capturing a substituted ``v``, or a
+    label binder that ``lf_subst`` renames, bound again by a modality."""
+    f = draw(formulas())
+    if draw(st.booleans()):
+        x = fresh_var("v")
+        f = F.Bang(x, draw(polys()), F.Tensor(F.Bang("w", pvar(x), F.Atom("X")), F.negate(f)))
+    if draw(st.booleans()):
+        f = F.subst_poly(f, "x", pvar("v"))
+    if draw(st.booleans()):
+        a = F.lf(F.Par(F.WhyNot("u", pvar("v"), F.NegAtom("Y")), f), "v", draw(polys()))
+        a = F.lf_subst(a, "y", pvar("v"))
+        f = F.WhyNot(a.binder, a.label, a.formula)
+    return f
+
+
+@settings(max_examples=150, deadline=None)
+@given(generated_formulas())
+def test_formulas_print_as_the_former_two_walk_printer_prints_them(f):
+    assert print_formula(f) == SO.print_formula(f)
+
+
+def test_a_generated_binder_is_renamed_before_printing():
+    x = fresh_var("v")
+    f = F.Tensor(F.Atom("Z"), F.Bang(x, pvar("v"), F.WhyNot("w", pvar(x), F.Atom("X"))))
+    assert "#" in x and print_formula(f) == SO.print_formula(f) == "Z * !{v1<v} ?{w<v1} X"
+
+
+def _same_formula(f: F.Formula, g: F.Formula) -> bool:
+    """``f == g`` on an explicit stack (``==`` itself recurses)."""
+    stack = [(f, g)]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is not type(b):
+            return False
+        for name in type(a).__match_args__:
+            x, y = getattr(a, name), getattr(b, name)
+            if isinstance(x, F.Formula):
+                stack.append((x, y))
+            elif x != y:
+                return False
+    return True
+
+
+def test_chains_of_ten_thousand_print_and_parse_at_the_default_recursion_limit():
+    depth = 10_000
+    assert depth > sys.getrecursionlimit()
+    bangs, arrows = F.Atom("X"), F.NegAtom("X")
+    for _ in range(depth):
+        bangs = F.Bang(F.VACUOUS, const(1), bangs)
+        arrows = F.arrow(F.NegAtom("Y"), F.VACUOUS, const(1), arrows)
+    for f, start in ((bangs, "!{1} " * 3), (arrows, "?{1} Y par (" * 3)):
+        text = print_formula(f)
+        assert text.startswith(start)
+        assert _same_formula(parse_formula(text), f)
+    texts = {
+        "~" * depth + "X": F.Atom("X"),
+        "?{1} " * depth + "X": None,
+        "~Y -[1]-> " * depth + "bot": None,
+        "(" * depth + "X" + ")" * depth: F.Atom("X"),
+    }
+    for text, want in texts.items():
+        got = parse_formula(text)
+        assert print_formula(parse_formula(print_formula(got))) == print_formula(got)
+        if want is not None:
+            assert got == want
