@@ -28,6 +28,9 @@ in one of three slots that start as ``None``, as ``lammu.Term`` keeps
 ``negate`` stores the dual on both nodes, so ``negate(negate(f))`` is
 ``f`` itself; a unit's dual is the shared ``BOTTOM`` or ``ONE_F``.
 ``free_rvars`` returns a shared ``frozenset``.  No fact draws a fresh name.
+``negate`` and ``free_rvars`` walk an explicit stack, so a formula of any
+depth has them; ``subst_poly`` and the generated ``==`` and ``hash`` still
+recurse.
 """
 
 from __future__ import annotations
@@ -129,59 +132,103 @@ BOTTOM = Bottom()
 _NO_RVARS: frozenset[VarId] = frozenset()
 
 
+# The class of each non-unit class's dual, and the shared dual of each unit.
+_DUAL_CLASS = {Atom: NegAtom, NegAtom: Atom, Tensor: Par, Par: Tensor, Bang: WhyNot, WhyNot: Bang}
+_UNIT_DUAL = {One: BOTTOM, Bottom: ONE_F}
+
+
 def negate(f: Formula) -> Formula:
     """The De Morgan dual of ``f``, built on the first query and stored on
-    ``f``, with ``f`` stored on it; the dual of a unit is the shared one."""
+    ``f``, with ``f`` stored on it; the dual of a unit is the shared one,
+    stored on the unit only.
+
+    Post-order on an explicit stack, so a formula of any depth is negated;
+    a subformula whose dual is stored is not entered.
+    """
     g = f._dual
     if g is not None:
         return g
-    match f:
-        case Atom(name):
-            g = NegAtom(name)
-        case NegAtom(name):
-            g = Atom(name)
-        case One():
-            return BOTTOM
-        case Bottom():
-            return ONE_F
-        case Tensor(l, r):
-            g = Par(negate(l), negate(r))
-        case Par(l, r):
-            g = Tensor(negate(l), negate(r))
-        case Bang(x, p, n):
-            g = WhyNot(x, p, negate(n))
-        case WhyNot(x, p, n):
-            g = Bang(x, p, negate(n))
-        case _:
-            raise TypeError(f)
-    _set_dual(f, g)
-    _set_dual(g, f)
-    return g
+    stack = [f]
+    # Type tests, not ``match``: the parsers negate about one atom per entry.
+    while stack:
+        node = stack[-1]
+        if node._dual is not None:
+            stack.pop()
+            continue
+        cls = type(node)
+        if cls is Atom or cls is NegAtom:
+            g = _DUAL_CLASS[cls](node.name)
+        elif cls is Tensor or cls is Par:
+            l, r = node.left._dual, node.right._dual
+            if l is None or r is None:
+                if l is None:
+                    stack.append(node.left)
+                if r is None:
+                    stack.append(node.right)
+                continue
+            g = _DUAL_CLASS[cls](l, r)
+        elif cls is Bang or cls is WhyNot:
+            n = node.body._dual
+            if n is None:
+                stack.append(node.body)
+                continue
+            g = _DUAL_CLASS[cls](node.var, node.bound, n)
+        elif cls is One or cls is Bottom:
+            _set_dual(node, _UNIT_DUAL[cls])
+            stack.pop()
+            continue
+        else:
+            raise TypeError(node)
+        _set_dual(node, g)
+        _set_dual(g, node)
+        stack.pop()
+    return f._dual
 
 
 def free_rvars(f: Formula) -> frozenset[VarId]:
     """The free resource variables of ``f``, computed on the first query
-    and stored on ``f``; a node shares its child's set when they agree."""
+    and stored on ``f`` and on every subformula lacking them; a node shares
+    its child's set when they agree.
+
+    Post-order on an explicit stack, as :func:`negate`.
+    """
     fv = f._rvars
     if fv is not None:
         return fv
-    match f:
-        case Atom() | NegAtom() | One() | Bottom():
-            fv = _NO_RVARS
-        case Tensor(l, r) | Par(l, r):
-            fl, fr = free_rvars(l), free_rvars(r)
+    stack = [f]
+    while stack:
+        node = stack[-1]
+        if node._rvars is not None:
+            stack.pop()
+            continue
+        cls = type(node)
+        if cls is Tensor or cls is Par:
+            fl, fr = node.left._rvars, node.right._rvars
+            if fl is None or fr is None:
+                if fl is None:
+                    stack.append(node.left)
+                if fr is None:
+                    stack.append(node.right)
+                continue
             fv = fl if fr <= fl else fr if fl <= fr else fl | fr
-        case Bang(x, p, n) | WhyNot(x, p, n):
-            fv = free_rvars(n)
+        elif cls is Bang or cls is WhyNot:
+            fv = node.body._rvars
+            if fv is None:
+                stack.append(node.body)
+                continue
+            x = node.var
             if x in fv:
                 fv = fv - {x}
-            pv = p.free_vars()
+            pv = node.bound.free_vars()
             if not pv <= fv:
                 fv = fv | pv
-        case _:
-            raise TypeError(f)
-    _set_rvars(f, fv)
-    return fv
+        elif cls is Atom or cls is NegAtom or cls is One or cls is Bottom:
+            fv = _NO_RVARS
+        else:
+            raise TypeError(node)
+        _set_rvars(node, fv)
+        stack.pop()
+    return f._rvars
 
 
 def subst_poly(f: Formula, var: VarId, q: Poly) -> Formula:

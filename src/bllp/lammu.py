@@ -20,11 +20,16 @@ instance ``__dict__``; ``==`` and ``hash``, written here and not by
 ``record``, read the whole structure in pre-order, names and exact classes
 included.  A node's free λ- and μ-variables, ``fv`` and ``fmv``, are kept
 in two more slots that start as ``None``: the first read of one stores it
-on the node and on every subterm lacking it, in one walk.  Substitution,
-μ-renaming and Parigot's structural μ-substitution (LPAR 1992) are one
-walk, :func:`_rewrite`, that rebuilds only the nodes above a change and
-shares every other subterm.  Every walk here runs on an explicit stack, so
-a term of any depth is an ordinary input.
+on the node and on every subterm lacking it, in one walk
+(:func:`_cache_free`), the one way a set is filled.  The step kernels read
+the slots themselves and call that walk only on an empty one, and a
+variable argument answers their capture and μ-freshness tests by its
+name; ``fv``, ``fmv``, :func:`free_vars` and :func:`free_mvars` are the
+public reads.  Substitution, μ-renaming and Parigot's structural
+μ-substitution (LPAR 1992) are one walk, :func:`_rewrite`, that rebuilds
+only the nodes above a change and shares every other subterm.  Every walk
+here runs on an explicit stack, so a term of any depth is an ordinary
+input.
 """
 
 from __future__ import annotations
@@ -135,6 +140,11 @@ def app_spine(fn: Term, *args: Term) -> Term:
 _EMPTY: frozenset[str] = frozenset()
 
 
+# The (read, write) accessors of the ``_fv`` and ``_fmv`` slots.
+_SLOT_FV = Term._fv.__get__, Term._fv.__set__
+_SLOT_FMV = Term._fmv.__get__, Term._fmv.__set__
+
+
 def _union(p: frozenset[str], q: frozenset[str]) -> frozenset[str]:
     return p if q <= p else q if p <= q else p | q
 
@@ -146,9 +156,11 @@ def _cache_free(t: Term, lam: bool) -> frozenset[str]:
     Post-order with an explicit stack, so deep terms add no recursion; a
     subterm that already holds its set is not entered.  The two sets are
     stored apart, so a walk that asks only for one never builds the other.
+    This is the one way a set is filled: a reader that finds a slot
+    ``None`` calls it.  A node's set is stored after its subterms', so every
+    subterm of a node that holds a set holds its own.
     """
-    slot = Term._fv if lam else Term._fmv
-    get, put = slot.__get__, slot.__set__
+    get, put = _SLOT_FV if lam else _SLOT_FMV
     stack = [t]
     # Type tests, not ``match``: this loop runs at most twice per node stored.
     while stack:
@@ -218,12 +230,18 @@ def _rewrite(t: Term, kind: str, name: str, u) -> Term:
     name of ``u`` (for "rename", a μ-binder named ``u``) gets a fresh name,
     carried into its body; a subterm with neither ``name`` nor a carried
     name free is shared, and so is ``t`` when ``u`` is ``name`` itself.
+
+    Sets are read off the ``_fv``/``_fmv`` slots, and :func:`_cache_free`
+    is called only for an empty one.  A variable ``u`` answers the capture
+    test by its name: its only free name is its own.
     """
     lam = kind == "subst"
-    if name not in (t.fv if lam else t.fmv):
+    fs = t._fv if lam else t._fmv
+    if name not in (_cache_free(t, lam) if fs is None else fs):
         return t
     # Only a variable (for "subst") or a name (for "rename") can be ``name``.
-    if (type(u) is Var and u.name == name) if lam else (kind == "rename" and u == name):
+    uvar = u.name if type(u) is Var else None
+    if uvar == name if lam else (kind == "rename" and u == name):
         return t
     # Whether ``name`` is free in the parent, and the carried renamings.
     on, lren, mren = True, {}, {}
@@ -244,9 +262,17 @@ def _rewrite(t: Term, kind: str, name: str, u) -> Term:
             else:
                 out[-1] = s[0](s[1], App(out[-1], u) if s[2] else out[-1])
             continue
-        main = on and name in (s.fv if lam else s.fmv)
+        # The entry read stored the walked kind's set on every subterm of ``t``.
+        main = on and name in (s._fv if lam else s._fmv)
         if not main:
-            if not (lren and not s.fv.isdisjoint(lren) or mren and not s.fmv.isdisjoint(mren)):
+            renames = False
+            if lren:
+                fs = s._fv
+                renames = not (_cache_free(s, True) if fs is None else fs).isdisjoint(lren)
+            if mren and not renames:
+                fs = s._fmv
+                renames = not (_cache_free(s, False) if fs is None else fs).isdisjoint(mren)
+            if not renames:
                 out.append(s)
                 continue
             if on:  # ``name`` is bound here: the subtree only renames
@@ -265,10 +291,15 @@ def _rewrite(t: Term, kind: str, name: str, u) -> Term:
         else:
             mu = cls is Mu
             x, scope = (s.mvar, mren) if mu else (s.var, lren)
-            if kind == "rename":
-                captures = main and mu and x == u
+            if not main:
+                captures = False
+            elif kind == "rename":
+                captures = mu and x == u
+            elif uvar is not None:
+                captures = not mu and x == uvar
             else:
-                captures = main and x in (u.fmv if mu else u.fv)
+                fs = u._fmv if mu else u._fv
+                captures = x in (_cache_free(u, not mu) if fs is None else fs)
             if captures or x in scope:
                 todo.append((None, on, lren, mren))
                 scope = {k: v for k, v in scope.items() if k != x}
@@ -391,7 +422,9 @@ def root_step(t: Term) -> tuple[Term, str] | None:
             return subst(f.body, f.var, u), "beta"
         if cls is Mu:
             a, b = f.mvar, f.body
-            if a in u.fmv:
+            # A variable has no free μ-variable.
+            fs = _EMPTY if type(u) is Var else u._fmv
+            if a in (_cache_free(u, False) if fs is None else fs):
                 a2 = fresh_tvar(a)
                 b = rename_mvar(b, a, a2)
                 a = a2
@@ -403,8 +436,11 @@ def theta_step(t: Term) -> Term | None:
     """μα.[α]u → u, fireable only when α is not free in u."""
     if type(t) is Mu:
         n = t.body
-        if type(n) is Named and n.mvar == t.mvar and t.mvar not in n.body.fmv:
-            return n.body
+        if type(n) is Named and n.mvar == t.mvar:
+            b = n.body
+            fs = b._fmv
+            if t.mvar not in (_cache_free(b, False) if fs is None else fs):
+                return b
     return None
 
 

@@ -299,7 +299,8 @@ def _parse_lf(p: _Parser) -> F.LF:
 
 
 def print_lf(a: F.LF) -> str:
-    return _lf_text(print_formula(a.formula), a.binder, print_poly(a.label))
+    formula, binder = _display_lf(a)
+    return _lf_text(print_formula(formula), binder, print_poly(a.label))
 
 
 def _lf_text(formula: str, binder: str, label: str) -> str:
@@ -342,6 +343,17 @@ def _display_formula(f: F.Formula, avoid: frozenset[str]) -> F.Formula:
             n2 = _display_formula(n, avoid | {x})
             return f if x is f.var and n2 is f.body else type(f)(x, p, n2)
     raise TypeError(f)
+
+
+def _display_lf(a: F.LF) -> tuple[F.Formula, str]:
+    """``a``'s formula and label binder, a generated binder made plain as
+    :func:`_display_formula` makes a formula binder plain: avoiding the
+    formula's other free variables and the label's."""
+    x = a.binder
+    if "#" not in x and "%" not in x:
+        return a.formula, x
+    x2 = _pretty_name(x, F.free_rvars(a.formula) | a.label.free_vars())
+    return F.subst_poly(a.formula, x, R.pvar(x2)), x2
 
 
 # -- terms ---------------------------------------------------------------------
@@ -494,6 +506,17 @@ def _printer():
     return once
 
 
+def _print_entry(a: F.LF, once) -> str:
+    """The text of the labelled formula ``a``, its formula and label printed
+    through the file writer's ``once``; a generated label binder is renamed
+    as :func:`print_lf` renames it."""
+    formula, binder = _display_lf(a)
+    # A renamed formula is built here and dies with the call, so its id
+    # could come back: it is printed without the cache.
+    text = once(formula, print_formula) if formula is a.formula else print_formula(formula)
+    return _lf_text(text, binder, once(a.label, print_poly))
+
+
 def _print_fields(fields: dict, once) -> dict:
     """A derivation node's ``ann`` or a proof node's ``data``, printed; keys
     of neither are dropped.  Each formula and label object goes through
@@ -506,7 +529,7 @@ def _print_fields(fields: dict, once) -> dict:
         elif k in ("h", "p"):
             out[k] = once(v, print_poly)
         elif k == "witness":
-            out[k] = _lf_text(once(v.formula, print_formula), v.binder, once(v.label, print_poly))
+            out[k] = _print_entry(v, once)
         elif k == "P":
             out[k] = once(v, print_formula)
         elif k in ("sum_witness", "sum_witness_lam", "sum_witness_mu"):
@@ -682,8 +705,7 @@ def proof_to_obj(p) -> dict:
     print_once = _printer()
 
     def entry(a: F.LF) -> str:
-        formula, label = print_once(a.formula, print_formula), print_once(a.label, print_poly)
-        return _lf_text(formula, a.binder, label)
+        return _print_entry(a, print_once)
 
     tree = _write_tree(
         p,

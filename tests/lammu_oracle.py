@@ -12,7 +12,9 @@ the same results up to α-equivalence (both draw fresh names from
 The library's step kernels, which dispatch on ``type()``, are compared with
 former ``match`` definitions: ``root_step`` here, given the library's own
 rewrites so that from one state of the fresh-name counter both draw the
-same names, and ``machine_step`` in the last section.
+same names, and ``machine_step`` further down.  The last section keeps the
+former kernels that read every free-name set through the ``fv``/``fmv``
+properties (``FORMER_KERNELS``), which whole reductions are compared with.
 """
 
 from __future__ import annotations
@@ -250,3 +252,141 @@ def machine_step(c: M.Config) -> tuple[M.Config, str] | None:
                 return M.Config(M.Closure(body, env), env.mu[a]), "restore"
             return None  # free name: final
     raise TypeError(t)
+
+
+# -- the former free-name readers of bllp.lammu's step kernels -------------------
+#
+# The step kernels as they were before they read the ``_fv``/``_fmv`` slots
+# directly: every set is read through the ``fv``/``fmv`` properties, and a
+# variable argument's sets are built like any other.  Swapped into
+# ``bllp.lammu`` for ``_rewrite``, ``_cache_free``, ``root_step`` and
+# ``theta_step``, they must give the same terms, names included.
+
+
+def former_cache_free(t: Term, lam: bool) -> frozenset[str]:
+    slot = Term._fv if lam else Term._fmv
+    get, put = slot.__get__, slot.__set__
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        if get(node) is not None:
+            stack.pop()
+            continue
+        cls = type(node)
+        if cls is App:
+            fs, as_ = get(node.fn), get(node.arg)
+            if fs is None or as_ is None:
+                if fs is None:
+                    stack.append(node.fn)
+                if as_ is None:
+                    stack.append(node.arg)
+                continue
+            put(node, L._union(fs, as_))
+        elif cls is Var:
+            put(node, frozenset((node.name,)) if lam else L._EMPTY)
+        else:
+            b = get(node.body)
+            if b is None:
+                stack.append(node.body)
+                continue
+            if cls is Lam:
+                if lam and node.var in b:
+                    b = b - {node.var}
+            elif not lam:
+                a = node.mvar
+                if cls is Mu:
+                    b = b - {a} if a in b else b
+                elif a not in b:
+                    b = b | {a}
+            put(node, b)
+        stack.pop()
+    return get(t)
+
+
+def former_rewrite(t: Term, kind: str, name: str, u) -> Term:
+    lam = kind == "subst"
+    if name not in (t.fv if lam else t.fmv):
+        return t
+    if (type(u) is Var and u.name == name) if lam else (kind == "rename" and u == name):
+        return t
+    on, lren, mren = True, {}, {}
+    out: list[Term] = []
+    todo: list = [t]
+    while todo:
+        s = todo.pop()
+        if s is App:
+            arg = out.pop()
+            out[-1] = App(out[-1], arg)
+            continue
+        cls = type(s)
+        if cls is tuple:
+            if s[0] is None:
+                _, on, lren, mren = s
+            else:
+                out[-1] = s[0](s[1], App(out[-1], u) if s[2] else out[-1])
+            continue
+        main = on and name in (s.fv if lam else s.fmv)
+        if not main:
+            if not (lren and not s.fv.isdisjoint(lren) or mren and not s.fmv.isdisjoint(mren)):
+                out.append(s)
+                continue
+            if on:
+                todo.append((None, on, lren, mren))
+                on = False
+        if cls is App:
+            todo += (App, s.arg, s.fn)
+        elif cls is Var:
+            out.append(u if main else Var(lren[s.name]))
+        elif cls is Named:
+            a = s.mvar
+            if main and a == name and not lam:
+                todo += ((Named, a, True) if kind == "mu" else (Named, u, False), s.body)
+            else:
+                todo += ((Named, mren.get(a, a), False), s.body)
+        else:
+            mu = cls is Mu
+            x, scope = (s.mvar, mren) if mu else (s.var, lren)
+            if kind == "rename":
+                captures = main and mu and x == u
+            else:
+                captures = main and x in (u.fmv if mu else u.fv)
+            if captures or x in scope:
+                todo.append((None, on, lren, mren))
+                scope = {k: v for k, v in scope.items() if k != x}
+                if captures:
+                    scope[x] = x = fresh_tvar(x)
+                lren, mren = (lren, scope) if mu else (scope, mren)
+            todo += ((cls, x, False), s.body)
+    return out[0]
+
+
+def former_root_step(t: Term) -> tuple[Term, str] | None:
+    if type(t) is App:
+        f, u = t.fn, t.arg
+        cls = type(f)
+        if cls is Lam:
+            return L.subst(f.body, f.var, u), "beta"
+        if cls is Mu:
+            a, b = f.mvar, f.body
+            if a in u.fmv:
+                a2 = fresh_tvar(a)
+                b = L.rename_mvar(b, a, a2)
+                a = a2
+            return Mu(a, L.mu_subst(b, a, u)), "mu"
+    return None
+
+
+def former_theta_step(t: Term) -> Term | None:
+    if type(t) is Mu:
+        n = t.body
+        if type(n) is Named and n.mvar == t.mvar and t.mvar not in n.body.fmv:
+            return n.body
+    return None
+
+
+FORMER_KERNELS = {
+    "_cache_free": former_cache_free,
+    "_rewrite": former_rewrite,
+    "root_step": former_root_step,
+    "theta_step": former_theta_step,
+}

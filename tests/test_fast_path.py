@@ -7,9 +7,12 @@ run once per step, or once per node of a walk, so they test ``type(t) is
 C`` instead.  ``lammu`` has no ``functools.cached_property`` either: its
 ``__get__`` takes a lock on every miss, while ``fv`` and ``fmv`` are two
 slots of each node that start as ``None`` and that the ``fv``/``fmv``
-properties fill on the first read.  Every step builds term and machine
-nodes, and a frozen dataclass's ``__init__`` sets each field through
-``object.__setattr__``; so ``lammu`` and ``machine`` import no
+properties fill on the first read.  The step kernels read those slots
+themselves and call ``_cache_free`` only on an empty one: none of them
+reads the properties, whose call costs more than the slot read behind it
+(the properties stay the public way to read the sets).  Every step builds
+term and machine nodes, and a frozen dataclass's ``__init__`` sets each
+field through ``object.__setattr__``; so ``lammu`` and ``machine`` import no
 ``dataclasses``, and each node class defines ``__slots__``.  So does every
 record the checking path builds by the hundred per derivation: the
 polynomials and monomials of ``respoly``, the formulas and labelled
@@ -84,15 +87,33 @@ FIELD_WRITERS = {
 POLY_BUILDERS = ("_poly", "_scale", "binom", "const")
 
 
-def _with_match(source: str, names: tuple[str, ...]) -> list[str]:
-    """The module-level functions ``names`` of ``source`` that hold a
-    ``match`` statement; a name ``source`` does not define is an error."""
+def _functions(source: str, names: tuple[str, ...]) -> dict[str, ast.FunctionDef]:
+    """The module-level functions of ``source``; a name of ``names`` that
+    ``source`` does not define is an error."""
     defs = {
         node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
     }
     missing = [name for name in names if name not in defs]
     assert not missing, f"no such function: {missing}"
+    return defs
+
+
+def _with_match(source: str, names: tuple[str, ...]) -> list[str]:
+    """The module-level functions ``names`` of ``source`` that hold a
+    ``match`` statement."""
+    defs = _functions(source, names)
     return [name for name in names if any(isinstance(n, ast.Match) for n in ast.walk(defs[name]))]
+
+
+def _reads_free_name_properties(source: str, names: tuple[str, ...]) -> list[str]:
+    """The module-level functions ``names`` of ``source`` that read an
+    attribute ``fv`` or ``fmv``."""
+    defs = _functions(source, names)
+    return [
+        name
+        for name in names
+        if any(isinstance(n, ast.Attribute) and n.attr in ("fv", "fmv") for n in ast.walk(defs[name]))
+    ]
 
 
 def _reads_cached_property(source: str) -> bool:
@@ -173,6 +194,21 @@ def test_the_step_kernels_hold_no_match_statement():
         mod: _with_match((LIBRARY / f"{mod}.py").read_text(), names) for mod, names in KERNELS.items()
     }
     assert found == {"lammu": [], "machine": []}
+
+
+def test_the_guard_sees_a_free_name_property_read():
+    source = (
+        "def f(t):\n    return t.fv\n"
+        "def g(t):\n    def inner(u):\n        return u.body.fmv\n    return inner\n"
+        "def h(t):\n    s = t._fv\n    return _cache_free(t, True) if s is None else s\n"
+        "def k(t, fv):\n    return fv, t.fvs, free_vars(t), getattr(t, 'fmv')\n"
+    )
+    assert _reads_free_name_properties(source, ("f", "g", "h", "k")) == ["f", "g"]
+
+
+def test_the_step_kernels_read_the_free_name_slots_not_the_properties():
+    source = (LIBRARY / "lammu.py").read_text()
+    assert _reads_free_name_properties(source, KERNELS["lammu"]) == []
 
 
 def test_lammu_has_no_cached_property():

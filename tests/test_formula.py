@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -485,3 +487,23 @@ def test_classify_reads_the_negation_off_its_operand():
     assert classify(F.WhyNot("y", P("1"), typing)) == "neither"
     assert classify(F.arrow(typing, "y", 1, typing)) == "typing"
     assert classify(F.arrow(F.Atom("X"), "y", 1, typing)) == "neither"
+
+
+def test_negate_and_free_rvars_of_depth_10_4_chains_need_no_recursion():
+    depth = 10_000
+    assert depth > sys.getrecursionlimit()
+    text = "!{1} " * depth + "X"
+    f = parse_formula(text)
+    for g in (negate(f), parse_formula("~" + text)):
+        node = g
+        for _ in range(depth):
+            assert type(node) is F.WhyNot and node.var == F.VACUOUS
+            node = node.body
+        assert type(node) is F.NegAtom and node.name == "X"
+    assert negate(negate(f)) is f
+    assert free_rvars(f) == frozenset()
+    chain = "!{y<x} " * depth + "X"
+    assert free_rvars(parse_formula(chain)) == {"x"}
+    # The label binder is kept only where the formula reads it.
+    assert parse_lf("<" + "!{x<1} " * depth + "X>[x<1]").binder == F.VACUOUS
+    assert parse_lf("<" + chain + ">[x<1]").binder == "x"

@@ -360,12 +360,17 @@ def _nodes(t: L.Term) -> list[L.Term]:
 
 
 def _check_stored_sets(t: L.Term) -> None:
-    """Every ``fv`` and ``fmv`` stored on a node of ``t`` is the oracle's."""
+    """Every ``fv`` and ``fmv`` stored on a node of ``t`` is the oracle's,
+    and a node holds one only if its children hold theirs."""
     for node in _nodes(t):
+        cls = type(node)
+        children = (node.fn, node.arg) if cls is App else () if cls is Var else (node.body,)
         if node._fv is not None:
             assert node._fv == O.free_vars(node)
+            assert all(c._fv is not None for c in children)
         if node._fmv is not None:
             assert node._fmv == O.free_mvars(node)
+            assert all(c._fmv is not None for c in children)
 
 
 @settings(max_examples=150, deadline=None)
@@ -946,3 +951,103 @@ def test_equality_and_hashing_of_depth_10_4_terms_need_no_recursion():
 def test_term_equality_with_a_non_term_is_not_implemented():
     assert Var("x").__eq__("x") is NotImplemented
     assert Var("x") != "x" and App(Var("f"), Var("x")) != ("f", "x")
+
+
+# -- the kernels against their former free-name readers ------------------------
+
+
+def _copy(t: L.Term) -> L.Term:
+    """A copy of the small term ``t`` that shares no node with it, so it
+    holds no stored set."""
+    cls = type(t)
+    if cls is Var:
+        return Var(t.name)
+    if cls is App:
+        return App(_copy(t.fn), _copy(t.arg))
+    return cls(t.var if cls is Lam else t.mvar, _copy(t.body))
+
+
+def _with_former_free_name_readers(make, fuel: int) -> None:
+    """``reduce`` and ``trace`` of ``make()`` under every strategy, with the
+    library's kernels and with ``O.FORMER_KERNELS`` swapped in, each from
+    one state of the fresh-name counter: ``==`` results, names included,
+    and the counter left at one value.  Every stored set of every reduct
+    is the oracle's."""
+    start = next(L._gen)
+    runs = []
+    for kernels in ({}, O.FORMER_KERNELS):
+        L._gen = itertools.count(start)
+        with pytest.MonkeyPatch.context() as mp:
+            for name, kernel in kernels.items():
+                mp.setattr(L, name, kernel)
+            got = []
+            for strategy in L.STRATEGIES:
+                got.append(reduce(make(), strategy, fuel))
+                got.append(list(L.trace(make(), strategy, fuel)))
+        runs.append((got, next(L._gen)))
+    assert runs[0] == runs[1]
+    L._gen = itertools.count(runs[0][1] + 1)
+    for result in runs[0][0][::2]:
+        _check_stored_sets(result[0])
+    for steps in runs[0][0][1::2]:
+        for _, _, reduct in steps:
+            _check_stored_sets(reduct)
+
+
+# Redexes whose rewrite meets a binder named as a free name of the argument.
+CAPTURES = [
+    r"(\x. mu a. [a] x) a",  # a λ-argument named as a μ-binder: no capture
+    r"(\x. \a. x a) a",  # a λ-binder captured
+    r"(\x. mu a. [a] x ([a] y)) ([a] z)",  # a μ-binder captured, its renaming carried past x
+    r"(\x. \y. mu a. [a] x y) (y ([a] z))",  # a λ- and a μ-binder captured, both carried
+    r"(mu a. [a] \b. [a] b) b",  # a μ-step's variable argument captured by a λ-binder
+    r"(mu a. [a] mu b. [a] [b] y) (mu c. [b] c)",  # a μ-step's argument captured by a μ-binder
+    r"(mu a. [a] [a] y) ([a] z)",  # a μ-redex whose binder is free in its argument
+    r"mu a. [a] mu b. [b] (\x. x) [a] y",  # θ tried on a body with its μ-name free
+]
+
+
+@pytest.mark.parametrize("text", CAPTURES)
+def test_captures_equal_those_of_the_former_free_name_readers(text):
+    _with_former_free_name_readers(lambda: T(text), 30)
+    _with_former_free_name_readers(lambda: _filled(T(text)), 30)
+
+
+REDUCE_FAMILIES = {
+    "exp": lambda k: f"{_church(k)} {_church(2)} (\\y. y) z0",
+    "aleph": lambda k: r"(\f. mu a. f (\x. [a] x)) w " + " ".join(f"t{i}" for i in range(1, k + 1)),
+    "deep": lambda k: f"{_church(k)} (\\y. y) z0",
+}
+
+
+def _filled(t: L.Term) -> L.Term:
+    """``t`` with both of its sets stored on every node."""
+    free_vars(t)
+    free_mvars(t)
+    return t
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(terms(), terms(4, SHARED, SHARED)),
+    st.one_of(terms(depth=2), terms(2, SHARED, SHARED)),
+    st.sampled_from(SHARED),
+    st.sampled_from(SHARED),
+    st.integers(0, 2),
+)
+def test_reductions_equal_those_of_the_former_free_name_readers(t, u, x, a, depth):
+    """Random terms, also with λ- and μ-names shared, as the subject or the
+    argument of a β- or μ-redex, or under nested θ-candidates; with no set
+    stored, and with both stored on every node."""
+    for subject in (t, App(Lam(x, t), u), App(Mu(a, t), u), _nested_theta(App(t, u), depth)):
+        _with_former_free_name_readers(lambda: _copy(subject), 30)
+        _with_former_free_name_readers(lambda: _filled(_copy(subject)), 30)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(REDUCE_FAMILIES)), st.integers(1, 24))
+def test_reduce_families_equal_those_of_the_former_free_name_readers(family, k):
+    if family == "exp":
+        k = 2 + k % 3
+    text = REDUCE_FAMILIES[family](k)
+    _with_former_free_name_readers(lambda: T(text), 10_000)

@@ -930,7 +930,8 @@ def test_the_pipeline_builds_the_dual_of_each_formula_object_once(name, monkeypa
             built.append(f)
         return real(f)
 
-    # ``F.negate`` recurses through the module global, so children go through the spy too.
+    # Every module that imported ``negate`` calls the spy; a call negates the
+    # children it meets itself and stores their duals too.
     for mod in list(sys.modules.values()):
         if mod.__name__.startswith("bllp") and getattr(mod, "negate", None) is real:
             monkeypatch.setattr(mod, "negate", negate)

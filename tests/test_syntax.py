@@ -10,7 +10,7 @@ from bllp import corpus as C
 from bllp import formula as F
 from bllp import lammu as L
 from bllp import syntax as S
-from bllp.proofs import check_proof, map_derivation, special_steps, weight
+from bllp.proofs import check_proof, map_derivation, mk_ax, special_steps, weight
 from bllp.respoly import add, binom, const, fresh_var, mul, pvar
 from bllp.syntax import (
     ParseError,
@@ -122,6 +122,28 @@ def test_generated_binders_print_plain():
 def test_labelled_roundtrip(f, p):
     a = F.lf(f, "v" if "v" in F.free_rvars(f) else F.VACUOUS, p)
     assert F.lf_alpha_eq(parse_lf(print_lf(a)), a)
+
+
+def test_a_generated_label_binder_prints_plain_and_parses_back():
+    """A label binder that ``lf_subst`` renamed gets a plain name, avoiding
+    the formula's other free variables and the label's, in ``print_lf`` and
+    in a proof file's sequent entries and axiom witness."""
+    a = F.lf_subst(F.lf(F.WhyNot("u", pvar("v"), F.NegAtom("Y")), "v", const(1)), "y", pvar("v"))
+    two = F.Par(F.WhyNot("u", pvar("v"), F.NegAtom("Y")), F.WhyNot("w", pvar("y"), F.NegAtom("Z")))
+    b = F.lf_subst(F.lf(two, "v", const(1)), "y", pvar("v"))
+    x = fresh_var("v")
+    c = F.LF(F.WhyNot("u", pvar(x), F.NegAtom("Y")), x, pvar("v"))
+    texts = ("<?{u<v} ~Y>[v<1]", "<?{u<v1} ~Y par ?{w<v} ~Z>[v1<1]", "<?{u<v1} ~Y>[v1<v]")
+    for entry, text in zip((a, b, c), texts):
+        assert "#" in entry.binder and print_lf(entry) == text
+        assert F.lf_alpha_eq(parse_lf(text), entry)
+    pf = mk_ax((F.lf_neg(a), a), a)
+    obj = json.loads(json.dumps(proof_to_obj(pf)))
+    assert obj["tree"]["sequent"] == ["<!{u<v} Y>[v<1]", texts[0]]
+    assert obj["tree"]["data"]["witness"] == texts[0]
+    q = proof_from_obj(obj)
+    assert check_proof(pf).ok and check_proof(q).ok
+    assert all(map(F.lf_alpha_eq, q.concl, pf.concl)) and F.lf_alpha_eq(q.data["witness"], a)
 
 
 @settings(max_examples=150)
