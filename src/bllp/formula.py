@@ -28,8 +28,8 @@ in one of three slots that start as ``None``, as ``lammu.Term`` keeps
 ``negate`` stores the dual on both nodes, so ``negate(negate(f))`` is
 ``f`` itself; a unit's dual is the shared ``BOTTOM`` or ``ONE_F``.
 ``free_rvars`` returns a shared ``frozenset``.  No fact draws a fresh name.
-``negate`` and ``free_rvars`` walk an explicit stack, so a formula of any
-depth has them; ``subst_poly`` and the generated ``==`` and ``hash`` still
+``negate``, ``free_rvars`` and ``subst_poly`` walk an explicit stack, so a
+formula of any depth has them; the generated ``==`` and ``hash`` still
 recurse.
 """
 
@@ -232,27 +232,53 @@ def free_rvars(f: Formula) -> frozenset[VarId]:
 
 
 def subst_poly(f: Formula, var: VarId, q: Poly) -> Formula:
-    """Capture-avoiding substitution in every polynomial position."""
-    if var == VACUOUS:
-        return f
-    match f:
-        case Atom() | NegAtom() | One() | Bottom():
-            return f
-        case Tensor(l, r):
-            return Tensor(subst_poly(l, var, q), subst_poly(r, var, q))
-        case Par(l, r):
-            return Par(subst_poly(l, var, q), subst_poly(r, var, q))
-        case Bang(x, p, n) | WhyNot(x, p, n):
+    """Capture-avoiding substitution in every polynomial position.
+
+    A binder that ``q`` mentions is renamed to a fresh name: its body is
+    substituted for the new name first, then for ``var``.  The jobs wait on
+    an explicit stack and the results on another, so a formula of any depth
+    is substituted, and they run in the order of the plain recursion, so
+    the fresh names are drawn in the same order.
+    """
+    out: list[Formula] = []
+    # Jobs: (_SUBST, formula, var, q); (_JOIN, class) builds a binary node
+    # from the last two results; (_BIND, class, binder, bound) a modal one
+    # from the last; (_AGAIN, var, q) substitutes the last result again.
+    jobs: list[tuple] = [(_SUBST, f, var, q)]
+    while jobs:
+        job = jobs.pop()
+        kind = job[0]
+        if kind is _SUBST:
+            _, f, var, q = job
             cls = type(f)
-            p2 = compose(p, var, q)
-            if x == var:
-                return cls(x, p2, n)
-            if x != VACUOUS and x in q.free_vars():
-                x2 = fresh_var(x)
-                n = subst_poly(n, x, pvar(x2))
-                x = x2
-            return cls(x, p2, subst_poly(n, var, q))
-    raise TypeError(f)
+            if var == VACUOUS or cls in _LEAVES:
+                out.append(f)
+            elif cls is Tensor or cls is Par:
+                jobs += ((_JOIN, cls), (_SUBST, f.right, var, q), (_SUBST, f.left, var, q))
+            elif cls is Bang or cls is WhyNot:
+                x, n = f.var, f.body
+                bound = compose(f.bound, var, q)
+                if x == var:
+                    out.append(cls(x, bound, n))
+                elif x != VACUOUS and x in q.free_vars():
+                    x2 = fresh_var(x)
+                    jobs += ((_BIND, cls, x2, bound), (_AGAIN, var, q), (_SUBST, n, x, pvar(x2)))
+                else:
+                    jobs += ((_BIND, cls, x, bound), (_SUBST, n, var, q))
+            else:
+                raise TypeError(f)
+        elif kind is _JOIN:
+            r = out.pop()
+            out.append(job[1](out.pop(), r))
+        elif kind is _BIND:
+            out.append(job[1](job[2], job[3], out.pop()))
+        else:
+            jobs.append((_SUBST, out.pop(), job[1], job[2]))
+    return out[0]
+
+
+_SUBST, _JOIN, _BIND, _AGAIN = "subst", "join", "bind", "again"
+_LEAVES = frozenset((Atom, NegAtom, One, Bottom))
 
 
 def alpha_eq(a: Formula, b: Formula, binders: tuple[VarId, VarId] | None = None) -> bool:

@@ -3,21 +3,35 @@
 A sequent is a tuple of labelled formulas with at most one positive member.
 Proof nodes store their conclusion and rule-specific data (indices into
 premise conclusions, polynomial witnesses); checking is local and literal.
-A node's errors read only the node and its premises' conclusions, all
-immutable (``data`` is a read-only copy), so `check_proof` stores them on
-the node as its verdict: a rewrite rebuilds only the path to its change,
-and checking its result checks only the nodes it built.  A node is an
-immutable record in ``__slots__`` (``record.Frozen``); its verdict and its
-layout table are two more slots, which ``record.replace`` does not carry
-over.
+A node is an immutable record in ``__slots__`` (``record.Frozen``), and
+its ``data`` is a read-only copy.  A rewrite rebuilds only the path to its
+change, and every other subproof of its result is the same object as
+before.  So a fact that depends on a subproof alone is stored on the
+subproof's root, in a slot that ``record.replace`` does not carry over, and
+computed once.  Three are stored; each one's worth is given in CPU time,
+best of 15, for draining the special steps of church-1..12 and the corpus
+with a check and a weight after each step (42 ms with all three):
+
+- the verdict, a node's own errors, which read only the node and its
+  premises' conclusions.  It is `CLEAN` when no node of the subproof has
+  an error, so `check_proof` decides a checked proof at its root, and
+  checks the result of a cut only at the nodes the cut built.  With no
+  verdict stored the drain takes 79 ms.
+- the `_layout` table, where the rule puts each premise formula.  With no
+  table stored the drain takes 72 ms.
+- the weight form, the weight as an affine function of the fates of the
+  conclusion formulas (see `weight`), so weighing the result of a cut
+  computes forms only for the nodes the cut built.  Weighing after every
+  special cut of church-64, as ``cut-eliminate --trace`` does, costs 1.5×
+  `normalize`, and 4.6× when the weight is walked from the root each time.
 
 The weight of a proof bounds the number of special cut-elimination steps.
 It is the symbolic pre-weight with its variables substituted: each axiom,
 unary rule and box door holds one variable, which becomes 1 when its
 formula occurrence is eventually cut and 0 when the occurrence reaches the
-root. That value (its fate) is known top-down, and substituting a constant
-commutes with + and ×, so `weight` uses the fate from the start, in one
-walk from the root that keeps no variables and reads each node's table once.
+root.  That value is its fate, and substituting a constant commutes with +
+and ×, so a subproof's weight is affine in the fates of its conclusion
+positions, and a node's form follows from its premises'.
 
 Where a rule puts each premise formula is stated once, in `_layout`: every
 builder but the box's assembles its conclusion from that table, each node
@@ -34,8 +48,9 @@ premise.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
+from operator import attrgetter
 from types import MappingProxyType
 
 from . import formula as F
@@ -56,7 +71,7 @@ from .formula import (
     negate,
 )
 from .record import replace
-from .respoly import ONE, ZERO, Poly, bounded_sum, fresh_var, linear_sum, poly_leq, pvar
+from .respoly import ONE, ZERO, Poly, bounded_sum, const, fresh_var, poly_leq, pvar
 from .typecheck import SIDES, Report, Tree, ctx_get, introduced, stack_safe
 
 Sequent = tuple[LF, ...]
@@ -72,10 +87,12 @@ class ProofError(Exception):
 
 
 class Proof(Tree):
-    # Besides the fields: `verdict`, the node's own errors, stored by
-    # `check_proof`, and `table`, its `_layout` table, stored by `_build` or
-    # on first use.  Both are None until then, and `replace` leaves them behind.
-    __slots__ = ("rule", "concl", "premises", "data", "verdict", "table")
+    # Besides the fields, three stored facts, None until first computed and
+    # left behind by `replace`: `verdict`, the node's own errors, stored by
+    # `check_proof` (`CLEAN` when no node of its subtree has one); `table`,
+    # its `_layout` table, stored by `_build` or on first use; and `form`,
+    # its weight form, stored by `weight`.
+    __slots__ = ("rule", "concl", "premises", "data", "verdict", "table", "form")
     __match_args__ = ("rule", "concl", "premises", "data")
 
     # By hand: ``premises`` defaults to none and ``data`` becomes a read-only copy.
@@ -96,6 +113,7 @@ class Proof(Tree):
         _set_proof_data(self, data)
         _set_verdict(self, None)
         _set_table(self, None)
+        _set_form(self, None)
 
     def premise(self, i: int = 0) -> "Proof":
         return self.premises[i]
@@ -109,7 +127,30 @@ class Proof(Tree):
 
 _set_proof_rule, _set_proof_concl = Proof.rule.__set__, Proof.concl.__set__
 _set_proof_premises, _set_proof_data = Proof.premises.__set__, Proof.data.__set__
-_set_verdict, _set_table = Proof.verdict.__set__, Proof.table.__set__
+_set_verdict, _set_table, _set_form = Proof.verdict.__set__, Proof.table.__set__, Proof.form.__set__
+
+
+def _fill(
+    p: Proof,
+    get: Callable[[Proof], object],
+    make: Callable[[Proof], object],
+    put: Callable[[Proof, object], None],
+) -> object:
+    """``get(p)``, after storing ``make(node)`` by ``put`` on every node of
+    ``p`` whose fact ``get`` finds unset, premises first.  A node whose fact
+    is set is not entered: every node of its subproof has the fact already."""
+    unset, stack = [], [p]
+    while stack:
+        node = stack.pop()
+        if get(node) is None:
+            unset.append(node)
+            stack += node.premises
+    # Pre-order, so reversed it puts premises first; a shared subproof met
+    # twice is listed twice, and filled once.
+    for node in reversed(unset):
+        if get(node) is None:
+            put(node, make(node))
+    return get(p)
 
 
 def positives(seq: Sequent) -> list[int]:
@@ -349,20 +390,85 @@ def _box_sum(principal: LF, entry: LF, witness=None) -> LF:
     return lf_bounded_sum(var, principal.label, entry, witness)
 
 
+class _Clean(tuple):
+    __slots__ = ()
+
+
+# The verdict of a node whose subproof has no error: ``== ()``, told apart by identity.
+CLEAN = _Clean()
+
+
 def _verdict(p: Proof) -> tuple[str, ...]:
-    """``_node_errors(p)``, computed on the first check of ``p`` and stored on it."""
-    verdict = p.verdict
-    if verdict is None:
-        verdict = tuple(_node_errors(p))
-        _set_verdict(p, verdict)
-    return verdict
+    """``_node_errors(p)``, or `CLEAN` if that is empty and every premise is clean."""
+    errs = tuple(_node_errors(p))
+    if errs:
+        return errs
+    for q in p.premises:
+        if q.verdict is not CLEAN:
+            return errs
+    return CLEAN
+
+
+_get_verdict = attrgetter("verdict")
 
 
 def check_proof(p: Proof) -> Report:
-    return Report.walk(p, _verdict)
+    """The errors of ``p`` in pre-order.  The root is decided by storing a
+    verdict on each node that has none, premises first; only when it is not
+    `CLEAN` does the pre-order walk read the stored verdicts for the report."""
+    if _fill(p, _get_verdict, _verdict, _set_verdict) is CLEAN:
+        return Report([])
+    return Report.walk(p, _get_verdict)
 
 
 # -- weights -------------------------------------------------------------------------
+
+
+# A weight form ``(c0, cs)``: the weight of a subproof with no box above it
+# is ``c0 + Σ_k f_k · cs[k]`` when its conclusion position ``k`` has fate
+# ``f_k``.  A coefficient is an int until a box with a symbolic label scales
+# it, then a `Poly`; a form of ints is a tuple of ints, which the garbage
+# collector stops tracking, as it does the tables.
+Form = tuple[int | Poly, tuple[int | Poly, ...]]
+
+# The rules that give a weight variable to the position they create.
+_UNARY = frozenset(("par", "qc", "qd", "bot", "qw"))
+_AXIOM_FORMS = ((0, (0, 1)), (0, (1, 0)))
+
+
+def _form(node: Proof) -> Form:
+    """``node``'s weight form, from its premises' stored ones."""
+    rule = node.rule
+    if rule == "ax":  # the negative side's variable, by the first positive side
+        return _AXIOM_FORMS[positives(node.concl)[0]]
+    if rule == "bang":  # the premise scaled by the label, and one per door
+        c0, cs = node.premises[0].form
+        i = node.data["idx"]
+        label = node.concl[i].label
+        if not label.free_vars():
+            label = label.constant_part()
+        scaled = [label * c if c else 0 for c in cs]
+        doors = [c if k == i else c + 1 for k, c in enumerate(scaled)]
+        return (label * c0 if c0 else 0), tuple(doors)
+    lays, made = node.table or _table(node)
+    c0 = 0
+    cs = [0] * len(node.concl)
+    for q, lay in zip(node.premises, lays):
+        q0, qcs = q.form
+        if q0:
+            c0 += q0
+        for t, c in zip(lay, qcs):
+            if c:
+                if t is None:  # a cut formula: fate 1
+                    c0 += c
+                else:
+                    cs[t] += c
+    if rule in _UNARY:
+        cs[made[0]] += 1
+    return c0, tuple(cs)
+
+
+_get_form = attrgetter("form")
 
 
 def weight(p: Proof) -> Poly:
@@ -375,37 +481,16 @@ def weight(p: Proof) -> Poly:
     two cut formulas to 1; the weight sets the ones left at the root to 0.
     So each variable's value is its fate: 1 if its formula occurrence is
     eventually cut, 0 if it reaches the root. Substitution commutes with +
-    and ×, so using the fate from the start is exact. The walk starts at
-    the root with fate 0 on every position; a cut gives its two cut
-    positions fate 1, every other premise position inherits its fate
-    through the node's table, and a box multiplies its premise's multiplier
-    by its label. It is linear in the size of the proof and keeps no names.
-    A multiplier is one object for the whole box premise, so the walk counts
-    by object and hashes each distinct multiplier once, at the end.
+    and ×, so the pre-weight of a subproof, with its own cuts' variables
+    set to 1, is affine in the fates of its conclusion positions: that is
+    its form (`Form`), which depends on the subproof alone.  Each node's
+    form is computed from its premises' and stored on it, and a node whose
+    form is stored is not entered, so weighing the result of a cut computes
+    forms only for the nodes the cut built.  Every root fate is 0, so the
+    weight is the root's ``c0``.
     """
-    counts: dict[int, list] = {}  # id(multiplier) -> [multiplier, count]
-    stack = [(p, [0] * len(p.concl), ONE)]
-    while stack:
-        node, fates, mult = stack.pop()
-        lays, made = node.table or _table(node)
-        n, inner = 0, mult
-        match node.rule:
-            case "ax":
-                n = fates[1 - positives(node.concl)[0]]
-            case "bang":
-                i = node.data["idx"]
-                n = sum(fates) - fates[i]
-                inner = mult * node.concl[i].label
-            case "par" | "qc" | "qd" | "bot" | "qw":
-                n = fates[made[0]]
-        if n:
-            counts.setdefault(id(mult), [mult, 0])[1] += n
-        for q, lay in zip(node.premises, lays):
-            stack.append((q, [1 if t is None else fates[t] for t in lay], inner))
-    merged: dict[Poly, int] = {}
-    for mult, n in counts.values():
-        merged[mult] = merged.get(mult, 0) + n
-    return linear_sum(merged)
+    c0 = _fill(p, _get_form, _form, _set_form)[0]
+    return const(c0) if type(c0) is int else c0
 
 
 # -- smart constructors ----------------------------------------------------------------

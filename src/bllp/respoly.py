@@ -7,11 +7,11 @@ used throughout is a mapping from monomials to coefficients, which makes
 equality structural and the order ``p ⊑ q`` ("q - p is again a resource
 polynomial") a plain coefficient comparison.
 
-Every operation that builds a polynomial (``add``, ``linear_sum``,
-``mul``, ``compose``, ``bounded_sum``, ``specialize``) accumulates its
-coefficients in one dictionary and canonicalises (checks and sorts) the
-result once, at the end, so apart from that one sort its cost is linear
-in the number of monomial products it forms.
+Every operation that builds a polynomial (``add``, ``mul``, ``compose``,
+``bounded_sum``, ``specialize``) accumulates its coefficients in one
+dictionary and canonicalises (checks and sorts) the result once, at the
+end, so apart from that one sort its cost is linear in the number of
+monomial products it forms.
 
 The constants 0 to ``_SHARED - 1`` (255) are built once, at import, into
 one fixed table, and each constant in that range the module returns is the
@@ -220,15 +220,6 @@ def add(p: Poly, q: Poly) -> Poly:
     table: dict[Mono, int] = dict(p.terms)
     for m, c in q.terms:
         table[m] = table.get(m, 0) + c
-    return _poly(table)
-
-
-def linear_sum(counts: Mapping[Poly, int]) -> Poly:
-    """The sum of ``n * p`` over the pairs ``(p, n)`` of ``counts``."""
-    table: dict[Mono, int] = {}
-    for p, n in counts.items():
-        for m, c in p.terms:
-            table[m] = table.get(m, 0) + n * c
     return _poly(table)
 
 

@@ -17,16 +17,42 @@ The facts that ``bllp.formula`` stores on a node are defined here as they
 were before: ``negate`` builds a fresh dual on every call, ``free_rvars``
 rebuilds its sets recursively, ``classify_walk`` (with ``_typing``) walks
 the formula on every call, and ``is_positive`` tests the class against a
-tuple.  ``is_negative`` and ``verify_bounded_sum`` moved here from
-``bllp.formula``, where only tests called them.
+tuple.  ``subst_poly`` is the plain recursion that ``bllp.formula`` runs on
+an explicit stack; the tests check that both draw the same fresh names.
+``is_negative`` and ``verify_bounded_sum`` moved here from ``bllp.formula``,
+where only tests called them.
 """
 
 from __future__ import annotations
 
 from bllp import formula as F
-from bllp.formula import LF, VACUOUS, ShapeMismatch, subst_poly
-from bllp.respoly import Poly, VarId, fresh_var, pvar
+from bllp.formula import LF, VACUOUS, ShapeMismatch
+from bllp.respoly import Poly, VarId, compose, fresh_var, pvar
 from respoly_oracle import sub_checked
+
+
+def subst_poly(f: F.Formula, var: VarId, q: Poly) -> F.Formula:
+    """Capture-avoiding substitution in every polynomial position."""
+    if var == VACUOUS:
+        return f
+    match f:
+        case F.Atom() | F.NegAtom() | F.One() | F.Bottom():
+            return f
+        case F.Tensor(l, r):
+            return F.Tensor(subst_poly(l, var, q), subst_poly(r, var, q))
+        case F.Par(l, r):
+            return F.Par(subst_poly(l, var, q), subst_poly(r, var, q))
+        case F.Bang(x, p, n) | F.WhyNot(x, p, n):
+            cls = type(f)
+            p2 = compose(p, var, q)
+            if x == var:
+                return cls(x, p2, n)
+            if x != VACUOUS and x in q.free_vars():
+                x2 = fresh_var(x)
+                n = subst_poly(n, x, pvar(x2))
+                x = x2
+            return cls(x, p2, subst_poly(n, var, q))
+    raise TypeError(f)
 
 
 def is_positive(f: F.Formula) -> bool:

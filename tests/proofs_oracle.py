@@ -6,11 +6,12 @@ every axiom, unary rule and box-context position gets a fresh weight
 variable, a cut sets the variables of its two cut formulas to 1, and
 ``weight`` sets every variable left in a conclusion set to 0.  It recurses
 on the proof and copies the polynomial at every node, so it is simple and
-slow, and deep proofs exhaust the recursion limit.  ``bllp.proofs.weight``
-fixes each variable's value (its fate) top-down in one walk; the tests check
-that both give the same polynomial.  ``fate_weight`` is the former
-``bllp.proofs.weight``, which counts under each multiplier by its value
-where the library counts by object.  ``cut_paths`` is the recursive
+slow, and deep proofs exhaust the recursion limit.  ``fate_weight`` fixes
+each variable's value (its fate) top-down in one walk from the root and
+counts under each multiplier by its value: it is the former
+``bllp.proofs.weight`` before the library stored an affine form in the
+fates on each node, computed bottom-up.  The tests check that all three
+give the same polynomial.  ``cut_paths`` is the recursive
 pre-order listing of the cuts outside every box.
 
 ``erase`` is the polynomial-free skeleton of a proof, flat in pre-order,
@@ -74,7 +75,7 @@ from bllp.proofs import (
     positives,
 )
 from bllp.record import replace
-from bllp.respoly import ONE, ZERO, Poly, fresh_var, linear_sum, pvar, specialize
+from bllp.respoly import ONE, ZERO, Mono, Poly, _poly, fresh_var, pvar, specialize
 
 # -- the former index layouts and builders --------------------------------------------
 #
@@ -309,6 +310,16 @@ def weight(p: Proof) -> Poly:
     """The pre-weight polynomial with every conclusion-set variable zeroed."""
     pw = preweight(p)
     return specialize(pw.poly, {v: 0 for s in pw.sets for v in s})
+
+
+def linear_sum(counts: dict[Poly, int]) -> Poly:
+    """The sum of ``n * p`` over the pairs ``(p, n)`` of ``counts``: the
+    former ``bllp.respoly.linear_sum``, which only ``fate_weight`` calls."""
+    table: dict[Mono, int] = {}
+    for p, n in counts.items():
+        for m, c in p.terms:
+            table[m] = table.get(m, 0) + n * c
+    return _poly(table)
 
 
 def fate_weight(p: Proof) -> Poly:

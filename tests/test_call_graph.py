@@ -10,10 +10,9 @@ name or as an attribute.  The graph must have no cycle.  ``syntax`` parses
 and prints terms, formulas and files on explicit stacks too; its
 polynomial parser (into parentheses and bounded sums) and the renaming of
 generated formula binders still recurse, as deep as a type, not a term,
-and they are pinned: the list may only shrink.  So is the one recursive
-function of ``formula``, ``subst_poly``, as deep as a type (``negate`` and
-``free_rvars`` walk explicit stacks); ``respoly``, ``corpus`` and ``cli``
-have none.
+and they are pinned: the list may only shrink.  ``formula`` walks formulas
+on explicit stacks (``negate``, ``free_rvars`` and ``subst_poly``), so its
+pinned list is empty; ``respoly``, ``corpus`` and ``cli`` have none.
 """
 
 import ast
@@ -86,7 +85,7 @@ def test_syntax_recurses_only_in_its_formula_and_polynomial_parsers_and_printers
 
 
 def test_formula_recurses_only_in_its_pinned_functions():
-    assert _recursive([(LIBRARY / "formula.py").read_text()]) == ["subst_poly"]
+    assert _recursive([(LIBRARY / "formula.py").read_text()]) == []
 
 
 def test_respoly_corpus_and_cli_have_no_recursive_function():

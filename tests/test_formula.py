@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import pytest
@@ -507,3 +508,49 @@ def test_negate_and_free_rvars_of_depth_10_4_chains_need_no_recursion():
     # The label binder is kept only where the formula reads it.
     assert parse_lf("<" + "!{x<1} " * depth + "X>[x<1]").binder == F.VACUOUS
     assert parse_lf("<" + chain + ">[x<1]").binder == "x"
+
+
+def _from_counter(start: int, fn, *args):
+    """``fn(*args)`` with the fresh-name counter set to ``start``, and the
+    counter's next value after it."""
+    saved = R._counter
+    R._counter = itertools.count(start)
+    try:
+        return fn(*args), next(R._counter)
+    finally:
+        R._counter = saved
+
+
+@settings(max_examples=300, deadline=None)
+@given(named_formulas(depth=4), st.sampled_from(NAMES), st.sampled_from(NAME_BOUNDS + ("0", "x + y + z")))
+def test_subst_poly_agrees_with_the_recursion_on_formula_and_fresh_names(f, var, q):
+    assert _from_counter(1, subst_poly, f, var, P(q)) == _from_counter(1, O.subst_poly, f, var, P(q))
+
+
+def test_subst_poly_renames_a_capturing_binder_before_entering_it():
+    f = pf("!{x<y} (?{y<x} V par !{x<y} ~V)")
+    got, after = _from_counter(7, subst_poly, f, "y", R.pvar("x"))
+    assert (got, after) == _from_counter(7, O.subst_poly, f, "y", R.pvar("x"))
+    # !{#x7<x} (?{y<#x7} V par !{#x8<x} ~V)
+    assert got.var == "#x7" and got.bound == R.pvar("x") and after == 9
+    assert got.body.left == F.WhyNot("y", R.pvar("#x7"), F.Atom("V"))
+    assert got.body.right == F.Bang("#x8", R.pvar("x"), F.NegAtom("V"))
+
+
+def test_subst_poly_of_depth_10_4_chains_needs_no_recursion():
+    depth = 10_000
+    assert depth > sys.getrecursionlimit()
+    # every binder captures the substituted ``x`` and is renamed
+    g = subst_poly(parse_formula("!{x<1} " * depth + "X"), "y", R.pvar("x"))
+    names, node = set(), g
+    for _ in range(depth):
+        assert type(node) is F.Bang and node.bound == R.ONE and node.var.startswith("#x")
+        names.add(node.var)
+        node = node.body
+    assert node == F.Atom("X") and len(names) == depth
+    # every bound mentions the substituted variable
+    node = subst_poly(parse_formula("?{y<x} " * depth + "~X"), "x", P("2"))
+    for _ in range(depth):
+        assert type(node) is F.WhyNot and node.var == "y" and node.bound == R.const(2)
+        node = node.body
+    assert node == F.NegAtom("X")

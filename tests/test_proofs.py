@@ -1,3 +1,4 @@
+import copy
 import random
 import sys
 
@@ -32,8 +33,8 @@ from bllp.proofs import (
     weight,
 )
 from bllp.record import replace
-from bllp.respoly import ONE, ZERO, const, eval_poly, fresh_var, poly_leq, pvar
-from bllp.syntax import parse_lf, parse_poly, proof_from_obj, proof_to_obj
+from bllp.respoly import ONE, ZERO, NotResourcePolynomial, const, eval_poly, fresh_var, poly_leq, pvar
+from bllp.syntax import ParseError, parse_lf, parse_poly, proof_from_obj, proof_to_obj
 from bllp.typecheck import (
     Report,
     add_to_mult,
@@ -174,16 +175,27 @@ def test_preweight_sets_are_disjoint():
 
 
 DERIVED = [e.name for e in C.entries() if e.derivation]
+# The fully applied Church numerals 1-12, named apart from the corpus entries.
+APPLIED = {f"applied-{n}": n for n in range(1, 13)}
 
 
-@pytest.mark.parametrize("name", DERIVED)
+def built(name: str) -> Proof:
+    """The mapped proof of a corpus entry or of an :data:`APPLIED` numeral."""
+    if name in APPLIED:
+        return map_derivation(add_to_mult(C.church_applied_derivation(APPLIED[name])))
+    return mapped(name)
+
+
+@pytest.mark.parametrize("name", DERIVED + list(APPLIED))
 def test_weight_and_cut_order_match_the_oracle_along_special_steps(name):
-    pf = mapped(name)
-    assert weight(pf) == O.weight(pf)
+    """The stored forms of one proof serve the next: each result shares
+    every subproof its cut did not rebuild."""
+    pf = built(name)
+    assert weight(pf) == O.weight(pf) == O.fate_weight(pf)
     assert list(P._cut_paths(pf)) == O.cut_paths(pf)
     for hit in P.special_steps(pf):
         for q in (hit.exposed, hit.result):
-            assert weight(q) == O.weight(q)
+            assert weight(q) == O.weight(q) == O.fate_weight(q)
             assert list(P._cut_paths(q)) == O.cut_paths(q)
 
 
@@ -975,17 +987,23 @@ def test_stored_verdicts_give_the_report_of_a_fresh_walk_at_every_special_step(n
         assert check_proof(q) == _reference(q) == check_proof(q)
 
 
-@pytest.mark.parametrize("name", ["church-12", "kappa-callcc"])
-def test_check_proof_checks_only_the_nodes_a_special_step_built(name, monkeypatch):
-    pf = dict(VERDICT_PROOFS)[name]()
+def _counting(monkeypatch, name: str) -> list[int]:
+    """A one-item counter of the calls to ``P.<name>``, which keeps working."""
     calls = [0]
-    real = P._node_errors
+    real = getattr(P, name)
 
     def counted(p):
         calls[0] += 1
         return real(p)
 
-    monkeypatch.setattr(P, "_node_errors", counted)
+    monkeypatch.setattr(P, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["church-12", "kappa-callcc"])
+def test_check_proof_checks_only_the_nodes_a_special_step_built(name, monkeypatch):
+    pf = dict(VERDICT_PROOFS)[name]()
+    calls = _counting(monkeypatch, "_node_errors")
     assert check_proof(pf).ok and calls[0] == len(_node_ids(pf))
     calls[0] = 0
     assert check_proof(pf).ok and calls[0] == 0
@@ -994,6 +1012,26 @@ def test_check_proof_checks_only_the_nodes_a_special_step_built(name, monkeypatc
         calls[0] = 0
         assert check_proof(hit.result).ok
         assert calls[0] == len(_node_ids(hit.result) - _node_ids(prev)) > 0
+        prev = hit.result
+    assert steps > 1
+
+
+@pytest.mark.parametrize("name", ["church-12", "kappa-callcc"])
+def test_weight_computes_forms_only_for_the_nodes_a_special_step_built(name, monkeypatch):
+    pf = dict(VERDICT_PROOFS)[name]()
+    forms = _counting(monkeypatch, "_form")
+    errors = _counting(monkeypatch, "_node_errors")
+    assert weight(pf) == O.fate_weight(pf) and forms[0] == len(_node_ids(pf))
+    prev = pf
+    for steps, hit in enumerate(P.special_steps(pf), 1):
+        forms[0] = 0
+        w = weight(hit.result)
+        assert forms[0] == len(_node_ids(hit.result) - _node_ids(prev)) > 0
+        assert w == O.fate_weight(hit.result)
+        assert check_proof(hit.result).ok
+        forms[0] = errors[0] = 0
+        assert weight(hit.result) == w and check_proof(hit.result).ok
+        assert forms[0] == errors[0] == 0
         prev = hit.result
     assert steps > 1
 
@@ -1079,3 +1117,129 @@ def test_equality_leaves_out_data_and_verdicts():
     fresh = Proof(checked.rule, checked.concl, checked.premises, {"idx": 2, "note": 1})
     assert fresh == checked and hash(fresh) == hash(checked) and fresh.verdict is None
     assert mk_qw(AX1, 0, lf(X, F.VACUOUS, 1)) != checked
+
+
+def _broken(node: Proof) -> Proof:
+    """A copy of ``node`` with its first conclusion formula dropped: wrong for every rule."""
+    return replace(node, concl=node.concl[1:])
+
+
+def test_a_report_reads_the_stored_verdicts_of_clean_and_of_failed_subproofs(monkeypatch):
+    """Broken nodes next to subproofs an earlier check marked: their own
+    premises clean, their siblings clean, and, after a second break, proofs
+    that also reuse subproofs of a failed check.  Every report is the fresh
+    pre-order walk's, and checking a proof twice computes nothing new."""
+    pf = mapped("kappa-callcc")
+    assert check_proof(pf).ok
+    calls = _counting(monkeypatch, "_node_errors")
+    paths = _paths(pf)
+    for path in paths:
+        q = _rebuilt(pf, path, _broken(pf.at(path)))
+        calls[0] = 0
+        report = check_proof(q)
+        # the broken node and its rebuilt ancestors only
+        assert calls[0] == len(path) + 1 and report == _reference(q)
+        # the subproofs off the rebuilt path are the checked ones, still clean
+        for k in range(len(path) + 1):
+            node = q.at(path[:k])
+            assert node.verdict is not P.CLEAN
+            assert all(s.verdict is P.CLEAN for i, s in enumerate(node.premises) if path[k:k + 1] != (i,))
+        calls[0] = 0
+        assert check_proof(q) == report and calls[0] == 0
+        # a second break elsewhere: a proof of clean, failed and unchecked nodes
+        for other in paths[:: max(1, len(paths) // 7)]:
+            if other[: len(path)] == path or path[: len(other)] == other:
+                continue
+            r = _rebuilt(q, other, _broken(q.at(other)))
+            assert check_proof(r) == _reference(r)
+            assert len({at for at, _ in check_proof(r).errors}) >= 2
+
+
+def _label_digits(obj) -> list[tuple[list | dict, object, int]]:
+    """Every digit in the formula texts of a proof file, as (holder, key, offset)."""
+    out, stack = [], [obj["tree"]]
+    while stack:
+        node = stack.pop()
+        seq = node["sequent"]
+        places = [(seq, k) for k in range(len(seq))]
+        places += [(node["data"], k) for k in ("witness", "p", "P") if k in node["data"]]
+        for holder, key in places:
+            out += [(holder, key, i) for i, ch in enumerate(holder[key]) if ch.isdigit()]
+        stack += node["premises"]
+    return out
+
+
+DIGIT_FILES = {name: proof_to_obj(built(name)) for name in DERIVED + list(APPLIED)[:3]}
+
+
+# About one edit in ten gives a proof that checks.
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(DIGIT_FILES)), st.data())
+def test_random_label_edits_are_reported_as_the_fresh_walk_does_or_keep_the_weight_dropping(name, data):
+    obj = copy.deepcopy(DIGIT_FILES[name])
+    holder, key, i = data.draw(st.sampled_from(_label_digits(obj)), label="digit")
+    text = holder[key]
+    holder[key] = text[:i] + data.draw(st.sampled_from("0123456789"), label="new") + text[i + 1 :]
+    try:
+        pf = proof_from_obj(obj)
+    except (ParseError, F.ShapeMismatch, NotResourcePolynomial):
+        return
+    report = check_proof(pf)
+    assert report == _reference(pf)
+    if not report.ok:
+        return
+    prev = weight(pf)
+    assert prev == O.fate_weight(pf)
+    for hit in P.special_steps(pf):
+        assert check_proof(hit.result).ok
+        cur = weight(hit.result)
+        assert cur == O.fate_weight(hit.result)
+        assert poly_leq(cur, prev) and cur != prev
+        prev = cur
+
+
+# -- stored weight forms ---------------------------------------------------------------
+
+
+def test_symbolic_weights_drop_at_every_special_step():
+    r, s = pvar("r"), pvar("s")
+    x, y, z = pvar("x"), pvar("y"), pvar("z")
+    cases = [
+        (C.kappa_derivation(r, s, r + s * r + 1), ["2 + 4*r", "1 + 4*r", "r"]),
+        (C.aleph_derivation(x + 1, y + 1, (x + 1) * (y + 1) + z), ["5 + 3*x", "4 + 3*x", "0"]),
+    ]
+    for d, expected in cases:
+        pf = map_derivation(add_to_mult(d))
+        assert check_proof(pf).ok
+        proofs = [pf] + [hit.result for hit in P.special_steps(pf)]
+        assert [weight(q) for q in proofs] == [PL(w) for w in expected]
+        assert all(weight(q) == O.weight(q) == O.fate_weight(q) for q in proofs)
+
+
+def test_a_stored_form_holds_in_every_context_of_its_subproof():
+    """One subproof object inside a symbolic box and outside every box,
+    with its box formula cut in one place and reaching the root in the other."""
+    q, r = pvar("q"), pvar("r")
+    shared = _derelicted_axiom()
+    assert weight(shared) == ZERO and shared.form == (0, (1, 1))
+    inner = _box(shared, q)
+    door = lf_neg(inner.concl[1])
+    cut = mk_cut(mk_qw(shared, 2, door), inner, 2, 1)
+    assert cut.premise(0).premise(0) is shared is inner.premise(0)
+    outer = _box(cut, r)
+    assert check_proof(cut).ok and check_proof(outer).ok
+    # the weakened door is cut (1), and so is the inner box's axiom (q)
+    assert weight(cut) == 1 + q == O.weight(cut) == O.fate_weight(cut)
+    assert weight(outer) == r + r * q == O.weight(outer) == O.fate_weight(outer)
+    assert shared.form == (0, (1, 1))
+
+
+def test_church_1000_is_weighed_at_the_default_recursion_limit():
+    """The pre-weight oracle recurses 4 005 frames deep here, so the
+    closed form ``8n + 3`` stands in for it (it equals the oracle up to n = 128)."""
+    assert sys.getrecursionlimit() <= 1000
+    pf = map_derivation(add_to_mult(C.church_applied_derivation(1000)))
+    steps = P.special_steps(pf)
+    for k in range(4):
+        assert weight(pf) == O.fate_weight(pf) == const(8 * 1000 + 3 - k)
+        pf = next(steps).result

@@ -24,7 +24,7 @@ from bllp import formula as F
 from bllp import lammu as L
 from bllp import respoly as R
 from bllp.formula import LF
-from bllp.proofs import Proof, check_proof, map_derivation, mk_ax
+from bllp.proofs import Proof, check_proof, map_derivation, mk_ax, weight
 from bllp.machine import EMPTY, Closure, Config, Env
 from bllp.record import Frozen, replace
 from bllp.respoly import Mono, Poly, const, pvar
@@ -124,7 +124,7 @@ RECORDS = {
             Proof("ax", (F.lf_neg(ONE_LF), ONE_LF), (), {"witness": ONE_LF}),
             Proof("ax", (ONE_LF, F.lf_neg(ONE_LF)), (Proof("one", ()),), {"witness": ONE_LF}),
         ],
-        ("verdict", "table"),
+        ("verdict", "table", "form"),
         "Proof(rule='ax', concl=(LF(formula=NegAtom(name='X'), binder='_', "
         "label=Poly(terms=((Mono(factors=()), 1),))), LF(formula=Atom(name='X'), binder='_', "
         "label=Poly(terms=((Mono(factors=()), 1),)))), premises=(), "
@@ -206,10 +206,10 @@ def test_a_polynomial_stores_its_variables_as_one_frozenset():
 
 def test_replace_keeps_data_and_drops_the_stored_verdict_and_table():
     pf = map_derivation(add_to_mult(C.church_applied_derivation(2)))
-    assert check_proof(pf).ok
-    assert pf.verdict == () and pf.table is not None
+    assert check_proof(pf).ok and weight(pf) is not None
+    assert pf.verdict == () and pf.table is not None and pf.form is not None
     again = replace(pf, concl=pf.concl)
-    assert again.verdict is None and again.table is None and again.data is pf.data
+    assert again.verdict is None and again.table is None and again.form is None and again.data is pf.data
     assert again == pf and check_proof(again).ok and again.verdict == ()
     ax = mk_ax((ONE_LF, F.lf_neg(ONE_LF)), ONE_LF)
     assert replace(ax, rule="ax").data is ax.data
