@@ -8,17 +8,20 @@ its ``data`` is a read-only copy.  A rewrite rebuilds only the path to its
 change, and every other subproof of its result is the same object as
 before.  So a fact that depends on a subproof alone is stored on the
 subproof's root, in a slot that ``record.replace`` does not carry over, and
-computed once.  Three are stored; each one's worth is given in CPU time,
-best of 15, for draining the special steps of church-1..12 and the corpus
-with a check and a weight after each step (42 ms with all three):
+computed once.  Three are stored; each one's worth is given in CPU time
+on a shared 2-core host, the median of four best-of-15 runs, for draining
+the special steps of church-1..12 and the corpus with a check and a weight
+after each step (31 ms with all three):
 
 - the verdict, a node's own errors, which read only the node and its
   premises' conclusions.  It is `CLEAN` when no node of the subproof has
   an error, so `check_proof` decides a checked proof at its root, and
   checks the result of a cut only at the nodes the cut built.  With no
-  verdict stored the drain takes 79 ms.
-- the `_layout` table, where the rule puts each premise formula.  With no
-  table stored the drain takes 72 ms.
+  verdict stored the drain takes 70 ms.
+- the table, where the rule puts each premise formula: the `_plan` its
+  shape shares, so it costs a node one reference.  With no table stored,
+  `layout` and `created` look the plan up by shape, and the drain takes
+  40 ms.
 - the weight form, the weight as an affine function of the fates of the
   conclusion formulas (see `weight`), so weighing the result of a cut
   computes forms only for the nodes the cut built.  Weighing after every
@@ -33,10 +36,16 @@ root.  That value is its fate, and substituting a constant commutes with +
 and ×, so a subproof's weight is affine in the fates of its conclusion
 positions, and a node's form follows from its premises'.
 
-Where a rule puts each premise formula is stated once, in `_layout`: every
-builder but the box's assembles its conclusion from that table, each node
-keeps the table it was built with, and every position translation, a
-commutation's too, is composed from the tables before and after a rewrite.
+Where a rule puts each premise formula is stated once, in `_layout`.  A
+table depends only on a node's shape, its rule, position fields and
+premise lengths, so `_plan` derives one plan per shape from it and keeps
+it: the table, and a gather that picks the conclusion out of the premises'
+conclusions followed by the formulas the rule makes.  Every builder but
+the box's gathers its conclusion by its shape's plan, every node keeps
+that shared table, the checker compares a conclusion with its premises by
+the gather before it compares them position by position, and every
+position translation, a commutation's too, is composed from the tables
+before and after a rewrite.
 
 A special cut is exposed by commuting the rules above it, then fired.
 Commuting a rule only moves it: the cut moves onto the premise that holds
@@ -50,7 +59,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import lru_cache
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 
 from . import formula as F
@@ -90,8 +100,8 @@ class Proof(Tree):
     # Besides the fields, three stored facts, None until first computed and
     # left behind by `replace`: `verdict`, the node's own errors, stored by
     # `check_proof` (`CLEAN` when no node of its subtree has one); `table`,
-    # its `_layout` table, stored by `_build` or on first use; and `form`,
-    # its weight form, stored by `weight`.
+    # its shape's shared `_layout` table (a `_Plan`), stored by `_build` or
+    # on first use; and `form`, its weight form, stored by `weight`.
     __slots__ = ("rule", "concl", "premises", "data", "verdict", "table", "form")
     __match_args__ = ("rule", "concl", "premises", "data")
 
@@ -164,11 +174,12 @@ def positives(seq: Sequent) -> list[int]:
 # cut) and lists the conclusion positions the rule fills in itself.  A
 # `par` or `qc` merges its pair into the first one's position, `qd` and
 # `bang` work in place, `qw` and `bot` insert at `idx`, and `cut` and
-# `tensor` append the right premise's formulas to the left's.  `_build`
-# assembles every conclusion but a box's from it, and each node keeps the
-# table it was built with (or computes it on first use).  Tables are tuples
-# of ints, which the garbage collector stops tracking; stored lists would
-# make its full collections longer and more frequent.
+# `tensor` append the right premise's formulas to the left's.  A table
+# depends only on the node's shape: its rule, the data fields that
+# `_POSITIONS` names and its premises' lengths.  `_plan` keeps one table
+# per shape, with the gather that `_build` assembles a conclusion by and
+# the checker compares one through, so a node's table costs it one
+# reference.
 
 
 def _layout(rule: str, d: Mapping, lens: tuple[int, ...]) -> Table:
@@ -197,12 +208,62 @@ def _layout(rule: str, d: Mapping, lens: tuple[int, ...]) -> Table:
     raise ProofError(f"unknown rule {rule!r}")
 
 
-def _table(p: Proof) -> Table:
-    """The table of a node not built by `_build`, computed and stored."""
-    lens = tuple(len(q.concl) for q in p.premises)
-    table = _layout(p.rule, p.data, lens)
-    _set_table(p, table)
-    return table
+# The data fields of each rule that `_layout` reads, and a getter of them:
+# with the premises' lengths, they are a node's shape.
+_POSITIONS = {
+    "cut": ("left_idx", "right_idx"),
+    "tensor": ("left_idx", "right_idx"),
+    "par": ("left", "right"),
+    "qc": ("left", "right"),
+    "bang": ("idx",),
+    "qd": ("idx",),
+    "qw": ("idx",),
+    "bot": ("idx",),
+}
+_SHAPE_KEY = {rule: itemgetter(*fields) for rule, fields in _POSITIONS.items()}
+
+
+class _Plan(tuple):
+    """A shape's `Table`, shared by every node of the shape, with its
+    ``gather``: the ``itemgetter`` that picks the conclusion, in order, out
+    of the premises' conclusions followed by the formulas the rule makes.
+    ``gather`` is None when the table does not fill each conclusion
+    position exactly once.  A tuple subclass cannot add slots, so each
+    plan has an instance dict for ``gather``."""
+
+
+@lru_cache(maxsize=512)
+def _plan(rule: str, key: object, lens: tuple[int, ...]) -> _Plan:
+    """The plan of a shape: ``key`` holds the values of the rule's
+    `_POSITIONS` fields, a single one bare.  Kept per shape: with no memo,
+    each node derives its own plan and the drain of the module docstring
+    takes 47 ms.  Shapes are few (164 over 1 500 seed-7 `preservation` ops
+    of the benchmark, 25 over as many `polystep` ops), so 512 keep them all."""
+    fields = _POSITIONS.get(rule, ())
+    plan = _Plan(_layout(rule, dict(zip(fields, key if len(fields) > 1 else (key,))), lens))
+    lays, made = plan
+    picks, base = [], 0  # (conclusion position, source position)
+    for n, lay in zip(lens, lays):
+        picks += [(t, base + i) for i, t in enumerate(lay) if t is not None and t not in made]
+        base += n
+    picks += [(t, base + m) for m, t in enumerate(made)]
+    picks.sort()
+    src = [s for _, s in picks]
+    if len(lays) != len(lens) or [t for t, _ in picks] != list(range(len(picks))):
+        plan.gather = None
+    elif len(src) > 1:
+        plan.gather = itemgetter(*src)
+    else:  # of one index `itemgetter` gives the item, of a slice a tuple
+        plan.gather = itemgetter(slice(src[0], src[0] + 1) if src else slice(0))
+    return plan
+
+
+def _table(p: Proof) -> _Plan:
+    """The shared table of a node not built by `_build`, stored."""
+    key = _SHAPE_KEY[p.rule](p.data) if p.rule in _SHAPE_KEY else ()
+    plan = _plan(p.rule, key, tuple([len(q.concl) for q in p.premises]))
+    _set_table(p, plan)
+    return plan
 
 
 def layout(p: Proof) -> tuple[tuple[int | None, ...], ...]:
@@ -214,21 +275,21 @@ def created(p: Proof) -> tuple[int, ...]:
 
 
 def _build(rule: str, premises: tuple[Proof, ...], data: Mapping, *made: LF) -> Proof:
-    """The ``rule`` node over ``premises``: the premise formulas the table
-    passes on, and ``made`` at the positions the rule fills in.  Every rule
-    keeps the order of the formulas it passes on, so they are laid out in
-    premise order."""
-    table = lays, at = _layout(rule, data, tuple(len(q.concl) for q in premises))
-    seq = [
-        a
-        for q, lay in zip(premises, lays)
-        for a, t in zip(q.concl, lay)
-        if t is not None and t not in at
-    ]
-    for k, a in zip(at, made):
-        seq.insert(k, a)
-    node = Proof(rule, tuple(seq), premises, data)
-    _set_table(node, table)
+    """The ``rule`` node over one or two ``premises``: the plan of its shape
+    gathers the premise formulas its table passes on, and ``made`` at the
+    positions the rule fills in, and the node keeps the plan as its table.
+    A table that leaves a conclusion position empty is an error."""
+    if len(premises) == 1:
+        (q,) = premises
+        lens, src = (len(q.concl),), q.concl + made
+    else:
+        left, right = premises
+        lens, src = (len(left.concl), len(right.concl)), left.concl + right.concl + made
+    plan = _plan(rule, _SHAPE_KEY[rule](data), lens)
+    if plan.gather is None:
+        raise ProofError(f"the {rule} table over premises of lengths {lens} leaves a position empty")
+    node = Proof(rule, plan.gather(src), premises, data)
+    _set_table(node, plan)
     return node
 
 
@@ -366,10 +427,17 @@ def _node_errors(p: Proof) -> list[str]:
         why = isinstance(exc, IndexError) and _out_of_range(p)
         return errs + [f"malformed node: {why or f'{type(exc).__name__}: {exc}'}"]
 
-    # conclusion must agree with the premises through the layout
+    # conclusion must agree with the premises through the layout: first as
+    # a whole by the plan's gather, since ``==`` (identity first) implies
+    # α-equality; only then position by position, which words the errors
     if p.rule in ("par", "qc", "bot", "qw", "qd", "cut", "tensor"):
-        lay = layout(p)
-        made = set(created(p))
+        plan = p.table or _table(p)
+        lay, at = plan
+        own = tuple([seq[k] for k in at if k < len(seq)])
+        if plan.gather is not None and len(own) == len(at):
+            if plan.gather(sum([q.concl for q in p.premises], ()) + own) == seq:
+                return errs
+        made = set(at)
         seen: dict[int, LF] = {}
         for which, prem in enumerate(p.premises):
             for i, a in enumerate(prem.concl):

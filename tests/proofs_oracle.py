@@ -38,7 +38,11 @@ conclusion by hand, and ``_through``, ``_origin`` and ``_derive_trans`` over
 them; ``_derive_trans`` is also the former translation of ``_hoist``, which
 the library composes from the layouts instead.  Every definition here reads
 those, never the library's one table, so a change to that table cannot move
-the reference with it.
+the reference with it.  The one exception is ``assemble``, the former
+assembly of ``bllp.proofs._build``: it places the premise formulas that the
+library's `_layout` passes on one at a time, where ``_build`` now picks its
+conclusion by the gather of a plan shared per shape.  The tests check that
+both give the same objects from the same table.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ from bllp.proofs import (
     Trans,
     _apply_trans,
     _expose,
+    _layout,
     _relabel,
     _set_concl,
     mk_ax,
@@ -202,6 +207,22 @@ def mk_cut(left: Proof, right: Proof, li: int, ri: int) -> Proof:
         + right.concl[ri + 1 :]
     )
     return Proof("cut", seq, (left, right), {"left_idx": li, "right_idx": ri})
+
+
+def assemble(rule: str, premises: tuple[Proof, ...], data, *made: LF) -> Proof:
+    """The former ``bllp.proofs._build``: the premise formulas `_layout`
+    passes on, in premise order, with ``made`` inserted at the positions
+    the rule fills in."""
+    lays, at = _layout(rule, data, tuple(len(q.concl) for q in premises))
+    seq = [
+        a
+        for q, lay in zip(premises, lays)
+        for a, t in zip(q.concl, lay)
+        if t is not None and t not in at
+    ]
+    for k, a in zip(at, made):
+        seq.insert(k, a)
+    return Proof(rule, tuple(seq), premises, data)
 
 
 def _through(node: Proof, which: int, pos: dict) -> dict:

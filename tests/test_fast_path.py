@@ -32,8 +32,13 @@ Every constant polynomial below ``respoly._SHARED`` is one shared object,
 so the checkers' ``==`` on labels mostly meets one object twice.  That
 holds only while every constant is built through ``respoly.const``: no
 module but ``respoly`` calls ``Poly(``, and in ``respoly`` only the table
-at module level and the functions of ``POLY_BUILDERS`` do.  The guard
-reads the ``ast`` of the modules.
+at module level and the functions of ``POLY_BUILDERS`` do.
+
+``proofs._build`` picks a node's conclusion by the gather of the plan its
+shape shares, so it holds no ``for`` loop and no comprehension: placing the
+formulas one at a time, a cut of church-8's proof took 4.5 µs to build,
+and 1.7 µs by the gather (timeit, best of 5).  The guards read the ``ast``
+of the modules.
 """
 
 import ast
@@ -263,6 +268,29 @@ def test_the_guard_sees_a_token_dataclass_however_it_is_imported():
                    "from dataclasses import dataclass as record\n@record\n"):
         assert _reads_dataclasses(header + token), header
     assert not _reads_dataclasses("import re\nfrom types import MappingProxyType\nTOKEN = re.compile('x')\n")
+
+
+def _with_loop(source: str, names: tuple[str, ...]) -> list[str]:
+    """The module-level functions ``names`` of ``source`` that hold a ``for``
+    loop or a comprehension."""
+    defs = _functions(source, names)
+    kinds = (ast.For, ast.AsyncFor, ast.comprehension)
+    return [name for name in names if any(isinstance(n, kinds) for n in ast.walk(defs[name]))]
+
+
+def test_the_guard_sees_a_loop_and_each_kind_of_comprehension():
+    source = (
+        "def f(xs):\n    for x in xs:\n        pass\n"
+        "def g(xs):\n    return [x for x in xs], {x: 1 for x in xs}\n"
+        "def h(xs):\n    return sum(x for x in xs)\n"
+        "def m(xs):\n    def inner():\n        return {x for x in xs}\n    return inner\n"
+        "def n(xs):\n    while xs:\n        xs = xs[1:]\n    return xs[0] + xs[1:]\n"
+    )
+    assert _with_loop(source, ("f", "g", "h", "m", "n")) == ["f", "g", "h", "m"]
+
+
+def test_build_assembles_a_conclusion_without_a_loop():
+    assert _with_loop((LIBRARY / "proofs.py").read_text(), ("_build",)) == []
 
 
 def _poly_callers(source: str) -> list[str]:

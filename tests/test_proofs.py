@@ -992,9 +992,9 @@ def _counting(monkeypatch, name: str) -> list[int]:
     calls = [0]
     real = getattr(P, name)
 
-    def counted(p):
+    def counted(*args):
         calls[0] += 1
-        return real(p)
+        return real(*args)
 
     monkeypatch.setattr(P, name, counted)
     return calls
@@ -1034,6 +1034,55 @@ def test_weight_computes_forms_only_for_the_nodes_a_special_step_built(name, mon
         assert forms[0] == errors[0] == 0
         prev = hit.result
     assert steps > 1
+
+
+def test_the_checker_passes_built_conclusions_on_without_an_alpha_comparison(monkeypatch):
+    """Of the checks of church-12's mapped proof and of the proof after each
+    special step, only the cut and dereliction checks call `lf_alpha_eq`
+    (once per node): every conclusion agrees with its premises by ``==``."""
+    pf = dict(VERDICT_PROOFS)["church-12"]()
+    calls = _counting(monkeypatch, "lf_alpha_eq")
+    proofs = [pf] + [hit.result for hit in P.special_steps(pf)]
+    assert len(proofs) > 2
+    for q in proofs:
+        unchecked = {id(n): n for n in map(q.at, _paths(q)) if n.verdict is None}.values()
+        calls[0] = 0
+        assert check_proof(q).ok
+        assert calls[0] == sum(n.rule in ("cut", "qd") for n in unchecked) > 0
+
+
+def test_a_passed_on_entry_that_is_alpha_equal_but_not_equal_is_accepted(monkeypatch):
+    under_u = lf(F.WhyNot("w", pvar("u"), F.Atom("V")), "u", 1)
+    under_v = lf(F.WhyNot("w", pvar("v"), F.Atom("V")), "v", 1)
+    assert under_u != under_v and lf_alpha_eq(under_u, under_v)
+    node = mk_qw(mk_qw(mk_one(lf(F.ONE_F, F.VACUOUS, 1)), 1, under_u), 0, _neg("W"))
+    assert node.concl[2] is under_u
+    renamed = replace(node, concl=node.concl[:2] + (under_v,))
+    calls = _counting(monkeypatch, "lf_alpha_eq")
+    assert check_proof(renamed).ok and calls[0] > 0
+
+
+def test_a_wrong_or_dropped_passed_on_entry_is_reported_as_the_fresh_walk_does():
+    pf = mapped("kappa-callcc")
+    assert check_proof(pf).ok
+    seen = 0
+    for path in _paths(pf):
+        node = pf.at(path)
+        if node.rule not in ("par", "qc", "bot", "qw", "qd", "cut", "tensor"):
+            continue
+        where = "root" + "".join(f".{k}" for k in path)
+        for k in set(range(len(node.concl))) - set(P.created(node)):
+            seen += 1
+            wrong = replace(node, concl=node.concl[:k] + (_neg("Wrong"),) + node.concl[k + 1:])
+            dropped = replace(node, concl=node.concl[:k] + node.concl[k + 1:])
+            mismatch = (where, f"conclusion position {k} does not match the premise")
+            for bad in (wrong, dropped):
+                q = _rebuilt(pf, path, bad)
+                report = check_proof(q)
+                assert report == _reference(q)
+                assert where in [at for at, _ in report.errors]
+                assert bad is dropped or mismatch in report.errors
+    assert seen > 10
 
 
 def _rebuilt(p: Proof, path: tuple[int, ...], node: Proof) -> Proof:

@@ -354,7 +354,8 @@ def _former_table(p: P.Proof) -> tuple:
 
 def _assert_tables_fresh(p: P.Proof, seen: set[int]) -> None:
     """Every node's table, stored or computed on first use, equals a fresh
-    `_layout` and the former per-rule layout."""
+    `_layout` and the former per-rule layout; and a node of a rule that
+    `_build` builds is built again as the former assembly built it."""
     stack = [p]
     while stack:
         node = stack.pop()
@@ -365,6 +366,55 @@ def _assert_tables_fresh(p: P.Proof, seen: set[int]) -> None:
         fresh = P._layout(node.rule, node.data, tuple(len(q.concl) for q in node.premises))
         assert (P.layout(node), P.created(node)) == fresh == _former_table(node)
         assert node.table == fresh
+        if node.rule in BUILT:
+            made = [node.concl[k] for k in P.created(node)]
+            _assert_gathered_as_formerly(node.rule, node.premises, node.data, made)
+
+
+# The rules whose conclusion `_build` gathers.
+BUILT = ("cut", "tensor", "par", "qc", "qd", "qw", "bot")
+
+
+def _assert_gathered_as_formerly(rule: str, premises: tuple, data, made) -> None:
+    """`_build` and the former assembly put the same objects at each
+    position, and the node's table equals `_layout`'s and the former one."""
+    new, former = P._build(rule, premises, data, *made), PO.assemble(rule, premises, data, *made)
+    assert len(new.concl) == len(former.concl)
+    assert all(a is b for a, b in zip(new.concl, former.concl))
+    lens = tuple(len(q.concl) for q in premises)
+    assert new.table == P._layout(rule, data, lens) == _former_table(new)
+
+
+def _drawn_shape(rule: str, data) -> tuple[tuple[P.Proof, ...], dict, tuple]:
+    """Stand-in premises of drawn lengths 1-8 for ``rule``, its data at drawn
+    positions in range, and the formulas it makes."""
+    lens = [data.draw(st.integers(2 if rule in ("par", "qc") else 1, 8), label="length")]
+    if rule in ("cut", "tensor"):
+        lens.append(data.draw(st.integers(1, 8), label="right length"))
+
+    def pos(n: int) -> int:
+        return data.draw(st.integers(0, n - 1), label="position")
+
+    match rule:
+        case "cut" | "tensor":
+            d = {"left_idx": pos(lens[0]), "right_idx": pos(lens[1])}
+        case "par" | "qc":
+            i = pos(lens[0])
+            j = data.draw(st.integers(0, lens[0] - 1).filter(lambda k: k != i), label="position")
+            d = {"left": i, "right": j}
+        case "qd":
+            d = {"idx": pos(lens[0]), "P": F.Atom("X"), "x": F.VACUOUS, "p": const(1), "y": F.VACUOUS}
+        case "qw" | "bot":
+            d = {"idx": pos(lens[0] + 1)}
+    premises = tuple(_stand_in(w, n) for w, n in enumerate(lens))
+    return premises, d, () if rule == "cut" else (_MADE,)
+
+
+@pytest.mark.parametrize("rule", BUILT)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_gathered_conclusion_holds_the_objects_of_the_former_assembly(rule, data):
+    _assert_gathered_as_formerly(rule, *_drawn_shape(rule, data))
 
 
 @pytest.mark.parametrize("name", sorted(DERIVATIONS))
@@ -386,6 +436,24 @@ def test_a_node_replaced_over_a_longer_premise_computes_its_own_table():
     moved = replace(node, premises=(longer,))
     assert moved.table is None
     assert P.layout(moved) == _former_table(moved)[0] == ((0, 2, 3),) != P.layout(node)
+
+
+def test_every_node_of_a_mapped_church_proof_is_gathered_as_formerly():
+    seen: set[int] = set()
+    for n in range(1, 49):
+        _assert_tables_fresh(P.map_derivation(T.add_to_mult(C.church_applied_derivation(n))), seen)
+
+
+def test_nodes_of_one_shape_share_one_table_and_a_table_with_a_hole_is_refused():
+    node = P.mk_qw(_ax("X"), 1, _W)
+    assert P.mk_bot(_ax("Y"), 1, _BOT).table == node.table
+    assert P.mk_qw(_ax("Y"), 1, _W).table is node.table
+    moved = replace(node, premises=(_ax("Z"),))
+    assert moved.table is None and P.layout(moved) is node.table[0] and moved.table is node.table
+    for rule, out in (("qw", _W), ("bot", _BOT)):  # an axiom concludes two formulas
+        getattr(P, f"mk_{rule}")(_ax("X"), 2, out)
+        with pytest.raises(P.ProofError, match="leaves a position empty"):
+            getattr(P, f"mk_{rule}")(_ax("X"), 3, out)
 
 
 # -- the gate: special steps give what the former commutation gave --------------------
