@@ -18,9 +18,9 @@ from .respoly import Poly, const, mul
 from .syntax import parse_term
 from .typecheck import Derivation, Judgment
 
-X = F.NegAtom("X")
-Y = F.NegAtom("Y")
-Z = F.NegAtom("Z")
+X = F.NegAtom.intern("X")
+Y = F.NegAtom.intern("Y")
+Z = F.NegAtom.intern("Z")
 
 KAPPA: Term = parse_term(r"\x. mu a. [a] (x) \y. mu b. [a] y")
 ALEPH: Term = parse_term(r"\f. mu a. (f) \x. [a] x")
@@ -39,7 +39,7 @@ class CorpusEntry:
 def modal(n: F.Formula, bound: Poly | int, label: Poly | int) -> LF:
     """Labelled modal hypothesis ``<?{bound} ~n>[label]``."""
     bound = bound if isinstance(bound, Poly) else const(bound)
-    return lf(F.WhyNot(VACUOUS, bound, F.negate(n)), VACUOUS, label)
+    return lf(F.WhyNot.intern(VACUOUS, bound, F.negate(n)), VACUOUS, label)
 
 
 def jm(lam: list[tuple[str, LF]], subject: Term, ty: LF, mu: list[tuple[str, LF]] = ()) -> Judgment:

@@ -20,17 +20,46 @@ Formulas and labelled formulas are immutable records in ``__slots__``
 (``record.Frozen``, which writes their constructors, ``==`` and ``hash``).
 A positive and a negative class share a shape and its functions, and
 ``==`` requires the exact class.  ``LF._check`` rejects a binder that
-occurs in its own label.  A formula node holds its structural facts.  Its
-polarity ``positive`` is a constant of its class.  :func:`negate`, :func:`free_rvars` and
+occurs in its own label.
+
+They opt in to ``record.Frozen``'s intern hook, and the library builds
+each one as ``Cls.intern(...)``, never by a class call (a plain call, which
+only tests make, builds a fresh record outside the table).  A child is
+keyed by identity, so equal formulas over the same polynomials are one
+object.  Built afresh at each site, the formulas that church 1-48 and the
+corpus hold once checked, elaborated, mapped, checked and weighed are
+4 926 objects for 52 values, and their labelled formulas 14 601 for 520;
+through the hook they are 572 objects, one per value.  So ``==`` of two
+equal formulas meets one object twice: over 400 seed-7 ``polystep`` ops
+of the benchmark, 80.9k of 93.3k ``LF ==`` calls walked two distinct but
+equal objects built afresh, and through the hook none does.  Each node
+stores its hash, so a formula of any depth hashes at once, and compares
+at once with an equal one built over the same polynomials.
+
+The table is strong.  It never shrinks, but it holds only what the values
+need: 572 entries over four passes of 400 seed-7 ``polystep`` ops, and
+218 over as many ``preservation`` ops, the same after each pass.  A weak
+table needs a ``__weakref__`` slot on every node, and its
+``WeakValueDictionary`` looks up in Python.  Three rounds of 15 s
+``bench/run.py --trace 0`` runs on a shared 2-core host, medians in ops/s
+and ``peak_rss_mb``:
+
+- ``polystep``: no table 278.1 and 26.4 MB, strong 294.7 and 25.5 MB,
+  weak 266.0 and 25.9 MB;
+- ``preservation``: no table 141.1 and 22.5 MB, strong 157.4 and 22.8 MB,
+  weak 151.9 and 22.7 MB.
+
+A formula node holds its structural facts.  Its polarity ``positive`` is a
+constant of its class.  :func:`negate`, :func:`free_rvars` and
 :func:`classify` compute their answer on a node's first query and store it
 in one of three slots that start as ``None``, as ``lammu.Term`` keeps
 ``fv``; they are not fields, so ``==``, ``hash`` and ``repr`` ignore them.
-``negate`` stores the dual on both nodes, so ``negate(negate(f))`` is
-``f`` itself; a unit's dual is the shared ``BOTTOM`` or ``ONE_F``.
-``free_rvars`` returns a shared ``frozenset``.  No fact draws a fresh name.
-``negate``, ``free_rvars`` and ``subst_poly`` walk an explicit stack, so a
-formula of any depth has them; the generated ``==`` and ``hash`` still
-recurse.
+With one node per value, each fact is computed once per value.  The dual
+is built through the hook too, so ``negate(negate(f))`` is ``f`` itself
+for every node the library built; a unit's dual is the shared ``BOTTOM``
+or ``ONE_F``.  ``free_rvars`` returns a shared ``frozenset``.  No fact
+draws a fresh name.  ``negate``, ``free_rvars`` and ``subst_poly`` walk an
+explicit stack, so a formula of any depth has them.
 """
 
 from __future__ import annotations
@@ -48,12 +77,13 @@ class ShapeMismatch(Exception):
     """Operands do not have the required shapes (skeletons or shifts)."""
 
 
-class Formula(Frozen):
+class Formula(Frozen, interned=True):
     positive: ClassVar[bool]
 
     # The stored dual, free resource variables and class: ``None`` until
-    # the first query of :func:`negate`, :func:`free_rvars` or :func:`classify`.
-    __slots__ = ("_dual", "_rvars", "_kind")
+    # the first query of :func:`negate`, :func:`free_rvars` or :func:`classify`;
+    # and the hash, which the intern hook stores.
+    __slots__ = ("_dual", "_rvars", "_kind", "_hash")
 
     def __str__(self) -> str:
         from .syntax import print_formula
@@ -127,20 +157,24 @@ class WhyNot(_Bounded):
     __slots__ = ()
 
 
-ONE_F = One()
-BOTTOM = Bottom()
+ONE_F = One.intern()
+BOTTOM = Bottom.intern()
 _NO_RVARS: frozenset[VarId] = frozenset()
 
 
-# The class of each non-unit class's dual, and the shared dual of each unit.
-_DUAL_CLASS = {Atom: NegAtom, NegAtom: Atom, Tensor: Par, Par: Tensor, Bang: WhyNot, WhyNot: Bang}
+# The hook of each non-unit class's dual class, and the shared dual of each unit.
+_DUAL = {
+    Atom: NegAtom.intern, NegAtom: Atom.intern, Tensor: Par.intern,
+    Par: Tensor.intern, Bang: WhyNot.intern, WhyNot: Bang.intern,
+}
 _UNIT_DUAL = {One: BOTTOM, Bottom: ONE_F}
 
 
 def negate(f: Formula) -> Formula:
-    """The De Morgan dual of ``f``, built on the first query and stored on
-    ``f``, with ``f`` stored on it; the dual of a unit is the shared one,
-    stored on the unit only.
+    """The De Morgan dual of ``f``, built through the intern hook on the
+    first query and stored on ``f``; the dual of a unit is the shared one.
+    The dual's own dual is left to its first query, which meets ``f`` in
+    the table when the library built ``f``.
 
     Post-order on an explicit stack, so a formula of any depth is negated;
     a subformula whose dual is stored is not entered.
@@ -157,7 +191,7 @@ def negate(f: Formula) -> Formula:
             continue
         cls = type(node)
         if cls is Atom or cls is NegAtom:
-            g = _DUAL_CLASS[cls](node.name)
+            g = _DUAL[cls](node.name)
         elif cls is Tensor or cls is Par:
             l, r = node.left._dual, node.right._dual
             if l is None or r is None:
@@ -166,13 +200,13 @@ def negate(f: Formula) -> Formula:
                 if r is None:
                     stack.append(node.right)
                 continue
-            g = _DUAL_CLASS[cls](l, r)
+            g = _DUAL[cls](l, r)
         elif cls is Bang or cls is WhyNot:
             n = node.body._dual
             if n is None:
                 stack.append(node.body)
                 continue
-            g = _DUAL_CLASS[cls](node.var, node.bound, n)
+            g = _DUAL[cls](node.var, node.bound, n)
         elif cls is One or cls is Bottom:
             _set_dual(node, _UNIT_DUAL[cls])
             stack.pop()
@@ -180,7 +214,6 @@ def negate(f: Formula) -> Formula:
         else:
             raise TypeError(node)
         _set_dual(node, g)
-        _set_dual(g, node)
         stack.pop()
     return f._dual
 
@@ -241,8 +274,8 @@ def subst_poly(f: Formula, var: VarId, q: Poly) -> Formula:
     the fresh names are drawn in the same order.
     """
     out: list[Formula] = []
-    # Jobs: (_SUBST, formula, var, q); (_JOIN, class) builds a binary node
-    # from the last two results; (_BIND, class, binder, bound) a modal one
+    # Jobs: (_SUBST, formula, var, q); (_JOIN, hook) builds a binary node
+    # from the last two results; (_BIND, hook, binder, bound) a modal one
     # from the last; (_AGAIN, var, q) substitutes the last result again.
     jobs: list[tuple] = [(_SUBST, f, var, q)]
     while jobs:
@@ -254,17 +287,17 @@ def subst_poly(f: Formula, var: VarId, q: Poly) -> Formula:
             if var == VACUOUS or cls in _LEAVES:
                 out.append(f)
             elif cls is Tensor or cls is Par:
-                jobs += ((_JOIN, cls), (_SUBST, f.right, var, q), (_SUBST, f.left, var, q))
+                jobs += ((_JOIN, cls.intern), (_SUBST, f.right, var, q), (_SUBST, f.left, var, q))
             elif cls is Bang or cls is WhyNot:
                 x, n = f.var, f.body
                 bound = compose(f.bound, var, q)
                 if x == var:
-                    out.append(cls(x, bound, n))
+                    out.append(cls.intern(x, bound, n))
                 elif x != VACUOUS and x in q.free_vars():
                     x2 = fresh_var(x)
-                    jobs += ((_BIND, cls, x2, bound), (_AGAIN, var, q), (_SUBST, n, x, pvar(x2)))
+                    jobs += ((_BIND, cls.intern, x2, bound), (_AGAIN, var, q), (_SUBST, n, x, pvar(x2)))
                 else:
-                    jobs += ((_BIND, cls, x, bound), (_SUBST, n, var, q))
+                    jobs += ((_BIND, cls.intern, x, bound), (_SUBST, n, var, q))
             else:
                 raise TypeError(f)
         elif kind is _JOIN:
@@ -348,10 +381,10 @@ def _read(p: Poly, side: dict[VarId, str]) -> Poly:
 # -- labelled formulas --------------------------------------------------------
 
 
-class LF(Frozen):
+class LF(Frozen, interned=True):
     """Labelled formula ``<formula>[binder < label]``."""
 
-    __slots__ = ("formula", "binder", "label")
+    __slots__ = ("formula", "binder", "label", "_hash")
     __match_args__ = ("formula", "binder", "label")
 
     def _check(self) -> None:
@@ -368,11 +401,11 @@ def lf(formula: Formula, binder: VarId, label: Poly | int) -> LF:
     label = label if isinstance(label, Poly) else respoly.const(label)
     if binder != VACUOUS and binder not in free_rvars(formula):
         binder = VACUOUS
-    return LF(formula, binder, label)
+    return LF.intern(formula, binder, label)
 
 
 def lf_neg(a: LF) -> LF:
-    return LF(negate(a.formula), a.binder, a.label)
+    return LF.intern(negate(a.formula), a.binder, a.label)
 
 
 def lf_subst(a: LF, var: VarId, q: Poly) -> LF:
@@ -384,7 +417,7 @@ def lf_subst(a: LF, var: VarId, q: Poly) -> LF:
         b2 = fresh_var(binder)
         formula = subst_poly(formula, binder, pvar(b2))
         binder = b2
-    return LF(subst_poly(formula, var, q), binder, compose(a.label, var, q))
+    return LF.intern(subst_poly(formula, var, q), binder, compose(a.label, var, q))
 
 
 def lf_alpha_eq(a: LF, b: LF) -> bool:
@@ -417,7 +450,7 @@ def lf_shift(a: LF, new_binder: VarId) -> LF:
         if a.binder != VACUOUS
         else a.formula
     )
-    return LF(shifted, new_binder if new_binder in free_rvars(shifted) else VACUOUS, a.label)
+    return LF.intern(shifted, new_binder if new_binder in free_rvars(shifted) else VACUOUS, a.label)
 
 
 def with_binder(f: Formula, b_old: VarId, b_new: VarId) -> Formula:
@@ -442,7 +475,7 @@ def lf_sum(a: LF, b: LF) -> LF:
         expect = subst_poly(a.formula, a.binder, pvar(b.binder) + a.label)
         if not alpha_eq(expect, b.formula):
             raise ShapeMismatch("second summand is not the shifted first")
-    return LF(a.formula, a.binder, a.label + b.label)
+    return LF.intern(a.formula, a.binder, a.label + b.label)
 
 
 def lf_bounded_sum(
@@ -467,7 +500,7 @@ def lf_bounded_sum(
             )
         if fam.binder != VACUOUS and fam.binder in fv:
             raise ShapeMismatch("family formula mentions its binder: witness needed")
-        return LF(fam.formula, VACUOUS, bounded_sum(z, bound, fam.label))
+        return LF.intern(fam.formula, VACUOUS, bounded_sum(z, bound, fam.label))
     base, base_binder = witness
     fvn = free_rvars(base)
     if z in fvn or (fam.binder != VACUOUS and fam.binder in fvn - {base_binder}):
@@ -477,7 +510,7 @@ def lf_bounded_sum(
     expect = subst_poly(base, base_binder, pvar(fam.binder) + prefix)
     if not alpha_eq(expect, fam.formula):
         raise ShapeMismatch("witness does not reproduce the family formula")
-    return LF(base, base_binder, bounded_sum(z, bound, fam.label))
+    return LF.intern(base, base_binder, bounded_sum(z, bound, fam.label))
 
 
 # -- typing / modal classification --------------------------------------------
@@ -486,7 +519,7 @@ def lf_bounded_sum(
 def arrow(n: Formula, binder: VarId, bound: Poly | int, m: Formula) -> Formula:
     """The implication sugar: ``?{binder<bound}~N par M``."""
     bound = bound if isinstance(bound, Poly) else respoly.const(bound)
-    return Par(WhyNot(binder, bound, negate(n)), m)
+    return Par.intern(WhyNot.intern(binder, bound, negate(n)), m)
 
 
 def arrow_parts(f: Formula) -> tuple[Formula, VarId, Poly, Formula] | None:

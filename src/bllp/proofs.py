@@ -89,7 +89,9 @@ Path = tuple[int, ...]
 # Per premise, each position's conclusion position; and the positions made.
 Table = tuple[tuple[tuple[int | None, ...], ...], tuple[int, ...]]
 
-RULES = ("ax", "cut", "par", "tensor", "bang", "qd", "qw", "qc", "bot", "one")
+# Each rule with its number of premises, which `_node_errors` checks first.
+ARITY = {"ax": 0, "cut": 2, "par": 1, "tensor": 2, "bang": 1, "qd": 1, "qw": 1, "qc": 1, "bot": 1, "one": 0}
+RULES = tuple(ARITY)
 
 
 class ProofError(Exception):
@@ -110,7 +112,8 @@ class Proof(Tree):
         self, rule: str, concl: Sequent, premises: tuple["Proof", ...] = (), data: Mapping | None = None
     ) -> None:
         # A read-only copy of `data` (and of its `sum_witness`), so that the
-        # stored verdict cannot go stale.  A proxy is another node's copy.
+        # stored verdict cannot go stale.  A proxy is stored as it is: another
+        # node's copy, or the one `_rebuild` wraps, its `sum_witness` too.
         if type(data) is not MappingProxyType:
             d = {} if data is None else dict(data)
             wit = d.get("sum_witness")
@@ -320,11 +323,16 @@ def _node_errors(p: Proof) -> list[str]:
     seq = p.concl
     if len(positives(seq)) > 1:
         errs.append("sequent has more than one positive formula")
+    # A wrong premise count is reported before any rule reads a premise or
+    # `_plan` derives a table for an impossible shape.
+    arity = ARITY.get(p.rule)
+    if arity is not None and len(p.premises) != arity:
+        return errs + [f"{p.rule} expects {arity} premises, found {len(p.premises)}"]
     d = p.data
     try:
         match p.rule:
             case "ax":
-                if len(seq) != 2 or len(p.premises) != 0:
+                if len(seq) != 2:
                     return errs + ["axiom concludes exactly two formulas"]
                 w = d["witness"]
                 pos = positives(seq)
@@ -393,7 +401,7 @@ def _node_errors(p: Proof) -> list[str]:
                 fo = out.formula
                 if not isinstance(fo, F.Bang):
                     return errs + ["bang must introduce a bang formula"]
-                if not F.alpha_eq(fo, F.Bang(body.binder, body.label, body.formula)):
+                if not F.alpha_eq(fo, F.Bang.intern(body.binder, body.label, body.formula)):
                     errs.append("bang body mismatch")
                 wit = d.get("sum_witness", {})
                 for k, ctx in enumerate(pseq):
@@ -404,7 +412,7 @@ def _node_errors(p: Proof) -> list[str]:
                         errs.append(f"box context {k} exceeds its replicated budget")
             case "qd":
                 i = d["idx"]
-                why, y = F.WhyNot(d["x"], d["p"], d["P"]), d["y"]
+                why, y = F.WhyNot.intern(d["x"], d["p"], d["P"]), d["y"]
                 if not lf_alpha_eq(p.premise(0).concl[i], F.lf_instance(why, y)):
                     errs.append("dereliction premise has the wrong instance shape")
                 if not lf_leq(seq[i], lf(why, y, ONE)):
@@ -661,7 +669,7 @@ def _map_deriv(d) -> tuple[Proof, dict]:
                 for v, a in getattr(j, side):
                     if (side, v) in posu:
                         ctx[posu[(side, v)]] = a
-            box_out = lf(F.Bang(xh, ph, n_f), y, h)
+            box_out = lf(F.Bang.intern(xh, ph, n_f), y, h)
             box = mk_bang(ru, posu[("type",)], box_out, ctx)
             m_lf = lf(F.with_binder(m_f, y, j.type.binder), j.type.binder, k)
             ax = mk_ax((m_lf, lf_neg(m_lf)), m_lf)
@@ -670,7 +678,7 @@ def _map_deriv(d) -> tuple[Proof, dict]:
                 ax,
                 posu[("type",)],
                 1,
-                lf(F.Tensor(box_out.formula, negate(m_f)), y, q),
+                lf(F.Tensor.intern(box_out.formula, negate(m_f)), y, q),
             )
             cut = mk_cut(rt, tens, post[("type",)], len(tens.concl) - 1)
             newpos = _through(cut, 0, {k2: v for k2, v in post.items() if k2 != ("type",)})
@@ -805,7 +813,7 @@ def m_split(p: Proof, r: Poly, s: Poly) -> tuple[Proof, Proof]:
 
 
 def _relabel(a: LF, label: Poly) -> LF:
-    return LF(a.formula, a.binder, label)
+    return LF.intern(a.formula, a.binder, label)
 
 
 @stack_safe
@@ -944,7 +952,8 @@ def _rebuild(
 
     ``t`` moves the premise's positions to the new one's. A ``qw`` or
     ``bot`` puts its formula at ``last`` if given, else where it was; a
-    ``bang`` keeps its doors, permuted by ``t``.
+    ``bang`` keeps its doors, permuted by ``t``.  The new data is copied
+    once, here, and wrapped read-only, so the node stores it as it is.
     """
     d = dict(parent.data)
     for key in _PREMISE_FIELDS[parent.rule][which]:
@@ -953,14 +962,16 @@ def _rebuild(
     prems[which] = new_child
     if parent.rule == "bang":
         if d.get("sum_witness"):
-            d["sum_witness"] = {_apply_trans(t, k): v for k, v in d["sum_witness"].items()}
+            wit = {_apply_trans(t, k): v for k, v in d["sum_witness"].items()}
+            d["sum_witness"] = MappingProxyType(wit)
         seq = [None] * len(parent.concl)
         for k, a in enumerate(parent.concl):
             seq[_apply_trans(t, k)] = a
-        return Proof("bang", tuple(seq), (new_child,), d)
+        return Proof("bang", tuple(seq), (new_child,), MappingProxyType(d))
     if last is not None and parent.rule in ("qw", "bot"):
         d["idx"] = last
-    return _build(parent.rule, tuple(prems), d, *(parent.concl[k] for k in created(parent)))
+    made = [parent.concl[k] for k in created(parent)]
+    return _build(parent.rule, tuple(prems), MappingProxyType(d), *made)
 
 
 def _refit(parent: Proof, which: int, new_child: Proof, t: Trans) -> tuple[Proof, Trans]:

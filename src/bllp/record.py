@@ -15,11 +15,33 @@ variables.
 
 - ``__init__`` takes the fields by position or keyword, stores each through
   its slot, sets every other slot (a stored fact such as a formula's dual)
-  to ``None`` and last calls the class's ``_check(self)``, if it has one:
-  the one hook, for a validation that raises.
+  to ``None`` and last calls the class's ``_check(self)``, if it has one,
+  for a validation that raises.
 - ``==`` is true for one object twice, ``NotImplemented`` unless both have
   the exact class, and otherwise compares the fields in order.
 - ``hash`` is the hash of the tuple of fields, the dataclass value.
+
+A class declared ``class C(Frozen, interned=True)``, and each subclass of
+it, opts in to the intern hook, hash-consing after Filliâtre and Conchon,
+"Type-Safe Modular Hash-Consing" (ML 2006).  ``C.intern`` takes the fields
+as the constructor does and returns the one node of the table for them,
+built through the constructor (and its ``_check``) on the first call.
+
+- The key is the class and the fields: a name (a ``str``) by value, any
+  other field, a child node or a polynomial, by identity.  So building a
+  node hashes a tuple of small values and never walks below the node, and
+  two nodes over equal but distinct polynomials stay two nodes.
+- The hook stores the node's hash in the ``_hash`` slot that an interned
+  class declares: the field-tuple hash, computed from the children's
+  stored hashes.  The generated ``hash`` returns it, so a node of any
+  depth hashes at once; ``==`` is the field comparison above, which meets
+  one object twice at once.
+- The table is strong and one for all interned classes; an ``id`` in a key
+  names an object the node holds, so it is not reused while the entry
+  lives.  ``formula`` gives what it holds and why it is not weak.
+- A plain class call still builds a fresh record outside the table, whose
+  ``hash`` walks its fields; the library builds through the hook only, and
+  :func:`replace` of an interned record goes through the hook too.
 
 A method that the class or a record base between it and :class:`Frozen`
 writes by hand is kept (``__hash__ = None``, which Python writes beside a
@@ -34,9 +56,13 @@ default or copy their arguments.
 from __future__ import annotations
 
 from collections.abc import Callable
+from typing import ClassVar
 
 # Every function :class:`Frozen` compiled, to tell them from hand-written ones.
 _GENERATED: set[Callable] = set()
+
+# The intern table: each node the hooks built, under its key.
+_TABLE: dict[tuple, "Frozen"] = {}
 
 
 class Frozen:
@@ -49,9 +75,13 @@ class Frozen:
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+    # True on a class that opts in to the intern hook, and on its subclasses.
+    _interned: ClassVar[bool] = False
 
-    def __init_subclass__(cls, **kwargs: object) -> None:
+    def __init_subclass__(cls, interned: bool = False, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
+        if interned:
+            cls._interned = True
         own = cls.__dict__
         fresh = bool(own.get("__slots__")) or "__match_args__" in own or "_check" in own
         bases = cls.__mro__[: cls.__mro__.index(Frozen)]
@@ -63,6 +93,8 @@ class Frozen:
                 setattr(cls, name, fn)
             elif own.get(name, fn) is None:  # ``__hash__ = None`` beside a hand-written ``__eq__``
                 setattr(cls, name, fn)
+        if cls._interned:
+            cls.intern = staticmethod(_compile(cls, "intern"))
 
     def __setattr__(self, key: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {key!r} of an immutable {type(self).__name__}")
@@ -100,12 +132,13 @@ class Frozen:
 
 
 def _compile(cls: type, name: str) -> Callable:
-    """``cls``'s method ``name``, compiled from source with the slot writers
-    and ``_check`` as closure variables."""
+    """``cls``'s method ``name``, or its ``intern`` hook, compiled from
+    source with the slot writers, ``_check`` and the table as closure
+    variables."""
     fields = cls.__match_args__
     free: dict[str, object] = {}
     if name == "__init__":
-        params = fields
+        args = ("self", *fields)
         values = dict.fromkeys([s for k in cls.__mro__ for s in k.__dict__.get("__slots__", ())], "None")
         values.update(zip(fields, fields))
         free = {f"_set{i}": getattr(cls, s).__set__ for i, s in enumerate(values)}
@@ -114,21 +147,42 @@ def _compile(cls: type, name: str) -> Callable:
             free["_check"] = cls._check
             body.append("_check(self)")
     elif name == "__eq__":
-        params, same = ("other",), " and ".join(f"self.{f} == other.{f}" for f in fields)
+        args, same = ("self", "other"), " and ".join(f"self.{f} == other.{f}" for f in fields)
         body = [
             "if self is other: return True",
             "if other.__class__ is not self.__class__: return NotImplemented",
             f"return {same or True}",
         ]
-    else:
-        params, body = (), [f"return hash(({''.join(f'self.{f}, ' for f in fields)}))"]
+    elif name == "__hash__":
+        args, value = ("self",), f"hash({_tuple(fields, 'self.')})"
+        body = [f"return {value}"]
+        if cls._interned:  # the hook's stored hash; a bare record walks its fields
+            body = ["h = self._hash", f"return {value} if h is None else h"]
+    else:  # the hook: a name by value, any other field by identity
+        args, key = fields, "".join(f"{f} if {f}.__class__ is str else _id({f}), " for f in fields)
+        free = {"_cls": cls, "_id": id, "_get": _TABLE.get, "_table": _TABLE}
+        free["_set_hash"] = cls._hash.__set__
+        body = [
+            f"_key = (_cls, {key})",
+            "_node = _get(_key)",
+            "if _node is None:",
+            f" _node = _cls({', '.join(fields)})",
+            f" _set_hash(_node, hash({_tuple(fields)}))",
+            " _table[_key] = _node",
+            "return _node",
+        ]
     lines = "".join(f"\n  {line}" for line in body or ["pass"])
-    source = f"def _make({', '.join(free)}):\n def {name}({', '.join(['self', *params])}):{lines}\n return {name}"
+    source = f"def _make({', '.join(free)}):\n def {name}({', '.join(args)}):{lines}\n return {name}"
     scope: dict[str, Callable] = {}
     exec(source, {"__name__": cls.__module__}, scope)
     fn = scope["_make"](**free)
     fn.__qualname__ = f"{cls.__qualname__}.{name}"
     return fn
+
+
+def _tuple(fields: tuple[str, ...], prefix: str = "") -> str:
+    """Source of the tuple of ``fields``, each read as ``prefix`` + field."""
+    return f"({''.join(f'{prefix}{f}, ' for f in fields)})"
 
 
 def _pending(value: object) -> Frozen | tuple | str:
@@ -141,8 +195,10 @@ def replace(record: Frozen, /, **changes: object) -> Frozen:
     """A new record of ``record``'s class with the fields ``changes`` names
     replaced, as ``dataclasses.replace`` makes one: through the class's
     constructor, so its checks run and a slot that is not a field (a stored
-    fact) starts afresh."""
+    fact) starts afresh; of an interned class, through its ``intern`` hook,
+    which gives the table's node for the new fields."""
     for f in record.__match_args__:
         if f not in changes:
             changes[f] = getattr(record, f)
-    return record.__class__(**changes)
+    cls = record.__class__
+    return (cls.intern if cls._interned else cls)(**changes)

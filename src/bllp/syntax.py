@@ -177,7 +177,7 @@ def _parse_bound(p: _Parser, close: str) -> tuple[str, R.Poly]:
 
 
 _UNITS = {"1": F.ONE_F, "bot": F.BOTTOM}
-_MODALITIES = {"!": F.Bang, "?": F.WhyNot}
+_MODALITIES = {"!": F.Bang.intern, "?": F.WhyNot.intern}
 
 
 def _parse_formula(p: _Parser) -> F.Formula:
@@ -206,7 +206,7 @@ def _parse_formula(p: _Parser) -> F.Formula:
         if t in _UNITS:
             f = _UNITS[t]
         elif _is_name(t):
-            f = F.Atom(t)
+            f = F.Atom.intern(t)
         else:
             raise p.wanted("a formula")
         p.i += 1
@@ -215,12 +215,12 @@ def _parse_formula(p: _Parser) -> F.Formula:
             while prefixes:
                 pre = prefixes.pop()
                 f = F.negate(f) if pre is None else pre[0](pre[1], pre[2], f)
-            tensor = f if tensor is None else F.Tensor(tensor, f)
+            tensor = f if tensor is None else F.Tensor.intern(tensor, f)
             t = toks[p.i]
             p.i += 1
             if t == "*":
                 break
-            par = tensor if par is None else F.Par(par, tensor)
+            par = tensor if par is None else F.Par.intern(par, tensor)
             tensor = None
             if t == "par":
                 break
@@ -334,14 +334,14 @@ def _display_formula(f: F.Formula, avoid: frozenset[str]) -> F.Formula:
             return f
         case F.Tensor(l, r) | F.Par(l, r):
             l2, r2 = _display_formula(l, avoid), _display_formula(r, avoid)
-            return f if l2 is l and r2 is r else type(f)(l2, r2)
+            return f if l2 is l and r2 is r else type(f).intern(l2, r2)
         case F.Bang(x, p, n) | F.WhyNot(x, p, n):
             if x != F.VACUOUS and ("#" in x or "%" in x):
                 x2 = _pretty_name(x, avoid | F.free_rvars(n) | p.free_vars())
                 n = F.subst_poly(n, x, R.pvar(x2))
                 x = x2
             n2 = _display_formula(n, avoid | {x})
-            return f if x is f.var and n2 is f.body else type(f)(x, p, n2)
+            return f if x is f.var and n2 is f.body else type(f).intern(x, p, n2)
     raise TypeError(f)
 
 

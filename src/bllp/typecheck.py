@@ -525,7 +525,7 @@ def _validate(d: Derivation, system: str) -> list[str]:
             entry = p0.lam_get(x)
             if entry is None:
                 return errs + [f"premise does not bind {x}"]
-            want_entry = F.WhyNot(z, s, F.negate(n_f))
+            want_entry = F.WhyNot.intern(z, s, F.negate(n_f))
             if not F.alpha_eq(entry.formula, want_entry, (entry.binder, j.type.binder)):
                 errs.append("hypothesis formula does not match the arrow source")
             if not F.alpha_eq(p0.type.formula, m_f, (p0.type.binder, j.type.binder)):
@@ -816,7 +816,7 @@ def ctx_lower(d: Derivation, side: str, var: str, target: LF) -> Derivation:
         raise DerivationError(f"{target} is not below {cur}")
     ghost = L.fresh_tvar(var)
     shifted = lf_shift(cur, fresh_var("g"))
-    zero = LF(shifted.formula, shifted.binder, ZERO)
+    zero = LF.intern(shifted.formula, shifted.binder, ZERO)
     return contract(weaken(d, side, ghost, zero), side, var, ghost, var, target)
 
 
@@ -835,7 +835,7 @@ def lower_type(d: Derivation, target: LF) -> Derivation:
             p0 = d.premise()
             entry = p0.concl.lam_get(x)
             f_entry = F.with_binder(
-                F.WhyNot(z, s, F.negate(n_f)), target.binder, entry.binder
+                F.WhyNot.intern(z, s, F.negate(n_f)), target.binder, entry.binder
             )
             prem = ctx_lower(p0, "lam", x, lf(f_entry, entry.binder, entry.label))
             ty0 = prem.concl.type
@@ -849,7 +849,7 @@ def lower_type(d: Derivation, target: LF) -> Derivation:
                 m_new, binder = target.formula, target.binder
             else:
                 m_new, binder = F.with_binder(target.formula, target.binder, fnlf.binder), fnlf.binder
-            new_arrow = lf(F.Par(F.WhyNot(xh, ph, F.negate(n_f)), m_new), binder, fnlf.label)
+            new_arrow = lf(F.Par.intern(F.WhyNot.intern(xh, ph, F.negate(n_f)), m_new), binder, fnlf.label)
             premises = ((yield (fn, new_arrow)), d.premise(1))
         case "mu_abs":
             premises = (ctx_lower(d.premise(), "mu", introduced(d), target),)

@@ -355,6 +355,23 @@ def test_cut_eliminate_checks_a_file_proof_before_rewriting_it(tmp_path, capsys)
     assert err == ""
 
 
+def test_cut_eliminate_reports_a_file_node_that_lost_its_premise(tmp_path, capsys):
+    """A weakening whose file lost its only premise: the checker's report
+    and exit 1, not an ``IndexError`` from the layout of its shape."""
+    from bllp import proofs as P
+    from bllp.syntax import parse_lf
+
+    obj = proof_to_obj(P.mk_qw(P.mk_one(parse_lf("<1>[1]")), 1, parse_lf("<~W>[1]")))
+    path = tmp_path / "proof.json"
+    path.write_text(json.dumps(obj))
+    assert run("cut-eliminate", "--file", str(path)) == 0
+    assert capsys.readouterr().out == "steps: 0\n"
+    obj["tree"]["premises"] = []
+    path.write_text(json.dumps(obj))
+    assert run("cut-eliminate", "--file", str(path)) == cli.EXIT_CHECK == 1
+    assert capsys.readouterr() == ("root: qw expects 1 premises, found 0\n", "")
+
+
 def _church_1_file(tmp_path, change=None):
     obj = derivation_to_obj(C.by_name("church-1").derivation, "additive")
     if change:

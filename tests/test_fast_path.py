@@ -32,7 +32,10 @@ Every constant polynomial below ``respoly._SHARED`` is one shared object,
 so the checkers' ``==`` on labels mostly meets one object twice.  That
 holds only while every constant is built through ``respoly.const``: no
 module but ``respoly`` calls ``Poly(``, and in ``respoly`` only the table
-at module level and the functions of ``POLY_BUILDERS`` do.
+at module level and the functions of ``POLY_BUILDERS`` do.  Likewise every
+formula and labelled formula is one object per value only while each is
+built through its class's ``intern`` hook: no module calls a formula class
+or ``LF`` itself.
 
 ``proofs._build`` picks a node's conclusion by the gather of the plan its
 shape shares, so it holds no ``for`` loop and no comprehension: placing the
@@ -293,16 +296,16 @@ def test_build_assembles_a_conclusion_without_a_loop():
     assert _with_loop((LIBRARY / "proofs.py").read_text(), ("_build",)) == []
 
 
-def _poly_callers(source: str) -> list[str]:
-    """The module-level definitions of ``source`` that call ``Poly``, by
-    name or as an attribute, sorted and each once; ``<module>`` stands for
-    a statement outside any definition."""
+def _callers(source: str, names: tuple[str, ...]) -> list[str]:
+    """The module-level definitions of ``source`` that call one of
+    ``names``, by name or as an attribute, sorted and each once;
+    ``<module>`` stands for a statement outside any definition."""
     found = set()
     for stmt in ast.parse(source).body:
         for node in ast.walk(stmt):
             if isinstance(node, ast.Call) and (
-                (isinstance(node.func, ast.Name) and node.func.id == "Poly")
-                or (isinstance(node.func, ast.Attribute) and node.func.attr == "Poly")
+                (isinstance(node.func, ast.Name) and node.func.id in names)
+                or (isinstance(node.func, ast.Attribute) and node.func.attr in names)
             ):
                 found.add(getattr(stmt, "name", "<module>"))
     return sorted(found)
@@ -317,12 +320,28 @@ def test_the_guard_sees_each_call_of_poly_and_no_other_mention():
         "class C:\n    def m(self):\n        return R.Poly(())\n"
         "def h():\n    return Poly\n"
     )
-    assert _poly_callers(source) == ["<module>", "C", "g"]
+    assert _callers(source, ("Poly",)) == ["<module>", "C", "g"]
 
 
 def test_only_the_builders_of_respoly_call_poly():
-    found = {path.stem: _poly_callers(path.read_text()) for path in sorted(LIBRARY.glob("*.py"))}
+    found = {path.stem: _callers(path.read_text(), ("Poly",)) for path in sorted(LIBRARY.glob("*.py"))}
     assert found.pop("respoly") == sorted(("<module>",) + POLY_BUILDERS)
+    assert found == dict.fromkeys(found, [])
+
+
+def test_the_guard_sees_a_formula_class_called_but_not_its_hook():
+    source = (
+        "ONE = F.One()\n"
+        "def f(x):\n    return F.Atom.intern(x), Tensor.intern(x, x), isinstance(x, F.Par)\n"
+        "def g(x):\n    return LF(x, '_', x)\n"
+        "def h(x):\n    return type(x).intern(x), [F.Bang][0](x)\n"
+    )
+    assert _callers(source, RECORD_CLASSES["formula"]) == ["<module>", "g"]
+
+
+def test_no_module_calls_a_formula_class_itself():
+    classes = RECORD_CLASSES["formula"]
+    found = {path.stem: _callers(path.read_text(), classes) for path in sorted(LIBRARY.glob("*.py"))}
     assert found == dict.fromkeys(found, [])
 
 

@@ -78,7 +78,11 @@ def test_stored_facts_equal_their_definitions_and_are_computed_once(f, binder, l
         assert g.positive == O.is_positive(g)
         assert negate(g) == O.negate(g) and negate(g) is negate(g)
         assert negate(negate(g)) == g
-        assert negate(negate(g)) is g or type(g) in (F.One, F.Bottom)
+        # A dual is built through the intern hook, so the dual of a dual is
+        # the table's node: ``g`` itself unless ``g`` is the bare copy ``f``
+        # or a unit, whose dual is shared.
+        assert negate(negate(g)) is g or g is f or type(g) in (F.One, F.Bottom)
+        assert negate(negate(negate(negate(g)))) is negate(negate(g))
         assert free_rvars(g) == O.free_rvars(g) and free_rvars(g) is free_rvars(g)
         assert classify(g) == O.classify_walk(g) == O.classify(g)
         assert g._rvars is free_rvars(g) and g._kind is classify(g)
@@ -508,6 +512,27 @@ def test_negate_and_free_rvars_of_depth_10_4_chains_need_no_recursion():
     # The label binder is kept only where the formula reads it.
     assert parse_lf("<" + "!{x<1} " * depth + "X>[x<1]").binder == F.VACUOUS
     assert parse_lf("<" + chain + ">[x<1]").binder == "x"
+
+
+def test_depth_10_4_formulas_and_labelled_formulas_compare_and_hash():
+    """The intern hook stores each node's hash, computed from its children's
+    stored ones, so neither ``==`` nor ``hash`` walks a built formula."""
+    depth = 10_000
+    assert depth > sys.getrecursionlimit()
+    t = "!{1} " * depth + "X"
+    assert parse_formula(t) == parse_formula(t)
+    assert hash(parse_formula(t)) == hash(parse_formula(t))
+    s = "<" + "!{x<1} " * depth + "X>[x<1]"
+    assert parse_lf(s) == parse_lf(s)
+    assert hash(parse_lf(s)) == hash(parse_lf(s))
+    # The stored hash is the field-tuple hash, which a bare copy (built by
+    # the class calls, outside the table) computes by walking.
+    for text in ("!{1} " * 300 + "X", "?{x<y + 1} (V * ~W) par bot", "1 * !{z<y} ~V"):
+        f = parse_formula(text)
+        bare = O.negate(O.negate(f))
+        assert bare is not f and bare == f and hash(bare) == hash(f)
+        a = lf(f, "y", P("q"))
+        assert hash(a) == hash(F.LF(bare, a.binder, a.label)) == hash((a.formula, a.binder, a.label))
 
 
 def _from_counter(start: int, fn, *args):

@@ -1,6 +1,8 @@
 import copy
+import gc
 import random
 import sys
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +34,7 @@ from bllp.proofs import (
     step_special,
     weight,
 )
-from bllp.record import replace
+from bllp.record import Frozen, replace
 from bllp.respoly import ONE, ZERO, NotResourcePolynomial, const, eval_poly, fresh_var, poly_leq, pvar
 from bllp.syntax import ParseError, parse_lf, parse_poly, proof_from_obj, proof_to_obj
 from bllp.typecheck import (
@@ -794,6 +796,45 @@ def test_a_conclusion_position_past_its_file_sequent_is_named(rule):
     ]
 
 
+def test_a_node_with_the_wrong_premise_count_is_reported_before_its_rule_reads_one():
+    unit = mk_one(lf(F.ONE_F, F.VACUOUS, 1))
+    assert str(check_proof(Proof("one", unit.concl, (unit,)))) == "root: one expects 0 premises, found 1"
+    bot = one_bot_proof()
+    assert str(check_proof(Proof("bot", bot.concl, (unit, unit), bot.data))) == (
+        "root: bot expects 1 premises, found 2"
+    )
+    for rule, node in sorted(ORDERED.items()):
+        assert str(check_proof(replace(node, premises=()))) == (
+            f"root: {rule} expects {P.ARITY[rule]} premises, found 0"
+        )
+
+
+@pytest.mark.parametrize("name", DERIVED + ["applied-3"])
+def test_dropping_or_duplicating_a_premise_of_a_proof_file_gives_a_report(name):
+    """Each node of the file of a mapped corpus proof, in turn, with one
+    premise dropped or repeated: the checker reports that node's count."""
+    obj = proof_to_obj(built(name))
+    nodes, stack = [], [((), obj["tree"])]
+    while stack:
+        path, node = stack.pop()
+        nodes.append((path, node))
+        stack += [(path + (i,), q) for i, q in enumerate(node["premises"])]
+    edits = 0
+    for path, node in nodes:
+        prems = node["premises"]
+        where = ".".join(["root", *map(str, path)])
+        for i in range(len(prems)):
+            for edited in (prems[:i] + prems[i + 1:], prems[:i + 1] + prems[i:]):
+                node["premises"] = edited
+                report = str(check_proof(proof_from_obj(obj)))
+                assert report == (
+                    f"{where}: {node['rule']} expects {len(prems)} premises, found {len(edited)}"
+                ), report
+                edits += 1
+        node["premises"] = prems
+    assert edits == 2 * (len(nodes) - 1)
+
+
 def test_par_and_tensor_pair_the_binders_of_their_components():
     """A component under the conclusion's binder ``v`` matches a premise
     formula under ``u`` when it reads ``v`` where the premise reads ``u``."""
@@ -954,6 +995,37 @@ def test_the_pipeline_builds_the_dual_of_each_formula_object_once(name, monkeypa
     assert check_proof(pf).ok
     weight(pf)
     assert calls[0] > 0 and len({id(f) for f in built}) == len(built)
+
+
+def test_the_pipeline_holds_each_formula_and_labelled_formula_value_once():
+    """Church 1-48 and the corpus through check, elaborate, map, check and
+    weight: every formula and labelled formula that the results reach, as
+    the garbage collector sees them, is the one object of its value.  This
+    also sees a node built by a class call that no name in the source shows."""
+    results = []
+    derivations = [C.by_name(name).derivation for name in DERIVED]
+    for d in [C.church_applied_derivation(n) for n in range(1, 49)] + derivations:
+        assert check_additive(d).ok
+        m = add_to_mult(d)
+        assert check_mult(m).ok
+        pf = map_derivation(m)
+        assert check_proof(pf).ok
+        results.append((d, m, pf, weight(pf)))
+    # Walk records and containers only: a class or a module would lead to
+    # every object of the process, the tests' own formulas among them.
+    containers = (tuple, list, dict, frozenset, set, MappingProxyType)
+    seen, stack, objects = set(), [results], {}
+    while stack:
+        o = stack.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, (F.Formula, LF)):
+            objects.setdefault(o, []).append(o)
+        if isinstance(o, (Frozen, *containers)):
+            stack += [r for r in gc.get_referents(o) if not isinstance(r, type)]
+    assert sum(type(o) is LF for o in objects) > 500 and sum(type(o) is not LF for o in objects) > 50
+    assert [same for same in objects.values() if len(same) > 1] == []
 
 
 # -- stored verdicts -------------------------------------------------------------------
@@ -1142,6 +1214,26 @@ def test_proof_data_is_read_only():
     with pytest.raises(TypeError):
         AX1.data["witness"] = None
     assert replace(box, concl=box.concl).data is box.data
+
+
+def test_a_rebuilt_node_copies_its_data_once_and_keeps_it_read_only(monkeypatch):
+    """`_rebuild` copies the data, wraps it and a box's ``sum_witness``
+    read-only itself, and the node stores that copy as it is."""
+    box_prem = mk_qw(AX1, 2, lf(X, F.VACUOUS, 1))
+    box = Proof("bang", box_prem.concl, (box_prem,), {"idx": 0, "sum_witness": {1: (F.Atom("X"), "y")}})
+    copies = []
+    monkeypatch.setattr(P, "dict", lambda *a: copies.append(a) or dict(*a), raising=False)
+    for parent in (box, box_prem):
+        copies.clear()
+        node = P._rebuild(parent, 0, parent.premise(0), None)
+        assert len(copies) == 1 and node == parent and node.data is not parent.data
+        assert dict(node.data) == dict(parent.data)
+        with pytest.raises(TypeError):
+            node.data["idx"] = 1
+    node = P._rebuild(box, 0, box_prem, None)
+    assert node.data["sum_witness"] == {1: (F.Atom("X"), "y")}
+    with pytest.raises(TypeError):
+        node.data["sum_witness"][1] = None
 
 
 def test_equality_and_hash_of_church_400_trees_at_the_default_recursion_limit():
