@@ -25,8 +25,8 @@ occurs in its own label.
 They opt in to ``record.Frozen``'s intern hook, and the library builds
 each one as ``Cls.intern(...)``, never by a class call (a plain call, which
 only tests make, builds a fresh record outside the table).  A child is
-keyed by identity, so equal formulas over the same polynomials are one
-object.  Built afresh at each site, the formulas that church 1-48 and the
+keyed by identity and a name or a polynomial by value, so equal formulas
+are one object, over distinct but equal polynomials too.  Built afresh at each site, the formulas that church 1-48 and the
 corpus hold once checked, elaborated, mapped, checked and weighed are
 4 926 objects for 52 values, and their labelled formulas 14 601 for 520;
 through the hook they are 572 objects, one per value.  So ``==`` of two
@@ -34,11 +34,15 @@ equal formulas meets one object twice: over 400 seed-7 ``polystep`` ops
 of the benchmark, 80.9k of 93.3k ``LF ==`` calls walked two distinct but
 equal objects built afresh, and through the hook none does.  Each node
 stores its hash, so a formula of any depth hashes at once, and compares
-at once with an equal one built over the same polynomials.
+at once with an equal one.
 
 The table is strong.  It never shrinks, but it holds only what the values
-need: 572 entries over four passes of 400 seed-7 ``polystep`` ops, and
-218 over as many ``preservation`` ops, the same after each pass.  A weak
+need: one entry per value, 572 over four passes of 400 seed-7 ``polystep``
+ops and 218 over as many ``preservation`` ops, the same after each pass.
+Keying polynomials by identity instead made a new entry for every
+formula over a polynomial built afresh, so repeated symbolic calls
+(parsing a bound, substituting a label, printing a generated binder)
+grew the table by one or two entries each.  A weak
 table needs a ``__weakref__`` slot on every node, and its
 ``WeakValueDictionary`` looks up in Python.  Three rounds of 15 s
 ``bench/run.py --trace 0`` runs on a shared 2-core host, medians in ops/s

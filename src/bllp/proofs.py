@@ -47,18 +47,21 @@ the gather before it compares them position by position, and every
 position translation, a commutation's too, is composed from the tables
 before and after a rewrite.
 
+What a rule is, but for its layout and side conditions, is stated once,
+in `RULES` (see `ProofRule`); the checker, the shape key, the weight
+forms, the commutations, the choice of a firing function and the file
+reader's position fields read it.
+
 A special cut is exposed by commuting the rules above it, then fired.
 Commuting a rule only moves it: the cut moves onto the premise that holds
 its formula, and the rule is rebuilt below it. Both, and every ancestor of
-a rewritten subproof, are rebuilt by `_rebuild` through `_build`;
-`_PREMISE_FIELDS` says which data fields of a rule hold positions in a
-premise.
+a rewritten subproof, are rebuilt by `_rebuild` through `_build`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
@@ -89,9 +92,49 @@ Path = tuple[int, ...]
 # Per premise, each position's conclusion position; and the positions made.
 Table = tuple[tuple[tuple[int | None, ...], ...], tuple[int, ...]]
 
-# Each rule with its number of premises, which `_node_errors` checks first.
-ARITY = {"ax": 0, "cut": 2, "par": 1, "tensor": 2, "bang": 1, "qd": 1, "qw": 1, "qc": 1, "bot": 1, "one": 0}
-RULES = tuple(ARITY)
+
+@dataclass(frozen=True)
+class ProofRule:
+    """What a sequent rule is, but for its layout and side conditions.
+
+    ``premises`` names, per premise, the data fields that hold a position
+    in it, so it gives the premise count; ``at`` names the field of the
+    conclusion position where the rule inserts its formula.  ``own``: every
+    conclusion position is the rule's own, so it is never commuted and is a
+    tensor-tree leaf.  ``weighs``: its created position has a weight
+    variable.  ``kind``: the special cut it forms on the left of a cut,
+    ``restricted`` to a passive right context, or needing a ``tree`` right
+    premise.  ``key`` reads the ``shape``, every position field."""
+
+    premises: tuple[tuple[str, ...], ...]
+    at: str | None = None
+    own: bool = False
+    weighs: bool = False
+    kind: str | None = None
+    restricted: bool = False
+    tree: bool = False
+    shape: tuple[str, ...] = field(init=False)
+    key: Callable[[Mapping], object] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        shape = sum(self.premises, ()) + ((self.at,) if self.at else ())
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "key", itemgetter(*shape) if shape else lambda d: ())
+
+
+_CUT, _PAIR, _DOOR = (("left_idx",), ("right_idx",)), (("left", "right"),), (("idx",),)
+RULES = {
+    "ax": ProofRule((), own=True, kind="axiom"),
+    "cut": ProofRule(_CUT),
+    "par": ProofRule(_PAIR, weighs=True, kind="multiplicative"),
+    "tensor": ProofRule(_CUT),
+    "bang": ProofRule(_DOOR, own=True, kind="digging", restricted=True, tree=True),
+    "qd": ProofRule(_DOOR, weighs=True, kind="dereliction", restricted=True),
+    "qw": ProofRule(((),), "idx", weighs=True, kind="weakening"),
+    "qc": ProofRule(_PAIR, weighs=True, kind="contraction", restricted=True, tree=True),
+    "bot": ProofRule(((),), "idx", weighs=True, kind="units"),
+    "one": ProofRule((), own=True),
+}
 
 
 class ProofError(Exception):
@@ -178,8 +221,8 @@ def positives(seq: Sequent) -> list[int]:
 # `par` or `qc` merges its pair into the first one's position, `qd` and
 # `bang` work in place, `qw` and `bot` insert at `idx`, and `cut` and
 # `tensor` append the right premise's formulas to the left's.  A table
-# depends only on the node's shape: its rule, the data fields that
-# `_POSITIONS` names and its premises' lengths.  `_plan` keeps one table
+# depends only on the node's shape: its rule, the data fields that its
+# `ProofRule.shape` names and its premises' lengths.  `_plan` keeps one table
 # per shape, with the gather that `_build` assembles a conclusion by and
 # the checker compares one through, so a node's table costs it one
 # reference.
@@ -211,21 +254,6 @@ def _layout(rule: str, d: Mapping, lens: tuple[int, ...]) -> Table:
     raise ProofError(f"unknown rule {rule!r}")
 
 
-# The data fields of each rule that `_layout` reads, and a getter of them:
-# with the premises' lengths, they are a node's shape.
-_POSITIONS = {
-    "cut": ("left_idx", "right_idx"),
-    "tensor": ("left_idx", "right_idx"),
-    "par": ("left", "right"),
-    "qc": ("left", "right"),
-    "bang": ("idx",),
-    "qd": ("idx",),
-    "qw": ("idx",),
-    "bot": ("idx",),
-}
-_SHAPE_KEY = {rule: itemgetter(*fields) for rule, fields in _POSITIONS.items()}
-
-
 class _Plan(tuple):
     """A shape's `Table`, shared by every node of the shape, with its
     ``gather``: the ``itemgetter`` that picks the conclusion, in order, out
@@ -238,11 +266,11 @@ class _Plan(tuple):
 @lru_cache(maxsize=512)
 def _plan(rule: str, key: object, lens: tuple[int, ...]) -> _Plan:
     """The plan of a shape: ``key`` holds the values of the rule's
-    `_POSITIONS` fields, a single one bare.  Kept per shape: with no memo,
+    `ProofRule.shape` fields, a single one bare.  Kept per shape: with no memo,
     each node derives its own plan and the drain of the module docstring
     takes 47 ms.  Shapes are few (164 over 1 500 seed-7 `preservation` ops
     of the benchmark, 25 over as many `polystep` ops), so 512 keep them all."""
-    fields = _POSITIONS.get(rule, ())
+    fields = RULES[rule].shape
     plan = _Plan(_layout(rule, dict(zip(fields, key if len(fields) > 1 else (key,))), lens))
     lays, made = plan
     picks, base = [], 0  # (conclusion position, source position)
@@ -263,8 +291,7 @@ def _plan(rule: str, key: object, lens: tuple[int, ...]) -> _Plan:
 
 def _table(p: Proof) -> _Plan:
     """The shared table of a node not built by `_build`, stored."""
-    key = _SHAPE_KEY[p.rule](p.data) if p.rule in _SHAPE_KEY else ()
-    plan = _plan(p.rule, key, tuple([len(q.concl) for q in p.premises]))
+    plan = _plan(p.rule, RULES[p.rule].key(p.data), tuple([len(q.concl) for q in p.premises]))
     _set_table(p, plan)
     return plan
 
@@ -288,7 +315,7 @@ def _build(rule: str, premises: tuple[Proof, ...], data: Mapping, *made: LF) -> 
     else:
         left, right = premises
         lens, src = (len(left.concl), len(right.concl)), left.concl + right.concl + made
-    plan = _plan(rule, _SHAPE_KEY[rule](data), lens)
+    plan = _plan(rule, RULES[rule].key(data), lens)
     if plan.gather is None:
         raise ProofError(f"the {rule} table over premises of lengths {lens} leaves a position empty")
     node = Proof(rule, plan.gather(src), premises, data)
@@ -299,17 +326,13 @@ def _build(rule: str, premises: tuple[Proof, ...], data: Mapping, *made: LF) -> 
 # -- checking ------------------------------------------------------------------------
 
 
-def _out_of_range(p: Proof) -> str | None:
+def _out_of_range(p: Proof, rule: ProofRule) -> str | None:
     """The first position in ``p``'s data that the sequent it indexes lacks
-    (a premise's, or for ``qw`` and ``bot`` the node's own conclusion),
-    named with that sequent's length; read only once a check hit an
-    ``IndexError``."""
-    places = [
-        (f"premise {which}", q.concl, keys)
-        for which, (q, keys) in enumerate(zip(p.premises, _PREMISE_FIELDS.get(p.rule, ())))
-    ]
-    if p.rule in ("qw", "bot"):
-        places.append(("the conclusion", p.concl, ("idx",)))
+    (a premise's, or for ``rule.at`` the node's own conclusion), named with
+    that sequent's length; read only once a check hit an ``IndexError``."""
+    places = [(f"premise {which}", q.concl, keys) for which, (q, keys) in enumerate(zip(p.premises, rule.premises))]
+    if rule.at:
+        places.append(("the conclusion", p.concl, (rule.at,)))
     for where, seq, keys in places:
         for key in keys:
             i = p.data.get(key)
@@ -325,9 +348,11 @@ def _node_errors(p: Proof) -> list[str]:
         errs.append("sequent has more than one positive formula")
     # A wrong premise count is reported before any rule reads a premise or
     # `_plan` derives a table for an impossible shape.
-    arity = ARITY.get(p.rule)
-    if arity is not None and len(p.premises) != arity:
-        return errs + [f"{p.rule} expects {arity} premises, found {len(p.premises)}"]
+    rule = RULES.get(p.rule)
+    if rule is None:
+        return errs + [f"unknown rule {p.rule!r}"]
+    if len(p.premises) != len(rule.premises):
+        return errs + [f"{p.rule} expects {len(rule.premises)} premises, found {len(p.premises)}"]
     d = p.data
     try:
         match p.rule:
@@ -429,35 +454,35 @@ def _node_errors(p: Proof) -> list[str]:
             case "bot":
                 if not isinstance(seq[d["idx"]].formula, F.Bottom):
                     errs.append("bot must introduce a bottom formula")
-            case _:
-                errs.append(f"unknown rule {p.rule!r}")
     except (KeyError, IndexError, ShapeMismatch) as exc:
-        why = isinstance(exc, IndexError) and _out_of_range(p)
+        why = isinstance(exc, IndexError) and _out_of_range(p, rule)
         return errs + [f"malformed node: {why or f'{type(exc).__name__}: {exc}'}"]
 
-    # conclusion must agree with the premises through the layout: first as
-    # a whole by the plan's gather, since ``==`` (identity first) implies
-    # α-equality; only then position by position, which words the errors
-    if p.rule in ("par", "qc", "bot", "qw", "qd", "cut", "tensor"):
-        plan = p.table or _table(p)
-        lay, at = plan
-        own = tuple([seq[k] for k in at if k < len(seq)])
-        if plan.gather is not None and len(own) == len(at):
-            if plan.gather(sum([q.concl for q in p.premises], ()) + own) == seq:
-                return errs
-        made = set(at)
-        seen: dict[int, LF] = {}
-        for which, prem in enumerate(p.premises):
-            for i, a in enumerate(prem.concl):
-                tgt = lay[which][i]
-                if tgt is None or tgt in made:
-                    continue
-                seen[tgt] = a
-        for tgt, a in seen.items():
-            if tgt >= len(seq) or not lf_alpha_eq(seq[tgt], a):
-                errs.append(f"conclusion position {tgt} does not match the premise")
-        if len(seq) != len(seen) + len(made):
-            errs.append("conclusion length does not fit the rule")
+    # unless the rule makes every position, the conclusion must agree with
+    # the premises through the layout: first as a whole by the plan's
+    # gather, since ``==`` (identity first) implies α-equality; only then
+    # position by position, which words the errors
+    if rule.own:
+        return errs
+    plan = p.table or _table(p)
+    lay, at = plan
+    own = tuple([seq[k] for k in at if k < len(seq)])
+    if plan.gather is not None and len(own) == len(at):
+        if plan.gather(sum([q.concl for q in p.premises], ()) + own) == seq:
+            return errs
+    made = set(at)
+    seen: dict[int, LF] = {}
+    for which, prem in enumerate(p.premises):
+        for i, a in enumerate(prem.concl):
+            tgt = lay[which][i]
+            if tgt is None or tgt in made:
+                continue
+            seen[tgt] = a
+    for tgt, a in seen.items():
+        if tgt >= len(seq) or not lf_alpha_eq(seq[tgt], a):
+            errs.append(f"conclusion position {tgt} does not match the premise")
+    if len(seq) != len(seen) + len(made):
+        errs.append("conclusion length does not fit the rule")
     return errs
 
 
@@ -506,9 +531,6 @@ def check_proof(p: Proof) -> Report:
 # it, then a `Poly`; a form of ints is a tuple of ints, which the garbage
 # collector stops tracking, as it does the tables.
 Form = tuple[int | Poly, tuple[int | Poly, ...]]
-
-# The rules that give a weight variable to the position they create.
-_UNARY = frozenset(("par", "qc", "qd", "bot", "qw"))
 _AXIOM_FORMS = ((0, (0, 1)), (0, (1, 0)))
 
 
@@ -539,7 +561,7 @@ def _form(node: Proof) -> Form:
                     c0 += c
                 else:
                     cs[t] += c
-    if rule in _UNARY:
+    if RULES[rule].weighs:
         cs[made[0]] += 1
     return c0, tuple(cs)
 
@@ -932,44 +954,33 @@ def _origin(node: Proof, pos: int) -> tuple[int, int] | None:
     raise ProofError(f"position {pos} has no origin")
 
 
-# The data fields of each rule that hold positions in each premise.
-_PREMISE_FIELDS = {
-    "cut": (("left_idx",), ("right_idx",)),
-    "tensor": (("left_idx",), ("right_idx",)),
-    "par": (("left", "right"),),
-    "qc": (("left", "right"),),
-    "qd": (("idx",),),
-    "bang": (("idx",),),
-    "qw": ((),),
-    "bot": ((),),
-}
-
-
 def _rebuild(
     parent: Proof, which: int, new_child: Proof, t: Trans, last: int | None = None
 ) -> Proof:
     """Rebuild ``parent`` over premise ``which`` replaced by ``new_child``.
 
-    ``t`` moves the premise's positions to the new one's. A ``qw`` or
-    ``bot`` puts its formula at ``last`` if given, else where it was; a
-    ``bang`` keeps its doors, permuted by ``t``.  The new data is copied
-    once, here, and wrapped read-only, so the node stores it as it is.
+    ``t`` moves the premise's positions to the new one's. A rule with an
+    ``at`` field puts its formula at ``last`` if given, else where it was;
+    a box, whose conclusion is its own, keeps its doors, permuted by ``t``.
+    The new data is copied once, here, and wrapped read-only, so the node
+    stores it as it is.
     """
+    rule = RULES[parent.rule]
     d = dict(parent.data)
-    for key in _PREMISE_FIELDS[parent.rule][which]:
+    for key in rule.premises[which]:
         d[key] = _apply_trans(t, d[key])
     prems = list(parent.premises)
     prems[which] = new_child
-    if parent.rule == "bang":
+    if rule.own:
         if d.get("sum_witness"):
             wit = {_apply_trans(t, k): v for k, v in d["sum_witness"].items()}
             d["sum_witness"] = MappingProxyType(wit)
         seq = [None] * len(parent.concl)
         for k, a in enumerate(parent.concl):
             seq[_apply_trans(t, k)] = a
-        return Proof("bang", tuple(seq), (new_child,), MappingProxyType(d))
-    if last is not None and parent.rule in ("qw", "bot"):
-        d["idx"] = last
+        return Proof(parent.rule, tuple(seq), (new_child,), MappingProxyType(d))
+    if last is not None and rule.at:
+        d[rule.at] = last
     made = [parent.concl[k] for k in created(parent)]
     return _build(parent.rule, tuple(prems), MappingProxyType(d), *made)
 
@@ -1003,9 +1014,10 @@ def _hoist(parent: Proof, which: int) -> tuple[Proof, Trans, Path]:
     translation, and the new relative path ``(w,)`` of the parent.
     """
     child = parent.premises[which]
-    if child.rule in ("ax", "one", "bang"):
+    if RULES[child.rule].own:
         raise ProofError(f"cannot commute a {child.rule} node")
-    pa = parent.data["left_idx" if which == 0 else "right_idx"]
+    (key,) = RULES[parent.rule].premises[which]
+    pa = parent.data[key]
     w, src = _origin(child, pa)
     inner = _rebuild(parent, which, child.premises[w], {pa: src})
     node = _rebuild(child, w, inner, layout(inner)[which], len(inner.concl))
@@ -1025,7 +1037,7 @@ def _hoist(parent: Proof, which: int) -> tuple[Proof, Trans, Path]:
 
 
 def _introduces(node: Proof, idx: int) -> bool:
-    return idx in created(node) or node.rule in ("ax", "bang")
+    return idx in created(node) or RULES[node.rule].own
 
 
 @stack_safe
@@ -1034,7 +1046,7 @@ def _tensor_purge_path(p: Proof) -> Path | None:
 
     ``None`` when ``p`` is a tensor tree (tensors over ax, one and bang).
     """
-    if p.rule in ("ax", "one", "bang"):
+    if RULES[p.rule].own:
         return None
     if p.rule == "tensor":
         for w, q in enumerate(p.premises):
@@ -1043,6 +1055,13 @@ def _tensor_purge_path(p: Proof) -> Path | None:
                 return (w,) + sub
         return None
     return ()
+
+
+def _firing(cut: Proof) -> ProofRule:
+    """The rule whose facts decide the special cut ``cut``: an axiom's on
+    either side, else the left premise's."""
+    left, right = cut.premises
+    return RULES["ax" if right.rule == "ax" else left.rule]
 
 
 def _expose(p: Proof, path: Path) -> tuple[Proof, Path]:
@@ -1065,7 +1084,7 @@ def _expose(p: Proof, path: Path) -> tuple[Proof, Path]:
             p = _splice(p, path, sub, tr)
             path = path + rel
             continue
-        if left.rule in ("qc", "bang") and right.rule != "ax":
+        if _firing(node).tree:
             sub = _tensor_purge_path(right)
             if sub is not None:
                 if sub == ():
@@ -1191,28 +1210,22 @@ def _fire_digging(node: Proof) -> tuple[Proof, Trans]:
     return mk_bang(newprem, lay[0][bi], box_out, ctx, wit), None
 
 
+# Each special-cut kind with its firing function.
+_FIRE = {
+    "axiom": _fire_ax, "multiplicative": _fire_multiplicative, "units": _fire_units,
+    "weakening": _fire_weakening, "dereliction": _fire_dereliction,
+    "contraction": _fire_contraction, "digging": _fire_digging,
+}
+
+
 def fire_logical(p: Proof, path: Path) -> Proof:
     """Fire an exposed logical cut in place."""
     node = p.at(path)
     assert node.rule == "cut"
-    left, right = node.premises
-    if left.rule == "ax" or right.rule == "ax":
-        reduct, tr = _fire_ax(node)
-    elif left.rule == "par":
-        reduct, tr = _fire_multiplicative(node)
-    elif left.rule == "bot":
-        reduct, tr = _fire_units(node)
-    elif left.rule == "qw":
-        reduct, tr = _fire_weakening(node)
-    elif left.rule == "qd":
-        reduct, tr = _fire_dereliction(node)
-    elif left.rule == "qc":
-        reduct, tr = _fire_contraction(node)
-    elif left.rule == "bang":
-        reduct, tr = _fire_digging(node)
-    else:
-        raise ProofError(f"cut is not logical: left rule {left.rule}")
-    return _splice(p, path, reduct, tr)
+    fire = _FIRE.get(_firing(node).kind)
+    if fire is None:
+        raise ProofError(f"cut is not logical: left rule {node.premise(0).rule}")
+    return _splice(p, path, *fire(node))
 
 
 # -- the special-cut strategy ----------------------------------------------------------
@@ -1224,17 +1237,6 @@ class SpecialStep:
     exposed: Proof
     path: Path
     kind: str
-
-
-RESTRICTED = {"qd", "qc", "bang"}
-KINDS = {
-    "par": "multiplicative",
-    "bot": "units",
-    "qw": "weakening",
-    "qd": "dereliction",
-    "qc": "contraction",
-    "bang": "digging",
-}
 
 
 def _cut_paths(p: Proof) -> Iterator[Path]:
@@ -1265,16 +1267,11 @@ def step_special(p: Proof) -> SpecialStep | None:
             exposed, epath = _expose(p, path)
         except ProofError:
             continue
-        node = exposed.at(epath)
-        left, right = node.premises
-        if left.rule == "ax" or right.rule == "ax":
-            kind = "axiom"
-        else:
-            kind = KINDS[left.rule]
-        if left.rule in RESTRICTED and right.rule != "ax" and not _eligible(exposed, epath):
+        rule = _firing(exposed.at(epath))
+        if rule.restricted and not _eligible(exposed, epath):
             continue
         result = fire_logical(exposed, epath)
-        return SpecialStep(result, exposed, epath, kind)
+        return SpecialStep(result, exposed, epath, rule.kind)
     return None
 
 

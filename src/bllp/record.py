@@ -19,7 +19,8 @@ variables.
   for a validation that raises.
 - ``==`` is true for one object twice, ``NotImplemented`` unless both have
   the exact class, and otherwise compares the fields in order.
-- ``hash`` is the hash of the tuple of fields, the dataclass value.
+- ``hash`` is the hash of the tuple of fields, the dataclass value.  A
+  class that declares a ``_hash`` slot stores it there on first use.
 
 A class declared ``class C(Frozen, interned=True)``, and each subclass of
 it, opts in to the intern hook, hash-consing after Filliâtre and Conchon,
@@ -27,21 +28,21 @@ it, opts in to the intern hook, hash-consing after Filliâtre and Conchon,
 as the constructor does and returns the one node of the table for them,
 built through the constructor (and its ``_check``) on the first call.
 
-- The key is the class and the fields: a name (a ``str``) by value, any
-  other field, a child node or a polynomial, by identity.  So building a
-  node hashes a tuple of small values and never walks below the node, and
-  two nodes over equal but distinct polynomials stay two nodes.
+- The key is the class and the fields: a field whose class is interned,
+  a child node, by identity, and any other, a name or a polynomial, by
+  value.  So building a node never walks a child, and equal fields give
+  one node, over equal but distinct polynomials too; a polynomial stores
+  its hash, so it is a cheap key.
 - The hook stores the node's hash in the ``_hash`` slot that an interned
   class declares: the field-tuple hash, computed from the children's
-  stored hashes.  The generated ``hash`` returns it, so a node of any
-  depth hashes at once; ``==`` is the field comparison above, which meets
-  one object twice at once.
+  stored hashes.  So a node of any depth hashes at once, and ``==``, the
+  field comparison above, meets one object twice at once.
 - The table is strong and one for all interned classes; an ``id`` in a key
   names an object the node holds, so it is not reused while the entry
   lives.  ``formula`` gives what it holds and why it is not weak.
 - A plain class call still builds a fresh record outside the table, whose
-  ``hash`` walks its fields; the library builds through the hook only, and
-  :func:`replace` of an interned record goes through the hook too.
+  first ``hash`` walks its fields; the library builds through the hook
+  only, and :func:`replace` of an interned record goes through the hook.
 
 A method that the class or a record base between it and :class:`Frozen`
 writes by hand is kept (``__hash__ = None``, which Python writes beside a
@@ -63,6 +64,8 @@ _GENERATED: set[Callable] = set()
 
 # The intern table: each node the hooks built, under its key.
 _TABLE: dict[tuple, "Frozen"] = {}
+# The classes that opt in to the intern hook; a field of one is keyed by identity.
+_INTERNED: set[type] = set()
 
 
 class Frozen:
@@ -94,6 +97,7 @@ class Frozen:
             elif own.get(name, fn) is None:  # ``__hash__ = None`` beside a hand-written ``__eq__``
                 setattr(cls, name, fn)
         if cls._interned:
+            _INTERNED.add(cls)
             cls.intern = staticmethod(_compile(cls, "intern"))
 
     def __setattr__(self, key: str, value: object) -> None:
@@ -156,18 +160,18 @@ def _compile(cls: type, name: str) -> Callable:
     elif name == "__hash__":
         args, value = ("self",), f"hash({_tuple(fields, 'self.')})"
         body = [f"return {value}"]
-        if cls._interned:  # the hook's stored hash; a bare record walks its fields
-            body = ["h = self._hash", f"return {value} if h is None else h"]
-    else:  # the hook: a name by value, any other field by identity
-        args, key = fields, "".join(f"{f} if {f}.__class__ is str else _id({f}), " for f in fields)
-        free = {"_cls": cls, "_id": id, "_get": _TABLE.get, "_table": _TABLE}
-        free["_set_hash"] = cls._hash.__set__
+        if hasattr(cls, "_hash"):  # stored on first use, unless the hook stored it
+            free = {"_set_hash": cls._hash.__set__}
+            body = ["h = self._hash", "if h is None:", f" h = {value}", " _set_hash(self, h)", "return h"]
+    else:  # the hook: a field of an interned class by identity, any other by value
+        args, key = fields, "".join(f"_id({f}) if {f}.__class__ in _interned else {f}, " for f in fields)
+        free = {"_cls": cls, "_id": id, "_interned": _INTERNED, "_get": _TABLE.get, "_table": _TABLE}
         body = [
             f"_key = (_cls, {key})",
             "_node = _get(_key)",
             "if _node is None:",
             f" _node = _cls({', '.join(fields)})",
-            f" _set_hash(_node, hash({_tuple(fields)}))",
+            " hash(_node)",  # stored now, from the children's stored hashes
             " _table[_key] = _node",
             "return _node",
         ]

@@ -81,8 +81,9 @@ class NotResourcePolynomial(Exception):
 class Mono(Frozen):
     """Product of binomial coefficients; ``factors`` maps var -> degree >= 1."""
 
-    # ``_vars``: the stored variables, ``None`` until first read.
-    __slots__ = ("factors", "_vars")
+    # ``_vars``: the stored variables, ``None`` until first read; ``_hash``
+    # likewise, filled by the generated ``hash``.
+    __slots__ = ("factors", "_vars", "_hash")
     __match_args__ = ("factors",)
 
     def _check(self) -> None:
@@ -118,8 +119,9 @@ def _mono(factors: Mapping[VarId, int]) -> Mono:
 class Poly(Frozen):
     """Canonical resource polynomial: monomial -> positive coefficient."""
 
-    # ``_vars``: the stored free variables, ``None`` until first read.
-    __slots__ = ("terms", "_vars")
+    # ``_vars``: the stored free variables, ``None`` until first read;
+    # ``_hash`` likewise, filled by the generated ``hash``.
+    __slots__ = ("terms", "_vars", "_hash")
     __match_args__ = ("terms",)
 
     def _check(self) -> None:

@@ -509,12 +509,10 @@ def _printer():
 def _print_entry(a: F.LF, once) -> str:
     """The text of the labelled formula ``a``, its formula and label printed
     through the file writer's ``once``; a generated label binder is renamed
-    as :func:`print_lf` renames it."""
+    as :func:`print_lf` renames it.  A renamed formula is a node of the
+    intern table, which keeps it, so its id is not reused either."""
     formula, binder = _display_lf(a)
-    # A renamed formula is built here and dies with the call, so its id
-    # could come back: it is printed without the cache.
-    text = once(formula, print_formula) if formula is a.formula else print_formula(formula)
-    return _lf_text(text, binder, once(a.label, print_poly))
+    return _lf_text(once(formula, print_formula), binder, once(a.label, print_poly))
 
 
 def _print_fields(fields: dict, once) -> dict:
@@ -718,15 +716,11 @@ def proof_to_obj(p) -> dict:
     return {"format": PROOF_FORMAT, "version": FORMAT_VERSION, "tree": tree}
 
 
-# The ``data`` fields of a proof node that are read as they are.
-_PROOF_PLAIN_FIELDS = dict.fromkeys(("left_idx", "right_idx", "left", "right", "idx"), int) | {"x": str, "y": str}
-
-
 def proof_from_obj(obj: dict):
     """The proof in a version-1 file.  A node of the right shape is read by
     direct type checks; ``_field`` and ``_array`` are called on a field only
     to word the error it holds."""
-    from .proofs import Proof
+    from .proofs import RULES, Proof
 
     what = "proof"
     _check_header(obj, PROOF_FORMAT, what)
@@ -736,6 +730,8 @@ def proof_from_obj(obj: dict):
     parsers = {"witness": parse_lf, "P": parse_formula, "p": parse_poly}
     parsed = {parse: {} for parse in parsers.values()}
     lfs = parsed[parse_lf]
+    # The ``data`` fields read as they are: every rule's positions, and names.
+    plain = {key: int for rule in RULES.values() for key in rule.shape} | {"x": str, "y": str}
 
     def parse_once(parse, s):
         if not isinstance(s, str):
@@ -763,7 +759,7 @@ def proof_from_obj(obj: dict):
             d = _field(x, "data", dict, what)
         out = {}
         for k, v in d.items():
-            kind = _PROOF_PLAIN_FIELDS.get(k)
+            kind = plain.get(k)
             if kind is not None:
                 out[k] = v if type(v) is kind else _field(d, k, kind, what)
             elif k in parsers:

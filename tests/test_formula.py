@@ -21,11 +21,13 @@ from bllp.formula import (
     lf_leq,
     lf_neg,
     lf_shift,
+    lf_subst,
     lf_sum,
     negate,
     subst_poly,
 )
-from bllp.syntax import parse_formula, parse_lf, parse_poly, print_formula
+from bllp.record import _TABLE
+from bllp.syntax import parse_formula, parse_lf, parse_poly, print_formula, print_lf
 
 P = parse_poly
 
@@ -533,6 +535,33 @@ def test_depth_10_4_formulas_and_labelled_formulas_compare_and_hash():
         assert bare is not f and bare == f and hash(bare) == hash(f)
         a = lf(f, "y", P("q"))
         assert hash(a) == hash(F.LF(bare, a.binder, a.label)) == hash((a.formula, a.binder, a.label))
+
+
+def test_formulas_over_equal_but_distinct_polynomials_are_one_object():
+    """Each parse builds its own ``y + 1``; the table keys a polynomial by
+    value, so the two depth-10⁴ chains are one object and compare at once."""
+    t = "!{x<y + 1} " * 10_000 + "X"
+    a, b = parse_formula(t), parse_formula(t)
+    assert a.bound is not P("y + 1") and a is b and a == b
+
+
+@pytest.mark.parametrize("call", ["parse_lf", "lf_subst", "print_lf"])
+def test_repeated_symbolic_calls_leave_the_intern_table_as_it_was(call):
+    """Each call builds its polynomials afresh: parsing a bound, substituting
+    a label variable, renaming a generated binder for printing."""
+    a = parse_lf("<!{x<y + 1} X>[z<y]")
+    shifted = lf_shift(lf(parse_formula("!{x<y + 1} X"), "y", R.pvar("q")), R.fresh_var("y"))
+    assert shifted.binder.startswith("#")
+    run = {
+        "parse_lf": lambda: parse_lf("<!{x<y + 1} X>[z<y]"),
+        "lf_subst": lambda: lf_subst(a, "y", R.pvar("w")),
+        "print_lf": lambda: print_lf(shifted),
+    }[call]
+    run()
+    size = len(_TABLE)
+    for _ in range(1000):
+        run()
+    assert len(_TABLE) == size
 
 
 def _from_counter(start: int, fn, *args):

@@ -12,9 +12,12 @@ a rule builds one.  Another module asks it, by ``subject_of`` or
 ``introduced``, instead of reading an attribute ``.subject``.
 
 What a typing rule is (its systems, subject class, the name it introduces
-and where that name is held) is read off ``typecheck.RULES``.  The rule
-names ``typecheck`` still compares with literals are counted, and the
-count may only shrink.
+and where that name is held) is read off ``typecheck.RULES``.  What a
+sequent rule is (its premise count, position fields, whether its
+conclusion is all its own, its weight variable and the special cut it
+forms) is read off ``proofs.RULES``.  The rule names ``typecheck`` and
+``proofs`` still compare with literals are counted, and each count may
+only shrink.
 """
 
 import ast
@@ -163,3 +166,11 @@ TYPECHECK_RULE_DISPATCH = 34
 
 def test_typecheck_compares_rule_names_no_more_often_than_pinned():
     assert _rule_dispatch((LIBRARY / "typecheck.py").read_text()) == TYPECHECK_RULE_DISPATCH
+
+
+# Rule-name comparisons left in ``proofs.py``; the number may only shrink.
+PROOFS_RULE_DISPATCH = 48
+
+
+def test_proofs_compares_rule_names_no_more_often_than_pinned():
+    assert _rule_dispatch((LIBRARY / "proofs.py").read_text()) == PROOFS_RULE_DISPATCH

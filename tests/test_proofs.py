@@ -1,5 +1,7 @@
 import copy
 import gc
+import itertools
+import json
 import random
 import sys
 from types import MappingProxyType
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import proofs_oracle as O
+from bllp import cli
 from bllp import corpus as C
 from bllp import formula as F
 from bllp import lammu as L
@@ -766,7 +769,7 @@ def test_the_checker_compares_a_file_conclusion_with_its_premises(rule, edit):
 @pytest.mark.parametrize(
     "rule,which,key",
     [(rule, which, key) for rule in ("cut", "par", "tensor", "qc", "qd", "bang")
-     for which, keys in enumerate(P._PREMISE_FIELDS[rule]) for key in keys],
+     for which, keys in enumerate(P.RULES[rule].premises) for key in keys],
 )
 def test_a_premise_position_past_its_file_premise_is_named(rule, which, key):
     """A file premise cut short before the position ``key`` reads: the
@@ -805,7 +808,7 @@ def test_a_node_with_the_wrong_premise_count_is_reported_before_its_rule_reads_o
     )
     for rule, node in sorted(ORDERED.items()):
         assert str(check_proof(replace(node, premises=()))) == (
-            f"root: {rule} expects {P.ARITY[rule]} premises, found 0"
+            f"root: {rule} expects {len(P.RULES[rule].premises)} premises, found 0"
         )
 
 
@@ -1335,6 +1338,92 @@ def test_random_label_edits_are_reported_as_the_fresh_walk_does_or_keep_the_weig
         assert check_proof(hit.result).ok
         cur = weight(hit.result)
         assert cur == O.fate_weight(hit.result)
+        assert poly_leq(cur, prev) and cur != prev
+        prev = cur
+
+
+def _file_nodes(obj: dict) -> list[dict]:
+    """Every node object of a proof file, in pre-order."""
+    out, stack = [], [obj["tree"]]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack += reversed(node["premises"])
+    return out
+
+
+def _json_type(value) -> type:
+    return type(None) if value is None else bool if isinstance(value, bool) else type(value)
+
+
+JSON_VALUES = [None, True, 7, "7", [], {}]
+
+
+def _places(nodes: list[dict]) -> dict[str, list[tuple]]:
+    """Per edit, each place of the file whose node objects are ``nodes``
+    where it applies: a premise to drop, duplicate or swap with the next; a
+    ``data`` key to delete; a value of a node, or an entry of its ``data``,
+    ``sequent`` or ``premises``, with a value of another JSON type; a
+    length to truncate a ``sequent`` to; or two nodes whose rule names to
+    swap."""
+    values = [(n, k) for n in nodes for k in n] + [(n["data"], k) for n in nodes for k in n["data"]]
+    values += [(n[key], i) for n in nodes for key in ("sequent", "premises") for i in range(len(n[key]))]
+    return {
+        "drop": [(n, i) for n in nodes for i in range(len(n["premises"]))],
+        "duplicate": [(n, i) for n in nodes for i in range(len(n["premises"]))],
+        "swap": [(n, i) for n in nodes for i in range(len(n["premises"]) - 1)],
+        "delete": [(n["data"], k) for n in nodes for k in n["data"]],
+        "retype": [(h, k, v) for h, k in values for v in JSON_VALUES if _json_type(v) is not _json_type(h[k])],
+        "truncate": [(n, k) for n in nodes for k in range(len(n["sequent"]))],
+        "rename": list(itertools.combinations(nodes, 2)),
+    }
+
+
+def _edit(edit: str, place: tuple) -> None:
+    """Apply ``edit`` at ``place`` (see `_places`), in place."""
+    match edit, place:
+        case "drop", (node, i):
+            del node["premises"][i]
+        case "duplicate", (node, i):
+            node["premises"].insert(i, node["premises"][i])
+        case "swap", (node, i):
+            prems = node["premises"]
+            prems[i], prems[i + 1] = prems[i + 1], prems[i]
+        case "delete", (holder, key):
+            del holder[key]
+        case "retype", (holder, key, value):
+            holder[key] = value
+        case "truncate", (node, k):
+            node["sequent"] = node["sequent"][:k]
+        case "rename", (a, b):
+            a["rule"], b["rule"] = b["rule"], a["rule"]
+
+
+@pytest.fixture(scope="module")
+def edited_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("edits") / "proof.json"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(DIGIT_FILES)), data=st.data())
+def test_an_edited_proof_file_is_reported_or_its_special_steps_recheck_and_drop(edited_file, name, data):
+    """``cut-eliminate --file`` on a corpus or church-1..3 proof file with
+    one structural edit exits 0, 1 or 3 and raises nothing; when it accepts
+    the file, each special step re-checks and its weight drops strictly."""
+    obj = copy.deepcopy(DIGIT_FILES[name])
+    places = _places(_file_nodes(obj))
+    edit = data.draw(st.sampled_from([e for e in places if places[e]]), label="edit")
+    _edit(edit, data.draw(st.sampled_from(places[edit]), label="place"))
+    edited_file.write_text(json.dumps(obj))
+    rc = cli.main(["cut-eliminate", "--file", str(edited_file)])
+    assert rc in (0, 1, 3)
+    if rc:
+        return
+    pf = proof_from_obj(obj)
+    prev = weight(pf)
+    for hit in P.special_steps(pf):
+        assert check_proof(hit.result).ok
+        cur = weight(hit.result)
         assert poly_leq(cur, prev) and cur != prev
         prev = cur
 

@@ -84,6 +84,16 @@ def envs_for(p, lo=0, hi=8):
 
 # -- add ----------------------------------------------------------------------
 
+def test_a_polynomial_and_its_monomials_store_their_hash_on_first_use():
+    """The intern table keys a formula's polynomials by value, so their
+    hashes are read often: the generated ``hash`` stores each one."""
+    p = add(pvar("y"), mul(pvar("x"), binom("y", 2)))
+    assert p._hash is None
+    assert hash(p) == p._hash == hash((p.terms,))
+    assert all(m._hash == hash((m.factors,)) for m, _ in p.terms)
+    assert Poly(p.terms)._hash is None and hash(Poly(p.terms)) == hash(p)
+
+
 def test_add_identity():
     p = add(binom(X, 2), const(3))
     assert add(ZERO, p) == p
