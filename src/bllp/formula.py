@@ -58,20 +58,35 @@ constant of its class.  :func:`negate`, :func:`free_rvars` and
 :func:`classify` compute their answer on a node's first query and store it
 in one of three slots that start as ``None``, as ``lammu.Term`` keeps
 ``fv``; they are not fields, so ``==``, ``hash`` and ``repr`` ignore them.
-With one node per value, each fact is computed once per value.  The dual
-is built through the hook too, so ``negate(negate(f))`` is ``f`` itself
-for every node the library built; a unit's dual is the shared ``BOTTOM``
-or ``ONE_F``.  ``free_rvars`` returns a shared ``frozenset``.  No fact
-draws a fresh name.  ``negate``, ``free_rvars`` and ``subst_poly`` walk an
-explicit stack, so a formula of any depth has them.
+Each is a slot read plus ``record.fill``, the one bottom-up fill of the
+library, with a per-node rule that reads the stored facts of the node's
+children (``_dual_of``, ``_rvars_of``, ``_kind_of``); ``fill`` walks an
+explicit stack, so a formula of any depth has them, and so does
+``subst_poly``.  With one node per value, each fact is computed once per
+value.  The dual is built through the hook too, so ``negate(negate(f))``
+is ``f`` itself for every node the library built; a unit's dual is the
+shared ``BOTTOM`` or ``ONE_F``.  ``free_rvars`` returns a shared
+``frozenset``.  No fact draws a fresh name.
+
+Each fact stays for its measured worth.  Left unstored, so computed afresh
+on every query, each lowered the ops/s of ``bench/run.py --trace 0`` (8 s
+runs, medians of 3 alternated pairs on a shared 2-core host):
+
+- the dual: ``polystep`` by 7.3 % (293.2 to 271.7, lower in 3 of 3 pairs)
+  and ``preservation`` by 4.4 % (158.2 to 151.2);
+- the class: ``polystep`` by 8.3 % (297.5 to 272.8, 3 of 3) and
+  ``preservation`` by 2.7 % (158.2 to 154.0);
+- the free resource variables: ``polystep`` by 9.6 % (304.4 to 275.1, 3
+  of 3), ``preservation`` not at all (156.9 to 156.9).
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import ClassVar
 
 from . import respoly
-from .record import Frozen
+from .record import Frozen, fill
 from .respoly import ZERO, Poly, VarId, bounded_sum, compose, fresh_var, poly_leq, pvar
 
 VACUOUS = "_"
@@ -176,96 +191,57 @@ _UNIT_DUAL = {One: BOTTOM, Bottom: ONE_F}
 
 def negate(f: Formula) -> Formula:
     """The De Morgan dual of ``f``, built through the intern hook on the
-    first query and stored on ``f``; the dual of a unit is the shared one.
-    The dual's own dual is left to its first query, which meets ``f`` in
-    the table when the library built ``f``.
-
-    Post-order on an explicit stack, so a formula of any depth is negated;
-    a subformula whose dual is stored is not entered.
-    """
+    first query and stored on ``f`` and on every subformula lacking it
+    (:func:`record.fill`); the dual of a unit is the shared one.  The
+    dual's own dual is left to its first query, which meets ``f`` in the
+    table when the library built ``f``."""
     g = f._dual
-    if g is not None:
-        return g
-    stack = [f]
+    return g if g is not None else fill(f, _get_dual, _dual_of, _set_dual, _children)
+
+
+def _dual_of(f: Formula) -> Formula:
+    """``f``'s dual, from its children's stored duals."""
+    cls = type(f)
     # Type tests, not ``match``: the parsers negate about one atom per entry.
-    while stack:
-        node = stack[-1]
-        if node._dual is not None:
-            stack.pop()
-            continue
-        cls = type(node)
-        if cls is Atom or cls is NegAtom:
-            g = _DUAL[cls](node.name)
-        elif cls is Tensor or cls is Par:
-            l, r = node.left._dual, node.right._dual
-            if l is None or r is None:
-                if l is None:
-                    stack.append(node.left)
-                if r is None:
-                    stack.append(node.right)
-                continue
-            g = _DUAL[cls](l, r)
-        elif cls is Bang or cls is WhyNot:
-            n = node.body._dual
-            if n is None:
-                stack.append(node.body)
-                continue
-            g = _DUAL[cls](node.var, node.bound, n)
-        elif cls is One or cls is Bottom:
-            _set_dual(node, _UNIT_DUAL[cls])
-            stack.pop()
-            continue
-        else:
-            raise TypeError(node)
-        _set_dual(node, g)
-        stack.pop()
-    return f._dual
+    if cls is Atom or cls is NegAtom:
+        return _DUAL[cls](f.name)
+    if cls is Tensor or cls is Par:
+        return _DUAL[cls](f.left._dual, f.right._dual)
+    if cls is Bang or cls is WhyNot:
+        return _DUAL[cls](f.var, f.bound, f.body._dual)
+    return _UNIT_DUAL[cls]
 
 
 def free_rvars(f: Formula) -> frozenset[VarId]:
     """The free resource variables of ``f``, computed on the first query
-    and stored on ``f`` and on every subformula lacking them; a node shares
-    its child's set when they agree.
-
-    Post-order on an explicit stack, as :func:`negate`.
-    """
+    and stored on ``f`` and on every subformula lacking them, as
+    :func:`negate` stores duals."""
     fv = f._rvars
-    if fv is not None:
-        return fv
-    stack = [f]
-    while stack:
-        node = stack[-1]
-        if node._rvars is not None:
-            stack.pop()
-            continue
-        cls = type(node)
-        if cls is Tensor or cls is Par:
-            fl, fr = node.left._rvars, node.right._rvars
-            if fl is None or fr is None:
-                if fl is None:
-                    stack.append(node.left)
-                if fr is None:
-                    stack.append(node.right)
-                continue
-            fv = fl if fr <= fl else fr if fl <= fr else fl | fr
-        elif cls is Bang or cls is WhyNot:
-            fv = node.body._rvars
-            if fv is None:
-                stack.append(node.body)
-                continue
-            x = node.var
-            if x in fv:
-                fv = fv - {x}
-            pv = node.bound.free_vars()
-            if not pv <= fv:
-                fv = fv | pv
-        elif cls is Atom or cls is NegAtom or cls is One or cls is Bottom:
-            fv = _NO_RVARS
-        else:
-            raise TypeError(node)
-        _set_rvars(node, fv)
-        stack.pop()
-    return f._rvars
+    return fv if fv is not None else fill(f, _get_rvars, _rvars_of, _set_rvars, _children)
+
+
+def _rvars_of(f: Formula) -> frozenset[VarId]:
+    """``f``'s free resource variables, from its children's stored sets; a
+    node shares its child's set when they agree."""
+    cls = type(f)
+    if cls is Tensor or cls is Par:
+        fl, fr = f.left._rvars, f.right._rvars
+        return fl if fr <= fl else fr if fl <= fr else fl | fr
+    if cls is Bang or cls is WhyNot:
+        fv, x, pv = f.body._rvars, f.var, f.bound.free_vars()
+        fv = fv - {x} if x in fv else fv
+        return fv if pv <= fv else fv | pv
+    return _NO_RVARS
+
+
+def _children(f: Formula) -> tuple[Formula, ...]:
+    cls = type(f)
+    if cls is Tensor or cls is Par:
+        return f.left, f.right
+    return (f.body,) if cls is Bang or cls is WhyNot else ()
+
+
+_get_dual, _get_rvars, _get_kind = attrgetter("_dual"), attrgetter("_rvars"), attrgetter("_kind")
 
 
 def subst_poly(f: Formula, var: VarId, q: Poly) -> Formula:
@@ -538,36 +514,31 @@ def classify(f: Formula) -> str:
 
     Typing formulas are ⊥, negated atoms and arrows ``?{x<p}~N par M``
     with ``N`` and ``M`` typing; modal ones are ``?{x<p}~N`` with ``N``
-    typing.  The walk reads ``~N`` off ``N`` by a polarity flag instead of
-    building the negation; its answer is stored on ``f``.
+    typing.  So an arrow is a par of a modal and a typing formula, and the
+    class of ``?{x<p}~N`` is read off ``N``, the stored dual of its body.
+    The answer is stored on ``f`` and on every formula it was read off, as
+    :func:`negate` stores duals.
     """
     kind = f._kind
-    if kind is not None:
-        return kind
-    if _typing(f, False):
-        kind = "typing"
-    elif type(f) is WhyNot and _typing(f.body, True):
-        kind = "modal"
-    else:
-        kind = "neither"
-    _set_kind(f, kind)
-    return kind
+    return kind if kind is not None else fill(f, _get_kind, _kind_of, _set_kind, _kind_parts)
 
 
-def _typing(f: Formula, negated: bool) -> bool:
-    """Whether ``f``, or ``negate(f)`` if ``negated``, is a typing formula."""
-    todo = [(f, negated)]
-    while todo:
-        f, negated = todo.pop()
-        # Under negation ⊥ is read off 1, ¬X off X, ⅋ off ⊗ and ? off !.
-        bottom, neg_atom, par, why_not = (
-            (One, Atom, Tensor, Bang) if negated else (Bottom, NegAtom, Par, WhyNot)
-        )
-        cls = type(f)
-        if cls is bottom or cls is neg_atom:
-            continue
-        if cls is not par or type(f.left) is not why_not:
-            return False
-        todo.append((f.left.body, not negated))
-        todo.append((f.right, negated))
-    return True
+def _kind_of(f: Formula) -> str:
+    """``f``'s class, from the stored classes of its :func:`_kind_parts`."""
+    cls = type(f)
+    if cls is Bottom or cls is NegAtom:
+        return "typing"
+    if cls is Par and f.left._kind == "modal" and f.right._kind == "typing":
+        return "typing"
+    if cls is WhyNot and f.body._dual._kind == "typing":
+        return "modal"
+    return "neither"
+
+
+def _kind_parts(f: Formula) -> tuple[Formula, ...]:
+    """The formulas whose classes decide ``f``'s: a par's sides, and ``N``
+    for ``?{x<p}~N``."""
+    cls = type(f)
+    if cls is Par:
+        return f.left, f.right
+    return (negate(f.body),) if cls is WhyNot else ()

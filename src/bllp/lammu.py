@@ -159,6 +159,13 @@ def _cache_free(t: Term, lam: bool) -> frozenset[str]:
     This is the one way a set is filled: a reader that finds a slot
     ``None`` calls it.  A node's set is stored after its subterms', so every
     subterm of a node that holds a set holds its own.
+
+    It does what ``record.fill`` does, which fills every stored fact of a
+    formula and a proof, but by hand, as the one fill on a hot path: the
+    step kernels call it on every new term.  Routed through ``record.fill``
+    with a per-node rule, 100 ``reduce`` ops of the benchmark took 0.77-1.25 s
+    of CPU time (median 0.90) against 0.73-0.90 s (median 0.80) by hand,
+    over 8 alternated in-process rounds on a shared 2-core host.
     """
     get, put = _SLOT_FV if lam else _SLOT_FMV
     stack = [t]

@@ -8,10 +8,12 @@ its ``data`` is a read-only copy.  A rewrite rebuilds only the path to its
 change, and every other subproof of its result is the same object as
 before.  So a fact that depends on a subproof alone is stored on the
 subproof's root, in a slot that ``record.replace`` does not carry over, and
-computed once.  Three are stored; each one's worth is given in CPU time
-on a shared 2-core host, the median of four best-of-15 runs, for draining
-the special steps of church-1..12 and the corpus with a check and a weight
-after each step (31 ms with all three):
+computed once; the verdict and the weight form are filled by
+``record.fill`` with the premises as children.  Three are stored; each
+one's worth is given in CPU time on a shared 2-core host, the median of
+four best-of-15 runs, for draining the special steps of church-1..12 and
+the corpus with a check and a weight after each step (31 ms with all
+three):
 
 - the verdict, a node's own errors, which read only the node and its
   premises' conclusions.  It is `CLEAN` when no node of the subproof has
@@ -83,7 +85,7 @@ from .formula import (
     lf_sum,
     negate,
 )
-from .record import replace
+from .record import fill, replace
 from .respoly import ONE, ZERO, Poly, bounded_sum, const, fresh_var, poly_leq, pvar
 from .typecheck import SIDES, Report, Tree, ctx_get, introduced, stack_safe
 
@@ -184,29 +186,6 @@ class Proof(Tree):
 _set_proof_rule, _set_proof_concl = Proof.rule.__set__, Proof.concl.__set__
 _set_proof_premises, _set_proof_data = Proof.premises.__set__, Proof.data.__set__
 _set_verdict, _set_table, _set_form = Proof.verdict.__set__, Proof.table.__set__, Proof.form.__set__
-
-
-def _fill(
-    p: Proof,
-    get: Callable[[Proof], object],
-    make: Callable[[Proof], object],
-    put: Callable[[Proof, object], None],
-) -> object:
-    """``get(p)``, after storing ``make(node)`` by ``put`` on every node of
-    ``p`` whose fact ``get`` finds unset, premises first.  A node whose fact
-    is set is not entered: every node of its subproof has the fact already."""
-    unset, stack = [], [p]
-    while stack:
-        node = stack.pop()
-        if get(node) is None:
-            unset.append(node)
-            stack += node.premises
-    # Pre-order, so reversed it puts premises first; a shared subproof met
-    # twice is listed twice, and filled once.
-    for node in reversed(unset):
-        if get(node) is None:
-            put(node, make(node))
-    return get(p)
 
 
 def positives(seq: Sequent) -> list[int]:
@@ -510,14 +489,15 @@ def _verdict(p: Proof) -> tuple[str, ...]:
     return CLEAN
 
 
-_get_verdict = attrgetter("verdict")
+_get_verdict, _get_form, _premises = attrgetter("verdict"), attrgetter("form"), attrgetter("premises")
 
 
 def check_proof(p: Proof) -> Report:
     """The errors of ``p`` in pre-order.  The root is decided by storing a
-    verdict on each node that has none, premises first; only when it is not
-    `CLEAN` does the pre-order walk read the stored verdicts for the report."""
-    if _fill(p, _get_verdict, _verdict, _set_verdict) is CLEAN:
+    verdict on each node that has none, premises first (``record.fill``);
+    only when it is not `CLEAN` does the pre-order walk read the stored
+    verdicts for the report."""
+    if fill(p, _get_verdict, _verdict, _set_verdict, _premises) is CLEAN:
         return Report([])
     return Report.walk(p, _get_verdict)
 
@@ -566,9 +546,6 @@ def _form(node: Proof) -> Form:
     return c0, tuple(cs)
 
 
-_get_form = attrgetter("form")
-
-
 def weight(p: Proof) -> Poly:
     """Σ over the weight variables of their fate × the labels of the boxes above.
 
@@ -582,12 +559,12 @@ def weight(p: Proof) -> Poly:
     and ×, so the pre-weight of a subproof, with its own cuts' variables
     set to 1, is affine in the fates of its conclusion positions: that is
     its form (`Form`), which depends on the subproof alone.  Each node's
-    form is computed from its premises' and stored on it, and a node whose
-    form is stored is not entered, so weighing the result of a cut computes
-    forms only for the nodes the cut built.  Every root fate is 0, so the
-    weight is the root's ``c0``.
+    form is computed from its premises' and stored on it by
+    ``record.fill``, and a node whose form is stored is not entered, so
+    weighing the result of a cut computes forms only for the nodes the cut
+    built.  Every root fate is 0, so the weight is the root's ``c0``.
     """
-    c0 = _fill(p, _get_form, _form, _set_form)[0]
+    c0 = fill(p, _get_form, _form, _set_form, _premises)[0]
     return const(c0) if type(c0) is int else c0
 
 

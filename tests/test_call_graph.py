@@ -7,12 +7,13 @@ explicit stacks; so a tree or term of any depth stays within the recursion
 limit.  The call graph is read from the ``ast``: an edge f -> g when the
 body of the function f (module-level or nested in one) names g, as a plain
 name or as an attribute.  The graph must have no cycle.  ``syntax`` parses
-and prints terms, formulas and files on explicit stacks too; its
-polynomial parser (into parentheses and bounded sums) and the renaming of
-generated formula binders still recurse, as deep as a type, not a term,
-and they are pinned: the list may only shrink.  ``formula`` walks formulas
-on explicit stacks (``negate``, ``free_rvars`` and ``subst_poly``), so its
-pinned list is empty; ``respoly``, ``corpus`` and ``cli`` have none.
+and prints terms, formulas and files on explicit stacks too, the renaming
+of generated formula binders included; its polynomial parser (into
+parentheses and bounded sums) still recurses, as deep as a bound, not a
+formula, and it is pinned: the list may only shrink.  ``formula`` fills
+its stored facts through ``record.fill`` and substitutes on an explicit
+stack (``subst_poly``), so its pinned list is empty; ``respoly``,
+``corpus`` and ``cli`` have none.
 """
 
 import ast
@@ -80,8 +81,8 @@ def test_lammu_and_machine_recurse_only_in_their_pinned_functions():
     assert recursive == {"lammu": [], "machine": []}
 
 
-def test_syntax_recurses_only_in_its_formula_and_polynomial_parsers_and_printers():
-    assert _recursive([(LIBRARY / "syntax.py").read_text()]) == ["_display_formula", "_parse_poly"]
+def test_syntax_recurses_only_in_its_polynomial_parser():
+    assert _recursive([(LIBRARY / "syntax.py").read_text()]) == ["_parse_poly"]
 
 
 def test_formula_recurses_only_in_its_pinned_functions():

@@ -1,7 +1,12 @@
+import contextlib
+import copy
+import io
+import itertools
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bllp import cli, machine
 from bllp import corpus as C
@@ -640,3 +645,92 @@ def test_reduce_prints_the_normal_form_of_a_spine_of_10_4_arguments(capsys):
     aleph = rf"(\f. mu a. f (\x. [a] x)) w {args}"
     assert run("reduce", aleph, "--fuel", str(k + 1)) == 0
     assert capsys.readouterr() == (rf"mu a. w (\x. [a] x {args})" + f"\nsteps: {k + 1}\n", "")
+
+
+# -- edited derivation files ----------------------------------------------------------
+
+
+DERIVATION_FILES = {
+    **{e.name: derivation_to_obj(e.derivation, "additive") for e in C.entries() if e.derivation},
+    **{f"applied-{n}": derivation_to_obj(C.church_applied_derivation(n), "additive") for n in (1, 2, 3)},
+}
+JSON_VALUES = [None, True, 7, "7", [], {}]
+
+
+def _json_type(value) -> type:
+    return type(None) if value is None else bool if isinstance(value, bool) else type(value)
+
+
+def _derivation_nodes(obj: dict) -> list[dict]:
+    """Every node object of a derivation file, in pre-order."""
+    out, stack = [], [obj["tree"]]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack += reversed(node["premises"])
+    return out
+
+
+def _derivation_places(nodes: list[dict]) -> dict[str, list[tuple]]:
+    """Per edit, each place of the file whose node objects are ``nodes``
+    where it applies: a premise to drop, duplicate or swap with the next; a
+    key of a node, its ``judgment`` or its ``ann`` to delete; a value there,
+    or an entry of a context or of ``premises``, with a value of another
+    JSON type; a context and a length to truncate it to; or two nodes whose
+    rule names to swap."""
+    holders = [h for n in nodes for h in (n, n["judgment"], n["ann"])]
+    keys = [(h, k) for h in holders for k in h]
+    contexts = [(n["judgment"], key) for n in nodes for key in ("lam", "mu")]
+    values = keys + [(h[k], i) for h, k in contexts for i in range(len(h[k]))]
+    values += [(n["premises"], i) for n in nodes for i in range(len(n["premises"]))]
+    return {
+        "drop": [(n, i) for n in nodes for i in range(len(n["premises"]))],
+        "duplicate": [(n, i) for n in nodes for i in range(len(n["premises"]))],
+        "swap": [(n, i) for n in nodes for i in range(len(n["premises"]) - 1)],
+        "delete": keys,
+        "retype": [(h, k, v) for h, k in values for v in JSON_VALUES if _json_type(v) is not _json_type(h[k])],
+        "truncate": [(h, k, m) for h, k in contexts for m in range(len(h[k]))],
+        "rename": [(a, b) for a, b in itertools.combinations(nodes, 2) if a["rule"] != b["rule"]],
+    }
+
+
+def _edit_derivation(edit: str, place: tuple) -> None:
+    """Apply ``edit`` at ``place`` (see `_derivation_places`), in place."""
+    match edit, place:
+        case "drop", (node, i):
+            del node["premises"][i]
+        case "duplicate", (node, i):
+            node["premises"].insert(i, node["premises"][i])
+        case "swap", (node, i):
+            prems = node["premises"]
+            prems[i], prems[i + 1] = prems[i + 1], prems[i]
+        case "delete", (holder, key):
+            del holder[key]
+        case "retype", (holder, key, value):
+            holder[key] = value
+        case "truncate", (holder, key, m):
+            holder[key] = holder[key][:m]
+        case "rename", (a, b):
+            a["rule"], b["rule"] = b["rule"], a["rule"]
+
+
+@pytest.fixture(scope="module")
+def derivation_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("edits") / "derivation.json"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(DERIVATION_FILES)), data=st.data())
+def test_an_edited_derivation_file_is_checked_weighed_and_mapped_or_reported(derivation_file, name, data):
+    """``check``, ``weight`` and ``to-proof`` on a corpus or church-1..3
+    derivation file with one structural edit each exit 0, 1 or 3 and raise
+    nothing."""
+    obj = copy.deepcopy(DERIVATION_FILES[name])
+    places = _derivation_places(_derivation_nodes(obj))
+    edit = data.draw(st.sampled_from([e for e in places if places[e]]), label="edit")
+    _edit_derivation(edit, data.draw(st.sampled_from(places[edit]), label="place"))
+    derivation_file.write_text(json.dumps(obj))
+    for command in ("check", "weight", "to-proof"):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = run(command, "--file", str(derivation_file))
+        assert rc in (0, 1, 3), command

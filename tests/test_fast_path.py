@@ -40,8 +40,12 @@ or ``LF`` itself.
 ``proofs._build`` picks a node's conclusion by the gather of the plan its
 shape shares, so it holds no ``for`` loop and no comprehension: placing the
 formulas one at a time, a cut of church-8's proof took 4.5 µs to build,
-and 1.7 µs by the gather (timeit, best of 5).  The guards read the ``ast``
-of the modules.
+and 1.7 µs by the gather (timeit, best of 5).  The stored facts of a
+formula (its dual, free resource variables and class) and of a proof node
+(its verdict and weight form) are filled by ``record.fill``, the one
+bottom-up fill, with a per-node rule: ``negate``, ``free_rvars``,
+``classify``, ``check_proof`` and ``weight`` hold no loop and no
+comprehension of their own.  The guards read the ``ast`` of the modules.
 """
 
 import ast
@@ -273,11 +277,13 @@ def test_the_guard_sees_a_token_dataclass_however_it_is_imported():
     assert not _reads_dataclasses("import re\nfrom types import MappingProxyType\nTOKEN = re.compile('x')\n")
 
 
-def _with_loop(source: str, names: tuple[str, ...]) -> list[str]:
+LOOPS = (ast.For, ast.AsyncFor, ast.comprehension)
+
+
+def _with_loop(source: str, names: tuple[str, ...], kinds: tuple[type, ...] = LOOPS) -> list[str]:
     """The module-level functions ``names`` of ``source`` that hold a ``for``
-    loop or a comprehension."""
+    loop or a comprehension, or a node of another of ``kinds``."""
     defs = _functions(source, names)
-    kinds = (ast.For, ast.AsyncFor, ast.comprehension)
     return [name for name in names if any(isinstance(n, kinds) for n in ast.walk(defs[name]))]
 
 
@@ -294,6 +300,24 @@ def test_the_guard_sees_a_loop_and_each_kind_of_comprehension():
 
 def test_build_assembles_a_conclusion_without_a_loop():
     assert _with_loop((LIBRARY / "proofs.py").read_text(), ("_build",)) == []
+
+
+def test_the_guard_sees_a_while_loop_when_asked():
+    source = (
+        "def f(x):\n    while x:\n        x = x.next\n    return x\n"
+        "def g(x):\n    return fill(x, get, make, put, children)\n"
+    )
+    assert _with_loop(source, ("f", "g")) == []
+    assert _with_loop(source, ("f", "g"), (*LOOPS, ast.While)) == ["f"]
+
+
+def test_stored_facts_are_filled_only_by_record_fill():
+    fills = {"formula": ("negate", "free_rvars", "classify"), "proofs": ("check_proof", "weight")}
+    found = {
+        mod: _with_loop((LIBRARY / f"{mod}.py").read_text(), names, (*LOOPS, ast.While))
+        for mod, names in fills.items()
+    }
+    assert found == {"formula": [], "proofs": []}
 
 
 def _callers(source: str, names: tuple[str, ...]) -> list[str]:

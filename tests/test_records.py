@@ -15,6 +15,8 @@ here.
 """
 
 import dataclasses
+import sys
+from operator import attrgetter
 from types import MappingProxyType
 
 import pytest
@@ -26,7 +28,7 @@ from bllp import respoly as R
 from bllp.formula import LF
 from bllp.proofs import Proof, check_proof, map_derivation, mk_ax, weight
 from bllp.machine import EMPTY, Closure, Config, Env
-from bllp.record import Frozen, replace
+from bllp.record import Frozen, fill, replace
 from bllp.respoly import Mono, Poly, const, pvar
 from bllp.typecheck import Derivation, Judgment, add_to_mult
 
@@ -456,3 +458,63 @@ def test_a_class_that_adds_no_slot_shares_its_base_functions():
     More = type("More", (Pair,), {"__slots__": ("_more",)})
     assert More.__init__ is not Pair.__init__ and More(1, 2)._more is None
     assert Same(1, 2) != Pair(1, 2) and Same(1, 2) == Same(1, 2)
+
+
+# -- the one bottom-up fill ----------------------------------------------------------
+
+
+class Sized(Frozen):
+    """A node whose stored fact is its size, the number of nodes of its
+    subtree counted as a tree: a shared child counts at each place."""
+
+    __slots__ = ("name", "kids", "size")
+    __match_args__ = ("name", "kids")
+
+
+def _fill_sizes(root: Sized) -> tuple[int, list[str], list[str]]:
+    """``fill`` of the sizes below ``root``, with the names of the nodes
+    whose size was made and whose children were asked for, in order."""
+    made, entered = [], []
+
+    def size(n: Sized) -> int:
+        assert all(k.size is not None for k in n.kids), "a child is filled first"
+        made.append(n.name)
+        return 1 + sum(k.size for k in n.kids)
+
+    def kids(n: Sized) -> tuple[Sized, ...]:
+        entered.append(n.name)
+        return n.kids
+
+    return fill(root, attrgetter("size"), size, Sized.size.__set__, kids), made, entered
+
+
+def test_fill_makes_each_unset_node_once_children_first():
+    leaf = Sized("leaf", ())
+    mid = Sized("mid", (leaf, leaf))
+    root = Sized("root", (mid, leaf))
+    size, made, entered = _fill_sizes(root)
+    assert size == 5 and (root.size, mid.size, leaf.size) == (5, 3, 1)
+    # The shared leaf, met three times, is made once, before both parents.
+    assert made == ["leaf", "mid", "root"]
+    assert sorted(entered) == ["leaf", "leaf", "leaf", "mid", "root"]
+
+
+def test_fill_does_not_enter_a_node_that_holds_its_fact():
+    below = Sized("below", ())
+    done = Sized("done", (below,))
+    Sized.size.__set__(done, 7)
+    top = Sized("top", (done, Sized("new", ())))
+    size, made, entered = _fill_sizes(top)
+    assert size == 9 and made == ["new", "top"] and sorted(entered) == ["new", "top"]
+    assert below.size is None
+    assert _fill_sizes(top) == (9, [], [])
+
+
+def test_fill_walks_a_chain_of_ten_thousand_at_the_default_recursion_limit():
+    depth = 10_000
+    assert depth > sys.getrecursionlimit()
+    node = Sized(0, ())
+    for i in range(1, depth + 1):
+        node = Sized(i, (node,))
+    size, made, entered = _fill_sizes(node)
+    assert size == depth + 1 and made == list(range(depth + 1)) and len(entered) == depth + 1

@@ -1,3 +1,4 @@
+import itertools
 import json
 import sys
 
@@ -9,6 +10,7 @@ import syntax_oracle as SO
 from bllp import corpus as C
 from bllp import formula as F
 from bllp import lammu as L
+from bllp import respoly as R
 from bllp import syntax as S
 from bllp.proofs import check_proof, map_derivation, mk_ax, special_steps, weight
 from bllp.respoly import add, binom, const, fresh_var, mul, pvar
@@ -562,6 +564,27 @@ def test_formulas_print_as_the_former_two_walk_printer_prints_them(f):
     assert print_formula(f) == SO.print_formula(f)
 
 
+@settings(max_examples=150, deadline=None)
+@given(generated_formulas())
+def test_generated_binders_are_renamed_as_the_recursive_renaming_renames_them(f):
+    """The same nodes, and the same fresh names drawn in the same order."""
+    avoid = F.free_rvars(f)
+    got, after = _from_counter(S._display_formula, f, avoid)
+    want, former_after = _from_counter(SO.display_formula, f, avoid)
+    assert got is want and after == former_after
+
+
+def _from_counter(display, f: F.Formula, avoid: frozenset[str]) -> tuple[F.Formula, int]:
+    """``display(f, avoid)`` with ``fresh_var`` counting from 10⁶, and the
+    next name it would have drawn."""
+    saved = R._counter
+    R._counter = itertools.count(10**6)
+    try:
+        return display(f, avoid), next(R._counter)
+    finally:
+        R._counter = saved
+
+
 def test_a_generated_binder_is_renamed_before_printing():
     x = fresh_var("v")
     f = F.Tensor(F.Atom("Z"), F.Bang(x, pvar("v"), F.WhyNot("w", pvar(x), F.Atom("X"))))
@@ -595,6 +618,11 @@ def test_chains_of_ten_thousand_print_and_parse_at_the_default_recursion_limit()
         text = print_formula(f)
         assert text.startswith(start)
         assert _same_formula(parse_formula(text), f)
+    # A generated binder at the root: every node below it is renamed too.
+    deep = F.Bang.intern("#y1", R.ONE, parse_formula("!{1} " * depth + "X"))
+    text = print_formula(deep)
+    assert text.startswith("!{v<1} !{1} !{1} ") and F.alpha_eq(parse_formula(text), deep)
+    assert print_lf(F.lf(deep, "x", 2)) == f"<{text}>[2]"
     texts = {
         "~" * depth + "X": F.Atom("X"),
         "?{1} " * depth + "X": None,
