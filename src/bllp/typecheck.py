@@ -742,26 +742,39 @@ def _restated(j: Judgment, side: str, ctx: Ctx) -> Judgment:
     return Judgment(ctx, None, j.type, j.mu) if side == "lam" else Judgment(j.lam, None, j.type, ctx)
 
 
-def _node(rule: str, premises: tuple, type: LF, name=None, h=None, witnesses=None) -> Derivation:
+def _node(rule: str, premises: tuple, type: LF, name=None, h=None, witnesses=None, keep=None) -> Derivation:
     """The ``rule`` node over ``premises`` concluding ``type``, its contexts
     drawn from its premises': an ``abs`` or ``mu_abs`` binds ``name``, a
     ``mu_name_m`` moves its premise's type onto it, and an ``app_m`` keeps
     the function's contexts and sums the argument's under ``h``, with the
-    per-side ``witnesses`` by the argument's names.  It stores no subject."""
+    per-side ``witnesses`` by the argument's names.  It stores no subject.
+
+    ``keep`` is an ``app_m`` node this one rebuilds: an argument entry that
+    ``keep``'s argument premise held, α-equal, keeps ``keep``'s summed entry,
+    so no summation variable is drawn for it.  So the cost of a rebuilt
+    ``app_m`` is the size of its own contexts."""
     p = premises[0].concl
     if rule == "app_m":
         arg, wit = premises[1].concl, witnesses or {}
-        lam, mu = (
-            getattr(p, side) + tuple(
-                (v, _sum_ctx_entry(h, a, wit.get(side, {}).get(v))) for v, a in getattr(arg, side)
-            )
-            for side in SIDES
-        )
+        lam, mu = (getattr(p, side) + _summed(getattr(arg, side), h, wit.get(side, {}), keep, side) for side in SIDES)
         return Derivation(rule, Judgment(lam, None, type, mu), premises, {"h": h})
     side, holds = RULES[rule].side, RULES[rule].holds
     ctx = ctx_remove(getattr(p, side), name) if holds == "premise" else ((name, p.type),) + getattr(p, side)
     lam, mu = (ctx if s == side else getattr(p, s) for s in SIDES)
     return Derivation(rule, Judgment(lam, None, type, mu), premises)
+
+
+def _summed(ctx: Ctx, h: Poly, wit: dict, keep: Derivation | None, side: str) -> Ctx:
+    """The argument context ``ctx`` of an ``app_m`` summed under ``h``, on
+    ``side``; the entries ``keep`` held are read off its conclusion."""
+    if keep is None:
+        return tuple((v, _sum_ctx_entry(h, a, wit.get(v))) for v, a in ctx)
+    held, summed = getattr(keep.premise(1).concl, side), dict(getattr(keep.concl, side))
+    if ctx is held:
+        return tuple((v, summed[v]) for v, _ in ctx)
+    held = dict(held)
+    return tuple((v, summed[v] if v in held and lf_alpha_eq(a, held[v]) else _sum_ctx_entry(h, a, wit.get(v)))
+                 for v, a in ctx)
 
 
 @stack_safe
@@ -972,53 +985,46 @@ class _Sub:
     root: str = ""  # original variable this copy descends from
 
 
-def _instantiate(sub: _Sub) -> tuple[Derivation, dict, dict]:
+def _instantiate(sub: _Sub, groups: dict) -> Derivation:
     """A fresh-named instance of the argument derivation at the copy's
-    shift, and per side the groups of its renamed hypotheses."""
+    shift.  Each renamed hypothesis is appended to its group in ``groups``,
+    per side, under the argument's name for it."""
     inst = sub.rho
     if sub.binder != VACUOUS:
         inst = subst_derivation(inst, sub.binder, sub.shift)
-    groups = []
     for side in SIDES:
-        ren = {v: L.fresh_tvar(v) for v, _ in getattr(inst.concl, side)}
-        for old, new in ren.items():
-            inst = _rename_free(inst, side, old, new)
-        groups.append({old: [new] for old, new in ren.items()})
-    return inst, *groups
-
-
-def _merge_groups(a: dict, b: dict) -> dict:
-    out = {k: list(v) for k, v in a.items()}
-    for k, v in b.items():
-        out.setdefault(k, []).extend(v)
-    return out
+        for v, _ in getattr(inst.concl, side):
+            new = L.fresh_tvar(v)
+            inst = _rename_free(inst, side, v, new)
+            groups[side].setdefault(v, []).append(new)
+    return inst
 
 
 @stack_safe
-def _subst_walk(d: Derivation, subs: dict[str, _Sub]) -> tuple[Derivation, dict, dict]:
+def _subst_walk(d: Derivation, subs: dict[str, _Sub], groups: dict) -> Derivation:
     """Replace every use of the tracked variable copies by the argument.
 
-    Returns the rebuilt derivation together with groups mapping each
-    original argument-context variable to the fresh copies inserted.
+    Returns the rebuilt derivation.  Each fresh copy it inserts is appended,
+    in walk order, to ``groups`` (``{"lam": {}, "mu": {}}``): under the
+    original argument-context variable it copies, or for a μ-copy's new
+    naming under ``("copy", root)``.  A node's tracked copies are found by
+    looking the names of its own contexts up in ``subs``, and an ``app_m``
+    keeps the summed entries its argument did not change (``_node``), so
+    the cost of the walk follows the size of the reduct it builds.
     """
     j = d.concl
-    live = {
-        v: s
-        for v, s in subs.items()
-        if (j.lam_get(v) if s.kind == "lam" else j.mu_get(v)) is not None
-    }
+    live = {v: subs[v] for side in SIDES for v, _ in getattr(j, side) if v in subs and subs[v].kind == side}
     if not live:
-        return d, {}, {}
+        return d
     rule = d.rule
 
     if rule == "var_m":
-        (v, sub), = live.items()
-        inst, gl, gm = _instantiate(sub)
-        return lower_type(inst, j.type), gl, gm
+        (sub,) = live.values()
+        return lower_type(_instantiate(sub, groups), j.type)
 
     if rule in ("w_lam", "w_mu") and introduced(d) in live:
         # the copy is unused: no argument inserted
-        return (yield (d.premise(), subs))
+        return (yield (d.premise(), subs, groups))
 
     if rule in ("c_lam", "c_mu") and d.ann["into"] in live:
         x1, x2, z = d.ann["left"], d.ann["right"], d.ann["into"]
@@ -1027,58 +1033,37 @@ def _subst_walk(d: Derivation, subs: dict[str, _Sub]) -> tuple[Derivation, dict,
         subs2 = {v: s for v, s in subs.items() if v != z}
         subs2[x1] = _Sub(sub.rho, sub.binder, sub.shift, sub.kind, sub.root)
         subs2[x2] = _Sub(sub.rho, sub.binder, sub.shift + p1, sub.kind, sub.root)
-        return (yield (d.premise(), subs2))
+        return (yield (d.premise(), subs2, groups))
 
     if rule in STRUCTURAL:
-        prem, gl, gm = yield (d.premise(), subs)
-        return _replay_structurals(prem, [d]), gl, gm
+        return _replay_structurals((yield (d.premise(), subs, groups)), [d])
 
     if rule == "mu_name_m" and introduced(d) in live:
         gamma = introduced(d)
         sub = live[gamma]
-        prem, gl, gm = yield (d.premise(), subs)
+        prem = yield (d.premise(), subs, groups)
         entry = j.mu_get(gamma)
         n_f, xh, ph, m_f = arrow_parts(entry.formula)
-        inst, il, im = _instantiate(sub)
-        inst = lower_type(inst, lf(n_f, xh, ph))
+        inst = lower_type(_instantiate(sub, groups), lf(n_f, xh, ph))
         gamma2 = L.fresh_tvar(gamma)
+        groups["mu"].setdefault(("copy", sub.root), []).append(gamma2)
         app = _node("app_m", (prem, inst), lf(m_f, entry.binder, entry.label), h=entry.label)
-        gm = _merge_groups(_merge_groups(gm, im), {("copy", sub.root): [gamma2]})
-        return _node("mu_name_m", (app,), j.type, gamma2), _merge_groups(gl, il), gm
+        return _node("mu_name_m", (app,), j.type, gamma2)
 
     # congruence cases: rebuild the node around the processed premises
     new_prems = []
-    gl: dict = {}
-    gm: dict = {}
     for p in d.premises:
-        p2, gl2, gm2 = yield (p, subs)
-        new_prems.append(p2)
-        gl = _merge_groups(gl, gl2)
-        gm = _merge_groups(gm, gm2)
-
+        new_prems.append((yield (p, subs, groups)))
     if rule in ("abs", "mu_abs", "mu_name_m"):
-        return _node(rule, tuple(new_prems), j.type, introduced(d)), gl, gm
+        return _node(rule, tuple(new_prems), j.type, introduced(d))
     if rule == "app_m":
-        fn, arg = new_prems
-        h = d.ann["h"]
-        # An argument entry the walk left alone keeps its summed entry.
-        ctxs = []
-        for side in SIDES:
-            ctx = list(getattr(fn.concl, side))
-            for v, a in getattr(arg.concl, side):
-                old, kept = ctx_get(getattr(d.premise(1).concl, side), v), ctx_get(getattr(j, side), v)
-                keep = old is not None and kept is not None and lf_alpha_eq(a, old)
-                ctx.append((v, kept if keep else _sum_ctx_entry(h, a)))
-            ctxs.append(tuple(ctx))
-        return Derivation("app_m", Judgment(ctxs[0], None, j.type, ctxs[1]), (fn, arg), {"h": h}), gl, gm
+        return _node(rule, tuple(new_prems), j.type, h=d.ann["h"], keep=d)
     raise DerivationError(f"substitution hit an unexpected {rule} node")
 
 
 def _close_groups(d: Derivation, groups: dict, side: str) -> Derivation:
     """Contract fresh argument copies together and restore original names."""
     for orig, copies in groups.items():
-        if not copies:
-            continue
         cur = copies[0]
         for nxt in copies[1:]:
             e1 = ctx_get(getattr(d.concl, side), cur)
@@ -1101,10 +1086,10 @@ def _lam_subst(pi: Derivation, x: str, rho: Derivation) -> Derivation:
     entry = pi.concl.lam_get(x)
     if entry is None:
         raise DerivationError(f"{x} is not bound in the premise")
-    sub = _Sub(rho, entry.binder, ZERO, "lam", x)
-    out, gl, gm = _subst_walk(pi, {x: sub})
-    out = _close_groups(out, gl, "lam")
-    return _close_groups(out, gm, "mu")
+    groups: dict = {"lam": {}, "mu": {}}
+    out = _subst_walk(pi, {x: _Sub(rho, entry.binder, ZERO, "lam", x)}, groups)
+    out = _close_groups(out, groups["lam"], "lam")
+    return _close_groups(out, groups["mu"], "mu")
 
 
 def mu_subst_derivation(pi: Derivation, alpha: str, rho: Derivation) -> Derivation:
@@ -1119,11 +1104,11 @@ def _mu_subst(pi: Derivation, alpha: str, rho: Derivation) -> Derivation:
         raise DerivationError(f"{alpha} is not bound in the premise")
     _, _, _, m_f = arrow_parts(entry.formula)
     target = lf(m_f, entry.binder, entry.label)
-    sub = _Sub(rho, entry.binder, ZERO, "mu", alpha)
-    out, gl, gm = _subst_walk(pi, {alpha: sub})
-    copies = gm.pop(("copy", alpha), [])
-    out = _close_groups(out, gl, "lam")
-    out = _close_groups(out, gm, "mu")
+    groups: dict = {"lam": {}, "mu": {}}
+    out = _subst_walk(pi, {alpha: _Sub(rho, entry.binder, ZERO, "mu", alpha)}, groups)
+    copies = groups["mu"].pop(("copy", alpha), [])
+    out = _close_groups(out, groups["lam"], "lam")
+    out = _close_groups(out, groups["mu"], "mu")
     if not copies:
         return weaken(out, "mu", alpha, target)
     out = _close_groups(out, {alpha: copies}, "mu")
@@ -1171,11 +1156,7 @@ def _bare_redex_app(d: Derivation) -> tuple[Derivation, list[Derivation]]:
         fn = fn.premise()
     if not wrappers:
         return d, []
-    lam, mu = (
-        getattr(fn.concl, side) + tuple((v, ctx_get(getattr(d.concl, side), v)) for v, _ in getattr(arg.concl, side))
-        for side in SIDES
-    )
-    return Derivation("app_m", Judgment(lam, None, d.concl.type, mu), (fn, arg), dict(d.ann)), wrappers
+    return _node("app_m", (fn, arg), d.concl.type, h=d.ann.get("h"), keep=d), wrappers
 
 
 def _fire_beta(d: Derivation) -> Derivation:
@@ -1240,6 +1221,10 @@ def subject_reduce(d: Derivation, position: tuple[str, ...] | None = None) -> De
     tree and the root's subject together, so the redex is read off that
     subject and no node's subject is rebuilt on the way.  The root returned
     stores the subject its tree builds, the reduct.
+
+    Its cost follows the size of the reduct's derivation, which holds Θ(n²)
+    context entries after one step on elaborated church n: ``_subst_walk``
+    reads each entry of a node it rebuilds a bounded number of times.
     """
     t = subject_of(d)
     if position is None:

@@ -39,7 +39,8 @@ FORMER = [
     (T, "lower_type", TO.lower_type),
     (T, "drop_mu_entry", TO.drop_mu_entry),
     (T, "add_to_mult", TO.add_to_mult),
-    (T, "_subst_walk", TO._subst_walk),
+    (T, "_lam_subst", TO.lam_subst_derivation),
+    (T, "_mu_subst", TO.mu_subst_derivation),
     (T, "subject_reduce", TO.subject_reduce),
     (T, "lam_subst_derivation", TO.lam_subst_derivation),
     (T, "mu_subst_derivation", TO.mu_subst_derivation),

@@ -657,6 +657,89 @@ def test_subject_reduce_stores_the_reduct_its_tree_builds(name):
         assert T.subject_of(replace(m, concl=replace(m.concl, subject=None))) == hit[0]
 
 
+# -- subject reduction at the cost of its output --------------------------------------
+
+
+def _ctx_get_calls(monkeypatch, n: int) -> int:
+    """The ``ctx_get`` calls of two subject reduction steps on church n;
+    ``Judgment.lam_get`` and ``mu_get`` go through the module global."""
+    m = add_to_mult(C.church_applied_derivation(n))
+    calls = [0]
+    ctx_get = T.ctx_get
+
+    def counting(ctx, name):
+        calls[0] += 1
+        return ctx_get(ctx, name)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(T, "ctx_get", counting)
+        subject_reduce(subject_reduce(m))
+    return calls[0]
+
+
+def test_two_subject_reduction_steps_look_up_linearly_many_entries(monkeypatch):
+    """Doubling n at most about doubles the lookups (no timing): an ``app_m``
+    the walk rebuilds keeps its summed entries, and a node's tracked copies
+    are found from its own contexts."""
+    assert _ctx_get_calls(monkeypatch, 192) <= 2.2 * _ctx_get_calls(monkeypatch, 96)
+
+
+def test_church_400_reaches_its_head_normal_form_at_the_default_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000
+    m = add_to_mult(C.church_applied_derivation(400))
+    assert check_mult(m).ok
+    steps = 0
+    while L.step(m.concl.subject, "head") is not None:
+        m = subject_reduce(m)
+        steps += 1
+        assert check_mult(m).ok
+    assert steps == 2
+
+
+def _app_with_two_argument_names() -> Derivation:
+    """The ``app_m`` of elaborated church 2 whose argument holds ``s%…`` and ``z``."""
+    for node in _nodes(add_to_mult(C.church_applied_derivation(2))):
+        if node.rule == "app_m" and len(node.premise(1).concl.lam) == 2:
+            return node
+    raise AssertionError("church 2 has no such application")
+
+
+def _supplies() -> tuple[str, str]:
+    return repr(L._gen), repr(R._counter)
+
+
+def test_an_app_rebuilt_over_its_own_argument_keeps_every_summed_entry():
+    d = _app_with_two_argument_names()
+    before = _supplies()
+    out = T._node("app_m", d.premises, d.concl.type, h=d.ann["h"], keep=d)
+    assert _supplies() == before
+    assert out.concl == d.concl and out.ann == d.ann
+    for side in T.SIDES:
+        assert all(a is b for (_, a), (_, b) in zip(getattr(out.concl, side), getattr(d.concl, side)))
+
+
+@pytest.mark.parametrize(
+    "change, resummed",
+    [
+        (lambda arg: T.rename_free(arg, "lam", "z", "w"), "w"),
+        # The same name with a lower entry: its former sum would not fit it.
+        (lambda arg: ctx_lower(arg, "lam", "z", parse_lf("<?{1} X>[2]")), "z"),
+    ],
+    ids=["renamed", "lowered"],
+)
+def test_an_app_rebuilt_over_a_changed_argument_sums_exactly_the_changed_names(change, resummed):
+    d = _app_with_two_argument_names()
+    fn, arg = d.premises
+    changed = change(arg)
+    assert check_mult(changed).ok
+    start = next(R._counter)
+    out = T._node("app_m", (fn, changed), d.concl.type, h=d.ann["h"], keep=d)
+    assert next(R._counter) == start + 2  # one summation variable drawn
+    assert check_mult(out).ok
+    kept = dict(d.concl.lam)
+    assert [v for v, a in out.concl.lam if kept.get(v) is not a] == [resummed]
+
+
 # ``s z`` with both premises holding s and z: two shared λ-names at one app.
 TWO_SHARED = """\
 import json

@@ -37,7 +37,6 @@ from bllp.typecheck import (
     Derivation,
     DerivationError,
     Judgment,
-    _merge_groups,
     _Sub,
     _sum_ctx_entry,
     ctx_dom,
@@ -332,6 +331,13 @@ def add_to_mult(d: Derivation) -> Derivation:
             out = _merge_side(out, "mu", j.mu, fn.concl.mu, summed_m)
             return present(out, j)
     raise DerivationError(f"not an additive rule: {d.rule}")
+
+
+def _merge_groups(a: dict, b: dict) -> dict:
+    out = {k: list(v) for k, v in a.items()}
+    for k, v in b.items():
+        out.setdefault(k, []).extend(v)
+    return out
 
 
 def _instantiate(sub: _Sub) -> tuple[Derivation, dict, dict]:
