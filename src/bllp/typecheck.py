@@ -769,10 +769,7 @@ def _summed(ctx: Ctx, h: Poly, wit: dict, keep: Derivation | None, side: str) ->
     ``side``; the entries ``keep`` held are read off its conclusion."""
     if keep is None:
         return tuple((v, _sum_ctx_entry(h, a, wit.get(v))) for v, a in ctx)
-    held, summed = getattr(keep.premise(1).concl, side), dict(getattr(keep.concl, side))
-    if ctx is held:
-        return tuple((v, summed[v]) for v, _ in ctx)
-    held = dict(held)
+    held, summed = dict(getattr(keep.premise(1).concl, side)), dict(getattr(keep.concl, side))
     return tuple((v, summed[v] if v in held and lf_alpha_eq(a, held[v]) else _sum_ctx_entry(h, a, wit.get(v)))
                  for v, a in ctx)
 
